@@ -370,7 +370,7 @@ func BenchmarkDecodeStream(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dec.DecodeSource(sk.src, opts); err != nil {
+				if _, err := dec.DecodePlanarSource(sk.src, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -413,6 +413,7 @@ func BenchmarkDecodeColor(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	src := t2.BytesSource(cs)
 	for _, w := range []int{1, 4} {
 		b.Run(byName("w", w), func(b *testing.B) {
 			dec := jp2k.NewDecoder()
@@ -422,7 +423,7 @@ func BenchmarkDecodeColor(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dec.DecodePlanar(cs, opts); err != nil {
+				if _, err := dec.DecodePlanarSource(src, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -441,6 +442,7 @@ func BenchmarkDecodeRegion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	src := t2.BytesSource(cs)
 	region := jp2k.Rect{X0: 300, Y0: 300, X1: 700, Y1: 700}
 	for _, w := range []int{1, 4} {
 		b.Run(byName("w", w), func(b *testing.B) {
@@ -451,7 +453,7 @@ func BenchmarkDecodeRegion(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dec.DecodeRegion(cs, region, opts); err != nil {
+				if _, err := dec.DecodeRegionPlanarSource(src, region, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -41,8 +41,3 @@ func (pr Profile) ParallelFraction() float64 {
 	}
 	return pr.Parallel / total
 }
-
-// Efficiency returns Speedup(n)/n.
-func (pr Profile) Efficiency(n int) float64 {
-	return pr.Speedup(n) / float64(n)
-}

@@ -95,10 +95,6 @@ func (r *Reader) ReadBits(n int) (uint32, error) {
 // Align discards bits up to the next byte boundary.
 func (r *Reader) Align() { r.nacc = 0 }
 
-// Offset returns the number of whole bytes consumed (after Align semantics:
-// a partially consumed byte counts as consumed).
-func (r *Reader) Offset() int { return r.pos }
-
 // StuffWriter writes packet-header bits with JPEG2000 bit stuffing: after
 // emitting a 0xFF byte, only seven bits are placed in the following byte (its
 // MSB is a stuffed 0). Flush terminates the header, stuffing a full zero byte

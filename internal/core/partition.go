@@ -15,24 +15,6 @@ func Workers(w int) int {
 	return w
 }
 
-// ParallelFor splits the index range [0, n) into at most p contiguous chunks
-// and runs fn(lo, hi) for each chunk on the shared default pool's resident
-// workers. It returns after all chunks complete (a barrier, as required
-// between the vertical and horizontal filtering of each DWT level). With
-// p == 1 or tiny n it runs inline with zero dispatch overhead.
-func ParallelFor(p, n int, fn func(lo, hi int)) {
-	Default().ForMax(Workers(p), n, fn)
-}
-
-// ParallelForID is ParallelFor with the chunk's worker index passed to fn,
-// so callers can hand each worker private scratch state (the paper's threads
-// keep per-processor buffers for exactly this reason). Worker indices are
-// dense in [0, min(p, n)). One-shot wrapper over the shared default Pool;
-// callers dispatching repeatedly should hold their own Pool.
-func ParallelForID(p, n int, fn func(worker, lo, hi int)) {
-	Default().ForIDMax(Workers(p), n, fn)
-}
-
 // StaggeredRoundRobin assigns n tasks to p workers the way the paper assigns
 // code-blocks to its thread pool: worker w receives tasks w, w+p, w+2p, ...
 // Adjacent code-blocks have correlated cost (they cover neighbouring image
@@ -54,20 +36,4 @@ func StaggeredRoundRobin(n, p int) [][]int {
 		}
 	}
 	return out
-}
-
-// RunTasks executes tasks under a staggered round-robin assignment on p
-// workers. Each worker runs its tasks in sequence; workers run concurrently.
-func RunTasks(n, p int, task func(i int)) {
-	RunTasksID(n, p, func(_, i int) { task(i) })
-}
-
-// RunTasksID is RunTasks with the worker index passed to the task, enabling
-// per-worker pooled state (reusable tier-1 coders, scratch arenas). Worker
-// indices are dense in [0, min(p, n)). The staggered assignment is iterated
-// arithmetically (worker w runs w, w+p, w+2p, ...) rather than materialized,
-// so dispatch itself does not allocate. One-shot wrapper over the shared
-// default Pool; callers dispatching repeatedly should hold their own Pool.
-func RunTasksID(n, p int, task func(worker, i int)) {
-	Default().TasksIDMax(Workers(p), n, task)
 }

@@ -7,12 +7,12 @@ import (
 	"testing/quick"
 )
 
-func TestParallelForCoversRange(t *testing.T) {
+func TestForMaxCoversRange(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 7, 16} {
 		for _, n := range []int{0, 1, 5, 100, 1000} {
 			var mu sync.Mutex
 			seen := make([]int, n)
-			ParallelFor(p, n, func(lo, hi int) {
+			Default().ForMax(p, n, func(lo, hi int) {
 				mu.Lock()
 				defer mu.Unlock()
 				for i := lo; i < hi; i++ {
@@ -28,10 +28,10 @@ func TestParallelForCoversRange(t *testing.T) {
 	}
 }
 
-func TestParallelForBarrier(t *testing.T) {
-	// ParallelFor must not return before all chunks complete.
+func TestForMaxBarrier(t *testing.T) {
+	// ForMax must not return before all chunks complete.
 	var done int32
-	ParallelFor(8, 64, func(lo, hi int) {
+	Default().ForMax(8, 64, func(lo, hi int) {
 		atomic.AddInt32(&done, int32(hi-lo))
 	})
 	if done != 64 {
@@ -73,11 +73,11 @@ func TestStaggeredRoundRobinEdgeCases(t *testing.T) {
 	}
 }
 
-func TestRunTasksExecutesAll(t *testing.T) {
+func TestTasksIDMaxExecutesAll(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		n := 37
 		counts := make([]int32, n)
-		RunTasks(n, p, func(i int) {
+		Default().TasksIDMax(p, n, func(_, i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 		for i, c := range counts {
@@ -93,7 +93,7 @@ func TestQuickPartitionInvariants(t *testing.T) {
 		n := int(n16 % 2000)
 		p := 1 + int(p8%32)
 		total := 0
-		ParallelFor(1, 0, func(lo, hi int) {}) // degenerate must not panic
+		Default().ForMax(1, 0, func(lo, hi int) {}) // degenerate must not panic
 		assign := StaggeredRoundRobin(n, p)
 		for _, ts := range assign {
 			total += len(ts)

@@ -18,7 +18,7 @@ import (
 // q hands out dense ids in [0, q) to whichever resident workers claim its
 // shares, so callers can index per-worker scratch exactly as they did with
 // spawn-per-call dispatch, and the task-to-id assignment (worker w runs tasks
-// w, w+q, w+2q, ...) is byte-for-byte the one ParallelForID/RunTasksID used —
+// w, w+q, w+2q, ...) is byte-for-byte the one spawn-per-call dispatch used —
 // pooling cannot perturb deterministic output.
 //
 // Dispatches may overlap freely (a server fans out many requests over one
@@ -210,19 +210,19 @@ func (p *Pool) sendShare(b *batch) {
 }
 
 // ForID runs fn over [0, n) in at most Size contiguous chunks on the resident
-// workers, returning after all complete (a barrier). Semantics match the
-// package-level ParallelForID with p = Size.
+// workers, returning after all complete (a barrier, as required between the
+// vertical and horizontal filtering of each DWT level).
 func (p *Pool) ForID(n int, fn func(worker, lo, hi int)) {
 	p.ForIDMax(p.size, n, fn)
 }
 
 // ForIDMax is ForID with the chunk count capped at w instead of the pool
 // size (w <= 0 selects the pool size, mirroring Workers): the index range
-// splits into q = min(w, n) chunks with dense worker ids in [0, q), exactly
-// as ParallelForID(w, n, fn) splits it, so per-worker scratch sized for
-// min(w, n) workers stays valid. When w exceeds the pool size the resident
-// workers multiplex the extra shares; the chunking — and therefore any
-// worker-indexed state use — is unchanged.
+// splits into q = min(w, n) chunks with dense worker ids in [0, q), so
+// per-worker scratch sized for min(w, n) workers stays valid; with q <= 1 it
+// runs inline with zero dispatch overhead. When w exceeds the pool size the
+// resident workers multiplex the extra shares; the chunking — and therefore
+// any worker-indexed state use — is unchanged.
 func (p *Pool) ForIDMax(w, n int, fn func(worker, lo, hi int)) {
 	q := w
 	if q <= 0 {
@@ -246,16 +246,16 @@ func (p *Pool) ForMax(w, n int, fn func(lo, hi int)) {
 }
 
 // TasksID runs n tasks under the staggered round-robin assignment on the
-// resident workers: worker w runs tasks w, w+q, w+2q, ... Semantics match the
-// package-level RunTasksID with p = Size.
+// resident workers: worker w runs tasks w, w+q, w+2q, ... The assignment is
+// iterated arithmetically rather than materialized, so dispatch itself does
+// not allocate.
 func (p *Pool) TasksID(n int, fn func(worker, i int)) {
 	p.TasksIDMax(p.size, n, fn)
 }
 
 // TasksIDMax is TasksID with the assignment width capped at w (w <= 0
 // selects the pool size): the staggered assignment uses stride q = min(w, n)
-// with dense worker ids in [0, q), exactly as RunTasksID(n, w, fn) assigns
-// tasks, whatever the pool size.
+// with dense worker ids in [0, q), whatever the pool size.
 func (p *Pool) TasksIDMax(w, n int, fn func(worker, i int)) {
 	q := w
 	if q <= 0 {
@@ -273,7 +273,7 @@ func (p *Pool) TasksIDMax(w, n int, fn func(worker, i int)) {
 	p.dispatch(q, n, nil, fn)
 }
 
-// defaultPool backs the package-level one-shot dispatch functions: one shared
+// defaultPool backs every caller that holds no pool of its own: one shared
 // GOMAXPROCS-sized pool per process, created on first use and never closed
 // (its parked workers are the process's resident parallelism, like the Go
 // runtime's own worker threads).

@@ -53,11 +53,11 @@ type Strategy struct {
 // forID runs one level barrier: fn over [0, n) in at most st.Workers chunks
 // on the strategy's pool (or the shared default pool).
 func (st Strategy) forID(n int, fn func(worker, lo, hi int)) {
-	if st.Pool != nil {
-		st.Pool.ForIDMax(core.Workers(st.Workers), n, fn)
-		return
+	p := st.Pool
+	if p == nil {
+		p = core.Default()
 	}
-	core.ParallelForID(st.Workers, n, fn)
+	p.ForIDMax(core.Workers(st.Workers), n, fn)
 }
 
 // DefaultBlockWidth is the column-block width used when Strategy.BlockWidth

@@ -43,23 +43,6 @@ func FromImageReuse(p *FPlane, im *raster.Image) *FPlane {
 	return p
 }
 
-// ToImage rounds the plane into an integer image.
-func (p *FPlane) ToImage() *raster.Image {
-	im := raster.New(p.Width, p.Height)
-	for y := 0; y < p.Height; y++ {
-		src := p.Data[y*p.Stride : y*p.Stride+p.Width]
-		row := im.Row(y)
-		for x, v := range src {
-			if v >= 0 {
-				row[x] = int32(v + 0.5)
-			} else {
-				row[x] = int32(v - 0.5)
-			}
-		}
-	}
-	return im
-}
-
 // Forward97 applies `levels` levels of the irreversible 9/7 transform in
 // place, producing the Mallat layout.
 func Forward97(p *FPlane, levels int, st Strategy) {

@@ -5,7 +5,7 @@ import "pj2k/internal/core"
 // Scratch holds per-worker filtering buffers so repeated transforms perform
 // no allocations in their level loops. The paper's threads keep private
 // per-processor state; Scratch is that state for the Go implementation:
-// worker w of a ParallelForID chunking uses only slot w, so no
+// worker w of a Pool.ForIDMax chunking uses only slot w, so no
 // synchronization is needed. Buffers grow to the largest level's demand on
 // first use (levels run largest first) and are retained across calls.
 //

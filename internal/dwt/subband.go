@@ -77,9 +77,6 @@ func SubbandsAppend(dst []Subband, w, h, levels int) []Subband {
 	return bands
 }
 
-// ResolutionCount returns the number of resolution levels (levels + 1).
-func ResolutionCount(levels int) int { return levels + 1 }
-
 // BandsOfResolution returns the indices into Subbands(w,h,levels) that belong
 // to resolution r (r = 0 is the LL band alone).
 func BandsOfResolution(levels, r int) []int {

@@ -46,26 +46,3 @@ func Forward97Timed(p *FPlane, levels int, st Strategy) Timings {
 	}
 	return tm
 }
-
-// VerticalOnly53 runs only the vertical filtering of every level (horizontal
-// structure is still applied to keep the data layout consistent is NOT done
-// here — this is a microbenchmark helper that filters columns of the full
-// image once per level region).
-func VerticalOnly53(im *raster.Image, levels int, st Strategy) time.Duration {
-	t0 := time.Now()
-	for l := 0; l < levels; l++ {
-		cw, ch := levelDims(im.Width, im.Height, l)
-		verticalLevel53(im, cw, ch, st, true)
-	}
-	return time.Since(t0)
-}
-
-// HorizontalOnly53 mirrors VerticalOnly53 for row filtering.
-func HorizontalOnly53(im *raster.Image, levels int, st Strategy) time.Duration {
-	t0 := time.Now()
-	for l := 0; l < levels; l++ {
-		cw, ch := levelDims(im.Width, im.Height, l)
-		horizontalLevel53(im, cw, ch, st, true)
-	}
-	return time.Since(t0)
-}

@@ -34,24 +34,3 @@ func TestForward97TimedMatchesUntimed(t *testing.T) {
 		t.Fatal("zero timing")
 	}
 }
-
-func TestDirectionOnlyHelpers(t *testing.T) {
-	// The direction-only helpers exist for the filtering microbenches; they
-	// must touch the image (not be optimized away) and not panic on odd
-	// geometry.
-	im := randomImage(65, 33, 43)
-	before := im.Clone()
-	dV := VerticalOnly53(im, 2, Serial)
-	if raster.Equal(im, before) {
-		t.Fatal("vertical-only filtering left the image untouched")
-	}
-	im2 := randomImage(65, 33, 44)
-	before2 := im2.Clone()
-	dH := HorizontalOnly53(im2, 2, Serial)
-	if raster.Equal(im2, before2) {
-		t.Fatal("horizontal-only filtering left the image untouched")
-	}
-	if dV < 0 || dH < 0 {
-		t.Fatal("negative durations")
-	}
-}

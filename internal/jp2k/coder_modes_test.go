@@ -131,7 +131,7 @@ func TestCoderModesSignalled(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		p, _, err := t2.ReadCodestream(cs)
+		p, _, err := t2.ScanCodestream(t2.BytesSource(cs))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

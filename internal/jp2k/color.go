@@ -1,40 +1,27 @@
 package jp2k
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"pj2k/internal/dwt"
-	"pj2k/internal/mct"
 	"pj2k/internal/raster"
 	"pj2k/internal/t2"
 )
-
-// colorMagic headed the retired three-codestream color container (three
-// component codestreams stored back to back behind a small directory).
-// EncodeColor now emits standard Csiz=3 codestreams; the magic remains so
-// DecodeColor can keep reading containers produced by earlier releases.
-var colorMagic = [4]byte{'P', 'J', '2', 'C'}
 
 // EncodeColor compresses an RGB image (three equally sized planes) into a
 // standard Csiz=3 codestream with the inter-component transform applied. With
 // Kernel Rev53 the reversible color transform is used and the result is
 // lossless; with Irr97 the YCbCr rotation is applied and LayerBPP gives the
-// total bitrate across components (split luma-heavy, as the retired color
-// container did). Thin wrapper over Encoder.EncodePlanar with MCT on.
+// total bitrate across components (split luma-heavy). Thin wrapper over
+// Encoder.EncodePlanar with MCT on.
 func EncodeColor(r, g, b *raster.Image, opts Options) ([]byte, *EncodeStats, error) {
 	opts.MCT = true
 	return EncodePlanar(raster.RGB(r, g, b), opts)
 }
 
-// DecodeColor reconstructs the three RGB planes of a color codestream. It
-// accepts both standard Csiz=3 streams (from EncodeColor / EncodePlanar with
-// MCT) and the legacy PJ2C container of earlier releases.
+// DecodeColor reconstructs the three RGB planes of a standard Csiz=3
+// codestream (from EncodeColor / EncodePlanar with MCT).
 func DecodeColor(data []byte, opts DecodeOptions) (r, g, b *raster.Image, err error) {
-	if len(data) >= 16 && [4]byte(data[:4]) == colorMagic {
-		return decodeLegacyColor(data, opts)
-	}
-	pl, err := DecodePlanar(data, opts)
+	pl, err := DecodePlanarSource(t2.BytesSource(data), opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -42,98 +29,4 @@ func DecodeColor(data []byte, opts DecodeOptions) (r, g, b *raster.Image, err er
 		return nil, nil, nil, fmt.Errorf("jp2k: %d-component stream is not a color image", pl.NComp())
 	}
 	return pl.Comps[0], pl.Comps[1], pl.Comps[2], nil
-}
-
-// decodeLegacyColor reads the retired PJ2C container: three independent
-// component codestreams decoded separately, then rotated back to RGB.
-func decodeLegacyColor(data []byte, opts DecodeOptions) (r, g, b *raster.Image, err error) {
-	var lens [3]int
-	pos := 4
-	totalLen := 16
-	for i := range lens {
-		lens[i] = int(binary.BigEndian.Uint32(data[pos:]))
-		totalLen += lens[i]
-		pos += 4
-	}
-	if totalLen > len(data) {
-		return nil, nil, nil, fmt.Errorf("jp2k: color container truncated")
-	}
-	var comps [3]*raster.Image
-	var kernel dwt.Kernel
-	var depth int
-	for i := range comps {
-		var err error
-		comps[i], err = Decode(data[pos:pos+lens[i]], opts)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("jp2k: component %d: %w", i, err)
-		}
-		if i == 0 {
-			k, d, perr := peekParams(data[pos : pos+lens[i]])
-			if perr != nil {
-				return nil, nil, nil, perr
-			}
-			kernel, depth = k, d
-		}
-		pos += lens[i]
-	}
-	shift := int32(1) << uint(depth-1)
-	for _, c := range comps {
-		for i := range c.Pix {
-			c.Pix[i] -= shift
-		}
-	}
-	if kernel == dwt.Rev53 {
-		if err := mct.InverseRCT(comps[0], comps[1], comps[2], opts.Workers, nil); err != nil {
-			return nil, nil, nil, err
-		}
-	} else {
-		fy := planeToFloat(comps[0])
-		fcb := planeToFloat(comps[1])
-		fcr := planeToFloat(comps[2])
-		mct.InverseICT(fy, fcb, fcr, opts.Workers, nil)
-		floatToPlane(fy, comps[0])
-		floatToPlane(fcb, comps[1])
-		floatToPlane(fcr, comps[2])
-	}
-	for _, c := range comps {
-		for i := range c.Pix {
-			c.Pix[i] += shift
-		}
-	}
-	return comps[0], comps[1], comps[2], nil
-}
-
-func planeToFloat(im *raster.Image) []float64 {
-	out := make([]float64, im.Width*im.Height)
-	for y := 0; y < im.Height; y++ {
-		row := im.Row(y)
-		for x, v := range row {
-			out[y*im.Width+x] = float64(v)
-		}
-	}
-	return out
-}
-
-func floatToPlane(src []float64, im *raster.Image) {
-	for y := 0; y < im.Height; y++ {
-		row := im.Row(y)
-		for x := range row {
-			v := src[y*im.Width+x]
-			if v >= 0 {
-				row[x] = int32(v + 0.5)
-			} else {
-				row[x] = int32(v - 0.5)
-			}
-		}
-	}
-}
-
-// peekParams extracts the kernel and bit depth from a component codestream
-// header without tier-1-decoding it.
-func peekParams(cs []byte) (dwt.Kernel, int, error) {
-	p, _, err := t2.ReadCodestream(cs)
-	if err != nil {
-		return 0, 0, err
-	}
-	return p.Kernel, p.BitDepth, nil
 }

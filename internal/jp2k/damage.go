@@ -87,6 +87,9 @@ func (r *DamageReport) String() string {
 		if c.BadTileParts > 0 {
 			fmt.Fprintf(&b, " %d bad tile-parts", c.BadTileParts)
 		}
+		if c.BadStyles > 0 {
+			fmt.Fprintf(&b, " %d unsupported COD fields", c.BadStyles)
+		}
 	}
 	t := r.Totals()
 	if t.Any() {

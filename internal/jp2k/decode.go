@@ -50,30 +50,8 @@ func tileGridInto(colW, rowH []int, p t2.Params, discard int) ([]int, []int) {
 // DiscardLevels > 0 the result is the 1/2^n-scale image carried by the lower
 // resolutions of the stream. It is a convenience wrapper over a throwaway
 // Decoder dispatching on the shared default worker pool (one-shot calls
-// neither spawn nor leak workers); callers decoding repeatedly (servers, viewers) should hold a
-// Decoder to amortize its pooled state.
+// neither spawn nor leak workers); callers decoding repeatedly (servers,
+// viewers) should hold a Decoder to amortize its pooled state.
 func Decode(data []byte, opts DecodeOptions) (*raster.Image, error) {
 	return NewDecoderWithPool(core.Default()).Decode(data, opts)
-}
-
-// DecodeRegion decodes only the window of the image that intersects region
-// (expressed in the output grid at opts.DiscardLevels), touching only the
-// tiles the window overlaps. One-shot wrapper over a throwaway Decoder; see
-// Decoder.DecodeRegion.
-func DecodeRegion(data []byte, region Rect, opts DecodeOptions) (*raster.Image, error) {
-	return NewDecoderWithPool(core.Default()).DecodeRegion(data, region, opts)
-}
-
-// DecodePlanar reconstructs every component of a codestream (inverting the
-// inter-component transform when flagged). One-shot wrapper over a throwaway
-// Decoder; see Decoder.DecodePlanar.
-func DecodePlanar(data []byte, opts DecodeOptions) (*raster.Planar, error) {
-	return NewDecoderWithPool(core.Default()).DecodePlanar(data, opts)
-}
-
-// DecodeRegionPlanar decodes only the window of a (possibly multi-component)
-// image that intersects region. One-shot wrapper over a throwaway Decoder;
-// see Decoder.DecodeRegionPlanar.
-func DecodeRegionPlanar(data []byte, region Rect, opts DecodeOptions) (*raster.Planar, error) {
-	return NewDecoderWithPool(core.Default()).DecodeRegionPlanar(data, region, opts)
 }

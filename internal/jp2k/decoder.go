@@ -51,11 +51,11 @@ func (r Rect) Intersect(o Rect) Rect {
 // Decoder is a reusable decode pipeline mirroring Encoder: it owns every
 // pooled buffer the decode hot loops need — per-worker tier-1 block decoders
 // and DWT scratch, per-tile tier-2 coding state, packet-segment accumulators
-// and per-component coefficient planes — so repeated Decode/DecodeRegion
-// calls reach a steady state with near-zero heap allocations beyond the
-// returned image. Server workloads hold one Decoder per concurrent stream (or
-// a sync.Pool of them) and decode windows out of large codestreams without
-// ever reconstructing the full image.
+// and per-component coefficient planes — so repeated decodes reach a steady
+// state with near-zero heap allocations beyond the returned image. Server
+// workloads hold one Decoder per concurrent stream (or a sync.Pool of them)
+// and decode windows out of large codestreams without ever reconstructing the
+// full image.
 //
 // Multi-component codestreams decode natively: the packet walk de-interleaves
 // per-component packets per tile, tier-1 runs over every kept (tile,
@@ -63,10 +63,12 @@ func (r Rect) Intersect(o Rect) Rect {
 // the tile x component grid; the inverse inter-component transform is applied
 // when the stream's COD marker flags MCT.
 //
-// A Decoder is not safe for concurrent use; pooled state does not leak
-// between calls (output is bit-identical to the one-shot Decode function for
-// any worker count, and DecodeRegion is bit-identical to cropping a full
-// Decode).
+// Every entry point (Decode here; the Source and Into forms in stream.go) is
+// a thin adapter over the one decode route: scan the Source to tile spans,
+// walk the selected tiles' packets, tier-1, assemble. A Decoder is not safe
+// for concurrent use; pooled state does not leak between calls (output is
+// bit-identical to a throwaway Decoder's for any worker count, and a region
+// decode is bit-identical to cropping a full one).
 type Decoder struct {
 	scratch      []*dwt.Scratch // per outer (unit-level) worker
 	scratchInner int
@@ -93,14 +95,11 @@ type Decoder struct {
 	cur     struct {
 		p     t2.Params
 		modes t1.Modes // tier-1 coder modes signalled in COD
-		// The codestream travels as either resident spans or materialized
-		// tile bodies: strict decodes carry src + spans (mem set when the
-		// source is resident bytes, so bodies alias instead of copy);
-		// resilient decodes carry the salvaged tiles slices.
+		// The codestream travels as src + the scanned tile spans; mem is set
+		// when the source is resident bytes, so bodies alias instead of copy.
 		src      *t2.Source
 		mem      []byte
 		spans    []t2.TileSpan
-		tiles    [][]byte
 		dst      []raster.Strided // one destination view per component
 		win      Rect
 		ncomp    int
@@ -240,44 +239,17 @@ func (d *Decoder) ensureWorkers(outer, inner, block int) {
 	}
 }
 
-// Decode reconstructs the full image from a single-component codestream.
-// With DiscardLevels > 0 the result is the 1/2^n-scale image carried by the
-// lower resolutions of the stream. The returned image is freshly allocated
-// and caller-owned. Multi-component streams are an error; use DecodePlanar.
+// Decode reconstructs the full image from a resident single-component
+// codestream. With DiscardLevels > 0 the result is the 1/2^n-scale image
+// carried by the lower resolutions of the stream. The returned image is
+// freshly allocated and caller-owned. Multi-component streams are an error,
+// reported before any tier-1 work; use DecodePlanarSource.
 func (d *Decoder) Decode(data []byte, opts DecodeOptions) (*raster.Image, error) {
 	pl, err := d.decode(t2.BytesSource(data), opts, nil, true, nil)
 	if err != nil {
 		return nil, err
 	}
 	return pl.Comps[0], nil
-}
-
-// DecodePlanar reconstructs all components of a codestream, inverting the
-// inter-component transform when the stream flags it. The returned planes are
-// freshly allocated and caller-owned.
-func (d *Decoder) DecodePlanar(data []byte, opts DecodeOptions) (*raster.Planar, error) {
-	return d.decode(t2.BytesSource(data), opts, nil, false, nil)
-}
-
-// DecodeRegion reconstructs only the requested window of a single-component
-// stream: tiles that do not intersect region are neither entropy-decoded nor
-// transformed, which is what makes serving viewports out of a tiled
-// gigapixel stream cheap. region is expressed in the output grid of Decode at
-// opts.DiscardLevels and is clamped to the image; the result is bit-identical
-// to cropping a full Decode for any worker count.
-func (d *Decoder) DecodeRegion(data []byte, region Rect, opts DecodeOptions) (*raster.Image, error) {
-	pl, err := d.decode(t2.BytesSource(data), opts, &region, true, nil)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Comps[0], nil
-}
-
-// DecodeRegionPlanar is DecodeRegion for any component count: every component
-// of the window is reconstructed (the inverse inter-component transform is
-// per-pixel, so it applies cleanly to windows).
-func (d *Decoder) DecodeRegionPlanar(data []byte, region Rect, opts DecodeOptions) (*raster.Planar, error) {
-	return d.decode(t2.BytesSource(data), opts, &region, false, nil)
 }
 
 // walkTask parses one selected tile's packet headers and accumulates its
@@ -289,37 +261,33 @@ func (d *Decoder) walkTask(_, si int) {
 	ti := d.sel[si]
 	tx, ty := ti%ntx, ti/ntx
 	te := d.tiles[si]
-	// Fetch the tile-part body: resilient decodes carry materialized tiles,
-	// strict decodes carry spans — aliased for resident bytes, read into the
-	// pooled per-tile buffer for a ReaderAt source (only selected tiles are
-	// ever read, which is what bounds a window decode's IO to its tiles).
-	if d.cur.tiles != nil {
-		te.data = d.cur.tiles[ti]
-	} else {
-		sp := d.cur.spans[ti]
-		switch {
-		case sp.Off < 0:
-			// Sentinel for a tile-part the resilient scan could not locate
-			// (truncated chain): decode as an empty (gray) tile.
-			te.data = nil
-		case d.cur.mem != nil:
-			te.data = d.cur.mem[sp.Off:sp.End()]
-		default:
-			te.body = grow(te.body, int(sp.Len))
-			if _, err := d.cur.src.ReadAt(te.body, sp.Off); err != nil {
-				if !d.cur.opts.Resilient {
-					d.tileErrs[si] = &TileIOError{Tile: ti, Off: sp.Off, Len: sp.Len, Err: err}
-					return
-				}
-				// The body is unreadable after whatever retries the source
-				// performed: conceal the whole tile and record the IO damage
-				// class — unreadable bytes degrade, they do not abort.
-				d.tileIOFail[si] = true
-				te.data = nil
-				break
+	// Fetch the tile-part body from its span: aliased for resident bytes, read
+	// into the pooled per-tile buffer for a ReaderAt source (only selected
+	// tiles are ever read, which is what bounds a window decode's IO to its
+	// tiles).
+	sp := d.cur.spans[ti]
+	switch {
+	case sp.Off < 0:
+		// Sentinel for a tile-part the resilient scan could not locate
+		// (truncated chain): decode as an empty (gray) tile.
+		te.data = nil
+	case d.cur.mem != nil:
+		te.data = d.cur.mem[sp.Off:sp.End()]
+	default:
+		te.body = grow(te.body, int(sp.Len))
+		if _, err := d.cur.src.ReadAt(te.body, sp.Off); err != nil {
+			if !d.cur.opts.Resilient {
+				d.tileErrs[si] = &TileIOError{Tile: ti, Off: sp.Off, Len: sp.Len, Err: err}
+				return
 			}
-			te.data = te.body
+			// The body is unreadable after whatever retries the source
+			// performed: conceal the whole tile and record the IO damage
+			// class — unreadable bytes degrade, they do not abort.
+			d.tileIOFail[si] = true
+			te.data = nil
+			break
 		}
+		te.data = te.body
 	}
 	x0, y0 := tx*p.TileW, ty*p.TileH
 	te.w = min(x0+p.TileW, p.Width) - x0
@@ -487,7 +455,7 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 	// codestream, destination buffers and the result; drop them on the way
 	// out so a pooled Decoder pins none of them between calls.
 	defer func() {
-		d.cur.src, d.cur.mem, d.cur.spans, d.cur.tiles, d.cur.dst = nil, nil, nil, nil, nil
+		d.cur.src, d.cur.mem, d.cur.spans, d.cur.dst = nil, nil, nil, nil
 		for i := range d.views {
 			d.views[i] = raster.Strided{}
 		}
@@ -500,23 +468,14 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 	tParse := time.Now()
 	var p t2.Params
 	var spans []t2.TileSpan
-	var tiles [][]byte
 	var cdmg t2.ContainerDamage
 	var err error
-	salvagedTiles := false
 	if opts.Resilient {
-		if mem := src.Mem(); mem != nil {
-			// Resident bytes: full salvage (Psot re-bounding, marker resync)
-			// over the slice is a free alias, exactly as before streaming.
-			p, tiles, cdmg, err = t2.ReadCodestreamResilient(mem)
-			salvagedTiles = true
-		} else {
-			// Reader-backed: salvage the tile-part chain without materializing
-			// the stream — bodies are read per selected tile in walkTask, so
-			// an unreadable body degrades that one tile instead of failing the
-			// whole decode up front.
-			p, spans, cdmg, err = t2.ScanCodestreamResilient(src)
-		}
+		// Salvage the tile-part chain (Psot re-bounding, marker resync)
+		// without materializing the stream — bodies are fetched per selected
+		// tile in walkTask, so an unreadable body degrades that one tile
+		// instead of failing the whole decode up front.
+		p, spans, cdmg, err = t2.ScanCodestreamResilient(src)
 	} else {
 		p, spans, err = t2.ScanCodestream(src)
 	}
@@ -534,9 +493,9 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 	}
 	ncomp := p.Components()
 	if singleOnly && ncomp != 1 {
-		// Reject before any tier-1 work: the single-plane entry points must
+		// Reject before any tier-1 work: the single-plane entry point must
 		// not pay a full multi-component decode just to report an error.
-		return nil, fmt.Errorf("jp2k: %d-component stream; use DecodePlanar/DecodeRegionPlanar", ncomp)
+		return nil, fmt.Errorf("jp2k: %d-component stream; use DecodePlanarSource/DecodeRegionPlanarSource", ncomp)
 	}
 	nlayers := p.Layers
 	if opts.MaxLayers > 0 && opts.MaxLayers < nlayers {
@@ -552,35 +511,21 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 	keepLevels := p.Levels - discard
 
 	ntx, nty := p.NumTiles()
-	if !opts.Resilient {
-		if len(spans) != ntx*nty {
+	if n := ntx * nty; len(spans) != n {
+		if !opts.Resilient {
 			return nil, fmt.Errorf("jp2k: %d tile-parts for a %dx%d tile grid", len(spans), ntx, nty)
 		}
-	} else if salvagedTiles {
-		if len(tiles) != ntx*nty {
-			// Salvage: missing tile-parts decode as empty (gray) tiles,
-			// surplus ones are dropped.
-			if len(tiles) < ntx*nty {
-				cdmg.Truncated = true
-				for len(tiles) < ntx*nty {
-					tiles = append(tiles, nil)
-				}
-			} else {
-				cdmg.BadTileParts += len(tiles) - ntx*nty
-				tiles = tiles[:ntx*nty]
-			}
-		}
-	} else if len(spans) != ntx*nty {
-		// Reader-backed salvage: same reconciliation over spans, with a
-		// negative-offset sentinel standing in for each missing tile-part.
-		if len(spans) < ntx*nty {
+		// Salvage: a negative-offset sentinel stands in for each missing
+		// tile-part (it decodes as an empty gray tile), surplus ones are
+		// dropped.
+		if len(spans) < n {
 			cdmg.Truncated = true
-			for len(spans) < ntx*nty {
+			for len(spans) < n {
 				spans = append(spans, t2.TileSpan{Off: -1})
 			}
 		} else {
-			cdmg.BadTileParts += len(spans) - ntx*nty
-			spans = spans[:ntx*nty]
+			cdmg.BadTileParts += len(spans) - n
+			spans = spans[:n]
 		}
 	}
 
@@ -670,7 +615,6 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 	d.cur.src = src
 	d.cur.mem = src.Mem()
 	d.cur.spans = spans
-	d.cur.tiles = tiles
 	d.cur.win = win
 	d.cur.ncomp = ncomp
 	d.cur.nlayers = nlayers
@@ -774,10 +718,10 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 
 	// --- Inverse inter-component transform, when the stream flags MCT: the
 	// decoded planes hold Y/Cb/Cr (assembled without the level shift); rotate
-	// back to RGB with the legacy color container's arithmetic (the rotation
-	// operates on the rounded integer samples) and apply the shift once. The
-	// transforms are row-addressed, so caller-owned strided views transform
-	// in place without touching samples outside the view.
+	// back to RGB (the rotation operates on the rounded integer samples) and
+	// apply the shift once. The transforms are row-addressed, so caller-owned
+	// strided views transform in place without touching samples outside the
+	// view.
 	if mctActive {
 		tMCT := time.Now()
 		var comps []*raster.Image

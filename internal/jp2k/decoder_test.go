@@ -6,6 +6,7 @@ import (
 
 	"pj2k/internal/dwt"
 	"pj2k/internal/raster"
+	"pj2k/internal/t2"
 )
 
 // regionCases are the encode configurations the windowed-decode contract is
@@ -28,9 +29,23 @@ func crop(im *raster.Image, r Rect) *raster.Image {
 	return out
 }
 
+// decodeRegion is the single-plane window decode of a resident stream:
+// Comps[0] of DecodeRegionPlanarSource, on dec or (nil) a throwaway Decoder
+// over the shared default pool.
+func decodeRegion(dec *Decoder, cs []byte, r Rect, opts DecodeOptions) (*raster.Image, error) {
+	if dec == nil {
+		dec = NewDecoderWithPool(nil)
+	}
+	pl, err := dec.DecodeRegionPlanarSource(t2.BytesSource(cs), r, opts)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Comps[0], nil
+}
+
 // TestDecodeRegionMatchesCrop is the windowed-decode analogue of
 // TestEncodeDeterministicAcrossWorkers: for every case, every (reduce,
-// layers) combination and Workers in {1, 2, 4, 8}, DecodeRegion must be
+// layers) combination and Workers in {1, 2, 4, 8}, a region decode must be
 // bit-identical to cropping a full Decode — tile selection, the parallel
 // decomposition and the pooled state must never influence decoded samples.
 func TestDecodeRegionMatchesCrop(t *testing.T) {
@@ -62,7 +77,7 @@ func TestDecodeRegionMatchesCrop(t *testing.T) {
 				for _, workers := range []int{1, 2, 4, 8} {
 					opts.Workers = workers
 					for ri, r := range regions {
-						got, err := dec.DecodeRegion(cs, r, opts)
+						got, err := decodeRegion(dec, cs, r, opts)
 						if err != nil {
 							t.Fatalf("case %d reduce %d layers %d workers %d region %d: %v",
 								ci, reduce, layers, workers, ri, err)
@@ -181,7 +196,7 @@ func TestDecodeRegionRobustness(t *testing.T) {
 				t.Fatalf("%s: DecodeRegion panicked: %v", label, r)
 			}
 		}()
-		_, _ = dec.DecodeRegion(data, region, DecodeOptions{Workers: 2})
+		_, _ = decodeRegion(dec, data, region, DecodeOptions{Workers: 2})
 	}
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
@@ -207,7 +222,7 @@ func TestDecodeRegionErrors(t *testing.T) {
 		{X0: 10, Y0: 10, X1: 10, Y1: 40}, // empty
 		{X0: 30, Y0: 30, X1: 20, Y1: 40}, // inverted
 	} {
-		if _, err := DecodeRegion(cs, r, DecodeOptions{}); err == nil {
+		if _, err := decodeRegion(nil, cs, r, DecodeOptions{}); err == nil {
 			t.Errorf("region %+v: want error, got image", r)
 		}
 	}

@@ -395,7 +395,7 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	// --- Inter-component transform (the first stage of the paper's Fig. 1
 	// pipeline): level-shift into pooled planes, rotate, and hand the shifted
 	// planes to the tiling stage. The float rotation rounds back to integer
-	// planes, matching the legacy color container's arithmetic exactly.
+	// planes (the arithmetic TestGoldenHashes' colour digests pin).
 	tMCT := time.Now()
 	shift := int32(1) << uint(o.BitDepth-1)
 	srcs := comps
@@ -682,9 +682,8 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 		e.terms = terms
 	}
 
-	// --- Rate allocation, parallel per component (the legacy color container
-	// ran PCRD per component stream; keeping the same budgets, header
-	// estimate and adjustment policy keeps the decoded pixels identical).
+	// --- Rate allocation, parallel per component: PCRD runs per component
+	// against its own budget, header estimate and adjustment policy.
 	// Under MCT the budget splits luma-heavy; other multi-component streams
 	// split evenly.
 	e.allocs = grow(e.allocs, ncomp)
@@ -780,8 +779,8 @@ func allocate(a *rate.Allocator, blocks []rate.BlockPasses, budgets []int, heade
 // rotateICT applies the irreversible color rotation to three integer planes
 // in place: pooled float copies, the rotation, and the round-back, each
 // parallel over rows on the codec's resident workers. The same helper serves
-// the encoder (ForwardICT) and decoder (InverseICT), so the legacy-compatible
-// rounding arithmetic cannot diverge between the two.
+// the encoder (ForwardICT) and decoder (InverseICT), so the rounding
+// arithmetic cannot diverge between the two.
 func rotateICT(planes []*raster.Image, floats *[][]float64, workers int, pool *core.Pool, rotate func(a, b, c []float64, workers int, pool *core.Pool)) {
 	n := planes[0].Width * planes[0].Height
 	for len(*floats) < 3 {

@@ -129,7 +129,7 @@ func goldenCases() []goldenHash {
 				if err != nil {
 					t.Fatal(err)
 				}
-				reg, err := DecodeRegion(cs, Rect{X0: 50, Y0: 70, X1: 200, Y1: 130}, DecodeOptions{Workers: w})
+				reg, err := decodeRegion(nil, cs, Rect{X0: 50, Y0: 70, X1: 200, Y1: 130}, DecodeOptions{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,11 +2,10 @@ package jp2k
 
 import (
 	"bytes"
-	"encoding/binary"
+	"strings"
 	"testing"
 
 	"pj2k/internal/dwt"
-	"pj2k/internal/mct"
 	"pj2k/internal/raster"
 	"pj2k/internal/t2"
 )
@@ -44,7 +43,7 @@ func TestColorDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("case %d workers %d: %v", ci, w, err)
 			}
-			back, err := DecodePlanar(cs, DecodeOptions{Workers: w})
+			back, err := DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{Workers: w})
 			if err != nil {
 				t.Fatalf("case %d workers %d: decode: %v", ci, w, err)
 			}
@@ -89,7 +88,7 @@ func TestColorPooledReuseDeterministic(t *testing.T) {
 			t.Fatalf("reference job %d: %v", i, err)
 		}
 		wantCS[i] = cs
-		if wantPl[i], err = DecodePlanar(cs, DecodeOptions{Workers: 2}); err != nil {
+		if wantPl[i], err = DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{Workers: 2}); err != nil {
 			t.Fatalf("reference job %d: decode: %v", i, err)
 		}
 	}
@@ -108,7 +107,7 @@ func TestColorPooledReuseDeterministic(t *testing.T) {
 			if !bytes.Equal(cs, wantCS[i]) {
 				t.Errorf("round %d job %d (workers=%d): reused encoder output differs from one-shot", round, i, o.Workers)
 			}
-			back, err := dec.DecodePlanar(cs, DecodeOptions{Workers: 1 + (round+i+1)%4})
+			back, err := dec.DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{Workers: 1 + (round+i+1)%4})
 			if err != nil {
 				t.Fatalf("round %d job %d: decode: %v", round, i, err)
 			}
@@ -119,113 +118,10 @@ func TestColorPooledReuseDeterministic(t *testing.T) {
 	}
 }
 
-// legacyEncodeColor reproduces the retired three-codestream color container
-// byte for byte: clone, level shift, inter-component transform, per-component
-// encode with the luma-heavy budget split, container framing. It is the
-// reference the native Csiz=3 path must match pixel-for-pixel after decode.
-func legacyEncodeColor(t *testing.T, r, g, b *raster.Image, opts Options) []byte {
-	t.Helper()
-	o := opts.withDefaults()
-	shift := int32(1) << uint(o.BitDepth-1)
-	comps := [3]*raster.Image{r.Clone(), g.Clone(), b.Clone()}
-	for _, c := range comps {
-		for i := range c.Pix {
-			c.Pix[i] -= shift
-		}
-	}
-	if o.Kernel == dwt.Rev53 {
-		if err := mct.ForwardRCT(comps[0], comps[1], comps[2], o.Workers, nil); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		fr := planeToFloat(comps[0])
-		fg := planeToFloat(comps[1])
-		fb := planeToFloat(comps[2])
-		mct.ForwardICT(fr, fg, fb, o.Workers, nil)
-		floatToPlane(fr, comps[0])
-		floatToPlane(fg, comps[1])
-		floatToPlane(fb, comps[2])
-	}
-	for _, c := range comps {
-		for i := range c.Pix {
-			c.Pix[i] += shift
-		}
-	}
-	perComp := o
-	perComp.MCT = false
-	var budgets [3][]float64
-	if len(o.LayerBPP) > 0 {
-		for _, bpp := range o.LayerBPP {
-			budgets[0] = append(budgets[0], bpp*(1-2*chromaShare))
-			budgets[1] = append(budgets[1], bpp*chromaShare)
-			budgets[2] = append(budgets[2], bpp*chromaShare)
-		}
-	}
-	var streams [3][]byte
-	enc := NewEncoder()
-	defer enc.Close()
-	for ci, c := range comps {
-		if len(o.LayerBPP) > 0 {
-			perComp.LayerBPP = budgets[ci]
-		}
-		cs, _, err := enc.Encode(c, perComp)
-		if err != nil {
-			t.Fatalf("legacy component %d: %v", ci, err)
-		}
-		streams[ci] = cs
-	}
-	out := make([]byte, 0, 16+len(streams[0])+len(streams[1])+len(streams[2]))
-	out = append(out, colorMagic[:]...)
-	for _, s := range streams {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(s)))
-		out = append(out, l[:]...)
-	}
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	return out
-}
-
-// TestColorMatchesLegacyContainer pins the migration contract: for both
-// kernels (lossless and rate-controlled lossy), decoding the new Csiz=3
-// stream yields exactly the pixels the retired container pipeline produced —
-// same MCT arithmetic, same per-component PCRD truncation.
-func TestColorMatchesLegacyContainer(t *testing.T) {
-	r, g, b := rgbPlanes(112, 88)
-	for ci, o := range []Options{
-		{Kernel: dwt.Rev53},
-		{Kernel: dwt.Irr97, LayerBPP: []float64{1.0}},
-		{Kernel: dwt.Irr97, LayerBPP: []float64{0.5, 2.0}, TileW: 60, TileH: 50},
-	} {
-		legacy := legacyEncodeColor(t, r, g, b, o)
-		lr, lg, lb, err := DecodeColor(legacy, DecodeOptions{})
-		if err != nil {
-			t.Fatalf("case %d: legacy decode: %v", ci, err)
-		}
-		oc := o
-		oc.MCT = true
-		cs, _, err := EncodePlanar(raster.RGB(r, g, b), oc)
-		if err != nil {
-			t.Fatalf("case %d: native encode: %v", ci, err)
-		}
-		nr, ng, nb, err := DecodeColor(cs, DecodeOptions{})
-		if err != nil {
-			t.Fatalf("case %d: native decode: %v", ci, err)
-		}
-		if !raster.Equal(nr, lr) || !raster.Equal(ng, lg) || !raster.Equal(nb, lb) {
-			t.Errorf("case %d: native Csiz=3 decode differs from the legacy container pixel-for-pixel", ci)
-		}
-		if len(cs) >= len(legacy) {
-			t.Logf("case %d: native %d bytes vs legacy %d (single header should not be larger)", ci, len(cs), len(legacy))
-		}
-	}
-}
-
 // TestDecodeRegionPlanarMatchesCrop extends the windowed-decode gate to
 // 3-component streams: for every (reduce, layers) combination and Workers in
-// {1, 2, 4, 8}, DecodeRegionPlanar must be bit-identical to cropping a full
-// DecodePlanar — including through the inverse inter-component transform.
+// {1, 2, 4, 8}, a region decode must be bit-identical to cropping a full
+// decode — including through the inverse inter-component transform.
 func TestDecodeRegionPlanarMatchesCrop(t *testing.T) {
 	pl := colorPlanar(230, 190)
 	dec := NewDecoder()
@@ -242,7 +138,7 @@ func TestDecodeRegionPlanarMatchesCrop(t *testing.T) {
 		for _, reduce := range []int{0, 1, 2} {
 			for _, layers := range []int{0, 1} {
 				opts := DecodeOptions{DiscardLevels: reduce, MaxLayers: layers}
-				full, err := DecodePlanar(cs, opts)
+				full, err := DecodePlanarSource(t2.BytesSource(cs), opts)
 				if err != nil {
 					t.Fatalf("case %d reduce %d: decode: %v", ci, reduce, err)
 				}
@@ -257,7 +153,7 @@ func TestDecodeRegionPlanarMatchesCrop(t *testing.T) {
 				for _, workers := range []int{1, 2, 4, 8} {
 					opts.Workers = workers
 					for ri, r := range regions {
-						got, err := dec.DecodeRegionPlanar(cs, r, opts)
+						got, err := dec.DecodeRegionPlanarSource(t2.BytesSource(cs), r, opts)
 						if err != nil {
 							t.Fatalf("case %d reduce %d layers %d workers %d region %d: %v",
 								ci, reduce, layers, workers, ri, err)
@@ -289,7 +185,7 @@ func TestColorROILosslessRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodePlanar(cs, DecodeOptions{Workers: 2})
+	back, err := DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,14 +206,14 @@ func TestPlanarNonMCTComponents(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ncomp=%d: %v", ncomp, err)
 		}
-		p, _, err := t2.ReadCodestream(cs)
+		p, _, err := t2.ScanCodestream(t2.BytesSource(cs))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.NComp != ncomp || p.MCT {
 			t.Fatalf("ncomp=%d: header says NComp=%d MCT=%v", ncomp, p.NComp, p.MCT)
 		}
-		back, err := DecodePlanar(cs, DecodeOptions{Workers: 3})
+		back, err := DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{Workers: 3})
 		if err != nil {
 			t.Fatalf("ncomp=%d: decode: %v", ncomp, err)
 		}
@@ -347,8 +243,11 @@ func TestPlanarErrors(t *testing.T) {
 	if _, err := Decode(cs, DecodeOptions{}); err == nil {
 		t.Error("single-component Decode accepted a Csiz=3 stream")
 	}
-	if _, err := DecodeRegion(cs, Rect{X1: 8, Y1: 8}, DecodeOptions{}); err == nil {
-		t.Error("single-component DecodeRegion accepted a Csiz=3 stream")
+	// The retired PJ2C three-codestream container is not recognized: it
+	// fails like any other non-codestream.
+	pj2c := append([]byte("PJ2C"), make([]byte, 12)...)
+	if _, _, _, err := DecodeColor(pj2c, DecodeOptions{}); err == nil || !strings.Contains(err.Error(), "missing SOC") {
+		t.Errorf("DecodeColor of a PJ2C container: err %v, want missing SOC", err)
 	}
 }
 
@@ -377,6 +276,7 @@ func TestColorSteadyStateAllocs(t *testing.T) {
 	defer cdec.Close()
 	gopts := Options{Kernel: dwt.Irr97, LayerBPP: []float64{1.0}, Workers: 1}
 	dopts := DecodeOptions{Workers: 1}
+	csrc := t2.BytesSource(ccs)
 	for i := 0; i < 3; i++ { // warm the pools
 		if _, _, err := genc.Encode(gray, gopts); err != nil {
 			t.Fatal(err)
@@ -387,14 +287,14 @@ func TestColorSteadyStateAllocs(t *testing.T) {
 		if _, err := gdec.Decode(gcs, dopts); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cdec.DecodePlanar(ccs, dopts); err != nil {
+		if _, err := cdec.DecodePlanarSource(csrc, dopts); err != nil {
 			t.Fatal(err)
 		}
 	}
 	grayEnc := testing.AllocsPerRun(10, func() { genc.Encode(gray, gopts) })
 	colorEnc := testing.AllocsPerRun(10, func() { cenc.EncodePlanar(pl, copts) })
 	grayDec := testing.AllocsPerRun(10, func() { gdec.Decode(gcs, dopts) })
-	colorDec := testing.AllocsPerRun(10, func() { cdec.DecodePlanar(ccs, dopts) })
+	colorDec := testing.AllocsPerRun(10, func() { cdec.DecodePlanarSource(csrc, dopts) })
 	t.Logf("steady-state allocs/op: encode gray %.0f color %.0f; decode gray %.0f color %.0f",
 		grayEnc, colorEnc, grayDec, colorDec)
 	if colorEnc > 6*grayEnc {

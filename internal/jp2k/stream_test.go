@@ -3,6 +3,7 @@ package jp2k
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -42,7 +43,7 @@ func planarsEqual(t *testing.T, got, want *raster.Planar, label string) {
 
 // TestGoldenHashesFileSource is the streaming half of the bit-identity gate:
 // every golden and coder-modes stream, written to disk and decoded through a
-// file-backed Source, must come out pixel-identical to the in-memory []byte
+// file-backed Source, must come out pixel-identical to the resident-bytes
 // decode (which TestGoldenHashes/TestCoderModesGoldenHashes pin to the
 // historical hashes). Together the two tests prove the ReaderAt path changes
 // nothing about WHAT is decoded, only where the bytes live.
@@ -52,7 +53,7 @@ func TestGoldenHashesFileSource(t *testing.T) {
 			// gen output always begins with the codestream; the region-decode
 			// case appends raw pixels after EOC, which the parser never reads.
 			cs := gc.gen(t, 4)
-			want, err := DecodePlanar(cs, DecodeOptions{})
+			want, err := DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,22 +91,22 @@ func TestDecodeRegionFileSource(t *testing.T) {
 			// Region coordinates live in the reduced grid.
 			rr := Rect{X0: reg.X0 >> reduce, Y0: reg.Y0 >> reduce, X1: reg.X1 >> reduce, Y1: reg.Y1 >> reduce}
 			opts := DecodeOptions{DiscardLevels: reduce}
-			want, err := DecodeRegion(cs, rr, opts)
+			want, err := decodeRegion(nil, cs, rr, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := dec.DecodeRegionSource(src, rr, opts)
+			got, err := dec.DecodeRegionPlanarSource(src, rr, opts)
 			if err != nil {
 				t.Fatalf("region %v reduce %d: %v", rr, reduce, err)
 			}
-			if !raster.Equal(got, want) {
+			if !raster.Equal(got.Comps[0], want) {
 				t.Fatalf("region %v reduce %d: file-source decode differs", rr, reduce)
 			}
 		}
 	}
 }
 
-// strideGeometries returns the DecodeInto view shapes under test, each
+// strideGeometries returns the DecodePlanarInto view shapes under test, each
 // building a view of the given size inside a deliberately awkward buffer:
 // compact, offset into a larger arena, padded rows, and a sub-rectangle of a
 // mosaic. The sentinel fill lets callers verify bytes outside the view are
@@ -174,14 +175,14 @@ func checkSentinels(t *testing.T, v raster.Strided, label string) {
 }
 
 // TestDecodeIntoMatchesDecode is the identity gate for caller-owned buffers:
-// for every golden stream and every view geometry, DecodeInto must produce
-// exactly Decode's pixels inside the view and must not touch a single sample
+// for every golden stream and every view geometry, DecodePlanarInto must
+// produce exactly DecodePlanarSource's pixels inside the view and must not touch a single sample
 // outside it.
 func TestDecodeIntoMatchesDecode(t *testing.T) {
 	for _, gc := range append(goldenCases(), modeGoldenCases()...) {
 		t.Run(gc.name, func(t *testing.T) {
 			cs := gc.gen(t, 4)
-			want, err := DecodePlanar(cs, DecodeOptions{})
+			want, err := DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,13 +195,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 				for ci := range views {
 					views[ci] = g.mk()
 				}
-				var err error
-				if nc == 1 {
-					err = dec.DecodeInto(views[0], src, DecodeOptions{})
-				} else {
-					err = dec.DecodePlanarInto(views, src, DecodeOptions{})
-				}
-				if err != nil {
+				if err := dec.DecodePlanarInto(views, src, DecodeOptions{}); err != nil {
 					t.Fatalf("%s: %v", g.name, err)
 				}
 				for ci := 0; ci < nc; ci++ {
@@ -222,7 +217,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestDecodeRegionIntoMatchesCrop: a windowed DecodeRegionInto through a file
+// TestDecodeRegionIntoMatchesCrop: a windowed DecodeRegionPlanarInto through a file
 // Source equals the windowed allocating decode for every geometry, including
 // decoding straight into the matching sub-rectangle of a full-size mosaic —
 // the tile-server assembly pattern.
@@ -238,14 +233,14 @@ func TestDecodeRegionIntoMatchesCrop(t *testing.T) {
 	dec := NewDecoder()
 	defer dec.Close()
 	reg := Rect{X0: 50, Y0: 70, X1: 200, Y1: 130}
-	want, err := DecodeRegion(cs, reg, DecodeOptions{})
+	want, err := decodeRegion(nil, cs, reg, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w, h := want.Width, want.Height
 	for _, g := range strideGeometries(w, h) {
 		v := g.mk()
-		if err := dec.DecodeRegionInto(v, src, reg, DecodeOptions{}); err != nil {
+		if err := dec.DecodeRegionPlanarInto([]raster.Strided{v}, src, reg, DecodeOptions{}); err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}
 		for y := 0; y < h; y++ {
@@ -262,8 +257,8 @@ func TestDecodeRegionIntoMatchesCrop(t *testing.T) {
 }
 
 // TestDecodeIntoReuse drives one backing buffer through decodes of different
-// streams and geometries back to back — the recycling pattern DecodeInto
-// exists for. Every decode must match its allocating twin regardless of what
+// streams and geometries back to back — the recycling pattern the Into
+// entry points exist for. Every decode must match its allocating twin regardless of what
 // the buffer held before.
 func TestDecodeIntoReuse(t *testing.T) {
 	arena := make([]int32, 300*300)
@@ -282,7 +277,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 			if err := v.Check(); err != nil {
 				t.Fatal(err)
 			}
-			if err := dec.DecodeInto(v, t2.BytesSource(cs), DecodeOptions{}); err != nil {
+			if err := dec.DecodePlanarInto([]raster.Strided{v}, t2.BytesSource(cs), DecodeOptions{}); err != nil {
 				t.Fatalf("%s round %d: %v", gc.name, round, err)
 			}
 			for y := 0; y < h; y++ {
@@ -315,7 +310,7 @@ func TestDecodeIntoRejectsBadViews(t *testing.T) {
 		{Pix: make([]int32, 64*48), Stride: 64, Width: 64, Height: 40},         // wrong height
 	}
 	for i, v := range bad {
-		if err := dec.DecodeInto(v, src, DecodeOptions{}); err == nil {
+		if err := dec.DecodePlanarInto([]raster.Strided{v}, src, DecodeOptions{}); err == nil {
 			t.Fatalf("bad view %d accepted", i)
 		}
 	}
@@ -326,33 +321,41 @@ func TestDecodeIntoRejectsBadViews(t *testing.T) {
 }
 
 // TestResilientSourceKindsEqual runs the fault matrix over both source kinds:
-// resilient decode of a damaged stream must produce the same salvage whether
-// the bytes are resident or behind a file ReaderAt.
+// both go through the one scan-to-spans route, so a resilient decode of a
+// damaged stream must produce the same salvage — pixels and damage report,
+// container and per tile — whether the bytes are resident or behind a file
+// ReaderAt.
 func TestResilientSourceKindsEqual(t *testing.T) {
-	e := resilienceCorpus()[1] // lossy-tiled, plain
-	cs := encodeEntry(t, e)
-	for _, m := range faultinject.Mutations(cs, 99) {
-		t.Run(m.Name, func(t *testing.T) {
-			dm := NewDecoder()
-			memImg, memErr := dm.Decode(m.Data, DecodeOptions{Resilient: true})
-			df := NewDecoder()
-			fileImg, fileErr := df.DecodeSource(fileSource(t, m.Data), DecodeOptions{Resilient: true})
-			if (memErr == nil) != (fileErr == nil) {
-				t.Fatalf("outcome differs by source kind: mem err %v, file err %v", memErr, fileErr)
-			}
-			if memErr != nil {
-				return
-			}
-			if !raster.Equal(memImg, fileImg) {
-				t.Fatal("salvaged image differs between resident and file source")
-			}
-		})
+	for _, e := range resilienceCorpus() {
+		cs := encodeEntry(t, e)
+		for _, m := range faultinject.Mutations(cs, 99) {
+			t.Run(e.name+"/"+m.Name, func(t *testing.T) {
+				dm, df := NewDecoder(), NewDecoder()
+				defer dm.Close()
+				defer df.Close()
+				opts := DecodeOptions{Resilient: true}
+				mem, memErr := dm.DecodePlanarSource(t2.BytesSource(m.Data), opts)
+				file, fileErr := df.DecodePlanarSource(fileSource(t, m.Data), opts)
+				if (memErr == nil) != (fileErr == nil) {
+					t.Fatalf("outcome differs by source kind: mem err %v, file err %v", memErr, fileErr)
+				}
+				if memErr != nil {
+					return
+				}
+				if !raster.PlanarEqual(mem, file) {
+					t.Fatal("salvaged image differs between resident and file source")
+				}
+				if !reflect.DeepEqual(dm.Damage(), df.Damage()) {
+					t.Fatalf("damage report differs by source kind:\nmem  %+v\nfile %+v", dm.Damage(), df.Damage())
+				}
+			})
+		}
 	}
 }
 
 // TestDecodeRegionIntoBoundedMemory is the peak-memory regression gate for
 // the streaming path: walking a many-tile image window by window through one
-// recycled DecodeRegionInto buffer must keep the heap bounded by the window's
+// recycled DecodeRegionPlanarInto buffer must keep the heap bounded by the window's
 // tiles, far below the full image footprint. Gated off -short (CI runs the
 // full suite; `go test -short` skips it for quick local iteration).
 func TestDecodeRegionIntoBoundedMemory(t *testing.T) {
@@ -373,10 +376,11 @@ func TestDecodeRegionIntoBoundedMemory(t *testing.T) {
 	dec := NewDecoder()
 	defer dec.Close()
 	buf := make([]int32, win*win)
+	views := make([]raster.Strided, 1)
 	decodeWindow := func(x0, y0 int) {
 		x1, y1 := x0+win, y0+win
-		v := raster.Strided{Pix: buf, Stride: win, Width: x1 - x0, Height: y1 - y0}
-		if err := dec.DecodeRegionInto(v, src, Rect{X0: x0, Y0: y0, X1: x1, Y1: y1}, DecodeOptions{}); err != nil {
+		views[0] = raster.Strided{Pix: buf, Stride: win, Width: x1 - x0, Height: y1 - y0}
+		if err := dec.DecodeRegionPlanarInto(views, src, Rect{X0: x0, Y0: y0, X1: x1, Y1: y1}, DecodeOptions{}); err != nil {
 			t.Fatalf("window (%d,%d): %v", x0, y0, err)
 		}
 	}

@@ -63,7 +63,7 @@ func BandSteps(k dwt.Kernel, w, h, levels int, base float64) []Step {
 // paper's parallel quantization stage does ("every processor may have a chunk
 // of coefficients").
 func Forward(src []float64, stride int, b dwt.Subband, step float64, dst []int32, dstStride, workers int) {
-	core.ParallelFor(workers, b.Height(), func(lo, hi int) {
+	core.Default().ForMax(core.Workers(workers), b.Height(), func(lo, hi int) {
 		forwardRows(src, stride, b, step, dst, dstStride, lo, hi)
 	})
 }
@@ -140,7 +140,7 @@ func Inverse(src []int32, srcStride int, b dwt.Subband, step float64, dst []floa
 		inverseRows(src, srcStride, b, step, dst, stride, 0, b.Height())
 		return
 	}
-	core.ParallelFor(workers, b.Height(), func(lo, hi int) {
+	core.Default().ForMax(core.Workers(workers), b.Height(), func(lo, hi int) {
 		inverseRows(src, srcStride, b, step, dst, stride, lo, hi)
 	})
 }

@@ -93,7 +93,7 @@ func ReadPPM(r io.Reader) (*Planar, int, error) {
 }
 
 // Dimension caps for PNM headers, matching the codestream parser's SIZ
-// limits (t2.ReadCodestream): an image the codec could never decode is
+// limits (t2.ScanCodestream): an image the codec could never decode is
 // rejected at read time instead of allocating for it.
 const (
 	MaxPNMDim    = 1 << 20

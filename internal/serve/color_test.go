@@ -11,6 +11,7 @@ import (
 	"pj2k/internal/dwt"
 	"pj2k/internal/jp2k"
 	"pj2k/internal/raster"
+	"pj2k/internal/t2"
 )
 
 func colorTestStream(t testing.TB) []byte {
@@ -64,7 +65,7 @@ func TestServerColorRegionMatchesDecode(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	for _, reduce := range []int{0, 1, 2} {
-		full, err := jp2k.DecodePlanar(cs, jp2k.DecodeOptions{DiscardLevels: reduce})
+		full, err := jp2k.DecodePlanarSource(t2.BytesSource(cs), jp2k.DecodeOptions{DiscardLevels: reduce})
 		if err != nil {
 			t.Fatal(err)
 		}

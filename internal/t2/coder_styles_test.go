@@ -23,50 +23,69 @@ func codStyleOffset(t *testing.T, cs []byte) int {
 }
 
 // TestUnknownStyleBitsRejected is the regression test for the silent
-// mis-decode bug: a COD carrying a code-block style bit this decoder does not
-// implement used to be ignored, and the packet walk then mis-parsed every
-// block. Strict parsing must reject it with a clear error; resilient parsing
-// must mask it off, count the salvage, and still decode the stream.
+// mis-decode bug class: COD signalling this decoder does not implement — a
+// code-block style bit, a non-LRCP progression order, user-defined precincts
+// (Scod bit 0, or the longer segment they imply) — used to be ignored, and
+// the packet walk then mis-parsed every packet or block. Strict parsing must
+// reject it with a clear error; resilient parsing must ignore it, count the
+// salvage, and still decode the stream.
 func TestUnknownStyleBitsRejected(t *testing.T) {
 	im := raster.Synthetic(64, 64, 3)
 	cs, _, err := jp2k.Encode(im, jp2k.Options{Kernel: dwt.Rev53})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := codStyleOffset(t, cs)
-	for _, bit := range []byte{0x10, 0x40, 0x80} { // predictable termination + reserved bits
+	style := codStyleOffset(t, cs)
+	// Offsets relative to the style byte: Lcod's low byte at -9, Scod at -8,
+	// the progression order at -7.
+	for _, m := range []struct {
+		name string
+		off  int
+		mut  func(b byte) byte
+	}{
+		{"style bit 0x10 (predictable termination)", style, func(b byte) byte { return b | 0x10 }},
+		{"style bit 0x40 (reserved)", style, func(b byte) byte { return b | 0x40 }},
+		{"style bit 0x80 (reserved)", style, func(b byte) byte { return b | 0x80 }},
+		{"Lcod 13", style - 9, func(byte) byte { return 13 }},
+		{"Scod precinct bit", style - 8, func(b byte) byte { return b | 0x01 }},
+		{"progression RPCL", style - 7, func(byte) byte { return 2 }},
+	} {
 		bad := append([]byte(nil), cs...)
-		bad[off] |= bit
+		bad[m.off] = m.mut(bad[m.off])
 
-		if _, _, err := t2.ReadCodestream(bad); err == nil {
-			t.Fatalf("style bit %#02x accepted by strict parse", bit)
-		} else if !strings.Contains(err.Error(), "style") {
-			t.Fatalf("style bit %#02x: unhelpful error %q", bit, err)
+		if _, _, err := t2.ScanCodestream(t2.BytesSource(bad)); err == nil {
+			t.Fatalf("%s accepted by strict parse", m.name)
+		} else if !strings.Contains(err.Error(), "unsupported COD") {
+			t.Fatalf("%s: unhelpful error %q", m.name, err)
 		}
 		if _, err := jp2k.Decode(bad, jp2k.DecodeOptions{}); err == nil {
-			t.Fatalf("style bit %#02x decoded strictly", bit)
+			t.Fatalf("%s decoded strictly", m.name)
 		}
 
-		p, tiles, dmg, err := t2.ReadCodestreamResilient(bad)
+		p, spans, dmg, err := t2.ScanCodestreamResilient(t2.BytesSource(bad))
 		if err != nil {
-			t.Fatalf("style bit %#02x: resilient parse failed: %v", bit, err)
+			t.Fatalf("%s: resilient parse failed: %v", m.name, err)
 		}
 		if dmg.BadStyles != 1 || !dmg.Any() {
-			t.Fatalf("style bit %#02x: salvage not reported: %+v", bit, dmg)
+			t.Fatalf("%s: salvage not reported: %+v", m.name, dmg)
 		}
-		if len(tiles) == 0 || p.Bypass || p.TermAll || p.ResetCtx || p.Causal {
-			t.Fatalf("style bit %#02x: salvaged params polluted: %+v", bit, p)
+		if len(spans) == 0 || p.Bypass || p.TermAll || p.ResetCtx || p.Causal {
+			t.Fatalf("%s: salvaged params polluted: %+v", m.name, p)
 		}
-		// The masked stream was in fact encoded without the unknown mode, so
-		// the salvage decodes it losslessly.
+		// The stream was in fact encoded as LRCP without precincts or the
+		// unknown mode, so the salvage decodes it losslessly.
 		dec := jp2k.NewDecoder()
 		out, err := dec.Decode(bad, jp2k.DecodeOptions{Resilient: true})
 		if err != nil {
-			t.Fatalf("style bit %#02x: resilient decode: %v", bit, err)
+			t.Fatalf("%s: resilient decode: %v", m.name, err)
 		}
+		if rep := dec.Damage(); rep == nil || rep.Container.BadStyles != 1 {
+			t.Fatalf("%s: decode did not report BadStyles: %+v", m.name, rep)
+		}
+		dec.Close()
 		for i := range im.Pix {
 			if out.Pix[i] != im.Pix[i] {
-				t.Fatalf("style bit %#02x: salvaged decode differs at %d", bit, i)
+				t.Fatalf("%s: salvaged decode differs at %d", m.name, i)
 			}
 		}
 	}
@@ -99,7 +118,7 @@ func TestKnownStyleBitsRoundTrip(t *testing.T) {
 		if got := cs[codStyleOffset(t, cs)]; got != c.want {
 			t.Fatalf("%+v segsym=%v: COD style byte %#02x, want %#02x", c.coder, c.seg, got, c.want)
 		}
-		p, _, err := t2.ReadCodestream(cs)
+		p, _, err := t2.ScanCodestream(t2.BytesSource(cs))
 		if err != nil {
 			t.Fatal(err)
 		}

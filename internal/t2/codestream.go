@@ -31,7 +31,7 @@ const MaxComponents = 256
 // MaxImagePixels bounds the total sample budget a header may declare —
 // Width x Height x Csiz, one sample per component plane — before any plane is
 // allocated: the decompression-bomb guard keeping a 16-byte hostile header
-// from demanding gigabytes. ReadCodestream and CheckGeometry both enforce it,
+// from demanding gigabytes. The SIZ parser and CheckGeometry both enforce it,
 // so hand-built Params pass through the same gate as parsed streams. Mutable
 // for deployments serving genuinely larger imagery; set it at startup, not
 // concurrently with decoding.
@@ -117,7 +117,7 @@ func (p Params) NumTiles() (int, int) {
 }
 
 // CheckGeometry verifies that the per-component per-band header arrays cover
-// the decomposition the COD marker declares. ReadCodestream is a lenient
+// the decomposition the COD marker declares. ScanCodestream is a lenient
 // container parser and does not cross-check markers against each other;
 // consumers that index Mb/Steps by (component, band) — the decoder, the
 // codestream Index — must call this first so a corrupt stream yields an error
@@ -366,48 +366,12 @@ type ContainerDamage struct {
 	Truncated    bool // stream ended (or became unparseable) before EOC
 	BadMarkers   int  // unknown marker segments skipped by declared length
 	BadTileParts int  // tile-parts with implausible Psot, re-bounded by scanning
-	BadStyles    int  // unsupported COD code-block style bits masked off
+	BadStyles    int  // unsupported COD signalling (precincts, progression, style bits) ignored
 }
 
 // Any reports whether the walk recorded any container-level damage.
 func (d ContainerDamage) Any() bool {
 	return d.Truncated || d.BadMarkers > 0 || d.BadTileParts > 0 || d.BadStyles > 0
-}
-
-// ReadCodestream parses a codestream produced by WriteCodestream, returning
-// the parameters and the per-tile packet data. Inconsistent per-component SIZ
-// fields (mismatched bit depths, subsampled components) are rejected with an
-// error, never a panic. It is the resident-bytes adapter over ScanCodestream;
-// the returned tile bodies alias data.
-func ReadCodestream(data []byte) (Params, [][]byte, error) {
-	p, tiles, _, err := readCodestream(data, false)
-	return p, tiles, err
-}
-
-// ReadCodestreamResilient is ReadCodestream in best-effort mode: a truncated
-// stream yields the tile-parts that survive, a tile-part with an implausible
-// Psot is re-bounded by scanning for the next tile-part boundary, and unknown
-// main-header markers are skipped by their declared length — with everything
-// salvaged around reported in ContainerDamage. An error is returned only when
-// not even the SOC survives; callers must still CheckGeometry the result
-// before decoding.
-func ReadCodestreamResilient(data []byte) (Params, [][]byte, ContainerDamage, error) {
-	return readCodestream(data, true)
-}
-
-func readCodestream(data []byte, resilient bool) (Params, [][]byte, ContainerDamage, error) {
-	p, spans, dmg, err := scanCodestream(BytesSource(data), resilient)
-	if err != nil {
-		return p, nil, dmg, err
-	}
-	var tiles [][]byte
-	if len(spans) > 0 {
-		tiles = make([][]byte, len(spans))
-		for i, sp := range spans {
-			tiles[i] = data[sp.Off:sp.End()]
-		}
-	}
-	return p, tiles, dmg, nil
 }
 
 // readSIZ parses the SIZ segment into p, including the sanity limits that
@@ -500,24 +464,34 @@ const codBlockStyles = 0x2F
 
 // readCOD parses the COD segment into p, including the error-resilience and
 // coding-style signalling: SOP/EPH use from the Scod bits, the tier-1 coder
-// modes from the code-block style byte. Style bits this decoder does not
-// implement (e.g. 0x10 predictable termination) would silently mis-decode
-// every code-block, so strict parsing rejects them; resilient parsing masks
-// them off — tier-1 concealment then bounds the damage per block — and counts
-// the salvage in dmg.BadStyles.
+// modes from the code-block style byte. Signalling this decoder does not
+// implement — a segment length other than 12 or Scod bit 0 (user-defined
+// precincts), a progression order other than LRCP, unknown code-block style
+// bits (e.g. 0x10 predictable termination) — would silently mis-decode every
+// packet or code-block, so strict parsing rejects it; resilient parsing
+// reads the fields it knows and masks the rest off — packet resync and tier-1
+// concealment then bound the damage — counting each in dmg.BadStyles.
 func (r *sreader) readCOD(p *Params, resilient bool, dmg *ContainerDamage) error {
-	if _, err := r.u16(); err != nil { // Lcod
+	lcod, err := r.u16()
+	if err != nil {
 		return err
 	}
 	scod, err := r.u8()
 	if err != nil {
 		return err
 	}
-	p.UseSOP = scod&0x02 != 0
-	p.UseEPH = scod&0x04 != 0
-	if _, err = r.u8(); err != nil { // progression
+	prog, err := r.u8()
+	if err != nil {
 		return err
 	}
+	if lcod != 12 || scod&0x01 != 0 || prog != 0 {
+		if !resilient {
+			return fmt.Errorf("t2: unsupported COD (Lcod %d, Scod %#02x, progression %d): only LRCP with default precincts", lcod, scod, prog)
+		}
+		dmg.BadStyles++
+	}
+	p.UseSOP = scod&0x02 != 0
+	p.UseEPH = scod&0x04 != 0
 	if p.Layers, err = r.u16(); err != nil {
 		return err
 	}
@@ -633,19 +607,4 @@ func (r *sreader) readRGN(p *Params) error {
 		return err
 	}
 	return nil
-}
-
-// findTilePartEnd scans for the next tile-part boundary — an SOT or EOC
-// marker — at or after pos. MQ bit-stuffing keeps bytes above 0x8F out of the
-// positions following any 0xFF inside codeword segments and stuffed packet
-// headers, so the scan lands on a real boundary (a pathological SOP sequence
-// number embedding 0xFF90 is the only false positive, and costs only some
-// extra reported damage).
-func findTilePartEnd(data []byte, pos int) int {
-	for i := pos; i+1 < len(data); i++ {
-		if data[i] == 0xFF && (data[i+1] == mSOT&0xFF || data[i+1] == mEOC&0xFF) {
-			return i
-		}
-	}
-	return len(data)
 }

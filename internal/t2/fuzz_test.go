@@ -16,7 +16,7 @@ func codStyleOffsetFuzz(cs []byte) int {
 	return bytes.Index(cs, []byte{0xFF, 0x52}) + 12
 }
 
-// FuzzReadCodestream drives the container parser, the packet-boundary index
+// FuzzReadCodestream drives the container scanner, the packet-boundary index
 // and the windowed decoder with arbitrary bytes. The contract under fuzzing
 // is purely defensive: any input either parses or returns an error — no
 // panics, no runaway allocations (the SIZ/COD sanity limits bound every
@@ -37,8 +37,8 @@ func FuzzReadCodestream(f *testing.F) {
 	}
 	// Coder-mode seeds: terminated and bypassed streams carry multiple
 	// codeword-segment lengths per block in the packet headers — new framing
-	// for the fuzzer to bend. The style-bit mutant exercises the unknown-bit
-	// rejection path.
+	// for the fuzzer to bend. The COD mutants exercise the unsupported-
+	// signalling rejection paths (style bit, Lcod, precinct bit, progression).
 	for _, c := range []jp2k.CoderOptions{
 		{Bypass: true},
 		{Bypass: true, TermAll: true},
@@ -58,9 +58,20 @@ func FuzzReadCodestream(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		styleMut := append([]byte(nil), cs...)
-		styleMut[codStyleOffsetFuzz(styleMut)] |= 0x40 // reserved style bit
-		f.Add(styleMut)
+		style := codStyleOffsetFuzz(cs)
+		for _, m := range []struct {
+			off int
+			val byte
+		}{
+			{style, cs[style] | 0x40},       // reserved style bit
+			{style - 9, 13},                 // Lcod
+			{style - 8, cs[style-8] | 0x01}, // Scod bit 0: user-defined precincts
+			{style - 7, 2},                  // progression order RPCL
+		} {
+			mut := append([]byte(nil), cs...)
+			mut[m.off] = m.val
+			f.Add(mut)
+		}
 	}
 	// Multi-component seeds: Csiz=3 MCT streams (QCC markers, interleaved
 	// packets) for both kernels, plus a mutant whose component depths
@@ -84,19 +95,17 @@ func FuzzReadCodestream(f *testing.F) {
 	f.Add([]byte{0xFF, 0x4F, 0xFF, 0x51, 0x00, 0x29})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, tiles, err := t2.ReadCodestream(data)
-		if err != nil {
+		src := t2.BytesSource(data)
+		if _, _, err := t2.ScanCodestream(src); err != nil {
 			return
 		}
-		// A stream the container parser accepts must still index and decode
+		// A stream the container scanner accepts must still index and decode
 		// without panicking, whatever its packet bytes hold — every component
 		// of it.
-		_ = p
-		_ = tiles
 		_, _ = t2.BuildIndex(data)
 		_, _ = jp2k.Decode(data, jp2k.DecodeOptions{})
-		_, _ = jp2k.DecodePlanar(data, jp2k.DecodeOptions{})
-		_, _ = jp2k.DecodeRegion(data, jp2k.Rect{X0: 1, Y0: 1, X1: 9, Y1: 9}, jp2k.DecodeOptions{MaxLayers: 1, DiscardLevels: 1})
-		_, _ = jp2k.DecodeRegionPlanar(data, jp2k.Rect{X0: 1, Y0: 1, X1: 9, Y1: 9}, jp2k.DecodeOptions{MaxLayers: 1, DiscardLevels: 1})
+		_, _ = jp2k.DecodePlanarSource(src, jp2k.DecodeOptions{})
+		dec := jp2k.NewDecoderWithPool(nil)
+		_, _ = dec.DecodeRegionPlanarSource(src, jp2k.Rect{X0: 1, Y0: 1, X1: 9, Y1: 9}, jp2k.DecodeOptions{MaxLayers: 1, DiscardLevels: 1})
 	})
 }

@@ -1,7 +1,6 @@
 package t2
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -332,15 +331,4 @@ func (ix *Index) WritePrefix(w io.Writer, maxLayers int) (int64, error) {
 	n, err = w.Write(put16(scratch[:0], mEOC))
 	written += int64(n)
 	return written, err
-}
-
-// CodestreamPrefix is WritePrefix materialized into a fresh slice, for
-// callers that need the truncated stream as bytes (tests, re-encoding).
-// Serving paths should prefer WritePrefix, which does not buffer.
-func (ix *Index) CodestreamPrefix(maxLayers int) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := ix.WritePrefix(&buf, maxLayers); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -4,6 +4,7 @@ package t2_test
 // requires the full jp2k encoder, which itself imports t2.
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -91,11 +92,21 @@ func TestIndexSpansPartitionTileBodies(t *testing.T) {
 	}
 }
 
-// TestIndexCodestreamPrefix asserts the layer-truncation primitive: the
+// prefixBytes materializes WritePrefix's n-layer re-emission.
+func prefixBytes(t *testing.T, ix *t2.Index, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := ix.WritePrefix(&buf, n); err != nil {
+		t.Fatalf("layers=%d: %v", n, err)
+	}
+	return buf.Bytes()
+}
+
+// TestIndexWritePrefix asserts the layer-truncation primitive: the
 // re-emitted stream with n layers must decode bit-identically to decoding
 // the original with MaxLayers n — the embedded-stream property, now
 // exercised end to end through the index.
-func TestIndexCodestreamPrefix(t *testing.T) {
+func TestIndexWritePrefix(t *testing.T) {
 	cs := encodeTestStream(t, jp2k.Options{
 		Kernel: dwt.Irr97, LayerBPP: []float64{0.125, 0.5, 1.0}, TileW: 100, TileH: 90,
 	})
@@ -104,10 +115,7 @@ func TestIndexCodestreamPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 1; n <= ix.Params.Layers; n++ {
-		pre, err := ix.CodestreamPrefix(n)
-		if err != nil {
-			t.Fatalf("layers=%d: %v", n, err)
-		}
+		pre := prefixBytes(t, ix, n)
 		if n < ix.Params.Layers && len(pre) >= len(cs) {
 			t.Fatalf("layers=%d: prefix (%d bytes) not smaller than original (%d)", n, len(pre), len(cs))
 		}
@@ -226,15 +234,12 @@ func TestIndexColorStream(t *testing.T) {
 	}
 	// Layer truncation: the re-emitted 1-layer color stream decodes exactly
 	// as MaxLayers=1.
-	pre, err := ix.CodestreamPrefix(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := jp2k.DecodePlanar(pre, jp2k.DecodeOptions{})
+	pre := prefixBytes(t, ix, 1)
+	got, err := jp2k.DecodePlanarSource(t2.BytesSource(pre), jp2k.DecodeOptions{})
 	if err != nil {
 		t.Fatalf("decoding prefix: %v", err)
 	}
-	want, err := jp2k.DecodePlanar(cs, jp2k.DecodeOptions{MaxLayers: 1})
+	want, err := jp2k.DecodePlanarSource(t2.BytesSource(cs), jp2k.DecodeOptions{MaxLayers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,7 +257,7 @@ func FuzzLazyIndex(f *testing.F) {
 			for ti := 0; ti < ix.NumTiles(); ti++ {
 				_, _ = ix.Tile(ti)
 			}
-			_, _ = ix.CodestreamPrefix(1)
+			_, _ = ix.WritePrefix(io.Discard, 1)
 		}
 		// Resilient: never panics, and every salvaged span stays in bounds.
 		_, spans, _, err := t2.ScanCodestreamResilient(src)

@@ -33,7 +33,7 @@ func TestCodestreamMultiComponent(t *testing.T) {
 	}
 	tiles := [][]byte{{1, 2, 3}, {4, 5}}
 	cs := WriteCodestream(p, tiles)
-	q, gotTiles, err := ReadCodestream(cs)
+	q, gotTiles, err := scanTiles(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,25 +75,25 @@ func TestCodestreamInconsistentSIZ(t *testing.T) {
 
 	depthMut := append([]byte(nil), cs...)
 	depthMut[compOff+3] = 11 // component 1 Ssiz: depth 12 vs component 0's 8
-	if _, _, err := ReadCodestream(depthMut); err == nil {
+	if _, _, err := ScanCodestream(BytesSource(depthMut)); err == nil {
 		t.Error("want error for mismatched component depths")
 	}
 
 	subMut := append([]byte(nil), cs...)
 	subMut[compOff+4] = 2 // component 1 XRsiz: 2x subsampling
-	if _, _, err := ReadCodestream(subMut); err == nil {
+	if _, _, err := ScanCodestream(BytesSource(subMut)); err == nil {
 		t.Error("want error for subsampled component")
 	}
 
 	csizMut := append([]byte(nil), cs...)
 	csizMut[compOff-2], csizMut[compOff-1] = 0x40, 0x00 // Csiz = 16384
-	if _, _, err := ReadCodestream(csizMut); err == nil {
+	if _, _, err := ScanCodestream(BytesSource(csizMut)); err == nil {
 		t.Error("want error for component count beyond the limit")
 	}
 
 	zeroMut := append([]byte(nil), cs...)
 	zeroMut[compOff-2], zeroMut[compOff-1] = 0, 0 // Csiz = 0
-	if _, _, err := ReadCodestream(zeroMut); err == nil {
+	if _, _, err := ScanCodestream(BytesSource(zeroMut)); err == nil {
 		t.Error("want error for zero components")
 	}
 }

@@ -218,7 +218,7 @@ func (cc *compCoder) matches(bands []BandBlocks) bool {
 
 // TileCoder holds per-tile packet coding state: per component, one bandState
 // per subband, plus reusable header/body buffers shared across components.
-// Pooled encoders keep one TileCoder per tile and Reset it before each
+// Pooled encoders keep one TileCoder per tile and ResetComps it before each
 // packet-assembly round, so the tag trees and state arrays are allocated
 // once per encoder lifetime. A TileCoder is not safe for concurrent use.
 type TileCoder struct {
@@ -228,14 +228,13 @@ type TileCoder struct {
 	body  []byte             // reusable packet-body buffer
 	pend  []pendingSeg       // reusable decode-side body segment list
 	segs  []int              // reusable per-block segment pass-end scratch
-	one   [1][]BandBlocks    // scratch for the single-component entry points
 
 	// SOP and EPH select the error-resilience markers of Annex A: a 6-byte
 	// SOP (start-of-packet, with a wrapping sequence number) before every
 	// packet, and a 2-byte EPH (end-of-packet-header) after every packet
 	// header. Both sides of a codestream must agree — set them from the COD
-	// Scod bits (Params.UseSOP/UseEPH) before encoding or decoding; Reset
-	// does not touch them.
+	// Scod bits (Params.UseSOP/UseEPH) before encoding or decoding;
+	// ResetComps does not touch them.
 	SOP bool
 	EPH bool
 
@@ -244,17 +243,8 @@ type TileCoder struct {
 	// into multiple codeword segments, and packet headers then signal one
 	// length per segment instead of one per block contribution — both sides of
 	// a codestream must agree. Set it from Params.CoderModes before encoding
-	// or decoding; Reset does not touch it.
+	// or decoding; ResetComps does not touch it.
 	Modes t1.Modes
-}
-
-// NewTileCoder builds coding state for one single-component tile geometry.
-func NewTileCoder(bands []BandBlocks) *TileCoder {
-	tc := &TileCoder{hw: bitio.NewStuffWriter()}
-	tc.one[0] = bands
-	tc.build(tc.one[:])
-	tc.one[0] = nil
-	return tc
 }
 
 // NewTileCoderComps builds coding state for one tile's per-component band
@@ -270,14 +260,6 @@ func (tc *TileCoder) build(comps [][]BandBlocks) {
 	for ci, bands := range comps {
 		tc.comps[ci].build(bands)
 	}
-}
-
-// Reset prepares the coder for a fresh single-component tile encode; see
-// ResetComps.
-func (tc *TileCoder) Reset(bands []BandBlocks) {
-	tc.one[0] = bands
-	tc.ResetComps(tc.one[:])
-	tc.one[0] = nil
 }
 
 // ResetComps prepares the coder for a fresh tile encode over the same (or a
@@ -467,31 +449,15 @@ func (b *DecodedBlock) SegmentEnds(m t1.Modes) []int {
 
 type decodedBlock = DecodedBlock
 
-// EncodeTilePackets assembles all packets of one single-component tile in
-// LRCP order (layer outer, resolution inner; single precinct). layers[li][id]
-// gives the cumulative pass count of block id through layer li; ids enumerate
-// bands in dwt.Subbands order, blocks raster-scan within a band.
-func EncodeTilePackets(bands []BandBlocks, levels int, layers [][]int) []byte {
-	return NewTileCoder(bands).EncodeTilePackets(bands, levels, layers, nil)
-}
-
-// EncodeTilePackets is the pooled single-component form: the coder is Reset
-// and the packets are appended to dst (which may be a recycled buffer sliced
-// to length 0).
-func (tc *TileCoder) EncodeTilePackets(bands []BandBlocks, levels int, layers [][]int, dst []byte) []byte {
-	tc.one[0] = bands
-	oneLayers := [1][][]int{layers}
-	dst = tc.EncodeTileCompsPackets(tc.one[:], levels, oneLayers[:], dst, nil)
-	tc.one[0] = nil // do not pin the caller's bands between calls
-	return dst
-}
-
 // EncodeTileCompsPackets assembles all packets of one tile in LRCP order:
 // layer outer, resolution middle, component inner (single precinct) — the
-// standard's layer-resolution-component-position progression. layers[ci][li]
-// holds component ci's cumulative pass counts per component-local block id
-// through layer li. When compBytes is non-nil it accumulates the packet bytes
-// emitted per component (for per-component rate accounting).
+// standard's layer-resolution-component-position progression. The coder is
+// reset first and the packets are appended to dst (which may be a recycled
+// buffer sliced to length 0). layers[ci][li] holds component ci's cumulative
+// pass counts per component-local block id through layer li; ids enumerate
+// bands in dwt.Subbands order, blocks raster-scan within a band. When
+// compBytes is non-nil it accumulates the packet bytes emitted per component
+// (for per-component rate accounting).
 func (tc *TileCoder) EncodeTileCompsPackets(comps [][]BandBlocks, levels int,
 	layers [][][]int, dst []byte, compBytes []int) []byte {
 
@@ -531,31 +497,6 @@ func (tc *TileCoder) EncodeTileCompsPackets(comps [][]BandBlocks, levels int,
 	return dst
 }
 
-// DecodeTilePackets parses nlayers * (levels+1) packets of a single-component
-// tile from data. bands carries the grid geometry and Mb per band (Blocks
-// entries are ignored). Returns per-block accumulated segments and the bytes
-// consumed.
-func DecodeTilePackets(bands []BandBlocks, levels, nlayers int, data []byte) ([]DecodedBlock, int, error) {
-	return NewTileCoder(bands).DecodeTilePackets(bands, levels, nlayers, data, nil)
-}
-
-// DecodeTilePackets is the pooled single-component form: the coder is Reset
-// over the tile's band geometry and dec (which may be a recycled slice from a
-// previous tile) is regrown to the tile's block count with each block's Data
-// capacity retained, so steady-state decoding of same-shaped tiles performs
-// no per-packet allocations. Returns the (possibly regrown) dec slice and the
-// bytes consumed.
-func (tc *TileCoder) DecodeTilePackets(bands []BandBlocks, levels, nlayers int, data []byte, dec []DecodedBlock) ([]DecodedBlock, int, error) {
-	tc.one[0] = bands
-	oneDec := [1][]DecodedBlock{dec}
-	decs, pos, err := tc.DecodeTileCompsPackets(tc.one[:], levels, nlayers, data, oneDec[:])
-	tc.one[0] = nil // do not pin the caller's bands between calls
-	if err != nil {
-		return nil, 0, err
-	}
-	return decs[0], pos, nil
-}
-
 // resetDec regrows dec to n blocks with each block's Data capacity retained.
 func resetDec(dec []DecodedBlock, n int) []DecodedBlock {
 	if cap(dec) < n {
@@ -578,29 +519,20 @@ func resetDec(dec []DecodedBlock, n int) []DecodedBlock {
 }
 
 // DecodeTileCompsPackets parses nlayers * (levels+1) * len(comps) packets in
-// the LRCP interleaving EncodeTileCompsPackets emits. dec[ci] (which may be
-// recycled, or nil) accumulates component ci's block segments, indexed by
-// component-local block id. Returns the (possibly regrown) per-component dec
-// slices and the bytes consumed. dec must have len(comps) entries.
+// the LRCP interleaving EncodeTileCompsPackets emits. comps carries the grid
+// geometry and Mb per band (Blocks entries are ignored). The coder is reset
+// over that geometry and dec[ci] (which may be recycled from a previous tile,
+// or nil) is regrown to component ci's block count with each block's Data
+// capacity retained, so steady-state decoding of same-shaped tiles performs
+// no per-packet allocations. Returns the (possibly regrown) per-component dec
+// slices, indexed by component-local block id, and the bytes consumed. dec
+// must have len(comps) entries. The first malformed packet fails the tile.
 func (tc *TileCoder) DecodeTileCompsPackets(comps [][]BandBlocks, levels, nlayers int,
 	data []byte, dec [][]DecodedBlock) ([][]DecodedBlock, int, error) {
 
-	tc.ResetComps(comps)
-	for ci := range comps {
-		dec[ci] = resetDec(dec[ci], tc.comps[ci].nblocks)
-	}
-	pos := 0
-	for li := 0; li < nlayers; li++ {
-		for r := 0; r <= levels; r++ {
-			bandIdx := dwt.BandsOfResolution(levels, r)
-			for ci := range comps {
-				n, err := tc.decodePacket(ci, comps[ci], bandIdx, li, data[pos:], dec[ci], true)
-				if err != nil {
-					return nil, 0, fmt.Errorf("t2: layer %d resolution %d component %d: %w", li, r, ci, err)
-				}
-				pos += n
-			}
-		}
+	dec, pos, _, err := tc.walkPackets(comps, levels, nlayers, data, dec, false)
+	if err != nil {
+		return nil, 0, err
 	}
 	return dec, pos, nil
 }
@@ -663,7 +595,6 @@ func (tc *TileCoder) decodePacket(ci int, bands []BandBlocks, bandIdx []int,
 		for k := range st.passesCum {
 			id := cc.blockBase[bi] + k
 			gx, gy := k%b.Grid.GW, k/b.Grid.GW
-			firstInclusion := false
 			if !st.included[k] {
 				inc, err := st.incl.Decode(r, gx, gy, layer+1)
 				if err != nil {
@@ -678,7 +609,6 @@ func (tc *TileCoder) decodePacket(ci int, bands []BandBlocks, bandIdx []int,
 				}
 				dec[id].NumBitplanes = b.Mb - zbp
 				st.included[k] = true
-				firstInclusion = true
 			} else {
 				bit, err := r.ReadBit()
 				if err != nil {
@@ -688,7 +618,6 @@ func (tc *TileCoder) decodePacket(ci int, bands []BandBlocks, bandIdx []int,
 					continue
 				}
 			}
-			_ = firstInclusion
 			np, err := readPassCount(r)
 			if err != nil {
 				return 0, err
@@ -774,6 +703,17 @@ func (d DecodeDamage) Any() bool { return d.BadPackets > 0 || d.PacketsLost > 0 
 func (tc *TileCoder) DecodeTileCompsPacketsResilient(comps [][]BandBlocks, levels, nlayers int,
 	data []byte, dec [][]DecodedBlock) ([][]DecodedBlock, int, DecodeDamage) {
 
+	dec, pos, dmg, _ := tc.walkPackets(comps, levels, nlayers, data, dec, true)
+	return dec, pos, dmg
+}
+
+// walkPackets is the one packet walk behind both decode entry points: a loop
+// over the flat LRCP packet index (layer outer, resolution middle, component
+// inner). The only policy is what the first bad packet does — fail the tile
+// (strict), or resync/abandon and count (resilient, which never errors).
+func (tc *TileCoder) walkPackets(comps [][]BandBlocks, levels, nlayers int,
+	data []byte, dec [][]DecodedBlock, resilient bool) ([][]DecodedBlock, int, DecodeDamage, error) {
+
 	tc.ResetComps(comps)
 	for ci := range comps {
 		dec[ci] = resetDec(dec[ci], tc.comps[ci].nblocks)
@@ -794,6 +734,9 @@ func (tc *TileCoder) DecodeTileCompsPacketsResilient(comps [][]BandBlocks, level
 			pk++
 			continue
 		}
+		if !resilient {
+			return nil, 0, dmg, fmt.Errorf("t2: layer %d resolution %d component %d: %w", li, r, ci, err)
+		}
 		dmg.BadPackets++
 		if tc.SOP {
 			if next, at := findSOP(data, pos+1, pk, npk); next >= 0 {
@@ -807,9 +750,9 @@ func (tc *TileCoder) DecodeTileCompsPacketsResilient(comps [][]BandBlocks, level
 		// No resync anchor ahead: keep every pass committed so far and give
 		// up on the rest of the tile.
 		dmg.PacketsLost += npk - pk
-		return dec, pos, dmg
+		break
 	}
-	return dec, pos, dmg
+	return dec, pos, dmg, nil
 }
 
 // findSOP scans data at or after pos for an SOP marker whose sequence number

@@ -26,7 +26,7 @@ func TestResilienceFlagsRoundTrip(t *testing.T) {
 		p := resilienceParams()
 		p.UseSOP, p.UseEPH, p.SegSym = tc.sop, tc.eph, tc.seg
 		cs := WriteCodestream(p, [][]byte{{1, 2, 3}})
-		q, _, err := ReadCodestream(cs)
+		q, _, err := ScanCodestream(BytesSource(cs))
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -47,12 +47,12 @@ func TestDecompressionBombGuard(t *testing.T) {
 	for _, off := range []int{8, 12} {
 		bomb[off], bomb[off+1], bomb[off+2], bomb[off+3] = 0x00, 0x10, 0x00, 0x00 // 1<<20
 	}
-	if _, _, err := ReadCodestream(bomb); err == nil {
+	if _, _, err := ScanCodestream(BytesSource(bomb)); err == nil {
 		t.Fatal("strict parse accepted a 2^40-pixel header")
 	} else if !strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	p, _, dmg, err := ReadCodestreamResilient(bomb)
+	p, _, dmg, err := ScanCodestreamResilient(BytesSource(bomb))
 	if err != nil {
 		t.Fatalf("resilient parse must degrade, not fail: %v", err)
 	}
@@ -71,13 +71,13 @@ func TestDecompressionBombGuard(t *testing.T) {
 // sample count.
 func TestBombCapConfigurable(t *testing.T) {
 	cs := WriteCodestream(resilienceParams(), [][]byte{{1, 2, 3}})
-	if _, _, err := ReadCodestream(cs); err != nil {
+	if _, _, err := ScanCodestream(BytesSource(cs)); err != nil {
 		t.Fatalf("baseline parse: %v", err)
 	}
 	old := MaxImagePixels
 	defer func() { MaxImagePixels = old }()
 	MaxImagePixels = 63 * 63 // below the 64x64 sample count
-	if _, _, err := ReadCodestream(cs); err == nil {
+	if _, _, err := ScanCodestream(BytesSource(cs)); err == nil {
 		t.Fatal("lowered MaxImagePixels did not reject the stream")
 	}
 }

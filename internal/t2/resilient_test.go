@@ -72,19 +72,6 @@ func (r *shortNReader) ReadAt(p []byte, off int64) (int, error) {
 	return copy(p, r.data[off:]), nil
 }
 
-// countReader serves data and counts full-stream reads (All materializations).
-type countReader struct {
-	data      []byte
-	fullReads atomic.Int64
-}
-
-func (r *countReader) ReadAt(p []byte, off int64) (int, error) {
-	if off == 0 && len(p) == len(r.data) {
-		r.fullReads.Add(1)
-	}
-	return copy(p, r.data[off:]), nil
-}
-
 func resilientOver(r io.ReaderAt, size int64, pol RetryPolicy) *Source {
 	return ResilientSource(NewSource(r, size), pol)
 }
@@ -343,44 +330,6 @@ func TestSourceReadAtWrapsErrors(t *testing.T) {
 	_, err = src.ReadAt(make([]byte, 8), 60)
 	if err == nil || IsIOError(err) {
 		t.Fatalf("out-of-bounds read: err %v; want a plain (non-IO) error", err)
-	}
-}
-
-func TestAllRefusesOversizedSource(t *testing.T) {
-	old := MaxResidentBytes
-	MaxResidentBytes = 16
-	defer func() { MaxResidentBytes = old }()
-	data := make([]byte, 32)
-	if _, err := NewSource(&countReader{data: data}, 32).All(); err == nil {
-		t.Fatal("All materialized a source past MaxResidentBytes")
-	}
-	// Resident bytes are exempt: the caller already holds them.
-	if _, err := BytesSource(data).All(); err != nil {
-		t.Fatalf("All over resident bytes: %v", err)
-	}
-}
-
-func TestCloseDropsAllMemo(t *testing.T) {
-	data := []byte("0123456789abcdef")
-	r := &countReader{data: data}
-	src := NewSource(r, int64(len(data)))
-	for i := 0; i < 2; i++ {
-		got, err := src.All()
-		if err != nil || string(got) != string(data) {
-			t.Fatalf("All #%d = %q, %v", i, got, err)
-		}
-	}
-	if n := r.fullReads.Load(); n != 1 {
-		t.Fatalf("%d full reads before Close; want the memo to serve the second All", n)
-	}
-	if err := src.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if _, err := src.All(); err != nil {
-		t.Fatalf("All after Close: %v", err)
-	}
-	if n := r.fullReads.Load(); n != 2 {
-		t.Fatalf("%d full reads after Close+All; want Close to have dropped the memo", n)
 	}
 }
 

@@ -121,11 +121,13 @@ func ScanCodestream(src *Source) (Params, []TileSpan, error) {
 	return p, spans, err
 }
 
-// ScanCodestreamResilient is ScanCodestream in best-effort mode, with the
-// same salvage semantics as ReadCodestreamResilient: truncation keeps the
-// spans that survive, an implausible Psot is re-bounded by scanning for the
-// next tile-part boundary, unknown markers are skipped by declared length.
-// An error is returned only when not even the SOC survives.
+// ScanCodestreamResilient is ScanCodestream in best-effort mode: a truncated
+// stream keeps the spans that survive, a tile-part with an implausible Psot
+// is re-bounded by scanning for the next tile-part boundary, and unknown
+// main-header markers are skipped by their declared length — with everything
+// salvaged around reported in ContainerDamage. An error is returned only when
+// not even the SOC survives; callers must still CheckGeometry the result
+// before decoding.
 func ScanCodestreamResilient(src *Source) (Params, []TileSpan, ContainerDamage, error) {
 	return scanCodestream(src, true)
 }
@@ -211,7 +213,7 @@ func (r *sreader) scanTilePart(spans []TileSpan, resilient bool, dmg *ContainerD
 	r.pos += 12
 	psot := int64(binary.BigEndian.Uint32(hdr[4:8]))
 	if m := int(binary.BigEndian.Uint16(hdr[10:12])); m != mSOD {
-		return spans, fmt.Errorf("t2: missing SOD (got %#x, %v)", m, error(nil))
+		return spans, fmt.Errorf("t2: missing SOD (got %#x)", m)
 	}
 	bodyOff := r.pos
 	bodyLen := psot - 12 - 2 // Psot counts from the SOT marker itself
@@ -226,14 +228,14 @@ func (r *sreader) scanTilePart(spans []TileSpan, resilient bool, dmg *ContainerD
 	return append(spans, TileSpan{Off: bodyOff, Len: bodyLen}), nil
 }
 
-// findTilePartEnd is the source-reading twin of the []byte findTilePartEnd:
-// scan for the next SOT or EOC marker at or after pos. Only the resilient
-// salvage path reaches it, so reading body bytes here is fine — the stream is
-// already known damaged.
+// findTilePartEnd scans for the next tile-part boundary — an SOT or EOC
+// marker — at or after pos. MQ bit-stuffing keeps bytes above 0x8F out of the
+// positions following any 0xFF inside codeword segments and stuffed packet
+// headers, so the scan lands on a real boundary (a pathological SOP sequence
+// number embedding 0xFF90 is the only false positive, and costs only some
+// extra reported damage). Only the resilient salvage path reaches it, so
+// reading body bytes here is fine — the stream is already known damaged.
 func (r *sreader) findTilePartEnd(pos int64) int64 {
-	if m := r.src.Mem(); m != nil {
-		return int64(findTilePartEnd(m, int(pos)))
-	}
 	size := r.src.Size()
 	buf := make([]byte, sourceChunk)
 	for pos+1 < size {

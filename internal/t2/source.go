@@ -5,23 +5,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 )
-
-// MaxResidentBytes bounds how much of a reader-backed source All may
-// materialize at once — the same scale as MaxImagePixels, so a resilient
-// decode of a huge file cannot silently pin gigabytes of stream bytes.
-// Resident (BytesSource) streams are exempt: the caller already holds them.
-var MaxResidentBytes int64 = 1 << 28
 
 // Source is a random-access codestream: an io.ReaderAt plus its total size.
 // It is the streaming substrate of the container layer — the scanner, the
 // lazy Index and the decoder all consume a Source, so a codestream can live
 // on disk (or behind any ReaderAt) and only the bytes a given operation needs
 // are ever read. A Source built from resident bytes (BytesSource) is the
-// zero-cost adapter: readers alias the slice and no copying happens, which is
-// what keeps the []byte entry points bit- and allocation-identical to the
-// pre-streaming code paths.
+// zero-cost adapter: the scanner's window and the decoder's tile bodies alias
+// the slice and no copying happens.
 //
 // A Source is safe for concurrent use as long as the underlying ReaderAt is
 // (os.File and bytes are; both issue positioned reads with no shared cursor).
@@ -30,8 +22,6 @@ type Source struct {
 	size int64
 	data []byte // resident bytes, when the source wraps a []byte
 
-	mu     sync.Mutex
-	all    []byte    // memoized full materialization of a non-resident source
 	closer io.Closer // closed by Close (file-backed sources)
 }
 
@@ -95,38 +85,9 @@ func (s *Source) ReadAt(b []byte, off int64) (int, error) {
 	return n, err
 }
 
-// All returns the whole codestream as one slice: the resident bytes for a
-// BytesSource, otherwise a single full read memoized on the Source (dropped
-// by Close). Reader-backed sources larger than MaxResidentBytes are refused —
-// full materialization is a convenience for modest streams, not a license to
-// pin an arbitrarily large file in memory.
-func (s *Source) All() ([]byte, error) {
-	if s.data != nil {
-		return s.data, nil
-	}
-	if s.size > MaxResidentBytes {
-		return nil, fmt.Errorf("t2: refusing to materialize %d-byte source (limit %d bytes)", s.size, MaxResidentBytes)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.all != nil {
-		return s.all, nil
-	}
-	buf := make([]byte, s.size)
-	if _, err := s.ReadAt(buf, 0); err != nil {
-		return nil, err
-	}
-	s.all = buf
-	return buf, nil
-}
-
-// Close releases the underlying reader when the Source owns one (OpenFile)
-// and drops the memoized All materialization; for byte- and
-// caller-owned-reader sources releasing the memo is all it does.
+// Close releases the underlying reader when the Source owns one (OpenFile);
+// for byte- and caller-owned-reader sources it does nothing.
 func (s *Source) Close() error {
-	s.mu.Lock()
-	s.all = nil
-	s.mu.Unlock()
 	if s.closer != nil {
 		return s.closer.Close()
 	}

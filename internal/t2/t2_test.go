@@ -83,6 +83,36 @@ func synthBands(rng *rand.Rand, levels int) ([]BandBlocks, int) {
 	return out, total
 }
 
+// encodeTile and decodeTile drive the packet coder over a one-component
+// tile: the bands wrapped as the single entry of the per-component lists.
+func encodeTile(bands []BandBlocks, levels int, layers [][]int) []byte {
+	comps := [][]BandBlocks{bands}
+	return NewTileCoderComps(comps).EncodeTileCompsPackets(comps, levels, [][][]int{layers}, nil, nil)
+}
+
+func decodeTile(bands []BandBlocks, levels, nlayers int, data []byte) ([]DecodedBlock, int, error) {
+	comps := [][]BandBlocks{bands}
+	decs, n, err := NewTileCoderComps(comps).DecodeTileCompsPackets(comps, levels, nlayers, data, make([][]DecodedBlock, 1))
+	if err != nil {
+		return nil, 0, err
+	}
+	return decs[0], n, nil
+}
+
+// scanTiles scans a resident codestream and slices its tile-part bodies out
+// of data, for tests that compare bodies with what WriteCodestream was given.
+func scanTiles(data []byte) (Params, [][]byte, error) {
+	p, spans, err := ScanCodestream(BytesSource(data))
+	if err != nil {
+		return p, nil, err
+	}
+	tiles := make([][]byte, len(spans))
+	for i, sp := range spans {
+		tiles[i] = data[sp.Off:sp.End()]
+	}
+	return p, tiles, nil
+}
+
 func TestPacketsRoundTripSingleLayer(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 10; trial++ {
@@ -98,13 +128,13 @@ func TestPacketsRoundTripSingleLayer(t *testing.T) {
 				id++
 			}
 		}
-		stream := EncodeTilePackets(bands, levels, [][]int{layer})
+		stream := encodeTile(bands, levels, [][]int{layer})
 
 		decBands := make([]BandBlocks, len(bands))
 		for i, b := range bands {
 			decBands[i] = BandBlocks{Grid: b.Grid, Mb: b.Mb}
 		}
-		dec, n, err := DecodeTilePackets(decBands, levels, 1, stream)
+		dec, n, err := decodeTile(decBands, levels, 1, stream)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -155,13 +185,13 @@ func TestPacketsRoundTripMultiLayer(t *testing.T) {
 			}
 			layers[li] = append([]int(nil), cur...)
 		}
-		stream := EncodeTilePackets(bands, levels, layers)
+		stream := encodeTile(bands, levels, layers)
 
 		decBands := make([]BandBlocks, len(bands))
 		for i, b := range bands {
 			decBands[i] = BandBlocks{Grid: b.Grid, Mb: b.Mb}
 		}
-		dec, n, err := DecodeTilePackets(decBands, levels, nlayers, stream)
+		dec, n, err := decodeTile(decBands, levels, nlayers, stream)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -205,13 +235,13 @@ func TestLayerPrefixDecodable(t *testing.T) {
 		}
 		layers[li] = append([]int(nil), cur...)
 	}
-	stream := EncodeTilePackets(bands, levels, layers)
+	stream := encodeTile(bands, levels, layers)
 	for nl := 1; nl <= 3; nl++ {
 		decBands := make([]BandBlocks, len(bands))
 		for i, b := range bands {
 			decBands[i] = BandBlocks{Grid: b.Grid, Mb: b.Mb}
 		}
-		dec, _, err := DecodeTilePackets(decBands, levels, nl, stream)
+		dec, _, err := decodeTile(decBands, levels, nl, stream)
 		if err != nil {
 			t.Fatalf("layers=%d: %v", nl, err)
 		}
@@ -232,7 +262,7 @@ func TestCodestreamRoundTrip(t *testing.T) {
 	}
 	tiles := [][]byte{{1, 2, 3, 4, 5}}
 	cs := WriteCodestream(p, tiles)
-	q, gotTiles, err := ReadCodestream(cs)
+	q, gotTiles, err := scanTiles(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +296,7 @@ func TestCodestreamIrreversibleSteps(t *testing.T) {
 		p.Steps[0][i] = quant.StepFor(0.003 * float64(i+1))
 	}
 	cs := WriteCodestream(p, [][]byte{{0xAA}})
-	q, _, err := ReadCodestream(cs)
+	q, _, err := ScanCodestream(BytesSource(cs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +318,7 @@ func TestCodestreamMultiTile(t *testing.T) {
 	}
 	tiles := [][]byte{{1}, {2, 2}, {3, 3, 3}, {}}
 	cs := WriteCodestream(p, tiles)
-	q, gotTiles, err := ReadCodestream(cs)
+	q, gotTiles, err := scanTiles(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,13 +337,13 @@ func TestCodestreamMultiTile(t *testing.T) {
 }
 
 func TestCodestreamErrors(t *testing.T) {
-	if _, _, err := ReadCodestream([]byte{0x00, 0x01}); err == nil {
+	if _, _, err := ScanCodestream(BytesSource([]byte{0x00, 0x01})); err == nil {
 		t.Fatal("want error for missing SOC")
 	}
 	p := Params{Width: 8, Height: 8, TileW: 8, TileH: 8, BitDepth: 8,
 		Levels: 1, Layers: 1, CBW: 64, CBH: 64, Kernel: dwt.Rev53, GuardBits: 2, Mb: [][]int{{8, 8, 8, 8}}}
 	cs := WriteCodestream(p, [][]byte{{1, 2, 3}})
-	if _, _, err := ReadCodestream(cs[:len(cs)-4]); err == nil {
+	if _, _, err := ScanCodestream(BytesSource(cs[:len(cs)-4])); err == nil {
 		t.Fatal("want error for truncated stream")
 	}
 }

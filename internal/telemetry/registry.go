@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -242,21 +241,4 @@ func Summary(h *Histogram) LatencySummary {
 		P90MS:  ms(s.Quantile(0.90)),
 		P99MS:  ms(s.Quantile(0.99)),
 	}
-}
-
-// SortedNames returns every registered family name, sorted (for tests and
-// debug dumps).
-func (r *Registry) SortedNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := map[string]bool{}
-	var names []string
-	for _, m := range r.metrics {
-		if !seen[m.name] {
-			seen[m.name] = true
-			names = append(names, m.name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
