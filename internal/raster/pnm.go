@@ -6,65 +6,100 @@ import (
 	"io"
 )
 
+// AppendPNMHeader appends the binary PNM header of a width x height image to
+// dst: P5 (PGM) for one component, P6 (PPM) for three.
+func AppendPNMHeader(dst []byte, ncomp, width, height, maxval int) []byte {
+	magic := "P5"
+	if ncomp == 3 {
+		magic = "P6"
+	}
+	return fmt.Appendf(dst, "%s\n%d %d\n%d\n", magic, width, height, maxval)
+}
+
+// SampleBytes is the wire width of one sample at maxval: one byte up to 255,
+// a big-endian pair above.
+func SampleBytes(maxval int) int {
+	if maxval > 255 {
+		return 2
+	}
+	return 1
+}
+
+// PackSamples clamps src into [0, maxval] and narrows it into dst in wire
+// format, SampleBytes(maxval) bytes each. Consecutive samples land step
+// sample-widths apart: 1 packs a plane or a PGM row densely, 3 drops one
+// component into its slots of an interleaved PPM row. This is the repo's one
+// clamp-and-serialise loop: the PNM writers and the tile server's response
+// assembly both run on it.
+func PackSamples(dst []byte, src []int32, maxval, step int) {
+	hi := int32(maxval)
+	switch {
+	case maxval > 255:
+		for i, v := range src {
+			v = min(max(v, 0), hi)
+			dst[2*i*step], dst[2*i*step+1] = byte(v>>8), byte(v)
+		}
+	case step == 1:
+		dst = dst[:len(src)]
+		for i, v := range src {
+			dst[i] = byte(min(max(v, 0), hi))
+		}
+	default:
+		for i, v := range src {
+			dst[i*step] = byte(min(max(v, 0), hi))
+		}
+	}
+}
+
+// pnmChunk is the writers' buffer target: whole rows are packed until this
+// many bytes are pending, then go out in one Write.
+const pnmChunk = 64 << 10
+
+// writePNM writes the header and the interleaved, clamped samples of comps
+// (equal dimensions; one plane is a PGM, three a PPM).
+func writePNM(w io.Writer, comps []*Image, maxval int) error {
+	if maxval <= 0 || maxval > 65535 {
+		return fmt.Errorf("raster: invalid PNM maxval %d", maxval)
+	}
+	width, height, nc := comps[0].Width, comps[0].Height, len(comps)
+	bps := SampleBytes(maxval)
+	rowBytes := width * nc * bps
+	// The header rides in the first chunk (+32: room for it beside a row).
+	buf := AppendPNMHeader(make([]byte, 0, max(pnmChunk, rowBytes)+32), nc, width, height, maxval)
+	for y := 0; y < height; y++ {
+		if len(buf)+rowBytes > cap(buf) {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		row := buf[len(buf) : len(buf)+rowBytes]
+		for c, im := range comps {
+			PackSamples(row[c*bps:], im.Row(y), maxval, nc)
+		}
+		buf = buf[:len(buf)+rowBytes]
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
 // WritePGM writes the image as a binary PGM (P5). maxval selects 8- or 16-bit
 // output; samples are clamped into [0, maxval].
 func WritePGM(w io.Writer, im *Image, maxval int) error {
-	if maxval <= 0 || maxval > 65535 {
-		return fmt.Errorf("raster: invalid PGM maxval %d", maxval)
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "P5\n%d %d\n%d\n", im.Width, im.Height, maxval)
-	wide := maxval > 255
-	for y := 0; y < im.Height; y++ {
-		for _, v := range im.Row(y) {
-			if v < 0 {
-				v = 0
-			} else if v > int32(maxval) {
-				v = int32(maxval)
-			}
-			if wide {
-				bw.WriteByte(byte(v >> 8))
-			}
-			bw.WriteByte(byte(v))
-		}
-	}
-	return bw.Flush()
+	return writePNM(w, []*Image{im}, maxval)
 }
 
 // WritePPM writes a three-component image as a binary PPM (P6) with
 // interleaved RGB samples. maxval selects 8- or 16-bit output; samples are
 // clamped into [0, maxval].
 func WritePPM(w io.Writer, pl *Planar, maxval int) error {
-	if maxval <= 0 || maxval > 65535 {
-		return fmt.Errorf("raster: invalid PPM maxval %d", maxval)
-	}
 	if pl.NComp() != 3 {
 		return fmt.Errorf("raster: PPM needs 3 components, have %d", pl.NComp())
 	}
 	if err := pl.Validate(); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "P6\n%d %d\n%d\n", pl.Width(), pl.Height(), maxval)
-	wide := maxval > 255
-	for y := 0; y < pl.Height(); y++ {
-		rows := [3][]int32{pl.Comps[0].Row(y), pl.Comps[1].Row(y), pl.Comps[2].Row(y)}
-		for x := 0; x < pl.Width(); x++ {
-			for c := 0; c < 3; c++ {
-				v := rows[c][x]
-				if v < 0 {
-					v = 0
-				} else if v > int32(maxval) {
-					v = int32(maxval)
-				}
-				if wide {
-					bw.WriteByte(byte(v >> 8))
-				}
-				bw.WriteByte(byte(v))
-			}
-		}
-	}
-	return bw.Flush()
+	return writePNM(w, pl.Comps, maxval)
 }
 
 // ReadPGM reads a binary PGM (P5). It returns the image and the maxval
@@ -138,8 +173,7 @@ func ReadPNM(r io.Reader) (*Planar, int, error) {
 	// readPNMInt.
 	pl := NewPlanar(width, height, ncomp)
 	wide := maxval > 255
-	bpp := 1 + b2i(wide)
-	buf := make([]byte, width*ncomp*bpp)
+	buf := make([]byte, width*ncomp*SampleBytes(maxval))
 	for y := 0; y < height; y++ {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, 0, fmt.Errorf("raster: reading PNM row %d: %w", y, err)
@@ -190,11 +224,4 @@ func readPNMInt(br *bufio.Reader) (int, error) {
 			return 0, fmt.Errorf("raster: unexpected byte %q in PGM header", c)
 		}
 	}
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -218,10 +218,3 @@ func TestQuickPGMRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -145,10 +145,3 @@ func KPixelImage(kpix int, seed uint64) *Image {
 	}
 	return Synthetic(side, side, seed)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -558,6 +558,9 @@ func TestServerStreamEndpoint(t *testing.T) {
 	}
 	trunc, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(trunc)) {
+		t.Fatalf("Content-Length %q on a %d-byte stream", cl, len(trunc))
+	}
 	if len(trunc) >= len(cs) {
 		t.Fatalf("1-layer stream (%d bytes) not smaller than original (%d)", len(trunc), len(cs))
 	}

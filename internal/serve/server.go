@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -17,7 +18,6 @@ import (
 	"pj2k/internal/core"
 	"pj2k/internal/dwt"
 	"pj2k/internal/jp2k"
-	"pj2k/internal/raster"
 	"pj2k/internal/t2"
 	"pj2k/internal/telemetry"
 )
@@ -106,7 +106,8 @@ const (
 //	    JSON server and cache counters.
 //
 // Region pixels are assembled from per-tile decodes that pass through the
-// tile cache, so a hot viewport costs memory copies, not tier-1 decoding.
+// tile cache, so a hot viewport costs one clamp-and-narrow pass over its
+// samples (see assembleWindow), not tier-1 decoding.
 type Server struct {
 	store *Store
 	cache *Cache
@@ -170,13 +171,14 @@ const (
 	outcomeShed                          // rejected at the admission gate (503)
 	outcomeQuarantined                   // rejected because the image is quarantined (503)
 	outcomeTimeout                       // server-side deadline expired (504)
+	outcomeClientError                   // the request's own fault: 400, 404, 413
 	outcomeError                         // any other failure
 	numOutcomes
 )
 
 // outcomeNames are the /metrics label values, index-aligned with reqOutcome.
 var outcomeNames = [numOutcomes]string{
-	"hit", "coalesced", "miss", "damaged", "shed", "quarantined", "timeout", "error",
+	"hit", "coalesced", "miss", "damaged", "shed", "quarantined", "timeout", "client_error", "error",
 }
 
 // New returns a Server over the given store. The server owns one persistent
@@ -424,279 +426,6 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 	http.Error(w, fmt.Sprintf(format, args...), code)
 }
 
-// queryInt parses an integer query parameter, using def when absent.
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s=%q", name, v)
-	}
-	return n, nil
-}
-
-// decodeTile produces one cached tile variant (every component), charging the
-// decode counter. The context bounds the decode between pipeline stages; in
-// resilient mode damage is absorbed into the server's counters and the
-// degraded tile is served (and cached) like any other — the damaged return
-// reports it so the request can be classified. The pooled decoder carries the
-// server's codec metrics, so every tile decode also lands in the per-stage
-// pipeline histograms.
-func (s *Server) decodeTile(ctx context.Context, img *Image, budget *t2.RetryBudget, colW, rowH []int, tx, ty, discard, layers int) (pl *raster.Planar, damaged bool, err error) {
-	s.tileDecodes.Inc()
-	dec := s.decoders.Get().(*jp2k.Decoder)
-	defer s.decoders.Put(dec)
-	region := jp2k.Rect{X0: colW[tx], Y0: rowH[ty], X1: colW[tx+1], Y1: rowH[ty+1]}
-	pl, err = dec.DecodeRegionPlanarSource(s.requestSource(img, budget), region, jp2k.DecodeOptions{
-		DiscardLevels: discard,
-		MaxLayers:     layers,
-		Workers:       s.opts.TileWorkers,
-		VertMode:      dwt.VertBlocked,
-		Resilient:     s.opts.Resilient,
-		Ctx:           ctx,
-	})
-	// Per-image IO health: a decode that failed on (or concealed) unreadable
-	// source bytes counts against the image; a decode that read cleanly
-	// resets the streak. Context cancellations are the client's, not the
-	// source's, and move nothing.
-	ioFailed := err != nil && t2.IsIOError(err)
-	if err == nil && s.opts.Resilient {
-		if dmg := dec.Damage(); dmg.Damaged() {
-			t := dmg.Totals()
-			damaged = true
-			s.damagedTiles.Inc()
-			s.packetsLost.Add(int64(t.PacketsLost))
-			s.blocksConcealed.Add(int64(t.BlocksConcealed))
-			if t.IOUnreadable > 0 {
-				s.ioUnreadableTiles.Add(int64(t.IOUnreadable))
-				ioFailed = true
-			}
-		}
-	}
-	if ioFailed {
-		s.noteIOFailure(img, err)
-	} else if err == nil {
-		s.noteIOSuccess(img)
-	}
-	return pl, damaged, err
-}
-
-func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
-	// Outcome classification for the latency histograms: every return path
-	// below leaves its verdict in outcome; the deferred observe records the
-	// end-to-end latency under it (including panics, as outcomeError).
-	start := time.Now()
-	outcome := outcomeError
-	defer func() { s.latency[outcome].Observe(time.Since(start)) }()
-	if !s.admit() {
-		outcome = outcomeShed
-		s.shedRequest(w)
-		return
-	}
-	defer s.release()
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	img, ok, err := s.store.Lookup(ctx, r.PathValue("id"))
-	if err != nil {
-		outcome = s.failCtx(w, err)
-		return
-	}
-	if !ok {
-		s.fail(w, http.StatusNotFound, "unknown image %q", r.PathValue("id"))
-		return
-	}
-	if s.isQuarantined(img) {
-		outcome = outcomeQuarantined
-		s.rejectQuarantined(w, img.ID)
-		return
-	}
-	discard, err1 := queryInt(r, "reduce", 0)
-	layers, err2 := queryInt(r, "layers", 0)
-	for _, err := range []error{err1, err2} {
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	discard = img.ClampDiscard(discard)
-	layers = img.ClampLayers(layers)
-	colW, rowH := img.Grid(discard)
-	ntx, nty := len(colW)-1, len(rowH)-1
-	fullW, fullH := colW[ntx], rowH[nty]
-
-	x0, err1 := queryInt(r, "x0", 0)
-	y0, err2 := queryInt(r, "y0", 0)
-	x1, err3 := queryInt(r, "x1", fullW)
-	y1, err4 := queryInt(r, "y1", fullH)
-	for _, err := range []error{err1, err2, err3, err4} {
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	win := jp2k.Rect{X0: x0, Y0: y0, X1: x1, Y1: y1}.
-		Intersect(jp2k.Rect{X1: fullW, Y1: fullH})
-	if win.Empty() {
-		s.fail(w, http.StatusBadRequest,
-			"empty window [%d,%d)x[%d,%d) of %dx%d at reduce=%d", x0, x1, y0, y1, fullW, fullH, discard)
-		return
-	}
-	if int64(win.Dx())*int64(win.Dy()) > s.opts.MaxPixels {
-		s.fail(w, http.StatusRequestEntityTooLarge,
-			"window %dx%d exceeds the %d-pixel limit; raise reduce=", win.Dx(), win.Dy(), s.opts.MaxPixels)
-		return
-	}
-
-	// Assemble the window from cached per-tile decodes, every component. The
-	// request's outcome aggregates the per-tile cache outcomes (worst wins);
-	// a damaged resilient decode overrides them all.
-	ncomp := img.Params().Components()
-	out := raster.NewPlanar(win.Dx(), win.Dy(), ncomp)
-	agg := outcomeHit
-	damaged := false
-	budget := s.newRequestBudget()
-	var tiles []int
-	for ty := 0; ty < nty; ty++ {
-		if rowH[ty+1] <= win.Y0 || rowH[ty] >= win.Y1 {
-			continue
-		}
-		for tx := 0; tx < ntx; tx++ {
-			if colW[tx+1] <= win.X0 || colW[tx] >= win.X1 {
-				continue
-			}
-			tiles = append(tiles, ty*ntx+tx)
-			key := TileKey{Image: img.ID, TX: tx, TY: ty, Discard: discard, Layers: layers}
-			tile, co, err := s.cache.GetOrDecode(ctx, key, func() (*raster.Planar, error) {
-				pl, dmg, err := s.decodeTile(ctx, img, budget, colW, rowH, tx, ty, discard, layers)
-				if dmg {
-					damaged = true
-				}
-				return pl, err
-			})
-			switch co {
-			case OutcomeMiss:
-				agg = max(agg, outcomeMiss)
-			case OutcomeCoalesced:
-				agg = max(agg, outcomeCoalesced)
-			}
-			if err != nil {
-				if ctx.Err() != nil {
-					outcome = s.failCtx(w, ctx.Err())
-				} else {
-					s.fail(w, http.StatusInternalServerError, "tile (%d,%d): %v", tx, ty, err)
-				}
-				return
-			}
-			lx0, ly0 := max(win.X0-colW[tx], 0), max(win.Y0-rowH[ty], 0)
-			lx1, ly1 := min(win.X1-colW[tx], tile.Width()), min(win.Y1-rowH[ty], tile.Height())
-			ox, oy := colW[tx]+lx0-win.X0, rowH[ty]+ly0-win.Y0
-			for ci := 0; ci < ncomp; ci++ {
-				src, dst := tile.Comps[ci], out.Comps[ci]
-				for y := ly0; y < ly1; y++ {
-					copy(dst.Pix[(oy+y-ly0)*dst.Stride+ox:(oy+y-ly0)*dst.Stride+ox+lx1-lx0],
-						src.Pix[y*src.Stride+lx0:y*src.Stride+lx1])
-				}
-			}
-		}
-	}
-
-	if damaged {
-		agg = outcomeDamaged
-	}
-	outcome = agg
-
-	// The packet-byte cost of this window per the index (all components):
-	// what a byte-range transport (JPIP-style) would have shipped instead of
-	// pixels.
-	w.Header().Set("X-PJ2K-Packet-Bytes", strconv.Itoa(img.Index.RegionBytes(tiles, discard, layers)))
-	maxval := 255
-	if bd := img.Params().BitDepth; bd > 8 {
-		maxval = 1<<uint(bd) - 1
-	}
-	format := r.URL.Query().Get("format")
-	if format == "" { // grayscale defaults to PGM, color to PPM, anything else to raw
-		switch ncomp {
-		case 1:
-			format = "pgm"
-		case 3:
-			format = "ppm"
-		default:
-			format = "raw"
-		}
-	}
-	switch format {
-	case "pgm":
-		if ncomp != 1 {
-			outcome = outcomeError
-			s.fail(w, http.StatusBadRequest, "format=pgm needs 1 component, image has %d (use ppm or raw)", ncomp)
-			return
-		}
-		if maxval == 255 {
-			out.ClampTo8()
-		}
-		w.Header().Set("Content-Type", "image/x-portable-graymap")
-		if err := raster.WritePGM(w, out.Comps[0], maxval); err != nil {
-			s.errors.Inc()
-			return
-		}
-	case "ppm":
-		if ncomp != 3 {
-			outcome = outcomeError
-			s.fail(w, http.StatusBadRequest, "format=ppm needs 3 components, image has %d", ncomp)
-			return
-		}
-		if maxval == 255 {
-			out.ClampTo8()
-		}
-		w.Header().Set("Content-Type", "image/x-portable-pixmap")
-		if err := raster.WritePPM(w, out, maxval); err != nil {
-			s.errors.Inc()
-			return
-		}
-	case "raw":
-		// Headerless samples in planar component order: 1 byte/sample when
-		// every sample fits a byte (maxval <= 255), big-endian 2 bytes/sample
-		// otherwise. X-PJ2K-Max-Value tells the client which — without it a
-		// raw payload is uninterpretable (the old responses always wrote two
-		// bytes but never said so, and wasted half the bytes of 8-bit images).
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-PJ2K-Width", strconv.Itoa(out.Width()))
-		w.Header().Set("X-PJ2K-Height", strconv.Itoa(out.Height()))
-		w.Header().Set("X-PJ2K-Components", strconv.Itoa(ncomp))
-		w.Header().Set("X-PJ2K-Max-Value", strconv.Itoa(maxval))
-		wide := maxval > 255
-		width := 1
-		if wide {
-			width = 2
-		}
-		buf := make([]byte, 0, out.Width()*out.Height()*ncomp*width)
-		for _, comp := range out.Comps {
-			for y := 0; y < comp.Height; y++ {
-				for _, v := range comp.Row(y) {
-					if v < 0 {
-						v = 0
-					} else if v > int32(maxval) {
-						v = int32(maxval)
-					}
-					if wide {
-						buf = append(buf, byte(v>>8), byte(v))
-					} else {
-						buf = append(buf, byte(v))
-					}
-				}
-			}
-		}
-		if _, err := w.Write(buf); err != nil {
-			s.errors.Inc()
-		}
-	default:
-		outcome = outcomeError
-		s.fail(w, http.StatusBadRequest, "unknown format %q", format)
-	}
-}
-
 // infoResponse is the /img/{id}/info payload.
 type infoResponse struct {
 	ID          string     `json:"id"`
@@ -770,18 +499,27 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.rejectQuarantined(w, img.ID)
 		return
 	}
-	layers, err := queryInt(r, "layers", 0)
+	layers, err := queryInt(r.URL.Query(), "layers", 0)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	layers = img.ClampLayers(layers)
+	// Content-Length comes from a dry run of WritePrefix into io.Discard: it
+	// copies nothing and forces every tile's packet map — which the real pass
+	// needs anyway and then finds memoized, so the source is read once — and
+	// a tile that cannot be indexed is a 500 here instead of a 200 cut short.
+	n, err := img.Index.WritePrefix(io.Discard, layers)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-PJ2K-Layers", strconv.Itoa(layers))
+	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
 	// WritePrefix streams the truncated codestream straight to the response:
-	// no whole-prefix buffer, tile layer prefixes are written as they are
-	// indexed. Header and body errors alike land in the error counter — the
-	// status line is already gone, so counting is all that's left to do.
+	// no whole-prefix buffer. A failure now is a write error — the status
+	// line is already gone, so counting is all that's left to do.
 	if _, err := img.Index.WritePrefix(w, layers); err != nil {
 		s.errors.Inc()
 	}

@@ -1,0 +1,276 @@
+package serve
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"testing"
+
+	"pj2k/internal/dwt"
+	"pj2k/internal/faultinject"
+	"pj2k/internal/jp2k"
+	"pj2k/internal/raster"
+	"pj2k/internal/t2"
+)
+
+// deepTestStream is a tiled 12-bit grayscale stream: the 8-bit synthetic ramp
+// spread over 12 bits, so responses carry two bytes per sample.
+func deepTestStream(t testing.TB) []byte {
+	t.Helper()
+	deep := raster.Synthetic(230, 190, 7)
+	for i, v := range deep.Pix {
+		deep.Pix[i] = v << 4
+	}
+	cs, _, err := jp2k.Encode(deep, jp2k.Options{
+		Kernel: dwt.Irr97, LayerBPP: []float64{2.0}, BitDepth: 12,
+		TileW: 96, TileH: 80, Levels: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
+
+// wantBody is the independent reference for a region response: the window
+// cropped out of a straight full decode, clamped the way the CLI decoder
+// clamps (ClampTo8 for 8-bit streams), and serialised by the PNM writers —
+// or, for raw, laid out as documented: planar, big-endian pairs above 255.
+func wantBody(t *testing.T, ref *raster.Planar, win jp2k.Rect, format string, maxval int) []byte {
+	t.Helper()
+	crop := raster.NewPlanar(win.Dx(), win.Dy(), ref.NComp())
+	for c, im := range ref.Comps {
+		for y := 0; y < win.Dy(); y++ {
+			copy(crop.Comps[c].Row(y), im.Row(win.Y0 + y)[win.X0:win.X1])
+		}
+	}
+	if maxval == 255 {
+		crop.ClampTo8()
+	}
+	var out bytes.Buffer
+	var err error
+	switch format {
+	case "pgm":
+		err = raster.WritePGM(&out, crop.Comps[0], maxval)
+	case "ppm":
+		err = raster.WritePPM(&out, crop, maxval)
+	default:
+		for _, im := range crop.Comps {
+			for _, v := range im.Pix {
+				v = min(max(v, 0), int32(maxval))
+				if maxval > 255 {
+					out.WriteByte(byte(v >> 8))
+				}
+				out.WriteByte(byte(v))
+			}
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestRegionResponseByteIdentity is the response-format gate inside Tier-1:
+// for gray 8-bit, colour 8-bit and gray 12-bit streams, every format, and
+// tile-aligned, unaligned, single-pixel and edge-clipped windows at reduce
+// 0..2, the body assembled straight from the cached tiles equals the
+// reference byte for byte and arrives with its Content-Length. Every request
+// runs twice, so both the decode and the all-hits path are compared.
+func TestRegionResponseByteIdentity(t *testing.T) {
+	streams := []struct {
+		id     string
+		cs     []byte
+		maxval int
+	}{
+		{"gray8", encodeTest(t, testImage()), 255},
+		{"color8", colorTestStream(t), 255},
+		{"gray12", deepTestStream(t), 4095},
+	}
+	store := NewStore()
+	for _, st := range streams {
+		if _, err := store.Add(st.id, st.cs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(store, Options{CacheBytes: 64 << 20})
+	defer srv.Close()
+	for _, st := range streams {
+		img, _ := store.Get(st.id)
+		ncomp := img.Params().Components()
+		for reduce := 0; reduce <= 2; reduce++ {
+			ref, err := jp2k.DecodePlanarSource(t2.BytesSource(st.cs), jp2k.DecodeOptions{DiscardLevels: reduce})
+			if err != nil {
+				t.Fatal(err)
+			}
+			colW, rowH := img.Grid(reduce)
+			W, H := ref.Width(), ref.Height()
+			windows := map[string]jp2k.Rect{
+				"full":      {X1: W, Y1: H},
+				"aligned":   {X0: colW[1], Y0: rowH[1], X1: colW[2], Y1: rowH[2]},
+				"unaligned": {X0: 3, Y0: 5, X1: W - 7, Y1: H - 4},
+				"pixel":     {X0: W / 2, Y0: H / 2, X1: W/2 + 1, Y1: H/2 + 1},
+				"clipped":   {X0: W - 10, Y0: H - 9, X1: W + 50, Y1: H + 50},
+			}
+			for wname, win := range windows {
+				for _, format := range []string{"", "pgm", "ppm", "raw"} {
+					path := fmt.Sprintf("/img/%s?reduce=%d&x0=%d&y0=%d&x1=%d&y1=%d", st.id, reduce, win.X0, win.Y0, win.X1, win.Y1)
+					if format != "" {
+						path += "&format=" + format
+					}
+					if (format == "pgm" && ncomp != 1) || (format == "ppm" && ncomp != 3) {
+						if rec := get(t, srv, path); rec.Code != http.StatusBadRequest {
+							t.Errorf("%s: status %d, want 400", path, rec.Code)
+						}
+						continue
+					}
+					effective := format
+					if format == "" {
+						effective = map[int]string{1: "pgm", 3: "ppm"}[ncomp]
+					}
+					want := wantBody(t, ref, win.Intersect(jp2k.Rect{X1: W, Y1: H}), effective, st.maxval)
+					for pass := 0; pass < 2; pass++ {
+						rec := get(t, srv, path)
+						if rec.Code != http.StatusOK {
+							t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+						}
+						if !bytes.Equal(rec.Body.Bytes(), want) {
+							t.Errorf("%s (%s window, pass %d): body differs from the reference", path, wname, pass)
+						}
+						if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(want)) {
+							t.Errorf("%s: Content-Length %q, body is %d bytes", path, cl, len(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRegionFailureSendsNoImageBytes: a strict-mode window whose first tile
+// is cached and whose second tile cannot be read is a 5xx carrying only the
+// error text — the body is assembled before the status line, so a failure
+// mid-window never leaks a partial image under a 200.
+func TestRegionFailureSendsNoImageBytes(t *testing.T) {
+	srv, fl := flakyImageServer(t, Options{CacheBytes: 1 << 20, IORetries: -1, QuarantineAfter: -1},
+		faultinject.FlakyConfig{FailNth: 1})
+	if rec := get(t, srv, "/img/q?x0=0&y0=0&x1=96&y1=80"); rec.Code != http.StatusOK {
+		t.Fatalf("warming tile (0,0): %d", rec.Code)
+	}
+	fl.Break()
+	rec := get(t, srv, "/img/q?x0=0&y0=0&x1=192&y1=80")
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("window over an unreadable tile: status %d, want 500", rec.Code)
+	}
+	if body := rec.Body.Bytes(); bytes.HasPrefix(body, []byte("P5")) || len(body) > 512 {
+		t.Fatalf("error response carries %d bytes starting %q", len(body), body[:min(len(body), 16)])
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; charset=utf-8" {
+		t.Errorf("error response Content-Type %q", ct)
+	}
+}
+
+// TestBadFormatCostsNoDecode: a request that will be refused for its format
+// is refused before the first tile is fetched, on a cold cache.
+func TestBadFormatCostsNoDecode(t *testing.T) {
+	store := NewStore()
+	if _, err := store.Add("gray", encodeTest(t, testImage())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Add("color", colorTestStream(t)); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Options{CacheBytes: 1 << 20})
+	defer srv.Close()
+	for _, path := range []string{"/img/gray?format=tiff", "/img/gray?format=ppm", "/img/color?format=pgm"} {
+		if rec := get(t, srv, path); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", path, rec.Code)
+		}
+	}
+	if n := srv.TileDecodes(); n != 0 {
+		t.Fatalf("refused requests cost %d tile decodes", n)
+	}
+}
+
+// TestClientErrorOutcome: 400, 404 and 413 land in the client_error latency
+// class, not beside real failures in error.
+func TestClientErrorOutcome(t *testing.T) {
+	store := NewStore()
+	if _, err := store.Add("test", encodeTest(t, testImage())); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Options{CacheBytes: 1 << 20, MaxPixels: 1000})
+	defer srv.Close()
+	for i, c := range []struct {
+		path string
+		code int
+	}{
+		{"/img/test?x0=bogus", http.StatusBadRequest},
+		{"/img/nosuch", http.StatusNotFound},
+		{"/img/test", http.StatusRequestEntityTooLarge},
+	} {
+		if rec := get(t, srv, c.path); rec.Code != c.code {
+			t.Fatalf("%s: status %d, want %d", c.path, rec.Code, c.code)
+		}
+		lat := serverStats(t, srv).RequestLatency
+		if got := lat["client_error"].Count; got != uint64(i+1) {
+			t.Errorf("after %s: client_error count %d, want %d", c.path, got, i+1)
+		}
+		if got := lat["error"].Count; got != 0 {
+			t.Errorf("after %s: error count %d, want 0", c.path, got)
+		}
+	}
+}
+
+// TestWarmRequestAllocs caps the allocations of an all-hits region request
+// through ServeHTTP and shows they do not grow with the window: the tile loop
+// allocates nothing per tile and the body comes from the pool. Measured 25
+// per request at both sizes (the recorder, the mux's path match and the
+// parsed query included); the cap leaves room for net/http drift, not for a
+// per-tile or per-row cost.
+func TestWarmRequestAllocs(t *testing.T) {
+	srv, _ := newTestServer(t, 64<<20)
+	defer srv.Close()
+	measure := func(path string, failWrites bool) float64 {
+		req := httptest.NewRequest("GET", path, nil)
+		run := func() {
+			rec := httptest.NewRecorder()
+			rec.Body = nil // count the server's allocations, not the recorder's copy
+			var w http.ResponseWriter = rec
+			if failWrites {
+				w = brokenPipe{rec}
+			}
+			srv.ServeHTTP(w, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d", path, rec.Code)
+			}
+		}
+		run() // decode the tiles and size the pooled body
+		return testing.AllocsPerRun(50, run)
+	}
+	const oneTile, nineTiles = "/img/test?x0=0&y0=0&x1=96&y1=80", "/img/test?x0=0&y0=0&x1=230&y1=190"
+	one, nine := measure(oneTile, false), measure(nineTiles, false)
+	t.Logf("allocs per warm request: 1 tile %.0f, 9 tiles %.0f", one, nine)
+	if nine > 32 {
+		t.Errorf("warm 9-tile request allocates %.0f times, cap 32", nine)
+	}
+	if nine > one+1 { // the touched-tile index list may change size class
+		t.Errorf("allocations grow with the window: %.0f for 1 tile, %.0f for 9", one, nine)
+	}
+	// A failed write still hands the body back: the next request finds it in
+	// the pool instead of allocating a new one.
+	errsBefore := srv.errors.Value()
+	if broken := measure(nineTiles, true); broken > nine+1 {
+		t.Errorf("requests whose write fails allocate %.0f times, %.0f when it succeeds", broken, nine)
+	}
+	if srv.errors.Value() == errsBefore {
+		t.Error("failed response writes were not counted")
+	}
+}
+
+// brokenPipe is a ResponseWriter whose client has gone away.
+type brokenPipe struct{ http.ResponseWriter }
+
+func (brokenPipe) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
