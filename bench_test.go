@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"pj2k/internal/cachesim"
 	"pj2k/internal/core"
@@ -253,21 +254,44 @@ func BenchmarkAblation_Scheduling(b *testing.B) {
 // --- Real-goroutine parallel encode (bit-identical by construction; on a
 // multi-core host this shows true wall-clock scaling). Each sub-bench holds
 // one pooled jp2k.Encoder, so allocs/op reports the steady state the server
-// workloads will see.
+// workloads will see. The w>1 sub-benches also report speedup_vs_w1: each
+// iteration first runs the same encoder at Workers=1 with the timer stopped,
+// so the ratio is taken inside one process and host drift cancels.
 
 func BenchmarkEncodeWorkers(b *testing.B) {
 	im := benchImage()
 	for _, w := range []int{1, 2, 4} {
 		b.Run(byName("w", w), func(b *testing.B) {
 			opts := jp2k.Options{Kernel: dwt.Irr97, LayerBPP: []float64{1.0}, Workers: w, VertMode: dwt.VertBlocked}
+			serial := opts
+			serial.Workers = 1
 			enc := jp2k.NewEncoder()
 			defer enc.Close()
+			if _, _, err := enc.Encode(im, opts); err != nil { // size every worker's arenas
+				b.Fatal(err)
+			}
 			b.SetBytes(int64(im.Width * im.Height))
 			b.ReportAllocs()
+			b.ResetTimer()
+			var t1, tw time.Duration
 			for i := 0; i < b.N; i++ {
+				if w > 1 {
+					b.StopTimer()
+					t0 := time.Now()
+					if _, _, err := enc.Encode(im, serial); err != nil {
+						b.Fatal(err)
+					}
+					t1 += time.Since(t0)
+					b.StartTimer()
+				}
+				t0 := time.Now()
 				if _, _, err := enc.Encode(im, opts); err != nil {
 					b.Fatal(err)
 				}
+				tw += time.Since(t0)
+			}
+			if w > 1 {
+				b.ReportMetric(float64(t1)/float64(tw), "speedup_vs_w1")
 			}
 		})
 	}

@@ -1,7 +1,7 @@
 // Command experiments regenerates the tables and figures of the paper's
 // evaluation section. Run with -run all (default) or a comma-separated list
 // of experiment ids: fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-// fig12 fig13 quant amdahl.
+// fig12 fig13 quant amdahl hostscaling.
 package main
 
 import (
@@ -14,14 +14,16 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "comma-separated experiment ids (fig2..fig13, quant, amdahl) or 'all'")
+	run := flag.String("run", "all", "comma-separated experiment ids (fig2..fig13, quant, amdahl, hostscaling) or 'all'")
 	big := flag.Bool("big", false, "include the full 16384-Kpixel sizes (slow)")
 	flag.Parse()
 
 	sizes := []int{256, 1024, 4096}
 	filterSide := 2048
 	modelKpix := 1024
+	hostSide := 512
 	if *big {
+		hostSide = 1024
 		sizes = []int{256, 1024, 4096, 16384}
 		filterSide = 4096
 		modelKpix = 4096
@@ -56,6 +58,7 @@ func main() {
 	exp("fig13", func() *experiments.Table { return experiments.Fig13(16384) })
 	exp("quant", func() *experiments.Table { return experiments.QuantSpeedup(modelKpix) })
 	exp("amdahl", func() *experiments.Table { return experiments.Amdahl(modelKpix) })
+	exp("hostscaling", func() *experiments.Table { return experiments.HostScaling(hostSide) })
 
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment id(s): %s\n", *run)

@@ -98,7 +98,9 @@ func (r *Reader) Align() { r.nacc = 0 }
 // StuffWriter writes packet-header bits with JPEG2000 bit stuffing: after
 // emitting a 0xFF byte, only seven bits are placed in the following byte (its
 // MSB is a stuffed 0). Flush terminates the header, stuffing a full zero byte
-// if the final byte was 0xFF.
+// if the final byte was 0xFF. The zero value is empty but not ready: call Reset
+// before the first write (NewStuffWriter does). Like mq.Encoder it is written
+// on every bit, so a per-worker one is embedded by value in its owner.
 type StuffWriter struct {
 	buf  []byte
 	acc  uint16

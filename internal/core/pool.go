@@ -69,6 +69,11 @@ func (p *Pool) Stats() PoolStats {
 // pool's free list (a buffered channel, so recycling survives GC cycles —
 // a sync.Pool here leaked ~1 batch+channel alloc per GC back into the
 // steady state), so warm dispatch does not allocate.
+//
+// next and undone share a line with the read-only rng/task/n/q on purpose:
+// each is written once per share (2q writes per dispatch), and run copies the
+// read-only fields into locals before its task loop, so a running share never
+// touches the batch between claiming its id and finishing.
 type batch struct {
 	rng    func(worker, lo, hi int) // chunked barrier (ForID): chunk id of q
 	task   func(worker, i int)      // strided tasks (TasksID): ids i, i+q, ...
@@ -82,8 +87,9 @@ type batch struct {
 // batch, signalling done when it is the last share to finish.
 func (b *batch) run() {
 	id := int(b.next.Add(1)) - 1
+	n, q := b.n, b.q
 	if b.rng != nil {
-		chunk, rem := b.n/b.q, b.n%b.q
+		chunk, rem := n/q, n%q
 		lo := id*chunk + min(id, rem)
 		hi := lo + chunk
 		if id < rem {
@@ -91,8 +97,9 @@ func (b *batch) run() {
 		}
 		b.rng(id, lo, hi)
 	} else {
-		for i := id; i < b.n; i += b.q {
-			b.task(id, i)
+		task := b.task
+		for i := id; i < n; i += q {
+			task(id, i)
 		}
 	}
 	if b.undone.Add(-1) == 0 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -189,5 +190,31 @@ func TestQuantSpeedupShape(t *testing.T) {
 	tb := QuantSpeedup(1024)
 	if got := cell(t, tb, 3, 1); got < 3 {
 		t.Fatalf("quantization speedup %.2f at 4 CPUs; paper ~3.2", got)
+	}
+}
+
+// TestHostScalingShape runs the host table small: four shapes, an encode and a
+// decode block of five rows each, every speedup a positive number and every
+// total-row bound within [1, NumCPU] — and, by not panicking, the codestream
+// and the decoded samples equal at both worker counts. It asserts no speed.
+func TestHostScalingShape(t *testing.T) {
+	tb := HostScaling(128)
+	if len(tb.Rows) != 4*2*5 {
+		t.Fatalf("%d rows, want 40", len(tb.Rows))
+	}
+	p := float64(runtime.NumCPU())
+	for r, row := range tb.Rows {
+		if len(row) != len(tb.Columns) {
+			t.Fatalf("row %d has %d cells, want %d", r, len(row), len(tb.Columns))
+		}
+		if row[2] != "total" {
+			continue
+		}
+		if sp := cell(t, tb, r, 5); sp <= 0 {
+			t.Fatalf("row %d: speedup %v", r, sp)
+		}
+		if b := cell(t, tb, r, 6); b < 1 || b > p+0.005 {
+			t.Fatalf("row %d: Amdahl bound %v outside [1, %v]", r, b, p)
+		}
 	}
 }

@@ -70,9 +70,8 @@ func (r Rect) Intersect(o Rect) Rect {
 // bit-identical to a throwaway Decoder's for any worker count, and a region
 // decode is bit-identical to cropping a full one).
 type Decoder struct {
-	scratch      []*dwt.Scratch // per outer (unit-level) worker
-	scratchInner int
-	bds          []*t1.BlockDecoder // per block-level worker
+	workers      []*decWorker // one padded block per worker (worker.go)
+	scratchInner int          // inner worker count every DWT scratch is sized for
 	tiles        []*tileDec
 	jobs         []decJob
 	tileErrs     []error
@@ -218,24 +217,28 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// ensureWorkers sizes the per-worker pools, mirroring Encoder.ensureWorkers:
-// outer unit-level workers each carry DWT scratch for inner within-unit
-// workers; block-level workers carry tier-1 decoders.
-func (d *Decoder) ensureWorkers(outer, inner, block int) {
-	if inner > d.scratchInner {
-		d.scratch = d.scratch[:0]
-		d.scratchInner = inner
-	}
-	for len(d.scratch) < outer {
-		d.scratch = append(d.scratch, dwt.NewScratch(d.scratchInner))
-	}
-	for len(d.bds) < block {
-		bd := t1.NewBlockDecoder()
+// ensureWorkers makes the first n per-worker blocks exist, mirroring
+// Encoder.ensureWorkers/ensureScratch: the first outer of them carry DWT
+// scratch for inner within-unit workers.
+func (d *Decoder) ensureWorkers(n, outer, inner int) {
+	for len(d.workers) < n {
+		w := new(decWorker)
 		// Under Bypass+TERMALL a block's raw significance and refinement
 		// segments decode concurrently on the shared pool (nested dispatches
 		// run inline when the workers are saturated by the per-block fan-out).
-		bd.Pool = d.pool
-		d.bds = append(d.bds, bd)
+		w.bd.Pool = d.pool
+		d.workers = append(d.workers, w)
+	}
+	if inner > d.scratchInner {
+		for _, w := range d.workers {
+			w.scratch = nil
+		}
+		d.scratchInner = inner
+	}
+	for _, w := range d.workers[:outer] {
+		if w.scratch == nil {
+			w.scratch = dwt.NewScratch(d.scratchInner)
+		}
 	}
 }
 
@@ -380,7 +383,7 @@ func (d *Decoder) blockTask(worker, i int) {
 		Modes:        d.cur.modes,
 		SegEnds:      blk.SegmentEnds(d.cur.modes),
 	}
-	s.vals, d.blockStats[i], d.blockErrs[i] = d.bds[worker].DecodeBlock(&in, d.cur.opts.Resilient)
+	s.vals, d.blockStats[i], d.blockErrs[i] = d.workers[worker].bd.DecodeBlock(&in, d.cur.opts.Resilient)
 }
 
 // asmTask assembles one (selected tile, component) unit's coefficient plane,
@@ -398,7 +401,7 @@ func (d *Decoder) asmTask(worker, u int) {
 	}
 	st := dwt.Strategy{
 		VertMode: opts.VertMode, BlockWidth: opts.VertBlockWidth,
-		Workers: d.cur.innerW, Scratch: d.scratch[worker], Pool: d.pool,
+		Workers: d.cur.innerW, Scratch: d.workers[worker].scratch, Pool: d.pool,
 	}
 	// The tile window to copy out, in tile-local reduced coordinates.
 	lx0, ly0 := max(win.X0-te.ox, 0), max(win.Y0-te.oy, 0)
@@ -649,9 +652,9 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 	}
 	d.jobs = jobs
 	njobs := len(jobs)
-	d.ensureWorkers(outerA, innerW, min(workers, max(njobs, 1)))
-	for _, bd := range d.bds {
-		bd.Release()
+	d.ensureWorkers(min(workers, max(njobs, nunits, 1)), outerA, innerW)
+	for _, w := range d.workers {
+		w.bd.Release()
 	}
 	d.blockErrs = grow(d.blockErrs, njobs)
 	blockErrs := d.blockErrs

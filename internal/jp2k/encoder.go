@@ -34,16 +34,12 @@ import (
 // between calls (output is bit-identical to the one-shot Encode function for
 // any worker count).
 type Encoder struct {
-	coders       []*t1.Coder      // per tier-1 worker
-	scratch      []*dwt.Scratch   // per unit-level worker
-	scratchInner int              // worker count each scratch was sized for
-	rallocs      []rate.Allocator // per rate-allocation worker
-	t2scratch    []*t2Scratch     // per tier-2 worker
+	workers      []*encWorker // one padded block per worker (worker.go)
+	scratchInner int          // inner worker count every DWT scratch is sized for
 
 	units        []*tileEnc      // per (component, tile): unit u = ci*ntiles + ti
 	tcoders      []*t2.TileCoder // per tile: multi-component packet assembly
 	origins      [][2]int        // per unit: tile origin in image coordinates
-	timings      []tileTiming    // per unit
 	jobs         []blockJob
 	results      []*t1.EncodedBlock
 	blockStreams []t2.BlockStream
@@ -93,24 +89,6 @@ type Encoder struct {
 	// successful encode (shared by all codecs pointed at the same handle).
 	// Set it before the first encode; nil disables recording.
 	Metrics *CodecMetrics
-}
-
-// t2Scratch is the per-worker scratch of the parallel tier-2 stage: the
-// per-component band/layer views a tile's packet assembly needs, plus a
-// per-worker byte accumulator summed (in worker order) after the dispatch —
-// so the stage writes no shared state and allocates nothing once warm.
-type t2Scratch struct {
-	compBands  [][]t2.BandBlocks
-	compLayers [][][]int
-	compBytes  []int
-}
-
-// tileTiming collects one unit's stage timings so the parallel loop writes
-// without synchronization; the totals are summed afterwards.
-type tileTiming struct {
-	dwt   dwt.Timings
-	intra time.Duration
-	quant time.Duration
 }
 
 func newEncoder(p *core.Pool, own bool) *Encoder {
@@ -171,43 +149,30 @@ func reuseImage(p *raster.Image, w, h int) *raster.Image {
 	return p
 }
 
-// ensureWorkers sizes the per-worker pools: outer unit-level workers, each
-// with DWT scratch for inner within-unit workers. Scratch sized for more
-// workers than a call uses stays valid (unused slots are empty headers), so
-// the pool is only rebuilt when the inner count grows — shrinking Workers
-// between calls keeps every warm buffer.
-func (e *Encoder) ensureWorkers(outer, inner int) {
+// ensureWorkers makes the first n per-worker blocks exist, each allocated on
+// its own. Blocks are kept when a later call uses fewer workers, so shrinking
+// Workers between calls keeps every warm buffer.
+func (e *Encoder) ensureWorkers(n int) {
+	for len(e.workers) < n {
+		e.workers = append(e.workers, new(encWorker))
+	}
+}
+
+// ensureScratch gives the first outer workers DWT scratch for inner
+// within-unit workers. Scratch sized for more inner workers than a call uses
+// stays valid (unused slots are empty headers), so it is only rebuilt when the
+// inner count grows.
+func (e *Encoder) ensureScratch(outer, inner int) {
 	if inner > e.scratchInner {
-		e.scratch = e.scratch[:0]
+		for _, w := range e.workers {
+			w.scratch = nil
+		}
 		e.scratchInner = inner
 	}
-	for len(e.scratch) < outer {
-		e.scratch = append(e.scratch, dwt.NewScratch(e.scratchInner))
-	}
-}
-
-func (e *Encoder) ensureCoders(n int) {
-	for len(e.coders) < n {
-		e.coders = append(e.coders, t1.NewCoder())
-	}
-}
-
-// ensureT2 sizes the per-worker tier-2 scratch and the per-worker rate
-// allocators for the current component/layer shape.
-func (e *Encoder) ensureT2(workers, ncomp, nlayers int) {
-	for len(e.rallocs) < workers {
-		e.rallocs = append(e.rallocs, rate.Allocator{})
-	}
-	for len(e.t2scratch) < workers {
-		e.t2scratch = append(e.t2scratch, &t2Scratch{})
-	}
-	for _, sc := range e.t2scratch[:workers] {
-		sc.compBands = grow(sc.compBands, ncomp)
-		sc.compLayers = grow(sc.compLayers, ncomp)
-		for ci := range sc.compLayers {
-			sc.compLayers[ci] = grow(sc.compLayers[ci], nlayers)
+	for _, w := range e.workers[:outer] {
+		if w.scratch == nil {
+			w.scratch = dwt.NewScratch(e.scratchInner)
 		}
-		sc.compBytes = grow(sc.compBytes, ncomp)
 	}
 }
 
@@ -246,21 +211,25 @@ const chromaShare = 0.15
 func (e *Encoder) unitTask(worker, u int) {
 	o := &e.cur.o
 	te := e.units[u]
-	tt := &e.timings[u]
+	w := e.workers[worker]
+	tt := &w.timing
 	st := dwt.Strategy{
 		VertMode: o.VertMode, BlockWidth: o.VertBlockWidth,
-		Workers: e.cur.innerW, Scratch: e.scratch[worker], Pool: e.pool,
+		Workers: e.cur.innerW, Scratch: w.scratch, Pool: e.pool,
 	}
 	tDWT := time.Now()
 	var fp *dwt.FPlane
+	var td dwt.Timings
 	if o.Kernel == dwt.Rev53 {
-		tt.dwt = dwt.Forward53Timed(te.intPlane, o.Levels, st)
+		td = dwt.Forward53Timed(te.intPlane, o.Levels, st)
 	} else {
 		te.fplane = dwt.FromImageReuse(te.fplane, te.intPlane)
 		fp = te.fplane
-		tt.dwt = dwt.Forward97Timed(fp, o.Levels, st)
+		td = dwt.Forward97Timed(fp, o.Levels, st)
 	}
-	tt.intra = time.Since(tDWT)
+	tt.dwt.Horizontal += td.Horizontal
+	tt.dwt.Vertical += td.Vertical
+	tt.intra += time.Since(tDWT)
 
 	// Quantization (9/7 only): per band into dense int32 views of the unit's
 	// pooled arena (bands partition the tile, so the arena is exactly
@@ -297,7 +266,7 @@ func (e *Encoder) unitTask(worker, u int) {
 	if len(te.qjobs) > 0 {
 		quant.ForwardBands(fp.Data, fp.Stride, te.qjobs, e.cur.innerW, e.pool)
 	}
-	tt.quant = time.Since(tQ)
+	tt.quant += time.Since(tQ)
 }
 
 // blockTask entropy-codes one code-block on the dispatching worker's pooled
@@ -305,7 +274,7 @@ func (e *Encoder) unitTask(worker, u int) {
 // independent code-blocks").
 func (e *Encoder) blockTask(worker, i int) {
 	j := e.jobs[i]
-	e.results[i] = e.coders[worker].Encode(j.data, j.w, j.h, j.stride, j.band)
+	e.results[i] = e.workers[worker].coder.Encode(j.data, j.w, j.h, j.stride, j.band)
 }
 
 // rateTask runs component ci's PCRD allocation on the dispatching worker's
@@ -341,7 +310,7 @@ func (e *Encoder) rateTask(worker, ci int) {
 	// Headers shrink the body budget; estimate here, assemble, and adjust
 	// in the tier-2 rounds until the stream fits (at most three rounds).
 	e.headerEst[ci] = 70 + e.cur.ntiles*(14+e.cur.nlayers*(o.Levels+1))
-	e.allocs[ci] = allocate(&e.rallocs[worker], crb, e.budgets[ci], e.headerEst[ci])
+	e.allocs[ci] = allocate(&e.workers[worker].ralloc, crb, e.budgets[ci], e.headerEst[ci])
 }
 
 // t2Task assembles one tile's packets (all components, LRCP-interleaved) on
@@ -350,7 +319,7 @@ func (e *Encoder) rateTask(worker, ci int) {
 // lives in e.tcoders[ti]; the only worker-shared writes are to per-worker
 // scratch.
 func (e *Encoder) t2Task(worker, ti int) {
-	sc := e.t2scratch[worker]
+	sc := &e.workers[worker].t2
 	ncomp, ntiles, nlayers := e.cur.ncomp, e.cur.ntiles, e.cur.nlayers
 	base := e.blockOff[ti]
 	n := e.blockOff[ti+1] - base
@@ -388,8 +357,8 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	stats := &EncodeStats{}
 	// Reclaim the tier-1 arenas of the previous encode; every reference into
 	// them died with that call's tier-2 assembly.
-	for _, co := range e.coders {
-		co.Release()
+	for _, w := range e.workers {
+		w.coder.Release()
 	}
 
 	// --- Inter-component transform (the first stage of the paper's Fig. 1
@@ -484,12 +453,14 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	if innerW < 1 {
 		innerW = 1
 	}
-	e.ensureWorkers(min(o.Workers, nunits), innerW)
+	// Covers the unit, rate (per component) and tier-2 (per tile) stages;
+	// tier-1 tops the blocks up once the code-block count is known.
+	e.ensureWorkers(min(o.Workers, nunits))
+	e.ensureScratch(outerW, innerW)
 	var steps []quant.Step
 	if o.Kernel == dwt.Irr97 {
 		steps = quant.BandSteps(dwt.Irr97, width, height, o.Levels, o.BaseStep)
 	}
-	e.timings = grow(e.timings, nunits)
 	nbands := 1 + 3*o.Levels
 	nlayers := len(o.LayerBPP)
 	if nlayers == 0 {
@@ -503,9 +474,12 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	e.cur.ncomp = ncomp
 	e.cur.nlayers = nlayers
 	e.cur.npixels = width * height
+	for _, w := range e.workers[:outerW] {
+		w.timing = tileTiming{}
+	}
 	e.pool.TasksIDMax(outerW, nunits, e.unitFn)
-	for u := range units {
-		tt := &e.timings[u]
+	for _, w := range e.workers[:outerW] {
+		tt := &w.timing
 		stats.Timings.DWTDetail.Horizontal += tt.dwt.Horizontal
 		stats.Timings.DWTDetail.Vertical += tt.dwt.Vertical
 		stats.Timings.IntraComp += tt.intra
@@ -549,7 +523,7 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	}
 	e.jobs = jobs
 	nblocks := len(jobs)
-	e.ensureCoders(min(o.Workers, max(nblocks, 1)))
+	e.ensureWorkers(min(o.Workers, max(nblocks, 1)))
 	modes := t1.Modes{
 		Bypass:   o.Coder.Bypass,
 		ResetCtx: o.Coder.ResetCtx,
@@ -558,8 +532,8 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 		SegSym:   o.Resilience.SegSymbols,
 	}
 	e.cur.modes = modes
-	for _, co := range e.coders {
-		co.Modes = modes
+	for _, w := range e.workers {
+		w.coder.Modes = modes
 	}
 	e.results = grow(e.results, nblocks)
 	e.pool.TasksIDMax(o.Workers, nblocks, e.blockFn)
@@ -690,7 +664,9 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	e.headerEst = grow(e.headerEst, ncomp)
 	e.budgets = grow(e.budgets, ncomp)
 	t2W := min(o.Workers, max(ntiles, 1))
-	e.ensureT2(max(t2W, min(o.Workers, ncomp)), ncomp, nlayers)
+	for _, w := range e.workers[:t2W] {
+		w.t2.size(ncomp, nlayers)
+	}
 	e.pool.TasksIDMax(o.Workers, ncomp, e.rateFn)
 	stats.Timings.RateAlloc = time.Since(tRA)
 
@@ -707,14 +683,14 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	e.compBytes = grow(e.compBytes, ncomp)
 	compBytes := e.compBytes
 	for round := 0; ; round++ {
-		for _, sc := range e.t2scratch[:t2W] {
-			clear(sc.compBytes)
+		for _, w := range e.workers[:t2W] {
+			clear(w.t2.compBytes)
 		}
 		e.pool.TasksIDMax(t2W, ntiles, e.t2Fn)
 		clear(compBytes)
-		for _, sc := range e.t2scratch[:t2W] {
+		for _, w := range e.workers[:t2W] {
 			for ci := 0; ci < ncomp; ci++ {
-				compBytes[ci] += sc.compBytes[ci]
+				compBytes[ci] += w.t2.compBytes[ci]
 			}
 		}
 		if len(o.LayerBPP) == 0 || round >= 2 {
@@ -726,7 +702,7 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 			if compBytes[ci]+e.headerEst[ci] > target {
 				e.headerEst[ci] += compBytes[ci] + e.headerEst[ci] - target
 				crb := e.rblocks[e.compBase[ci]:e.compBase[ci+1]]
-				e.allocs[ci] = allocate(&e.rallocs[0], crb, e.budgets[ci], e.headerEst[ci])
+				e.allocs[ci] = allocate(&e.workers[0].ralloc, crb, e.budgets[ci], e.headerEst[ci])
 				over = true
 			}
 		}

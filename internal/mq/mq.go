@@ -79,7 +79,10 @@ func (c *Context) Reset(index int, mps int) {
 }
 
 // Encoder is an MQ arithmetic encoder. The zero value is not ready for use;
-// call Init (or NewEncoder).
+// call Init (or NewEncoder). Every field is written on (nearly) every coded
+// decision, so an Encoder belongs by value inside its owner's state — as
+// t1.Coder holds it — never as a small heap object of its own, which the
+// allocator would pack into the same cache line as another worker's.
 type Encoder struct {
 	c   uint32
 	a   uint32

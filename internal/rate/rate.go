@@ -95,7 +95,9 @@ type Allocation struct {
 // per-encode hull and segment storage is paid once per pooled encoder rather
 // than per call. The zero value is ready for use; an Allocator is not safe
 // for concurrent use. The returned Allocation is freshly allocated and stays
-// valid across subsequent calls.
+// valid across subsequent calls. Its slice headers are rewritten for every
+// block, so parallel allocators must not sit side by side in one slice: hold
+// each by value inside its worker's own state, as jp2k does.
 type Allocator struct {
 	segs []segment
 	st   []rdPoint

@@ -18,10 +18,7 @@ import (
 var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // contentType returns the media type of a region response format, "" for a
-// format the server does not speak. (A switch, not a package-level map: a map
-// would allocate at init, and init-time allocations in any package the
-// benchmark links shift where its codec's per-worker MQ coder states land —
-// the cache-line placement lottery of ROADMAP item 1.)
+// format the server does not speak.
 func contentType(format string) string {
 	switch format {
 	case "pgm":

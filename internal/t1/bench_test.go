@@ -1,8 +1,11 @@
 package t1
 
 import (
+	"runtime"
 	"strconv"
+	"sync"
 	"testing"
+	"time"
 
 	"pj2k/internal/bitio"
 	"pj2k/internal/dwt"
@@ -61,7 +64,7 @@ func passSnapshots(data []int32, n int, band dwt.BandType, plane uint) (co *Code
 		panic("bench: plane too high for the canonical block")
 	}
 	c.resetContexts()
-	enc := co.enc
+	enc := &co.enc
 	enc.Init()
 	for p := nbp - 1; p > int(plane); p-- {
 		pp := uint(p)
@@ -97,7 +100,7 @@ func BenchmarkT1Passes(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.restore(c)
 				co.enc.Init()
-				pass(co.enc, plane)
+				pass(&co.enc, plane)
 			}
 		}
 	}
@@ -148,4 +151,53 @@ func BenchmarkT1DecodePasses(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCodersSideBySide is the false-sharing probe of DESIGN.md §7 at the
+// t1 layer: GOMAXPROCS goroutines, each with its own Coder — all created back
+// to back on this goroutine, so the allocator packs them as tightly as it ever
+// will — encode the same block set at once. side/solo is the per-block time
+// with every goroutine running over the time of one running alone: ~1.0 when
+// the coders leave each other's cache lines alone (it was 1.3–1.5 when each
+// Coder pointed at a 40-byte mq.Encoder of its own), and it cannot drop below
+// 1 on a host with fewer idle cores than goroutines.
+func BenchmarkCodersSideBySide(b *testing.B) {
+	p := runtime.GOMAXPROCS(0)
+	data := testBlock(64)
+	bands := []dwt.BandType{dwt.LL, dwt.HL, dwt.LH, dwt.HH, dwt.HH, dwt.LH, dwt.HL, dwt.LL}
+	coders := make([]*Coder, p)
+	for i := range coders {
+		coders[i] = NewCoder()
+	}
+	encodeSet := func(co *Coder) {
+		for _, band := range bands {
+			co.Encode(data, 64, 64, 64, band)
+		}
+		co.Release()
+	}
+	for _, co := range coders {
+		encodeSet(co) // size the arenas
+	}
+	var solo, side time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		encodeSet(coders[0])
+		solo += time.Since(t0)
+		t0 = time.Now()
+		var wg sync.WaitGroup
+		for _, co := range coders {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				encodeSet(co)
+			}()
+		}
+		wg.Wait()
+		side += time.Since(t0)
+	}
+	blocks := float64(b.N * len(bands))
+	b.ReportMetric(float64(solo)/blocks, "solo-ns/block")
+	b.ReportMetric(float64(side)/blocks, "side-ns/block")
+	b.ReportMetric(float64(side)/float64(solo), "side/solo")
 }

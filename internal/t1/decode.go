@@ -43,7 +43,10 @@ func Decode(eb *EncodedBlock, npasses int) ([]int32, error) {
 //
 // Returned sample slices live in an arena owned by the BlockDecoder: they
 // stay valid until Release, which reclaims every slice handed out since the
-// previous Release. A BlockDecoder is not safe for concurrent use.
+// previous Release. A BlockDecoder is not safe for concurrent use. Like Coder
+// it holds its symbol-rate state (contexts, MQ registers, raw readers) by
+// value and its zero value is ready for use, so an owner embeds it in a
+// per-worker block; it must not be copied once it has decoded a block.
 type BlockDecoder struct {
 	c         coder
 	mq        mq.Decoder
@@ -62,25 +65,30 @@ type BlockDecoder struct {
 	segEnds []int
 	ovr     int // overrun total banked across codeword segments
 
-	rr, rr2  rawReader // raw-segment readers (rr2 feeds the parallel MR pass)
+	rr rawReader // raw-segment reader of the serial passes and the forked SP pass
+
+	// The forked refinement pass runs on another goroutine and writes rr2 on
+	// every bit while the significance pass writes rr: the pad keeps the two
+	// readers a full CacheLinePad apart, so the pair does not ping-pong one
+	// line inside a single decoder.
+	_        [core.CacheLinePad]byte
+	rr2      rawReader // feeds the parallel MR pass
 	mrIdx    []int32   // scan-order magnitude-refinement members for rr2
 	parPlane uint
-	parFn    func(worker, task int)
+	parFn    func(worker, task int) // bound on first fork, so forking allocates nothing per block
 }
 
 // NewBlockDecoder returns an empty BlockDecoder; buffers are sized on first
 // use.
-func NewBlockDecoder() *BlockDecoder {
-	bd := &BlockDecoder{}
-	// Bound once so the parallel fork allocates nothing per block.
-	bd.parFn = func(_, task int) {
-		if task == 0 {
-			bd.decSigPropRaw(bd.parPlane)
-		} else {
-			bd.decRefineRawList(bd.parPlane)
-		}
+func NewBlockDecoder() *BlockDecoder { return &BlockDecoder{} }
+
+// parTask is the body of the forked SP‖MR dispatch.
+func (bd *BlockDecoder) parTask(_, task int) {
+	if task == 0 {
+		bd.decSigPropRaw(bd.parPlane)
+	} else {
+		bd.decRefineRawList(bd.parPlane)
 	}
-	return bd
 }
 
 // Release reclaims every sample slice returned by DecodeSegment since the
@@ -321,6 +329,9 @@ func (bd *BlockDecoder) runPasses(w, h int, band dwt.BandType, numBitplanes, npa
 	// Fork bypassed SP‖MR pairs only when TermAll gives them independent
 	// segments and a pool with real parallelism is attached.
 	fork := m.Bypass && m.TermAll && bd.Pool != nil && bd.Pool.Size() > 1
+	if fork && bd.parFn == nil {
+		bd.parFn = bd.parTask
+	}
 
 	pass, good, seg := 0, 0, 0
 	nbp := numBitplanes

@@ -188,9 +188,15 @@ func Encode(data []int32, w, h, stride int, band dwt.BandType) *EncodedBlock {
 // Returned EncodedBlocks live in arenas owned by the Coder: they stay valid
 // until Release, which reclaims every block handed out since the previous
 // Release. A Coder is not safe for concurrent use.
+//
+// The state written on every coded symbol — the MQ registers, the contexts,
+// the raw bit writer — is held by value, so it sits wherever the Coder sits
+// and the pass loops reach it without a pointer hop; only the big buffers
+// hang off it. The zero value is ready for use, so an owner can embed a Coder
+// in its own per-worker block (jp2k does, padded to core.CacheLinePad).
 type Coder struct {
 	c   coder
-	enc *mq.Encoder
+	enc mq.Encoder
 
 	// Modes selects the optional code-block styles (bypass, per-pass
 	// termination, context reset, stripe-causal contexts, segmentation
@@ -198,15 +204,15 @@ type Coder struct {
 	// changes the bitstream and must be signalled in the COD marker.
 	Modes Modes
 
-	raw    *bitio.StuffWriter // raw (bypass) segment writer
-	seg    []byte             // completed codeword segments of the current block
+	raw    bitio.StuffWriter // raw (bypass) segment writer
+	seg    []byte            // completed codeword segments of the current block
 	blocks []EncodedBlock
 	passes []Pass
 	data   []byte
 }
 
 // NewCoder returns an empty Coder; buffers are sized on first use.
-func NewCoder() *Coder { return &Coder{enc: mq.NewEncoder(), raw: bitio.NewStuffWriter()} }
+func NewCoder() *Coder { return &Coder{} }
 
 // Release reclaims all EncodedBlocks returned by Encode since the last
 // Release. The caller must have dropped every reference to them.
@@ -298,9 +304,9 @@ func (co *Coder) Encode(data []int32, w, h, stride int, band dwt.BandType) *Enco
 	}
 	eb.NumBitplanes = nbp
 	c.resetContexts()
-	enc := co.enc
+	enc, raw := &co.enc, &co.raw
 	enc.Init()
-	co.raw.Reset()
+	raw.Reset()
 	co.seg = co.seg[:0]
 	total := TotalPasses(nbp)
 	eb.Passes = co.takePasses(total)
@@ -311,14 +317,14 @@ func (co *Coder) Encode(data []int32, w, h, stride int, band dwt.BandType) *Enco
 		if p != nbp-1 {
 			var d float64
 			if m.PassBypassed(pass) {
-				d = c.encSigPropRaw(co.raw, plane)
+				d = c.encSigPropRaw(raw, plane)
 			} else {
 				d = c.encSigProp(enc, plane)
 			}
 			co.endPass(eb, pass, total, d)
 			pass++
 			if m.PassBypassed(pass) {
-				d = c.encRefineRaw(co.raw, plane)
+				d = c.encRefineRaw(raw, plane)
 			} else {
 				d = c.encRefine(enc, plane)
 			}

@@ -22,8 +22,12 @@ import (
 // counter shared by that many cores without bloating idle counters.
 const counterShards = 8
 
-// shardPad pads each shard to its own cache line so concurrent writers do not
-// false-share.
+// shardPad pads each shard to its own 64-byte cache line so concurrent writers
+// do not false-share. The stride stays at one line, not the 128 bytes
+// (core.CacheLinePad) per-worker codec state gets: a counter moves once per
+// request or per encode, not once per coded symbol, so the adjacent-line
+// prefetcher pairing two shards costs nothing measurable, while doubling the
+// stride would double every counter to 1 KiB (DESIGN.md §7).
 type shardPad struct {
 	v atomic.Int64
 	_ [56]byte
