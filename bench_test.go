@@ -274,6 +274,7 @@ func BenchmarkEncodeWorkers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			var t1, tw time.Duration
+			var st *jp2k.EncodeStats
 			for i := 0; i < b.N; i++ {
 				if w > 1 {
 					b.StopTimer()
@@ -285,7 +286,8 @@ func BenchmarkEncodeWorkers(b *testing.B) {
 					b.StartTimer()
 				}
 				t0 := time.Now()
-				if _, _, err := enc.Encode(im, opts); err != nil {
+				var err error
+				if _, st, err = enc.Encode(im, opts); err != nil {
 					b.Fatal(err)
 				}
 				tw += time.Since(t0)
@@ -293,6 +295,7 @@ func BenchmarkEncodeWorkers(b *testing.B) {
 			if w > 1 {
 				b.ReportMetric(float64(t1)/float64(tw), "speedup_vs_w1")
 			}
+			b.ReportMetric(st.CodedShare(), "passes_coded_share")
 		})
 	}
 }
@@ -419,11 +422,46 @@ func BenchmarkEncodeColor(b *testing.B) {
 			defer enc.Close()
 			b.SetBytes(int64(3 * im.Width * im.Height))
 			b.ReportAllocs()
+			var st *jp2k.EncodeStats
 			for i := 0; i < b.N; i++ {
-				if _, _, err := enc.EncodePlanar(pl, opts); err != nil {
+				var err error
+				if _, st, err = enc.EncodePlanar(pl, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(st.CodedShare(), "passes_coded_share")
+		})
+	}
+}
+
+// BenchmarkEncodeLayers encodes one image under budgets from starving to
+// non-binding. Tier-1 stops where PCRD stops (DESIGN.md §8), so the binding
+// budgets code a fraction of the passes; at 16 bpp the budget holds everything
+// the 1/512 base step can produce, nothing stops, every pass is coded once and
+// the only cost over plain full coding is the pilot's extra dispatch — the
+// worst case, which must not be slower than before.
+func BenchmarkEncodeLayers(b *testing.B) {
+	im := benchImage()
+	for _, bpp := range []float64{0.25, 1, 4, 16} {
+		b.Run(strconv.FormatFloat(bpp, 'g', -1, 64)+"bpp", func(b *testing.B) {
+			opts := jp2k.Options{Kernel: dwt.Irr97, LayerBPP: []float64{bpp}, Workers: 1, VertMode: dwt.VertBlocked}
+			enc := jp2k.NewEncoder()
+			defer enc.Close()
+			if _, _, err := enc.Encode(im, opts); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(im.Width * im.Height))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var st *jp2k.EncodeStats
+			for i := 0; i < b.N; i++ {
+				var err error
+				if _, st, err = enc.Encode(im, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(st.CodedShare(), "passes_coded_share")
+			b.ReportMetric(float64(st.BlocksRecoded), "blocks_recoded")
 		})
 	}
 }

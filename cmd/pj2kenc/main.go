@@ -132,5 +132,6 @@ func main() {
 		*out, pl.Width(), pl.Height(), pl.NComp(), st.Bytes, st.BPP, st.CodeBlocks)
 	if *verbose || *stats {
 		fmt.Print(st.Timings.Breakdown())
+		fmt.Print(st.Tier1Work())
 	}
 }

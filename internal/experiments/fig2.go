@@ -26,36 +26,49 @@ func Fig2(sizes []int) *Table {
 			"SPIHT skips sizes whose side is not a power of two.",
 		},
 	}
+	// Best of two runs per coder: the first run of each pays for cold caches
+	// and fresh heap, which at the small sizes is as large as the gap between
+	// SPIHT and a JPEG2000 encoder that stops tier-1 where PCRD stops.
+	best := func(run func()) time.Duration {
+		var d time.Duration
+		for i := 0; i < 2; i++ {
+			t0 := time.Now()
+			run()
+			if e := time.Since(t0); i == 0 || e < d {
+				d = e
+			}
+		}
+		return d
+	}
 	for _, kp := range sizes {
 		im := raster.KPixelImage(kp, uint64(kp))
 		n := im.Width * im.Height
 
-		t0 := time.Now()
-		jpegbase.Encode(im, 75)
-		jpegTime := time.Since(t0)
+		jpegTime := best(func() { jpegbase.Encode(im, 75) })
 
 		spihtCell := "-"
 		if im.Width == im.Height && im.Width&(im.Width-1) == 0 {
-			t0 = time.Now()
-			if _, err := spiht.Encode(im, 5, n/8); err == nil {
-				spihtCell = fmt.Sprintf("%.2f", time.Since(t0).Seconds())
+			var err error
+			d := best(func() { _, err = spiht.Encode(im, 5, n/8) })
+			if err == nil {
+				spihtCell = fmt.Sprintf("%.3f", d.Seconds())
 			}
 		}
 
-		t0 = time.Now()
-		_, _, err := jp2k.Encode(im, jp2k.Options{
-			Kernel: dwt.Irr97, LayerBPP: []float64{1.0}, Workers: 1,
+		j2kTime := best(func() {
+			_, _, err := jp2k.Encode(im, jp2k.Options{
+				Kernel: dwt.Irr97, LayerBPP: []float64{1.0}, Workers: 1,
+			})
+			if err != nil {
+				panic(err)
+			}
 		})
-		if err != nil {
-			panic(err)
-		}
-		j2kTime := time.Since(t0)
 
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", kp),
-			fmt.Sprintf("%.2f", jpegTime.Seconds()),
+			fmt.Sprintf("%.3f", jpegTime.Seconds()),
 			spihtCell,
-			fmt.Sprintf("%.2f", j2kTime.Seconds()),
+			fmt.Sprintf("%.3f", j2kTime.Seconds()),
 		})
 	}
 	return t

@@ -52,6 +52,7 @@ type hostRun struct {
 	wall   time.Duration
 	stages []time.Duration
 	prof   amdahl.Profile
+	coded  string // encode runs: tier-1 passes coded / possible
 }
 
 // keep replaces best by r when r is the faster (or the first) run.
@@ -78,8 +79,10 @@ func HostScaling(side int) *Table {
 	p := runtime.NumCPU()
 	t := &Table{
 		Title:   fmt.Sprintf("Sec. 3.4 on this host — measured vs Amdahl speedup, Workers=%d over Workers=1 (%dx%d, best of %d)", p, side, side, hostRounds),
-		Columns: []string{"shape", "op", "stage", "w=1 ms", fmt.Sprintf("w=%d ms", p), "speedup", "bound"},
+		Columns: []string{"shape", "op", "stage", "w=1 ms", fmt.Sprintf("w=%d ms", p), "speedup", "bound", "coded/possible"},
 		Notes: []string{
+			"coded/possible: tier-1 coding passes run over the passes full coding would run; below 1",
+			"where rate control lets tier-1 stop early, which shrinks the parallel stage and so the bound.",
 			"bound, total rows: Amdahl's speedup from the Workers=1 stage times with the paper's",
 			"split — transform, quantization, tier-1 parallel; setup, rate, tier-2, IO serial.",
 			"bound, stage rows: P for a stage of the parallel class, 1 for the serial tail; rate and",
@@ -105,7 +108,8 @@ func HostScaling(side int) *Table {
 		}
 		tm := st.Timings
 		return cs, hostRun{wall, []time.Duration{tm.Tier1, tm.RateAlloc, tm.Tier2, tm.StreamIO},
-			split(tm.Total(), tm.InterComp+tm.IntraComp+tm.Quant+tm.Tier1)}
+			split(tm.Total(), tm.InterComp+tm.IntraComp+tm.Quant+tm.Tier1),
+			fmt.Sprintf("%.2f (%d/%d)", st.CodedShare(), st.PassesCoded, st.PassesPossible)}
 	}
 	decode := func(sh *hostShape, cs []byte, workers int) (*raster.Planar, hostRun) {
 		t0 := time.Now()
@@ -116,7 +120,7 @@ func HostScaling(side int) *Table {
 		}
 		tm := dec.Stats().Timings
 		return pl, hostRun{wall, []time.Duration{tm.Parse, tm.Tier2, tm.Tier1, tm.Assemble},
-			split(tm.Total(), tm.Tier1+tm.Assemble+tm.InterComp)}
+			split(tm.Total(), tm.Tier1+tm.Assemble+tm.InterComp), "-"}
 	}
 
 	// One untimed pass at full width sizes every worker's state and leaves the
@@ -154,7 +158,7 @@ func HostScaling(side int) *Table {
 	emit := func(shape, op string, runs [2]hostRun, names []string, parallel []bool) {
 		one, par := runs[0], runs[1]
 		t.Rows = append(t.Rows, []string{shape, op, "total", ms2(one.wall), ms2(par.wall),
-			f2(one.wall.Seconds() / par.wall.Seconds()), f2(one.prof.Speedup(p))})
+			f2(one.wall.Seconds() / par.wall.Seconds()), f2(one.prof.Speedup(p)), one.coded})
 		for i, n := range names {
 			bound := 1
 			if parallel[i] {
@@ -164,7 +168,7 @@ func HostScaling(side int) *Table {
 			if par.stages[i] > 0 {
 				sp = f2(one.stages[i].Seconds() / par.stages[i].Seconds())
 			}
-			t.Rows = append(t.Rows, []string{"", "", n, ms2(one.stages[i]), ms2(par.stages[i]), sp, f2(float64(bound))})
+			t.Rows = append(t.Rows, []string{"", "", n, ms2(one.stages[i]), ms2(par.stages[i]), sp, f2(float64(bound)), ""})
 		}
 	}
 	for i, sh := range shapes {

@@ -9,12 +9,16 @@ import (
 	"pj2k/internal/t2"
 )
 
-// blockJob couples one code-block's coefficient view with its geometry.
+// blockJob couples one code-block's coefficient view with its geometry and
+// its place in the (component, band) grouping the tier-1 pilot samples by.
 type blockJob struct {
-	data   []int32
-	w, h   int
-	stride int
-	band   dwt.BandType
+	data    []int32
+	w, h    int
+	stride  int
+	band    dwt.BandType
+	comp    int  // component index
+	bandIdx int  // subband index within the tile (indexes Encoder.weights)
+	pilot   bool // coded in full ahead of the rest to predict the stop threshold
 }
 
 // gridKey identifies a tile's code-block partition; while it is unchanged

@@ -41,6 +41,11 @@ type Encoder struct {
 	tcoders      []*t2.TileCoder // per tile: multi-component packet assembly
 	origins      [][2]int        // per unit: tile origin in image coordinates
 	jobs         []blockJob
+	order        []int     // block ids in tier-1 coding order: pilot first, or the blocks to re-code
+	batch        []int     // the run of order the current tier-1 dispatch codes
+	lambda       []float64 // per component: stop-rule slope threshold of the current dispatch (0 codes fully)
+	groupN       []int     // per (component, band): blocks seen / pilot blocks taken while sampling
+	pilotW       []float64 // per pilot block: blocks of its (component, band) group it stands for
 	results      []*t1.EncodedBlock
 	blockStreams []t2.BlockStream
 	rblocks      []rate.BlockPasses
@@ -84,6 +89,12 @@ type Encoder struct {
 
 	pool    *core.Pool // resident workers for every stage dispatch
 	ownPool bool       // created by this Encoder; released by Close
+
+	// stopLambda, when set, replaces the halving of the pilot's cut-off slope
+	// (DESIGN.md §8). Tests only: returning 0 forces full coding of every
+	// block, +Inf stops every block as early as the certificate allows. The
+	// codestream must not depend on it.
+	stopLambda func(pilot float64) float64
 
 	// Metrics, when set, receives one per-stage latency/byte record per
 	// successful encode (shared by all codecs pointed at the same handle).
@@ -273,8 +284,15 @@ func (e *Encoder) unitTask(worker, u int) {
 // tier-1 Coder ("no synchronization is necessary due to the processing of
 // independent code-blocks").
 func (e *Encoder) blockTask(worker, i int) {
-	j := e.jobs[i]
-	e.results[i] = e.workers[worker].coder.Encode(j.data, j.w, j.h, j.stride, j.band)
+	id := e.batch[i]
+	j := &e.jobs[id]
+	w := e.workers[worker]
+	eb := w.coder.EncodeStop(j.data, j.w, j.h, j.stride, j.band, e.weights[j.bandIdx], e.lambda[j.comp])
+	e.results[id] = eb
+	w.passesCoded += len(eb.Passes)
+	if eb.Witness != 0 {
+		w.blocksStopped++
+	}
 }
 
 // rateTask runs component ci's PCRD allocation on the dispatching worker's
@@ -292,24 +310,6 @@ func (e *Encoder) rateTask(worker, ci int) {
 		e.allocs[ci] = rate.Allocation{NPasses: [][]int{np}, BodyBytes: []int{rate.TotalBytes(crb)}}
 		return
 	}
-	share := 1.0
-	if e.cur.ncomp > 1 {
-		if o.MCT {
-			share = chromaShare
-			if ci == 0 {
-				share = 1 - 2*chromaShare
-			}
-		} else {
-			share = 1 / float64(e.cur.ncomp)
-		}
-	}
-	e.budgets[ci] = e.budgets[ci][:0]
-	for _, bpp := range o.LayerBPP {
-		e.budgets[ci] = append(e.budgets[ci], int(bpp*share*float64(e.cur.npixels)/8))
-	}
-	// Headers shrink the body budget; estimate here, assemble, and adjust
-	// in the tier-2 rounds until the stream fits (at most three rounds).
-	e.headerEst[ci] = 70 + e.cur.ntiles*(14+e.cur.nlayers*(o.Levels+1))
 	e.allocs[ci] = allocate(&e.workers[worker].ralloc, crb, e.budgets[ci], e.headerEst[ci])
 }
 
@@ -339,6 +339,213 @@ func (e *Encoder) t2Task(worker, ti int) {
 	e.tileStreams[ti] = e.tcoders[ti].EncodeTileCompsPackets(
 		sc.compBands[:ncomp], e.cur.o.Levels, sc.compLayers[:ncomp],
 		e.tileStreams[ti][:0], sc.compBytes)
+}
+
+// setBudgets fills every component's cumulative layer budgets and its first
+// header estimate. Under MCT the byte budget splits luma-heavy; other
+// multi-component streams split evenly. Headers shrink the body budget:
+// estimate here, assemble, and adjust in the tier-2 rounds until the stream
+// fits (at most three rounds).
+func (e *Encoder) setBudgets() {
+	o := &e.cur.o
+	for ci := 0; ci < e.cur.ncomp; ci++ {
+		share := 1.0
+		if e.cur.ncomp > 1 {
+			if o.MCT {
+				share = chromaShare
+				if ci == 0 {
+					share = 1 - 2*chromaShare
+				}
+			} else {
+				share = 1 / float64(e.cur.ncomp)
+			}
+		}
+		e.budgets[ci] = e.budgets[ci][:0]
+		for _, bpp := range o.LayerBPP {
+			e.budgets[ci] = append(e.budgets[ci], int(bpp*share*float64(e.cur.npixels)/8))
+		}
+		e.headerEst[ci] = 70 + e.cur.ntiles*(14+e.cur.nlayers*(o.Levels+1))
+	}
+}
+
+// pilotStride is the sampling period of the pilot: every pilotStride-th block
+// of each (component, band) group, counted across tiles, is coded in full
+// before the rest.
+const pilotStride = 8
+
+// codeBlocks is the tier-1 stage. Without layer budgets every block is coded
+// in full in one dispatch. With them, tier-1 may stop a block once no layer
+// can take more of it (DESIGN.md §8), which needs a slope threshold before the
+// blocks are coded: a stratified pilot — every pilotStride-th block of each
+// (component, band) group — is coded in full first, PCRD's greedy runs over
+// the pilot hulls with each block's bytes counted once per block it stands
+// for, and half the slope at which that crosses the component's largest budget
+// is the threshold the remaining blocks are coded under. The threshold only
+// decides how much coding is saved; the post-check in encode keeps the output
+// independent of it. Returns the time spent in the pilot's PCRD, which is
+// billed to rate allocation, not tier-1.
+func (e *Encoder) codeBlocks(stats *EncodeStats) time.Duration {
+	o := &e.cur.o
+	nblocks, ncomp, nbands := len(e.jobs), e.cur.ncomp, e.cur.nbands
+	e.order = grow(e.order, nblocks)
+	e.lambda = grow(e.lambda, ncomp)
+	clear(e.lambda)
+	if len(o.LayerBPP) == 0 {
+		for id := range e.order {
+			e.order[id] = id
+		}
+		e.batch = e.order
+		e.pool.TasksIDMax(o.Workers, nblocks, e.blockFn)
+		return 0
+	}
+
+	// Pilot ids first (ascending, so component-major like the jobs), the rest
+	// after them.
+	e.groupN = grow(e.groupN, 2*ncomp*nbands)
+	clear(e.groupN)
+	seen, taken := e.groupN[:ncomp*nbands], e.groupN[ncomp*nbands:]
+	npilot := 0
+	for id := range e.jobs {
+		j := &e.jobs[id]
+		g := j.comp*nbands + j.bandIdx
+		if j.pilot = seen[g]%pilotStride == 0; j.pilot {
+			e.order[npilot] = id
+			npilot++
+			taken[g]++
+		}
+		seen[g]++
+	}
+	rest := e.order[npilot:npilot]
+	for id := range e.jobs {
+		if !e.jobs[id].pilot {
+			rest = append(rest, id)
+		}
+	}
+	e.batch = e.order[:npilot]
+	e.pool.TasksIDMax(o.Workers, npilot, e.blockFn)
+	stats.PilotBlocks = npilot
+
+	// Per component: the pilot blocks as allocator inputs, in the arenas the
+	// real allocation rebuilds afterwards.
+	tPilot := time.Now()
+	e.rblocks = grow(e.rblocks, npilot)
+	e.pilotW = grow(e.pilotW, npilot)
+	rates, dists := e.rates[:0], e.dists[:0]
+	for lo := 0; lo < npilot; {
+		ci := e.jobs[e.order[lo]].comp
+		hi := lo
+		for ; hi < npilot && e.jobs[e.order[hi]].comp == ci; hi++ {
+			j := &e.jobs[e.order[hi]]
+			rates, dists, e.rblocks[hi] = appendPasses(rates, dists, e.results[e.order[hi]], e.weights[j.bandIdx])
+			g := ci*nbands + j.bandIdx
+			e.pilotW[hi] = float64(seen[g]) / float64(taken[g])
+		}
+		budget := 0
+		for _, b := range e.budgets[ci] {
+			budget = max(budget, b-e.headerEst[ci])
+		}
+		lam := e.workers[0].ralloc.CutoffSlope(e.rblocks[lo:hi], e.pilotW[lo:hi], budget)
+		if e.stopLambda != nil {
+			lam = e.stopLambda(lam)
+		} else {
+			lam /= 2
+		}
+		e.lambda[ci] = lam
+		lo = hi
+	}
+	e.rates, e.dists = rates, dists
+	pilotPCRD := time.Since(tPilot)
+
+	e.batch = e.order[npilot:]
+	e.pool.TasksIDMax(o.Workers, nblocks-npilot, e.blockFn)
+	return pilotPCRD
+}
+
+// appendPasses appends one block's per-pass cumulative rates and weighted
+// distortion deltas to the arenas and returns the allocator's view of them.
+func appendPasses(rates []int, dists []float64, eb *t1.EncodedBlock, weight float64) ([]int, []float64, rate.BlockPasses) {
+	base := len(rates)
+	for _, p := range eb.Passes {
+		rates = append(rates, p.Rate)
+		dists = append(dists, p.DistDelta*weight)
+	}
+	return rates, dists, rate.BlockPasses{Rates: rates[base:len(rates):len(rates)], Dist: dists[base:len(dists):len(dists)]}
+}
+
+// wireBlocks hands the tier-1 results to their two consumers in one pass: a
+// t2.BlockStream per block for packet assembly and a rate.BlockPasses per block
+// for the allocator. The per-pass rate list is built once in the shared arena
+// and aliased by both. Blocks stay component-major, so each component's
+// allocator inputs are one contiguous slice; blockOff records each tile's slice
+// of a component's blocks for the parallel tier-2 stage (identical for every
+// component — they share the tile geometry).
+func (e *Encoder) wireBlocks() {
+	ncomp, ntiles, modes := e.cur.ncomp, e.cur.ntiles, e.cur.modes
+	units := e.units[:ncomp*ntiles]
+	totalPasses := 0
+	for _, eb := range e.results {
+		totalPasses += len(eb.Passes)
+	}
+	rates := grow(e.rates, totalPasses)[:0]
+	dists := grow(e.dists, totalPasses)[:0]
+	// Under bypass without TERMALL, only segment boundaries carry exact byte
+	// rates (other passes carry margined estimates); restricting PCRD to them
+	// keeps every signalled length exact. Under TERMALL every pass is a
+	// boundary, so no restriction is needed.
+	restrict := modes.Bypass && !modes.TermAll
+	terms := e.terms[:0]
+	k := 0
+	for u, te := range units {
+		ci := u / ntiles
+		if u%ntiles == 0 {
+			e.compBase[ci] = k
+		}
+		if ci == 0 {
+			e.blockOff[u] = k
+		}
+		kt := 0 // unit-local block index; k stays global for the arenas
+		for bi := range te.bands {
+			te.bands[bi].Mb = e.mb[ci][bi]
+			for gi := range te.bands[bi].Grid.Rects {
+				eb := te.blocks[kt]
+				kt++
+				base := len(rates)
+				rates, dists, e.rblocks[k] = appendPasses(rates, dists, eb, e.weights[bi])
+				bs := &e.blockStreams[k]
+				*bs = t2.BlockStream{Data: eb.Data, NumBitplanes: eb.NumBitplanes, PassRates: e.rblocks[k].Rates}
+				te.bands[bi].Blocks[gi] = bs
+				if restrict {
+					for pi := range eb.Passes {
+						terms = append(terms, pi == len(eb.Passes)-1 || modes.TermPass(pi))
+					}
+					e.rblocks[k].Terminal = terms[base:len(terms):len(terms)]
+				}
+				k++
+			}
+		}
+	}
+	e.compBase[ncomp] = k
+	e.blockOff[ntiles] = e.compBase[1] // component 0's total = per-component total
+	e.rates, e.dists, e.terms = rates, dists, terms
+}
+
+// failedStops lists in e.batch the stopped blocks whose premise the current
+// allocation refutes: the final layer takes at least as many passes as the
+// block's witness, so the segments beyond it — which a full coding might have
+// shaped differently — were in reach of the greedy. With all set it lists
+// every block still stopped. Returns the count.
+func (e *Encoder) failedStops(all bool) int {
+	e.batch = e.order[:0]
+	last := e.cur.nlayers - 1
+	for ci := 0; ci < e.cur.ncomp; ci++ {
+		base := e.compBase[ci]
+		for i, np := range e.allocs[ci].NPasses[last] {
+			if wit := e.results[base+i].Witness; wit != 0 && (all || np >= wit) {
+				e.batch = append(e.batch, base+i)
+			}
+		}
+	}
+	return len(e.batch)
 }
 
 func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeStats, error) {
@@ -493,12 +700,27 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 		roiShift = applyROI(units, origins, *o.ROI, o)
 	}
 
+	// --- Per-band R-D weights (geometry-derived, so shared by every
+	// component): the allocator's distortion scale, and the tier-1 stop
+	// rule's.
+	tT1 := time.Now()
+	weights := grow(e.weights, nbands)
+	e.weights = weights
+	e.bandsRef = dwt.SubbandsAppend(e.bandsRef[:0], width, height, o.Levels)
+	for bi, b := range e.bandsRef {
+		step := 1.0
+		if o.Kernel == dwt.Irr97 {
+			step = steps[bi].Value()
+		}
+		n := dwt.BandNorm(o.Kernel, o.Levels, b)
+		weights[bi] = step * step * n * n
+	}
+
 	// --- Tier-1: gather every code-block of every unit, encode in parallel
 	// with the paper's staggered round-robin worker assignment; each worker
 	// codes with its own pooled Coder.
-	tT1 := time.Now()
 	jobs := e.jobs[:0]
-	for _, te := range units {
+	for u, te := range units {
 		for bi, b := range te.subbands {
 			g := te.bands[bi].Grid
 			for _, r := range g.Rects {
@@ -517,6 +739,7 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 				}
 				job.w, job.h = r.X1-r.X0, r.Y1-r.Y0
 				job.band = b.Type
+				job.comp, job.bandIdx = u/ntiles, bi
 				jobs = append(jobs, job)
 			}
 		}
@@ -534,12 +757,18 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	e.cur.modes = modes
 	for _, w := range e.workers {
 		w.coder.Modes = modes
+		w.passesCoded, w.blocksStopped = 0, 0
 	}
 	e.results = grow(e.results, nblocks)
-	e.pool.TasksIDMax(o.Workers, nblocks, e.blockFn)
+	e.allocs = grow(e.allocs, ncomp)
+	e.headerEst = grow(e.headerEst, ncomp)
+	e.budgets = grow(e.budgets, ncomp)
+	e.setBudgets()
+	pilotPCRD := e.codeBlocks(stats)
 	results := e.results
 	stats.CodeBlocks = nblocks
-	// Distribute results back to units in order.
+	// Distribute results back to units in order. The views alias e.results,
+	// so a block re-coded later shows through them.
 	k := 0
 	for _, te := range units {
 		n := 0
@@ -549,9 +778,11 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 		te.blocks = results[k : k+n]
 		k += n
 	}
-	stats.Timings.Tier1 = time.Since(tT1)
+	stats.Timings.Tier1 = time.Since(tT1) - pilotPCRD
 
-	// --- Mb per (component, band) index (global across tiles).
+	// --- Mb per (component, band) index (global across tiles). A stopped
+	// block knows its bit-plane count like any other.
+	tRA := time.Now()
 	mb := grow(e.mb, ncomp)
 	e.mb = mb
 	for ci := 0; ci < ncomp; ci++ {
@@ -561,9 +792,11 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 			k := 0
 			for bi := range te.bands {
 				for range te.bands[bi].Grid.Rects {
-					if nbp := te.blocks[k].NumBitplanes; nbp > mb[ci][bi] {
+					nbp := te.blocks[k].NumBitplanes
+					if nbp > mb[ci][bi] {
 						mb[ci][bi] = nbp
 					}
+					stats.PassesPossible += t1.TotalPasses(nbp)
 					k++
 				}
 			}
@@ -575,100 +808,41 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 		}
 	}
 
-	// --- Per-band R-D weights for the allocator (geometry-derived, so shared
-	// by every component).
-	tRA := time.Now()
-	weights := grow(e.weights, nbands)
-	e.weights = weights
-	e.bandsRef = dwt.SubbandsAppend(e.bandsRef[:0], width, height, o.Levels)
-	for bi, b := range e.bandsRef {
-		step := 1.0
-		if o.Kernel == dwt.Irr97 {
-			step = steps[bi].Value()
-		}
-		n := dwt.BandNorm(o.Kernel, o.Levels, b)
-		weights[bi] = step * step * n * n
-	}
-
-	// --- BlockStream wiring and rate-allocator inputs, in one pass. The
-	// per-pass rate list is built once in the shared arena and aliased by
-	// both consumers. Blocks stay component-major, so each component's
-	// allocator inputs are one contiguous slice; blockOff records each
-	// tile's slice of a component's blocks for the parallel tier-2 stage
-	// (identical for every component — they share the tile geometry).
-	totalPasses := 0
-	for _, eb := range results {
-		totalPasses += len(eb.Passes)
-	}
-	rates := grow(e.rates, totalPasses)[:0]
-	dists := grow(e.dists, totalPasses)[:0]
-	// Under bypass without TERMALL, only segment boundaries carry exact byte
-	// rates (other passes carry margined estimates); restricting PCRD to them
-	// keeps every signalled length exact. Under TERMALL every pass is a
-	// boundary, so no restriction is needed.
-	var terms []bool
-	if modes.Bypass && !modes.TermAll {
-		terms = grow(e.terms, totalPasses)[:0]
-	}
+	// --- Rate allocation, parallel per component: PCRD runs per component
+	// against its own budget, header estimate and adjustment policy. Then the
+	// stop rule's premise is checked against what PCRD chose: a stopped block
+	// stands for its full coding only while the final layer takes fewer passes
+	// of it than its witness. The (rare) block that fails is coded again in
+	// full and the allocation repeated; after the third failed check every
+	// block still stopped is re-coded, which ends the loop.
 	e.blockStreams = grow(e.blockStreams, nblocks)
 	e.rblocks = grow(e.rblocks, nblocks)
 	e.compBase = grow(e.compBase, ncomp+1)
 	e.blockOff = grow(e.blockOff, ntiles+1)
-	k = 0
-	for u, te := range units {
-		ci := u / ntiles
-		if u%ntiles == 0 {
-			e.compBase[ci] = k
-		}
-		if ci == 0 {
-			e.blockOff[u] = k
-		}
-		kt := 0 // unit-local block index; k stays global for the arenas
-		for bi := range te.bands {
-			te.bands[bi].Mb = mb[ci][bi]
-			for gi := range te.bands[bi].Grid.Rects {
-				eb := te.blocks[kt]
-				kt++
-				base := len(rates)
-				for _, p := range eb.Passes {
-					rates = append(rates, p.Rate)
-					dists = append(dists, p.DistDelta*weights[bi])
-				}
-				pr := rates[base:len(rates):len(rates)]
-				bs := &e.blockStreams[k]
-				*bs = t2.BlockStream{Data: eb.Data, NumBitplanes: eb.NumBitplanes, PassRates: pr}
-				te.bands[bi].Blocks[gi] = bs
-				e.rblocks[k] = rate.BlockPasses{Rates: pr, Dist: dists[base:len(dists):len(dists)]}
-				if terms != nil {
-					for pi := range eb.Passes {
-						terms = append(terms, pi == len(eb.Passes)-1 || modes.TermPass(pi))
-					}
-					e.rblocks[k].Terminal = terms[base:len(terms):len(terms)]
-				}
-				k++
-			}
-		}
-	}
-	e.compBase[ncomp] = k
-	e.blockOff[ntiles] = e.compBase[1] // component 0's total = per-component total
-	e.rates, e.dists = rates, dists
-	if terms != nil {
-		e.terms = terms
-	}
-
-	// --- Rate allocation, parallel per component: PCRD runs per component
-	// against its own budget, header estimate and adjustment policy.
-	// Under MCT the budget splits luma-heavy; other multi-component streams
-	// split evenly.
-	e.allocs = grow(e.allocs, ncomp)
-	e.headerEst = grow(e.headerEst, ncomp)
-	e.budgets = grow(e.budgets, ncomp)
 	t2W := min(o.Workers, max(ntiles, 1))
 	for _, w := range e.workers[:t2W] {
 		w.t2.size(ncomp, nlayers)
 	}
-	e.pool.TasksIDMax(o.Workers, ncomp, e.rateFn)
-	stats.Timings.RateAlloc = time.Since(tRA)
+	var recodeTime time.Duration
+	for round := 0; ; round++ {
+		e.wireBlocks()
+		e.pool.TasksIDMax(o.Workers, ncomp, e.rateFn)
+		nfail := e.failedStops(round >= 2)
+		if nfail == 0 {
+			break
+		}
+		tRe := time.Now()
+		clear(e.lambda)
+		e.pool.TasksIDMax(o.Workers, nfail, e.blockFn)
+		stats.BlocksRecoded += nfail
+		recodeTime += time.Since(tRe)
+	}
+	for _, w := range e.workers {
+		stats.PassesCoded += w.passesCoded
+		stats.BlocksStopped += w.blocksStopped // re-codes run with lambda 0 and never stop
+	}
+	stats.Timings.Tier1 += recodeTime
+	stats.Timings.RateAlloc = time.Since(tRA) - recodeTime + pilotPCRD
 
 	// --- Tier-2 packet assembly (+ final budget adjustment rounds), parallel
 	// ACROSS tiles with per-tile pooled coding state, per-worker scratch
@@ -711,6 +885,11 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 		}
 	}
 	stats.Timings.Tier2 = time.Since(tT2)
+	for ci := 0; ci < ncomp; ci++ {
+		for _, np := range e.allocs[ci].NPasses[nlayers-1] {
+			stats.PassesKept += np
+		}
+	}
 
 	// --- Bitstream I/O.
 	tIO := time.Now()

@@ -173,6 +173,33 @@ type EncodeStats struct {
 	Bytes      int
 	BPP        float64
 	CodeBlocks int
+	// Tier-1 work accounting (DESIGN.md §8): how much of the coding tier-1
+	// could have done it did, and how much of that the final layer kept.
+	PassesPossible int // coding passes of every block coded to its last bit-plane
+	PassesCoded    int // coding passes tier-1 ran, pilot and re-codes included
+	PassesKept     int // coding passes the final layer includes
+	PilotBlocks    int // blocks coded in full ahead of the rest to set the stop threshold
+	BlocksStopped  int // blocks the stop rule ended early
+	BlocksRecoded  int // stopped blocks coded again in full because the post-check failed
+}
+
+// CodedShare is the fraction of the possible tier-1 coding passes the encoder
+// ran: 1 when nothing was stopped early, below 1 when rate control let tier-1
+// stop, above 1 only if re-codes outweighed the savings.
+func (s *EncodeStats) CodedShare() float64 {
+	if s.PassesPossible == 0 {
+		return 1
+	}
+	return float64(s.PassesCoded) / float64(s.PassesPossible)
+}
+
+// Tier1Work renders the tier-1 work accounting the CLIs print under the stage
+// table.
+func (s *EncodeStats) Tier1Work() string {
+	return fmt.Sprintf("  tier-1 passes: %d possible, %d coded (%.0f%%), %d kept by the final layer\n"+
+		"  tier-1 blocks: %d, %d pilot, %d stopped early, %d re-coded\n",
+		s.PassesPossible, s.PassesCoded, 100*s.CodedShare(), s.PassesKept,
+		s.CodeBlocks, s.PilotBlocks, s.BlocksStopped, s.BlocksRecoded)
 }
 
 // Breakdown renders the per-stage timing table the CLIs print under -verbose;

@@ -53,6 +53,14 @@ type CodecMetrics struct {
 	BytesEncoded *telemetry.Counter // codestream bytes produced
 	BytesDecoded *telemetry.Counter // codestream bytes consumed
 
+	// Tier-1 encode work (useful outcomes over attempts, DESIGN.md §8): the
+	// passes full coding would run, the passes actually run, the passes the
+	// final layer keeps, and the stopped blocks that had to be coded again.
+	T1PassesPossible *telemetry.Counter
+	T1PassesCoded    *telemetry.Counter
+	T1PassesKept     *telemetry.Counter
+	T1BlocksRecoded  *telemetry.Counter
+
 	EncodeSeconds *telemetry.Histogram // end-to-end encode latency
 	DecodeSeconds *telemetry.Histogram // end-to-end decode latency
 
@@ -65,16 +73,21 @@ type CodecMetrics struct {
 //
 //	pj2k_codec_encodes_total / pj2k_codec_decodes_total
 //	pj2k_codec_encoded_bytes_total / pj2k_codec_decoded_bytes_total
+//	pj2k_codec_t1_passes_{possible,coded,kept}_total / pj2k_codec_t1_blocks_recoded_total
 //	pj2k_encode_seconds / pj2k_decode_seconds
 //	pj2k_encode_stage_seconds{stage=...} / pj2k_decode_stage_seconds{stage=...}
 func NewCodecMetrics(r *telemetry.Registry) *CodecMetrics {
 	m := &CodecMetrics{
-		Encodes:       r.Counter("pj2k_codec_encodes_total", "Completed encode calls."),
-		Decodes:       r.Counter("pj2k_codec_decodes_total", "Completed decode calls."),
-		BytesEncoded:  r.Counter("pj2k_codec_encoded_bytes_total", "Codestream bytes produced by encodes."),
-		BytesDecoded:  r.Counter("pj2k_codec_decoded_bytes_total", "Codestream bytes consumed by decodes."),
-		EncodeSeconds: r.Histogram("pj2k_encode_seconds", "End-to-end encode latency."),
-		DecodeSeconds: r.Histogram("pj2k_decode_seconds", "End-to-end decode latency."),
+		Encodes:          r.Counter("pj2k_codec_encodes_total", "Completed encode calls."),
+		Decodes:          r.Counter("pj2k_codec_decodes_total", "Completed decode calls."),
+		BytesEncoded:     r.Counter("pj2k_codec_encoded_bytes_total", "Codestream bytes produced by encodes."),
+		BytesDecoded:     r.Counter("pj2k_codec_decoded_bytes_total", "Codestream bytes consumed by decodes."),
+		T1PassesPossible: r.Counter("pj2k_codec_t1_passes_possible_total", "Tier-1 coding passes full coding of every block would run."),
+		T1PassesCoded:    r.Counter("pj2k_codec_t1_passes_coded_total", "Tier-1 coding passes run, pilot and re-codes included."),
+		T1PassesKept:     r.Counter("pj2k_codec_t1_passes_kept_total", "Tier-1 coding passes the final quality layer includes."),
+		T1BlocksRecoded:  r.Counter("pj2k_codec_t1_blocks_recoded_total", "Early-stopped code-blocks coded again in full after the post-check."),
+		EncodeSeconds:    r.Histogram("pj2k_encode_seconds", "End-to-end encode latency."),
+		DecodeSeconds:    r.Histogram("pj2k_decode_seconds", "End-to-end decode latency."),
 	}
 	for i, name := range EncStageNames {
 		m.EncodeStages[i] = r.HistogramWithLabels("pj2k_encode_stage_seconds",
@@ -95,6 +108,10 @@ func (m *CodecMetrics) recordEncode(st *EncodeStats) {
 	}
 	m.Encodes.Inc()
 	m.BytesEncoded.Add(int64(st.Bytes))
+	m.T1PassesPossible.Add(int64(st.PassesPossible))
+	m.T1PassesCoded.Add(int64(st.PassesCoded))
+	m.T1PassesKept.Add(int64(st.PassesKept))
+	m.T1BlocksRecoded.Add(int64(st.BlocksRecoded))
 	tm := &st.Timings
 	m.EncodeSeconds.Observe(tm.Total())
 	for i, d := range [NumEncStages]time.Duration{

@@ -23,11 +23,14 @@ import (
 
 // encWorkerState is what one encode worker owns.
 type encWorkerState struct {
-	coder   t1.Coder       // tier-1 block coder
-	ralloc  rate.Allocator // PCRD hull/segment scratch
-	t2      t2Scratch      // tier-2 per-component views and byte accumulator
-	timing  tileTiming     // unit-stage times of this worker's units, reduced after the barrier
-	scratch *dwt.Scratch   // DWT line buffers, one slot per inner worker
+	coder  t1.Coder       // tier-1 block coder
+	ralloc rate.Allocator // PCRD hull/segment scratch
+	t2     t2Scratch      // tier-2 per-component views and byte accumulator
+	timing tileTiming     // unit-stage times of this worker's units, reduced after the barrier
+	// tier-1 work counters of this worker's blocks, reduced after the barrier
+	passesCoded   int
+	blocksStopped int
+	scratch       *dwt.Scratch // DWT line buffers, one slot per inner worker
 }
 
 // decWorkerState is what one decode worker owns.

@@ -202,6 +202,18 @@ func (e *Encoder) byteOut() {
 // margin for rate tracking at coding-pass boundaries.
 func (e *Encoder) NumBytes() int { return len(e.out) - 1 }
 
+// Stable returns the emitted codeword bytes that no later Encode or Flush can
+// change: all of them except the last, which byteOut may still increment when
+// a carry resolves (the carry cannot cascade past it — a 0xFF byte takes the
+// stuffing branch). Whatever is coded next, the finished segment starts with
+// exactly these bytes. The slice aliases the encoder's buffer.
+func (e *Encoder) Stable() []byte {
+	if len(e.out) < 2 {
+		return nil
+	}
+	return e.out[1 : len(e.out)-1]
+}
+
 // Flush terminates the codeword (FLUSH with SETBITS) and returns the final
 // segment. Trailing 0xFF bytes are dropped as the standard permits: the
 // decoder synthesizes 1-bits past the end of the segment. The returned slice

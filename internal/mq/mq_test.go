@@ -1,6 +1,7 @@
 package mq
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -242,5 +243,57 @@ func TestEncoderReuse(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("reused encoder output differs at byte %d", i)
 		}
+	}
+}
+
+// Fact (ii) of DESIGN.md §8 at its source: whatever is coded after a given
+// point, the finished segment starts with the bytes Stable returned there. The
+// last emitted byte is excluded for a reason — a carry can still increment it —
+// and the test insists on seeing that happen, so a Stable that returned all
+// NumBytes would fail here rather than in a golden hash.
+func TestStableBytesSurviveCarry(t *testing.T) {
+	carries := 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 200 + rng.Intn(3000)
+		p := rng.Float64() * 0.45
+		bits, ctxs := make([]int, n), make([]int, n)
+		for i := range bits {
+			ctxs[i] = rng.Intn(5)
+			if rng.Float64() < p {
+				bits[i] = 1
+			}
+		}
+		type snap struct {
+			stable []byte
+			last   byte // the emitted byte Stable leaves out
+			has    bool
+		}
+		snaps := make([]snap, n)
+		e := NewEncoder()
+		cx := make([]Context, 5)
+		for i, b := range bits {
+			e.Encode(b, &cx[ctxs[i]])
+			s := snap{stable: append([]byte(nil), e.Stable()...)}
+			if len(s.stable) != max(e.NumBytes()-1, 0) {
+				t.Fatalf("seed %d symbol %d: Stable has %d bytes, NumBytes is %d", seed, i, len(s.stable), e.NumBytes())
+			}
+			if e.NumBytes() > 0 {
+				s.last, s.has = e.out[len(e.out)-1], true
+			}
+			snaps[i] = s
+		}
+		final := append([]byte(nil), e.Flush()...)
+		for i, s := range snaps {
+			if len(s.stable) > len(final) || !bytes.Equal(s.stable, final[:len(s.stable)]) {
+				t.Fatalf("seed %d: stable bytes after symbol %d are not a prefix of the finished segment", seed, i)
+			}
+			if s.has && len(s.stable) < len(final) && final[len(s.stable)] != s.last {
+				carries++
+			}
+		}
+	}
+	if carries == 0 {
+		t.Fatal("no carry ever reached the last emitted byte; the test does not show why Stable excludes it")
 	}
 }

@@ -48,30 +48,79 @@ func slopeBetween(a, b rdPoint) float64 {
 	return (b.dist - a.dist) / float64(dr)
 }
 
+// Hull is the upper convex hull of one block's R-D points, built one
+// candidate truncation point at a time. The allocator builds its segments
+// with it and the tier-1 coder runs the same steps while it codes, so the
+// two cannot disagree about a vertex or a slope. The zero value needs a
+// Reset; the point storage is kept across blocks.
+type Hull struct {
+	pts []rdPoint // pts[0] is the origin; slopes between neighbours decrease strictly
+}
+
+// Reset empties the hull to the origin (no passes, no bytes, no gain).
+func (h *Hull) Reset() {
+	h.pts = append(h.pts[:0], rdPoint{})
+}
+
+// Add offers the truncation point after passes coding passes: rate cumulative
+// bytes, dist cumulative distortion reduction. Individual pass deltas may be
+// negative (magnitude refinement can transiently worsen the midpoint
+// reconstruction), so a point that does not improve on the current top is
+// never a truncation point; otherwise it replaces every vertex it makes
+// non-convex.
+func (h *Hull) Add(passes, rate int, dist float64) {
+	st := h.pts
+	p := rdPoint{passes, rate, dist}
+	if p.dist <= st[len(st)-1].dist {
+		return
+	}
+	for len(st) >= 2 && slopeBetween(st[len(st)-1], p) >= slopeBetween(st[len(st)-2], st[len(st)-1]) {
+		st = st[:len(st)-1]
+	}
+	h.pts = append(st, p)
+}
+
+// certSlack covers the rounding of the float64 distortion sums on both sides
+// of the certificate (a few thousand additions at 2^-53 each).
+const certSlack = 1e-9
+
+// Certify is the early-termination certificate (DESIGN.md §8). bound is an
+// upper limit on the cumulative distortion reduction of every point still to
+// come, and floor a lower limit on their rates. A vertex v (rate r below
+// floor, gain d, incoming slope s) cannot be removed by any such point if
+// bound-d < s*(floor-r): the slope from v to the point stays below s, which
+// is the only test Add pops on. Every hull segment after a surviving vertex
+// is then flatter than s. Certify returns the pass count of the first vertex
+// with incoming slope below lambda that is certified this way, or 0.
+func (h *Hull) Certify(bound float64, floor int, lambda float64) int {
+	st := h.pts
+	bound += certSlack * bound
+	for i := len(st) - 1; i >= 1; i-- {
+		s := slopeBetween(st[i-1], st[i])
+		if s >= lambda {
+			break // slopes only grow towards the origin
+		}
+		if st[i].rate < floor && bound-st[i].dist < s*float64(floor-st[i].rate) {
+			return st[i].passes
+		}
+	}
+	return 0
+}
+
 // hull appends the convex-hull segments for one block to a.segs, slopes
-// strictly decreasing. Individual pass distortion deltas may be negative
-// (magnitude refinement can transiently worsen the midpoint reconstruction),
-// so points that do not improve on the current hull top are skipped.
+// strictly decreasing.
 func (a *Allocator) hull(b BlockPasses, blockIdx int) {
-	a.st = a.st[:0]
-	a.st = append(a.st, rdPoint{0, 0, 0})
-	st := a.st
+	h := &a.h
+	h.Reset()
 	cum := 0.0
 	for k := range b.Rates {
 		cum += b.Dist[k]
 		if b.Terminal != nil && !b.Terminal[k] {
 			continue // not a segment boundary: never a truncation point
 		}
-		p := rdPoint{k + 1, b.Rates[k], cum}
-		if p.dist <= st[len(st)-1].dist {
-			continue // no distortion improvement: never a truncation point
-		}
-		for len(st) >= 2 && slopeBetween(st[len(st)-1], p) >= slopeBetween(st[len(st)-2], st[len(st)-1]) {
-			st = st[:len(st)-1]
-		}
-		st = append(st, p)
+		h.Add(k+1, b.Rates[k], cum)
 	}
-	a.st = st
+	st := h.pts
 	for i := 1; i < len(st); i++ {
 		a.segs = append(a.segs, segment{
 			block:  blockIdx,
@@ -100,7 +149,7 @@ type Allocation struct {
 // each by value inside its worker's own state, as jp2k does.
 type Allocator struct {
 	segs []segment
-	st   []rdPoint
+	h    Hull
 	cur  []int
 }
 
@@ -112,16 +161,16 @@ func Allocate(blocks []BlockPasses, layerBudgets []int) Allocation {
 	return a.Allocate(blocks, layerBudgets)
 }
 
-// Allocate is the scratch-reusing form of the package-level Allocate.
-func (a *Allocator) Allocate(blocks []BlockPasses, layerBudgets []int) Allocation {
+// sortedSegments builds every block's hull and returns all segments in the
+// order the greedy fills them: a stable sort by decreasing slope, which keeps
+// each block's segments in pass order (their slopes decrease strictly within a
+// block) and equal slopes in block order.
+func (a *Allocator) sortedSegments(blocks []BlockPasses) []segment {
 	a.segs = a.segs[:0]
 	for i, b := range blocks {
 		a.hull(b, i)
 	}
-	segs := a.segs
-	// Stable sort by decreasing slope keeps each block's segments in pass
-	// order (their slopes decrease strictly within a block).
-	slices.SortStableFunc(segs, func(x, y segment) int {
+	slices.SortStableFunc(a.segs, func(x, y segment) int {
 		switch {
 		case x.slope > y.slope:
 			return -1
@@ -131,6 +180,28 @@ func (a *Allocator) Allocate(blocks []BlockPasses, layerBudgets []int) Allocatio
 			return 0
 		}
 	})
+	return a.segs
+}
+
+// CutoffSlope predicts where Allocate will stop from a sample of the blocks:
+// weight[i] is the number of blocks of the whole population that sampled block
+// i stands for, so its segment bytes count that many times. It returns the
+// slope of the first segment the greedy could not fit into budget, or 0 when
+// the whole (weighted) sample fits — the budget does not bind.
+func (a *Allocator) CutoffSlope(blocks []BlockPasses, weight []float64, budget int) float64 {
+	bytes := 0.0
+	for _, sg := range a.sortedSegments(blocks) {
+		bytes += float64(sg.bytes) * weight[sg.block]
+		if bytes > float64(budget) {
+			return sg.slope
+		}
+	}
+	return 0
+}
+
+// Allocate is the scratch-reusing form of the package-level Allocate.
+func (a *Allocator) Allocate(blocks []BlockPasses, layerBudgets []int) Allocation {
+	segs := a.sortedSegments(blocks)
 
 	alloc := Allocation{
 		NPasses:   make([][]int, len(layerBudgets)),

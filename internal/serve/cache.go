@@ -10,6 +10,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -125,21 +126,31 @@ func (o CacheOutcome) String() string {
 // the byte budget; errors are returned to every waiter and cached by nobody.
 // A waiter whose ctx ends while the decode is in flight returns the context
 // error immediately — the decode itself continues for the remaining waiters
-// (and the cache), bounded by its own decode-side context.
+// (and the cache), bounded by its own decode-side context. That context is the
+// leader's: when it ends mid-decode the shared result is the leader's
+// cancellation, which says nothing about a waiter whose own request is still
+// live, so such a waiter goes round again and leads (or joins) the next decode.
 func (c *Cache) GetOrDecode(ctx context.Context, key TileKey, decode func() (*raster.Planar, error)) (*raster.Planar, CacheOutcome, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.unlink(e)
-		c.pushFront(e)
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return e.pl, OutcomeHit, nil
-	}
-	if call, ok := c.inflight[key]; ok {
+	for {
+		c.mu.Lock()
+		if e, ok := c.entries[key]; ok {
+			c.unlink(e)
+			c.pushFront(e)
+			c.mu.Unlock()
+			c.hits.Add(1)
+			return e.pl, OutcomeHit, nil
+		}
+		call, ok := c.inflight[key]
+		if !ok {
+			break // lead the decode, still holding c.mu
+		}
 		c.mu.Unlock()
 		c.coalesced.Add(1)
 		select {
 		case <-call.done:
+			if ctx.Err() == nil && (errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded)) {
+				continue
+			}
 			return call.pl, OutcomeCoalesced, call.err
 		case <-ctx.Done():
 			return nil, OutcomeCoalesced, ctx.Err()

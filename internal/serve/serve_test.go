@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -244,6 +245,64 @@ func TestCacheSingleflight(t *testing.T) {
 	st := c.Stats()
 	if st.Misses != 1 || st.Coalesced != waiters-1 {
 		t.Fatalf("misses %d coalesced %d, want 1/%d", st.Misses, st.Coalesced, waiters-1)
+	}
+}
+
+// A coalesced waiter shares the leader's decode, not the leader's fate: when
+// the leader's request context ends mid-decode, waiters whose own contexts are
+// live must still get the tile — one of them leads the next decode, the other
+// joins it or finds it cached.
+func TestCoalescedWaiterSurvivesLeaderCancel(t *testing.T) {
+	c := NewCache(1 << 20)
+	key := TileKey{Image: "a"}
+	var decodes atomic.Int64
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	entered, release := make(chan struct{}), make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrDecode(leaderCtx, key, func() (*raster.Planar, error) {
+			decodes.Add(1)
+			close(entered)
+			<-release
+			// What the decoder does between stages once its context ended.
+			if err := leaderCtx.Err(); err != nil {
+				return nil, fmt.Errorf("decode: %w", err)
+			}
+			return tile(8, 8), nil
+		})
+		leaderErr <- err
+	}()
+	<-entered
+	var wg sync.WaitGroup
+	results := make([]*raster.Planar, 2)
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			pl, _, err := c.GetOrDecode(context.Background(), key, func() (*raster.Planar, error) {
+				decodes.Add(1)
+				return tile(8, 8), nil
+			})
+			if err != nil {
+				t.Errorf("live waiter %d inherited the leader's fate: %v", i, err)
+			}
+			results[i] = pl
+		}(i)
+	}
+	for c.Stats().Coalesced < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	cancelLeader()
+	close(release)
+	wg.Wait()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader: %v, want its own cancellation", err)
+	}
+	if results[0] == nil || results[0] != results[1] {
+		t.Fatalf("waiters got %p and %p, want one shared tile", results[0], results[1])
+	}
+	if n := decodes.Load(); n != 2 {
+		t.Fatalf("%d decodes, want 2 (the cancelled one and one re-led)", n)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"pj2k/internal/bitio"
 	"pj2k/internal/dwt"
 	"pj2k/internal/mq"
+	"pj2k/internal/rate"
 )
 
 // Context indices (Annex D conventions): 0-8 zero coding, 9-13 sign coding,
@@ -61,6 +62,14 @@ type EncodedBlock struct {
 	Modes        Modes
 	Passes       []Pass
 	Data         []byte
+	// Witness is non-zero when EncodeStop ended the block early: coding
+	// stopped after len(Passes) of TotalPasses(NumBitplanes) passes because
+	// the R-D hull vertex at Witness passes was certified to survive whatever
+	// the remaining passes would have added. The block then stands in for the
+	// fully coded one in any allocation that takes fewer than Witness passes
+	// of it (DESIGN.md §8); Data holds the bytes no further coding could have
+	// changed.
+	Witness int
 }
 
 // SegmentEnds appends the cumulative byte offsets in Data at which the
@@ -206,6 +215,8 @@ type Coder struct {
 
 	raw    bitio.StuffWriter // raw (bypass) segment writer
 	seg    []byte            // completed codeword segments of the current block
+	stop   stopRule          // early-termination state of the current block
+	hull   rate.Hull         // R-D hull of the passes coded so far (stop rule only)
 	blocks []EncodedBlock
 	passes []Pass
 	data   []byte
@@ -270,10 +281,39 @@ func (co *Coder) takeData(n int) []byte {
 	return co.data[base : base+n : base+n]
 }
 
+// stopRule is the early-termination state of one block (DESIGN.md §8).
+type stopRule struct {
+	lambda float64 // stop once a hull vertex with incoming slope below this is certified; 0 never stops
+	weight float64 // band R-D weight, applied to DistDelta exactly as the allocator's caller applies it
+	bound  float64 // weight * sum of squared magnitudes: no cumulative distortion reduction exceeds it
+	cum    float64 // weighted distortion reduction of the passes coded so far
+	at     int     // tests only: stop unconditionally after this many passes
+}
+
 // Encode codes one code-block, reusing the Coder's buffers. See Encode (the
 // package-level function) for the parameter contract and Coder for the
 // lifetime of the result.
 func (co *Coder) Encode(data []int32, w, h, stride int, band dwt.BandType) *EncodedBlock {
+	return co.encode(data, w, h, stride, band, stopRule{})
+}
+
+// EncodeStop is Encode with permission to stop early: coding ends after the
+// first pass at which some vertex of the block's R-D hull with incoming slope
+// below lambda is certified to survive every possible continuation
+// (rate.Hull.Certify), and the result records that vertex as its Witness.
+// weight is the band's R-D weight — the factor the caller applies to
+// DistDelta before rate allocation — so the slopes compared against lambda
+// are the allocator's own. lambda 0 never stops and is exactly Encode; so is
+// any lambda under Bypass without TermAll, where truncation points are
+// restricted to segment ends and the rule does not apply.
+func (co *Coder) EncodeStop(data []int32, w, h, stride int, band dwt.BandType, weight, lambda float64) *EncodedBlock {
+	if co.Modes.Bypass && !co.Modes.TermAll {
+		lambda = 0
+	}
+	return co.encode(data, w, h, stride, band, stopRule{lambda: lambda, weight: weight})
+}
+
+func (co *Coder) encode(data []int32, w, h, stride int, band dwt.BandType, stop stopRule) *EncodedBlock {
 	c := &co.c
 	m := co.Modes
 	c.causal = m.Causal
@@ -310,8 +350,21 @@ func (co *Coder) Encode(data []int32, w, h, stride int, band dwt.BandType) *Enco
 	co.seg = co.seg[:0]
 	total := TotalPasses(nbp)
 	eb.Passes = co.takePasses(total)
+	if stop.lambda > 0 {
+		// The pass distortions telescope: their sum over a fully coded block
+		// is the block's energy, and no prefix of it is larger.
+		var energy float64
+		for _, v := range c.mag {
+			energy += float64(v) * float64(v)
+		}
+		stop.bound = energy * stop.weight
+		co.hull.Reset()
+	}
+	co.stop = stop
 
 	pass := 0
+	stopped := false
+planes:
 	for p := nbp - 1; p >= 0; p-- {
 		plane := uint(p)
 		if p != nbp-1 {
@@ -321,25 +374,36 @@ func (co *Coder) Encode(data []int32, w, h, stride int, band dwt.BandType) *Enco
 			} else {
 				d = c.encSigProp(enc, plane)
 			}
-			co.endPass(eb, pass, total, d)
+			if stopped = co.endPass(eb, pass, total, d); stopped {
+				break planes
+			}
 			pass++
 			if m.PassBypassed(pass) {
 				d = c.encRefineRaw(raw, plane)
 			} else {
 				d = c.encRefine(enc, plane)
 			}
-			co.endPass(eb, pass, total, d)
+			if stopped = co.endPass(eb, pass, total, d); stopped {
+				break planes
+			}
 			pass++
 		}
 		d := c.encCleanup(enc, plane)
 		if m.SegSym {
 			c.encSegSym(enc)
 		}
-		co.endPass(eb, pass, total, d)
+		if stopped = co.endPass(eb, pass, total, d); stopped {
+			break planes
+		}
 		pass++
 		if p != 0 {
 			c.clearVisited() // reset re-zeroes flags, so the last plane skips it
 		}
+	}
+	if stopped {
+		// Stopped inside an open MQ segment: keep the bytes no further coding
+		// could change (empty when the last pass was terminated).
+		co.seg = append(co.seg, enc.Stable()...)
 	}
 	eb.Data = co.takeData(len(co.seg))
 	copy(eb.Data, co.seg)
@@ -348,7 +412,9 @@ func (co *Coder) Encode(data []int32, w, h, stride int, band dwt.BandType) *Enco
 	// pass; lower it backward rather than disturb exact segment boundaries —
 	// the smaller value is already enough bytes to decode the earlier pass.
 	// Default modes have non-decreasing margined rates, so this reduces to
-	// the plain cap at the data length.
+	// the plain cap at the data length. (In a stopped block the capped rates
+	// are exactly those above the stable byte count — the ones a full encode
+	// might still have lowered; every rate below it is final.)
 	if n := len(eb.Passes); n > 0 {
 		eb.Passes[n-1].Rate = len(eb.Data)
 		for k := n - 2; k >= 0; k-- {
@@ -364,7 +430,8 @@ func (co *Coder) Encode(data []int32, w, h, stride int, band dwt.BandType) *Enco
 // the codeword segment terminates here, margined otherwise) and applies the
 // per-pass mode hooks — segment termination and context reset. Default modes
 // terminate only the final pass, reproducing the single-segment bitstream.
-func (co *Coder) endPass(eb *EncodedBlock, pass, total int, d float64) {
+// It reports whether the stop rule ends the block here.
+func (co *Coder) endPass(eb *EncodedBlock, pass, total int, d float64) bool {
 	m := co.Modes
 	rawPass := m.PassBypassed(pass)
 	var rate int
@@ -387,6 +454,21 @@ func (co *Coder) endPass(eb *EncodedBlock, pass, total int, d float64) {
 	if m.ResetCtx {
 		co.c.resetContexts()
 	}
+	st := &co.stop
+	if pass == total-1 || (st.lambda == 0 && st.at == 0) {
+		return false
+	}
+	if st.lambda > 0 {
+		// The rates of every pass still to come, and the final rates of the
+		// passes whose margin reaches past it, are at least the byte count that
+		// is already fixed: the finished segments plus the MQ coder's stable
+		// bytes.
+		st.cum += float64(d * st.weight)
+		co.hull.Add(pass+1, rate, st.cum)
+		floor := len(co.seg) + len(co.enc.Stable())
+		eb.Witness = co.hull.Certify(st.bound, floor, st.lambda)
+	}
+	return eb.Witness != 0 || st.at == pass+1
 }
 
 // encSigProp runs the significance-propagation pass at the given plane:

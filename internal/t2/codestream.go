@@ -446,7 +446,10 @@ func (r *sreader) readSIZ(p *Params) error {
 		int64(p.Width)*int64(p.Height)*int64(ncomp) > MaxImagePixels {
 		return fmt.Errorf("t2: implausible image size %dx%dx%d", p.Width, p.Height, ncomp)
 	}
-	if p.TileW <= 0 || p.TileH <= 0 || p.TileW > p.Width+64 || p.TileH > p.Height+64 {
+	// A tile larger than the image is legal (one tile, clipped to the image
+	// wherever the size is used) and the encoder writes whatever it was asked
+	// for, so only the axis bound applies.
+	if p.TileW <= 0 || p.TileH <= 0 || p.TileW > maxImageDim || p.TileH > maxImageDim {
 		return fmt.Errorf("t2: implausible tile size %dx%d", p.TileW, p.TileH)
 	}
 	if p.BitDepth < 1 || p.BitDepth > 16 {
