@@ -1,6 +1,9 @@
 package dwt
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -97,18 +100,109 @@ func TestForward97PerfectReconstruction(t *testing.T) {
 }
 
 func TestForward97StrategiesMatch(t *testing.T) {
+	// Naive and blocked 9/7 apply the same operations in the same order per
+	// sample, so every strategy is bit-identical in both directions.
 	im := randomImage(67, 43, 3)
 	ref := FromImage(im)
 	Forward97(ref, 3, testStrategies[0])
+	refInv := &FPlane{Width: ref.Width, Height: ref.Height, Stride: ref.Stride, Data: append([]float64(nil), ref.Data...)}
+	Inverse97(refInv, 3, testStrategies[0])
 	for si, st := range testStrategies[1:] {
 		p := FromImage(im)
 		Forward97(p, 3, st)
 		for i := range p.Data {
-			if math.Abs(p.Data[i]-ref.Data[i]) > 1e-9 {
-				t.Fatalf("strategy %d (%v) differs from naive serial at %d: %g vs %g",
+			if math.Float64bits(p.Data[i]) != math.Float64bits(ref.Data[i]) {
+				t.Fatalf("forward: strategy %d (%v) differs from naive serial at %d: %g vs %g",
 					si+1, st, i, p.Data[i], ref.Data[i])
 			}
 		}
+		Inverse97(p, 3, st)
+		for i := range p.Data {
+			if math.Float64bits(p.Data[i]) != math.Float64bits(refInv.Data[i]) {
+				t.Fatalf("inverse: strategy %d (%v) differs from naive serial at %d: %g vs %g",
+					si+1, st, i, p.Data[i], refInv.Data[i])
+			}
+		}
+	}
+}
+
+// transformDigest pins every transform output bit-exactly: the six entry
+// points over degenerate, odd, rectangular and padded-stride shapes, levels
+// 0-5, every test strategy plus a ragged blocked and a naive parallel one
+// (both on Scratch), and the BandNorm tables of both kernels at levels 0-6.
+const transformDigest = "db8a6e2552fc4ee2daaf8baed9c46124ed503fa2b08acd97bd13af87c97bd3e5"
+
+func TestTransformDigest(t *testing.T) {
+	sum := sha256.New()
+	var buf [8]byte
+	putI32 := func(pix []int32) {
+		for _, v := range pix {
+			binary.LittleEndian.PutUint32(buf[:4], uint32(v))
+			sum.Write(buf[:4])
+		}
+	}
+	putF64 := func(data []float64) {
+		for _, v := range data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			sum.Write(buf[:])
+		}
+	}
+	strategies := append(append([]Strategy(nil), testStrategies...),
+		Strategy{VertMode: VertBlocked, BlockWidth: 3, Workers: 3, Scratch: NewScratch(3)},
+		Strategy{VertMode: VertNaive, Workers: 2, Scratch: NewScratch(2)},
+	)
+	// {width, height, stride}
+	shapes := [][3]int{{1, 1, 1}, {1, 37, 1}, {37, 1, 37}, {2, 2, 2}, {33, 65, 33}, {67, 43, 67}, {128, 96, 128}, {64, 48, 88}}
+	for shi, sh := range shapes {
+		w, h, stride := sh[0], sh[1], sh[2]
+		for levels := 0; levels <= 5; levels++ {
+			for si, st := range strategies {
+				seed := int64(shi*1000 + levels*10 + si)
+				rng := rand.New(rand.NewSource(seed))
+				ints := make([]int32, stride*h)
+				floats := make([]float64, stride*h)
+				for i := range ints {
+					ints[i] = int32(rng.Intn(512)) - 256
+					floats[i] = rng.Float64()*512 - 256
+				}
+				newIm := func() *raster.Image {
+					im := raster.NewPadded(w, h, stride)
+					copy(im.Pix, ints)
+					return im
+				}
+				newFP := func() *FPlane {
+					return &FPlane{Width: w, Height: h, Stride: stride, Data: append([]float64(nil), floats...)}
+				}
+				im := newIm()
+				Forward53(im, levels, st)
+				putI32(im.Pix)
+				im = newIm()
+				Forward53Timed(im, levels, st)
+				putI32(im.Pix)
+				im = newIm()
+				Inverse53(im, levels, st)
+				putI32(im.Pix)
+				fp := newFP()
+				Forward97(fp, levels, st)
+				putF64(fp.Data)
+				fp = newFP()
+				Forward97Timed(fp, levels, st)
+				putF64(fp.Data)
+				fp = newFP()
+				Inverse97(fp, levels, st)
+				putF64(fp.Data)
+			}
+		}
+	}
+	for _, k := range []Kernel{Rev53, Irr97} {
+		for levels := 0; levels <= 6; levels++ {
+			for _, b := range Subbands(1<<levels, 1<<levels, levels) {
+				putF64([]float64{BandNorm(k, levels, b)})
+			}
+		}
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != transformDigest {
+		t.Fatalf("transform digest %s, pinned %s", got, transformDigest)
 	}
 }
 
