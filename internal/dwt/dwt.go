@@ -2,6 +2,7 @@ package dwt
 
 import (
 	"fmt"
+	"time"
 
 	"pj2k/internal/core"
 	"pj2k/internal/raster"
@@ -39,9 +40,9 @@ type Strategy struct {
 	BlockWidth int // columns per block for VertBlocked; <=0 selects 32
 	Workers    int // <=0 selects GOMAXPROCS
 	// Scratch supplies reusable per-worker filtering buffers, eliminating
-	// the per-level allocations of the hot loops. Nil keeps the original
-	// allocate-per-call behavior. Must be sized (NewScratch) for at least
-	// this strategy's worker count.
+	// the per-level allocations of the hot loops; it grows to this
+	// strategy's worker count on first use. Nil keeps the original
+	// allocate-per-call behavior.
 	Scratch *Scratch
 	// Pool supplies resident workers for the level barriers, so each level's
 	// horizontal/vertical dispatch costs channel operations instead of
@@ -90,75 +91,121 @@ func levelDims(w, h, n int) (int, int) {
 // Forward53 applies `levels` levels of the reversible 5/3 transform in place.
 // Subbands land in the Mallat layout described by Subbands.
 func Forward53(im *raster.Image, levels int, st Strategy) {
-	for l := 0; l < levels; l++ {
-		cw, ch := levelDims(im.Width, im.Height, l)
-		horizontalLevel53(im, cw, ch, st, true)
-		verticalLevel53(im, cw, ch, st, true)
-	}
+	run(imagePlane(im), levels, st, &rev53, true, nil)
 }
 
 // Inverse53 inverts Forward53.
 func Inverse53(im *raster.Image, levels int, st Strategy) {
-	for l := levels - 1; l >= 0; l-- {
-		cw, ch := levelDims(im.Width, im.Height, l)
-		verticalLevel53(im, cw, ch, st, false)
-		horizontalLevel53(im, cw, ch, st, false)
+	run(imagePlane(im), levels, st, &rev53, false, nil)
+}
+
+// sample is the element type of a transformed plane: int32 for the
+// reversible path, float64 for the irreversible one.
+type sample interface{ int32 | float64 }
+
+// plane is a strided view of a sample plane; the transform touches only its
+// width x height window, so a stride wider than the width (the paper's width
+// padding) changes where rows start, not what is computed.
+type plane[T sample] struct {
+	pix                   []T
+	width, height, stride int
+}
+
+func imagePlane(im *raster.Image) plane[int32] {
+	return plane[int32]{im.Pix, im.Width, im.Height, im.Stride}
+}
+
+// filter is one wavelet's lifting kernels, the only code that differs per
+// filter: the 1-D lifts over an interleaved contiguous signal (rows, and the
+// naive filter's gathered columns) and the column-block lifts over rows
+// [0,ch) of columns [x0,x1) in place (the blocked vertical filter).
+type filter[T sample] struct {
+	fwd, inv         func(buf []T)
+	fwdCols, invCols func(pix []T, stride, x0, x1, ch int)
+}
+
+// run is the one level driver behind every transform: forward levels run
+// shallowest first, rows then columns; inverse levels undo them deepest first,
+// columns then rows. With tm set it adds each direction's time to tm.
+func run[T sample](p plane[T], levels int, st Strategy, f *filter[T], fwd bool, tm *Timings) {
+	st.Scratch.grow(core.Workers(st.Workers))
+	passes := [2]bool{false, true} // vertical?
+	if !fwd {
+		passes = [2]bool{true, false}
+	}
+	for i := 0; i < levels; i++ {
+		l := i
+		if !fwd {
+			l = levels - 1 - i
+		}
+		cw, ch := levelDims(p.width, p.height, l)
+		for _, vert := range passes {
+			var t0 time.Time
+			if tm != nil {
+				t0 = time.Now()
+			}
+			if vert {
+				vertical(p, cw, ch, st, f, fwd)
+			} else {
+				horizontal(p, cw, ch, st, f, fwd)
+			}
+			if tm != nil {
+				d := &tm.Horizontal
+				if vert {
+					d = &tm.Vertical
+				}
+				*d += time.Since(t0)
+			}
+		}
 	}
 }
 
-// horizontalLevel53 filters the rows of the cw x ch LL region.
-func horizontalLevel53(im *raster.Image, cw, ch int, st Strategy, fwd bool) {
+// horizontal filters the rows of the cw x ch LL region.
+func horizontal[T sample](p plane[T], cw, ch int, st Strategy, f *filter[T], fwd bool) {
 	if cw < 2 {
 		return
 	}
 	st.forID(ch, func(worker, lo, hi int) {
-		tmp := st.Scratch.i32(worker, 0, cw)
+		tmp := buffer[T](st.Scratch, worker, cw)
 		for y := lo; y < hi; y++ {
-			row := im.Pix[y*im.Stride : y*im.Stride+cw]
+			row := p.pix[y*p.stride : y*p.stride+cw]
 			if fwd {
-				lift53Fwd(row)
-				deinterleave53(row, tmp)
+				f.fwd(row)
+				deinterleave(row, tmp, 1)
 				copy(row, tmp)
 			} else {
-				interleave53(row, tmp)
+				interleave(row, 1, tmp)
 				copy(row, tmp)
-				lift53Inv(row)
+				f.inv(row)
 			}
 		}
 	})
 }
 
-// verticalLevel53 filters the columns of the cw x ch LL region using the
+// vertical filters the columns of the cw x ch LL region using the
 // strategy's vertical mode.
-func verticalLevel53(im *raster.Image, cw, ch int, st Strategy, fwd bool) {
+func vertical[T sample](p plane[T], cw, ch int, st Strategy, f *filter[T], fwd bool) {
 	if ch < 2 {
 		return
 	}
 	switch st.VertMode {
 	case VertNaive:
 		st.forID(cw, func(worker, lo, hi int) {
-			col := st.Scratch.i32(worker, 0, ch)
+			col := buffer[T](st.Scratch, worker, ch)
 			for x := lo; x < hi; x++ {
-				// Gather the column with strided reads (the original
-				// implementations' access pattern).
-				for y := 0; y < ch; y++ {
-					col[y] = im.Pix[y*im.Stride+x]
-				}
+				// One column at a time with strided reads and writes (the
+				// original implementations' access pattern).
 				if fwd {
-					lift53Fwd(col)
-					sn := (ch + 1) / 2
-					for i := 0; i < sn; i++ {
-						im.Pix[i*im.Stride+x] = col[2*i]
+					for y := range col {
+						col[y] = p.pix[y*p.stride+x]
 					}
-					for i := 0; i < ch/2; i++ {
-						im.Pix[(sn+i)*im.Stride+x] = col[2*i+1]
-					}
+					f.fwd(col)
+					deinterleave(col, p.pix[x:], p.stride)
 				} else {
-					buf := st.Scratch.i32(worker, 1, ch)
-					interleave53(col, buf)
-					lift53Inv(buf)
-					for y := 0; y < ch; y++ {
-						im.Pix[y*im.Stride+x] = buf[y]
+					interleave(p.pix[x:], p.stride, col)
+					f.inv(col)
+					for y, v := range col {
+						p.pix[y*p.stride+x] = v
 					}
 				}
 			}
@@ -167,20 +214,17 @@ func verticalLevel53(im *raster.Image, cw, ch int, st Strategy, fwd bool) {
 		// Block bi covers columns [bi*width, min((bi+1)*width, cw)): computed
 		// arithmetically instead of materializing a range slice per level.
 		width := st.blockWidth()
-		nblocks := (cw + width - 1) / width
-		bw := width
-		if bw > cw {
-			bw = cw
-		}
-		st.forID(nblocks, func(worker, lo, hi int) {
-			tmp := st.Scratch.i32(worker, 0, bw*ch)
+		st.forID((cw+width-1)/width, func(worker, lo, hi int) {
+			tmp := buffer[T](st.Scratch, worker, min(width, cw)*ch)
 			for bi := lo; bi < hi; bi++ {
 				x0 := bi * width
 				x1 := min(x0+width, cw)
 				if fwd {
-					vertBlockFwd53(im, x0, x1, ch, tmp)
+					f.fwdCols(p.pix, p.stride, x0, x1, ch)
+					deinterleaveRows(p, x0, x1, ch, tmp)
 				} else {
-					vertBlockInv53(im, x0, x1, ch, tmp)
+					interleaveRows(p, x0, x1, ch, tmp)
+					f.invCols(p.pix, p.stride, x0, x1, ch)
 				}
 			}
 		})
@@ -189,85 +233,55 @@ func verticalLevel53(im *raster.Image, cw, ch int, st Strategy, fwd bool) {
 	}
 }
 
-// vertBlockFwd53 lifts the columns [x0,x1) over rows [0,ch) in place,
-// sweeping row-wise so adjacent columns share cache lines, then deinterleaves
-// the rows through tmp.
-func vertBlockFwd53(im *raster.Image, x0, x1, ch int, tmp []int32) {
-	pix, stride := im.Pix, im.Stride
-	sn := (ch + 1) / 2
-	dn := ch / 2
-	// Predict: odd row 2i+1 -= (row 2i + row 2*min(i+1,sn-1)) >> 1.
-	for i := 0; i < dn; i++ {
-		rd := (2*i + 1) * stride
-		rs0 := 2 * i * stride
-		rs1 := 2 * clamp(i+1, sn) * stride
-		for x := x0; x < x1; x++ {
-			pix[rd+x] -= (pix[rs0+x] + pix[rs1+x]) >> 1
-		}
-	}
-	// Update: even row 2i += (odd clamp(i-1) + odd clamp(i) + 2) >> 2.
-	for i := 0; i < sn; i++ {
-		rs := 2 * i * stride
-		rd0 := (2*clamp(i-1, dn) + 1) * stride
-		rd1 := (2*clamp(i, dn) + 1) * stride
-		for x := x0; x < x1; x++ {
-			pix[rs+x] += (pix[rd0+x] + pix[rd1+x] + 2) >> 2
-		}
-	}
-	deinterleaveRows53(im, x0, x1, ch, tmp)
-}
-
-// vertBlockInv53 inverts vertBlockFwd53.
-func vertBlockInv53(im *raster.Image, x0, x1, ch int, tmp []int32) {
-	interleaveRows53(im, x0, x1, ch, tmp)
-	pix, stride := im.Pix, im.Stride
-	sn := (ch + 1) / 2
-	dn := ch / 2
-	for i := 0; i < sn; i++ {
-		rs := 2 * i * stride
-		rd0 := (2*clamp(i-1, dn) + 1) * stride
-		rd1 := (2*clamp(i, dn) + 1) * stride
-		for x := x0; x < x1; x++ {
-			pix[rs+x] -= (pix[rd0+x] + pix[rd1+x] + 2) >> 2
-		}
-	}
-	for i := 0; i < dn; i++ {
-		rd := (2*i + 1) * stride
-		rs0 := 2 * i * stride
-		rs1 := 2 * clamp(i+1, sn) * stride
-		for x := x0; x < x1; x++ {
-			pix[rd+x] += (pix[rs0+x] + pix[rs1+x]) >> 1
+// deinterleave moves the interleaved signal src into dst[0], dst[stride],
+// ...: its even (lowpass) samples first, then its odd (highpass) ones.
+func deinterleave[T sample](src, dst []T, stride int) {
+	j := 0
+	for i0 := 0; i0 < 2; i0++ {
+		for i := i0; i < len(src); i += 2 {
+			dst[j] = src[i]
+			j += stride
 		}
 	}
 }
 
-// deinterleaveRows53 moves even rows to the top half and odd rows to the
+// interleave is the inverse of deinterleave: it fills dst from src[0],
+// src[stride], ....
+func interleave[T sample](src []T, stride int, dst []T) {
+	j := 0
+	for i0 := 0; i0 < 2; i0++ {
+		for i := i0; i < len(dst); i += 2 {
+			dst[i] = src[j]
+			j += stride
+		}
+	}
+}
+
+// deinterleaveRows moves even rows to the top half and odd rows to the
 // bottom half for columns [x0,x1), via tmp (size >= (x1-x0)*ch).
-func deinterleaveRows53(im *raster.Image, x0, x1, ch int, tmp []int32) {
-	w := x1 - x0
-	sn := (ch + 1) / 2
-	for i := 0; i < sn; i++ {
-		copy(tmp[i*w:(i+1)*w], im.Pix[2*i*im.Stride+x0:2*i*im.Stride+x1])
-	}
-	for i := 0; i < ch/2; i++ {
-		copy(tmp[(sn+i)*w:(sn+i+1)*w], im.Pix[(2*i+1)*im.Stride+x0:(2*i+1)*im.Stride+x1])
+func deinterleaveRows[T sample](p plane[T], x0, x1, ch int, tmp []T) {
+	w, t := x1-x0, 0
+	for y0 := 0; y0 < 2; y0++ {
+		for y := y0; y < ch; y += 2 {
+			copy(tmp[t:t+w], p.pix[y*p.stride+x0:])
+			t += w
+		}
 	}
 	for y := 0; y < ch; y++ {
-		copy(im.Pix[y*im.Stride+x0:y*im.Stride+x1], tmp[y*w:(y+1)*w])
+		copy(p.pix[y*p.stride+x0:y*p.stride+x1], tmp[y*w:])
 	}
 }
 
-// interleaveRows53 is the inverse of deinterleaveRows53.
-func interleaveRows53(im *raster.Image, x0, x1, ch int, tmp []int32) {
-	w := x1 - x0
-	sn := (ch + 1) / 2
+// interleaveRows is the inverse of deinterleaveRows.
+func interleaveRows[T sample](p plane[T], x0, x1, ch int, tmp []T) {
+	w, t := x1-x0, 0
 	for y := 0; y < ch; y++ {
-		copy(tmp[y*w:(y+1)*w], im.Pix[y*im.Stride+x0:y*im.Stride+x1])
+		copy(tmp[y*w:(y+1)*w], p.pix[y*p.stride+x0:])
 	}
-	for i := 0; i < sn; i++ {
-		copy(im.Pix[2*i*im.Stride+x0:2*i*im.Stride+x1], tmp[i*w:(i+1)*w])
-	}
-	for i := 0; i < ch/2; i++ {
-		copy(im.Pix[(2*i+1)*im.Stride+x0:(2*i+1)*im.Stride+x1], tmp[(sn+i)*w:(sn+i+1)*w])
+	for y0 := 0; y0 < 2; y0++ {
+		for y := y0; y < ch; y += 2 {
+			copy(p.pix[y*p.stride+x0:y*p.stride+x1], tmp[t:])
+			t += w
+		}
 	}
 }

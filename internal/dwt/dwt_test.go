@@ -126,6 +126,31 @@ func TestForward97StrategiesMatch(t *testing.T) {
 	}
 }
 
+func TestScratchGrowsKeepingWarmSlots(t *testing.T) {
+	// A Scratch warmed at one worker count serves a wider strategy: the
+	// slots grow to its worker count and the warm buffers stay.
+	s := NewScratch(1)
+	src := randomImage(64, 48, 5)
+	ref := src.Clone()
+	Forward53(ref, 3, Serial)
+	im := src.Clone()
+	Forward53(im, 3, Strategy{VertMode: VertBlocked, Workers: 1, Scratch: s})
+	warm := &s.ws[0].i32[:1][0]
+	for _, st := range []Strategy{{VertMode: VertBlocked, Workers: 4, Scratch: s}, {VertMode: VertNaive, Workers: 2, Scratch: s}} {
+		im = src.Clone()
+		Forward53(im, 3, st)
+		if !raster.Equal(im, ref) {
+			t.Fatalf("%+v: output differs from naive serial", st)
+		}
+	}
+	if len(s.ws) != 4 {
+		t.Fatalf("scratch has %d slots after a 4-worker transform, want 4", len(s.ws))
+	}
+	if &s.ws[0].i32[:1][0] != warm {
+		t.Fatal("growing the slots dropped worker 0's warm buffer")
+	}
+}
+
 // transformDigest pins every transform output bit-exactly: the six entry
 // points over degenerate, odd, rectangular and padded-stride shapes, levels
 // 0-5, every test strategy plus a ragged blocked and a naive parallel one

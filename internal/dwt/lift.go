@@ -1,9 +1,14 @@
 // Package dwt implements the JPEG2000 wavelet transforms: the reversible 5/3
 // integer lifting (lossless path) and the irreversible 9/7 float lifting
-// (lossy path), over multiple decomposition levels, with the three vertical
+// (lossy path), over multiple decomposition levels, with the two vertical
 // filtering strategies the paper studies: the original column-at-a-time
-// filter, width padding, and the improved blocked filter that processes
-// several adjacent columns concurrently inside one processor.
+// filter and the improved blocked filter that processes several adjacent
+// columns concurrently inside one processor. Width padding, the paper's
+// other cache fix, is a plane stride wider than the image, not a mode.
+//
+// One generic level driver (run) serves both sample types, both directions,
+// both vertical strategies and the timed entry points; the lifting kernels
+// in this file are the only code written per filter.
 package dwt
 
 // 9/7 lifting constants (ISO/IEC 15444-1, Table F.4 conventions).
@@ -15,9 +20,14 @@ const (
 	k97     = 1.230174104914001
 )
 
-// sExt clamps a lowpass index for symmetric extension: for the 5/3 and 9/7
-// lifting steps, mirroring the signal at even boundaries is equivalent to
-// clamping neighbour indices into the valid range.
+var (
+	rev53 = filter[int32]{lift53Fwd, lift53Inv, cols53Fwd, cols53Inv}
+	irr97 = filter[float64]{lift97Fwd, lift97Inv, cols97Fwd, cols97Inv}
+)
+
+// clamp clamps a neighbour index into [0, n) for symmetric extension: for
+// the 5/3 and 9/7 lifting steps, mirroring the signal at even boundaries is
+// equivalent to clamping neighbour indices into the valid range.
 func clamp(i, n int) int {
 	if i < 0 {
 		return 0
@@ -66,6 +76,53 @@ func lift53Inv(buf []int32) {
 	for i := 0; i < dn; i++ {
 		s1 := buf[2*clamp(i+1, sn)]
 		buf[2*i+1] += (buf[2*i] + s1) >> 1
+	}
+}
+
+// cols53Fwd applies lift53Fwd to the columns [x0,x1) over rows [0,ch) in
+// place, sweeping row-wise so adjacent columns share cache lines. ch >= 2.
+func cols53Fwd(pix []int32, stride, x0, x1, ch int) {
+	sn := (ch + 1) / 2
+	dn := ch / 2
+	// Predict: odd row 2i+1 -= (row 2i + row 2*min(i+1,sn-1)) >> 1.
+	for i := 0; i < dn; i++ {
+		rd := (2*i + 1) * stride
+		rs0 := 2 * i * stride
+		rs1 := 2 * clamp(i+1, sn) * stride
+		for x := x0; x < x1; x++ {
+			pix[rd+x] -= (pix[rs0+x] + pix[rs1+x]) >> 1
+		}
+	}
+	// Update: even row 2i += (odd clamp(i-1) + odd clamp(i) + 2) >> 2.
+	for i := 0; i < sn; i++ {
+		rs := 2 * i * stride
+		rd0 := (2*clamp(i-1, dn) + 1) * stride
+		rd1 := (2*clamp(i, dn) + 1) * stride
+		for x := x0; x < x1; x++ {
+			pix[rs+x] += (pix[rd0+x] + pix[rd1+x] + 2) >> 2
+		}
+	}
+}
+
+// cols53Inv inverts cols53Fwd.
+func cols53Inv(pix []int32, stride, x0, x1, ch int) {
+	sn := (ch + 1) / 2
+	dn := ch / 2
+	for i := 0; i < sn; i++ {
+		rs := 2 * i * stride
+		rd0 := (2*clamp(i-1, dn) + 1) * stride
+		rd1 := (2*clamp(i, dn) + 1) * stride
+		for x := x0; x < x1; x++ {
+			pix[rs+x] -= (pix[rd0+x] + pix[rd1+x] + 2) >> 2
+		}
+	}
+	for i := 0; i < dn; i++ {
+		rd := (2*i + 1) * stride
+		rs0 := 2 * i * stride
+		rs1 := 2 * clamp(i+1, sn) * stride
+		for x := x0; x < x1; x++ {
+			pix[rd+x] += (pix[rs0+x] + pix[rs1+x]) >> 1
+		}
 	}
 }
 
@@ -126,48 +183,63 @@ func lift97Inv(buf []float64) {
 	}
 }
 
-// deinterleave53 scatters an interleaved lifted buffer into low|high halves.
-func deinterleave53(src, dst []int32) {
-	n := len(src)
-	sn := (n + 1) / 2
-	for i := 0; i < sn; i++ {
-		dst[i] = src[2*i]
+// cols97Fwd applies lift97Fwd to the columns [x0,x1) over rows [0,ch) in
+// place, row-wise like cols53Fwd. ch >= 2.
+func cols97Fwd(pix []float64, stride, x0, x1, ch int) {
+	step97(pix, stride, x0, x1, ch, alpha97, true)
+	step97(pix, stride, x0, x1, ch, beta97, false)
+	step97(pix, stride, x0, x1, ch, gamma97, true)
+	step97(pix, stride, x0, x1, ch, delta97, false)
+	scale97(pix, stride, x0, x1, ch, 1/k97, k97)
+}
+
+// cols97Inv inverts cols97Fwd. Adding -c·s is bit-identical to lift97Inv's
+// subtracting c·s: negation is exact.
+func cols97Inv(pix []float64, stride, x0, x1, ch int) {
+	scale97(pix, stride, x0, x1, ch, k97, 1/k97)
+	step97(pix, stride, x0, x1, ch, -delta97, false)
+	step97(pix, stride, x0, x1, ch, -gamma97, true)
+	step97(pix, stride, x0, x1, ch, -beta97, false)
+	step97(pix, stride, x0, x1, ch, -alpha97, true)
+}
+
+// step97 applies one 9/7 lifting step to a column block: every odd row (odd)
+// or every even row gains c times the sum of its two neighbours.
+func step97(pix []float64, stride, x0, x1, ch int, c float64, odd bool) {
+	sn := (ch + 1) / 2
+	dn := ch / 2
+	if odd {
+		for i := 0; i < dn; i++ {
+			rd := (2*i + 1) * stride
+			rs0 := 2 * i * stride
+			rs1 := 2 * clamp(i+1, sn) * stride
+			for x := x0; x < x1; x++ {
+				pix[rd+x] += c * (pix[rs0+x] + pix[rs1+x])
+			}
+		}
+		return
 	}
-	for i := 0; i < n/2; i++ {
-		dst[sn+i] = src[2*i+1]
+	for i := 0; i < sn; i++ {
+		rs := 2 * i * stride
+		rd0 := (2*clamp(i-1, dn) + 1) * stride
+		rd1 := (2*clamp(i, dn) + 1) * stride
+		for x := x0; x < x1; x++ {
+			pix[rs+x] += c * (pix[rd0+x] + pix[rd1+x])
+		}
 	}
 }
 
-// interleave53 is the inverse of deinterleave53.
-func interleave53(src, dst []int32) {
-	n := len(src)
-	sn := (n + 1) / 2
-	for i := 0; i < sn; i++ {
-		dst[2*i] = src[i]
-	}
-	for i := 0; i < n/2; i++ {
-		dst[2*i+1] = src[sn+i]
-	}
-}
-
-func deinterleave97(src, dst []float64) {
-	n := len(src)
-	sn := (n + 1) / 2
-	for i := 0; i < sn; i++ {
-		dst[i] = src[2*i]
-	}
-	for i := 0; i < n/2; i++ {
-		dst[sn+i] = src[2*i+1]
-	}
-}
-
-func interleave97(src, dst []float64) {
-	n := len(src)
-	sn := (n + 1) / 2
-	for i := 0; i < sn; i++ {
-		dst[2*i] = src[i]
-	}
-	for i := 0; i < n/2; i++ {
-		dst[2*i+1] = src[sn+i]
+// scale97 multiplies a column block's even rows by even and its odd rows by
+// odd.
+func scale97(pix []float64, stride, x0, x1, ch int, even, odd float64) {
+	for y := 0; y < ch; y++ {
+		k := even
+		if y%2 == 1 {
+			k = odd
+		}
+		row := pix[y*stride+x0 : y*stride+x1]
+		for x := range row {
+			row[x] *= k
+		}
 	}
 }

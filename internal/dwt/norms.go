@@ -58,12 +58,16 @@ func bandNorms(k Kernel, levels int) []float64 {
 	n := 8 << uint(levels)
 	bands := Subbands(n, n, levels)
 	norms := make([]float64, len(bands))
+	f := &irr97
+	if k == Rev53 {
+		f = &lin53
+	}
 	for i, b := range bands {
 		p := NewFPlane(n, n)
 		cx := (b.X0 + b.X1) / 2
 		cy := (b.Y0 + b.Y1) / 2
 		p.Data[cy*p.Stride+cx] = 1
-		inverseFloat(p, levels, k)
+		run(p.plane(), levels, Serial, f, false, nil)
 		var sum2 float64
 		for _, v := range p.Data {
 			sum2 += v * v
@@ -74,45 +78,13 @@ func bandNorms(k Kernel, levels int) []float64 {
 	return norms
 }
 
-// inverseFloat runs the float inverse transform with the selected kernel;
-// for Rev53 it uses the exact (unrounded) 5/3 synthesis, which is what the
-// norm of the underlying linear operator requires.
-func inverseFloat(p *FPlane, levels int, k Kernel) {
-	if k == Irr97 {
-		Inverse97(p, levels, Strategy{VertMode: VertNaive, Workers: 1})
-		return
-	}
-	for l := levels - 1; l >= 0; l-- {
-		cw, ch := levelDims(p.Width, p.Height, l)
-		// Vertical then horizontal, mirroring Inverse53.
-		if ch >= 2 {
-			col := make([]float64, ch)
-			buf := make([]float64, ch)
-			for x := 0; x < cw; x++ {
-				for y := 0; y < ch; y++ {
-					col[y] = p.Data[y*p.Stride+x]
-				}
-				interleave97(col, buf)
-				lift53InvFloat(buf)
-				for y := 0; y < ch; y++ {
-					p.Data[y*p.Stride+x] = buf[y]
-				}
-			}
-		}
-		if cw >= 2 {
-			tmp := make([]float64, cw)
-			for y := 0; y < ch; y++ {
-				row := p.Data[y*p.Stride : y*p.Stride+cw]
-				interleave97(row, tmp)
-				copy(row, tmp)
-				lift53InvFloat(row)
-			}
-		}
-	}
-}
+// lin53 is the 5/3 synthesis without its floor rounding: the linear
+// operator whose norms BandNorm measures. Only the naive inverse runs it.
+var lin53 = filter[float64]{inv: lift53InvLinear}
 
-// lift53InvFloat is the linearized 5/3 synthesis (no floor rounding).
-func lift53InvFloat(buf []float64) {
+// lift53InvLinear is lift53Inv with the rounding offsets and shifts replaced
+// by exact division.
+func lift53InvLinear(buf []float64) {
 	n := len(buf)
 	if n < 2 {
 		return

@@ -20,29 +20,13 @@ func (t Timings) Total() time.Duration { return t.Horizontal + t.Vertical }
 // Forward53Timed is Forward53 with per-direction timing.
 func Forward53Timed(im *raster.Image, levels int, st Strategy) Timings {
 	var tm Timings
-	for l := 0; l < levels; l++ {
-		cw, ch := levelDims(im.Width, im.Height, l)
-		t0 := time.Now()
-		horizontalLevel53(im, cw, ch, st, true)
-		t1 := time.Now()
-		verticalLevel53(im, cw, ch, st, true)
-		tm.Horizontal += t1.Sub(t0)
-		tm.Vertical += time.Since(t1)
-	}
+	run(imagePlane(im), levels, st, &rev53, true, &tm)
 	return tm
 }
 
 // Forward97Timed is Forward97 with per-direction timing.
 func Forward97Timed(p *FPlane, levels int, st Strategy) Timings {
 	var tm Timings
-	for l := 0; l < levels; l++ {
-		cw, ch := levelDims(p.Width, p.Height, l)
-		t0 := time.Now()
-		horizontalLevel97(p, cw, ch, st, true)
-		t1 := time.Now()
-		verticalLevel97(p, cw, ch, st, true)
-		tm.Horizontal += t1.Sub(t0)
-		tm.Vertical += time.Since(t1)
-	}
+	run(p.plane(), levels, st, &irr97, true, &tm)
 	return tm
 }

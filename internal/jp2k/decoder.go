@@ -70,19 +70,18 @@ func (r Rect) Intersect(o Rect) Rect {
 // bit-identical to a throwaway Decoder's for any worker count, and a region
 // decode is bit-identical to cropping a full one).
 type Decoder struct {
-	workers      []*decWorker // one padded block per worker (worker.go)
-	scratchInner int          // inner worker count every DWT scratch is sized for
-	tiles        []*tileDec
-	jobs         []decJob
-	tileErrs     []error
-	blockErrs    []error
-	tileIOFail   []bool            // per selected tile: body unreadable (resilient decodes)
-	tileDmg      []t2.DecodeDamage // per selected tile (resilient decodes)
-	blockStats   []t1.SegStats     // per tier-1 job (resilient decodes)
-	damage       *DamageReport     // of the last resilient decode
-	colW, rowH   []int
-	sel          []int
-	mctFloats    [][]float64 // pooled float planes for the inverse ICT
+	workers    []*decWorker // one padded block per worker (worker.go)
+	tiles      []*tileDec
+	jobs       []decJob
+	tileErrs   []error
+	blockErrs  []error
+	tileIOFail []bool            // per selected tile: body unreadable (resilient decodes)
+	tileDmg    []t2.DecodeDamage // per selected tile (resilient decodes)
+	blockStats []t1.SegStats     // per tier-1 job (resilient decodes)
+	damage     *DamageReport     // of the last resilient decode
+	colW, rowH []int
+	sel        []int
+	mctFloats  [][]float64 // pooled float planes for the inverse ICT
 
 	// Dispatch funcs bound once at construction, so the hot TasksIDMax call
 	// sites pass a stored func instead of allocating a fresh closure per
@@ -218,9 +217,8 @@ func ctxErr(ctx context.Context) error {
 }
 
 // ensureWorkers makes the first n per-worker blocks exist, mirroring
-// Encoder.ensureWorkers/ensureScratch: the first outer of them carry DWT
-// scratch for inner within-unit workers.
-func (d *Decoder) ensureWorkers(n, outer, inner int) {
+// Encoder.ensureWorkers.
+func (d *Decoder) ensureWorkers(n int) {
 	for len(d.workers) < n {
 		w := new(decWorker)
 		// Under Bypass+TERMALL a block's raw significance and refinement
@@ -228,17 +226,6 @@ func (d *Decoder) ensureWorkers(n, outer, inner int) {
 		// run inline when the workers are saturated by the per-block fan-out).
 		w.bd.Pool = d.pool
 		d.workers = append(d.workers, w)
-	}
-	if inner > d.scratchInner {
-		for _, w := range d.workers {
-			w.scratch = nil
-		}
-		d.scratchInner = inner
-	}
-	for _, w := range d.workers[:outer] {
-		if w.scratch == nil {
-			w.scratch = dwt.NewScratch(d.scratchInner)
-		}
 	}
 }
 
@@ -401,7 +388,7 @@ func (d *Decoder) asmTask(worker, u int) {
 	}
 	st := dwt.Strategy{
 		VertMode: opts.VertMode, BlockWidth: opts.VertBlockWidth,
-		Workers: d.cur.innerW, Scratch: d.workers[worker].scratch, Pool: d.pool,
+		Workers: d.cur.innerW, Scratch: &d.workers[worker].scratch, Pool: d.pool,
 	}
 	// The tile window to copy out, in tile-local reduced coordinates.
 	lx0, ly0 := max(win.X0-te.ox, 0), max(win.Y0-te.oy, 0)
@@ -652,7 +639,7 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 	}
 	d.jobs = jobs
 	njobs := len(jobs)
-	d.ensureWorkers(min(workers, max(njobs, nunits, 1)), outerA, innerW)
+	d.ensureWorkers(min(workers, max(njobs, nunits, 1)))
 	for _, w := range d.workers {
 		w.bd.Release()
 	}

@@ -34,8 +34,7 @@ import (
 // between calls (output is bit-identical to the one-shot Encode function for
 // any worker count).
 type Encoder struct {
-	workers      []*encWorker // one padded block per worker (worker.go)
-	scratchInner int          // inner worker count every DWT scratch is sized for
+	workers []*encWorker // one padded block per worker (worker.go)
 
 	units        []*tileEnc      // per (component, tile): unit u = ci*ntiles + ti
 	tcoders      []*t2.TileCoder // per tile: multi-component packet assembly
@@ -169,24 +168,6 @@ func (e *Encoder) ensureWorkers(n int) {
 	}
 }
 
-// ensureScratch gives the first outer workers DWT scratch for inner
-// within-unit workers. Scratch sized for more inner workers than a call uses
-// stays valid (unused slots are empty headers), so it is only rebuilt when the
-// inner count grows.
-func (e *Encoder) ensureScratch(outer, inner int) {
-	if inner > e.scratchInner {
-		for _, w := range e.workers {
-			w.scratch = nil
-		}
-		e.scratchInner = inner
-	}
-	for _, w := range e.workers[:outer] {
-		if w.scratch == nil {
-			w.scratch = dwt.NewScratch(e.scratchInner)
-		}
-	}
-}
-
 // Encode compresses a single-component image into a JPEG2000 codestream.
 // The returned codestream is freshly allocated and caller-owned; EncodeStats
 // is valid until the next call.
@@ -226,7 +207,7 @@ func (e *Encoder) unitTask(worker, u int) {
 	tt := &w.timing
 	st := dwt.Strategy{
 		VertMode: o.VertMode, BlockWidth: o.VertBlockWidth,
-		Workers: e.cur.innerW, Scratch: w.scratch, Pool: e.pool,
+		Workers: e.cur.innerW, Scratch: &w.scratch, Pool: e.pool,
 	}
 	tDWT := time.Now()
 	var fp *dwt.FPlane
@@ -560,6 +541,9 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	if o.CBW > 64 || o.CBH > 64 || o.CBW < 4 || o.CBH < 4 {
 		return nil, nil, fmt.Errorf("jp2k: code-block size %dx%d out of range", o.CBW, o.CBH)
 	}
+	if o.Levels < 0 || o.Levels > 32 {
+		return nil, nil, fmt.Errorf("jp2k: %d decomposition levels out of range [0, 32]", o.Levels)
+	}
 	width, height := comps[0].Width, comps[0].Height
 	stats := &EncodeStats{}
 	// Reclaim the tier-1 arenas of the previous encode; every reference into
@@ -663,7 +647,6 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	// Covers the unit, rate (per component) and tier-2 (per tile) stages;
 	// tier-1 tops the blocks up once the code-block count is known.
 	e.ensureWorkers(min(o.Workers, nunits))
-	e.ensureScratch(outerW, innerW)
 	var steps []quant.Step
 	if o.Kernel == dwt.Irr97 {
 		steps = quant.BandSteps(dwt.Irr97, width, height, o.Levels, o.BaseStep)

@@ -301,6 +301,15 @@ func TestFewLevels(t *testing.T) {
 			t.Fatalf("levels %d: round trip failed", levels)
 		}
 	}
+	// Outside the [0, 32] the decoder's COD check accepts, Levels is an
+	// error, not a slice-bounds panic (-1) or an overflowed BandNorm plane.
+	for _, levels := range []int{-1, 33, 40} {
+		for _, k := range []dwt.Kernel{dwt.Rev53, dwt.Irr97} {
+			if _, _, err := Encode(im, Options{Kernel: k, Levels: levels}); err == nil {
+				t.Fatalf("%v levels %d: encoded without error", k, levels)
+			}
+		}
+	}
 }
 
 func TestBPPAccuracy(t *testing.T) {

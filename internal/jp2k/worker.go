@@ -30,13 +30,13 @@ type encWorkerState struct {
 	// tier-1 work counters of this worker's blocks, reduced after the barrier
 	passesCoded   int
 	blocksStopped int
-	scratch       *dwt.Scratch // DWT line buffers, one slot per inner worker
+	scratch       dwt.Scratch // DWT line buffers; the transform grows a slot per inner worker
 }
 
 // decWorkerState is what one decode worker owns.
 type decWorkerState struct {
 	bd      t1.BlockDecoder // tier-1 block decoder
-	scratch *dwt.Scratch    // inverse-DWT line buffers, one slot per inner worker
+	scratch dwt.Scratch     // inverse-DWT line buffers; the transform grows a slot per inner worker
 }
 
 // Tail pads: one full pad plus whatever rounds the block up to a whole number
