@@ -578,24 +578,72 @@ func BenchmarkMQDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkDWT53(b *testing.B) {
-	for _, mode := range []dwt.VertMode{dwt.VertNaive, dwt.VertBlocked} {
-		b.Run(mode.String(), func(b *testing.B) {
-			im := raster.Synthetic(1024, 1024, 1)
-			work := im.Clone()
-			st := dwt.Strategy{VertMode: mode, Workers: 1, Scratch: dwt.NewScratch(1)}
-			b.SetBytes(int64(im.Width * im.Height * 4))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				for y := 0; y < im.Height; y++ {
-					copy(work.Row(y), im.Row(y))
-				}
-				b.StartTimer()
-				dwt.Forward53(work, 5, st)
+// BenchmarkDWT times each transform entry point on a 1024² plane at 5
+// levels: kernel × direction × vertical filter × workers. The inverse runs
+// on forward coefficients, as a decode does.
+func BenchmarkDWT(b *testing.B) {
+	const levels = 5
+	im := raster.Synthetic(1024, 1024, 1)
+	coef53 := im.Clone()
+	dwt.Forward53(coef53, levels, dwt.Improved)
+	coef97 := dwt.FromImage(im)
+	dwt.Forward97(coef97, levels, dwt.Improved)
+	work53, work97 := im.Clone(), dwt.FromImage(im)
+	for _, k := range []struct {
+		name   string
+		sample int // bytes
+		load   func(fwd bool)
+		run    func(fwd bool, st dwt.Strategy)
+	}{
+		{"53", 4, func(fwd bool) {
+			src := coef53
+			if fwd {
+				src = im
 			}
-		})
+			copy(work53.Pix, src.Pix)
+		}, func(fwd bool, st dwt.Strategy) {
+			if fwd {
+				dwt.Forward53(work53, levels, st)
+			} else {
+				dwt.Inverse53(work53, levels, st)
+			}
+		}},
+		{"97", 8, func(fwd bool) {
+			if fwd {
+				work97 = dwt.FromImageReuse(work97, im)
+			} else {
+				copy(work97.Data, coef97.Data)
+			}
+		}, func(fwd bool, st dwt.Strategy) {
+			if fwd {
+				dwt.Forward97(work97, levels, st)
+			} else {
+				dwt.Inverse97(work97, levels, st)
+			}
+		}},
+	} {
+		for _, fwd := range []bool{true, false} {
+			dir := "inv"
+			if fwd {
+				dir = "fwd"
+			}
+			for _, mode := range []dwt.VertMode{dwt.VertNaive, dwt.VertBlocked} {
+				for _, w := range []int{1, 2} {
+					b.Run(k.name+"/"+dir+"/"+mode.String()+"/w="+strconv.Itoa(w), func(b *testing.B) {
+						st := dwt.Strategy{VertMode: mode, Workers: w, Scratch: dwt.NewScratch(w)}
+						b.SetBytes(int64(im.Width * im.Height * k.sample))
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							b.StopTimer()
+							k.load(fwd)
+							b.StartTimer()
+							k.run(fwd, st)
+						}
+					})
+				}
+			}
+		}
 	}
 }
 
