@@ -111,6 +111,7 @@ type plane[T sample] struct {
 	width, height, stride int
 }
 
+// imagePlane is the driver's view of im.
 func imagePlane(im *raster.Image) plane[int32] {
 	return plane[int32]{im.Pix, im.Width, im.Height, im.Stride}
 }
