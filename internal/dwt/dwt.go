@@ -111,7 +111,7 @@ type plane[T sample] struct {
 	width, height, stride int
 }
 
-// imagePlane is the driver's view of im.
+// imagePlane views im as a transform plane.
 func imagePlane(im *raster.Image) plane[int32] {
 	return plane[int32]{im.Pix, im.Width, im.Height, im.Stride}
 }
@@ -125,7 +125,7 @@ type filter[T sample] struct {
 	fwdCols, invCols func(pix []T, stride, x0, x1, ch int)
 }
 
-// run is the one level driver behind every transform: forward levels run
+// run is the one level loop behind every transform: forward levels run
 // shallowest first, rows then columns; inverse levels undo them deepest first,
 // columns then rows. With tm set it adds each direction's time to tm.
 func run[T sample](p plane[T], levels int, st Strategy, f *filter[T], fwd bool, tm *Timings) {

@@ -43,7 +43,7 @@ func FromImageReuse(p *FPlane, im *raster.Image) *FPlane {
 	return p
 }
 
-// plane is the driver's view of p.
+// plane views p as a transform plane.
 func (p *FPlane) plane() plane[float64] {
 	return plane[float64]{p.Data, p.Width, p.Height, p.Stride}
 }

@@ -6,7 +6,7 @@
 // columns concurrently inside one processor. Width padding, the paper's
 // other cache fix, is a plane stride wider than the image, not a mode.
 //
-// One generic level driver (run) serves both sample types, both directions,
+// One generic level loop (run) serves both sample types, both directions,
 // both vertical strategies and the timed entry points; the lifting kernels
 // in this file are the only code written per filter.
 package dwt
