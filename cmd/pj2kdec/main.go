@@ -2,7 +2,11 @@
 // back into a PGM (grayscale) or PPM (color, for Csiz=3 streams) image.
 //
 //	pj2kdec -in image.j2k -out image.pgm|image.ppm [-layers 0] [-reduce 0] \
-//	        [-workers 0] [-resilient] [-verbose]
+//	        [-depth 0] [-workers 0] [-resilient] [-verbose]
+//
+// The output has the stream's own bit depth (its SIZ marker) unless -depth
+// sets one: maxval 255 up to 8 bits, 2^depth - 1 above. The PNM writer clamps
+// every sample into [0, maxval], so lossy overshoot never wraps.
 //
 // With -resilient, a damaged codestream decodes best-effort: corrupt packets
 // and code-blocks are concealed, a damage summary goes to stderr, and the
@@ -29,7 +33,7 @@ func main() {
 	layers := flag.Int("layers", 0, "decode only the first N quality layers (0 = all)")
 	reduce := flag.Int("reduce", 0, "discard the N highest resolution levels, decoding at 1/2^N scale")
 	workers := flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
-	depth := flag.Int("depth", 8, "output bit depth (8 or 12/16 for medical imagery)")
+	depth := flag.Int("depth", 0, "output bit depth (0 = the stream's depth; 8, or 12/16 for medical imagery)")
 	resilient := flag.Bool("resilient", false, "conceal damaged packets/code-blocks instead of failing; damage report on stderr")
 	verbose := flag.Bool("verbose", false, "print the per-stage timing breakdown")
 	flag.Parse()
@@ -56,11 +60,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The best-effort scan reads the same main header the decoder used, so it
+	// also serves a damaged stream that -resilient decoded.
+	p, _, _, err := t2.ScanCodestreamResilient(src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *depth == 0 {
+		*depth = p.BitDepth
+	}
 	maxval := 255
 	if *depth > 8 {
 		maxval = 1<<uint(*depth) - 1
-	} else {
-		pl.ClampTo8()
 	}
 	f, err := os.Create(*out)
 	if err != nil {
@@ -100,10 +111,8 @@ func main() {
 	if *verbose {
 		st := dec.Stats()
 		fmt.Printf("  %d bytes in, %d tiles, %d code-blocks\n", st.BytesIn, st.Tiles, st.CodeBlocks)
-		if p, _, err := t2.ScanCodestream(src); err == nil {
-			if s := coderStyles(p); s != "" {
-				fmt.Printf("  coder styles: %s\n", s)
-			}
+		if s := coderStyles(p); s != "" {
+			fmt.Printf("  coder styles: %s\n", s)
 		}
 		fmt.Print(st.Timings.Breakdown())
 	}

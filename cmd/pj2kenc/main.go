@@ -6,6 +6,11 @@
 //	        [-levels 5] [-tile 0] [-workers 0] [-mct] [-improved] [-verbose] \
 //	        [-resilient | -sop -eph -segsym] [-coder bypass,termall,reset,causal]
 //
+// The samples are coded at the bit depth the input's maxval needs: 8 bits up
+// to 255, 12 for a maxval of 4095, and so on. pj2kdec writes that depth back
+// by default, so a lossless round trip reproduces a 2^n - 1 maxval file byte
+// for byte.
+//
 // The resilience flags embed the JPEG2000 error-resilience tools — SOP
 // packet framing, EPH header terminators, cleanup-pass segmentation symbols
 // — so a decoder in resilient mode can detect damage, resynchronize and
@@ -24,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math/bits"
 	"os"
 	"strings"
 
@@ -92,10 +98,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	depth := 8
-	if maxval > 255 {
-		depth = 16
-	}
+	depth := max(8, bits.Len(uint(maxval)))
 
 	opts := jp2k.Options{
 		Levels:   *levels,

@@ -25,29 +25,67 @@ func SampleBytes(maxval int) int {
 	return 1
 }
 
-// PackSamples clamps src into [0, maxval] and narrows it into dst in wire
-// format, SampleBytes(maxval) bytes each. Consecutive samples land step
-// sample-widths apart: 1 packs a plane or a PGM row densely, 3 drops one
-// component into its slots of an interleaved PPM row. This is the repo's one
-// clamp-and-serialise loop: the PNM writers and the tile server's response
+// PackSamples clamps the samples of srcs into [0, maxval] and narrows them
+// into dst in wire format, SampleBytes(maxval) bytes each. One source packs
+// densely (a PGM row, a row of one planar raw component); three sources of
+// equal length interleave into RGB triplets (a PPM row). This is the repo's
+// one clamp-and-serialise loop: the PNM writers and the tile server's response
 // assembly both run on it.
-func PackSamples(dst []byte, src []int32, maxval, step int) {
+func PackSamples(dst []byte, maxval int, srcs ...[]int32) {
 	hi := int32(maxval)
 	switch {
 	case maxval > 255:
-		for i, v := range src {
-			v = min(max(v, 0), hi)
-			dst[2*i*step], dst[2*i*step+1] = byte(v>>8), byte(v)
+		w := 2 * len(srcs) // bytes per pixel
+		for c, src := range srcs {
+			d := dst[2*c:]
+			for i, v := range src {
+				v = min(max(v, 0), hi)
+				d[w*i], d[w*i+1] = byte(v>>8), byte(v)
+			}
 		}
-	case step == 1:
-		dst = dst[:len(src)]
-		for i, v := range src {
-			dst[i] = byte(min(max(v, 0), hi))
-		}
+	case len(srcs) == 1:
+		pack8(dst, srcs[0], hi)
 	default:
-		for i, v := range src {
-			dst[i*step] = byte(min(max(v, 0), hi))
-		}
+		interleave8(dst, srcs[0], srcs[1], srcs[2], hi)
+	}
+}
+
+// clamp8 is one 8-bit wire sample.
+func clamp8(v, hi int32) byte { return byte(min(max(v, 0), hi)) }
+
+// pack8 packs src densely, eight samples per iteration. On tiles that live in
+// L3 the loop is bound by how many loads it keeps in flight, not by memory
+// bandwidth: eight independent loads behind one bounds check per slice run
+// ~1.6x faster than one sample per iteration. Sixteen were no faster.
+func pack8(dst []byte, src []int32, hi int32) {
+	n := len(src)
+	dst = dst[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		s, d := src[i:i+8:i+8], dst[i:i+8:i+8]
+		d[0], d[1], d[2], d[3] = clamp8(s[0], hi), clamp8(s[1], hi), clamp8(s[2], hi), clamp8(s[3], hi)
+		d[4], d[5], d[6], d[7] = clamp8(s[4], hi), clamp8(s[5], hi), clamp8(s[6], hi), clamp8(s[7], hi)
+	}
+	for ; i < n; i++ {
+		dst[i] = clamp8(src[i], hi)
+	}
+}
+
+// interleave8 writes r, g, b as RGB triplets in one pass, four pixels per
+// iteration, instead of three strided passes over the same bytes.
+func interleave8(dst []byte, r, g, b []int32, hi int32) {
+	n := len(r)
+	g, b, dst = g[:n], b[:n], dst[:3*n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		r4, g4, b4, d := r[i:i+4:i+4], g[i:i+4:i+4], b[i:i+4:i+4], dst[3*i:3*i+12:3*i+12]
+		d[0], d[1], d[2] = clamp8(r4[0], hi), clamp8(g4[0], hi), clamp8(b4[0], hi)
+		d[3], d[4], d[5] = clamp8(r4[1], hi), clamp8(g4[1], hi), clamp8(b4[1], hi)
+		d[6], d[7], d[8] = clamp8(r4[2], hi), clamp8(g4[2], hi), clamp8(b4[2], hi)
+		d[9], d[10], d[11] = clamp8(r4[3], hi), clamp8(g4[3], hi), clamp8(b4[3], hi)
+	}
+	for ; i < n; i++ {
+		dst[3*i], dst[3*i+1], dst[3*i+2] = clamp8(r[i], hi), clamp8(g[i], hi), clamp8(b[i], hi)
 	}
 }
 
@@ -66,6 +104,7 @@ func writePNM(w io.Writer, comps []*Image, maxval int) error {
 	rowBytes := width * nc * bps
 	// The header rides in the first chunk (+32: room for it beside a row).
 	buf := AppendPNMHeader(make([]byte, 0, max(pnmChunk, rowBytes)+32), nc, width, height, maxval)
+	var rows [3][]int32
 	for y := 0; y < height; y++ {
 		if len(buf)+rowBytes > cap(buf) {
 			if _, err := w.Write(buf); err != nil {
@@ -73,10 +112,10 @@ func writePNM(w io.Writer, comps []*Image, maxval int) error {
 			}
 			buf = buf[:0]
 		}
-		row := buf[len(buf) : len(buf)+rowBytes]
 		for c, im := range comps {
-			PackSamples(row[c*bps:], im.Row(y), maxval, nc)
+			rows[c] = im.Row(y)
 		}
+		PackSamples(buf[len(buf):len(buf)+rowBytes], maxval, rows[:nc]...)
 		buf = buf[:len(buf)+rowBytes]
 	}
 	_, err := w.Write(buf)

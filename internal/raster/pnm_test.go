@@ -2,8 +2,10 @@ package raster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -77,6 +79,93 @@ func TestPNMWritersMatchNaive(t *testing.T) {
 	}
 }
 
+// naivePack is PackSamples' per-sample reference: srcs interleaved sample by
+// sample, each clamped into [0, maxval] and emitted one byte at a time.
+func naivePack(maxval int, srcs ...[]int32) []byte {
+	var out []byte
+	for i := range srcs[0] {
+		for _, src := range srcs {
+			v := src[i]
+			if v < 0 {
+				v = 0
+			} else if v > int32(maxval) {
+				v = int32(maxval)
+			}
+			if maxval > 255 {
+				out = append(out, byte(v>>8))
+			}
+			out = append(out, byte(v))
+		}
+	}
+	return out
+}
+
+// checkPack runs PackSamples into dst at offset off, between sentinel bytes,
+// and compares what it wrote with naivePack and the sentinels with their fill.
+func checkPack(t *testing.T, off, maxval int, srcs ...[]int32) {
+	t.Helper()
+	want := naivePack(maxval, srcs...)
+	dst := bytes.Repeat([]byte{0xA5}, off+len(want)+9)
+	PackSamples(dst[off:], maxval, srcs...)
+	if got := dst[off : off+len(want)]; !bytes.Equal(got, want) {
+		t.Fatalf("%d source(s) of %d samples, maxval %d, offset %d:\n got %x\nwant %x", len(srcs), len(srcs[0]), maxval, off, got, want)
+	}
+	for i, c := range append(dst[:off:off], dst[off+len(want):]...) {
+		if c != 0xA5 {
+			t.Fatalf("%d source(s) of %d samples, maxval %d, offset %d: byte %d outside the packed span overwritten", len(srcs), len(srcs[0]), maxval, off, i)
+		}
+	}
+}
+
+// TestPackSamplesMatchNaive pins both 8-bit kernels and the 16-bit loop to the
+// per-sample reference: every length 0-70 (the 8-wide and 4-pixel bodies and
+// every tail), dst at unaligned offsets, samples below 0, above maxval and at
+// the int32 extremes, one source and three.
+func TestPackSamplesMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, maxval := range []int{1, 100, 255, 256, 4095, 65535} {
+		for _, nc := range []int{1, 3} {
+			for n := 0; n <= 70; n++ {
+				srcs := make([][]int32, nc)
+				for c := range srcs {
+					srcs[c] = make([]int32, n)
+					for i := range srcs[c] {
+						srcs[c][i] = int32(rng.Intn(2*maxval+4)) - int32(maxval/2) - 2
+						if rng.Intn(16) == 0 {
+							srcs[c][i] = []int32{math.MinInt32, math.MaxInt32}[rng.Intn(2)]
+						}
+					}
+				}
+				for off := range 8 {
+					checkPack(t, off, maxval, srcs...)
+				}
+			}
+		}
+	}
+}
+
+// FuzzPackSamples: arbitrary samples (four little-endian bytes each), maxval,
+// source count and dst offset, against the same reference.
+func FuzzPackSamples(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0x80, 0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3, 4, 0xFF, 0, 0, 0}, uint16(254), false, uint8(1))
+	f.Add(bytes.Repeat([]byte{0x10, 0xF0, 0, 0, 0xFF, 0x0F, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}, 11), uint16(4094), true, uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, maxval uint16, three bool, off uint8) {
+		nc := 1
+		if three {
+			nc = 3
+		}
+		n := len(data) / 4 / nc
+		srcs := make([][]int32, nc)
+		for c := range srcs {
+			srcs[c] = make([]int32, n)
+			for i := range srcs[c] {
+				srcs[c][i] = int32(binary.LittleEndian.Uint32(data[4*(c*n+i):]))
+			}
+		}
+		checkPack(t, int(off%8), int(maxval%65535)+1, srcs...)
+	})
+}
+
 // failAfter fails the n-th Write.
 type failAfter struct{ n int }
 
@@ -93,6 +182,49 @@ func TestPNMWriteErrorSurfaces(t *testing.T) {
 		if err := WritePGM(&failAfter{n: n}, im, 255); err != io.ErrClosedPipe {
 			t.Errorf("write %d failing: err = %v, want io.ErrClosedPipe", n, err)
 		}
+	}
+}
+
+// BenchmarkPackSamples packs 1024x768 viewports out of 256 cached 128x128
+// int32 tiles (16 MiB, larger than L2), the shape of a warm tile-server
+// request: each viewport takes the next 48 tiles of the set (144 for rgb8,
+// three per pixel tile) and packs them row by row into their window positions.
+func BenchmarkPackSamples(b *testing.B) {
+	const T, nTiles, vw, vh = 128, 256, 1024, 768
+	for _, c := range []struct {
+		name       string
+		nc, maxval int
+	}{{"gray8", 1, 255}, {"rgb8", 3, 255}, {"gray16", 1, 65535}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			tiles := make([][]int32, nTiles)
+			for i := range tiles {
+				tiles[i] = make([]int32, T*T)
+				for j := range tiles[i] {
+					tiles[i][j] = int32(rng.Intn(c.maxval+17)) - 8
+				}
+			}
+			bps := SampleBytes(c.maxval)
+			dst := make([]byte, vw*vh*c.nc*bps)
+			var rows [3][]int32
+			next := 0
+			b.ReportAllocs()
+			for b.Loop() {
+				for ty := range vh / T {
+					for tx := range vw / T {
+						tile := next
+						next = (next + c.nc) % nTiles
+						for y := range T {
+							for k := range c.nc {
+								rows[k] = tiles[(tile+k)%nTiles][y*T : (y+1)*T]
+							}
+							PackSamples(dst[((ty*T+y)*vw+tx*T)*c.nc*bps:], c.maxval, rows[:c.nc]...)
+						}
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*vw*vh*c.nc), "ns/sample")
+		})
 	}
 }
 

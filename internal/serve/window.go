@@ -142,12 +142,9 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 		body = append(make([]byte, 0, n), body...)
 	}
 	body = body[:n]
-	// Sample (c, x, y) lands at index c*plane + (y*w+x)*step: PGM and raw are
-	// planar, PPM interleaves its three components.
-	step, plane := 1, w*h
-	if req.format == "ppm" {
-		step, plane = 3, 1
-	}
+	// PPM interleaves its three components, so pixel i of the window starts at
+	// sample 3i; PGM and raw are planar, so sample (c, i) sits at c*w*h + i.
+	interleaved := req.format == "ppm"
 
 	tx0, tx1 := tileSpan(colW, win.X0, win.X1)
 	ty0, ty1 := tileSpan(rowH, win.Y0, win.Y1)
@@ -181,10 +178,15 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 			lx0, lx1 := max(win.X0-colW[tx], 0), min(win.X1, colW[tx+1])-colW[tx]
 			ly0, ly1 := max(win.Y0-rowH[ty], 0), min(win.Y1, rowH[ty+1])-rowH[ty]
 			ox, oy := colW[tx]+lx0-win.X0, rowH[ty]+ly0-win.Y0
-			for ci, src := range tile.Comps {
-				for y := ly0; y < ly1; y++ {
-					at := ci*plane + ((oy+y-ly0)*w+ox)*step
-					raster.PackSamples(body[hdr+at*bps:], src.Pix[y*src.Stride+lx0:y*src.Stride+lx1], req.maxval, step)
+			for y := ly0; y < ly1; y++ {
+				px := (oy+y-ly0)*w + ox // the row's first pixel in the window
+				if interleaved {
+					c := tile.Comps
+					raster.PackSamples(body[hdr+3*px*bps:], req.maxval, c[0].Row(y)[lx0:lx1], c[1].Row(y)[lx0:lx1], c[2].Row(y)[lx0:lx1])
+					continue
+				}
+				for ci, src := range tile.Comps {
+					raster.PackSamples(body[hdr+(ci*w*h+px)*bps:], req.maxval, src.Row(y)[lx0:lx1])
 				}
 			}
 		}

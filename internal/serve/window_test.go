@@ -270,6 +270,50 @@ func TestWarmRequestAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkWarmRegion is the warm path in process: ServeHTTP of 1024x768 PGM
+// windows panning over a 2048x2048 9/7 image of 256 128x128 tiles, every
+// tile already cached. The 16 MiB tile set is larger than L2, so this gauges
+// the pack loop reading cached tiles, not the codec.
+func BenchmarkWarmRegion(b *testing.B) {
+	const side, tileSide, vw, vh = 2048, 128, 1024, 768
+	cs, _, err := jp2k.Encode(raster.Synthetic(side, side, 11), jp2k.Options{
+		Kernel: dwt.Irr97, LayerBPP: []float64{1.0}, TileW: tileSide, TileH: tileSide, Levels: 5,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := NewStore()
+	if _, err := store.Add("big", cs); err != nil {
+		b.Fatal(err)
+	}
+	srv := New(store, Options{CacheBytes: 64 << 20})
+	defer srv.Close()
+	serve := func(req *http.Request) {
+		rec := httptest.NewRecorder()
+		rec.Body = nil // count the server's work, not the recorder's copy
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: %d", req.URL, rec.Code)
+		}
+	}
+	serve(httptest.NewRequest("GET", "/img/big", nil)) // decode and cache every tile
+	var reqs []*http.Request
+	for k := range 16 { // tile-unaligned origins spread over the image
+		x0, y0 := k*337%(side-vw), k*211%(side-vh)
+		reqs = append(reqs, httptest.NewRequest("GET", fmt.Sprintf("/img/big?x0=%d&y0=%d&x1=%d&y1=%d", x0, y0, x0+vw, y0+vh), nil))
+	}
+	b.SetBytes(vw * vh)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		serve(reqs[i%len(reqs)])
+		i++
+	}
+	if n := srv.TileDecodes(); n != side/tileSide*side/tileSide {
+		b.Fatalf("%d tile decodes, want one per tile", n)
+	}
+}
+
 // brokenPipe is a ResponseWriter whose client has gone away.
 type brokenPipe struct{ http.ResponseWriter }
 
