@@ -2,19 +2,22 @@
 // of the paper's Fig. 1 pipeline — the reversible color transform (RCT) for
 // lossless RGB and the YCbCr rotation (ICT) for lossy coding — plus
 // region-of-interest coding and resolution-scalable decoding. Color images
-// are standard Csiz=3 codestreams (EncodeColor wraps EncodePlanar with MCT
-// on), so every single-codestream capability — windowed decode, layer
-// truncation, the serving subsystem — works on them directly.
+// are standard Csiz=3 codestreams (EncodePlanar with MCT on), so every
+// single-codestream capability — windowed decode, layer truncation, the
+// serving subsystem — works on them directly. The program exits non-zero
+// when the lossless round trip is not exact.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"pj2k/internal/dwt"
 	"pj2k/internal/jp2k"
 	"pj2k/internal/metrics"
 	"pj2k/internal/raster"
+	"pj2k/internal/t2"
 )
 
 func main() {
@@ -27,33 +30,37 @@ func main() {
 	}
 
 	// Lossless RGB via the reversible color transform.
-	cs, stats, err := jp2k.EncodeColor(r, g, b, jp2k.Options{Kernel: dwt.Rev53})
+	cs, stats, err := jp2k.EncodePlanar(raster.RGB(r, g, b), jp2k.Options{Kernel: dwt.Rev53, MCT: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	r2, g2, b2, err := jp2k.DecodeColor(cs, jp2k.DecodeOptions{})
+	rgb, err := jp2k.DecodePlanarSource(t2.BytesSource(cs), jp2k.DecodeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	exact := raster.Equal(r, rgb.Comps[0]) && raster.Equal(g, rgb.Comps[1]) && raster.Equal(b, rgb.Comps[2])
 	fmt.Printf("lossless RGB: %d bytes (%.2f:1), exact=%v\n",
-		stats.Bytes, float64(3*256*256)/float64(stats.Bytes),
-		raster.Equal(r, r2) && raster.Equal(g, g2) && raster.Equal(b, b2))
+		stats.Bytes, float64(3*256*256)/float64(stats.Bytes), exact)
+	if !exact {
+		fmt.Fprintln(os.Stderr, "lossless RGB round trip is not exact")
+		os.Exit(1)
+	}
 
 	// Lossy RGB at 1.0 bpp total via the YCbCr rotation.
-	cs, stats, err = jp2k.EncodeColor(r, g, b, jp2k.Options{Kernel: dwt.Irr97, LayerBPP: []float64{1.0}})
+	cs, stats, err = jp2k.EncodePlanar(raster.RGB(r, g, b), jp2k.Options{Kernel: dwt.Irr97, LayerBPP: []float64{1.0}, MCT: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	r2, g2, b2, err = jp2k.DecodeColor(cs, jp2k.DecodeOptions{})
+	rgb, err = jp2k.DecodePlanarSource(t2.BytesSource(cs), jp2k.DecodeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, c := range []*raster.Image{r2, g2, b2} {
+	for _, c := range rgb.Comps {
 		c.ClampTo8()
 	}
-	pr, _ := metrics.PSNR(r, r2, 255)
-	pg, _ := metrics.PSNR(g, g2, 255)
-	pb, _ := metrics.PSNR(b, b2, 255)
+	pr, _ := metrics.PSNR(r, rgb.Comps[0], 255)
+	pg, _ := metrics.PSNR(g, rgb.Comps[1], 255)
+	pb, _ := metrics.PSNR(b, rgb.Comps[2], 255)
 	fmt.Printf("lossy RGB @ %.2f bpp: PSNR R %.1f / G %.1f / B %.1f dB\n", stats.BPP, pr, pg, pb)
 
 	// Region of interest: the center decodes at high fidelity even when the

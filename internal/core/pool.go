@@ -76,7 +76,7 @@ func (p *Pool) Stats() PoolStats {
 // touches the batch between claiming its id and finishing.
 type batch struct {
 	rng    func(worker, lo, hi int) // chunked barrier (ForID): chunk id of q
-	task   func(worker, i int)      // strided tasks (TasksID): ids i, i+q, ...
+	task   func(worker, i int)      // strided tasks (TasksIDMax): ids i, i+q, ...
 	n, q   int
 	next   atomic.Int64 // dense worker-id allocator
 	undone atomic.Int64 // shares not yet finished
@@ -252,17 +252,11 @@ func (p *Pool) ForMax(w, n int, fn func(lo, hi int)) {
 	p.ForIDMax(w, n, func(_, lo, hi int) { fn(lo, hi) })
 }
 
-// TasksID runs n tasks under the staggered round-robin assignment on the
-// resident workers: worker w runs tasks w, w+q, w+2q, ... The assignment is
-// iterated arithmetically rather than materialized, so dispatch itself does
-// not allocate.
-func (p *Pool) TasksID(n int, fn func(worker, i int)) {
-	p.TasksIDMax(p.size, n, fn)
-}
-
-// TasksIDMax is TasksID with the assignment width capped at w (w <= 0
-// selects the pool size): the staggered assignment uses stride q = min(w, n)
-// with dense worker ids in [0, q), whatever the pool size.
+// TasksIDMax runs n tasks under the staggered round-robin assignment on the
+// resident workers: worker w runs tasks w, w+q, w+2q, ... with stride
+// q = min(w, n) (w <= 0 selects the pool size) and dense worker ids in
+// [0, q), whatever the pool size. The assignment is iterated arithmetically
+// rather than materialized, so dispatch itself does not allocate.
 func (p *Pool) TasksIDMax(w, n int, fn func(worker, i int)) {
 	q := w
 	if q <= 0 {

@@ -97,7 +97,7 @@ func TestPoolCloseJoinsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	p := NewPool(8)
 	var ran atomic.Int64
-	p.TasksID(64, func(_, _ int) { ran.Add(1) })
+	p.TasksIDMax(p.Size(), 64, func(_, _ int) { ran.Add(1) })
 	if ran.Load() != 64 {
 		t.Fatalf("ran %d tasks, want 64", ran.Load())
 	}
@@ -126,10 +126,10 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 	var sink atomic.Int64
 	task := func(worker, i int) { sink.Add(int64(worker + i)) }
 	rng := func(worker, lo, hi int) { sink.Add(int64(worker + hi - lo)) }
-	p.TasksID(16, task) // warm the free list and spawn the workers
+	p.TasksIDMax(p.Size(), 16, task) // warm the free list and spawn the workers
 	p.ForID(16, rng)
-	if avg := testing.AllocsPerRun(100, func() { p.TasksID(16, task) }); avg > 1 {
-		t.Errorf("TasksID steady state: %.1f allocs/op, want <= 1", avg)
+	if avg := testing.AllocsPerRun(100, func() { p.TasksIDMax(p.Size(), 16, task) }); avg > 1 {
+		t.Errorf("TasksIDMax steady state: %.1f allocs/op, want <= 1", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() { p.ForID(16, rng) }); avg > 1 {
 		t.Errorf("ForID steady state: %.1f allocs/op, want <= 1", avg)

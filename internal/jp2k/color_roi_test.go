@@ -6,6 +6,7 @@ import (
 	"pj2k/internal/dwt"
 	"pj2k/internal/metrics"
 	"pj2k/internal/raster"
+	"pj2k/internal/t2"
 )
 
 func rgbPlanes(w, h int) (*raster.Image, *raster.Image, *raster.Image) {
@@ -17,18 +18,18 @@ func rgbPlanes(w, h int) (*raster.Image, *raster.Image, *raster.Image) {
 
 func TestColorLosslessRoundTrip(t *testing.T) {
 	r, g, b := rgbPlanes(96, 64)
-	cs, stats, err := EncodeColor(r, g, b, Options{Kernel: dwt.Rev53})
+	cs, stats, err := EncodePlanar(raster.RGB(r, g, b), Options{Kernel: dwt.Rev53, MCT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Bytes != len(cs) {
 		t.Fatal("stats mismatch")
 	}
-	r2, g2, b2, err := DecodeColor(cs, DecodeOptions{})
+	back, err := DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !raster.Equal(r, r2) || !raster.Equal(g, g2) || !raster.Equal(b, b2) {
+	if !raster.PlanarEqual(raster.RGB(r, g, b), back) {
 		t.Fatal("color lossless round trip failed")
 	}
 }
@@ -44,7 +45,7 @@ func TestColorLosslessBeatsIndependentPlanes(t *testing.T) {
 		r.Pix[i] = clamp8(g.Pix[i] + (r.Pix[i]-g.Pix[i])/8)
 		b.Pix[i] = clamp8(g.Pix[i] + (b.Pix[i]-g.Pix[i])/8)
 	}
-	joint, _, err := EncodeColor(r, g, b, Options{Kernel: dwt.Rev53})
+	joint, _, err := EncodePlanar(raster.RGB(r, g, b), Options{Kernel: dwt.Rev53, MCT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,20 +74,20 @@ func clamp8(v int32) int32 {
 
 func TestColorLossyQuality(t *testing.T) {
 	r, g, b := rgbPlanes(128, 128)
-	cs, stats, err := EncodeColor(r, g, b, Options{Kernel: dwt.Irr97, LayerBPP: []float64{1.5}})
+	cs, stats, err := EncodePlanar(raster.RGB(r, g, b), Options{Kernel: dwt.Irr97, LayerBPP: []float64{1.5}, MCT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.BPP > 1.6 {
 		t.Fatalf("bpp %.3f over budget", stats.BPP)
 	}
-	r2, g2, b2, err := DecodeColor(cs, DecodeOptions{})
+	back, err := DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pair := range [][2]*raster.Image{{r, r2}, {g, g2}, {b, b2}} {
-		pair[1].ClampTo8()
-		psnr, _ := metrics.PSNR(pair[0], pair[1], 255)
+	for i, orig := range []*raster.Image{r, g, b} {
+		back.Comps[i].ClampTo8()
+		psnr, _ := metrics.PSNR(orig, back.Comps[i], 255)
 		if psnr < 27 {
 			t.Fatalf("channel %d PSNR %.2f too low", i, psnr)
 		}
@@ -94,19 +95,19 @@ func TestColorLossyQuality(t *testing.T) {
 }
 
 func TestColorContainerErrors(t *testing.T) {
-	if _, _, _, err := DecodeColor([]byte("nope"), DecodeOptions{}); err == nil {
+	if _, err := DecodePlanarSource(t2.BytesSource([]byte("nope")), DecodeOptions{}); err == nil {
 		t.Fatal("want error for bad magic")
 	}
 	r, g, b := rgbPlanes(32, 32)
-	cs, _, err := EncodeColor(r, g, b, Options{Kernel: dwt.Rev53})
+	cs, _, err := EncodePlanar(raster.RGB(r, g, b), Options{Kernel: dwt.Rev53, MCT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := DecodeColor(cs[:20], DecodeOptions{}); err == nil {
+	if _, err := DecodePlanarSource(t2.BytesSource(cs[:20]), DecodeOptions{}); err == nil {
 		t.Fatal("want error for truncated container")
 	}
 	bad := raster.New(16, 16)
-	if _, _, err := EncodeColor(r, g, bad, Options{}); err == nil {
+	if _, _, err := EncodePlanar(raster.RGB(r, g, bad), Options{MCT: true}); err == nil {
 		t.Fatal("want error for mismatched planes")
 	}
 }

@@ -63,8 +63,8 @@ func (r Rect) Intersect(o Rect) Rect {
 // the tile x component grid; the inverse inter-component transform is applied
 // when the stream's COD marker flags MCT.
 //
-// Every entry point (Decode here; the Source and Into forms in stream.go) is
-// a thin adapter over the one decode route: scan the Source to tile spans,
+// Every entry point (Decode here; the Source forms in stream.go) is a thin
+// adapter over the one decode route: scan the Source to tile spans,
 // walk the selected tiles' packets, tier-1, assemble. A Decoder is not safe
 // for concurrent use; pooled state does not leak between calls (output is
 // bit-identical to a throwaway Decoder's for any worker count, and a region
@@ -89,7 +89,6 @@ type Decoder struct {
 	walkFn  func(worker, si int)
 	blockFn func(worker, i int)
 	asmFn   func(worker, u int)
-	views   []raster.Strided // pooled dst views for the allocate-own path
 	cur     struct {
 		p     t2.Params
 		modes t1.Modes // tier-1 coder modes signalled in COD
@@ -98,7 +97,7 @@ type Decoder struct {
 		src      *t2.Source
 		mem      []byte
 		spans    []t2.TileSpan
-		dst      []raster.Strided // one destination view per component
+		dst      []*raster.Image // one output plane per component
 		win      Rect
 		ncomp    int
 		nlayers  int
@@ -235,7 +234,7 @@ func (d *Decoder) ensureWorkers(n int) {
 // freshly allocated and caller-owned. Multi-component streams are an error,
 // reported before any tier-1 work; use DecodePlanarSource.
 func (d *Decoder) Decode(data []byte, opts DecodeOptions) (*raster.Image, error) {
-	pl, err := d.decode(t2.BytesSource(data), opts, nil, true, nil)
+	pl, err := d.decode(t2.BytesSource(data), opts, nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +393,7 @@ func (d *Decoder) asmTask(worker, u int) {
 	lx0, ly0 := max(win.X0-te.ox, 0), max(win.Y0-te.oy, 0)
 	lx1, ly1 := min(win.X1-te.ox, te.rtw), min(win.Y1-te.oy, te.rth)
 	ox, oy := te.ox+lx0-win.X0, te.oy+ly0-win.Y0
-	dst := &d.cur.dst[ci]
+	dst := d.cur.dst[ci]
 	outShift := d.cur.outShift
 	if p.Kernel == dwt.Rev53 {
 		cd.plane = reuseImage(cd.plane, te.rtw, te.rth)
@@ -409,7 +408,7 @@ func (d *Decoder) asmTask(worker, u int) {
 		dwt.Inverse53(cd.plane, d.cur.keep, st)
 		for y := ly0; y < ly1; y++ {
 			src := cd.plane.Row(y)[lx0:lx1]
-			o := dst.Off + (oy+y-ly0)*dst.Stride + ox
+			o := (oy+y-ly0)*dst.Stride + ox
 			drow := dst.Pix[o : o+lx1-lx0]
 			for x, v := range src {
 				drow[x] = v + outShift
@@ -427,7 +426,7 @@ func (d *Decoder) asmTask(worker, u int) {
 		dwt.Inverse97(fp, d.cur.keep, st)
 		for y := ly0; y < ly1; y++ {
 			src := fp.Data[y*fp.Stride+lx0 : y*fp.Stride+lx1]
-			o := dst.Off + (oy+y-ly0)*dst.Stride + ox
+			o := (oy+y-ly0)*dst.Stride + ox
 			drow := dst.Pix[o : o+lx1-lx0]
 			for x, v := range src {
 				if v >= 0 {
@@ -440,15 +439,12 @@ func (d *Decoder) asmTask(worker, u int) {
 	}
 }
 
-func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singleOnly bool, dst []raster.Strided) (*raster.Planar, error) {
+func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singleOnly bool) (*raster.Planar, error) {
 	// The task parameters and the pooled per-tile state alias the caller's
-	// codestream, destination buffers and the result; drop them on the way
-	// out so a pooled Decoder pins none of them between calls.
+	// codestream and the result; drop them on the way out so a pooled Decoder
+	// pins neither between calls.
 	defer func() {
 		d.cur.src, d.cur.mem, d.cur.spans, d.cur.dst = nil, nil, nil, nil
-		for i := range d.views {
-			d.views[i] = raster.Strided{}
-		}
 		for _, te := range d.tiles {
 			te.data = nil
 		}
@@ -549,31 +545,7 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 	d.sel = sel
 	nsel := len(sel)
 
-	// Destination: caller-owned strided views (the Into entry points), or a
-	// freshly allocated planar wrapped in views so the assembly stage has one
-	// write path for both.
-	var out *raster.Planar
-	if dst == nil {
-		out = raster.NewPlanar(win.Dx(), win.Dy(), ncomp)
-		d.views = grow(d.views, ncomp)
-		for ci, c := range out.Comps {
-			d.views[ci] = raster.ViewOf(c)
-		}
-		dst = d.views[:ncomp]
-	} else {
-		if len(dst) != ncomp {
-			return nil, fmt.Errorf("jp2k: %d destination planes for a %d-component stream", len(dst), ncomp)
-		}
-		for ci := range dst {
-			if err := dst[ci].Check(); err != nil {
-				return nil, fmt.Errorf("jp2k: destination plane %d: %w", ci, err)
-			}
-			if dst[ci].Width != win.Dx() || dst[ci].Height != win.Dy() {
-				return nil, fmt.Errorf("jp2k: destination plane %d is %dx%d, decode window is %dx%d",
-					ci, dst[ci].Width, dst[ci].Height, win.Dx(), win.Dy())
-			}
-		}
-	}
+	out := raster.NewPlanar(win.Dx(), win.Dy(), ncomp)
 
 	// Worker split, as in Encoder: the tier-2 packet walk parallelizes over
 	// selected tiles; assembly + inverse transform over the tile x component
@@ -700,7 +672,7 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 	if mctActive {
 		outShift = 0
 	}
-	d.cur.dst = dst
+	d.cur.dst = out.Comps
 	d.cur.outShift = outShift
 	tAsm := time.Now()
 	d.pool.TasksIDMax(outerA, nunits, d.asmFn)
@@ -709,17 +681,10 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 	// --- Inverse inter-component transform, when the stream flags MCT: the
 	// decoded planes hold Y/Cb/Cr (assembled without the level shift); rotate
 	// back to RGB (the rotation operates on the rounded integer samples) and
-	// apply the shift once. The transforms are row-addressed, so caller-owned
-	// strided views transform in place without touching samples outside the
-	// view.
+	// apply the shift once.
 	if mctActive {
 		tMCT := time.Now()
-		var comps []*raster.Image
-		if out != nil {
-			comps = out.Comps
-		} else {
-			comps = []*raster.Image{dst[0].Image(), dst[1].Image(), dst[2].Image()}
-		}
+		comps := out.Comps
 		if p.Kernel == dwt.Rev53 {
 			if err := mct.InverseRCT(comps[0], comps[1], comps[2], workers, d.pool); err != nil {
 				return nil, err
@@ -727,25 +692,11 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 		} else {
 			rotateICT(comps, &d.mctFloats, workers, d.pool, mct.InverseICT)
 		}
-		for ci := range dst {
-			v := dst[ci]
-			if v.Compact() {
-				pix := v.Pix
-				d.pool.ForMax(workers, len(pix), func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						pix[i] += shift
-					}
-				})
-				continue
-			}
-			// Strided view: shift row by row so samples outside the view —
-			// caller memory the decode does not own — are never touched.
-			d.pool.ForMax(workers, v.Height, func(lo, hi int) {
-				for y := lo; y < hi; y++ {
-					row := v.Row(y)
-					for x := range row {
-						row[x] += shift
-					}
+		for _, c := range comps {
+			pix := c.Pix
+			d.pool.ForMax(workers, len(pix), func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					pix[i] += shift
 				}
 			})
 		}

@@ -236,7 +236,7 @@ func TestPlanarErrors(t *testing.T) {
 	if _, _, err := EncodePlanar(&raster.Planar{}, Options{}); err == nil {
 		t.Error("want error for zero components")
 	}
-	cs, _, err := EncodeColor(a, a.Clone(), a.Clone(), Options{Kernel: dwt.Rev53})
+	cs, _, err := EncodePlanar(raster.RGB(a, a.Clone(), a.Clone()), Options{Kernel: dwt.Rev53, MCT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +246,8 @@ func TestPlanarErrors(t *testing.T) {
 	// The retired PJ2C three-codestream container is not recognized: it
 	// fails like any other non-codestream.
 	pj2c := append([]byte("PJ2C"), make([]byte, 12)...)
-	if _, _, _, err := DecodeColor(pj2c, DecodeOptions{}); err == nil || !strings.Contains(err.Error(), "missing SOC") {
-		t.Errorf("DecodeColor of a PJ2C container: err %v, want missing SOC", err)
+	if _, err := DecodePlanarSource(t2.BytesSource(pj2c), DecodeOptions{}); err == nil || !strings.Contains(err.Error(), "missing SOC") {
+		t.Errorf("DecodePlanarSource of a PJ2C container: err %v, want missing SOC", err)
 	}
 }
 

@@ -106,220 +106,6 @@ func TestDecodeRegionFileSource(t *testing.T) {
 	}
 }
 
-// strideGeometries returns the DecodePlanarInto view shapes under test, each
-// building a view of the given size inside a deliberately awkward buffer:
-// compact, offset into a larger arena, padded rows, and a sub-rectangle of a
-// mosaic. The sentinel fill lets callers verify bytes outside the view are
-// never touched.
-func strideGeometries(w, h int) []struct {
-	name string
-	mk   func() raster.Strided
-} {
-	const sentinel = -77777
-	return []struct {
-		name string
-		mk   func() raster.Strided
-	}{
-		{"compact", func() raster.Strided {
-			v := raster.Strided{Pix: make([]int32, w*h), Stride: w, Width: w, Height: h}
-			v.Fill(sentinel)
-			return v
-		}},
-		{"offset", func() raster.Strided {
-			buf := make([]int32, 131+w*h+57)
-			for i := range buf {
-				buf[i] = sentinel
-			}
-			return raster.Strided{Pix: buf, Off: 131, Stride: w, Width: w, Height: h}
-		}},
-		{"padded-rows", func() raster.Strided {
-			stride := w + 29
-			buf := make([]int32, 5+stride*h)
-			for i := range buf {
-				buf[i] = sentinel
-			}
-			return raster.Strided{Pix: buf, Off: 5, Stride: stride, Width: w, Height: h}
-		}},
-		{"mosaic-subrect", func() raster.Strided {
-			parent := raster.Strided{
-				Pix: make([]int32, (w+100)*(h+80)), Stride: w + 100, Width: w + 100, Height: h + 80,
-			}
-			parent.Fill(sentinel)
-			sub, err := parent.Sub(60, 40, 60+w, 40+h)
-			if err != nil {
-				panic(err)
-			}
-			return sub
-		}},
-	}
-}
-
-// checkSentinels verifies every sample of v's backing buffer outside the view
-// still holds the sentinel — the decode wrote the view and nothing else.
-func checkSentinels(t *testing.T, v raster.Strided, label string) {
-	t.Helper()
-	const sentinel = -77777
-	inView := func(i int) bool {
-		rel := i - v.Off
-		if rel < 0 {
-			return false
-		}
-		y, x := rel/v.Stride, rel%v.Stride
-		return y < v.Height && x < v.Width
-	}
-	for i, s := range v.Pix {
-		if !inView(i) && s != sentinel {
-			t.Fatalf("%s: sample %d outside the view was overwritten (%d)", label, i, s)
-		}
-	}
-}
-
-// TestDecodeIntoMatchesDecode is the identity gate for caller-owned buffers:
-// for every golden stream and every view geometry, DecodePlanarInto must
-// produce exactly DecodePlanarSource's pixels inside the view and must not touch a single sample
-// outside it.
-func TestDecodeIntoMatchesDecode(t *testing.T) {
-	for _, gc := range append(goldenCases(), modeGoldenCases()...) {
-		t.Run(gc.name, func(t *testing.T) {
-			cs := gc.gen(t, 4)
-			want, err := DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, h, nc := want.Width(), want.Height(), want.NComp()
-			src := fileSource(t, cs)
-			dec := NewDecoder()
-			defer dec.Close()
-			for _, g := range strideGeometries(w, h) {
-				views := make([]raster.Strided, nc)
-				for ci := range views {
-					views[ci] = g.mk()
-				}
-				if err := dec.DecodePlanarInto(views, src, DecodeOptions{}); err != nil {
-					t.Fatalf("%s: %v", g.name, err)
-				}
-				for ci := 0; ci < nc; ci++ {
-					wantC := want.Comps[ci]
-					for y := 0; y < h; y++ {
-						row := views[ci].Row(y)
-						wrow := wantC.Pix[y*wantC.Stride : y*wantC.Stride+w]
-						for x := range row {
-							if row[x] != wrow[x] {
-								t.Fatalf("%s: comp %d pixel (%d,%d) = %d, want %d",
-									g.name, ci, x, y, row[x], wrow[x])
-							}
-						}
-					}
-					checkSentinels(t, views[ci], g.name)
-				}
-			}
-		})
-	}
-}
-
-// TestDecodeRegionIntoMatchesCrop: a windowed DecodeRegionPlanarInto through a file
-// Source equals the windowed allocating decode for every geometry, including
-// decoding straight into the matching sub-rectangle of a full-size mosaic —
-// the tile-server assembly pattern.
-func TestDecodeRegionIntoMatchesCrop(t *testing.T) {
-	im := raster.Synthetic(256, 256, 41)
-	cs, _, err := Encode(im, Options{
-		Kernel: dwt.Irr97, LayerBPP: []float64{1.0}, TileW: 64, TileH: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := fileSource(t, cs)
-	dec := NewDecoder()
-	defer dec.Close()
-	reg := Rect{X0: 50, Y0: 70, X1: 200, Y1: 130}
-	want, err := decodeRegion(nil, cs, reg, DecodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, h := want.Width, want.Height
-	for _, g := range strideGeometries(w, h) {
-		v := g.mk()
-		if err := dec.DecodeRegionPlanarInto([]raster.Strided{v}, src, reg, DecodeOptions{}); err != nil {
-			t.Fatalf("%s: %v", g.name, err)
-		}
-		for y := 0; y < h; y++ {
-			row := v.Row(y)
-			wrow := want.Pix[y*want.Stride : y*want.Stride+w]
-			for x := range row {
-				if row[x] != wrow[x] {
-					t.Fatalf("%s: pixel (%d,%d) = %d, want %d", g.name, x, y, row[x], wrow[x])
-				}
-			}
-		}
-		checkSentinels(t, v, g.name)
-	}
-}
-
-// TestDecodeIntoReuse drives one backing buffer through decodes of different
-// streams and geometries back to back — the recycling pattern the Into
-// entry points exist for. Every decode must match its allocating twin regardless of what
-// the buffer held before.
-func TestDecodeIntoReuse(t *testing.T) {
-	arena := make([]int32, 300*300)
-	dec := NewDecoder()
-	defer dec.Close()
-	for round := 0; round < 2; round++ {
-		for _, gc := range goldenCases()[:3] {
-			cs := gc.gen(t, 2)
-			want, err := Decode(cs, DecodeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, h := want.Width, want.Height
-			// A different offset each case, over the same dirty arena.
-			v := raster.Strided{Pix: arena, Off: 17 * (round + 1), Stride: w + 13, Width: w, Height: h}
-			if err := v.Check(); err != nil {
-				t.Fatal(err)
-			}
-			if err := dec.DecodePlanarInto([]raster.Strided{v}, t2.BytesSource(cs), DecodeOptions{}); err != nil {
-				t.Fatalf("%s round %d: %v", gc.name, round, err)
-			}
-			for y := 0; y < h; y++ {
-				row := v.Row(y)
-				wrow := want.Pix[y*want.Stride : y*want.Stride+w]
-				for x := range row {
-					if row[x] != wrow[x] {
-						t.Fatalf("%s round %d: pixel (%d,%d) differs", gc.name, round, x, y)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestDecodeIntoRejectsBadViews: geometry errors must surface before any
-// decoding work, with the caller's buffer untouched.
-func TestDecodeIntoRejectsBadViews(t *testing.T) {
-	cs, _, err := Encode(raster.Synthetic(64, 48, 3), Options{Kernel: dwt.Rev53})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := NewDecoder()
-	defer dec.Close()
-	src := t2.BytesSource(cs)
-	bad := []raster.Strided{
-		{Pix: make([]int32, 64*48), Stride: 64, Width: 64, Height: 48, Off: 1}, // overruns
-		{Pix: make([]int32, 64*48), Stride: 63, Width: 64, Height: 48},         // stride < width
-		{Pix: make([]int32, 32*48), Stride: 32, Width: 32, Height: 48},         // wrong size
-		{Pix: make([]int32, 64*48), Stride: 64, Width: 64, Height: 40},         // wrong height
-	}
-	for i, v := range bad {
-		if err := dec.DecodePlanarInto([]raster.Strided{v}, src, DecodeOptions{}); err == nil {
-			t.Fatalf("bad view %d accepted", i)
-		}
-	}
-	// Wrong plane count for the stream.
-	if err := dec.DecodePlanarInto(make([]raster.Strided, 3), src, DecodeOptions{}); err == nil {
-		t.Fatal("3 planes accepted for a 1-component stream")
-	}
-}
-
 // TestResilientSourceKindsEqual runs the fault matrix over both source kinds:
 // both go through the one scan-to-spans route, so a resilient decode of a
 // damaged stream must produce the same salvage — pixels and damage report,
@@ -353,12 +139,12 @@ func TestResilientSourceKindsEqual(t *testing.T) {
 	}
 }
 
-// TestDecodeRegionIntoBoundedMemory is the peak-memory regression gate for
-// the streaming path: walking a many-tile image window by window through one
-// recycled DecodeRegionPlanarInto buffer must keep the heap bounded by the window's
+// TestDecodeRegionBoundedMemory is the peak-memory regression gate for the
+// streaming path: walking a many-tile image window by window through
+// DecodeRegionPlanarSource must keep the retained heap bounded by the window's
 // tiles, far below the full image footprint. Gated off -short (CI runs the
 // full suite; `go test -short` skips it for quick local iteration).
-func TestDecodeRegionIntoBoundedMemory(t *testing.T) {
+func TestDecodeRegionBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("peak-memory walk skipped in -short mode")
 	}
@@ -375,12 +161,8 @@ func TestDecodeRegionIntoBoundedMemory(t *testing.T) {
 	const win = 256 // 2x2 tiles per window
 	dec := NewDecoder()
 	defer dec.Close()
-	buf := make([]int32, win*win)
-	views := make([]raster.Strided, 1)
 	decodeWindow := func(x0, y0 int) {
-		x1, y1 := x0+win, y0+win
-		views[0] = raster.Strided{Pix: buf, Stride: win, Width: x1 - x0, Height: y1 - y0}
-		if err := dec.DecodeRegionPlanarInto(views, src, Rect{X0: x0, Y0: y0, X1: x1, Y1: y1}, DecodeOptions{}); err != nil {
+		if _, err := dec.DecodeRegionPlanarSource(src, Rect{X0: x0, Y0: y0, X1: x0 + win, Y1: y0 + win}, DecodeOptions{}); err != nil {
 			t.Fatalf("window (%d,%d): %v", x0, y0, err)
 		}
 	}

@@ -38,14 +38,11 @@ type tileEntry struct {
 }
 
 // inflightCall coalesces concurrent misses on one key: the first caller
-// decodes, everyone else blocks on done and shares the result. dropped is
-// set (under the cache mutex) when the key is invalidated mid-decode, so a
-// decode of since-replaced bytes is handed to its waiters but never cached.
+// decodes, everyone else blocks on done and shares the result.
 type inflightCall struct {
-	done    chan struct{}
-	pl      *raster.Planar
-	err     error
-	dropped bool
+	done chan struct{}
+	pl   *raster.Planar
+	err  error
 }
 
 // Cache is a byte-budgeted LRU cache of decoded tiles (all components of a
@@ -169,7 +166,7 @@ func (c *Cache) GetOrDecode(ctx context.Context, key TileKey, decode func() (*ra
 	defer func() {
 		c.mu.Lock()
 		delete(c.inflight, key)
-		if call.err == nil && !call.dropped && c.maxBytes > 0 {
+		if call.err == nil && c.maxBytes > 0 {
 			bytes := int64(tileOverhead)
 			for _, comp := range call.pl.Comps {
 				bytes += int64(len(comp.Pix)) * 4
@@ -197,30 +194,6 @@ func (c *Cache) GetOrDecode(ctx context.Context, key TileKey, decode func() (*ra
 	}()
 	call.pl, call.err = decode()
 	return call.pl, OutcomeMiss, call.err
-}
-
-// Invalidate drops every cached tile of the given image and marks in-flight
-// decodes of it as dropped (their waiters still get the result, but it will
-// not enter the cache — a decode of since-replaced bytes must not outlive
-// the replacement). Returns the number of cached entries removed.
-func (c *Cache) Invalidate(image string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for key, e := range c.entries {
-		if key.Image == image {
-			c.unlink(e)
-			delete(c.entries, key)
-			c.size -= e.bytes
-			n++
-		}
-	}
-	for key, call := range c.inflight {
-		if key.Image == image {
-			call.dropped = true
-		}
-	}
-	return n
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.

@@ -126,3 +126,51 @@ func TestLoadDirLazyServing(t *testing.T) {
 		t.Fatal("Close left images registered")
 	}
 }
+
+// TestStoreRejectsDuplicateID: registering an id twice is an error, not a
+// silent replacement — the first image stays served, the rejected source stays
+// the caller's, and Store.Close closes every file the store took.
+func TestStoreRejectsDuplicateID(t *testing.T) {
+	open := func(name string, im *raster.Image) *t2.Source {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, encodeTest(t, im), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := t2.OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	first := open("a.j2k", raster.Synthetic(64, 48, 1))
+	second := open("a.j2k", raster.Synthetic(96, 80, 2))
+	defer second.Close()
+
+	store := NewStore()
+	if _, err := store.AddSource("a", first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.AddSource("a", second); err == nil {
+		t.Fatal("duplicate AddSource accepted")
+	}
+	if _, err := store.Add("a", encodeTest(t, raster.Synthetic(32, 32, 3))); err == nil {
+		t.Fatal("duplicate Add accepted")
+	}
+	if store.Len() != 1 {
+		t.Fatalf("store holds %d images, want 1", store.Len())
+	}
+	img, ok := store.Get("a")
+	if !ok || img.Source() != first || img.Params().Width != 64 {
+		t.Fatal("the first registration is no longer the image served")
+	}
+
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.ReadAt(make([]byte, 1), 0); err == nil {
+		t.Fatal("Store.Close left a registered file open")
+	}
+	if _, err := second.ReadAt(make([]byte, 1), 0); err != nil {
+		t.Fatalf("Store.Close closed a source it never took: %v", err)
+	}
+}

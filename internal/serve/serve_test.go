@@ -178,36 +178,6 @@ func TestCachePanicSafety(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidateInFlight: invalidating an image while one of its tiles
-// is still decoding must keep that (now stale) result out of the cache.
-func TestCacheInvalidateInFlight(t *testing.T) {
-	c := NewCache(1 << 20)
-	key := TileKey{Image: "x"}
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.GetOrDecode(context.Background(), key, func() (*raster.Planar, error) {
-			close(started)
-			<-release // decode of the OLD bytes straddles the invalidation
-			return tile(4, 4), nil
-		})
-	}()
-	<-started
-	c.Invalidate("x")
-	close(release)
-	<-done
-	fresh := 0
-	c.GetOrDecode(context.Background(), key, func() (*raster.Planar, error) {
-		fresh++
-		return tile(4, 4), nil
-	})
-	if fresh != 1 {
-		t.Fatal("stale in-flight decode entered the cache across Invalidate")
-	}
-}
-
 func TestCacheSingleflight(t *testing.T) {
 	c := NewCache(1 << 20)
 	var decodes atomic.Int64
@@ -556,7 +526,7 @@ func TestServerRawBothWidths(t *testing.T) {
 // through a server whose tile decodes run at TileWorkers > 1, so every
 // request's tier-1/DWT dispatches land concurrently on the server's one
 // shared worker pool — under -race this is the gate for concurrent
-// Pool.TasksID use from independent HTTP requests.
+// Pool.TasksIDMax use from independent HTTP requests.
 func TestServerSharedPoolConcurrentRequests(t *testing.T) {
 	cs := encodeTest(t, testImage())
 	store := NewStore()
@@ -707,8 +677,8 @@ func BenchmarkServeTileCache(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			srv.cache.Invalidate("bench") // every lookup is a cold miss
-			if _, _, err := srv.cache.GetOrDecode(context.Background(), TileKey{Image: "bench", TX: 0, TY: 0}, decode); err != nil {
+			// A distinct key per iteration: every lookup is a cold miss.
+			if _, _, err := srv.cache.GetOrDecode(context.Background(), TileKey{Image: "bench", Layers: i + 1}, decode); err != nil {
 				b.Fatal(err)
 			}
 		}

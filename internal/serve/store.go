@@ -81,8 +81,9 @@ func NewStore() *Store { return &Store{imgs: make(map[string]*Image)} }
 
 // Add registers a resident codestream under id, building its packet index
 // eagerly. A corrupt or truncated stream is rejected here, at registration,
-// so request handlers never see an unindexable image. Re-adding an id
-// replaces the image (the caller should invalidate any tile cache).
+// so request handlers never see an unindexable image. An id is registered at
+// most once: adding an id already in the store is an error, and the first
+// image stays served.
 func (s *Store) Add(id string, data []byte) (*Image, error) {
 	if id == "" {
 		return nil, fmt.Errorf("serve: empty image id")
@@ -91,7 +92,7 @@ func (s *Store) Add(id string, data []byte) (*Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: indexing %q: %w", id, err)
 	}
-	return s.put(&Image{ID: id, src: ix.Source(), Index: ix}), nil
+	return s.put(&Image{ID: id, src: ix.Source(), Index: ix})
 }
 
 // AddSource registers a codestream source under id with lazy ingest: only
@@ -100,8 +101,8 @@ func (s *Store) Add(id string, data []byte) (*Image, error) {
 // scales with the tiles actually served, not the corpus. Container-level
 // damage (bad geometry, broken tile-part chain) is still rejected here;
 // packet-level damage inside a tile body surfaces on first touch of that
-// tile. The store takes ownership of src on success (Close releases it); on
-// error the caller still owns it.
+// tile. As with Add, a duplicate id is an error. The store takes ownership of
+// src on success (Close releases it); on error the caller still owns it.
 func (s *Store) AddSource(id string, src *t2.Source) (*Image, error) {
 	if id == "" {
 		return nil, fmt.Errorf("serve: empty image id")
@@ -110,14 +111,17 @@ func (s *Store) AddSource(id string, src *t2.Source) (*Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: indexing %q: %w", id, err)
 	}
-	return s.put(&Image{ID: id, src: src, Index: ix}), nil
+	return s.put(&Image{ID: id, src: src, Index: ix})
 }
 
-func (s *Store) put(im *Image) *Image {
+func (s *Store) put(im *Image) (*Image, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.imgs[im.ID]; dup {
+		return nil, fmt.Errorf("serve: image id %q already registered", im.ID)
+	}
 	s.imgs[im.ID] = im
-	s.mu.Unlock()
-	return im
+	return im, nil
 }
 
 // Get returns the image registered under id.

@@ -141,10 +141,11 @@ func BenchmarkT1DecodePasses(b *testing.B) {
 			if r := eb.Passes[np-1].Rate; r < len(seg) {
 				seg = seg[:r]
 			}
+			in := BlockIn{W: 64, H: 64, Band: dwt.HH, NumBitplanes: eb.NumBitplanes, Data: seg, NPasses: np}
 			b.SetBytes(64 * 64)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bd.DecodeSegment(64, 64, dwt.HH, eb.NumBitplanes, seg, np); err != nil {
+				if _, _, err := bd.DecodeBlock(&in, false); err != nil {
 					b.Fatal(err)
 				}
 				bd.Release()

@@ -91,7 +91,7 @@ func (bd *BlockDecoder) parTask(_, task int) {
 	}
 }
 
-// Release reclaims every sample slice returned by DecodeSegment since the
+// Release reclaims every sample slice returned by DecodeBlock since the
 // last Release. The caller must have dropped all references to them.
 func (bd *BlockDecoder) Release() { bd.out = bd.out[:0] }
 
@@ -131,30 +131,6 @@ type SegStats struct {
 // more than a handful. The data-proportional term keeps the bound loose for
 // rate-truncated segments, whose final bits legitimately come from synthesis.
 func overrunSlack(n int) int { return 8 + n/4 }
-
-// DecodeSegment reconstructs a w x h code-block from the first npasses coding
-// passes of a codeword segment, reusing the BlockDecoder's buffers. data must
-// already be truncated to the rate of pass npasses (the tier-2 packet walk
-// hands segments out at exactly that granularity). See Decode for the
-// midpoint-compensation convention and BlockDecoder for the result lifetime.
-func (bd *BlockDecoder) DecodeSegment(w, h int, band dwt.BandType, numBitplanes int, data []byte, npasses int) ([]int32, error) {
-	out, _, err := bd.DecodeSegmentChecked(w, h, band, numBitplanes, data, npasses, false, false)
-	return out, err
-}
-
-// DecodeSegmentChecked is DecodeSegment with the error-resilience tools wired
-// in; it is DecodeBlock for default-mode blocks (single codeword segment,
-// optionally with segmentation symbols).
-func (bd *BlockDecoder) DecodeSegmentChecked(w, h int, band dwt.BandType, numBitplanes int, data []byte, npasses int, segSym, resilient bool) ([]int32, SegStats, error) {
-	in := BlockIn{
-		W: w, H: h, Band: band,
-		NumBitplanes: numBitplanes,
-		Data:         data,
-		NPasses:      npasses,
-		Modes:        Modes{SegSym: segSym},
-	}
-	return bd.DecodeBlock(&in, resilient)
-}
 
 // BlockIn describes one code-block handed to DecodeBlock: the concatenated
 // codeword segments in Data, the pass count they cover, the coder modes the

@@ -82,7 +82,10 @@ func TestPooledCoderEdgeGeometry(t *testing.T) {
 			if !bytes.Equal(got.Data, want.Data) || got.NumBitplanes != want.NumBitplanes {
 				t.Fatalf("round %d shape %dx%d %v: pooled encode differs from one-shot", round, s.w, s.h, s.band)
 			}
-			vals, err := bd.DecodeSegment(s.w, s.h, s.band, got.NumBitplanes, got.Data, len(got.Passes))
+			vals, _, err := bd.DecodeBlock(&BlockIn{
+				W: s.w, H: s.h, Band: s.band,
+				NumBitplanes: got.NumBitplanes, Data: got.Data, NPasses: len(got.Passes),
+			}, false)
 			if err != nil {
 				t.Fatalf("round %d shape %dx%d %v: %v", round, s.w, s.h, s.band, err)
 			}

@@ -60,7 +60,7 @@ type lazyTile struct {
 // any body bytes — and each tile's packet-boundary map is built lazily on
 // first touch (Tile), guarded for concurrent use. It is the substrate of the
 // serving subsystem: a region/resolution/layer request can be costed
-// (RegionBytes) or sliced (WritePrefix, LayerPrefixLen) per request while the
+// (RegionBytes) or sliced (WritePrefix) per request while the
 // Index itself is built once and shared between any number of goroutines.
 type Index struct {
 	Params Params
@@ -216,20 +216,6 @@ func (ix *Index) buildTile(ti int) (TileIndex, error) {
 		}
 	}
 	return TileIndex{Body: body, Packets: packets}, nil
-}
-
-// LayerPrefixLen returns the length of tile ti's body prefix that carries its
-// first `layers` quality layers (every resolution, every component). layers
-// outside [0, Params.Layers] is clamped. Forces the tile's packet map.
-func (ix *Index) LayerPrefixLen(ti, layers int) (int, error) {
-	t, err := ix.Tile(ti)
-	if err != nil {
-		return 0, err
-	}
-	if layers > ix.Params.Layers {
-		layers = ix.Params.Layers
-	}
-	return t.layerPrefixLen(layers), nil
 }
 
 // RegionBytes sums the packet bytes a decode of the given tiles at the given

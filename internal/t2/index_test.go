@@ -133,9 +133,10 @@ func TestIndexWritePrefix(t *testing.T) {
 	}
 }
 
-// TestIndexByteAccounting checks RegionBytes/LayerPrefixLen consistency and
-// monotonicity: more layers or more resolutions never cost fewer bytes, and
-// the full request equals the whole stream's packet payload.
+// TestIndexByteAccounting checks RegionBytes consistency and monotonicity:
+// more layers or more resolutions never cost fewer bytes, the full request
+// equals the whole stream's packet payload, and each tile's last packet (last
+// layer, last component, highest resolution) ends exactly at its body's end.
 func TestIndexByteAccounting(t *testing.T) {
 	cs := encodeTestStream(t, jp2k.Options{
 		Kernel: dwt.Irr97, LayerBPP: []float64{0.25, 1.0}, TileW: 64, TileH: 96, Levels: 3,
@@ -172,11 +173,8 @@ func TestIndexByteAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tile %d: %v", ti, err)
 		}
-		full, err := ix.LayerPrefixLen(ti, ix.Params.Layers)
-		if err != nil {
-			t.Fatalf("tile %d: %v", ti, err)
-		}
-		if got, want := full, len(tile.Body); got != want {
+		last := tile.Packets[len(tile.Packets)-1][ix.Params.Layers-1]
+		if got, want := last[len(last)-1].End(), len(tile.Body); got != want {
 			t.Fatalf("tile %d: full layer prefix %d != body %d", ti, got, want)
 		}
 	}

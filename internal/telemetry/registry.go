@@ -80,14 +80,8 @@ func (r *Registry) register(m *metric) {
 
 // Counter registers and returns an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.CounterWithLabels(name, "", help)
-}
-
-// CounterWithLabels registers a counter series under a family name with the
-// given rendered labels (see Labels).
-func (r *Registry) CounterWithLabels(name, labels, help string) *Counter {
 	c := &Counter{}
-	r.register(&metric{name: name, labels: labels, help: help, kind: kindCounter, ctr: c})
+	r.register(&metric{name: name, help: help, kind: kindCounter, ctr: c})
 	return c
 }
 
