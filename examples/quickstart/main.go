@@ -52,8 +52,5 @@ func main() {
 	fmt.Printf("lossy:    %.3f bpp, PSNR %.2f dB\n", stats.BPP, psnr)
 
 	// Where the encoder spent its time (the paper's Fig. 3 decomposition).
-	tm := stats.Timings
-	fmt.Printf("stages:   DWT %v (H %v / V %v), tier-1 %v, rate-alloc %v, tier-2 %v\n",
-		tm.IntraComp, tm.DWTDetail.Horizontal, tm.DWTDetail.Vertical,
-		tm.Tier1, tm.RateAlloc, tm.Tier2)
+	fmt.Print("stages:\n", stats.Timings.Breakdown())
 }

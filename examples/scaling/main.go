@@ -60,12 +60,7 @@ func main() {
 			if best == 0 || el < best {
 				best = el
 				if w == 1 {
-					// The paper's split: transform, quantization and tier-1
-					// parallelize; setup, rate allocation, tier-2 and IO are
-					// the serial tail.
-					tm := stats.Timings
-					par := tm.InterComp + tm.IntraComp + tm.Quant + tm.Tier1
-					prof = amdahl.Profile{Sequential: (tm.Total() - par).Seconds(), Parallel: par.Seconds()}
+					prof = stats.Timings.Profile()
 				}
 			}
 		}

@@ -22,17 +22,6 @@ func (pr Profile) Speedup(n int) float64 {
 	return total / (pr.Sequential + pr.Parallel/float64(n))
 }
 
-// Limit returns the asymptotic speedup bound (n -> infinity).
-func (pr Profile) Limit() float64 {
-	if pr.Sequential == 0 {
-		if pr.Parallel == 0 {
-			return 1
-		}
-		return 1e308 // unbounded
-	}
-	return (pr.Sequential + pr.Parallel) / pr.Sequential
-}
-
 // ParallelFraction returns p / (s + p).
 func (pr Profile) ParallelFraction() float64 {
 	total := pr.Sequential + pr.Parallel

@@ -11,9 +11,9 @@ func TestSpeedupBasics(t *testing.T) {
 	if got := pr.Speedup(1); got != 1 {
 		t.Fatalf("speedup(1) = %v", got)
 	}
-	// 50% parallel on infinite CPUs -> 2x.
-	if got := pr.Limit(); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("limit = %v", got)
+	// 50% parallel on (nearly) infinite CPUs -> 2x.
+	if got := pr.Speedup(1 << 40); math.Abs(got-2) > 1e-9 {
+		t.Fatalf("speedup(2^40) = %v, want ~2", got)
 	}
 	if got := pr.Speedup(2); math.Abs(got-4.0/3) > 1e-12 {
 		t.Fatalf("speedup(2) = %v, want 4/3", got)
@@ -40,14 +40,14 @@ func TestFullyParallel(t *testing.T) {
 	if got := pr.Speedup(8); math.Abs(got-8) > 1e-12 {
 		t.Fatalf("fully parallel speedup(8) = %v", got)
 	}
-	if pr.Limit() < 1e300 {
-		t.Fatal("fully parallel limit must be unbounded")
+	if got := pr.Speedup(1 << 20); got != 1<<20 {
+		t.Fatalf("fully parallel speedup(2^20) = %v, want unbounded growth", got)
 	}
 }
 
 func TestDegenerate(t *testing.T) {
 	var pr Profile
-	if pr.Speedup(4) != 1 || pr.Limit() != 1 || pr.ParallelFraction() != 0 {
+	if pr.Speedup(4) != 1 || pr.ParallelFraction() != 0 {
 		t.Fatal("zero profile must be identity")
 	}
 	if (Profile{Sequential: 1}).Speedup(100) != 1 {
@@ -60,14 +60,14 @@ func TestQuickInvariants(t *testing.T) {
 		pr := Profile{Sequential: float64(s8), Parallel: float64(p8)}
 		n := 1 + int(n8%63)
 		sp := pr.Speedup(n)
-		// Bounds: 1 <= speedup <= min(n, limit).
+		// Bounds: 1 <= speedup <= min(n, (s+p)/s).
 		if sp < 1-1e-12 {
 			return false
 		}
 		if sp > float64(n)+1e-12 {
 			return false
 		}
-		if sp > pr.Limit()+1e-9 {
+		if s8 > 0 && sp > (pr.Sequential+pr.Parallel)/pr.Sequential+1e-9 {
 			return false
 		}
 		// Monotone in n.

@@ -35,8 +35,8 @@ func (w *Writer) WriteBits(v uint32, n int) {
 	}
 }
 
-// Align pads with zero bits to the next byte boundary.
-func (w *Writer) Align() {
+// align pads with zero bits to the next byte boundary.
+func (w *Writer) align() {
 	for w.nacc != 0 {
 		w.WriteBit(0)
 	}
@@ -44,7 +44,7 @@ func (w *Writer) Align() {
 
 // Bytes aligns the writer and returns the accumulated bytes.
 func (w *Writer) Bytes() []byte {
-	w.Align()
+	w.align()
 	return w.buf
 }
 
@@ -91,9 +91,6 @@ func (r *Reader) ReadBits(n int) (uint32, error) {
 	}
 	return v, nil
 }
-
-// Align discards bits up to the next byte boundary.
-func (r *Reader) Align() { r.nacc = 0 }
 
 // StuffWriter writes packet-header bits with JPEG2000 bit stuffing: after
 // emitting a 0xFF byte, only seven bits are placed in the following byte (its

@@ -66,7 +66,7 @@ func TestAlignAndBitLen(t *testing.T) {
 	if w.BitLen() != 3 {
 		t.Fatalf("BitLen = %d", w.BitLen())
 	}
-	w.Align()
+	w.align()
 	if w.BitLen() != 8 {
 		t.Fatalf("BitLen after align = %d", w.BitLen())
 	}

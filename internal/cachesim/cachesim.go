@@ -99,15 +99,6 @@ func (c *Cache) Access(addr uint64) bool {
 // Stats returns cumulative hit and miss counts.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
-// MissRate returns misses / accesses (0 if untouched).
-func (c *Cache) MissRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(total)
-}
-
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
 	for i := range c.valid {
@@ -115,10 +106,6 @@ func (c *Cache) Reset() {
 	}
 	c.clock, c.hits, c.misses = 0, 0, 0
 }
-
-// Sets returns the number of cache sets (exported for the experiments'
-// explanatory output).
-func (c *Cache) Sets() int { return c.sets }
 
 func log2(v int) int {
 	k := 0

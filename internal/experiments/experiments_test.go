@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pj2k/internal/cachesim"
+	"pj2k/internal/jp2k"
 	"pj2k/internal/smp"
 )
 
@@ -194,13 +195,14 @@ func TestQuantSpeedupShape(t *testing.T) {
 }
 
 // TestHostScalingShape runs the host table small: four shapes, an encode and a
-// decode block of five rows each, every speedup a positive number and every
-// total-row bound within [1, NumCPU] — and, by not panicking, the codestream
-// and the decoded samples equal at both worker counts. It asserts no speed.
+// decode block of a total row plus one row per stage each, every speedup a
+// positive number and every total-row bound within [1, NumCPU] — and, by not
+// panicking, the codestream and the decoded samples equal at both worker
+// counts. It asserts no speed.
 func TestHostScalingShape(t *testing.T) {
 	tb := HostScaling(128)
-	if len(tb.Rows) != 4*2*5 {
-		t.Fatalf("%d rows, want 40", len(tb.Rows))
+	if want := 4 * (2 + jp2k.NumEncStages + jp2k.NumDecStages); len(tb.Rows) != want {
+		t.Fatalf("%d rows, want %d", len(tb.Rows), want)
 	}
 	p := float64(runtime.NumCPU())
 	for r, row := range tb.Rows {

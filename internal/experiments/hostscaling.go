@@ -46,8 +46,7 @@ func hostShapes(side int) []hostShape {
 }
 
 // hostRun is one timed call: its wall time, the stage spans the codec
-// reported for it, and the paper's serial/parallel split of all its stage
-// times.
+// reported for it, and the paper's serial/parallel split of them.
 type hostRun struct {
 	wall   time.Duration
 	stages []time.Duration
@@ -62,19 +61,13 @@ func (best *hostRun) keep(r hostRun) {
 	}
 }
 
-// split is the Amdahl profile of a call whose stages took total, par of it in
-// stages of the parallel class.
-func split(total, par time.Duration) amdahl.Profile {
-	return amdahl.Profile{Sequential: (total - par).Seconds(), Parallel: par.Seconds()}
-}
-
 // HostScaling is the paper's Sec. 3.4 table on this host's real goroutines
 // instead of the smp model: for each corpus shape, one pooled encoder and
 // decoder run at Workers=1 and Workers=NumCPU (warm, best of hostRounds), and
-// the measured speedup — of the whole call and of every stage the codec times
-// as a wall span — stands beside Amdahl's bound from the serial fraction
-// measured at Workers=1. The codestream and the decoded samples must not
-// depend on the worker count; a difference panics.
+// the measured speedup — of the whole call and of every stage — stands beside
+// Amdahl's bound from the serial fraction measured at Workers=1. The
+// codestream and the decoded samples must not depend on the worker count; a
+// difference panics.
 func HostScaling(side int) *Table {
 	p := runtime.NumCPU()
 	t := &Table{
@@ -83,12 +76,10 @@ func HostScaling(side int) *Table {
 		Notes: []string{
 			"coded/possible: tier-1 coding passes run over the passes full coding would run; below 1",
 			"where rate control lets tier-1 stop early, which shrinks the parallel stage and so the bound.",
-			"bound, total rows: Amdahl's speedup from the Workers=1 stage times with the paper's",
-			"split — transform, quantization, tier-1 parallel; setup, rate, tier-2, IO serial.",
+			"bound, total rows: Amdahl's speedup from the Workers=1 stage times split by the codec's",
+			"stage classes (jp2k.EncStageParallel / DecStageParallel).",
 			"bound, stage rows: P for a stage of the parallel class, 1 for the serial tail; rate and",
 			"tier-2 fan out per component and per tile, so they may beat 1 on colour and tiled shapes.",
-			"transform and quantization are reported as summed per-tile CPU time, not wall spans,",
-			"so they have no stage row; their scaling shows in the total.",
 		},
 	}
 	pool := core.NewPool(p)
@@ -107,8 +98,8 @@ func HostScaling(side int) *Table {
 			panic(fmt.Sprintf("experiments: %s: encode failed: %v", sh.name, err))
 		}
 		tm := st.Timings
-		return cs, hostRun{wall, []time.Duration{tm.Tier1, tm.RateAlloc, tm.Tier2, tm.StreamIO},
-			split(tm.Total(), tm.InterComp+tm.IntraComp+tm.Quant+tm.Tier1),
+		spans := tm.Spans()
+		return cs, hostRun{wall, spans[:], tm.Profile(),
 			fmt.Sprintf("%.2f (%d/%d)", st.CodedShare(), st.PassesCoded, st.PassesPossible)}
 	}
 	decode := func(sh *hostShape, cs []byte, workers int) (*raster.Planar, hostRun) {
@@ -119,8 +110,8 @@ func HostScaling(side int) *Table {
 			panic(fmt.Sprintf("experiments: %s: decode failed: %v", sh.name, err))
 		}
 		tm := dec.Stats().Timings
-		return pl, hostRun{wall, []time.Duration{tm.Parse, tm.Tier2, tm.Tier1, tm.Assemble},
-			split(tm.Total(), tm.Tier1+tm.Assemble+tm.InterComp), "-"}
+		spans := tm.Spans()
+		return pl, hostRun{wall, spans[:], tm.Profile(), "-"}
 	}
 
 	// One untimed pass at full width sizes every worker's state and leaves the
@@ -172,8 +163,8 @@ func HostScaling(side int) *Table {
 		}
 	}
 	for i, sh := range shapes {
-		emit(sh.name, "encode", res[i].enc, []string{"tier-1", "rate", "tier-2", "io"}, []bool{true, false, false, false})
-		emit("", "decode", res[i].dec, []string{"parse", "t2", "t1", "assemble"}, []bool{false, false, true, true})
+		emit(sh.name, "encode", res[i].enc, jp2k.EncStageNames[:], jp2k.EncStageParallel[:])
+		emit("", "decode", res[i].dec, jp2k.DecStageNames[:], jp2k.DecStageParallel[:])
 	}
 	return t
 }

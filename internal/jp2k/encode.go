@@ -42,7 +42,6 @@ type tileEnc struct {
 	bandArena []int32
 	bandInts  [][]int32
 	qjobs     []quant.BandJob
-	tcoder    *t2.TileCoder
 }
 
 // Encode compresses a single-component image into a JPEG2000 codestream.
@@ -59,11 +58,4 @@ func Encode(im *raster.Image, opts Options) ([]byte, *EncodeStats, error) {
 // Encoder.EncodePlanar.
 func EncodePlanar(pl *raster.Planar, opts Options) ([]byte, *EncodeStats, error) {
 	return NewEncoderWithPool(core.Default()).EncodePlanar(pl, opts)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -70,7 +70,8 @@ type Encoder struct {
 	// Dispatch funcs bound once at construction, so the hot TasksIDMax call
 	// sites pass a stored func instead of allocating a fresh closure per
 	// encode; the per-call parameters travel through cur.
-	unitFn  func(worker, u int)
+	dwtFn   func(worker, u int)
+	quantFn func(worker, u int)
 	blockFn func(worker, i int)
 	rateFn  func(worker, ci int)
 	t2Fn    func(worker, ti int)
@@ -103,7 +104,8 @@ type Encoder struct {
 
 func newEncoder(p *core.Pool, own bool) *Encoder {
 	e := &Encoder{pool: p, ownPool: own}
-	e.unitFn = e.unitTask
+	e.dwtFn = e.dwtTask
+	e.quantFn = e.quantTask
 	e.blockFn = e.blockTask
 	e.rateFn = e.rateTask
 	e.t2Fn = e.t2Task
@@ -196,46 +198,29 @@ func (e *Encoder) EncodePlanar(pl *raster.Planar, opts Options) ([]byte, *Encode
 // weight.
 const chromaShare = 0.15
 
-// unitTask transforms and quantizes one (component, tile) unit: the DWT over
-// the unit's plane, then per-band quantization into the unit's arena. It is
+// dwtTask runs the forward DWT over one (component, tile) unit's plane. It is
 // the body of the intra-component TasksIDMax dispatch (the paper's Fig. 9
 // "improved" scaling, widened by the component axis).
-func (e *Encoder) unitTask(worker, u int) {
+func (e *Encoder) dwtTask(worker, u int) {
 	o := &e.cur.o
 	te := e.units[u]
-	w := e.workers[worker]
-	tt := &w.timing
 	st := dwt.Strategy{
 		VertMode: o.VertMode, BlockWidth: o.VertBlockWidth,
-		Workers: e.cur.innerW, Scratch: &w.scratch, Pool: e.pool,
+		Workers: e.cur.innerW, Scratch: &e.workers[worker].scratch, Pool: e.pool,
 	}
-	tDWT := time.Now()
-	var fp *dwt.FPlane
-	var td dwt.Timings
 	if o.Kernel == dwt.Rev53 {
-		td = dwt.Forward53Timed(te.intPlane, o.Levels, st)
-	} else {
-		te.fplane = dwt.FromImageReuse(te.fplane, te.intPlane)
-		fp = te.fplane
-		td = dwt.Forward97Timed(fp, o.Levels, st)
+		dwt.Forward53(te.intPlane, o.Levels, st)
+		return
 	}
-	tt.dwt.Horizontal += td.Horizontal
-	tt.dwt.Vertical += td.Vertical
-	tt.intra += time.Since(tDWT)
+	te.fplane = dwt.FromImageReuse(te.fplane, te.intPlane)
+	dwt.Forward97(te.fplane, o.Levels, st)
+}
 
-	// Quantization (9/7 only): per band into dense int32 views of the unit's
-	// pooled arena (bands partition the tile, so the arena is exactly
-	// tile-sized).
-	tQ := time.Now()
-	key := gridKey{te.w, te.h, o.Levels, o.CBW, o.CBH}
-	if te.gridKey != key {
-		te.gridKey = key
-		te.bands = grow(te.bands, e.cur.nbands)
-		for bi, b := range te.subbands {
-			g := t2.MakeGrid(b, o.CBW, o.CBH)
-			te.bands[bi] = t2.BandBlocks{Grid: g, Blocks: grow(te.bands[bi].Blocks, len(g.Rects))}
-		}
-	}
+// quantTask quantizes one 9/7 unit band by band into dense int32 views of the
+// unit's pooled arena (bands partition the tile, so the arena is exactly
+// tile-sized).
+func (e *Encoder) quantTask(_, u int) {
+	te := e.units[u]
 	te.bandInts = grow(te.bandInts, e.cur.nbands)
 	if cap(te.bandArena) < te.w*te.h {
 		te.bandArena = make([]int32, te.w*te.h)
@@ -244,7 +229,7 @@ func (e *Encoder) unitTask(worker, u int) {
 	off := 0
 	for bi, b := range te.subbands {
 		te.bandInts[bi] = nil
-		if b.Empty() || o.Kernel != dwt.Irr97 {
+		if b.Empty() {
 			continue
 		}
 		n := b.Width() * b.Height()
@@ -255,10 +240,7 @@ func (e *Encoder) unitTask(worker, u int) {
 		})
 		te.bandInts[bi] = buf
 	}
-	if len(te.qjobs) > 0 {
-		quant.ForwardBands(fp.Data, fp.Stride, te.qjobs, e.cur.innerW, e.pool)
-	}
-	tt.quant += time.Since(tQ)
+	quant.ForwardBands(te.fplane.Data, te.fplane.Stride, te.qjobs, e.cur.innerW, e.pool)
 }
 
 // blockTask entropy-codes one code-block on the dispatching worker's pooled
@@ -624,18 +606,28 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 					}
 				}
 				te.subbands = dwt.SubbandsAppend(te.subbands[:0], te.w, te.h, o.Levels)
+				// The code-block grids depend on geometry only, so a tile
+				// that keeps its shape keeps them.
+				key := gridKey{te.w, te.h, o.Levels, o.CBW, o.CBH}
+				if te.gridKey != key {
+					te.gridKey = key
+					te.bands = grow(te.bands, len(te.subbands))
+					for bi, b := range te.subbands {
+						g := t2.MakeGrid(b, o.CBW, o.CBH)
+						te.bands[bi] = t2.BandBlocks{Grid: g, Blocks: grow(te.bands[bi].Blocks, len(g.Rects))}
+					}
+				}
 				origins[u] = [2]int{x0, y0}
 				u++
 			}
 		}
 	}
-	stats.Timings.Setup = time.Since(t0)
 
-	// --- Intra-component transform (DWT) + quantization, parallel ACROSS
-	// the component x tile units (the paper's Fig. 9 "improved" scaling,
-	// widened by the component axis): with several units each worker
+	// The intra-component transform (DWT) and quantization run parallel
+	// ACROSS the component x tile units (the paper's Fig. 9 "improved"
+	// scaling, widened by the component axis): with several units each worker
 	// transforms whole units serially; a single unit is transformed with all
-	// workers cooperating inside it as before.
+	// workers cooperating inside it.
 	outerW := o.Workers
 	if outerW > nunits {
 		outerW = nunits
@@ -644,8 +636,9 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	if innerW < 1 {
 		innerW = 1
 	}
-	// Covers the unit, rate (per component) and tier-2 (per tile) stages;
-	// tier-1 tops the blocks up once the code-block count is known.
+	// Covers the DWT, quantization, rate (per component) and tier-2 (per
+	// tile) stages; tier-1 tops the blocks up once the code-block count is
+	// known.
 	e.ensureWorkers(min(o.Workers, nunits))
 	var steps []quant.Step
 	if o.Kernel == dwt.Irr97 {
@@ -664,24 +657,24 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	e.cur.ncomp = ncomp
 	e.cur.nlayers = nlayers
 	e.cur.npixels = width * height
-	for _, w := range e.workers[:outerW] {
-		w.timing = tileTiming{}
-	}
-	e.pool.TasksIDMax(outerW, nunits, e.unitFn)
-	for _, w := range e.workers[:outerW] {
-		tt := &w.timing
-		stats.Timings.DWTDetail.Horizontal += tt.dwt.Horizontal
-		stats.Timings.DWTDetail.Vertical += tt.dwt.Vertical
-		stats.Timings.IntraComp += tt.intra
-		stats.Timings.Quant += tt.quant
-	}
+	stats.Timings.Setup = time.Since(t0)
 
-	// --- ROI scaling (MAXSHIFT) between quantization and tier-1, as in the
-	// Fig. 1 pipeline; the shift applies uniformly across components.
+	tDWT := time.Now()
+	e.pool.TasksIDMax(outerW, nunits, e.dwtFn)
+	stats.Timings.IntraComp = time.Since(tDWT)
+
+	// --- Quantization (9/7 only), then ROI scaling (MAXSHIFT) between
+	// quantization and tier-1, as in the Fig. 1 pipeline; the shift applies
+	// uniformly across components.
+	tQ := time.Now()
+	if o.Kernel == dwt.Irr97 {
+		e.pool.TasksIDMax(outerW, nunits, e.quantFn)
+	}
 	roiShift := 0
 	if o.ROI != nil {
 		roiShift = applyROI(units, origins, *o.ROI, o)
 	}
+	stats.Timings.Quant = time.Since(tQ)
 
 	// --- Per-band R-D weights (geometry-derived, so shared by every
 	// component): the allocator's distortion scale, and the tier-1 stop

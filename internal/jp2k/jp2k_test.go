@@ -2,11 +2,15 @@ package jp2k
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"pj2k/internal/dwt"
 	"pj2k/internal/metrics"
 	"pj2k/internal/raster"
+	"pj2k/internal/t2"
 )
 
 func TestLosslessRoundTrip(t *testing.T) {
@@ -252,7 +256,7 @@ func TestStageTimingsPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm := stats.Timings
-	if tm.IntraComp <= 0 || tm.Tier1 <= 0 {
+	if tm.IntraComp <= 0 || tm.Quant <= 0 || tm.Tier1 <= 0 {
 		t.Fatalf("missing stage timings: %+v", tm)
 	}
 	if tm.Total() <= 0 {
@@ -261,8 +265,51 @@ func TestStageTimingsPopulated(t *testing.T) {
 	if stats.CodeBlocks == 0 {
 		t.Fatal("no code blocks counted")
 	}
-	if d := tm.DWTDetail; d.Horizontal <= 0 || d.Vertical <= 0 {
-		t.Fatalf("missing DWT detail: %+v", d)
+	if p := tm.Profile(); p.Parallel <= 0 || p.Sequential <= 0 {
+		t.Fatalf("profile %+v: both classes took time", p)
+	}
+	text := tm.Breakdown()
+	for _, name := range EncStageNames {
+		if !strings.Contains(text, name) {
+			t.Fatalf("breakdown lacks stage %q:\n%s", name, text)
+		}
+	}
+}
+
+// TestStageSpansFitInWall: every stage is a wall span around its own
+// dispatch, so the spans are disjoint sub-intervals of the call and their sum
+// can never exceed the call's wall time — at any worker count.
+func TestStageSpansFitInWall(t *testing.T) {
+	pl := raster.RGB(raster.Synthetic(256, 256, 1), raster.Synthetic(256, 256, 2), raster.Synthetic(256, 256, 3))
+	opts := Options{Kernel: dwt.Irr97, MCT: true, LayerBPP: []float64{0.5, 2}, TileW: 64, TileH: 64}
+	enc, dec := NewEncoder(), NewDecoder()
+	defer enc.Close()
+	defer dec.Close()
+	for _, workers := range []int{1, 4} {
+		opts.Workers = workers
+		t0 := time.Now()
+		cs, stats, err := enc.EncodePlanar(pl, opts)
+		wall := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := stats.Timings.Total(); sum <= 0 || sum > wall {
+			t.Errorf("Workers=%d: encode spans sum to %v in a %v call", workers, sum, wall)
+		}
+		t0 = time.Now()
+		if _, err := dec.DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		wall = time.Since(t0)
+		if sum := dec.Stats().Timings.Total(); sum <= 0 || sum > wall {
+			t.Errorf("Workers=%d: decode spans sum to %v in a %v call", workers, sum, wall)
+		}
+	}
+}
+
+func TestWorkersDefaultToGOMAXPROCS(t *testing.T) {
+	if got, want := (Options{}).withDefaults().Workers, runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Options{}.Workers defaults to %d, want GOMAXPROCS = %d", got, want)
 	}
 }
 

@@ -9,8 +9,11 @@ package jp2k
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
+	"pj2k/internal/amdahl"
+	"pj2k/internal/core"
 	"pj2k/internal/dwt"
 )
 
@@ -140,31 +143,50 @@ func (o Options) withDefaults() Options {
 	if o.BitDepth == 0 {
 		o.BitDepth = 8
 	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
+	o.Workers = core.Workers(o.Workers)
 	return o
 }
 
 // StageTimings records where encoding time went, mirroring the stage
-// decomposition of the paper's Figs. 3, 6 and 9. When several tiles are
-// transformed in parallel, IntraComp, DWTDetail and Quant sum the per-tile
-// times (CPU time), which can exceed the stage's wall-clock time.
+// decomposition of the paper's Figs. 3, 6 and 9. Every field is the wall time
+// of its stage's dispatch; the spans are disjoint parts of the call, so their
+// sum never exceeds it.
 type StageTimings struct {
-	Setup     time.Duration // pipeline setup: buffers, level shift, tiling
+	Setup     time.Duration // pipeline setup: buffers, level shift, tiling, code-block grids
 	InterComp time.Duration // inter-component (multiple-component) transform
 	IntraComp time.Duration // wavelet transform (intra-component transform)
-	DWTDetail dwt.Timings   // horizontal/vertical split of IntraComp
-	Quant     time.Duration // quantization (lossy path only)
+	Quant     time.Duration // quantization (9/7 only) and ROI up-shift
 	Tier1     time.Duration // code-block entropy coding
 	RateAlloc time.Duration // PCRD truncation-point search
 	Tier2     time.Duration // packet headers + assembly
 	StreamIO  time.Duration // marker segments, final byte stream
 }
 
+// Spans returns the stage times in EncStageNames order.
+func (s StageTimings) Spans() [NumEncStages]time.Duration {
+	return [...]time.Duration{s.Setup, s.InterComp, s.IntraComp, s.Quant, s.Tier1, s.RateAlloc, s.Tier2, s.StreamIO}
+}
+
 // Total sums all stages.
 func (s StageTimings) Total() time.Duration {
-	return s.Setup + s.InterComp + s.IntraComp + s.Quant + s.Tier1 + s.RateAlloc + s.Tier2 + s.StreamIO
+	sp := s.Spans()
+	return sumSpans(sp[:])
+}
+
+// Profile is the Amdahl profile of the encode: its stage times split by
+// EncStageParallel.
+func (s StageTimings) Profile() amdahl.Profile {
+	sp := s.Spans()
+	return profile(sp[:], EncStageParallel[:])
+}
+
+// Breakdown renders the per-stage timing table the CLIs print under -verbose,
+// under the stage labels /metrics uses; the same span values feed
+// CodecMetrics, so the printed breakdown and the /metrics histograms can never
+// disagree about where time went.
+func (s StageTimings) Breakdown() string {
+	sp := s.Spans()
+	return breakdown(sp[:], EncStageNames[:], EncStageParallel[:])
 }
 
 // EncodeStats is returned alongside the codestream.
@@ -202,20 +224,8 @@ func (s *EncodeStats) Tier1Work() string {
 		s.CodeBlocks, s.PilotBlocks, s.BlocksStopped, s.BlocksRecoded)
 }
 
-// Breakdown renders the per-stage timing table the CLIs print under -verbose;
-// the same span values feed CodecMetrics, so the printed breakdown and the
-// /metrics histograms can never disagree about where time went.
-func (s StageTimings) Breakdown() string {
-	return fmt.Sprintf("  setup      %8v\n  inter-comp %8v\n  DWT        %8v (H %v / V %v)\n"+
-		"  quant      %8v\n  tier-1     %8v\n  rate-alloc %8v\n  tier-2     %8v\n"+
-		"  stream-io  %8v\n  total      %8v\n",
-		s.Setup, s.InterComp, s.IntraComp, s.DWTDetail.Horizontal, s.DWTDetail.Vertical,
-		s.Quant, s.Tier1, s.RateAlloc, s.Tier2, s.StreamIO, s.Total())
-}
-
-// DecodeTimings records where decoding time went, per pipeline stage. Unlike
-// the encoder's StageTimings (which sum per-tile CPU time), these are
-// wall-clock spans around each stage's dispatch — what a request actually
+// DecodeTimings records where decoding time went: like StageTimings, every
+// field is the wall time of its stage's dispatch — what a request actually
 // waited for.
 type DecodeTimings struct {
 	Parse     time.Duration // codestream markers + geometry validation
@@ -225,16 +235,59 @@ type DecodeTimings struct {
 	InterComp time.Duration // inverse multiple-component transform
 }
 
+// Spans returns the stage times in DecStageNames order.
+func (t DecodeTimings) Spans() [NumDecStages]time.Duration {
+	return [...]time.Duration{t.Parse, t.Tier2, t.Tier1, t.Assemble, t.InterComp}
+}
+
 // Total sums all stages.
 func (t DecodeTimings) Total() time.Duration {
-	return t.Parse + t.Tier2 + t.Tier1 + t.Assemble + t.InterComp
+	sp := t.Spans()
+	return sumSpans(sp[:])
+}
+
+// Profile is the Amdahl profile of the decode: its stage times split by
+// DecStageParallel.
+func (t DecodeTimings) Profile() amdahl.Profile {
+	sp := t.Spans()
+	return profile(sp[:], DecStageParallel[:])
 }
 
 // Breakdown renders the per-stage timing table the CLIs print under -verbose.
 func (t DecodeTimings) Breakdown() string {
-	return fmt.Sprintf("  parse      %8v\n  tier-2     %8v\n  tier-1     %8v\n"+
-		"  IDWT+asm   %8v\n  inter-comp %8v\n  total      %8v\n",
-		t.Parse, t.Tier2, t.Tier1, t.Assemble, t.InterComp, t.Total())
+	sp := t.Spans()
+	return breakdown(sp[:], DecStageNames[:], DecStageParallel[:])
+}
+
+func sumSpans(spans []time.Duration) (total time.Duration) {
+	for _, d := range spans {
+		total += d
+	}
+	return total
+}
+
+func profile(spans []time.Duration, parallel []bool) (p amdahl.Profile) {
+	for i, d := range spans {
+		if parallel[i] {
+			p.Parallel += d.Seconds()
+		} else {
+			p.Sequential += d.Seconds()
+		}
+	}
+	return p
+}
+
+func breakdown(spans []time.Duration, names []string, parallel []bool) string {
+	var b strings.Builder
+	for i, d := range spans {
+		class := "serial"
+		if parallel[i] {
+			class = "parallel"
+		}
+		fmt.Fprintf(&b, "  %-10s %9.3f ms  %s\n", names[i], float64(d)/1e6, class)
+	}
+	fmt.Fprintf(&b, "  %-10s %9.3f ms\n", "total", float64(sumSpans(spans))/1e6)
+	return b.String()
 }
 
 // DecodeStats describes the most recent decode on a Decoder (see

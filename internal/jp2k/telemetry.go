@@ -1,44 +1,25 @@
 package jp2k
 
-import (
-	"time"
+import "pj2k/internal/telemetry"
 
-	"pj2k/internal/telemetry"
-)
-
-// Encode/decode stage indices for CodecMetrics histograms. The encode stages
-// mirror StageTimings (the paper's Fig. 1 pipeline); the decode stages mirror
-// DecodeTimings.
-const (
-	EncStageSetup = iota
-	EncStageInterComp
-	EncStageDWT
-	EncStageQuant
-	EncStageTier1
-	EncStageRate
-	EncStageTier2
-	EncStageIO
-	NumEncStages
-)
-
-const (
-	DecStageParse = iota
-	DecStageTier2
-	DecStageTier1
-	DecStageAssemble
-	DecStageInterComp
-	NumDecStages
-)
-
-// EncStageNames and DecStageNames are the stage label values, index-aligned
-// with the stage constants.
+// The stage tables, declared once: every reader of stage times — CodecMetrics,
+// Breakdown, Profile, the experiments and the examples — loops over them.
+// EncStageNames and DecStageNames are the stage label values in the order of
+// StageTimings.Spans and DecodeTimings.Spans (the paper's Fig. 1 pipeline);
+// EncStageParallel and DecStageParallel are the paper's Sec. 3.4 split, true
+// for a stage its parallelization covers and false for the serial tail that
+// bounds the speedup by Amdahl's law.
 var (
-	EncStageNames = [NumEncStages]string{
-		"setup", "intercomp", "dwt", "quant", "t1", "rate", "t2", "io",
-	}
-	DecStageNames = [NumDecStages]string{
-		"parse", "t2", "t1", "idwt", "intercomp",
-	}
+	EncStageNames    = [...]string{"setup", "intercomp", "dwt", "quant", "t1", "rate", "t2", "io"}
+	EncStageParallel = [NumEncStages]bool{false, true, true, true, true, false, false, false}
+	DecStageNames    = [...]string{"parse", "t2", "t1", "idwt", "intercomp"}
+	DecStageParallel = [NumDecStages]bool{false, false, true, true, true}
+)
+
+// NumEncStages and NumDecStages are the stage counts.
+const (
+	NumEncStages = len(EncStageNames)
+	NumDecStages = len(DecStageNames)
 )
 
 // CodecMetrics is the telemetry view of the codec pipeline: end-to-end and
@@ -61,8 +42,8 @@ type CodecMetrics struct {
 	T1PassesKept     *telemetry.Counter
 	T1BlocksRecoded  *telemetry.Counter
 
-	EncodeSeconds *telemetry.Histogram // end-to-end encode latency
-	DecodeSeconds *telemetry.Histogram // end-to-end decode latency
+	EncodeSeconds *telemetry.Histogram // encode latency: the stage spans' sum
+	DecodeSeconds *telemetry.Histogram // decode latency: the stage spans' sum
 
 	EncodeStages [NumEncStages]*telemetry.Histogram
 	DecodeStages [NumDecStages]*telemetry.Histogram
@@ -86,8 +67,8 @@ func NewCodecMetrics(r *telemetry.Registry) *CodecMetrics {
 		T1PassesCoded:    r.Counter("pj2k_codec_t1_passes_coded_total", "Tier-1 coding passes run, pilot and re-codes included."),
 		T1PassesKept:     r.Counter("pj2k_codec_t1_passes_kept_total", "Tier-1 coding passes the final quality layer includes."),
 		T1BlocksRecoded:  r.Counter("pj2k_codec_t1_blocks_recoded_total", "Early-stopped code-blocks coded again in full after the post-check."),
-		EncodeSeconds:    r.Histogram("pj2k_encode_seconds", "End-to-end encode latency."),
-		DecodeSeconds:    r.Histogram("pj2k_decode_seconds", "End-to-end decode latency."),
+		EncodeSeconds:    r.Histogram("pj2k_encode_seconds", "Encode latency, summed over the disjoint stage spans."),
+		DecodeSeconds:    r.Histogram("pj2k_decode_seconds", "Decode latency, summed over the disjoint stage spans."),
 	}
 	for i, name := range EncStageNames {
 		m.EncodeStages[i] = r.HistogramWithLabels("pj2k_encode_stage_seconds",
@@ -112,12 +93,8 @@ func (m *CodecMetrics) recordEncode(st *EncodeStats) {
 	m.T1PassesCoded.Add(int64(st.PassesCoded))
 	m.T1PassesKept.Add(int64(st.PassesKept))
 	m.T1BlocksRecoded.Add(int64(st.BlocksRecoded))
-	tm := &st.Timings
-	m.EncodeSeconds.Observe(tm.Total())
-	for i, d := range [NumEncStages]time.Duration{
-		tm.Setup, tm.InterComp, tm.IntraComp, tm.Quant,
-		tm.Tier1, tm.RateAlloc, tm.Tier2, tm.StreamIO,
-	} {
+	m.EncodeSeconds.Observe(st.Timings.Total())
+	for i, d := range st.Timings.Spans() {
 		m.EncodeStages[i].Observe(d)
 	}
 }
@@ -130,11 +107,8 @@ func (m *CodecMetrics) recordDecode(st *DecodeStats) {
 	}
 	m.Decodes.Inc()
 	m.BytesDecoded.Add(int64(st.BytesIn))
-	tm := &st.Timings
-	m.DecodeSeconds.Observe(tm.Total())
-	for i, d := range [NumDecStages]time.Duration{
-		tm.Parse, tm.Tier2, tm.Tier1, tm.Assemble, tm.InterComp,
-	} {
+	m.DecodeSeconds.Observe(st.Timings.Total())
+	for i, d := range st.Timings.Spans() {
 		m.DecodeStages[i].Observe(d)
 	}
 }

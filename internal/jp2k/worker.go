@@ -1,7 +1,6 @@
 package jp2k
 
 import (
-	"time"
 	"unsafe"
 
 	"pj2k/internal/core"
@@ -26,7 +25,6 @@ type encWorkerState struct {
 	coder  t1.Coder       // tier-1 block coder
 	ralloc rate.Allocator // PCRD hull/segment scratch
 	t2     t2Scratch      // tier-2 per-component views and byte accumulator
-	timing tileTiming     // unit-stage times of this worker's units, reduced after the barrier
 	// tier-1 work counters of this worker's blocks, reduced after the barrier
 	passesCoded   int
 	blocksStopped int
@@ -80,13 +78,4 @@ func (sc *t2Scratch) size(ncomp, nlayers int) {
 		sc.compLayers[ci] = grow(sc.compLayers[ci], nlayers)
 	}
 	sc.compBytes = grow(sc.compBytes, ncomp)
-}
-
-// tileTiming collects the unit-stage timings of one worker's units so the
-// parallel loop writes without synchronization; the totals are summed
-// afterwards.
-type tileTiming struct {
-	dwt   dwt.Timings
-	intra time.Duration
-	quant time.Duration
 }

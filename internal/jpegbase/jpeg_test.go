@@ -131,7 +131,9 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestFlatImage(t *testing.T) {
 	im := raster.New(32, 32)
-	im.Fill(128)
+	for i := range im.Pix {
+		im.Pix[i] = 128
+	}
 	data := Encode(im, 75)
 	back, err := Decode(data)
 	if err != nil {

@@ -16,7 +16,9 @@ func TestMSEAndPSNR(t *testing.T) {
 	if p, _ := PSNR(a, b, 255); !math.IsInf(p, 1) {
 		t.Fatalf("identical images PSNR %v", p)
 	}
-	b.Fill(10)
+	for i := range b.Pix {
+		b.Pix[i] = 10
+	}
 	mse, err := MSE(a, b)
 	if err != nil || mse != 100 {
 		t.Fatalf("mse %v err %v", mse, err)

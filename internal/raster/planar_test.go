@@ -24,7 +24,7 @@ func TestPPMRoundTrip(t *testing.T) {
 	if err := WritePPM(&buf, pl, 255); err != nil {
 		t.Fatal(err)
 	}
-	back, maxval, err := ReadPPM(&buf)
+	back, maxval, err := ReadPNM(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestPPMRoundTrip16(t *testing.T) {
 	if err := WritePPM(&buf, pl, 4095); err != nil {
 		t.Fatal(err)
 	}
-	back, maxval, err := ReadPPM(&buf)
+	back, maxval, err := ReadPNM(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,6 @@ func TestReadPNMDispatch(t *testing.T) {
 	WritePPM(&ppm2, testPlanar(5, 4), 255)
 	if _, _, err := ReadPGM(&ppm2); err == nil {
 		t.Error("ReadPGM accepted a P6 stream")
-	}
-	var pgm2 bytes.Buffer
-	WritePGM(&pgm2, im, 255)
-	if _, _, err := ReadPPM(&pgm2); err == nil {
-		t.Error("ReadPPM accepted a P5 stream")
 	}
 }
 

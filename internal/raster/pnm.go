@@ -154,18 +154,6 @@ func ReadPGM(r io.Reader) (*Image, int, error) {
 	return pl.Comps[0], maxval, nil
 }
 
-// ReadPPM reads a binary PPM (P6) into a three-component Planar.
-func ReadPPM(r io.Reader) (*Planar, int, error) {
-	pl, maxval, err := ReadPNM(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	if pl.NComp() != 3 {
-		return nil, 0, fmt.Errorf("raster: expected PPM, got %d-component PNM", pl.NComp())
-	}
-	return pl, maxval, nil
-}
-
 // Dimension caps for PNM headers, matching the codestream parser's SIZ
 // limits (t2.ScanCodestream): an image the codec could never decode is
 // rejected at read time instead of allocating for it.

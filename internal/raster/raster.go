@@ -101,16 +101,6 @@ func Equal(a, b *Image) bool {
 	return true
 }
 
-// Fill sets every visible sample to v.
-func (im *Image) Fill(v int32) {
-	for y := 0; y < im.Height; y++ {
-		r := im.Row(y)
-		for x := range r {
-			r[x] = v
-		}
-	}
-}
-
 // ErrRange is returned when samples exceed the declared bit depth.
 var ErrRange = errors.New("raster: sample out of range for bit depth")
 

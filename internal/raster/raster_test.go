@@ -50,13 +50,20 @@ func TestSubImageAliases(t *testing.T) {
 	}
 }
 
+// fill sets every sample of a New image to v.
+func fill(im *Image, v int32) {
+	for i := range im.Pix {
+		im.Pix[i] = v
+	}
+}
+
 func TestEqualAndFill(t *testing.T) {
 	a, b := New(4, 4), New(4, 4)
-	a.Fill(3)
+	fill(a, 3)
 	if Equal(a, b) {
 		t.Fatal("different images reported equal")
 	}
-	b.Fill(3)
+	fill(b, 3)
 	if !Equal(a, b) {
 		t.Fatal("identical images reported unequal")
 	}

@@ -45,9 +45,12 @@ func fetchPPM(t *testing.T, ts *httptest.Server, path string) *raster.Planar {
 	if ct := resp.Header.Get("Content-Type"); ct != "image/x-portable-pixmap" {
 		t.Fatalf("%s: content type %q", path, ct)
 	}
-	pl, _, err := raster.ReadPPM(resp.Body)
+	pl, _, err := raster.ReadPNM(resp.Body)
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
+	}
+	if pl.NComp() != 3 {
+		t.Fatalf("%s: %d-component PNM, want PPM", path, pl.NComp())
 	}
 	return pl
 }

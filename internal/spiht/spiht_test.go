@@ -147,7 +147,9 @@ func TestGeometryErrors(t *testing.T) {
 
 func TestFlatImageCodesTiny(t *testing.T) {
 	im := raster.New(64, 64)
-	im.Fill(128)
+	for i := range im.Pix {
+		im.Pix[i] = 128
+	}
 	data, err := Encode(im, 4, 4096)
 	if err != nil {
 		t.Fatal(err)

@@ -218,9 +218,9 @@ func (cc *compCoder) matches(bands []BandBlocks) bool {
 
 // TileCoder holds per-tile packet coding state: per component, one bandState
 // per subband, plus reusable header/body buffers shared across components.
-// Pooled encoders keep one TileCoder per tile and ResetComps it before each
-// packet-assembly round, so the tag trees and state arrays are allocated
-// once per encoder lifetime. A TileCoder is not safe for concurrent use.
+// Pooled encoders keep one TileCoder per tile and every packet-assembly round
+// resets it, so the tag trees and state arrays are allocated once per encoder
+// lifetime. A TileCoder is not safe for concurrent use.
 type TileCoder struct {
 	comps []compCoder
 	hw    *bitio.StuffWriter // reusable packet-header writer
@@ -234,7 +234,7 @@ type TileCoder struct {
 	// packet, and a 2-byte EPH (end-of-packet-header) after every packet
 	// header. Both sides of a codestream must agree — set them from the COD
 	// Scod bits (Params.UseSOP/UseEPH) before encoding or decoding;
-	// ResetComps does not touch them.
+	// resetComps does not touch them.
 	SOP bool
 	EPH bool
 
@@ -243,7 +243,7 @@ type TileCoder struct {
 	// into multiple codeword segments, and packet headers then signal one
 	// length per segment instead of one per block contribution — both sides of
 	// a codestream must agree. Set it from Params.CoderModes before encoding
-	// or decoding; ResetComps does not touch it.
+	// or decoding; resetComps does not touch it.
 	Modes t1.Modes
 }
 
@@ -262,10 +262,10 @@ func (tc *TileCoder) build(comps [][]BandBlocks) {
 	}
 }
 
-// ResetComps prepares the coder for a fresh tile encode over the same (or a
+// resetComps prepares the coder for a fresh tile encode over the same (or a
 // new) per-component band geometry. Matching geometry reuses every buffer; a
 // shape change rebuilds the state.
-func (tc *TileCoder) ResetComps(comps [][]BandBlocks) {
+func (tc *TileCoder) resetComps(comps [][]BandBlocks) {
 	if len(tc.comps) != len(comps) {
 		tc.build(comps)
 		return
@@ -461,7 +461,7 @@ type decodedBlock = DecodedBlock
 func (tc *TileCoder) EncodeTileCompsPackets(comps [][]BandBlocks, levels int,
 	layers [][][]int, dst []byte, compBytes []int) []byte {
 
-	tc.ResetComps(comps)
+	tc.resetComps(comps)
 	nlayers := 0
 	for ci := range comps {
 		tc.seedInclusion(ci, comps[ci], layers[ci])
@@ -714,7 +714,7 @@ func (tc *TileCoder) DecodeTileCompsPacketsResilient(comps [][]BandBlocks, level
 func (tc *TileCoder) walkPackets(comps [][]BandBlocks, levels, nlayers int,
 	data []byte, dec [][]DecodedBlock, resilient bool) ([][]DecodedBlock, int, DecodeDamage, error) {
 
-	tc.ResetComps(comps)
+	tc.resetComps(comps)
 	for ci := range comps {
 		dec[ci] = resetDec(dec[ci], tc.comps[ci].nblocks)
 	}

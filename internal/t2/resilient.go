@@ -97,14 +97,6 @@ func (b *RetryBudget) take() bool {
 	return b.n.Add(-1) >= 0
 }
 
-// Remaining returns the retries left (never negative).
-func (b *RetryBudget) Remaining() int64 {
-	if b == nil {
-		return 0
-	}
-	return max(b.n.Load(), 0)
-}
-
 // RetryPolicy shapes a ResilientSource: how many times a transient read
 // failure is retried, how backoff grows, the per-read deadline, and where
 // counters land. The zero policy retries nothing but still classifies errors,

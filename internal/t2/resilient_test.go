@@ -147,8 +147,8 @@ func TestRetryBudgetCapsRetries(t *testing.T) {
 	if !errors.As(err, &re) || re.Attempts != 4 {
 		t.Fatalf("first read: err %v; want *ReadError with 4 attempts (1 + 3 budgeted retries)", err)
 	}
-	if got := budget.Remaining(); got != 0 {
-		t.Fatalf("budget remaining = %d after exhaustion; want 0", got)
+	if budget.take() {
+		t.Fatal("budget still grants a retry after exhaustion")
 	}
 	// The spent budget makes later reads fail fast: one attempt, no retries.
 	_, err = src.ReadAt(make([]byte, 4), 8)
