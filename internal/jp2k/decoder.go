@@ -64,11 +64,12 @@ func (r Rect) Intersect(o Rect) Rect {
 // when the stream's COD marker flags MCT.
 //
 // Every entry point (Decode here; the Source forms in stream.go) is a thin
-// adapter over the one decode route: scan the Source to tile spans,
-// walk the selected tiles' packets, tier-1, assemble. A Decoder is not safe
-// for concurrent use; pooled state does not leak between calls (output is
-// bit-identical to a throwaway Decoder's for any worker count, and a region
-// decode is bit-identical to cropping a full one).
+// adapter over the one decode route: from a scanned codestream's tile spans,
+// walk the selected tiles' packets, tier-1, assemble. DecodeRegion takes the
+// scan from a t2.Index; the others scan the Source first. A Decoder is not
+// safe for concurrent use; pooled state does not leak between calls (output
+// is bit-identical to a throwaway Decoder's for any worker count, and a
+// region decode is bit-identical to cropping a full one).
 type Decoder struct {
 	workers    []*decWorker // one padded block per worker (worker.go)
 	tiles      []*tileDec
@@ -234,7 +235,7 @@ func (d *Decoder) ensureWorkers(n int) {
 // freshly allocated and caller-owned. Multi-component streams are an error,
 // reported before any tier-1 work; use DecodePlanarSource.
 func (d *Decoder) Decode(data []byte, opts DecodeOptions) (*raster.Image, error) {
-	pl, err := d.decode(t2.BytesSource(data), opts, nil, true)
+	pl, err := d.decodeSource(t2.BytesSource(data), opts, nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +440,75 @@ func (d *Decoder) asmTask(worker, u int) {
 	}
 }
 
-func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singleOnly bool) (*raster.Planar, error) {
+// scanned is a parsed codestream container, the input of the decode route:
+// the header parameters, one tile-part body span per tile of the grid (a
+// negative Off marks a tile-part a resilient scan could not locate), what that
+// scan salvaged around, and how long the scan took (zero for an index's). The
+// route only reads spans: on the indexed route they are the t2.Index's own
+// slice, shared by every concurrent decode of the image.
+type scanned struct {
+	p     t2.Params
+	spans []t2.TileSpan
+	cdmg  t2.ContainerDamage
+	parse time.Duration
+}
+
+// scan parses src's main header and tile-part chain for the scanning entry
+// points: strictly, or resilient — salvaging the chain (Psot re-bounding,
+// marker resync) without reading any body, so an unreadable body later
+// degrades its one tile instead of failing the decode up front.
+func scan(src *t2.Source, resilient bool) (scanned, error) {
+	t0 := time.Now()
+	var cs scanned
+	var err error
+	if resilient {
+		cs.p, cs.spans, cs.cdmg, err = t2.ScanCodestreamResilient(src)
+	} else {
+		cs.p, cs.spans, err = t2.ScanCodestream(src)
+	}
+	if err != nil {
+		return scanned{}, err
+	}
+	// Even a resilient decode needs a viable geometry: without it there is
+	// no image to degrade toward.
+	if err := cs.p.CheckGeometry(); err != nil {
+		return scanned{}, err
+	}
+	ntx, nty := cs.p.NumTiles()
+	if n := ntx * nty; len(cs.spans) != n {
+		if !resilient {
+			return scanned{}, fmt.Errorf("jp2k: %d tile-parts for a %dx%d tile grid", len(cs.spans), ntx, nty)
+		}
+		// Salvage: a negative-offset sentinel stands in for each missing
+		// tile-part (it decodes as an empty gray tile), surplus ones are
+		// dropped.
+		if len(cs.spans) < n {
+			cs.cdmg.Truncated = true
+			for len(cs.spans) < n {
+				cs.spans = append(cs.spans, t2.TileSpan{Off: -1})
+			}
+		} else {
+			cs.cdmg.BadTileParts += len(cs.spans) - n
+			cs.spans = cs.spans[:n]
+		}
+	}
+	cs.parse = time.Since(t0)
+	return cs, nil
+}
+
+// decodeSource is the scanning entry points' route: scan src, then decode it.
+func (d *Decoder) decodeSource(src *t2.Source, opts DecodeOptions, region *Rect, singleOnly bool) (*raster.Planar, error) {
+	cs, err := scan(src, opts.Resilient)
+	if err != nil {
+		d.damage, d.stats = nil, DecodeStats{}
+		return nil, err
+	}
+	return d.decode(src, &cs, opts, region, singleOnly)
+}
+
+// decode is the one decode route: the selected tiles of an already-scanned
+// codestream, their bodies read from src.
+func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region *Rect, singleOnly bool) (*raster.Planar, error) {
 	// The task parameters and the pooled per-tile state alias the caller's
 	// codestream and the result; drop them on the way out so a pooled Decoder
 	// pins neither between calls.
@@ -451,32 +520,11 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 	}()
 	d.damage = nil
 	d.stats = DecodeStats{}
-	tParse := time.Now()
-	var p t2.Params
-	var spans []t2.TileSpan
-	var cdmg t2.ContainerDamage
-	var err error
-	if opts.Resilient {
-		// Salvage the tile-part chain (Psot re-bounding, marker resync)
-		// without materializing the stream — bodies are fetched per selected
-		// tile in walkTask, so an unreadable body degrades that one tile
-		// instead of failing the whole decode up front.
-		p, spans, cdmg, err = t2.ScanCodestreamResilient(src)
-	} else {
-		p, spans, err = t2.ScanCodestream(src)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Even a resilient decode needs a viable geometry: without it there is
-	// no image to degrade toward.
-	if err := p.CheckGeometry(); err != nil {
-		return nil, err
-	}
-	d.stats.Timings.Parse = time.Since(tParse)
+	d.stats.Timings.Parse = cs.parse
 	if err := ctxErr(opts.Ctx); err != nil {
 		return nil, err
 	}
+	p, spans := cs.p, cs.spans
 	ncomp := p.Components()
 	if singleOnly && ncomp != 1 {
 		// Reject before any tier-1 work: the single-plane entry point must
@@ -497,23 +545,6 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 	keepLevels := p.Levels - discard
 
 	ntx, nty := p.NumTiles()
-	if n := ntx * nty; len(spans) != n {
-		if !opts.Resilient {
-			return nil, fmt.Errorf("jp2k: %d tile-parts for a %dx%d tile grid", len(spans), ntx, nty)
-		}
-		// Salvage: a negative-offset sentinel stands in for each missing
-		// tile-part (it decodes as an empty gray tile), surplus ones are
-		// dropped.
-		if len(spans) < n {
-			cdmg.Truncated = true
-			for len(spans) < n {
-				spans = append(spans, t2.TileSpan{Off: -1})
-			}
-		} else {
-			cdmg.BadTileParts += len(spans) - n
-			spans = spans[:n]
-		}
-	}
 
 	// Reduced tile geometry: per-column widths and per-row heights, plus
 	// prefix-sum origins in the reduced image.
@@ -632,7 +663,7 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 	if opts.Resilient {
 		// Aggregate the damage report after both parallel stages are done, so
 		// the accounting never races the workers.
-		rep := &DamageReport{Container: cdmg}
+		rep := &DamageReport{Container: cs.cdmg}
 		perTile := make([]TileDamage, nsel)
 		for si := 0; si < nsel; si++ {
 			dm := d.tileDmg[si]
@@ -702,7 +733,11 @@ func (d *Decoder) decode(src *t2.Source, opts DecodeOptions, region *Rect, singl
 		}
 		d.stats.Timings.InterComp = time.Since(tMCT)
 	}
-	d.stats.BytesIn = int(src.Size())
+	for _, ti := range sel {
+		if sp := spans[ti]; sp.Off >= 0 { // a missing tile-part's sentinel fetched nothing
+			d.stats.BytesIn += int(sp.Len)
+		}
+	}
 	d.stats.Tiles = nsel
 	d.stats.CodeBlocks = njobs
 	d.Metrics.recordDecode(&d.stats)

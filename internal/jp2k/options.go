@@ -295,7 +295,7 @@ func breakdown(spans []time.Duration, names []string, parallel []bool) string {
 // next decode call.
 type DecodeStats struct {
 	Timings    DecodeTimings
-	BytesIn    int // codestream bytes consumed
+	BytesIn    int // tile-part body bytes of the selected tiles (the headers are not counted)
 	Tiles      int // tiles selected (all of them for full decodes)
 	CodeBlocks int // code-blocks entropy-decoded
 }

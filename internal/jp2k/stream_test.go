@@ -1,6 +1,8 @@
 package jp2k
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -103,6 +105,120 @@ func TestDecodeRegionFileSource(t *testing.T) {
 				t.Fatalf("region %v reduce %d: file-source decode differs", rr, reduce)
 			}
 		}
+	}
+}
+
+// TestDecodeRegionIndexMatchesSource: decoding from a t2.Index is the scanning
+// route minus the scan. Over every shape, worker count, reduction, layer
+// limit, mode and source kind, DecodeRegion matches DecodeRegionPlanarSource
+// bit for bit — pixels, damage report and input accounting — and over a
+// ReaderAt it issues exactly one read per selected tile, where the scanning
+// route re-reads the header and the whole tile-part chain first.
+func TestDecodeRegionIndexMatchesSource(t *testing.T) {
+	r, g, b := rgbPlanes(144, 112)
+	shapes := []struct {
+		name string
+		pl   *raster.Planar
+		opts Options
+	}{
+		{"onetile-53", raster.Gray(raster.Synthetic(120, 88, 31)),
+			Options{Kernel: dwt.Rev53, LayerBPP: []float64{0.5, 2}}},
+		{"tiled-97", raster.Gray(raster.Synthetic(176, 144, 32)),
+			Options{Kernel: dwt.Irr97, LayerBPP: []float64{0.5, 1.5}, TileW: 48, TileH: 40}},
+		{"color-mct", raster.RGB(r, g, b),
+			Options{Kernel: dwt.Irr97, LayerBPP: []float64{0.75, 2}, TileW: 64, TileH: 48, MCT: true}},
+	}
+	for _, sh := range shapes {
+		cs, _, err := EncodePlanar(sh.pl, sh.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reader := faultinject.NewFlaky(bytes.NewReader(cs), faultinject.FlakyConfig{})
+		for _, kind := range []struct {
+			name string
+			src  *t2.Source
+		}{
+			{"bytes", t2.BytesSource(cs)},
+			{"readerat", t2.NewSource(reader, int64(len(cs)))},
+		} {
+			ix, err := t2.NewIndex(kind.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scanDec, ixDec := NewDecoder(), NewDecoder()
+			for _, resilient := range []bool{false, true} {
+				for _, workers := range []int{1, 2, 4} {
+					for _, discard := range []int{0, 2} {
+						for _, layers := range []int{1, 0} {
+							label := fmt.Sprintf("%s/%s/resilient=%v/w=%d/discard=%d/layers=%d",
+								sh.name, kind.name, resilient, workers, discard, layers)
+							colW, rowH := TileGrid(ix.Params, discard)
+							w, h := colW[len(colW)-1], rowH[len(rowH)-1]
+							region := Rect{X0: w / 5, Y0: h / 4, X1: w * 3 / 4, Y1: h * 2 / 3}
+							opts := DecodeOptions{Resilient: resilient, Workers: workers, DiscardLevels: discard, MaxLayers: layers}
+							want, err := scanDec.DecodeRegionPlanarSource(kind.src, region, opts)
+							if err != nil {
+								t.Fatalf("%s: scanning route: %v", label, err)
+							}
+							before := reader.Calls()
+							got, err := ixDec.DecodeRegion(ix, kind.src, region, opts)
+							if err != nil {
+								t.Fatalf("%s: indexed route: %v", label, err)
+							}
+							reads := reader.Calls() - before
+							planarsEqual(t, got, want, label)
+							if !reflect.DeepEqual(ixDec.Damage(), scanDec.Damage()) {
+								t.Fatalf("%s: damage %+v, scanning route %+v", label, ixDec.Damage(), scanDec.Damage())
+							}
+							gs, ws := ixDec.Stats(), scanDec.Stats()
+							if gs.Tiles != ws.Tiles || gs.CodeBlocks != ws.CodeBlocks || gs.BytesIn != ws.BytesIn {
+								t.Fatalf("%s: stats %+v, scanning route %+v", label, gs, ws)
+							}
+							if kind.src.Mem() == nil && reads != int64(gs.Tiles) {
+								t.Fatalf("%s: indexed route issued %d reads for %d tiles", label, reads, gs.Tiles)
+							}
+						}
+					}
+				}
+			}
+			scanDec.Close()
+			ixDec.Close()
+		}
+	}
+}
+
+// TestDecodeStatsBytesInIsTileBodies: BytesIn (and so
+// pj2k_codec_decoded_bytes_total) counts the tile-part bodies a decode
+// selected, not the whole codestream: a one-tile window of a 4x4-tiled stream
+// reports exactly that tile's span length, a full decode every span's.
+func TestDecodeStatsBytesInIsTileBodies(t *testing.T) {
+	cs, _, err := Encode(raster.Synthetic(256, 256, 5), Options{Kernel: dwt.Rev53, TileW: 64, TileH: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, spans, err := t2.ScanCodestream(t2.BytesSource(cs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := NewDecoder()
+	defer dec.Close()
+	// Tile (2, 1) of the 4x4 grid, index 1*4+2.
+	if _, err := dec.DecodeRegionPlanarSource(t2.BytesSource(cs), Rect{X0: 128, Y0: 64, X1: 192, Y1: 128}, DecodeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := dec.Stats(); st.Tiles != 1 || st.BytesIn != int(spans[6].Len) {
+		t.Fatalf("one-tile decode: %d tiles, BytesIn %d; want 1 tile, %d (stream %d bytes)",
+			st.Tiles, st.BytesIn, spans[6].Len, len(cs))
+	}
+	if _, err := dec.DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var all int64
+	for _, sp := range spans {
+		all += sp.Len
+	}
+	if st := dec.Stats(); st.BytesIn != int(all) {
+		t.Fatalf("full decode: BytesIn %d, want %d (stream %d bytes)", st.BytesIn, all, len(cs))
 	}
 }
 

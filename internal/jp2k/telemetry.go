@@ -62,7 +62,7 @@ func NewCodecMetrics(r *telemetry.Registry) *CodecMetrics {
 		Encodes:          r.Counter("pj2k_codec_encodes_total", "Completed encode calls."),
 		Decodes:          r.Counter("pj2k_codec_decodes_total", "Completed decode calls."),
 		BytesEncoded:     r.Counter("pj2k_codec_encoded_bytes_total", "Codestream bytes produced by encodes."),
-		BytesDecoded:     r.Counter("pj2k_codec_decoded_bytes_total", "Codestream bytes consumed by decodes."),
+		BytesDecoded:     r.Counter("pj2k_codec_decoded_bytes_total", "Tile-part body bytes of the tiles decodes selected."),
 		T1PassesPossible: r.Counter("pj2k_codec_t1_passes_possible_total", "Tier-1 coding passes full coding of every block would run."),
 		T1PassesCoded:    r.Counter("pj2k_codec_t1_passes_coded_total", "Tier-1 coding passes run, pilot and re-codes included."),
 		T1PassesKept:     r.Counter("pj2k_codec_t1_passes_kept_total", "Tier-1 coding passes the final quality layer includes."),

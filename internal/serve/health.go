@@ -64,7 +64,7 @@ func (s *Server) ioPolicy(budget *t2.RetryBudget) t2.RetryPolicy {
 	}
 }
 
-// requestSource returns the source a tile decode should read img through:
+// requestSource returns the source a request's tile decodes read img through:
 // the raw source for resident bytes or when the IO layer is fully disabled,
 // otherwise a per-request resilient wrapper carrying the request's budget.
 func (s *Server) requestSource(img *Image, budget *t2.RetryBudget) *t2.Source {

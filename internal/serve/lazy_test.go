@@ -6,6 +6,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pj2k/internal/faultinject"
 	"pj2k/internal/raster"
 	"pj2k/internal/t2"
 )
@@ -68,6 +70,39 @@ func TestAddSourceLazyIngest(t *testing.T) {
 	}
 	if served == 0 {
 		t.Fatal("region decode read nothing from the source")
+	}
+}
+
+// TestTileMissReadsOnlyItsBody: a tile miss decodes from the store's index, so
+// once /info has built the packet maps, a cold one-tile window reads the
+// source exactly once — that tile's body — instead of re-scanning the main
+// header and the whole tile-part chain.
+func TestTileMissReadsOnlyItsBody(t *testing.T) {
+	// The stream must dwarf the scanner's 8 KiB header chunk, or a re-scan
+	// would be served from that one chunk and look like no re-scan at all.
+	cs := encodeTest(t, raster.Synthetic(768, 640, 99))
+	if len(cs) < 4*(8<<10) {
+		t.Fatalf("test stream too small (%d bytes) for a re-scan to show in the read count", len(cs))
+	}
+	reader := faultinject.NewFlaky(bytes.NewReader(cs), faultinject.FlakyConfig{})
+	store := NewStore()
+	img, err := store.AddSource("img", t2.NewSource(reader, int64(len(cs))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Options{CacheBytes: -1})
+	defer srv.Close()
+	if rec := get(t, srv, "/img/img/info"); rec.Code != http.StatusOK {
+		t.Fatalf("/info: %d %q", rec.Code, rec.Body.String())
+	}
+	colW, rowH := img.Grid(0)
+	before := reader.Calls()
+	rec := get(t, srv, fmt.Sprintf("/img/img?x0=%d&y0=%d&x1=%d&y1=%d&format=raw", colW[1], rowH[1], colW[2], rowH[2]))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("tile request failed: %d %q", rec.Code, rec.Body.String())
+	}
+	if reads := reader.Calls() - before; reads != 1 {
+		t.Fatalf("one cold tile issued %d source reads, want 1 (%d tiles in the stream)", reads, img.Index.NumTiles())
 	}
 }
 

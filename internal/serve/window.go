@@ -153,9 +153,14 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 	// synchronously, so it may read the loop's current tx, ty.
 	var tx, ty int
 	damaged := false
-	budget := s.newRequestBudget()
+	// One source per request, built on its first miss (an all-hit request
+	// builds none): every miss reads through it and spends its retry budget.
+	var src *t2.Source
 	decode := func() (*raster.Planar, error) {
-		pl, dmg, err := s.decodeTile(ctx, req.img, budget, colW, rowH, tx, ty, req.discard, req.layers)
+		if src == nil {
+			src = s.requestSource(req.img, s.newRequestBudget())
+		}
+		pl, dmg, err := s.decodeTile(ctx, req.img, src, colW, rowH, tx, ty, req.discard, req.layers)
 		damaged = damaged || dmg
 		return pl, err
 	}
@@ -198,18 +203,20 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 }
 
 // decodeTile produces one cached tile variant (every component), charging the
-// decode counter. The context bounds the decode between pipeline stages; in
+// decode counter. The header and tile-part chain come from the image's index,
+// so the decode reads only the tile's body, through src (the request's
+// source). The context bounds the decode between pipeline stages; in
 // resilient mode damage is absorbed into the server's counters and the
 // degraded tile is served (and cached) like any other — the damaged return
 // reports it so the request can be classified. The pooled decoder carries the
 // server's codec metrics, so every tile decode also lands in the per-stage
 // pipeline histograms.
-func (s *Server) decodeTile(ctx context.Context, img *Image, budget *t2.RetryBudget, colW, rowH []int, tx, ty, discard, layers int) (pl *raster.Planar, damaged bool, err error) {
+func (s *Server) decodeTile(ctx context.Context, img *Image, src *t2.Source, colW, rowH []int, tx, ty, discard, layers int) (pl *raster.Planar, damaged bool, err error) {
 	s.tileDecodes.Inc()
 	dec := s.decoders.Get().(*jp2k.Decoder)
 	defer s.decoders.Put(dec)
 	region := jp2k.Rect{X0: colW[tx], Y0: rowH[ty], X1: colW[tx+1], Y1: rowH[ty+1]}
-	pl, err = dec.DecodeRegionPlanarSource(s.requestSource(img, budget), region, jp2k.DecodeOptions{
+	pl, err = dec.DecodeRegion(img.Index, src, region, jp2k.DecodeOptions{
 		DiscardLevels: discard,
 		MaxLayers:     layers,
 		Workers:       s.opts.TileWorkers,

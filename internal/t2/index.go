@@ -114,6 +114,12 @@ func (ix *Index) Source() *Source { return ix.src }
 // NumTiles returns the number of tiles in the indexed stream.
 func (ix *Index) NumTiles() int { return len(ix.spans) }
 
+// Spans returns the tile-part body span of every tile, indexed by tile: the
+// scan NewIndex made, for a decode to reuse instead of re-walking the chain.
+// The slice is the index's own and shared by every caller; it must not be
+// modified (its capacity is clipped, so an append copies).
+func (ix *Index) Spans() []TileSpan { return ix.spans[:len(ix.spans):len(ix.spans)] }
+
 // Tile returns tile ti's packet map, building it on first touch. Concurrent
 // calls for the same tile coalesce on a per-tile lock; calls for different
 // tiles build independently (each walk uses its own coder state), so disjoint
