@@ -179,19 +179,19 @@ func BenchmarkAmdahl_Table(b *testing.B) {
 // --- Ablations (DESIGN.md Sec. 5).
 
 // BenchmarkAblation_BlockWidth sweeps the improved filter's column-block
-// width on the host.
+// width on the host, for both kernels (4 B and 8 B samples) in both
+// directions: the table DefaultBlockWidth is picked from.
 func BenchmarkAblation_BlockWidth(b *testing.B) {
-	for _, bw := range []int{8, 16, 32, 64, 128} {
-		b.Run(byName("bw", bw), func(b *testing.B) {
-			im := raster.Synthetic(1024, 1024, 3)
-			st := dwt.Strategy{VertMode: dwt.VertBlocked, BlockWidth: bw, Workers: 1}
-			b.SetBytes(int64(im.Width * im.Height * 4))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				work := im.Clone()
-				dwt.Forward53(work, 5, st)
+	im := raster.Synthetic(1024, 1024, 3)
+	for _, k := range dwtCases(im, 5) {
+		for _, fwd := range []bool{true, false} {
+			for _, bw := range []int{8, 16, 32, 64, 128} {
+				b.Run(k.name+"/"+dirName(fwd)+"/"+byName("bw", bw), func(b *testing.B) {
+					st := dwt.Strategy{VertMode: dwt.VertBlocked, BlockWidth: bw, Workers: 1, Scratch: dwt.NewScratch(1)}
+					k.bench(b, fwd, st)
+				})
 			}
-		})
+		}
 	}
 }
 
@@ -582,20 +582,40 @@ func BenchmarkMQDecode(b *testing.B) {
 // levels: kernel × direction × vertical filter × workers. The inverse runs
 // on forward coefficients, as a decode does.
 func BenchmarkDWT(b *testing.B) {
-	const levels = 5
 	im := raster.Synthetic(1024, 1024, 1)
+	for _, k := range dwtCases(im, 5) {
+		for _, fwd := range []bool{true, false} {
+			for _, mode := range []dwt.VertMode{dwt.VertNaive, dwt.VertBlocked} {
+				for _, w := range []int{1, 2} {
+					b.Run(k.name+"/"+dirName(fwd)+"/"+mode.String()+"/w="+strconv.Itoa(w), func(b *testing.B) {
+						k.bench(b, fwd, dwt.Strategy{VertMode: mode, Workers: w, Scratch: dwt.NewScratch(w)})
+					})
+				}
+			}
+		}
+	}
+}
+
+// dwtCase is one kernel of the DWT benches: load resets its work plane to
+// the image (forward) or to the image's coefficients (inverse), run
+// transforms it.
+type dwtCase struct {
+	name  string
+	bytes int64 // plane size
+	load  func(fwd bool)
+	run   func(fwd bool, st dwt.Strategy)
+}
+
+// dwtCases returns the 5/3 and 9/7 cases over im at the given levels.
+func dwtCases(im *raster.Image, levels int) []dwtCase {
 	coef53 := im.Clone()
 	dwt.Forward53(coef53, levels, dwt.Improved)
 	coef97 := dwt.FromImage(im)
 	dwt.Forward97(coef97, levels, dwt.Improved)
 	work53, work97 := im.Clone(), dwt.FromImage(im)
-	for _, k := range []struct {
-		name   string
-		sample int // bytes
-		load   func(fwd bool)
-		run    func(fwd bool, st dwt.Strategy)
-	}{
-		{"53", 4, func(fwd bool) {
+	n := int64(im.Width * im.Height)
+	return []dwtCase{
+		{"53", 4 * n, func(fwd bool) {
 			src := coef53
 			if fwd {
 				src = im
@@ -608,7 +628,7 @@ func BenchmarkDWT(b *testing.B) {
 				dwt.Inverse53(work53, levels, st)
 			}
 		}},
-		{"97", 8, func(fwd bool) {
+		{"97", 8 * n, func(fwd bool) {
 			if fwd {
 				work97 = dwt.FromImageReuse(work97, im)
 			} else {
@@ -621,30 +641,27 @@ func BenchmarkDWT(b *testing.B) {
 				dwt.Inverse97(work97, levels, st)
 			}
 		}},
-	} {
-		for _, fwd := range []bool{true, false} {
-			dir := "inv"
-			if fwd {
-				dir = "fwd"
-			}
-			for _, mode := range []dwt.VertMode{dwt.VertNaive, dwt.VertBlocked} {
-				for _, w := range []int{1, 2} {
-					b.Run(k.name+"/"+dir+"/"+mode.String()+"/w="+strconv.Itoa(w), func(b *testing.B) {
-						st := dwt.Strategy{VertMode: mode, Workers: w, Scratch: dwt.NewScratch(w)}
-						b.SetBytes(int64(im.Width * im.Height * k.sample))
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							b.StopTimer()
-							k.load(fwd)
-							b.StartTimer()
-							k.run(fwd, st)
-						}
-					})
-				}
-			}
-		}
 	}
+}
+
+// bench times k's transform under st, reloading its input outside the timer.
+func (k dwtCase) bench(b *testing.B, fwd bool, st dwt.Strategy) {
+	b.SetBytes(k.bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		k.load(fwd)
+		b.StartTimer()
+		k.run(fwd, st)
+	}
+}
+
+func dirName(fwd bool) string {
+	if fwd {
+		return "fwd"
+	}
+	return "inv"
 }
 
 func BenchmarkT1Block(b *testing.B) {

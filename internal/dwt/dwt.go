@@ -37,7 +37,7 @@ func (m VertMode) String() string {
 // its column-block width, and the number of parallel workers.
 type Strategy struct {
 	VertMode   VertMode
-	BlockWidth int // columns per block for VertBlocked; <=0 selects 32
+	BlockWidth int // columns per block for VertBlocked; <=0 selects DefaultBlockWidth
 	Workers    int // <=0 selects GOMAXPROCS
 	// Scratch supplies reusable per-worker filtering buffers, eliminating
 	// the per-level allocations of the hot loops; it grows to this
@@ -62,9 +62,10 @@ func (st Strategy) forID(n int, fn func(worker, lo, hi int)) {
 }
 
 // DefaultBlockWidth is the column-block width used when Strategy.BlockWidth
-// is unset; chosen by the ablation bench (8 int32 samples per 32-byte line,
-// times a few lines of lookahead).
-const DefaultBlockWidth = 32
+// is unset, picked from BenchmarkAblation_BlockWidth with the one-sweep
+// kernels: 64 beats 32 for both sample widths and both directions; 128 gains
+// a little more on 9/7 but leaves a 128-wide tile a single block per level.
+const DefaultBlockWidth = 64
 
 func (st Strategy) blockWidth() int {
 	if st.BlockWidth <= 0 {
@@ -117,12 +118,14 @@ func imagePlane(im *raster.Image) plane[int32] {
 }
 
 // filter is one wavelet's lifting kernels, the only code that differs per
-// filter: the 1-D lifts over an interleaved contiguous signal (rows, and the
-// naive filter's gathered columns) and the column-block lifts over rows
-// [0,ch) of columns [x0,x1) in place (the blocked vertical filter).
+// filter: the 1-D kernels between a contiguous scratch copy src and its
+// output dst (rows, and the naive filter's gathered columns), and the lane
+// kernels over a column block (the blocked vertical filter). Forward kernels
+// read the interleaved signal and write lows then highs; inverse kernels do
+// the reverse.
 type filter[T sample] struct {
-	fwd, inv         func(buf []T)
-	fwdCols, invCols func(pix []T, stride, x0, x1, ch int)
+	fwd, inv         func(dst, src []T)
+	fwdCols, invCols func(l lanes[T], n int)
 }
 
 // run is the one level loop behind every transform: forward levels run
@@ -161,24 +164,22 @@ func run[T sample](p plane[T], levels int, st Strategy, f *filter[T], fwd bool, 
 	}
 }
 
-// horizontal filters the rows of the cw x ch LL region.
+// horizontal filters the rows of the cw x ch LL region: each row is copied
+// to scratch and lifted back into place in one sweep.
 func horizontal[T sample](p plane[T], cw, ch int, st Strategy, f *filter[T], fwd bool) {
 	if cw < 2 {
 		return
+	}
+	kernel := f.inv
+	if fwd {
+		kernel = f.fwd
 	}
 	st.forID(ch, func(worker, lo, hi int) {
 		tmp := buffer[T](st.Scratch, worker, cw)
 		for y := lo; y < hi; y++ {
 			row := p.pix[y*p.stride : y*p.stride+cw]
-			if fwd {
-				f.fwd(row)
-				deinterleave(row, tmp, 1)
-				copy(row, tmp)
-			} else {
-				interleave(row, 1, tmp)
-				copy(row, tmp)
-				f.inv(row)
-			}
+			copy(tmp, row)
+			kernel(row, tmp)
 		}
 	})
 }
@@ -191,98 +192,47 @@ func vertical[T sample](p plane[T], cw, ch int, st Strategy, f *filter[T], fwd b
 	}
 	switch st.VertMode {
 	case VertNaive:
+		kernel := f.inv
+		if fwd {
+			kernel = f.fwd
+		}
 		st.forID(cw, func(worker, lo, hi int) {
-			col := buffer[T](st.Scratch, worker, ch)
+			buf := buffer[T](st.Scratch, worker, 2*ch)
+			col, out := buf[:ch], buf[ch:]
 			for x := lo; x < hi; x++ {
 				// One column at a time with strided reads and writes (the
 				// original implementations' access pattern).
-				if fwd {
-					for y := range col {
-						col[y] = p.pix[y*p.stride+x]
-					}
-					f.fwd(col)
-					deinterleave(col, p.pix[x:], p.stride)
-				} else {
-					interleave(p.pix[x:], p.stride, col)
-					f.inv(col)
-					for y, v := range col {
-						p.pix[y*p.stride+x] = v
-					}
+				for y := range col {
+					col[y] = p.pix[y*p.stride+x]
+				}
+				kernel(out, col)
+				for y, v := range out {
+					p.pix[y*p.stride+x] = v
 				}
 			}
 		})
 	case VertBlocked:
 		// Block bi covers columns [bi*width, min((bi+1)*width, cw)): computed
 		// arithmetically instead of materializing a range slice per level.
+		// The block is copied to packed scratch rows and lifted back into the
+		// plane in one sweep.
+		kernel := f.invCols
+		if fwd {
+			kernel = f.fwdCols
+		}
 		width := st.blockWidth()
 		st.forID((cw+width-1)/width, func(worker, lo, hi int) {
 			tmp := buffer[T](st.Scratch, worker, min(width, cw)*ch)
 			for bi := lo; bi < hi; bi++ {
 				x0 := bi * width
-				x1 := min(x0+width, cw)
-				if fwd {
-					f.fwdCols(p.pix, p.stride, x0, x1, ch)
-					deinterleaveRows(p, x0, x1, ch, tmp)
-				} else {
-					interleaveRows(p, x0, x1, ch, tmp)
-					f.invCols(p.pix, p.stride, x0, x1, ch)
+				w := min(x0+width, cw) - x0
+				for y := 0; y < ch; y++ {
+					copy(tmp[y*w:(y+1)*w], p.pix[y*p.stride+x0:])
 				}
+				kernel(lanes[T]{dst: p.pix[x0:], src: tmp, ds: p.stride, ss: w, w: w}, ch)
 			}
 		})
 	default:
 		panic("dwt: unknown vertical mode")
-	}
-}
-
-// deinterleave moves the interleaved signal src into dst[0], dst[stride],
-// ...: its even (lowpass) samples first, then its odd (highpass) ones.
-func deinterleave[T sample](src, dst []T, stride int) {
-	j := 0
-	for i0 := 0; i0 < 2; i0++ {
-		for i := i0; i < len(src); i += 2 {
-			dst[j] = src[i]
-			j += stride
-		}
-	}
-}
-
-// interleave is the inverse of deinterleave: it fills dst from src[0],
-// src[stride], ....
-func interleave[T sample](src []T, stride int, dst []T) {
-	j := 0
-	for i0 := 0; i0 < 2; i0++ {
-		for i := i0; i < len(dst); i += 2 {
-			dst[i] = src[j]
-			j += stride
-		}
-	}
-}
-
-// deinterleaveRows moves even rows to the top half and odd rows to the
-// bottom half for columns [x0,x1), via tmp (size >= (x1-x0)*ch).
-func deinterleaveRows[T sample](p plane[T], x0, x1, ch int, tmp []T) {
-	w, t := x1-x0, 0
-	for y0 := 0; y0 < 2; y0++ {
-		for y := y0; y < ch; y += 2 {
-			copy(tmp[t:t+w], p.pix[y*p.stride+x0:])
-			t += w
-		}
-	}
-	for y := 0; y < ch; y++ {
-		copy(p.pix[y*p.stride+x0:y*p.stride+x1], tmp[y*w:])
-	}
-}
-
-// interleaveRows is the inverse of deinterleaveRows.
-func interleaveRows[T sample](p plane[T], x0, x1, ch int, tmp []T) {
-	w, t := x1-x0, 0
-	for y := 0; y < ch; y++ {
-		copy(tmp[y*w:(y+1)*w], p.pix[y*p.stride+x0:])
-	}
-	for y0 := 0; y0 < 2; y0++ {
-		for y := y0; y < ch; y += 2 {
-			copy(p.pix[y*p.stride+x0:y*p.stride+x1], tmp[t:])
-			t += w
-		}
 	}
 }

@@ -439,3 +439,415 @@ func TestQuick97RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// --- Step-at-a-time lifting: the oracle the one-sweep kernels must match bit
+// for bit. Each lifting step is its own pass over an interleaved signal (or
+// column block) in place, with a clamp on every neighbour read, and the
+// (de)interleave is a separate copy.
+
+func lift53Fwd(buf []int32) {
+	n := len(buf)
+	if n < 2 {
+		return
+	}
+	sn, dn := (n+1)/2, n/2
+	for i := 0; i < dn; i++ {
+		s1 := buf[2*clamp(i+1, sn)]
+		buf[2*i+1] -= (buf[2*i] + s1) >> 1
+	}
+	for i := 0; i < sn; i++ {
+		d0 := buf[2*clamp(i-1, dn)+1]
+		d1 := buf[2*clamp(i, dn)+1]
+		buf[2*i] += (d0 + d1 + 2) >> 2
+	}
+}
+
+func lift53Inv(buf []int32) {
+	n := len(buf)
+	if n < 2 {
+		return
+	}
+	sn, dn := (n+1)/2, n/2
+	for i := 0; i < sn; i++ {
+		d0 := buf[2*clamp(i-1, dn)+1]
+		d1 := buf[2*clamp(i, dn)+1]
+		buf[2*i] -= (d0 + d1 + 2) >> 2
+	}
+	for i := 0; i < dn; i++ {
+		s1 := buf[2*clamp(i+1, sn)]
+		buf[2*i+1] += (buf[2*i] + s1) >> 1
+	}
+}
+
+func lift53InvLinear(buf []float64) {
+	n := len(buf)
+	if n < 2 {
+		return
+	}
+	sn, dn := (n+1)/2, n/2
+	for i := 0; i < sn; i++ {
+		d0 := buf[2*clamp(i-1, dn)+1]
+		d1 := buf[2*clamp(i, dn)+1]
+		buf[2*i] -= float64((d0 + d1) / 4)
+	}
+	for i := 0; i < dn; i++ {
+		s1 := buf[2*clamp(i+1, sn)]
+		buf[2*i+1] += float64((buf[2*i] + s1) / 2)
+	}
+}
+
+func cols53Fwd(pix []int32, stride, x0, x1, ch int) {
+	sn, dn := (ch+1)/2, ch/2
+	for i := 0; i < dn; i++ {
+		rd, rs0, rs1 := (2*i+1)*stride, 2*i*stride, 2*clamp(i+1, sn)*stride
+		for x := x0; x < x1; x++ {
+			pix[rd+x] -= (pix[rs0+x] + pix[rs1+x]) >> 1
+		}
+	}
+	for i := 0; i < sn; i++ {
+		rs, rd0, rd1 := 2*i*stride, (2*clamp(i-1, dn)+1)*stride, (2*clamp(i, dn)+1)*stride
+		for x := x0; x < x1; x++ {
+			pix[rs+x] += (pix[rd0+x] + pix[rd1+x] + 2) >> 2
+		}
+	}
+}
+
+func cols53Inv(pix []int32, stride, x0, x1, ch int) {
+	sn, dn := (ch+1)/2, ch/2
+	for i := 0; i < sn; i++ {
+		rs, rd0, rd1 := 2*i*stride, (2*clamp(i-1, dn)+1)*stride, (2*clamp(i, dn)+1)*stride
+		for x := x0; x < x1; x++ {
+			pix[rs+x] -= (pix[rd0+x] + pix[rd1+x] + 2) >> 2
+		}
+	}
+	for i := 0; i < dn; i++ {
+		rd, rs0, rs1 := (2*i+1)*stride, 2*i*stride, 2*clamp(i+1, sn)*stride
+		for x := x0; x < x1; x++ {
+			pix[rd+x] += (pix[rs0+x] + pix[rs1+x]) >> 1
+		}
+	}
+}
+
+func lift97Fwd(buf []float64) {
+	n := len(buf)
+	sn, dn := (n+1)/2, n/2
+	if dn == 0 {
+		return
+	}
+	for i := 0; i < dn; i++ {
+		buf[2*i+1] += float64(alpha97 * (buf[2*i] + buf[2*clamp(i+1, sn)]))
+	}
+	for i := 0; i < sn; i++ {
+		buf[2*i] += float64(beta97 * (buf[2*clamp(i-1, dn)+1] + buf[2*clamp(i, dn)+1]))
+	}
+	for i := 0; i < dn; i++ {
+		buf[2*i+1] += float64(gamma97 * (buf[2*i] + buf[2*clamp(i+1, sn)]))
+	}
+	for i := 0; i < sn; i++ {
+		buf[2*i] += float64(delta97 * (buf[2*clamp(i-1, dn)+1] + buf[2*clamp(i, dn)+1]))
+	}
+	for i := 0; i < sn; i++ {
+		buf[2*i] *= 1 / k97
+	}
+	for i := 0; i < dn; i++ {
+		buf[2*i+1] *= k97
+	}
+}
+
+func lift97Inv(buf []float64) {
+	n := len(buf)
+	sn, dn := (n+1)/2, n/2
+	if dn == 0 {
+		return
+	}
+	for i := 0; i < sn; i++ {
+		buf[2*i] = float64(buf[2*i] * k97)
+	}
+	for i := 0; i < dn; i++ {
+		buf[2*i+1] = float64(buf[2*i+1] * (1 / k97))
+	}
+	for i := 0; i < sn; i++ {
+		buf[2*i] -= float64(delta97 * (buf[2*clamp(i-1, dn)+1] + buf[2*clamp(i, dn)+1]))
+	}
+	for i := 0; i < dn; i++ {
+		buf[2*i+1] -= float64(gamma97 * (buf[2*i] + buf[2*clamp(i+1, sn)]))
+	}
+	for i := 0; i < sn; i++ {
+		buf[2*i] -= float64(beta97 * (buf[2*clamp(i-1, dn)+1] + buf[2*clamp(i, dn)+1]))
+	}
+	for i := 0; i < dn; i++ {
+		buf[2*i+1] -= float64(alpha97 * (buf[2*i] + buf[2*clamp(i+1, sn)]))
+	}
+}
+
+func cols97Fwd(pix []float64, stride, x0, x1, ch int) {
+	step97(pix, stride, x0, x1, ch, alpha97, true)
+	step97(pix, stride, x0, x1, ch, beta97, false)
+	step97(pix, stride, x0, x1, ch, gamma97, true)
+	step97(pix, stride, x0, x1, ch, delta97, false)
+	scale97(pix, stride, x0, x1, ch, 1/k97, k97)
+}
+
+func cols97Inv(pix []float64, stride, x0, x1, ch int) {
+	scale97(pix, stride, x0, x1, ch, k97, 1/k97)
+	step97(pix, stride, x0, x1, ch, -delta97, false)
+	step97(pix, stride, x0, x1, ch, -gamma97, true)
+	step97(pix, stride, x0, x1, ch, -beta97, false)
+	step97(pix, stride, x0, x1, ch, -alpha97, true)
+}
+
+// step97 adds c times the sum of its two neighbours to every odd row (odd)
+// or every even row of a column block.
+func step97(pix []float64, stride, x0, x1, ch int, c float64, odd bool) {
+	sn, dn := (ch+1)/2, ch/2
+	if odd {
+		for i := 0; i < dn; i++ {
+			rd, rs0, rs1 := (2*i+1)*stride, 2*i*stride, 2*clamp(i+1, sn)*stride
+			for x := x0; x < x1; x++ {
+				pix[rd+x] += float64(c * (pix[rs0+x] + pix[rs1+x]))
+			}
+		}
+		return
+	}
+	for i := 0; i < sn; i++ {
+		rs, rd0, rd1 := 2*i*stride, (2*clamp(i-1, dn)+1)*stride, (2*clamp(i, dn)+1)*stride
+		for x := x0; x < x1; x++ {
+			pix[rs+x] += float64(c * (pix[rd0+x] + pix[rd1+x]))
+		}
+	}
+}
+
+func scale97(pix []float64, stride, x0, x1, ch int, even, odd float64) {
+	for y := 0; y < ch; y++ {
+		k := even
+		if y%2 == 1 {
+			k = odd
+		}
+		row := pix[y*stride+x0 : y*stride+x1]
+		for x := range row {
+			row[x] = float64(row[x] * k)
+		}
+	}
+}
+
+// deinterleave moves the interleaved signal src into dst[0], dst[stride],
+// ...: its even (lowpass) samples first, then its odd (highpass) ones.
+func deinterleave[T sample](src, dst []T, stride int) {
+	j := 0
+	for i0 := 0; i0 < 2; i0++ {
+		for i := i0; i < len(src); i += 2 {
+			dst[j] = src[i]
+			j += stride
+		}
+	}
+}
+
+// interleave is the inverse of deinterleave.
+func interleave[T sample](src []T, stride int, dst []T) {
+	j := 0
+	for i0 := 0; i0 < 2; i0++ {
+		for i := i0; i < len(dst); i += 2 {
+			dst[i] = src[j]
+			j += stride
+		}
+	}
+}
+
+// deinterleaveRows moves a block's even rows to its top half and its odd
+// rows to the bottom half; interleaveRows undoes it.
+func deinterleaveRows[T sample](pix []T, stride, w, ch int) {
+	tmp := make([]T, 0, w*ch)
+	for y0 := 0; y0 < 2; y0++ {
+		for y := y0; y < ch; y += 2 {
+			tmp = append(tmp, pix[y*stride:y*stride+w]...)
+		}
+	}
+	for y := 0; y < ch; y++ {
+		copy(pix[y*stride:y*stride+w], tmp[y*w:])
+	}
+}
+
+func interleaveRows[T sample](pix []T, stride, w, ch int) {
+	tmp := make([]T, 0, w*ch)
+	for y := 0; y < ch; y++ {
+		tmp = append(tmp, pix[y*stride:y*stride+w]...)
+	}
+	t := 0
+	for y0 := 0; y0 < 2; y0++ {
+		for y := y0; y < ch; y += 2 {
+			copy(pix[y*stride:y*stride+w], tmp[t:t+w])
+			t += w
+		}
+	}
+}
+
+// stepwise wraps step-at-a-time kernels in the filter contract, so the
+// production driver runs them unchanged: the 1-D kernels lift a copy in
+// place and then (de)interleave it, the lane kernels restore the block from
+// its scratch copy and lift it in place around a separate row
+// (de)interleave.
+func stepwise[T sample](fwd, inv func([]T), fwdCols, invCols func(pix []T, stride, x0, x1, ch int)) filter[T] {
+	f := filter[T]{
+		fwd: func(dst, src []T) {
+			buf := append([]T(nil), src...)
+			fwd(buf)
+			deinterleave(buf, dst, 1)
+		},
+		inv: func(dst, src []T) {
+			interleave(src, 1, dst)
+			inv(dst)
+		},
+	}
+	restore := func(l lanes[T], n int) {
+		for y := 0; y < n; y++ {
+			copy(l.d(y), l.s(y))
+		}
+	}
+	if fwdCols != nil {
+		f.fwdCols = func(l lanes[T], n int) {
+			restore(l, n)
+			fwdCols(l.dst, l.ds, 0, l.w, n)
+			deinterleaveRows(l.dst, l.ds, l.w, n)
+		}
+		f.invCols = func(l lanes[T], n int) {
+			restore(l, n)
+			interleaveRows(l.dst, l.ds, l.w, n)
+			invCols(l.dst, l.ds, 0, l.w, n)
+		}
+	}
+	return f
+}
+
+var (
+	oracle53  = stepwise(lift53Fwd, lift53Inv, cols53Fwd, cols53Inv)
+	oracle97  = stepwise(lift97Fwd, lift97Inv, cols97Fwd, cols97Inv)
+	oracleLin = stepwise(nil, lift53InvLinear, nil, nil)
+)
+
+// firstDiff returns the first index where a and b differ in their bits, or
+// -1.
+func firstDiff[T sample](a, b []T) int {
+	for i := range a {
+		if fa, ok := any(a[i]).(float64); ok {
+			if math.Float64bits(fa) != math.Float64bits(any(b[i]).(float64)) {
+				return i
+			}
+		} else if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkKernels compares a filter's kernels with its step-at-a-time oracle on
+// 1-D lengths 1-130, and (when it has lane kernels) on column blocks of width
+// 1-33 in padded planes of height 1-130 through the blocked driver.
+func checkKernels[T sample](t *testing.T, name string, f, or *filter[T], gen func(*rand.Rand) T) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	fill := func(n int) []T {
+		v := make([]T, n)
+		for i := range v {
+			v[i] = gen(rng)
+		}
+		return v
+	}
+	for n := 1; n <= 130; n++ {
+		src := fill(n)
+		for _, k := range []struct {
+			dir       string
+			got, want func(dst, src []T)
+		}{{"fwd", f.fwd, or.fwd}, {"inv", f.inv, or.inv}} {
+			if k.got == nil {
+				continue
+			}
+			got, want := fill(n), fill(n)
+			k.got(got, src)
+			k.want(want, src)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("%s %s n=%d: sample %d is %v, step-at-a-time gives %v", name, k.dir, n, i, got[i], want[i])
+			}
+		}
+	}
+	if f.fwdCols == nil {
+		return
+	}
+	for w := 1; w <= 33; w++ {
+		for h := 1; h <= 130; h++ {
+			stride := w + 1 + rng.Intn(7)
+			src := fill(stride * h)
+			st := Strategy{VertMode: VertBlocked, BlockWidth: w, Workers: 1}
+			for _, fwd := range []bool{true, false} {
+				got := append([]T(nil), src...)
+				want := append([]T(nil), src...)
+				vertical(plane[T]{got, w, h, stride}, w, h, st, f, fwd)
+				vertical(plane[T]{want, w, h, stride}, w, h, st, or, fwd)
+				if i := firstDiff(got, want); i >= 0 {
+					t.Fatalf("%s cols fwd=%v %dx%d stride %d: sample %d (row %d col %d) is %v, step-at-a-time gives %v",
+						name, fwd, w, h, stride, i, i/stride, i%stride, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestLiftingMatchesStepwise(t *testing.T) {
+	ints := func(r *rand.Rand) int32 { return int32(r.Intn(1<<16)) - 1<<15 }
+	floats := func(r *rand.Rand) float64 { return r.Float64()*512 - 256 }
+	checkKernels(t, "5/3", &rev53, &oracle53, ints)
+	checkKernels(t, "9/7", &irr97, &oracle97, floats)
+	checkKernels(t, "lin53", &lin53, &oracleLin, floats)
+}
+
+// FuzzLifting drives whole transforms over fuzzer-chosen geometry, strategy
+// and samples: the production kernels must equal the step-at-a-time oracle
+// in both directions for both filters, and the 5/3 must invert exactly.
+func FuzzLifting(f *testing.F) {
+	f.Add(uint8(5), uint8(3), uint8(2), uint8(3), false, uint8(2), uint8(1), []byte{1, 200, 3, 44, 5})
+	f.Add(uint8(33), uint8(65), uint8(0), uint8(5), true, uint8(7), uint8(3), []byte{0xFF, 0x7F, 0x80, 0})
+	f.Add(uint8(64), uint8(48), uint8(24), uint8(4), true, uint8(31), uint8(2), []byte("lifting"))
+	f.Add(uint8(2), uint8(4), uint8(1), uint8(2), false, uint8(0), uint8(4), []byte{9})
+	f.Fuzz(func(t *testing.T, w8, h8, pad8, lv8 uint8, blocked bool, bw8, wk8 uint8, data []byte) {
+		w, h := 1+int(w8)%80, 1+int(h8)%80
+		stride := w + int(pad8)%32
+		levels := int(lv8) % 6
+		st := Strategy{VertMode: VertNaive, BlockWidth: 1 + int(bw8)%40, Workers: 1 + int(wk8)%4}
+		if blocked {
+			st.VertMode = VertBlocked
+		}
+		if wk8&4 != 0 {
+			st.Scratch = NewScratch(st.Workers)
+		}
+		ints := make([]int32, stride*h)
+		floats := make([]float64, stride*h)
+		for i := range ints {
+			if len(data) > 0 {
+				b := data[i%len(data)]
+				ints[i] = int32(int8(b^byte(i))) * int32(1+i%7)
+				floats[i] = float64(ints[i]) + float64(b)/256
+			}
+		}
+		for _, fwd := range []bool{true, false} {
+			got := append([]int32(nil), ints...)
+			want := append([]int32(nil), ints...)
+			run(plane[int32]{got, w, h, stride}, levels, st, &rev53, fwd, nil)
+			run(plane[int32]{want, w, h, stride}, levels, st, &oracle53, fwd, nil)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("5/3 fwd=%v %+v: sample %d is %d, step-at-a-time gives %d", fwd, st, i, got[i], want[i])
+			}
+			if fwd {
+				run(plane[int32]{got, w, h, stride}, levels, st, &rev53, false, nil)
+				if i := firstDiff(got, ints); i >= 0 {
+					t.Fatalf("5/3 round trip %+v: sample %d is %d, was %d", st, i, got[i], ints[i])
+				}
+			}
+			gotF := append([]float64(nil), floats...)
+			wantF := append([]float64(nil), floats...)
+			run(plane[float64]{gotF, w, h, stride}, levels, st, &irr97, fwd, nil)
+			run(plane[float64]{wantF, w, h, stride}, levels, st, &oracle97, fwd, nil)
+			if i := firstDiff(gotF, wantF); i >= 0 {
+				t.Fatalf("9/7 fwd=%v %+v: sample %d is %g, step-at-a-time gives %g", fwd, st, i, gotF[i], wantF[i])
+			}
+		}
+	})
+}

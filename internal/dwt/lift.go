@@ -9,6 +9,18 @@
 // One generic level loop (run) serves both sample types, both directions,
 // both vertical strategies and the timed entry points; the lifting kernels
 // in this file are the only code written per filter.
+//
+// Every kernel runs all lifting steps of one level in a single sweep with
+// the (de)interleave folded in: it reads the level's input from a scratch
+// copy and writes the output layout directly. Step t of a sweep applies each
+// lifting step to the latest sample whose neighbours are final for it (the
+// lag schedule in DESIGN.md §1), so a sample gets the same operands and
+// operations, in the same order, as step-at-a-time lifting would give it.
+// Symmetric-extension clamps occur only in the edge steps at both ends.
+//
+// Every float product that feeds an addition is wrapped in float64(): the
+// explicit rounding keeps the compiler from fusing it into an FMA on
+// architectures that have one, so the bits match amd64 everywhere.
 package dwt
 
 // 9/7 lifting constants (ISO/IEC 15444-1, Table F.4 conventions).
@@ -21,8 +33,8 @@ const (
 )
 
 var (
-	rev53 = filter[int32]{lift53Fwd, lift53Inv, cols53Fwd, cols53Inv}
-	irr97 = filter[float64]{lift97Fwd, lift97Inv, cols97Fwd, cols97Inv}
+	rev53 = filter[int32]{fwd53, inv53, fwd53Cols, inv53Cols}
+	irr97 = filter[float64]{fwd97, inv97, fwd97Cols, inv97Cols}
 )
 
 // clamp clamps a neighbour index into [0, n) for symmetric extension: for
@@ -38,208 +50,329 @@ func clamp(i, n int) int {
 	return i
 }
 
-// lift53Fwd applies the forward 5/3 lifting to an interleaved contiguous
-// signal buf (even samples = lowpass positions). len(buf) >= 2.
-func lift53Fwd(buf []int32) {
-	n := len(buf)
+// lanes is one level's signal as w parallel lanes: row i of the output
+// starts at dst[i*ds], row i of the input at src[i*ss]. A 1-D signal is one
+// lane with both strides 1; a column block is w adjacent columns of the
+// plane (dst) read from its packed scratch copy (src).
+type lanes[T sample] struct {
+	dst, src  []T
+	ds, ss, w int
+}
+
+func (l lanes[T]) d(i int) []T { return l.dst[i*l.ds : i*l.ds+l.w] }
+func (l lanes[T]) s(i int) []T { return l.src[i*l.ss : i*l.ss+l.w] }
+
+// one views a 1-D signal as a single lane for the edge steps.
+func one[T sample](dst, src []T) lanes[T] { return lanes[T]{dst, src, 1, 1, 1} }
+
+// halves returns the lowpass and highpass counts of an n-sample signal.
+func halves(n int) (sn, dn int) { return (n + 1) / 2, n / 2 }
+
+// --- 5/3. Forward step t: predict d_t, update s_t. Inverse step t: update
+// s_t, predict d_{t-1}. Every value is final once written.
+
+// fwd53 lifts the interleaved signal src (even samples lowpass) into dst:
+// lows first, then highs. len(dst) == len(src).
+func fwd53(dst, src []int32) {
+	n := len(src)
 	if n < 2 {
+		copy(dst, src)
 		return
 	}
-	sn := (n + 1) / 2 // lowpass count (even origin)
-	dn := n / 2       // highpass count
-	// Predict: d(i) -= (s(i) + s(i+1)) >> 1
-	for i := 0; i < dn; i++ {
-		s1 := buf[2*clamp(i+1, sn)]
-		buf[2*i+1] -= (buf[2*i] + s1) >> 1
+	sn, dn := halves(n)
+	l := one(dst, src)
+	hi := max(1, min(dn, sn-1))
+	fwd53Edge(l, sn, dn, 0)
+	dp := dst[sn]
+	for t := 1; t < hi; t++ {
+		dN := src[2*t+1] - (src[2*t]+src[2*t+2])>>1
+		dst[t] = src[2*t] + (dp+dN+2)>>2
+		dst[sn+t] = dN
+		dp = dN
 	}
-	// Update: s(i) += (d(i-1) + d(i) + 2) >> 2
-	for i := 0; i < sn; i++ {
-		d0 := buf[2*clamp(i-1, dn)+1]
-		d1 := buf[2*clamp(i, dn)+1]
-		buf[2*i] += (d0 + d1 + 2) >> 2
+	for t := hi; t < sn; t++ {
+		fwd53Edge(l, sn, dn, t)
 	}
 }
 
-// lift53Inv inverts lift53Fwd.
-func lift53Inv(buf []int32) {
-	n := len(buf)
+// fwd53Cols is fwd53 over every lane of l, n rows each.
+func fwd53Cols(l lanes[int32], n int) {
+	sn, dn := halves(n)
+	hi := max(1, min(dn, sn-1))
+	fwd53Edge(l, sn, dn, 0)
+	for t := 1; t < hi; t++ {
+		se, sd, se2 := l.s(2*t), l.s(2*t+1), l.s(2*t+2)
+		st, dt, dm := l.d(t), l.d(sn+t), l.d(sn+t-1)
+		for x := range st {
+			dN := sd[x] - (se[x]+se2[x])>>1
+			dt[x] = dN
+			st[x] = se[x] + (dm[x]+dN+2)>>2
+		}
+	}
+	for t := hi; t < sn; t++ {
+		fwd53Edge(l, sn, dn, t)
+	}
+}
+
+// fwd53Edge is forward step t with clamped neighbours.
+func fwd53Edge(l lanes[int32], sn, dn, t int) {
+	if t < dn {
+		d, s0, s1, sd := l.d(sn+t), l.s(2*t), l.s(2*clamp(t+1, sn)), l.s(2*t+1)
+		for x := range d {
+			d[x] = sd[x] - (s0[x]+s1[x])>>1
+		}
+	}
+	if t < sn {
+		s, d0, d1, ss := l.d(t), l.d(sn+clamp(t-1, dn)), l.d(sn+clamp(t, dn)), l.s(2*t)
+		for x := range s {
+			s[x] = ss[x] + (d0[x]+d1[x]+2)>>2
+		}
+	}
+}
+
+// inv53 inverts fwd53: src holds lows then highs, dst gets the interleaved
+// signal.
+func inv53(dst, src []int32) {
+	n := len(src)
 	if n < 2 {
+		copy(dst, src)
 		return
 	}
-	sn := (n + 1) / 2
-	dn := n / 2
-	for i := 0; i < sn; i++ {
-		d0 := buf[2*clamp(i-1, dn)+1]
-		d1 := buf[2*clamp(i, dn)+1]
-		buf[2*i] -= (d0 + d1 + 2) >> 2
+	sn, dn := halves(n)
+	l := one(dst, src)
+	hi := max(1, dn)
+	inv53Edge(l, sn, dn, 0)
+	sp := dst[0]
+	for t := 1; t < hi; t++ {
+		sN := src[t] - (src[sn+t-1]+src[sn+t]+2)>>2
+		dst[2*t-1] = src[sn+t-1] + (sp+sN)>>1
+		dst[2*t] = sN
+		sp = sN
 	}
-	for i := 0; i < dn; i++ {
-		s1 := buf[2*clamp(i+1, sn)]
-		buf[2*i+1] += (buf[2*i] + s1) >> 1
-	}
-}
-
-// cols53Fwd applies lift53Fwd to the columns [x0,x1) over rows [0,ch) in
-// place, sweeping row-wise so adjacent columns share cache lines. ch >= 2.
-func cols53Fwd(pix []int32, stride, x0, x1, ch int) {
-	sn := (ch + 1) / 2
-	dn := ch / 2
-	// Predict: odd row 2i+1 -= (row 2i + row 2*min(i+1,sn-1)) >> 1.
-	for i := 0; i < dn; i++ {
-		rd := (2*i + 1) * stride
-		rs0 := 2 * i * stride
-		rs1 := 2 * clamp(i+1, sn) * stride
-		for x := x0; x < x1; x++ {
-			pix[rd+x] -= (pix[rs0+x] + pix[rs1+x]) >> 1
-		}
-	}
-	// Update: even row 2i += (odd clamp(i-1) + odd clamp(i) + 2) >> 2.
-	for i := 0; i < sn; i++ {
-		rs := 2 * i * stride
-		rd0 := (2*clamp(i-1, dn) + 1) * stride
-		rd1 := (2*clamp(i, dn) + 1) * stride
-		for x := x0; x < x1; x++ {
-			pix[rs+x] += (pix[rd0+x] + pix[rd1+x] + 2) >> 2
-		}
+	for t := hi; t <= sn; t++ {
+		inv53Edge(l, sn, dn, t)
 	}
 }
 
-// cols53Inv inverts cols53Fwd.
-func cols53Inv(pix []int32, stride, x0, x1, ch int) {
-	sn := (ch + 1) / 2
-	dn := ch / 2
-	for i := 0; i < sn; i++ {
-		rs := 2 * i * stride
-		rd0 := (2*clamp(i-1, dn) + 1) * stride
-		rd1 := (2*clamp(i, dn) + 1) * stride
-		for x := x0; x < x1; x++ {
-			pix[rs+x] -= (pix[rd0+x] + pix[rd1+x] + 2) >> 2
+// inv53Cols is inv53 over every lane of l, n rows each.
+func inv53Cols(l lanes[int32], n int) {
+	sn, dn := halves(n)
+	hi := max(1, dn)
+	inv53Edge(l, sn, dn, 0)
+	for t := 1; t < hi; t++ {
+		lo, hm, h := l.s(t), l.s(sn+t-1), l.s(sn+t)
+		s, sm, dm := l.d(2*t), l.d(2*t-2), l.d(2*t-1)
+		for x := range s {
+			sN := lo[x] - (hm[x]+h[x]+2)>>2
+			s[x] = sN
+			dm[x] = hm[x] + (sm[x]+sN)>>1
 		}
 	}
-	for i := 0; i < dn; i++ {
-		rd := (2*i + 1) * stride
-		rs0 := 2 * i * stride
-		rs1 := 2 * clamp(i+1, sn) * stride
-		for x := x0; x < x1; x++ {
-			pix[rd+x] += (pix[rs0+x] + pix[rs1+x]) >> 1
+	for t := hi; t <= sn; t++ {
+		inv53Edge(l, sn, dn, t)
+	}
+}
+
+// inv53Edge is inverse step t with clamped neighbours.
+func inv53Edge(l lanes[int32], sn, dn, t int) {
+	if t < sn {
+		s, ls, h0, h1 := l.d(2*t), l.s(t), l.s(sn+clamp(t-1, dn)), l.s(sn+clamp(t, dn))
+		for x := range s {
+			s[x] = ls[x] - (h0[x]+h1[x]+2)>>2
+		}
+	}
+	if j := t - 1; j >= 0 && j < dn {
+		d, hs, s0, s1 := l.d(2*j+1), l.s(sn+j), l.d(2*j), l.d(2*clamp(j+1, sn))
+		for x := range d {
+			d[x] = hs[x] + (s0[x]+s1[x])>>1
 		}
 	}
 }
 
-// lift97Fwd applies the forward 9/7 lifting (four steps plus scaling) to an
-// interleaved contiguous signal.
-func lift97Fwd(buf []float64) {
-	n := len(buf)
-	sn := (n + 1) / 2
-	dn := n / 2
-	if dn == 0 {
-		return // single lowpass sample passes through
-	}
-	for i := 0; i < dn; i++ {
-		buf[2*i+1] += alpha97 * (buf[2*i] + buf[2*clamp(i+1, sn)])
-	}
-	for i := 0; i < sn; i++ {
-		buf[2*i] += beta97 * (buf[2*clamp(i-1, dn)+1] + buf[2*clamp(i, dn)+1])
-	}
-	for i := 0; i < dn; i++ {
-		buf[2*i+1] += gamma97 * (buf[2*i] + buf[2*clamp(i+1, sn)])
-	}
-	for i := 0; i < sn; i++ {
-		buf[2*i] += delta97 * (buf[2*clamp(i-1, dn)+1] + buf[2*clamp(i, dn)+1])
-	}
-	for i := 0; i < sn; i++ {
-		buf[2*i] *= 1 / k97
-	}
-	for i := 0; i < dn; i++ {
-		buf[2*i+1] *= k97
-	}
-}
+// --- 9/7. Forward step t: α on d_t, β on s_t, γ on d_{t-1}, δ and the 1/K
+// scale on s_{t-1}, the K scale on d_{t-2}; dst holds the partial values
+// (lows at row i, highs at row sn+i). Inverse step t: scale d_t, scale and δ
+// on s_t, γ on d_{t-1}, β on s_{t-1}, α on d_{t-2}; dst holds the partial
+// values interleaved.
 
-// lift97Inv inverts lift97Fwd.
-func lift97Inv(buf []float64) {
-	n := len(buf)
-	sn := (n + 1) / 2
-	dn := n / 2
-	if dn == 0 {
+// fwd97 lifts the interleaved signal src into dst, lows then highs.
+func fwd97(dst, src []float64) {
+	n := len(src)
+	if n < 2 {
+		copy(dst, src)
 		return
 	}
-	for i := 0; i < sn; i++ {
-		buf[2*i] *= k97
-	}
-	for i := 0; i < dn; i++ {
-		buf[2*i+1] *= 1 / k97
-	}
-	for i := 0; i < sn; i++ {
-		buf[2*i] -= delta97 * (buf[2*clamp(i-1, dn)+1] + buf[2*clamp(i, dn)+1])
-	}
-	for i := 0; i < dn; i++ {
-		buf[2*i+1] -= gamma97 * (buf[2*i] + buf[2*clamp(i+1, sn)])
-	}
-	for i := 0; i < sn; i++ {
-		buf[2*i] -= beta97 * (buf[2*clamp(i-1, dn)+1] + buf[2*clamp(i, dn)+1])
-	}
-	for i := 0; i < dn; i++ {
-		buf[2*i+1] -= alpha97 * (buf[2*i] + buf[2*clamp(i+1, sn)])
-	}
-}
-
-// cols97Fwd applies lift97Fwd to the columns [x0,x1) over rows [0,ch) in
-// place, row-wise like cols53Fwd. ch >= 2.
-func cols97Fwd(pix []float64, stride, x0, x1, ch int) {
-	step97(pix, stride, x0, x1, ch, alpha97, true)
-	step97(pix, stride, x0, x1, ch, beta97, false)
-	step97(pix, stride, x0, x1, ch, gamma97, true)
-	step97(pix, stride, x0, x1, ch, delta97, false)
-	scale97(pix, stride, x0, x1, ch, 1/k97, k97)
-}
-
-// cols97Inv inverts cols97Fwd. Adding -c·s is bit-identical to lift97Inv's
-// subtracting c·s: negation is exact.
-func cols97Inv(pix []float64, stride, x0, x1, ch int) {
-	scale97(pix, stride, x0, x1, ch, k97, 1/k97)
-	step97(pix, stride, x0, x1, ch, -delta97, false)
-	step97(pix, stride, x0, x1, ch, -gamma97, true)
-	step97(pix, stride, x0, x1, ch, -beta97, false)
-	step97(pix, stride, x0, x1, ch, -alpha97, true)
-}
-
-// step97 applies one 9/7 lifting step to a column block: every odd row (odd)
-// or every even row gains c times the sum of its two neighbours.
-func step97(pix []float64, stride, x0, x1, ch int, c float64, odd bool) {
-	sn := (ch + 1) / 2
-	dn := ch / 2
-	if odd {
-		for i := 0; i < dn; i++ {
-			rd := (2*i + 1) * stride
-			rs0 := 2 * i * stride
-			rs1 := 2 * clamp(i+1, sn) * stride
-			for x := x0; x < x1; x++ {
-				pix[rd+x] += c * (pix[rs0+x] + pix[rs1+x])
-			}
+	sn, dn := halves(n)
+	l := one(dst, src)
+	hi := max(2, min(dn, sn-1))
+	fwd97Edge(l, sn, dn, 0)
+	fwd97Edge(l, sn, dn, 1)
+	if hi > 2 {
+		// d1 = D1_{t-1}, s1 = S1_{t-1}, d2 = D2_{t-2}.
+		d1, s1, d2 := dst[sn+1], dst[1], dst[sn]
+		for t := 2; t < hi; t++ {
+			e := src[2*t]
+			dN := src[2*t+1] + float64(alpha97*(e+src[2*t+2]))
+			sN := e + float64(beta97*(d1+dN))
+			d1 += float64(gamma97 * (s1 + sN))
+			s1 += float64(delta97 * (d2 + d1))
+			dst[t-1] = s1 * (1 / k97)
+			dst[sn+t-2] = d2 * k97
+			d2, d1, s1 = d1, dN, sN
 		}
+		dst[sn+hi-1], dst[hi-1], dst[sn+hi-2] = d1, s1, d2
+	}
+	for t := hi; t < sn+2; t++ {
+		fwd97Edge(l, sn, dn, t)
+	}
+}
+
+// fwd97Cols is fwd97 over every lane of l, n rows each.
+func fwd97Cols(l lanes[float64], n int) {
+	sn, dn := halves(n)
+	hi := max(2, min(dn, sn-1))
+	fwd97Edge(l, sn, dn, 0)
+	fwd97Edge(l, sn, dn, 1)
+	for t := 2; t < hi; t++ {
+		se, sd, se2 := l.s(2*t), l.s(2*t+1), l.s(2*t+2)
+		dt, st, dm, sm, dm2 := l.d(sn+t), l.d(t), l.d(sn+t-1), l.d(t-1), l.d(sn+t-2)
+		for x := range dt {
+			e := se[x]
+			dN := sd[x] + float64(alpha97*(e+se2[x]))
+			dt[x] = dN
+			sN := e + float64(beta97*(dm[x]+dN))
+			st[x] = sN
+			d := dm[x] + float64(gamma97*(sm[x]+sN))
+			dm[x] = d
+			sm[x] = (sm[x] + float64(delta97*(dm2[x]+d))) * (1 / k97)
+			dm2[x] *= k97
+		}
+	}
+	for t := hi; t < sn+2; t++ {
+		fwd97Edge(l, sn, dn, t)
+	}
+}
+
+// fwd97Edge is forward step t with clamped neighbours.
+func fwd97Edge(l lanes[float64], sn, dn, t int) {
+	if t < dn {
+		d, s0, s1, sd := l.d(sn+t), l.s(2*t), l.s(2*clamp(t+1, sn)), l.s(2*t+1)
+		for x := range d {
+			d[x] = sd[x] + float64(alpha97*(s0[x]+s1[x]))
+		}
+	}
+	if t < sn {
+		s, d0, d1, ss := l.d(t), l.d(sn+clamp(t-1, dn)), l.d(sn+clamp(t, dn)), l.s(2*t)
+		for x := range s {
+			s[x] = ss[x] + float64(beta97*(d0[x]+d1[x]))
+		}
+	}
+	if j := t - 1; j >= 0 && j < dn {
+		lift(l.d(sn+j), l.d(j), l.d(clamp(j+1, sn)), gamma97)
+	}
+	if j := t - 1; j >= 0 && j < sn {
+		s := l.d(j)
+		lift(s, l.d(sn+clamp(j-1, dn)), l.d(sn+clamp(j, dn)), delta97)
+		for x := range s {
+			s[x] *= 1 / k97
+		}
+	}
+	if j := t - 2; j >= 0 && j < dn {
+		d := l.d(sn + j)
+		for x := range d {
+			d[x] *= k97
+		}
+	}
+}
+
+// inv97 inverts fwd97: src holds lows then highs, dst gets the interleaved
+// signal.
+func inv97(dst, src []float64) {
+	n := len(src)
+	if n < 2 {
+		copy(dst, src)
 		return
 	}
-	for i := 0; i < sn; i++ {
-		rs := 2 * i * stride
-		rd0 := (2*clamp(i-1, dn) + 1) * stride
-		rd1 := (2*clamp(i, dn) + 1) * stride
-		for x := x0; x < x1; x++ {
-			pix[rs+x] += c * (pix[rd0+x] + pix[rd1+x])
+	sn, dn := halves(n)
+	l := one(dst, src)
+	hi := max(2, dn)
+	inv97Edge(l, sn, dn, 0)
+	inv97Edge(l, sn, dn, 1)
+	if hi > 2 {
+		// d0 = D0_{t-1}, s1 = S1_{t-1}, d1 = D1_{t-2}, s2 = S2_{t-2}.
+		d0, s1, d1, s2 := dst[3], dst[2], dst[1], dst[0]
+		for t := 2; t < hi; t++ {
+			dN := float64(src[sn+t] * (1 / k97))
+			sN := float64(src[t]*k97) - float64(delta97*(d0+dN))
+			d0 -= float64(gamma97 * (s1 + sN))
+			s1 -= float64(beta97 * (d1 + d0))
+			d1 -= float64(alpha97 * (s2 + s1))
+			dst[2*t-2] = s1
+			dst[2*t-3] = d1
+			s2, d1, s1, d0 = s1, d0, sN, dN
 		}
+		dst[2*hi-1], dst[2*hi-2], dst[2*hi-3] = d0, s1, d1
+	}
+	for t := hi; t < sn+2; t++ {
+		inv97Edge(l, sn, dn, t)
 	}
 }
 
-// scale97 multiplies a column block's even rows by even and its odd rows by
-// odd.
-func scale97(pix []float64, stride, x0, x1, ch int, even, odd float64) {
-	for y := 0; y < ch; y++ {
-		k := even
-		if y%2 == 1 {
-			k = odd
+// inv97Cols is inv97 over every lane of l, n rows each.
+func inv97Cols(l lanes[float64], n int) {
+	sn, dn := halves(n)
+	hi := max(2, dn)
+	inv97Edge(l, sn, dn, 0)
+	inv97Edge(l, sn, dn, 1)
+	for t := 2; t < hi; t++ {
+		lo, h := l.s(t), l.s(sn+t)
+		dt, st, dm, sm, dm2, sm2 := l.d(2*t+1), l.d(2*t), l.d(2*t-1), l.d(2*t-2), l.d(2*t-3), l.d(2*t-4)
+		for x := range dt {
+			dN := float64(h[x] * (1 / k97))
+			dt[x] = dN
+			sN := float64(lo[x]*k97) + float64((-delta97)*(dm[x]+dN))
+			st[x] = sN
+			d := dm[x] + float64((-gamma97)*(sm[x]+sN))
+			dm[x] = d
+			s := sm[x] + float64((-beta97)*(dm2[x]+d))
+			sm[x] = s
+			dm2[x] += float64((-alpha97) * (sm2[x] + s))
 		}
-		row := pix[y*stride+x0 : y*stride+x1]
-		for x := range row {
-			row[x] *= k
+	}
+	for t := hi; t < sn+2; t++ {
+		inv97Edge(l, sn, dn, t)
+	}
+}
+
+// inv97Edge is inverse step t with clamped neighbours.
+func inv97Edge(l lanes[float64], sn, dn, t int) {
+	if t < dn {
+		d, h := l.d(2*t+1), l.s(sn+t)
+		for x := range d {
+			d[x] = float64(h[x] * (1 / k97))
 		}
+	}
+	if t < sn {
+		s, lo := l.d(2*t), l.s(t)
+		for x := range s {
+			s[x] = float64(lo[x] * k97)
+		}
+		lift(s, l.d(2*clamp(t-1, dn)+1), l.d(2*clamp(t, dn)+1), -delta97)
+	}
+	if j := t - 1; j >= 0 && j < dn {
+		lift(l.d(2*j+1), l.d(2*j), l.d(2*clamp(j+1, sn)), -gamma97)
+	}
+	if j := t - 1; j >= 0 && j < sn {
+		lift(l.d(2*j), l.d(2*clamp(j-1, dn)+1), l.d(2*clamp(j, dn)+1), -beta97)
+	}
+	if j := t - 2; j >= 0 && j < dn {
+		lift(l.d(2*j+1), l.d(2*j), l.d(2*clamp(j+1, sn)), -alpha97)
+	}
+}
+
+// lift adds c times the sum of its two neighbour rows to every sample of x.
+func lift(x, a, b []float64, c float64) {
+	for i := range x {
+		x[i] += float64(c * (a[i] + b[i]))
 	}
 }

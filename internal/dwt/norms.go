@@ -70,7 +70,7 @@ func bandNorms(k Kernel, levels int) []float64 {
 		run(p.plane(), levels, Serial, f, false, nil)
 		var sum2 float64
 		for _, v := range p.Data {
-			sum2 += v * v
+			sum2 += float64(v * v)
 		}
 		norms[i] = math.Sqrt(sum2)
 	}
@@ -80,24 +80,24 @@ func bandNorms(k Kernel, levels int) []float64 {
 
 // lin53 is the 5/3 synthesis without its floor rounding: the linear
 // operator whose norms BandNorm measures. Only the naive inverse runs it.
-var lin53 = filter[float64]{inv: lift53InvLinear}
+var lin53 = filter[float64]{inv: inv53Linear}
 
-// lift53InvLinear is lift53Inv with the rounding offsets and shifts replaced
-// by exact division.
-func lift53InvLinear(buf []float64) {
-	n := len(buf)
+// inv53Linear is inv53 with the rounding offsets and shifts replaced by
+// exact division. It runs only to fill the norm cache, so it clamps at every
+// step instead of keeping the clamps to the ends.
+func inv53Linear(dst, src []float64) {
+	n := len(src)
 	if n < 2 {
+		copy(dst, src)
 		return
 	}
-	sn := (n + 1) / 2
-	dn := n / 2
-	for i := 0; i < sn; i++ {
-		d0 := buf[2*clamp(i-1, dn)+1]
-		d1 := buf[2*clamp(i, dn)+1]
-		buf[2*i] -= (d0 + d1) / 4
-	}
-	for i := 0; i < dn; i++ {
-		s1 := buf[2*clamp(i+1, sn)]
-		buf[2*i+1] += (buf[2*i] + s1) / 2
+	sn, dn := halves(n)
+	for t := 0; t <= sn; t++ {
+		if t < sn {
+			dst[2*t] = src[t] - float64((src[sn+clamp(t-1, dn)]+src[sn+clamp(t, dn)])/4)
+		}
+		if j := t - 1; j >= 0 && j < dn {
+			dst[2*j+1] = src[sn+j] + float64((dst[2*j]+dst[2*clamp(j+1, sn)])/2)
+		}
 	}
 }

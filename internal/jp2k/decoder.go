@@ -3,6 +3,7 @@ package jp2k
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"pj2k/internal/core"
@@ -430,14 +431,22 @@ func (d *Decoder) asmTask(worker, u int) {
 			o := (oy+y-ly0)*dst.Stride + ox
 			drow := dst.Pix[o : o+lx1-lx0]
 			for x, v := range src {
-				if v >= 0 {
-					drow[x] = int32(v+0.5) + outShift
-				} else {
-					drow[x] = int32(v-0.5) + outShift
-				}
+				drow[x] = roundShift(v, outShift)
 			}
 		}
 	}
+}
+
+// roundShift rounds a 9/7 output coefficient half away from zero and adds
+// the level shift (>= 0), without a branch. The rounded value is clamped so
+// the sum stays inside int32: a hostile stream can drive |v| past 2^31, where
+// converting to int32 is implementation-defined (amd64 yields MinInt32, so a
+// saturated white sample would render black). In range, the result is
+// exactly int32(v±0.5) + shift.
+func roundShift(v float64, shift int32) int32 {
+	r := v + math.Copysign(0.5, v)
+	r = min(max(r, math.MinInt32), float64(math.MaxInt32-shift))
+	return int32(r) + shift
 }
 
 // scanned is a parsed codestream container, the input of the decode route:

@@ -1,6 +1,7 @@
 package jp2k
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -224,6 +225,34 @@ func TestDecodeRegionErrors(t *testing.T) {
 	} {
 		if _, err := decodeRegion(nil, cs, r, DecodeOptions{}); err == nil {
 			t.Errorf("region %+v: want error, got image", r)
+		}
+	}
+}
+
+func TestRoundShiftSaturates(t *testing.T) {
+	// Out-of-range 9/7 outputs saturate instead of wrapping (a hostile
+	// stream reaches them); in range the result is int32(v±0.5) + shift.
+	for _, shift := range []int32{0, 128, 1 << 15} {
+		for _, c := range []struct {
+			v    float64
+			want int32
+		}{
+			{3e9, math.MaxInt32}, {1e300, math.MaxInt32}, {math.Inf(1), math.MaxInt32},
+			{-3e9, math.MinInt32 + shift}, {-1e300, math.MinInt32 + shift}, {math.Inf(-1), math.MinInt32 + shift},
+			{math.MaxInt32, math.MaxInt32}, {math.MinInt32, math.MinInt32 + shift},
+		} {
+			if got := roundShift(c.v, shift); got != c.want {
+				t.Errorf("roundShift(%g, %d) = %d, want %d", c.v, shift, got, c.want)
+			}
+		}
+		for _, v := range []float64{0, math.Copysign(0, -1), 0.49999999999999994, 0.5, -0.5, 1.5, -1.5, -2.5, 254.7, -254.7, 1e6 + 0.25} {
+			want := int32(v-0.5) + shift
+			if v >= 0 {
+				want = int32(v+0.5) + shift
+			}
+			if got := roundShift(v, shift); got != want {
+				t.Errorf("roundShift(%g, %d) = %d, want %d", v, shift, got, want)
+			}
 		}
 	}
 }

@@ -95,7 +95,9 @@ func ForwardICT(r, g, b []float64, workers int, pool *core.Pool) {
 	forMax(pool, workers, len(r), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			R, G, B := r[i], g[i], b[i]
-			Y := ictYR*R + ictYG*G + ictYB*B
+			// float64() rounds each product before it is summed, so no
+			// architecture fuses it into an FMA (DESIGN.md §3).
+			Y := float64(ictYR*R) + float64(ictYG*G) + float64(ictYB*B)
 			r[i] = Y
 			g[i] = ictCbB * (B - Y)
 			b[i] = ictCrR * (R - Y)
@@ -108,9 +110,10 @@ func InverseICT(yp, cb, cr []float64, workers int, pool *core.Pool) {
 	forMax(pool, workers, len(yp), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			Y, Cb, Cr := yp[i], cb[i], cr[i]
-			yp[i] = Y + ictInvCrR*Cr
-			cb[i] = Y + ictInvCbG*Cb + ictInvCrG*Cr
-			cr[i] = Y + ictInvCbB*Cb
+			// Rounded products, as in ForwardICT.
+			yp[i] = Y + float64(ictInvCrR*Cr)
+			cb[i] = Y + float64(ictInvCbG*Cb) + float64(ictInvCrG*Cr)
+			cr[i] = Y + float64(ictInvCbB*Cb)
 		}
 	})
 }

@@ -18,9 +18,11 @@ type Step struct {
 	Mantissa int // 0..2047
 }
 
-// Value returns the step size the marker encodes.
+// Value returns the step size the marker encodes. The float64() around the
+// quotient keeps the compiler from fusing it with the addition (an FMA on
+// arm64), so the step is the same on every architecture.
 func (s Step) Value() float64 {
-	return (1 + float64(s.Mantissa)/2048) * math.Pow(2, -float64(s.Exponent))
+	return (1 + float64(float64(s.Mantissa)/2048)) * math.Pow(2, -float64(s.Exponent))
 }
 
 // StepFor quantizes a real-valued step into marker form (round to nearest
@@ -145,19 +147,21 @@ func Inverse(src []int32, srcStride int, b dwt.Subband, step float64, dst []floa
 	})
 }
 
+// midpoint is the reconstruction bias of a quantized value without a
+// branch: +0.5 for v > 0, -0.5 for v < 0 and 0 for v == 0, from v's sign
+// (-1, 0 or +1). Adding it to float64(v) gives the same bits as adding or
+// subtracting 0.5 directly; a zero stays +0.
+func midpoint(v int32) float64 {
+	sign := v>>31 | int32(uint32(-v)>>31)
+	return float64(0.5 * float64(sign))
+}
+
 func inverseRows(src []int32, srcStride int, b dwt.Subband, step float64, dst []float64, stride, lo, hi int) {
 	for y := lo; y < hi; y++ {
 		srow := src[y*srcStride:]
 		drow := dst[(b.Y0+y)*stride+b.X0:]
-		for x := 0; x < b.Width(); x++ {
-			switch v := srow[x]; {
-			case v > 0:
-				drow[x] = (float64(v) + 0.5) * step
-			case v < 0:
-				drow[x] = (float64(v) - 0.5) * step
-			default:
-				drow[x] = 0
-			}
+		for x, v := range srow[:b.Width()] {
+			drow[x] = (float64(v) + midpoint(v)) * step
 		}
 	}
 }

@@ -116,3 +116,24 @@ func TestQuickQuantBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestInverseMidpointMatchesBranches(t *testing.T) {
+	// The branchless midpoint must give the bits the per-sign branches gave,
+	// zero included (+0, not -0).
+	vals := []int32{0, 1, -1, 2, -2, 7, -7, 1 << 20, -(1 << 20), math.MaxInt32, math.MinInt32}
+	for _, step := range []float64{1, 0.37, 1.0 / 512, 1.9990234375} {
+		dst := make([]float64, len(vals))
+		Inverse(vals, len(vals), dwt.Subband{X1: len(vals), Y1: 1}, step, dst, len(vals), 1)
+		for i, v := range vals {
+			want := 0.0
+			if v > 0 {
+				want = (float64(v) + 0.5) * step
+			} else if v < 0 {
+				want = (float64(v) - 0.5) * step
+			}
+			if math.Float64bits(dst[i]) != math.Float64bits(want) {
+				t.Fatalf("step %g: Inverse(%d) = %g (%#x), want %g (%#x)", step, v, dst[i], math.Float64bits(dst[i]), want, math.Float64bits(want))
+			}
+		}
+	}
+}

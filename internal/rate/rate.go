@@ -94,7 +94,9 @@ const certSlack = 1e-9
 // with incoming slope below lambda that is certified this way, or 0.
 func (h *Hull) Certify(bound float64, floor int, lambda float64) int {
 	st := h.pts
-	bound += certSlack * bound
+	// float64() rounds the product before the sum: no FMA on any
+	// architecture (DESIGN.md §3), here and in CutoffSlope.
+	bound += float64(certSlack * bound)
 	for i := len(st) - 1; i >= 1; i-- {
 		s := slopeBetween(st[i-1], st[i])
 		if s >= lambda {
@@ -191,7 +193,7 @@ func (a *Allocator) sortedSegments(blocks []BlockPasses) []segment {
 func (a *Allocator) CutoffSlope(blocks []BlockPasses, weight []float64, budget int) float64 {
 	bytes := 0.0
 	for _, sg := range a.sortedSegments(blocks) {
-		bytes += float64(sg.bytes) * weight[sg.block]
+		bytes += float64(float64(sg.bytes) * weight[sg.block])
 		if bytes > float64(budget) {
 			return sg.slope
 		}

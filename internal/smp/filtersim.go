@@ -13,8 +13,13 @@ type FilterSpec struct {
 	Levels       int
 	Kernel       dwt.Kernel
 	Mode         dwt.VertMode
-	BlockWidth   int // for VertBlocked; <=0 selects dwt.DefaultBlockWidth
+	BlockWidth   int // for VertBlocked; <=0 selects modelBlockWidth
 }
+
+// modelBlockWidth is the column-block width the paper-machine figures are
+// computed at. It is the model's own constant, so retuning the codec's
+// dwt.DefaultBlockWidth for this host does not move Figs. 6-13.
+const modelBlockWidth = 32
 
 const bytesPerSample = 4
 
@@ -29,7 +34,7 @@ func (s FilterSpec) shape() (window, sweeps int, opsPerElemDir float64) {
 
 func (s FilterSpec) blockWidth() int {
 	if s.BlockWidth <= 0 {
-		return dwt.DefaultBlockWidth
+		return modelBlockWidth
 	}
 	return s.BlockWidth
 }

@@ -355,7 +355,8 @@ func (co *Coder) encode(data []int32, w, h, stride int, band dwt.BandType, stop 
 		// is the block's energy, and no prefix of it is larger.
 		var energy float64
 		for _, v := range c.mag {
-			energy += float64(v) * float64(v)
+			f := float64(v)
+			energy += float64(f * f) // rounded before the sum: no FMA (DESIGN.md §3)
 		}
 		stop.bound = energy * stop.weight
 		co.hull.Reset()
