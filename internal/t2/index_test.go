@@ -5,7 +5,11 @@ package t2_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pj2k/internal/dwt"
@@ -129,6 +133,51 @@ func TestIndexWritePrefix(t *testing.T) {
 		}
 		if !raster.Equal(got, want) {
 			t.Fatalf("layers=%d: truncated stream decodes differently from MaxLayers", n)
+		}
+	}
+}
+
+// prefixDigests pins the SHA-256 of WritePrefix's output for every layer
+// count of every indexCases stream (case, then layers 1..Layers).
+var prefixDigests = [][]string{
+	{"50a709091273d634540ea530348d95d838393cab7469b13c01b16b1bbc38e922"},
+	{"97ce7852c55d6bc29d9df819f86c6f5611009e817d15d9c75b8afb9a4db806d7"},
+	{
+		"c0d60255acbece0723035362d282b807214d2eebe714ca83ec0ae0cd1fd75625",
+		"d22fb020ba5df4bad4ef668f73c433d63fbd2b9c0cd9726209e5a3383d7e97d4",
+		"7b973e8c47d1f177d89745320b1c0a0e448f290cd2519f81e3e435f0a4225aa7",
+	},
+}
+
+// TestWritePrefixDigests: the layer-prefix re-emission is the same bytes
+// whether the index reads a resident slice or a file, and those bytes do not
+// move from one change to the next.
+func TestWritePrefixDigests(t *testing.T) {
+	for ci, o := range indexCases() {
+		cs := encodeTestStream(t, o)
+		path := filepath.Join(t.TempDir(), "s.j2k")
+		if err := os.WriteFile(path, cs, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fileSrc, err := t2.OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fileSrc.Close()
+		for name, src := range map[string]*t2.Source{"bytes": t2.BytesSource(cs), "file": fileSrc} {
+			ix, err := t2.NewIndex(src)
+			if err != nil {
+				t.Fatalf("case %d %s: %v", ci, name, err)
+			}
+			if got, want := ix.Params.Layers, len(prefixDigests[ci]); got != want {
+				t.Fatalf("case %d: %d layers, %d digests pinned", ci, got, want)
+			}
+			for l := 1; l <= ix.Params.Layers; l++ {
+				sum := sha256.Sum256(prefixBytes(t, ix, l))
+				if got := hex.EncodeToString(sum[:]); got != prefixDigests[ci][l-1] {
+					t.Errorf("case %d %s layers=%d: prefix digest %s, pinned %s", ci, name, l, got, prefixDigests[ci][l-1])
+				}
+			}
 		}
 	}
 }
