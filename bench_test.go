@@ -362,9 +362,10 @@ func BenchmarkDecodeOneShot(b *testing.B) {
 
 // BenchmarkDecodeStream compares the two codestream source kinds through the
 // streaming decode path: resident bytes (mem) against a real file read via
-// io.ReaderAt (readerat). The spread between the two is the price of leaving
-// the stream on disk; allocs/op on the readerat variant watches the pooled
-// per-tile read buffer (a broken pool shows up as allocs scaling with tiles).
+// io.ReaderAt (readerat). Both run one code path — every tile body is one
+// ReadAt into the pooled per-tile buffer — so the spread between the two is
+// the storage medium alone; allocs/op watches that buffer (a broken pool
+// shows up as allocs scaling with tiles).
 func BenchmarkDecodeStream(b *testing.B) {
 	im := benchImage()
 	cs, _, err := jp2k.Encode(im, jp2k.Options{

@@ -94,10 +94,8 @@ type Decoder struct {
 	cur     struct {
 		p     t2.Params
 		modes t1.Modes // tier-1 coder modes signalled in COD
-		// The codestream travels as src + the scanned tile spans; mem is set
-		// when the source is resident bytes, so bodies alias instead of copy.
+		// The codestream travels as src + the scanned tile spans.
 		src      *t2.Source
-		mem      []byte
 		spans    []t2.TileSpan
 		dst      []*raster.Image // one output plane per component
 		win      Rect
@@ -152,8 +150,7 @@ type compDec struct {
 // tileDec is the pooled per-tile decode state: geometry shared across
 // components plus one compDec per component.
 type tileDec struct {
-	data     []byte // tile-part body (aliases the codestream or body below)
-	body     []byte // pooled read buffer for non-resident sources
+	body     []byte // pooled read buffer for the tile-part body
 	w, h     int    // full-resolution tile dims
 	rtw, rth int    // reduced dims
 	ox, oy   int    // origin in the reduced image
@@ -236,7 +233,16 @@ func (d *Decoder) ensureWorkers(n int) {
 // freshly allocated and caller-owned. Multi-component streams are an error,
 // reported before any tier-1 work; use DecodePlanarSource.
 func (d *Decoder) Decode(data []byte, opts DecodeOptions) (*raster.Image, error) {
-	pl, err := d.decodeSource(t2.BytesSource(data), opts, nil, true)
+	src := t2.BytesSource(data)
+	cs, err := scan(src, opts.Resilient)
+	if err == nil && cs.p.Components() != 1 {
+		err = fmt.Errorf("jp2k: %d-component stream; use DecodePlanarSource/DecodeRegionPlanarSource", cs.p.Components())
+	}
+	if err != nil {
+		d.damage, d.stats = nil, DecodeStats{}
+		return nil, err
+	}
+	pl, err := d.decode(src, &cs, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -252,33 +258,27 @@ func (d *Decoder) walkTask(_, si int) {
 	ti := d.sel[si]
 	tx, ty := ti%ntx, ti/ntx
 	te := d.tiles[si]
-	// Fetch the tile-part body from its span: aliased for resident bytes, read
-	// into the pooled per-tile buffer for a ReaderAt source (only selected
-	// tiles are ever read, which is what bounds a window decode's IO to its
-	// tiles).
-	sp := d.cur.spans[ti]
-	switch {
-	case sp.Off < 0:
-		// Sentinel for a tile-part the resilient scan could not locate
-		// (truncated chain): decode as an empty (gray) tile.
-		te.data = nil
-	case d.cur.mem != nil:
-		te.data = d.cur.mem[sp.Off:sp.End()]
-	default:
+	// Read the tile-part body from its span into the pooled per-tile buffer
+	// (only selected tiles are ever read, which is what bounds a window
+	// decode's IO to its tiles). A negative Off is the sentinel for a
+	// tile-part the resilient scan could not locate (truncated chain); it and
+	// a concealed unreadable body leave data nil, an empty (gray) tile.
+	var data []byte
+	if sp := d.cur.spans[ti]; sp.Off >= 0 {
 		te.body = grow(te.body, int(sp.Len))
-		if _, err := d.cur.src.ReadAt(te.body, sp.Off); err != nil {
-			if !d.cur.opts.Resilient {
-				d.tileErrs[si] = &TileIOError{Tile: ti, Off: sp.Off, Len: sp.Len, Err: err}
-				return
-			}
+		_, err := d.cur.src.ReadAt(te.body, sp.Off)
+		switch {
+		case err == nil:
+			data = te.body
+		case !d.cur.opts.Resilient:
+			d.tileErrs[si] = &TileIOError{Tile: ti, Off: sp.Off, Len: sp.Len, Err: err}
+			return
+		default:
 			// The body is unreadable after whatever retries the source
 			// performed: conceal the whole tile and record the IO damage
 			// class — unreadable bytes degrade, they do not abort.
 			d.tileIOFail[si] = true
-			te.data = nil
-			break
 		}
-		te.data = te.body
 	}
 	x0, y0 := tx*p.TileW, ty*p.TileH
 	te.w = min(x0+p.TileW, p.Width) - x0
@@ -321,10 +321,10 @@ func (d *Decoder) walkTask(_, si int) {
 	var decV [][]t2.DecodedBlock
 	if d.cur.opts.Resilient {
 		decV, _, d.tileDmg[si] = te.tc.DecodeTileCompsPacketsResilient(
-			te.bandsV[:ncomp], p.Levels, nlayers, te.data, te.decV[:ncomp])
+			te.bandsV[:ncomp], p.Levels, nlayers, data, te.decV[:ncomp])
 	} else {
 		var err error
-		decV, _, err = te.tc.DecodeTileCompsPackets(te.bandsV[:ncomp], p.Levels, nlayers, te.data, te.decV[:ncomp])
+		decV, _, err = te.tc.DecodeTileCompsPackets(te.bandsV[:ncomp], p.Levels, nlayers, data, te.decV[:ncomp])
 		if err != nil {
 			d.tileErrs[si] = fmt.Errorf("jp2k: tile %d: %w", ti, err)
 			return
@@ -506,27 +506,21 @@ func scan(src *t2.Source, resilient bool) (scanned, error) {
 }
 
 // decodeSource is the scanning entry points' route: scan src, then decode it.
-func (d *Decoder) decodeSource(src *t2.Source, opts DecodeOptions, region *Rect, singleOnly bool) (*raster.Planar, error) {
+func (d *Decoder) decodeSource(src *t2.Source, opts DecodeOptions, region *Rect) (*raster.Planar, error) {
 	cs, err := scan(src, opts.Resilient)
 	if err != nil {
 		d.damage, d.stats = nil, DecodeStats{}
 		return nil, err
 	}
-	return d.decode(src, &cs, opts, region, singleOnly)
+	return d.decode(src, &cs, opts, region)
 }
 
 // decode is the one decode route: the selected tiles of an already-scanned
 // codestream, their bodies read from src.
-func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region *Rect, singleOnly bool) (*raster.Planar, error) {
-	// The task parameters and the pooled per-tile state alias the caller's
-	// codestream and the result; drop them on the way out so a pooled Decoder
-	// pins neither between calls.
-	defer func() {
-		d.cur.src, d.cur.mem, d.cur.spans, d.cur.dst = nil, nil, nil, nil
-		for _, te := range d.tiles {
-			te.data = nil
-		}
-	}()
+func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region *Rect) (*raster.Planar, error) {
+	// The task parameters alias the caller's source and the result; drop them
+	// on the way out so a pooled Decoder pins neither between calls.
+	defer func() { d.cur.src, d.cur.spans, d.cur.dst = nil, nil, nil }()
 	d.damage = nil
 	d.stats = DecodeStats{}
 	d.stats.Timings.Parse = cs.parse
@@ -535,11 +529,6 @@ func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region
 	}
 	p, spans := cs.p, cs.spans
 	ncomp := p.Components()
-	if singleOnly && ncomp != 1 {
-		// Reject before any tier-1 work: the single-plane entry point must
-		// not pay a full multi-component decode just to report an error.
-		return nil, fmt.Errorf("jp2k: %d-component stream; use DecodePlanarSource/DecodeRegionPlanarSource", ncomp)
-	}
 	nlayers := p.Layers
 	if opts.MaxLayers > 0 && opts.MaxLayers < nlayers {
 		nlayers = opts.MaxLayers
@@ -615,7 +604,6 @@ func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region
 	d.cur.p = p
 	d.cur.modes = p.CoderModes()
 	d.cur.src = src
-	d.cur.mem = src.Mem()
 	d.cur.spans = spans
 	d.cur.win = win
 	d.cur.ncomp = ncomp

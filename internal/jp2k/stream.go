@@ -8,9 +8,9 @@ import (
 
 // This file is the streaming decode surface: the codestream is read through a
 // t2.Source (an io.ReaderAt end to end — only the main header, the tile-part
-// chain and the selected tiles' bodies are ever read; resident bytes go
-// through t2.BytesSource and are aliased, not copied). A single plane is
-// Comps[0] of the result at the call site.
+// chain and the selected tiles' bodies are ever read, each into a pooled
+// buffer; resident bytes are one more ReaderAt, t2.BytesSource). A single
+// plane is Comps[0] of the result at the call site.
 
 // DecodeRegion reconstructs the requested window of the codestream ix
 // indexes, reading only the selected tiles' bodies from src: the main header
@@ -22,7 +22,7 @@ import (
 // resilient decode reports no container damage, since the index's scan was
 // strict.
 func (d *Decoder) DecodeRegion(ix *t2.Index, src *t2.Source, region Rect, opts DecodeOptions) (*raster.Planar, error) {
-	return d.decode(src, &scanned{p: ix.Params, spans: ix.Spans()}, opts, &region, false)
+	return d.decode(src, &scanned{p: ix.Params, spans: ix.Spans()}, opts, &region)
 }
 
 // DecodePlanarSource reconstructs all components of a codestream, inverting
@@ -30,7 +30,7 @@ func (d *Decoder) DecodeRegion(ix *t2.Index, src *t2.Source, region Rect, opts D
 // > 0 the result is the 1/2^n-scale image carried by the lower resolutions of
 // the stream. The returned planes are freshly allocated and caller-owned.
 func (d *Decoder) DecodePlanarSource(src *t2.Source, opts DecodeOptions) (*raster.Planar, error) {
-	return d.decodeSource(src, opts, nil, false)
+	return d.decodeSource(src, opts, nil)
 }
 
 // DecodeRegionPlanarSource reconstructs only the requested window: tiles that
@@ -43,7 +43,7 @@ func (d *Decoder) DecodePlanarSource(src *t2.Source, opts DecodeOptions) (*raste
 // It scans src first; a caller decoding many windows of one stream should
 // build a t2.Index once and call DecodeRegion.
 func (d *Decoder) DecodeRegionPlanarSource(src *t2.Source, region Rect, opts DecodeOptions) (*raster.Planar, error) {
-	return d.decodeSource(src, opts, &region, false)
+	return d.decodeSource(src, opts, &region)
 }
 
 // DecodePlanarSource is the one-shot convenience over a throwaway Decoder on

@@ -135,11 +135,12 @@ func TestDecodeRegionIndexMatchesSource(t *testing.T) {
 		}
 		reader := faultinject.NewFlaky(bytes.NewReader(cs), faultinject.FlakyConfig{})
 		for _, kind := range []struct {
-			name string
-			src  *t2.Source
+			name    string
+			src     *t2.Source
+			counted bool // reads go through reader, which counts them
 		}{
-			{"bytes", t2.BytesSource(cs)},
-			{"readerat", t2.NewSource(reader, int64(len(cs)))},
+			{"bytes", t2.BytesSource(cs), false},
+			{"readerat", t2.NewSource(reader, int64(len(cs))), true},
 		} {
 			ix, err := t2.NewIndex(kind.src)
 			if err != nil {
@@ -174,7 +175,7 @@ func TestDecodeRegionIndexMatchesSource(t *testing.T) {
 							if gs.Tiles != ws.Tiles || gs.CodeBlocks != ws.CodeBlocks || gs.BytesIn != ws.BytesIn {
 								t.Fatalf("%s: stats %+v, scanning route %+v", label, gs, ws)
 							}
-							if kind.src.Mem() == nil && reads != int64(gs.Tiles) {
+							if kind.counted && reads != int64(gs.Tiles) {
 								t.Fatalf("%s: indexed route issued %d reads for %d tiles", label, reads, gs.Tiles)
 							}
 						}

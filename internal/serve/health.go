@@ -65,8 +65,8 @@ func (s *Server) ioPolicy(budget *t2.RetryBudget) t2.RetryPolicy {
 }
 
 // requestSource returns the source a request's tile decodes read img through:
-// the raw source for resident bytes or when the IO layer is fully disabled,
-// otherwise a per-request resilient wrapper carrying the request's budget.
+// the raw source when the IO layer is fully disabled, otherwise a per-request
+// resilient wrapper carrying the request's budget.
 func (s *Server) requestSource(img *Image, budget *t2.RetryBudget) *t2.Source {
 	if s.ioRetries <= 0 && s.opts.IOReadTimeout <= 0 {
 		return img.src

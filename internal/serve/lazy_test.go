@@ -6,15 +6,21 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
+	"pj2k/internal/dwt"
 	"pj2k/internal/faultinject"
+	"pj2k/internal/jp2k"
 	"pj2k/internal/raster"
 	"pj2k/internal/t2"
 )
@@ -103,6 +109,134 @@ func TestTileMissReadsOnlyItsBody(t *testing.T) {
 	}
 	if reads := reader.Calls() - before; reads != 1 {
 		t.Fatalf("one cold tile issued %d source reads, want 1 (%d tiles in the stream)", reads, img.Index.NumTiles())
+	}
+}
+
+// writeTiledStream encodes a w x h 5/3 image in 128x128 tiles to path and
+// returns the file size; the raster and the resident codestream are garbage
+// once it returns.
+func writeTiledStream(t *testing.T, path string, w, h int) int64 {
+	t.Helper()
+	cs, _, err := jp2k.Encode(raster.Synthetic(w, h, 7), jp2k.Options{
+		Kernel: dwt.Rev53, TileW: 128, TileH: 128, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, cs, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(cs))
+}
+
+// TestIndexHoldsNoTileBodies: serving /info and a full /stream of a
+// file-backed image reads every tile body, but keeps none of them — the index
+// holds packet maps, so the heap kept afterwards is a small fraction of the
+// file, not a copy of it. Gated off -short like the decoder's memory walk.
+func TestIndexHoldsNoTileBodies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2048x2048 encode skipped in -short mode")
+	}
+	path := filepath.Join(t.TempDir(), "big.j2k")
+	size := writeTiledStream(t, path, 2048, 2048)
+	src, err := t2.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore()
+	if _, err := store.AddSource("big", src); err != nil {
+		src.Close()
+		t.Fatal(err)
+	}
+	srv := New(store, Options{})
+	defer srv.Close()
+	defer store.Close()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, path := range []string{"/img/big/info", "/img/big/stream"} {
+		if rec := get(t, srv, path); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %q", path, rec.Code, rec.Body.String())
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("heap kept %d bytes after /info and /stream of a %d-byte file (%.2fx)", kept, size, float64(kept)/float64(size))
+	if kept > size/8 {
+		t.Fatalf("serving kept %d bytes of heap for a %d-byte file — the index is holding tile bodies", kept, size)
+	}
+}
+
+// TestStreamContentLength: /stream's Content-Length is the length of the body
+// it sends, for every layer count, on resident and file-backed images alike.
+func TestStreamContentLength(t *testing.T) {
+	cs := encodeTest(t, testImage())
+	path := filepath.Join(t.TempDir(), "file.j2k")
+	if err := os.WriteFile(path, cs, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := t2.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore()
+	if _, err := store.AddSource("file", src); err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	img, err := store.Add("mem", cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, id := range []string{"mem", "file"} {
+		for l := 1; l <= img.Params().Layers; l++ {
+			resp, err := ts.Client().Get(fmt.Sprintf("%s/img/%s/stream?layers=%d", ts.URL, id, l))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s layers=%d: status %d, read error %v", id, l, resp.StatusCode, err)
+			}
+			if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+				t.Fatalf("%s layers=%d: Content-Length %q on a %d-byte body", id, l, cl, len(body))
+			}
+		}
+	}
+}
+
+// TestStreamReadFailureTruncates: when the source fails after /info has built
+// the packet maps, /stream has already promised a Content-Length when the
+// first body read fails. The client must see a truncated body
+// (io.ErrUnexpectedEOF), never a complete-looking 200, and the failure is
+// counted in /stats errors.
+func TestStreamReadFailureTruncates(t *testing.T) {
+	srv, fl := flakyImageServer(t, Options{}, faultinject.FlakyConfig{FailNth: 1})
+	if rec := get(t, srv, "/img/q/info"); rec.Code != http.StatusOK {
+		t.Fatalf("/info: %d %q", rec.Code, rec.Body.String())
+	}
+	fl.Break()
+	before := serverStats(t, srv).Errors
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/img/q/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("status %d, %d-byte body, read error %v; want io.ErrUnexpectedEOF", resp.StatusCode, len(body), err)
+	}
+	if got := serverStats(t, srv).Errors; got != before+1 {
+		t.Fatalf("/stats errors %d after a failed /stream, want %d", got, before+1)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -457,13 +456,17 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, "unknown image %q", r.PathValue("id"))
 		return
 	}
-	// Info forces every tile's packet map (TotalBytes) — reads the whole
-	// tile-part chain — so a quarantined source is rejected here too.
+	// Info forces every tile's packet map (RegionBytes over every tile) — reads
+	// every tile body once — so a quarantined source is rejected here too.
 	if s.isQuarantined(img) {
 		s.rejectQuarantined(w, img.ID)
 		return
 	}
 	p := img.Params()
+	all := make([]int, img.Index.NumTiles())
+	for i := range all {
+		all[i] = i
+	}
 	kernel := "9x7"
 	if p.Kernel == dwt.Rev53 {
 		kernel = "5x3"
@@ -473,7 +476,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		TileW: p.TileW, TileH: p.TileH, Tiles: img.Index.NumTiles(),
 		Components: p.Components(), MCT: p.MCT,
 		Levels: p.Levels, Layers: p.Layers, BitDepth: p.BitDepth,
-		Kernel: kernel, Bytes: int(img.Size()), PacketBytes: img.Index.TotalBytes(),
+		Kernel: kernel, Bytes: int(img.Size()), PacketBytes: img.Index.RegionBytes(all, 0, 0),
 	}
 	for d := 0; d <= p.Levels; d++ {
 		colW, rowH := img.Grid(d)
@@ -505,11 +508,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	layers = img.ClampLayers(layers)
-	// Content-Length comes from a dry run of WritePrefix into io.Discard: it
-	// copies nothing and forces every tile's packet map — which the real pass
-	// needs anyway and then finds memoized, so the source is read once — and
-	// a tile that cannot be indexed is a 500 here instead of a 200 cut short.
-	n, err := img.Index.WritePrefix(io.Discard, layers)
+	// Content-Length comes from the packet maps: PrefixSize forces every
+	// tile's map, so a tile that cannot be indexed is a 500 here instead of a
+	// 200 cut short.
+	n, err := img.Index.PrefixSize(layers)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -517,9 +519,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-PJ2K-Layers", strconv.Itoa(layers))
 	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
-	// WritePrefix streams the truncated codestream straight to the response:
-	// no whole-prefix buffer. A failure now is a write error — the status
-	// line is already gone, so counting is all that's left to do.
+	// WritePrefix streams the truncated codestream straight to the response,
+	// reading each tile's prefix from the source as it goes. A failure now is
+	// a failed write or read: the status line is already gone, so counting is
+	// all that's left to do. net/http closes the connection when fewer bytes
+	// than Content-Length went out, so the client sees the truncation.
 	if _, err := img.Index.WritePrefix(w, layers); err != nil {
 		s.errors.Inc()
 	}

@@ -15,7 +15,8 @@ import (
 )
 
 // Image is one served codestream: the codestream Source (resident bytes or a
-// file/ReaderAt on disk) plus the packet index built over it. Both are
+// file/ReaderAt on disk, read the same way) plus the packet index built over
+// it, which holds packet maps and never tile bodies. Both are
 // immutable after registration, so any number of request goroutines share
 // them without locking; the index's lazy per-tile packet maps are internally
 // synchronized.
@@ -81,9 +82,11 @@ func NewStore() *Store { return &Store{imgs: make(map[string]*Image)} }
 
 // Add registers a resident codestream under id, building its packet index
 // eagerly. A corrupt or truncated stream is rejected here, at registration,
-// so request handlers never see an unindexable image. An id is registered at
-// most once: adding an id already in the store is an error, and the first
-// image stays served.
+// so request handlers never see an unindexable image. The store keeps data
+// as the image's source (t2.BytesSource) and reads it like a file: requests
+// go through the same per-request retry wrapper, and the index keeps no copy
+// of it. An id is registered at most once: adding an id already in the store
+// is an error, and the first image stays served.
 func (s *Store) Add(id string, data []byte) (*Image, error) {
 	if id == "" {
 		return nil, fmt.Errorf("serve: empty image id")
@@ -97,8 +100,10 @@ func (s *Store) Add(id string, data []byte) (*Image, error) {
 
 // AddSource registers a codestream source under id with lazy ingest: only
 // the main header and the tile-part chain are read at registration (no tile
-// bodies), so a directory of huge scenes registers in milliseconds and memory
-// scales with the tiles actually served, not the corpus. Container-level
+// bodies), so a directory of huge scenes registers in milliseconds. Memory
+// scales with the tiles actually served, not the corpus: the index keeps each
+// tile's packet map, never its body, so even a full /info or /stream reads
+// the bodies and drops them. Container-level
 // damage (bad geometry, broken tile-part chain) is still rejected here;
 // packet-level damage inside a tile body surfaces on first touch of that
 // tile. As with Add, a duplicate id is an error. The store takes ownership of

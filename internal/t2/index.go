@@ -3,6 +3,7 @@ package t2
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"pj2k/internal/dwt"
@@ -16,14 +17,12 @@ type Span struct {
 // End returns the offset one past the span.
 func (s Span) End() int { return s.Off + s.Len }
 
-// TileIndex locates every packet of one tile. Body aliases the parsed
-// codestream for a resident-bytes Source (and is a private copy for a
-// reader-backed one); Packets[component][layer][resolution] is the packet's
-// byte range within Body. Packets are contiguous in LRCP order (layer outer,
-// resolution middle, component inner), so the body prefix through any layer
-// is a single range starting at offset 0.
+// TileIndex locates every packet of one tile: Packets[component][layer]
+// [resolution] is the packet's byte range within the tile-part body (the
+// tile's entry in Index.Spans). It holds no body bytes. Packets are
+// contiguous in LRCP order (layer outer, resolution middle, component inner),
+// so the body prefix through any layer is a single range starting at offset 0.
 type TileIndex struct {
-	Body    []byte
 	Packets [][][]Span
 }
 
@@ -53,14 +52,16 @@ type lazyTile struct {
 
 // Index is a map of a codestream: the header parameters plus the byte range
 // of every packet (per tile x component x layer x resolution), located by
-// walking packet headers without entropy-decoding any code-block.
+// walking packet headers without entropy-decoding any code-block. It keeps
+// the packet maps, never the bytes: a tile's body is read to build its map
+// and dropped, and WritePrefix reads what it writes from the source.
 //
 // Construction (NewIndex) is incremental: the main header and the SOT/Psot
 // tile-part chain are parsed eagerly — seeking tile to tile without reading
 // any body bytes — and each tile's packet-boundary map is built lazily on
 // first touch (Tile), guarded for concurrent use. It is the substrate of the
 // serving subsystem: a region/resolution/layer request can be costed
-// (RegionBytes) or sliced (WritePrefix) per request while the
+// (RegionBytes, PrefixSize) or sliced (WritePrefix) per request while the
 // Index itself is built once and shared between any number of goroutines.
 type Index struct {
 	Params Params
@@ -152,21 +153,13 @@ func (ix *Index) Tile(ti int) (*TileIndex, error) {
 	return &lt.ti, nil
 }
 
-// buildTile reads one tile-part body and walks its packet headers into a
-// TileIndex. All state is local, so concurrent builds of different tiles
-// never share coder scratch.
+// buildTile reads one tile-part body into a temporary buffer and walks its
+// packet headers into a TileIndex; the body is dropped when the walk is done.
+// All state is local, so concurrent builds of different tiles never share
+// coder scratch.
 func (ix *Index) buildTile(ti int) (TileIndex, error) {
 	p := ix.Params
 	sp := ix.spans[ti]
-	var body []byte
-	if m := ix.src.Mem(); m != nil {
-		body = m[sp.Off:sp.End()]
-	} else {
-		body = make([]byte, sp.Len)
-		if _, err := ix.src.ReadAt(body, sp.Off); err != nil {
-			return TileIndex{}, fmt.Errorf("t2: tile %d body: %w", ti, err)
-		}
-	}
 	nc := p.Components()
 	nbands := 1 + 3*p.Levels
 	ntx, _ := p.NumTiles()
@@ -195,9 +188,13 @@ func (ix *Index) buildTile(ti int) (TileIndex, error) {
 	// the declared layer/level/component counts bound the body size. Checking
 	// before allocating keeps a tiny corrupt stream from demanding gigabytes
 	// of span bookkeeping.
-	if npackets := nc * p.Layers * (p.Levels + 1); npackets > len(body) {
+	if npackets := nc * p.Layers * (p.Levels + 1); int64(npackets) > sp.Len {
 		return TileIndex{}, fmt.Errorf("t2: tile %d declares %d packets but carries %d bytes",
-			ti, npackets, len(body))
+			ti, npackets, sp.Len)
+	}
+	body := make([]byte, sp.Len)
+	if _, err := ix.src.ReadAt(body, sp.Off); err != nil {
+		return TileIndex{}, fmt.Errorf("t2: tile %d body: %w", ti, err)
 	}
 	packets := make([][][]Span, nc)
 	for ci := range packets {
@@ -221,7 +218,7 @@ func (ix *Index) buildTile(ti int) (TileIndex, error) {
 			}
 		}
 	}
-	return TileIndex{Body: body, Packets: packets}, nil
+	return TileIndex{Packets: packets}, nil
 }
 
 // RegionBytes sums the packet bytes a decode of the given tiles at the given
@@ -259,68 +256,63 @@ func (ix *Index) RegionBytes(tiles []int, discard, layers int) int {
 	return total
 }
 
-// TotalBytes returns the packet bytes of the whole stream (all tiles, all
-// components, all layers, all resolutions), forcing every tile's packet map.
-func (ix *Index) TotalBytes() int {
-	total := 0
-	for ti := range ix.tiles {
+// sotLen is the length of the tile-part header appendSOT writes: the SOT
+// marker segment plus the SOD marker.
+const sotLen = 14
+
+// PrefixSize returns the length of the stream WritePrefix(w, maxLayers)
+// writes, computed from the packet maps alone: the main header, one tile-part
+// header and layer prefix per tile, and EOC. It forces every tile's packet
+// map, so a tile that cannot be indexed fails here, before anything is sent.
+func (ix *Index) PrefixSize(maxLayers int) (int64, error) {
+	hp := ix.Params
+	hp.Layers = min(max(maxLayers, 1), hp.Layers)
+	n := int64(len(appendMainHeader(nil, hp))) + 2 // + EOC
+	for ti := range ix.spans {
 		t, err := ix.Tile(ti)
 		if err != nil {
-			continue
+			return 0, err
 		}
-		for _, comp := range t.Packets {
-			for _, spans := range comp {
-				for _, s := range spans {
-					total += s.Len
-				}
-			}
-		}
+		n += sotLen + int64(t.layerPrefixLen(hp.Layers))
 	}
-	return total
+	return n, nil
 }
 
 // WritePrefix streams a valid standalone codestream carrying only the first
 // maxLayers quality layers of every tile to w: the progressive-refinement
 // primitive a server sends to a client that asked for a coarse image now and
-// will fetch more layers later — without buffering the re-emitted stream.
-// maxLayers is clamped to [1, Params.Layers]; with maxLayers >= Params.Layers
-// the result is equivalent to the original stream (modulo any bytes outside
-// the indexed packets). Returns the bytes written.
+// will fetch more layers later. Each tile's layer prefix is read from the
+// source into one reused buffer and written with its tile-part header, so
+// the re-emitted stream is never held whole. maxLayers is clamped to
+// [1, Params.Layers]; with maxLayers >= Params.Layers the result is
+// equivalent to the original stream (modulo any bytes outside the indexed
+// packets). Returns the bytes written; PrefixSize returns the same count
+// without writing.
 func (ix *Index) WritePrefix(w io.Writer, maxLayers int) (int64, error) {
-	p := ix.Params
-	if maxLayers < 1 {
-		maxLayers = 1
-	}
-	if maxLayers > p.Layers {
-		maxLayers = p.Layers
-	}
-	hp := p
-	hp.Layers = maxLayers
-	var written int64
-	scratch := appendMainHeader(nil, hp)
-	n, err := w.Write(scratch)
-	written += int64(n)
+	hp := ix.Params
+	hp.Layers = min(max(maxLayers, 1), hp.Layers)
+	buf := appendMainHeader(nil, hp)
+	n, err := w.Write(buf)
+	written := int64(n)
 	if err != nil {
 		return written, err
 	}
-	for ti := range ix.spans {
+	for ti, sp := range ix.spans {
 		t, err := ix.Tile(ti)
 		if err != nil {
 			return written, err
 		}
-		pl := t.layerPrefixLen(maxLayers)
-		n, err = w.Write(appendSOT(scratch[:0], ti, pl))
-		written += int64(n)
-		if err != nil {
-			return written, err
+		pl := t.layerPrefixLen(hp.Layers)
+		buf = slices.Grow(appendSOT(buf[:0], ti, pl), pl)[:sotLen+pl]
+		if _, err := ix.src.ReadAt(buf[sotLen:], sp.Off); err != nil {
+			return written, fmt.Errorf("t2: tile %d body: %w", ti, err)
 		}
-		n, err = w.Write(t.Body[:pl])
+		n, err = w.Write(buf)
 		written += int64(n)
 		if err != nil {
 			return written, err
 		}
 	}
-	n, err = w.Write(put16(scratch[:0], mEOC))
-	written += int64(n)
-	return written, err
+	n, err = w.Write(put16(buf[:0], mEOC))
+	return written + int64(n), err
 }

@@ -89,11 +89,20 @@ func TestIndexSpansPartitionTileBodies(t *testing.T) {
 					}
 				}
 			}
-			if pos != len(tile.Body) {
-				t.Fatalf("case %d tile %d: packets cover %d of %d body bytes", ci, ti, pos, len(tile.Body))
+			if body := ix.Spans()[ti].Len; int64(pos) != body {
+				t.Fatalf("case %d tile %d: packets cover %d of %d body bytes", ci, ti, pos, body)
 			}
 		}
 	}
+}
+
+// bodyBytes sums the tile-part body lengths of an indexed stream.
+func bodyBytes(ix *t2.Index) int {
+	n := 0
+	for _, sp := range ix.Spans() {
+		n += int(sp.Len)
+	}
+	return n
 }
 
 // prefixBytes materializes WritePrefix's n-layer re-emission.
@@ -149,22 +158,28 @@ var prefixDigests = [][]string{
 	},
 }
 
+// bothSources returns cs as a resident source and as a file source (closed
+// when the test ends).
+func bothSources(t *testing.T, cs []byte) map[string]*t2.Source {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "s.j2k")
+	if err := os.WriteFile(path, cs, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fileSrc, err := t2.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fileSrc.Close() })
+	return map[string]*t2.Source{"bytes": t2.BytesSource(cs), "file": fileSrc}
+}
+
 // TestWritePrefixDigests: the layer-prefix re-emission is the same bytes
 // whether the index reads a resident slice or a file, and those bytes do not
 // move from one change to the next.
 func TestWritePrefixDigests(t *testing.T) {
 	for ci, o := range indexCases() {
-		cs := encodeTestStream(t, o)
-		path := filepath.Join(t.TempDir(), "s.j2k")
-		if err := os.WriteFile(path, cs, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		fileSrc, err := t2.OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fileSrc.Close()
-		for name, src := range map[string]*t2.Source{"bytes": t2.BytesSource(cs), "file": fileSrc} {
+		for name, src := range bothSources(t, encodeTestStream(t, o)) {
 			ix, err := t2.NewIndex(src)
 			if err != nil {
 				t.Fatalf("case %d %s: %v", ci, name, err)
@@ -182,10 +197,34 @@ func TestWritePrefixDigests(t *testing.T) {
 	}
 }
 
+// TestPrefixSize: PrefixSize predicts exactly the bytes WritePrefix writes,
+// for every layer count (and the clamped ones outside the range), over
+// resident and file sources.
+func TestPrefixSize(t *testing.T) {
+	for ci, o := range indexCases() {
+		for name, src := range bothSources(t, encodeTestStream(t, o)) {
+			ix, err := t2.NewIndex(src)
+			if err != nil {
+				t.Fatalf("case %d %s: %v", ci, name, err)
+			}
+			for l := 0; l <= ix.Params.Layers+1; l++ {
+				size, err := ix.PrefixSize(l)
+				if err != nil {
+					t.Fatalf("case %d %s layers=%d: %v", ci, name, l, err)
+				}
+				if got := int64(len(prefixBytes(t, ix, l))); size != got {
+					t.Fatalf("case %d %s layers=%d: PrefixSize %d, WritePrefix wrote %d", ci, name, l, size, got)
+				}
+			}
+		}
+	}
+}
+
 // TestIndexByteAccounting checks RegionBytes consistency and monotonicity:
 // more layers or more resolutions never cost fewer bytes, the full request
-// equals the whole stream's packet payload, and each tile's last packet (last
-// layer, last component, highest resolution) ends exactly at its body's end.
+// equals the whole stream's tile-part bodies, and each tile's last packet
+// (last layer, last component, highest resolution) ends exactly at its body's
+// end.
 func TestIndexByteAccounting(t *testing.T) {
 	cs := encodeTestStream(t, jp2k.Options{
 		Kernel: dwt.Irr97, LayerBPP: []float64{0.25, 1.0}, TileW: 64, TileH: 96, Levels: 3,
@@ -198,7 +237,7 @@ func TestIndexByteAccounting(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	if got, want := ix.RegionBytes(all, 0, 0), ix.TotalBytes(); got != want {
+	if got, want := ix.RegionBytes(all, 0, 0), bodyBytes(ix); got != want {
 		t.Fatalf("full region costs %d bytes, stream carries %d", got, want)
 	}
 	prev := -1
@@ -223,7 +262,7 @@ func TestIndexByteAccounting(t *testing.T) {
 			t.Fatalf("tile %d: %v", ti, err)
 		}
 		last := tile.Packets[len(tile.Packets)-1][ix.Params.Layers-1]
-		if got, want := last[len(last)-1].End(), len(tile.Body); got != want {
+		if got, want := int64(last[len(last)-1].End()), ix.Spans()[ti].Len; got != want {
 			t.Fatalf("tile %d: full layer prefix %d != body %d", ti, got, want)
 		}
 	}
@@ -268,15 +307,15 @@ func TestIndexColorStream(t *testing.T) {
 				}
 			}
 		}
-		if pos != len(tile.Body) {
-			t.Fatalf("tile %d: packets cover %d of %d body bytes", ti, pos, len(tile.Body))
+		if body := ix.Spans()[ti].Len; int64(pos) != body {
+			t.Fatalf("tile %d: packets cover %d of %d body bytes", ti, pos, body)
 		}
 	}
 	all := make([]int, ix.NumTiles())
 	for i := range all {
 		all[i] = i
 	}
-	if got, want := ix.RegionBytes(all, 0, 0), ix.TotalBytes(); got != want {
+	if got, want := ix.RegionBytes(all, 0, 0), bodyBytes(ix); got != want {
 		t.Fatalf("full region costs %d bytes, stream carries %d", got, want)
 	}
 	// Layer truncation: the re-emitted 1-layer color stream decodes exactly

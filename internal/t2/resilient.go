@@ -129,15 +129,11 @@ type RetryPolicy struct {
 }
 
 // ResilientSource wraps src's reader in the retry/deadline/classification
-// layer of pol and returns a Source over it. Resident-bytes sources are
-// returned unchanged (memory cannot fail). The wrapper does not own the
-// underlying reader: closing it is a no-op, and the original Source's Close
-// still releases the file. Wrappers are cheap — the serving tier builds one
-// per request so each request carries its own retry budget.
+// layer of pol and returns a Source over it, whatever backs src. The wrapper
+// does not own the underlying reader: closing it is a no-op, and the original
+// Source's Close still releases the file. Wrappers are cheap — the serving
+// tier builds one per request so each request carries its own retry budget.
 func ResilientSource(src *Source, pol RetryPolicy) *Source {
-	if src.data != nil {
-		return src
-	}
 	if pol.Sleep == nil {
 		pol.Sleep = time.Sleep
 	}

@@ -333,13 +333,6 @@ func TestSourceReadAtWrapsErrors(t *testing.T) {
 	}
 }
 
-func TestResilientResidentPassthrough(t *testing.T) {
-	src := BytesSource([]byte("resident"))
-	if got := ResilientSource(src, RetryPolicy{Retries: 3}); got != src {
-		t.Fatal("ResilientSource wrapped a resident source; memory cannot fail")
-	}
-}
-
 func TestResilientWrapperDoesNotOwnFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.bin")
 	if err := os.WriteFile(path, []byte("0123456789"), 0o644); err != nil {

@@ -21,23 +21,13 @@ func (s TileSpan) End() int64 { return s.Off + s.Len }
 const sourceChunk = 8 << 10
 
 // sreader reads a codestream through a Source with one buffered sliding
-// window. For a resident-bytes Source the window is the whole stream and
-// never refills, so parsing out of a []byte stays zero-copy and byte-for-byte
-// identical to the pre-streaming reader.
+// window.
 type sreader struct {
 	src *Source
 	pos int64
 	win []byte // buffered bytes src[wlo : wlo+len(win))
 	wlo int64
-	buf []byte // backing storage for non-resident windows
-}
-
-func newSreader(src *Source) *sreader {
-	r := &sreader{src: src}
-	if m := src.Mem(); m != nil {
-		r.win = m
-	}
-	return r
+	buf []byte // backing storage for the window
 }
 
 // view returns n bytes at the current position without consuming them,
@@ -135,7 +125,7 @@ func ScanCodestreamResilient(src *Source) (Params, []TileSpan, ContainerDamage, 
 func scanCodestream(src *Source, resilient bool) (Params, []TileSpan, ContainerDamage, error) {
 	var p Params
 	var dmg ContainerDamage
-	r := newSreader(src)
+	r := &sreader{src: src}
 	if m, err := r.u16(); err != nil || m != mSOC {
 		if err != nil {
 			// Keep the read error in the chain: an unreadable first chunk is

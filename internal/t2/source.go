@@ -1,6 +1,7 @@
 package t2
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -11,24 +12,25 @@ import (
 // It is the streaming substrate of the container layer — the scanner, the
 // lazy Index and the decoder all consume a Source, so a codestream can live
 // on disk (or behind any ReaderAt) and only the bytes a given operation needs
-// are ever read. A Source built from resident bytes (BytesSource) is the
-// zero-cost adapter: the scanner's window and the decoder's tile bodies alias
-// the slice and no copying happens.
+// are ever read. ReadAt is the only way bytes leave a Source, whatever backs
+// it: resident bytes (BytesSource), a file (OpenFile) or any other ReaderAt
+// all take the same path, and every consumer copies what it reads into its
+// own buffer.
 //
 // A Source is safe for concurrent use as long as the underlying ReaderAt is
 // (os.File and bytes are; both issue positioned reads with no shared cursor).
 type Source struct {
 	r    io.ReaderAt
 	size int64
-	data []byte // resident bytes, when the source wraps a []byte
 
 	closer io.Closer // closed by Close (file-backed sources)
 }
 
-// BytesSource wraps resident bytes as a Source. Readers alias data; the
-// caller must not mutate it while the Source is in use.
+// BytesSource wraps resident bytes as a Source: NewSource over a
+// bytes.Reader. Reads copy out of data; the caller must not mutate it while
+// the Source is in use.
 func BytesSource(data []byte) *Source {
-	return &Source{data: data, size: int64(len(data))}
+	return NewSource(bytes.NewReader(data), int64(len(data)))
 }
 
 // NewSource wraps an io.ReaderAt of the given size. The reader must support
@@ -55,18 +57,11 @@ func OpenFile(path string) (*Source, error) {
 // Size returns the codestream length in bytes.
 func (s *Source) Size() int64 { return s.size }
 
-// Mem returns the resident bytes of a BytesSource, or nil for a reader-backed
-// source. Fast paths use it to alias instead of copy.
-func (s *Source) Mem() []byte { return s.data }
-
 // ReadAt fills b from offset off, error-bounded to the source size. Unlike a
 // raw io.ReaderAt it never returns io.EOF alongside a full read.
 func (s *Source) ReadAt(b []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(b)) > s.size {
 		return 0, fmt.Errorf("t2: source read [%d, %d) outside %d-byte stream", off, off+int64(len(b)), s.size)
-	}
-	if s.data != nil {
-		return copy(b, s.data[off:]), nil
 	}
 	n, err := s.r.ReadAt(b, off)
 	if err == io.EOF && n == len(b) {
