@@ -33,6 +33,15 @@ func indexCases() []jp2k.Options {
 		{Kernel: dwt.Rev53, Levels: 3},
 		{Kernel: dwt.Rev53, TileW: 64, TileH: 96, CBW: 32, CBH: 16, Levels: 3},
 		{Kernel: dwt.Irr97, LayerBPP: []float64{0.25, 0.5, 1.0}, TileW: 100, TileH: 90},
+		{
+			Kernel: dwt.Irr97, LayerBPP: []float64{0.25, 0.5, 1.0}, TileW: 100, TileH: 90,
+			Resilience: jp2k.ResilienceOptions{SOP: true, EPH: true},
+		},
+		{
+			Kernel: dwt.Rev53, LayerBPP: []float64{0.5, 2.0}, TileW: 64, TileH: 96, CBW: 32, CBH: 16, Levels: 3,
+			Coder:      jp2k.CoderOptions{Bypass: true, TermAll: true},
+			Resilience: jp2k.ResilienceOptions{SegSymbols: true},
+		},
 	}
 }
 
@@ -155,6 +164,15 @@ var prefixDigests = [][]string{
 		"c0d60255acbece0723035362d282b807214d2eebe714ca83ec0ae0cd1fd75625",
 		"d22fb020ba5df4bad4ef668f73c433d63fbd2b9c0cd9726209e5a3383d7e97d4",
 		"7b973e8c47d1f177d89745320b1c0a0e448f290cd2519f81e3e435f0a4225aa7",
+	},
+	{
+		"ceabd67f49465767fbc2132b01cae2c858ff5d8b7c49b0f4ba3af534ace5367c",
+		"864647ff8614cf7a1998c5761070396cbe05dd88913a514a0eecc5c963c047aa",
+		"91f89b77ee477a7e82601234e248e42157b93909824cd63258f1eecb0e33c965",
+	},
+	{
+		"4fb392b5f08e9adb6997d4b0541149ba075c3f998ed869be4456463e78f615b4",
+		"1694ad520dc2c3d6d18e56091ef2291fe79f424116e4e1363e950438c620f302",
 	},
 }
 
