@@ -218,12 +218,7 @@ func ctxErr(ctx context.Context) error {
 // Encoder.ensureWorkers.
 func (d *Decoder) ensureWorkers(n int) {
 	for len(d.workers) < n {
-		w := new(decWorker)
-		// Under Bypass+TERMALL a block's raw significance and refinement
-		// segments decode concurrently on the shared pool (nested dispatches
-		// run inline when the workers are saturated by the per-block fan-out).
-		w.bd.Pool = d.pool
-		d.workers = append(d.workers, w)
+		d.workers = append(d.workers, new(decWorker))
 	}
 }
 

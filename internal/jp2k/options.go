@@ -80,9 +80,8 @@ type CoderOptions struct {
 	// biggest tier-1 speed lever among the Part 1 styles.
 	Bypass bool
 	// TermAll terminates the codeword segment at every coding pass, giving
-	// each pass an independently positioned byte range. Combined with Bypass
-	// the decoder can run a bypassed significance pass and the following
-	// refinement pass concurrently.
+	// each pass an independently positioned byte range, so a decoder can
+	// locate every pass without decoding the ones before it.
 	TermAll bool
 	// ResetCtx resets the MQ context states at every pass boundary, making
 	// passes statistically independent (costs compression, aids parallel or
@@ -320,7 +319,9 @@ type DecodeOptions struct {
 	// JPEG2000's packet structure exists for. Code-blocks of discarded
 	// resolutions are parsed but never entropy-decoded.
 	DiscardLevels int
-	// Workers bounds tier-1 and transform parallelism; <= 0 is GOMAXPROCS.
+	// Workers bounds every goroutine a decode uses, in every stage and every
+	// coder mode; <= 0 is GOMAXPROCS, and 1 decodes on the calling goroutine
+	// without dispatching onto the pool.
 	Workers int
 	// VertMode selects the inverse vertical filtering strategy.
 	VertMode       dwt.VertMode

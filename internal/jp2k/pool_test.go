@@ -72,3 +72,43 @@ func TestCodecSharedPoolSurvivesClose(t *testing.T) {
 		t.Fatal("shared-pool decode differs from one-shot decode")
 	}
 }
+
+// TestWorkersOneDecodesInline: DecodeOptions.Workers bounds every goroutine
+// a decode uses, in every coder mode — a Workers=1 decode runs on the calling
+// goroutine and never dispatches onto the pool, however many workers it has.
+func TestWorkersOneDecodesInline(t *testing.T) {
+	im := raster.Synthetic(128, 96, 13)
+	for _, c := range []struct {
+		name  string
+		coder CoderOptions
+		res   ResilienceOptions
+	}{
+		{"default", CoderOptions{}, ResilienceOptions{}},
+		{"bypass-termall", CoderOptions{Bypass: true, TermAll: true}, ResilienceOptions{}},
+		{"bypass-termall-segsym", CoderOptions{Bypass: true, TermAll: true}, ResilienceOptions{SegSymbols: true}},
+		{"termall-reset-causal", CoderOptions{TermAll: true, ResetCtx: true, Causal: true}, ResilienceOptions{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cs, _, err := Encode(im, Options{
+				Kernel: dwt.Rev53, TileW: 64, TileH: 64, Workers: 1, Coder: c.coder, Resilience: c.res,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := core.NewPool(2)
+			defer pool.Close()
+			dec := NewDecoderWithPool(pool)
+			defer dec.Close()
+			got, err := dec.Decode(cs, DecodeOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !raster.Equal(got, im) {
+				t.Fatal("lossless round trip differs")
+			}
+			if n := pool.Stats().Dispatches; n != 0 {
+				t.Fatalf("Workers=1 decode made %d pool dispatches, want 0", n)
+			}
+		})
+	}
+}

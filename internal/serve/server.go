@@ -27,9 +27,10 @@ type Options struct {
 	// negative disables caching (every request decodes; concurrent misses
 	// are still deduplicated in flight).
 	CacheBytes int64
-	// TileWorkers bounds the parallelism of one tile decode. The default 1
-	// is right for servers: concurrency comes from concurrent requests, and
-	// single-worker tile decodes keep per-request CPU bounded.
+	// TileWorkers bounds the parallelism of one tile decode: it is the
+	// decode's Workers, which bounds every stage in every coder mode. The
+	// default 1 is right for servers: concurrency comes from concurrent
+	// requests, and single-worker tile decodes keep per-request CPU bounded.
 	TileWorkers int
 	// MaxPixels rejects region requests larger than this many output pixels
 	// (protects against accidental whole-gigapixel fetches); <= 0 uses

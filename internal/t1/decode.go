@@ -3,7 +3,6 @@ package t1
 import (
 	"fmt"
 
-	"pj2k/internal/core"
 	"pj2k/internal/dwt"
 	"pj2k/internal/mq"
 )
@@ -44,7 +43,7 @@ func Decode(eb *EncodedBlock, npasses int) ([]int32, error) {
 // Returned sample slices live in an arena owned by the BlockDecoder: they
 // stay valid until Release, which reclaims every slice handed out since the
 // previous Release. A BlockDecoder is not safe for concurrent use. Like Coder
-// it holds its symbol-rate state (contexts, MQ registers, raw readers) by
+// it holds its symbol-rate state (contexts, MQ registers, raw reader) by
 // value and its zero value is ready for use, so an owner embeds it in a
 // per-worker block; it must not be copied once it has decoded a block.
 type BlockDecoder struct {
@@ -53,43 +52,16 @@ type BlockDecoder struct {
 	lastPlane []uint8 // per bordered sample: (last updated plane)+1, 0 = never
 	out       []int32
 
-	// Pool, when set, lets DecodeBlock run a bypassed significance pass and
-	// the following refinement pass concurrently — their raw segments are
-	// independently positioned under Bypass+TermAll, and refinement touches
-	// only samples significant before the plane, disjoint from the state
-	// significance propagation writes. Nil keeps decoding fully serial.
-	Pool *core.Pool
-
 	modes   Modes
 	segData []byte
 	segEnds []int
-	ovr     int // overrun total banked across codeword segments
-
-	rr rawReader // raw-segment reader of the serial passes and the forked SP pass
-
-	// The forked refinement pass runs on another goroutine and writes rr2 on
-	// every bit while the significance pass writes rr: the pad keeps the two
-	// readers a full CacheLinePad apart, so the pair does not ping-pong one
-	// line inside a single decoder.
-	_        [core.CacheLinePad]byte
-	rr2      rawReader // feeds the parallel MR pass
-	mrIdx    []int32   // scan-order magnitude-refinement members for rr2
-	parPlane uint
-	parFn    func(worker, task int) // bound on first fork, so forking allocates nothing per block
+	ovr     int       // overrun total banked across codeword segments
+	rr      rawReader // raw-segment reader of the bypassed passes
 }
 
 // NewBlockDecoder returns an empty BlockDecoder; buffers are sized on first
 // use.
 func NewBlockDecoder() *BlockDecoder { return &BlockDecoder{} }
-
-// parTask is the body of the forked SP‖MR dispatch.
-func (bd *BlockDecoder) parTask(_, task int) {
-	if task == 0 {
-		bd.decSigPropRaw(bd.parPlane)
-	} else {
-		bd.decRefineRawList(bd.parPlane)
-	}
-}
 
 // Release reclaims every sample slice returned by DecodeBlock since the
 // last Release. The caller must have dropped all references to them.
@@ -302,12 +274,6 @@ func (bd *BlockDecoder) runPasses(w, h int, band dwt.BandType, numBitplanes, npa
 	}
 	c.resetContexts()
 	bd.ovr = 0
-	// Fork bypassed SP‖MR pairs only when TermAll gives them independent
-	// segments and a pool with real parallelism is attached.
-	fork := m.Bypass && m.TermAll && bd.Pool != nil && bd.Pool.Size() > 1
-	if fork && bd.parFn == nil {
-		bd.parFn = bd.parTask
-	}
 
 	pass, good, seg := 0, 0, 0
 	nbp := numBitplanes
@@ -318,48 +284,28 @@ planes:
 			if pass == npasses {
 				break planes
 			}
-			if raw := m.PassBypassed(pass); raw && fork && pass+1 < npasses {
-				bd.startSeg(pass, &seg, true) // rr over the SP segment
-				seg++
-				lo, hi := bd.segRange(seg) // rr2 over the MR segment
-				bd.rr2.Reset(bd.segData[lo:hi])
-				bd.buildMRList()
-				bd.parPlane = plane
-				bd.Pool.TasksIDMax(2, 2, bd.parFn)
-				// MR only toggles magnitude bits at pre-listed samples; its
-				// flag updates are applied here, after the join, so the two
-				// passes never write the same word. rr still holds the SP
-				// segment's unbanked overrun (banked at the next startSeg);
-				// rr2's is banked now.
-				bd.ovr += bd.rr2.overrun
-				for _, i := range bd.mrIdx {
-					c.flags[i] |= fRefined
-				}
-				pass += 2
+			if m.PassBypassed(pass) {
+				bd.startSeg(pass, &seg, true)
+				bd.decSigPropRaw(plane)
 			} else {
-				if raw {
-					bd.startSeg(pass, &seg, true)
-					bd.decSigPropRaw(plane)
-				} else {
-					bd.startSeg(pass, &seg, false)
-					bd.decSigProp(plane)
-				}
-				if m.ResetCtx {
-					c.resetContexts()
-				}
-				pass++
-				if pass == npasses {
-					break planes
-				}
-				if m.PassBypassed(pass) {
-					bd.startSeg(pass, &seg, true)
-					bd.decRefineRaw(plane)
-				} else {
-					bd.startSeg(pass, &seg, false)
-					bd.decRefine(plane)
-				}
-				pass++
+				bd.startSeg(pass, &seg, false)
+				bd.decSigProp(plane)
 			}
+			if m.ResetCtx {
+				c.resetContexts()
+			}
+			pass++
+			if pass == npasses {
+				break planes
+			}
+			if m.PassBypassed(pass) {
+				bd.startSeg(pass, &seg, true)
+				bd.decRefineRaw(plane)
+			} else {
+				bd.startSeg(pass, &seg, false)
+				bd.decRefine(plane)
+			}
+			pass++
 			if m.ResetCtx {
 				c.resetContexts()
 			}
@@ -388,36 +334,6 @@ planes:
 		}
 	}
 	return pass, true
-}
-
-// buildMRList collects, in exact stripe-column scan order, the samples the
-// current plane's magnitude-refinement pass will visit. Before the plane's
-// significance pass runs, those are precisely the currently significant
-// samples: SP marks everything it makes significant as visited, excluding it
-// from refinement. The list lets the refinement bits be consumed
-// independently of (and concurrently with) the significance pass.
-func (bd *BlockDecoder) buildMRList() {
-	c := &bd.c
-	f, bw := c.flags, c.bw
-	bd.mrIdx = bd.mrIdx[:0]
-	for y0 := 0; y0 < c.h; y0 += 4 {
-		rows := c.h - y0
-		if rows > 4 {
-			rows = 4
-		}
-		i0 := (y0+1)*bw + 1
-		for x := 0; x < c.w; x++ {
-			i := i0 + x
-			if rows == 4 && (f[i]|f[i+bw]|f[i+2*bw]|f[i+3*bw])&fSig == 0 {
-				continue
-			}
-			for k := 0; k < rows; k, i = k+1, i+bw {
-				if f[i]&fSig != 0 {
-					bd.mrIdx = append(bd.mrIdx, int32(i))
-				}
-			}
-		}
-	}
 }
 
 // decSegSym decodes the four-symbol segmentation marker terminating a cleanup
@@ -570,7 +486,7 @@ func (bd *BlockDecoder) decRefine(plane uint) {
 }
 
 // decRefineRaw mirrors encRefineRaw: the bypassed refinement pass, read as
-// raw stuffed bits from the serial raw reader.
+// raw stuffed bits.
 func (bd *BlockDecoder) decRefineRaw(plane uint) {
 	c := &bd.c
 	f, mag, bw := c.flags, c.mag, c.bw
@@ -591,32 +507,14 @@ func (bd *BlockDecoder) decRefineRaw(plane uint) {
 				if fl&(fSig|fVisited) != fSig {
 					continue
 				}
-				// No fRefined update, as in decRefineRawList: the flag only
-				// selects the MQ refine context, never consulted again once
-				// the plane is bypassed.
+				// No fRefined update: the flag only selects the MQ refine
+				// context, never consulted again once the plane is bypassed.
 				if r.ReadBit() == 1 {
 					mag[i] |= 1 << plane
 				}
 				bd.lastPlane[i] = uint8(plane) + 1
 			}
 		}
-	}
-}
-
-// decRefineRawList consumes the bypassed refinement pass from rr2 over the
-// pre-scanned member list. It runs concurrently with decSigPropRaw: it
-// writes only the magnitude word and last-plane byte of samples significant
-// before the plane, which the significance pass never touches, and defers
-// its flag updates to the serial join.
-func (bd *BlockDecoder) decRefineRawList(plane uint) {
-	c := &bd.c
-	mag, lp := c.mag, bd.lastPlane
-	r := &bd.rr2
-	for _, i := range bd.mrIdx {
-		if r.ReadBit() == 1 {
-			mag[i] |= 1 << plane
-		}
-		lp[i] = uint8(plane) + 1
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"pj2k/internal/core"
 	"pj2k/internal/dwt"
 )
 
@@ -137,51 +136,6 @@ func TestModesSegmentEnds(t *testing.T) {
 			t.Fatalf("%s: final segment end %d != data length %d", modeName(m), ends[len(ends)-1], len(eb.Data))
 		}
 		co.Release()
-	}
-}
-
-// TestParallelSegmentDecodeMatchesSerial pins the pool-forked bypass+TermAll
-// decode to the serial result, across worker counts.
-func TestParallelSegmentDecodeMatchesSerial(t *testing.T) {
-	co := NewCoder()
-	co.Modes = Modes{Bypass: true, TermAll: true}
-	for _, workers := range []int{2, 4, 8} {
-		pool := core.NewPool(workers)
-		bdSerial := NewBlockDecoder()
-		bdPar := NewBlockDecoder()
-		bdPar.Pool = pool
-		for _, sz := range [][2]int{{16, 16}, {32, 32}, {64, 64}, {33, 29}} {
-			data := randBlock(sz[0], sz[1], 30000, 0.6, int64(workers*100+sz[0]))
-			eb := co.Encode(data, sz[0], sz[1], sz[0], dwt.HH)
-			for _, np := range []int{len(eb.Passes), len(eb.Passes) / 2, 1} {
-				in := BlockIn{
-					W: sz[0], H: sz[1], Band: dwt.HH,
-					NumBitplanes: eb.NumBitplanes,
-					Data:         eb.Data[:eb.Passes[max(np, 1)-1].Rate],
-					NPasses:      np,
-					Modes:        co.Modes,
-					SegEnds:      eb.SegmentEnds(nil, np),
-				}
-				want, _, err := bdSerial.DecodeBlock(&in, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, _, err := bdPar.DecodeBlock(&in, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("w=%d size %v np=%d: sample %d parallel %d serial %d",
-							workers, sz, np, i, got[i], want[i])
-					}
-				}
-			}
-			co.Release()
-			bdSerial.Release()
-			bdPar.Release()
-		}
-		pool.Close()
 	}
 }
 

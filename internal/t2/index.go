@@ -180,10 +180,6 @@ func (ix *Index) buildTile(ti int) (TileIndex, error) {
 	tc := NewTileCoderComps(comps)
 	tc.SOP, tc.EPH = p.UseSOP, p.UseEPH
 	tc.Modes = p.CoderModes()
-	dec := make([][]DecodedBlock, nc)
-	for ci := 0; ci < nc; ci++ {
-		dec[ci] = resetDec(dec[ci], tc.comps[ci].nblocks)
-	}
 	// Every packet costs at least one body byte (the empty-bit header), so
 	// the declared layer/level/component counts bound the body size. Checking
 	// before allocating keeps a tiny corrupt stream from demanding gigabytes
@@ -203,20 +199,9 @@ func (ix *Index) buildTile(ti int) (TileIndex, error) {
 			packets[ci][li] = make([]Span, p.Levels+1)
 		}
 	}
-	pos := 0
-	for li := 0; li < p.Layers; li++ {
-		for r := 0; r <= p.Levels; r++ {
-			bandIdx := dwt.BandsOfResolution(p.Levels, r)
-			for ci := 0; ci < nc; ci++ {
-				n, err := tc.decodePacket(ci, comps[ci], bandIdx, li, body[pos:], dec[ci], false)
-				if err != nil {
-					return TileIndex{}, fmt.Errorf("t2: tile %d layer %d resolution %d component %d: %w",
-						ti, li, r, ci, err)
-				}
-				packets[ci][li][r] = Span{Off: pos, Len: n}
-				pos += n
-			}
-		}
+	dec := make([][]DecodedBlock, nc)
+	if _, _, _, err := tc.walkPackets(comps, p.Levels, p.Layers, body, dec, false, packets); err != nil {
+		return TileIndex{}, fmt.Errorf("t2: tile %d: %w", ti, err)
 	}
 	return TileIndex{Packets: packets}, nil
 }

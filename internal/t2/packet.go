@@ -447,8 +447,6 @@ func (b *DecodedBlock) SegmentEnds(m t1.Modes) []int {
 	return append(b.SegEnds, len(b.Data))
 }
 
-type decodedBlock = DecodedBlock
-
 // EncodeTileCompsPackets assembles all packets of one tile in LRCP order:
 // layer outer, resolution middle, component inner (single precinct) — the
 // standard's layer-resolution-component-position progression. The coder is
@@ -530,7 +528,7 @@ func resetDec(dec []DecodedBlock, n int) []DecodedBlock {
 func (tc *TileCoder) DecodeTileCompsPackets(comps [][]BandBlocks, levels, nlayers int,
 	data []byte, dec [][]DecodedBlock) ([][]DecodedBlock, int, error) {
 
-	dec, pos, _, err := tc.walkPackets(comps, levels, nlayers, data, dec, false)
+	dec, pos, _, err := tc.walkPackets(comps, levels, nlayers, data, dec, false, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -558,7 +556,7 @@ type pendingSeg struct {
 // header-only walk the codestream Index uses to locate packet boundaries
 // without touching block payloads. Returns the bytes consumed.
 func (tc *TileCoder) decodePacket(ci int, bands []BandBlocks, bandIdx []int,
-	layer int, data []byte, dec []decodedBlock, copyBody bool) (int, error) {
+	layer int, data []byte, dec []DecodedBlock, copyBody bool) (int, error) {
 
 	skip := 0
 	if tc.SOP {
@@ -703,16 +701,19 @@ func (d DecodeDamage) Any() bool { return d.BadPackets > 0 || d.PacketsLost > 0 
 func (tc *TileCoder) DecodeTileCompsPacketsResilient(comps [][]BandBlocks, levels, nlayers int,
 	data []byte, dec [][]DecodedBlock) ([][]DecodedBlock, int, DecodeDamage) {
 
-	dec, pos, dmg, _ := tc.walkPackets(comps, levels, nlayers, data, dec, true)
+	dec, pos, dmg, _ := tc.walkPackets(comps, levels, nlayers, data, dec, true, nil)
 	return dec, pos, dmg
 }
 
-// walkPackets is the one packet walk behind both decode entry points: a loop
-// over the flat LRCP packet index (layer outer, resolution middle, component
-// inner). The only policy is what the first bad packet does — fail the tile
-// (strict), or resync/abandon and count (resilient, which never errors).
+// walkPackets is the one LRCP packet loop — behind both decode entry points
+// and the Index: a loop over the flat packet index (layer outer, resolution
+// middle, component inner). The only policy is what the first bad packet
+// does — fail the tile (strict), or resync/abandon and count (resilient,
+// which never errors). With spans non-nil the walk is header-only (block
+// bodies are skipped, not copied into dec) and records each packet's byte
+// range at spans[ci][li][r].
 func (tc *TileCoder) walkPackets(comps [][]BandBlocks, levels, nlayers int,
-	data []byte, dec [][]DecodedBlock, resilient bool) ([][]DecodedBlock, int, DecodeDamage, error) {
+	data []byte, dec [][]DecodedBlock, resilient bool, spans [][][]Span) ([][]DecodedBlock, int, DecodeDamage, error) {
 
 	tc.resetComps(comps)
 	for ci := range comps {
@@ -728,8 +729,11 @@ func (tc *TileCoder) walkPackets(comps [][]BandBlocks, levels, nlayers int,
 		r := (pk % perLayer) / ncomp
 		ci := pk % ncomp
 		bandIdx := dwt.BandsOfResolution(levels, r)
-		n, err := tc.decodePacket(ci, comps[ci], bandIdx, li, data[pos:], dec[ci], true)
+		n, err := tc.decodePacket(ci, comps[ci], bandIdx, li, data[pos:], dec[ci], spans == nil)
 		if err == nil {
+			if spans != nil {
+				spans[ci][li][r] = Span{Off: pos, Len: n}
+			}
 			pos += n
 			pk++
 			continue
