@@ -39,10 +39,10 @@ type Strategy struct {
 	VertMode   VertMode
 	BlockWidth int // columns per block for VertBlocked; <=0 selects DefaultBlockWidth
 	Workers    int // <=0 selects GOMAXPROCS
-	// Scratch supplies reusable per-worker filtering buffers, eliminating
-	// the per-level allocations of the hot loops; it grows to this
-	// strategy's worker count on first use. Nil keeps the original
-	// allocate-per-call behavior.
+	// Scratch supplies reusable per-worker filtering buffers and the bound
+	// level jobs, so a warm transform allocates nothing; it grows to this
+	// strategy's worker count on first use. Nil gives each transform a
+	// throwaway Scratch, allocated and warmed again on every call.
 	Scratch *Scratch
 	// Pool supplies resident workers for the level barriers, so each level's
 	// horizontal/vertical dispatch costs channel operations instead of
@@ -130,28 +130,30 @@ type filter[T sample] struct {
 
 // run is the one level loop behind every transform: forward levels run
 // shallowest first, rows then columns; inverse levels undo them deepest first,
-// columns then rows. With tm set it adds each direction's time to tm.
+// columns then rows. With tm set it adds each direction's time to tm. The
+// level barriers dispatch the Scratch's bound level jobs (a nil Scratch gets
+// a throwaway one for this call), so no level allocates a closure.
 func run[T sample](p plane[T], levels int, st Strategy, f *filter[T], fwd bool, tm *Timings) {
-	st.Scratch.grow(core.Workers(st.Workers))
-	passes := [2]bool{false, true} // vertical?
-	if !fwd {
-		passes = [2]bool{true, false}
+	j := startLevels(p, st, f, fwd)
+	passes := [2]bool{true, false} // vertical?
+	if fwd {
+		passes = [2]bool{false, true}
 	}
 	for i := 0; i < levels; i++ {
 		l := i
 		if !fwd {
 			l = levels - 1 - i
 		}
-		cw, ch := levelDims(p.width, p.height, l)
+		j.cw, j.ch = levelDims(p.width, p.height, l)
 		for _, vert := range passes {
 			var t0 time.Time
 			if tm != nil {
 				t0 = time.Now()
 			}
 			if vert {
-				vertical(p, cw, ch, st, f, fwd)
+				j.vertical()
 			} else {
-				horizontal(p, cw, ch, st, f, fwd)
+				j.horizontal()
 			}
 			if tm != nil {
 				d := &tm.Horizontal
@@ -162,77 +164,93 @@ func run[T sample](p plane[T], levels int, st Strategy, f *filter[T], fwd bool, 
 			}
 		}
 	}
+	j.st, j.p = Strategy{}, plane[T]{} // pin neither the caller's plane nor its pool
 }
 
-// horizontal filters the rows of the cw x ch LL region: each row is copied
-// to scratch and lifted back into place in one sweep.
-func horizontal[T sample](p plane[T], cw, ch int, st Strategy, f *filter[T], fwd bool) {
-	if cw < 2 {
-		return
+// startLevels points the strategy's Scratch level job (a throwaway Scratch
+// when it has none) at p and the direction's kernels of f.
+func startLevels[T sample](p plane[T], st Strategy, f *filter[T], fwd bool) *levelJob[T] {
+	s := st.Scratch
+	if s == nil {
+		s = new(Scratch)
 	}
-	kernel := f.inv
+	s.grow(core.Workers(st.Workers))
+	j := levelJobOf[T](s)
+	j.st, j.p = st, p
+	j.line, j.cols = f.inv, f.invCols
 	if fwd {
-		kernel = f.fwd
+		j.line, j.cols = f.fwd, f.fwdCols
 	}
-	st.forID(ch, func(worker, lo, hi int) {
-		tmp := buffer[T](st.Scratch, worker, cw)
-		for y := lo; y < hi; y++ {
-			row := p.pix[y*p.stride : y*p.stride+cw]
-			copy(tmp, row)
-			kernel(row, tmp)
-		}
-	})
+	return j
+}
+
+// horizontal filters the rows of the cw x ch LL region.
+func (j *levelJob[T]) horizontal() {
+	if j.cw >= 2 {
+		j.st.forID(j.ch, j.rowsFn)
+	}
+}
+
+// rows is the horizontal level job: each row is copied to scratch and lifted
+// back into place in one sweep.
+func (j *levelJob[T]) rows(worker, lo, hi int) {
+	p, cw, kernel := j.p, j.cw, j.line
+	tmp := buffer[T](j.s, worker, cw)
+	for y := lo; y < hi; y++ {
+		row := p.pix[y*p.stride : y*p.stride+cw]
+		copy(tmp, row)
+		kernel(row, tmp)
+	}
 }
 
 // vertical filters the columns of the cw x ch LL region using the
 // strategy's vertical mode.
-func vertical[T sample](p plane[T], cw, ch int, st Strategy, f *filter[T], fwd bool) {
-	if ch < 2 {
+func (j *levelJob[T]) vertical() {
+	if j.ch < 2 {
 		return
 	}
-	switch st.VertMode {
+	switch j.st.VertMode {
 	case VertNaive:
-		kernel := f.inv
-		if fwd {
-			kernel = f.fwd
-		}
-		st.forID(cw, func(worker, lo, hi int) {
-			buf := buffer[T](st.Scratch, worker, 2*ch)
-			col, out := buf[:ch], buf[ch:]
-			for x := lo; x < hi; x++ {
-				// One column at a time with strided reads and writes (the
-				// original implementations' access pattern).
-				for y := range col {
-					col[y] = p.pix[y*p.stride+x]
-				}
-				kernel(out, col)
-				for y, v := range out {
-					p.pix[y*p.stride+x] = v
-				}
-			}
-		})
+		j.st.forID(j.cw, j.naiveFn)
 	case VertBlocked:
-		// Block bi covers columns [bi*width, min((bi+1)*width, cw)): computed
-		// arithmetically instead of materializing a range slice per level.
-		// The block is copied to packed scratch rows and lifted back into the
-		// plane in one sweep.
-		kernel := f.invCols
-		if fwd {
-			kernel = f.fwdCols
-		}
-		width := st.blockWidth()
-		st.forID((cw+width-1)/width, func(worker, lo, hi int) {
-			tmp := buffer[T](st.Scratch, worker, min(width, cw)*ch)
-			for bi := lo; bi < hi; bi++ {
-				x0 := bi * width
-				w := min(x0+width, cw) - x0
-				for y := 0; y < ch; y++ {
-					copy(tmp[y*w:(y+1)*w], p.pix[y*p.stride+x0:])
-				}
-				kernel(lanes[T]{dst: p.pix[x0:], src: tmp, ds: p.stride, ss: w, w: w}, ch)
-			}
-		})
+		width := j.st.blockWidth()
+		j.st.forID((j.cw+width-1)/width, j.blocksFn)
 	default:
 		panic("dwt: unknown vertical mode")
+	}
+}
+
+// naive is the VertNaive level job: one column at a time with strided reads
+// and writes (the original implementations' access pattern).
+func (j *levelJob[T]) naive(worker, lo, hi int) {
+	p, ch, kernel := j.p, j.ch, j.line
+	buf := buffer[T](j.s, worker, 2*ch)
+	col, out := buf[:ch], buf[ch:]
+	for x := lo; x < hi; x++ {
+		for y := range col {
+			col[y] = p.pix[y*p.stride+x]
+		}
+		kernel(out, col)
+		for y, v := range out {
+			p.pix[y*p.stride+x] = v
+		}
+	}
+}
+
+// blocks is the VertBlocked level job. Block bi covers columns
+// [bi*width, min((bi+1)*width, cw)): computed arithmetically instead of
+// materializing a range slice per level. The block is copied to packed
+// scratch rows and lifted back into the plane in one sweep.
+func (j *levelJob[T]) blocks(worker, lo, hi int) {
+	p, cw, ch, kernel := j.p, j.cw, j.ch, j.cols
+	width := j.st.blockWidth()
+	tmp := buffer[T](j.s, worker, min(width, cw)*ch)
+	for bi := lo; bi < hi; bi++ {
+		x0 := bi * width
+		w := min(x0+width, cw) - x0
+		for y := 0; y < ch; y++ {
+			copy(tmp[y*w:(y+1)*w], p.pix[y*p.stride+x0:])
+		}
+		kernel(lanes[T]{dst: p.pix[x0:], src: tmp, ds: p.stride, ss: w, w: w}, ch)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pj2k/internal/core"
 	"pj2k/internal/raster"
 )
 
@@ -791,6 +792,13 @@ func checkKernels[T sample](t *testing.T, name string, f, or *filter[T], gen fun
 	}
 }
 
+// vertical runs one vertical level pass over the cw x ch region of p.
+func vertical[T sample](p plane[T], cw, ch int, st Strategy, f *filter[T], fwd bool) {
+	j := startLevels(p, st, f, fwd)
+	j.cw, j.ch = cw, ch
+	j.vertical()
+}
+
 func TestLiftingMatchesStepwise(t *testing.T) {
 	ints := func(r *rand.Rand) int32 { return int32(r.Intn(1<<16)) - 1<<15 }
 	floats := func(r *rand.Rand) float64 { return r.Float64()*512 - 256 }
@@ -850,4 +858,34 @@ func FuzzLifting(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestScratchTransformAllocs: once a Scratch has filtered the largest plane,
+// transforms of any shape, kernel, direction and vertical mode on it allocate
+// nothing, at every worker count — the level barriers dispatch the Scratch's
+// bound jobs instead of building a closure per level.
+func TestScratchTransformAllocs(t *testing.T) {
+	pool := core.NewPool(4)
+	defer pool.Close()
+	big, small := randomImage(96, 80, 1), randomImage(37, 61, 2)
+	fbig, fsmall := FromImage(big), FromImage(small)
+	for _, workers := range []int{1, 2, 4} {
+		for _, mode := range []VertMode{VertNaive, VertBlocked} {
+			st := Strategy{VertMode: mode, BlockWidth: 16, Workers: workers, Scratch: new(Scratch), Pool: pool}
+			cycle := func() {
+				for _, im := range []*raster.Image{big, small} {
+					Forward53(im, 3, st)
+					Inverse53(im, 3, st)
+				}
+				for _, p := range []*FPlane{fbig, fsmall} {
+					Forward97(p, 4, st)
+					Inverse97(p, 4, st)
+				}
+			}
+			cycle() // bind the jobs, size the buffers
+			if n := testing.AllocsPerRun(10, cycle); n != 0 {
+				t.Errorf("workers %d %v: %.1f allocations per cycle of 8 transforms, want 0", workers, mode, n)
+			}
+		}
+	}
 }

@@ -53,7 +53,7 @@ func (s Subband) Empty() bool { return s.X1 <= s.X0 || s.Y1 <= s.Y0 }
 // level from the deepest to the shallowest its HL, LH, HH bands. This is the
 // order tier-2 emits packets in.
 func Subbands(w, h, levels int) []Subband {
-	return SubbandsAppend(nil, w, h, levels)
+	return SubbandsAppend(make([]Subband, 0, 1+3*max(levels, 0)), w, h, levels)
 }
 
 // SubbandsAppend is Subbands appending into dst, so pooled callers can

@@ -8,7 +8,6 @@ import (
 
 	"pj2k/internal/core"
 	"pj2k/internal/dwt"
-	"pj2k/internal/mct"
 	"pj2k/internal/quant"
 	"pj2k/internal/raster"
 	"pj2k/internal/t1"
@@ -52,11 +51,19 @@ func (r Rect) Intersect(o Rect) Rect {
 // Decoder is a reusable decode pipeline mirroring Encoder: it owns every
 // pooled buffer the decode hot loops need — per-worker tier-1 block decoders
 // and DWT scratch, per-tile tier-2 coding state, packet-segment accumulators
-// and per-component coefficient planes — so repeated decodes reach a steady
-// state with near-zero heap allocations beyond the returned image. Server
-// workloads hold one Decoder per concurrent stream (or a sync.Pool of them)
-// and decode windows out of large codestreams without ever reconstructing the
-// full image.
+// and per-component coefficient planes. Server workloads hold one Decoder per
+// concurrent stream (or a sync.Pool of them) and decode windows out of large
+// codestreams without ever reconstructing the full image.
+//
+// The pooled state is shape-agnostic: it grows to the largest decode the
+// Decoder has run and reshapes in place for any other (DESIGN.md §7). A warm
+// decode — one whose selected tiles, code-blocks and planes are no larger than
+// earlier decodes', whatever their component count, kernel, tiling or levels —
+// allocates its returned image (the Planar, its component list, and a header
+// and sample slice per component) and nothing per tile, band or block.
+// DecodeRegion from an Index allocates only that; the scanning entry points
+// add their source's container scan (header parameters and tile-part spans),
+// Decode its bytes Source, and a resilient decode its DamageReport.
 //
 // Multi-component codestreams decode natively: the packet walk de-interleaves
 // per-component packets per tile, tier-1 runs over every kept (tile,
@@ -91,6 +98,7 @@ type Decoder struct {
 	walkFn  func(worker, si int)
 	blockFn func(worker, i int)
 	asmFn   func(worker, u int)
+	mctFn   func(worker, lo, hi int)
 	cur     struct {
 		p     t2.Params
 		modes t1.Modes // tier-1 coder modes signalled in COD
@@ -106,6 +114,7 @@ type Decoder struct {
 		ntx      int
 		innerW   int
 		outShift int32
+		shift    int32 // level shift the MCT pass adds
 		opts     DecodeOptions
 	}
 
@@ -155,8 +164,7 @@ type tileDec struct {
 	rtw, rth int    // reduced dims
 	ox, oy   int    // origin in the reduced image
 	subbands []dwt.Subband
-	gridKey  gridKey
-	ncomp    int
+	grids    []t2.Grid // per band, shared by the components
 	comps    []compDec
 	bandsV   [][]t2.BandBlocks // per-component views for the packet walk
 	decV     [][]t2.DecodedBlock
@@ -168,6 +176,7 @@ func newDecoder(p *core.Pool, own bool) *Decoder {
 	d.walkFn = d.walkTask
 	d.blockFn = d.blockTask
 	d.asmFn = d.asmTask
+	d.mctFn = d.mctTask
 	return d
 }
 
@@ -281,29 +290,21 @@ func (d *Decoder) walkTask(_, si int) {
 	te.rtw, te.rth = reduceDim(te.w, discard), reduceDim(te.h, discard)
 	te.ox, te.oy = d.colW[tx], d.rowH[ty]
 
-	if len(te.comps) < ncomp {
-		te.comps = append(te.comps, make([]compDec, ncomp-len(te.comps))...)
+	// The tile's band and code-block geometry, rebuilt in place: a slot that
+	// served another shape last keeps its storage.
+	te.subbands = dwt.SubbandsAppend(te.subbands[:0], te.w, te.h, p.Levels)
+	te.grids = grow(te.grids, nbands)
+	for bi, b := range te.subbands {
+		te.grids[bi].Reshape(b, p.CBW, p.CBH)
 	}
+	te.comps = grow(te.comps, ncomp)
 	te.bandsV = grow(te.bandsV, ncomp)
 	te.decV = grow(te.decV, ncomp)
-	key := gridKey{te.w, te.h, p.Levels, p.CBW, p.CBH}
-	if te.gridKey != key || te.ncomp != ncomp {
-		te.gridKey = key
-		te.ncomp = ncomp
-		te.subbands = dwt.SubbandsAppend(te.subbands[:0], te.w, te.h, p.Levels)
-		for bi, b := range te.subbands {
-			g := t2.MakeGrid(b, p.CBW, p.CBH)
-			for ci := 0; ci < ncomp; ci++ {
-				cd := &te.comps[ci]
-				cd.bands = grow(cd.bands, nbands)
-				cd.bands[bi] = t2.BandBlocks{Grid: g}
-			}
-		}
-	}
 	for ci := 0; ci < ncomp; ci++ {
 		cd := &te.comps[ci]
+		cd.bands = grow(cd.bands, nbands)
 		for bi := range cd.bands {
-			cd.bands[bi].Mb = p.Mb[ci][bi]
+			cd.bands[bi] = t2.BandBlocks{Grid: te.grids[bi], Mb: p.Mb[ci][bi]}
 		}
 		te.bandsV[ci] = cd.bands
 		te.decV[ci] = cd.dec
@@ -427,6 +428,21 @@ func (d *Decoder) asmTask(worker, u int) {
 			drow := dst.Pix[o : o+lx1-lx0]
 			for x, v := range src {
 				drow[x] = roundShift(v, outShift)
+			}
+		}
+	}
+}
+
+// mctTask rotates rows [lo, hi) of the output planes back to RGB and adds
+// the level shift — the body of the inverse inter-component dispatch.
+func (d *Decoder) mctTask(_, lo, hi int) {
+	comps, shift := d.cur.dst, d.cur.shift
+	interComp(comps, d.mctFloats, d.cur.p.Kernel, false, lo, hi)
+	for _, c := range comps {
+		for y := lo; y < hi; y++ {
+			row := c.Row(y)
+			for x := range row {
+				row[x] += shift
 			}
 		}
 	}
@@ -704,25 +720,14 @@ func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region
 	// --- Inverse inter-component transform, when the stream flags MCT: the
 	// decoded planes hold Y/Cb/Cr (assembled without the level shift); rotate
 	// back to RGB (the rotation operates on the rounded integer samples) and
-	// apply the shift once.
+	// apply the shift once, in one pass over the rows.
 	if mctActive {
 		tMCT := time.Now()
-		comps := out.Comps
-		if p.Kernel == dwt.Rev53 {
-			if err := mct.InverseRCT(comps[0], comps[1], comps[2], workers, d.pool); err != nil {
-				return nil, err
-			}
-		} else {
-			rotateICT(comps, &d.mctFloats, workers, d.pool, mct.InverseICT)
+		if p.Kernel == dwt.Irr97 {
+			d.mctFloats = fitFloats(d.mctFloats, win.Dx()*win.Dy())
 		}
-		for _, c := range comps {
-			pix := c.Pix
-			d.pool.ForMax(workers, len(pix), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					pix[i] += shift
-				}
-			})
-		}
+		d.cur.shift = shift
+		d.pool.ForIDMax(workers, win.Dy(), d.mctFn)
 		d.stats.Timings.InterComp = time.Since(tMCT)
 	}
 	for _, ti := range sel {

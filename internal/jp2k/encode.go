@@ -21,19 +21,12 @@ type blockJob struct {
 	pilot   bool // coded in full ahead of the rest to predict the stop threshold
 }
 
-// gridKey identifies a tile's code-block partition; while it is unchanged
-// across encodes the per-band grids are reused as-is.
-type gridKey struct {
-	w, h, levels, cbw, cbh int
-}
-
 // tileEnc is the per-tile encoding state, pooled inside an Encoder: the
 // coefficient planes, quantization arena, subband enumeration and tier-2
 // coding state all persist across encodes.
 type tileEnc struct {
 	w, h     int
 	subbands []dwt.Subband
-	gridKey  gridKey
 	bands    []t2.BandBlocks
 	blocks   []*t1.EncodedBlock // tile-local global order (bands raster)
 	// coefficient storage kept alive for the tier-1 jobs

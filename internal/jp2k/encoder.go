@@ -17,11 +17,19 @@ import (
 // Encoder is a reusable encode pipeline. It owns every pooled buffer the
 // pipeline's hot loops need — per-worker tier-1 coders and DWT scratch, the
 // per-tile coefficient planes, quantization arenas and tier-2 coding state,
-// the inter-component transform planes and the rate-allocation scratch — so
-// repeated Encode/EncodePlanar calls reach a steady state with near-zero heap
-// allocations. This is the per-process state the paper's threads keep
-// privately; server and streaming workloads hold one Encoder per concurrent
-// stream.
+// the inter-component transform planes and the rate-allocation scratch. This
+// is the per-process state the paper's threads keep privately; server and
+// streaming workloads hold one Encoder per concurrent stream.
+//
+// The pooled state is shape-agnostic: it grows to the largest encode the
+// Encoder has run and reshapes in place for any other (DESIGN.md §7). A warm
+// encode — one whose image, tiles and code-blocks are no larger than earlier
+// encodes', whatever their component count, kernel, tiling, levels or coder
+// modes — allocates its returned codestream and EncodeStats, the rate
+// allocator's fresh layer tables (three slices per component per allocation
+// round), for the 9/7 kernel the quantizer step table, and one closure when a
+// lone 9/7 tile is quantized by several workers; nothing per tile, band or
+// block.
 //
 // Multi-component images pipeline natively: the component x tile grid is the
 // parallel task axis for the transform, quantization and tier-1 stages;
@@ -75,8 +83,11 @@ type Encoder struct {
 	blockFn func(worker, i int)
 	rateFn  func(worker, ci int)
 	t2Fn    func(worker, ti int)
+	mctFn   func(worker, lo, hi int)
 	cur     struct {
 		o       Options
+		mctSrc  []*raster.Image // the caller's planes, during the MCT dispatch
+		shift   int32           // level shift of the MCT dispatch
 		steps   []quant.Step
 		modes   t1.Modes // tier-1 coder modes, shared with tier-2 signalling
 		innerW  int
@@ -109,6 +120,7 @@ func newEncoder(p *core.Pool, own bool) *Encoder {
 	e.blockFn = e.blockTask
 	e.rateFn = e.rateTask
 	e.t2Fn = e.t2Task
+	e.mctFn = e.mctTask
 	return e
 }
 
@@ -141,11 +153,13 @@ func (e *Encoder) Close() {
 }
 
 // grow returns s with length n, reallocating only when capacity is short.
-// Retained elements are stale from the previous encode and must be
-// overwritten by the caller.
+// Every element s held, out to its capacity, is kept — pooled per-tile and
+// per-band state keeps its buffers across shape changes — but is stale from
+// the previous call and must be overwritten or reshaped by the caller. It is
+// the same rule as t2's grow; keep the two in step.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
 	return s[:n]
 }
@@ -539,34 +553,22 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	// planes to the tiling stage. The float rotation rounds back to integer
 	// planes (the arithmetic TestGoldenHashes' colour digests pin).
 	tMCT := time.Now()
+	e.cur.o = o
 	shift := int32(1) << uint(o.BitDepth-1)
 	srcs := comps
 	srcShift := shift // subtracted during the tile copy
 	if o.MCT {
-		for len(e.mctPlanes) < 3 {
-			e.mctPlanes = append(e.mctPlanes, nil)
+		e.mctPlanes = grow(e.mctPlanes, 3)
+		for ci := range e.mctPlanes {
+			e.mctPlanes[ci] = reuseImage(e.mctPlanes[ci], width, height)
 		}
-		for ci, c := range comps {
-			p := reuseImage(e.mctPlanes[ci], width, height)
-			e.mctPlanes[ci] = p
-			e.pool.ForMax(o.Workers, height, func(lo, hi int) {
-				for y := lo; y < hi; y++ {
-					src := c.Row(y)
-					dst := p.Row(y)
-					for x, v := range src {
-						dst[x] = v - shift
-					}
-				}
-			})
+		if o.Kernel == dwt.Irr97 {
+			e.mctFloats = fitFloats(e.mctFloats, width*height)
 		}
-		if o.Kernel == dwt.Rev53 {
-			if err := mct.ForwardRCT(e.mctPlanes[0], e.mctPlanes[1], e.mctPlanes[2], o.Workers, e.pool); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			rotateICT(e.mctPlanes[:3], &e.mctFloats, o.Workers, e.pool, mct.ForwardICT)
-		}
-		srcs = e.mctPlanes[:3]
+		e.cur.mctSrc, e.cur.shift = comps, shift
+		e.pool.ForIDMax(o.Workers, height, e.mctFn)
+		e.cur.mctSrc = nil // do not pin the caller's planes
+		srcs = e.mctPlanes
 		srcShift = 0
 	}
 	stats.Timings.InterComp = time.Since(tMCT)
@@ -605,17 +607,14 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 						dst[x] = v - srcShift
 					}
 				}
+				// The band and code-block geometry, rebuilt in place: a unit
+				// that held another shape last keeps its storage.
 				te.subbands = dwt.SubbandsAppend(te.subbands[:0], te.w, te.h, o.Levels)
-				// The code-block grids depend on geometry only, so a tile
-				// that keeps its shape keeps them.
-				key := gridKey{te.w, te.h, o.Levels, o.CBW, o.CBH}
-				if te.gridKey != key {
-					te.gridKey = key
-					te.bands = grow(te.bands, len(te.subbands))
-					for bi, b := range te.subbands {
-						g := t2.MakeGrid(b, o.CBW, o.CBH)
-						te.bands[bi] = t2.BandBlocks{Grid: g, Blocks: grow(te.bands[bi].Blocks, len(g.Rects))}
-					}
+				te.bands = grow(te.bands, len(te.subbands))
+				for bi, b := range te.subbands {
+					bb := &te.bands[bi]
+					bb.Grid.Reshape(b, o.CBW, o.CBH)
+					bb.Blocks = grow(bb.Blocks, len(bb.Grid.Rects))
 				}
 				origins[u] = [2]int{x0, y0}
 				u++
@@ -649,7 +648,6 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	if nlayers == 0 {
 		nlayers = 1
 	}
-	e.cur.o = o
 	e.cur.steps = steps
 	e.cur.innerW = innerW
 	e.cur.nbands = nbands
@@ -897,54 +895,88 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 // allocate runs PCRD on the given allocator with the header estimate
 // subtracted from each layer budget.
 func allocate(a *rate.Allocator, blocks []rate.BlockPasses, budgets []int, headerEst int) rate.Allocation {
-	adj := make([]int, len(budgets))
-	for i, b := range budgets {
-		adj[i] = b - headerEst
-		if adj[i] < 0 {
-			adj[i] = 0
-		}
+	var buf [8]int // room for the usual layer counts without a heap slice
+	adj := buf[:0]
+	for _, b := range budgets {
+		adj = append(adj, max(b-headerEst, 0))
 	}
 	return a.Allocate(blocks, adj)
 }
 
-// rotateICT applies the irreversible color rotation to three integer planes
-// in place: pooled float copies, the rotation, and the round-back, each
-// parallel over rows on the codec's resident workers. The same helper serves
-// the encoder (ForwardICT) and decoder (InverseICT), so the rounding
-// arithmetic cannot diverge between the two.
-func rotateICT(planes []*raster.Image, floats *[][]float64, workers int, pool *core.Pool, rotate func(a, b, c []float64, workers int, pool *core.Pool)) {
-	n := planes[0].Width * planes[0].Height
-	for len(*floats) < 3 {
-		*floats = append(*floats, nil)
+// mctTask level-shifts rows [lo, hi) of the caller's three planes into the
+// pooled planes and applies the forward inter-component transform to them —
+// the body of the encoder's inter-component dispatch.
+func (e *Encoder) mctTask(_, lo, hi int) {
+	shift := e.cur.shift
+	for ci, c := range e.cur.mctSrc {
+		p := e.mctPlanes[ci]
+		for y := lo; y < hi; y++ {
+			dst := p.Row(y)
+			for x, v := range c.Row(y) {
+				dst[x] = v - shift
+			}
+		}
 	}
-	fl := *floats
-	for ci := 0; ci < 3; ci++ {
+	interComp(e.mctPlanes, e.mctFloats, e.cur.o.Kernel, true, lo, hi)
+}
+
+// fitFloats sizes three pooled float planes to n samples each.
+func fitFloats(fl [][]float64, n int) [][]float64 {
+	fl = grow(fl, 3)
+	for ci := range fl {
 		fl[ci] = grow(fl[ci], n)
-		im, dst := planes[ci], fl[ci]
-		pool.ForMax(workers, im.Height, func(lo, hi int) {
-			for y := lo; y < hi; y++ {
-				row := im.Row(y)
-				for x, v := range row {
-					dst[y*im.Width+x] = float64(v)
-				}
-			}
-		})
 	}
-	rotate(fl[0], fl[1], fl[2], workers, pool)
-	for ci := 0; ci < 3; ci++ {
-		src, im := fl[ci], planes[ci]
-		pool.ForMax(workers, im.Height, func(lo, hi int) {
-			for y := lo; y < hi; y++ {
-				row := im.Row(y)
-				for x := range row {
-					v := src[y*im.Width+x]
-					if v >= 0 {
-						row[x] = int32(v + 0.5)
-					} else {
-						row[x] = int32(v - 0.5)
-					}
+	return fl
+}
+
+// rowsOf views rows [lo, hi) of im as an image of their own.
+func rowsOf(im *raster.Image, lo, hi int) raster.Image {
+	return raster.Image{Width: im.Width, Height: hi - lo, Stride: im.Stride, Pix: im.Pix[lo*im.Stride:]}
+}
+
+// interComp applies the inter-component transform to rows [lo, hi) of three
+// equally sized planes in place: the RCT for the 5/3 kernel; for 9/7 the ICT
+// rotation, through the same rows of the float planes fl, rounded back half
+// away from zero. It runs serially on its rows, so each codec dispatches it
+// with a func bound once; the encoder (fwd) and decoder share it, so the
+// rounding arithmetic cannot diverge between the two.
+func interComp(planes []*raster.Image, fl [][]float64, k dwt.Kernel, fwd bool, lo, hi int) {
+	if k == dwt.Rev53 {
+		a, b, c := rowsOf(planes[0], lo, hi), rowsOf(planes[1], lo, hi), rowsOf(planes[2], lo, hi)
+		// The planes share one size, so neither transform can fail.
+		if fwd {
+			_ = mct.ForwardRCT(&a, &b, &c, 1, nil)
+		} else {
+			_ = mct.InverseRCT(&a, &b, &c, 1, nil)
+		}
+		return
+	}
+	w := planes[0].Width
+	for ci, im := range planes {
+		f := fl[ci]
+		for y := lo; y < hi; y++ {
+			for x, v := range im.Row(y) {
+				f[y*w+x] = float64(v)
+			}
+		}
+	}
+	f0, f1, f2 := fl[0][lo*w:hi*w], fl[1][lo*w:hi*w], fl[2][lo*w:hi*w]
+	if fwd {
+		mct.ForwardICT(f0, f1, f2, 1, nil)
+	} else {
+		mct.InverseICT(f0, f1, f2, 1, nil)
+	}
+	for ci, im := range planes {
+		f := fl[ci]
+		for y := lo; y < hi; y++ {
+			row := im.Row(y)
+			for x := range row {
+				if v := f[y*w+x]; v >= 0 {
+					row[x] = int32(v + 0.5)
+				} else {
+					row[x] = int32(v - 0.5)
 				}
 			}
-		})
+		}
 	}
 }

@@ -110,6 +110,13 @@ func ForwardBands(src []float64, stride int, jobs []BandJob, workers int, pool *
 		pool = core.Default()
 	}
 	p := core.Workers(workers)
+	if p == 1 {
+		// Serial: no fork/join helper, so no closure is built.
+		for _, bj := range jobs {
+			forwardRows(src, stride, bj.Band, bj.Step, bj.Dst, bj.DstStride, 0, bj.Band.Height())
+		}
+		return
+	}
 	pool.TasksIDMax(p, len(jobs)*p, func(_, t int) {
 		bj := jobs[t/p]
 		h := bj.Band.Height()

@@ -209,6 +209,7 @@ func (a *Allocator) Allocate(blocks []BlockPasses, layerBudgets []int) Allocatio
 		NPasses:   make([][]int, len(layerBudgets)),
 		BodyBytes: make([]int, len(layerBudgets)),
 	}
+	table := make([]int, len(layerBudgets)*len(blocks)) // every layer's row, one allocation
 	if cap(a.cur) < len(blocks) {
 		a.cur = make([]int, len(blocks))
 	}
@@ -222,7 +223,8 @@ func (a *Allocator) Allocate(blocks []BlockPasses, layerBudgets []int) Allocatio
 			bytes += segs[si].bytes
 			si++
 		}
-		alloc.NPasses[li] = append([]int(nil), cur...)
+		alloc.NPasses[li] = table[li*len(blocks) : (li+1)*len(blocks) : (li+1)*len(blocks)]
+		copy(alloc.NPasses[li], cur)
 		alloc.BodyBytes[li] = bytes
 	}
 	return alloc

@@ -11,7 +11,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -44,6 +43,11 @@ type inflightCall struct {
 	pl   *raster.Planar
 	err  error
 }
+
+// errDecodePanicked is what waiters on a decode that panicked receive. It is
+// the placeholder every miss stores before running its decode, so it is built
+// once, not per miss.
+var errDecodePanicked = errors.New("serve: tile decode panicked")
 
 // Cache is a byte-budgeted LRU cache of decoded tiles (all components of a
 // tile variant cache as one entry) with single-flight deduplication of
@@ -162,7 +166,7 @@ func (c *Cache) GetOrDecode(ctx context.Context, key TileKey, decode func() (*ra
 	// panics (net/http recovers handler panics, so a stuck entry would wedge
 	// the key forever); the deferred cleanup runs before the panic unwinds
 	// past us, and waiters see the nil-image error path.
-	call.err = fmt.Errorf("serve: tile decode panicked")
+	call.err = errDecodePanicked
 	defer func() {
 		c.mu.Lock()
 		delete(c.inflight, key)

@@ -178,6 +178,53 @@ func TestCachePanicSafety(t *testing.T) {
 	}
 }
 
+// TestCachePanicReachesWaiters: when the leading decode panics, every
+// coalesced waiter gets errDecodePanicked (the placeholder each miss stores
+// up front, so no error value is built on the happy path), nothing is cached
+// and no in-flight entry is left behind.
+func TestCachePanicReachesWaiters(t *testing.T) {
+	c := NewCache(1 << 20)
+	key := TileKey{Image: "a"}
+	entered, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer func() { recover() }()
+		c.GetOrDecode(context.Background(), key, func() (*raster.Planar, error) {
+			close(entered)
+			<-release
+			panic("decoder bug")
+		})
+	}()
+	<-entered
+	const waiters = 3
+	errs := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, co, err := c.GetOrDecode(context.Background(), key, func() (*raster.Planar, error) {
+				return tile(2, 2), nil
+			})
+			if co != OutcomeCoalesced {
+				err = fmt.Errorf("outcome %v, want coalesced (err %v)", co, err)
+			}
+			errs <- err
+		}()
+	}
+	for c.Stats().Coalesced < waiters {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < waiters; i++ {
+		if err := <-errs; !errors.Is(err, errDecodePanicked) {
+			t.Errorf("waiter got %v, want %v", err, errDecodePanicked)
+		}
+	}
+	c.mu.Lock()
+	inflight, entries := len(c.inflight), len(c.entries)
+	c.mu.Unlock()
+	if inflight != 0 || entries != 0 {
+		t.Fatalf("after a panicked decode: %d in-flight entries, %d cached, want 0 and 0", inflight, entries)
+	}
+}
+
 func TestCacheSingleflight(t *testing.T) {
 	c := NewCache(1 << 20)
 	var decodes atomic.Int64

@@ -270,6 +270,82 @@ func TestWarmRequestAllocs(t *testing.T) {
 	}
 }
 
+// TestColdRequestAllocs caps what a tile miss allocates when the server's
+// shared decoder pool alternates between shapes: with the cache disabled,
+// requests alternate between a gray tiled 9/7 image and a 3-component 5/3
+// image, as unaligned T x T windows (four tiles each) plus reduce=2 windows
+// on the gray image. Every tile decode reshapes the pooled codec state the
+// other image left behind. The allocations per request, divided by the tile
+// misses it caused, must stay within the cap: the decoded tile, the per-miss
+// bookkeeping and a share of the request's own overhead (TestWarmRequestAllocs
+// counts 25 per request). Before pooled state reshaped in place, a miss after
+// a shape change rebuilt the tier-2 state, grids and DWT level closures.
+func TestColdRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled decoders at random; the cap counts the production allocator")
+	}
+	const side, tileSide = 256, 64
+	gray, _, err := jp2k.Encode(raster.Synthetic(side, side, 5), jp2k.Options{
+		Kernel: dwt.Irr97, LayerBPP: []float64{0.5, 1.0}, TileW: tileSide, TileH: tileSide,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rgb := raster.NewPlanar(side/2, side/2, 3)
+	for ci, c := range rgb.Comps {
+		copy(c.Pix, raster.Synthetic(side/2, side/2, uint64(6+ci)).Pix)
+	}
+	col, _, err := jp2k.EncodePlanar(rgb, jp2k.Options{
+		Kernel: dwt.Rev53, MCT: true, TileW: tileSide / 2, TileH: tileSide / 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore()
+	for id, cs := range map[string][]byte{"gray": gray, "col": col} {
+		if _, err := store.Add(id, cs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(store, Options{CacheBytes: -1})
+	defer srv.Close()
+	var paths []string
+	for i := 0; i < 4; i++ {
+		x, y := 17+29*i, 11+23*i // unaligned: each window straddles four tiles
+		paths = append(paths,
+			fmt.Sprintf("/img/gray?x0=%d&y0=%d&x1=%d&y1=%d", x, y, x+tileSide, y+tileSide),
+			fmt.Sprintf("/img/col?x0=%d&y0=%d&x1=%d&y1=%d", x/2, y/2, x/2+tileSide/2, y/2+tileSide/2),
+			fmt.Sprintf("/img/gray?x0=%d&y0=%d&x1=%d&y1=%d&reduce=2", x/4, y/4, x/4+tileSide/4, y/4+tileSide/4))
+	}
+	reqs := make([]*http.Request, len(paths))
+	for i, p := range paths {
+		reqs[i] = httptest.NewRequest("GET", p, nil)
+	}
+	cycle := func() {
+		for i, req := range reqs {
+			rec := httptest.NewRecorder()
+			rec.Body = nil // count the server's allocations, not the recorder's copy
+			srv.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d", paths[i], rec.Code)
+			}
+		}
+	}
+	cycle() // size the pooled decoder state and response bodies
+	before := srv.tileDecodes.Value()
+	const runs = 10
+	perCycle := testing.AllocsPerRun(runs, cycle)
+	misses := float64(srv.tileDecodes.Value()-before) / (runs + 1) // AllocsPerRun adds a warm-up run
+	perMiss := perCycle / misses
+	t.Logf("%.0f allocations per cycle of %d requests, %.0f tile misses: %.1f per miss", perCycle, len(reqs), misses, perMiss)
+	if perMiss > coldMissCap {
+		t.Errorf("%.1f allocations per tile miss, cap %d", perMiss, coldMissCap)
+	}
+}
+
+// coldMissCap bounds allocations per tile miss in TestColdRequestAllocs.
+const coldMissCap = 24
+
 // BenchmarkWarmRegion is the warm path in process: ServeHTTP of 1024x768 PGM
 // windows panning over a 2048x2048 9/7 image of 256 128x128 tiles, every
 // tile already cached. The 16 MiB tile set is larger than L2, so this gauges

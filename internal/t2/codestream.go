@@ -195,7 +195,14 @@ func appendQuant(out []byte, p Params, ci int) []byte {
 // in SIZ, the MCT flag in COD, component 0's quantization in QCD and one QCC
 // marker per further component.
 func WriteCodestream(p Params, tiles [][]byte) []byte {
-	out := appendMainHeader(nil, p)
+	// One allocation: the main header's size is bounded by its per-component
+	// markers (SIZ entry, QCD/QCC with at most 3 bytes per band, RGN), each
+	// tile-part header is 14 bytes, EOC 2.
+	n := 64 + p.Components()*(16+3*(1+3*p.Levels)) + 2
+	for _, td := range tiles {
+		n += 14 + len(td)
+	}
+	out := appendMainHeader(make([]byte, 0, n), p)
 	for i, td := range tiles {
 		out = appendSOT(out, i, len(td))
 		out = append(out, td...)
@@ -278,7 +285,8 @@ func appendMainHeader(out []byte, p Params) []byte {
 	// matching the pre-multi-component tolerance for empty Mb). Marker
 	// lengths are measured from the serialized tail so they can never drift
 	// from appendQuant's layout.
-	tail := appendQuant(nil, p, 0)
+	var tailBuf [1 + 3*(1+3*32)]byte // Sqcd plus 3 bytes for each of up to 97 bands
+	tail := appendQuant(tailBuf[:0], p, 0)
 	out = put16(out, mQCD)
 	out = put16(out, 2+len(tail))
 	out = append(out, tail...)

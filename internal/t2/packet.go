@@ -7,6 +7,7 @@ package t2
 
 import (
 	"fmt"
+	"slices"
 
 	"pj2k/internal/bitio"
 	"pj2k/internal/dwt"
@@ -29,26 +30,29 @@ type Grid struct {
 
 // MakeGrid splits a subband into code-blocks of at most cbw x cbh samples.
 func MakeGrid(band dwt.Subband, cbw, cbh int) Grid {
+	var g Grid
+	g.Reshape(band, cbw, cbh)
+	return g
+}
+
+// Reshape repartitions g for band, as MakeGrid would, rebuilding the block
+// rectangles into g's existing Rects storage when it is large enough.
+func (g *Grid) Reshape(band dwt.Subband, cbw, cbh int) {
 	w, h := band.Width(), band.Height()
-	gw := (w + cbw - 1) / cbw
-	gh := (h + cbh - 1) / cbh
+	g.Band, g.GW, g.GH = band, 0, 0
+	g.Rects = g.Rects[:0]
 	if w == 0 || h == 0 {
-		return Grid{Band: band}
+		return
 	}
-	g := Grid{Band: band, GW: gw, GH: gh, Rects: make([]CBRect, 0, gw*gh)}
-	for gy := 0; gy < gh; gy++ {
-		for gx := 0; gx < gw; gx++ {
-			r := CBRect{X0: gx * cbw, Y0: gy * cbh, X1: (gx + 1) * cbw, Y1: (gy + 1) * cbh}
-			if r.X1 > w {
-				r.X1 = w
-			}
-			if r.Y1 > h {
-				r.Y1 = h
-			}
-			g.Rects = append(g.Rects, r)
+	g.GW, g.GH = (w+cbw-1)/cbw, (h+cbh-1)/cbh
+	g.Rects = slices.Grow(g.Rects, g.GW*g.GH)
+	for gy := 0; gy < g.GH; gy++ {
+		for gx := 0; gx < g.GW; gx++ {
+			g.Rects = append(g.Rects, CBRect{
+				X0: gx * cbw, Y0: gy * cbh, X1: min((gx+1)*cbw, w), Y1: min((gy+1)*cbh, h),
+			})
 		}
 	}
-	return g
 }
 
 // BlockStream carries the tier-1 output tier-2 needs for one code-block.
@@ -68,46 +72,39 @@ type BandBlocks struct {
 
 // bandState is the per-band packet-header coding state shared across layers.
 type bandState struct {
-	gw, gh    int
-	incl      *tagtree.Tree
-	zbp       *tagtree.Tree
+	incl      tagtree.Tree
+	zbp       tagtree.Tree
 	included  []bool
 	lblock    []int
 	passesCum []int
 }
 
-func newBandState(g Grid) *bandState {
-	if g.GW == 0 || g.GH == 0 {
-		return &bandState{}
+// reshape restores the state to the start of a tile over grid g, reusing the
+// tag trees and arrays of whatever shape it held before.
+func (st *bandState) reshape(g Grid) {
+	n := g.GW * g.GH
+	if n > 0 {
+		st.incl.Reshape(g.GW, g.GH)
+		st.zbp.Reshape(g.GW, g.GH)
 	}
-	st := &bandState{
-		gw:        g.GW,
-		gh:        g.GH,
-		incl:      tagtree.New(g.GW, g.GH),
-		zbp:       tagtree.New(g.GW, g.GH),
-		included:  make([]bool, g.GW*g.GH),
-		lblock:    make([]int, g.GW*g.GH),
-		passesCum: make([]int, g.GW*g.GH),
-	}
-	for i := range st.lblock {
-		st.lblock[i] = 3
-	}
-	return st
-}
-
-// reset restores the state to the just-constructed condition for reuse.
-func (st *bandState) reset() {
-	if st.incl != nil {
-		st.incl.Reset()
-		st.zbp.Reset()
-	}
-	for i := range st.included {
-		st.included[i] = false
-	}
+	st.included = grow(st.included, n)
+	st.lblock = grow(st.lblock, n)
+	st.passesCum = grow(st.passesCum, n)
+	clear(st.included)
 	for i := range st.lblock {
 		st.lblock[i] = 3
 	}
 	clear(st.passesCum)
+}
+
+// grow returns s with length n, keeping its elements and capacity: pooled
+// state grows to the largest shape it has seen and never shrinks. It is the
+// same rule as jp2k's grow; keep the two in step.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 func floorLog2(n int) int {
@@ -187,40 +184,29 @@ func readPassCount(r *bitio.StuffReader) (int, error) {
 // compCoder is the per-component slice of a TileCoder: one bandState per
 // subband (dwt.Subbands order) plus the component-local block id layout.
 type compCoder struct {
-	states    []*bandState
+	states    []bandState
 	blockBase []int // component-local block id of each band's first block
 	nblocks   int
 }
 
-func (cc *compCoder) build(bands []BandBlocks) {
-	cc.states = make([]*bandState, len(bands))
-	cc.blockBase = make([]int, len(bands))
+// reshape fits the coder to bands, reusing every band state it holds.
+func (cc *compCoder) reshape(bands []BandBlocks) {
+	cc.states = grow(cc.states, len(bands))
+	cc.blockBase = grow(cc.blockBase, len(bands))
 	id := 0
 	for i, b := range bands {
-		cc.states[i] = newBandState(b.Grid)
+		cc.states[i].reshape(b.Grid)
 		cc.blockBase[i] = id
 		id += b.Grid.GW * b.Grid.GH
 	}
 	cc.nblocks = id
 }
 
-func (cc *compCoder) matches(bands []BandBlocks) bool {
-	if len(cc.states) != len(bands) {
-		return false
-	}
-	for i, b := range bands {
-		if cc.states[i].gw != b.Grid.GW || cc.states[i].gh != b.Grid.GH {
-			return false
-		}
-	}
-	return true
-}
-
 // TileCoder holds per-tile packet coding state: per component, one bandState
 // per subband, plus reusable header/body buffers shared across components.
 // Pooled encoders keep one TileCoder per tile and every packet-assembly round
-// resets it, so the tag trees and state arrays are allocated once per encoder
-// lifetime. A TileCoder is not safe for concurrent use.
+// reshapes it in place, so the tag trees and state arrays are allocated once
+// per encoder lifetime, not once per shape. A TileCoder is not safe for concurrent use.
 type TileCoder struct {
 	comps []compCoder
 	hw    *bitio.StuffWriter // reusable packet-header writer
@@ -251,35 +237,17 @@ type TileCoder struct {
 // geometry (comps[ci] lists component ci's bands in dwt.Subbands order).
 func NewTileCoderComps(comps [][]BandBlocks) *TileCoder {
 	tc := &TileCoder{hw: bitio.NewStuffWriter()}
-	tc.build(comps)
+	tc.resetComps(comps)
 	return tc
 }
 
-func (tc *TileCoder) build(comps [][]BandBlocks) {
-	tc.comps = make([]compCoder, len(comps))
-	for ci, bands := range comps {
-		tc.comps[ci].build(bands)
-	}
-}
-
-// resetComps prepares the coder for a fresh tile encode over the same (or a
-// new) per-component band geometry. Matching geometry reuses every buffer; a
-// shape change rebuilds the state.
+// resetComps prepares the coder for a fresh tile over comps, whatever
+// geometry it coded before: every band state reshapes in place, so a coder
+// that has seen its largest shape allocates nothing.
 func (tc *TileCoder) resetComps(comps [][]BandBlocks) {
-	if len(tc.comps) != len(comps) {
-		tc.build(comps)
-		return
-	}
+	tc.comps = grow(tc.comps, len(comps))
 	for ci := range comps {
-		if !tc.comps[ci].matches(comps[ci]) {
-			tc.build(comps)
-			return
-		}
-	}
-	for ci := range tc.comps {
-		for _, st := range tc.comps[ci].states {
-			st.reset()
-		}
+		tc.comps[ci].reshape(comps[ci])
 	}
 }
 
@@ -291,7 +259,7 @@ func (tc *TileCoder) seedInclusion(ci int, bands []BandBlocks, layers [][]int) {
 	cc := &tc.comps[ci]
 	nlayers := len(layers)
 	for bi, b := range bands {
-		st := cc.states[bi]
+		st := &cc.states[bi]
 		for k := range b.Blocks {
 			id := cc.blockBase[bi] + k
 			first := nlayers
@@ -319,7 +287,7 @@ func (tc *TileCoder) encodePacket(ci int, dst []byte, bands []BandBlocks, bandId
 	nonEmpty := false
 	if target != nil {
 		for _, bi := range bandIdx {
-			st := cc.states[bi]
+			st := &cc.states[bi]
 			for k := range st.passesCum {
 				if target[cc.blockBase[bi]+k] > st.passesCum[k] {
 					nonEmpty = true
@@ -341,7 +309,7 @@ func (tc *TileCoder) encodePacket(ci int, dst []byte, bands []BandBlocks, bandId
 	body := tc.body[:0]
 	for _, bi := range bandIdx {
 		b := bands[bi]
-		st := cc.states[bi]
+		st := &cc.states[bi]
 		for k := range st.passesCum {
 			blk := b.Blocks[k]
 			id := cc.blockBase[bi] + k
@@ -589,7 +557,7 @@ func (tc *TileCoder) decodePacket(ci int, bands []BandBlocks, bandIdx []int,
 	body := tc.pend[:0]
 	for _, bi := range bandIdx {
 		b := bands[bi]
-		st := cc.states[bi]
+		st := &cc.states[bi]
 		for k := range st.passesCum {
 			id := cc.blockBase[bi] + k
 			gx, gy := k%b.Grid.GW, k/b.Grid.GW

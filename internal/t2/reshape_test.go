@@ -1,0 +1,168 @@
+package t2
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"pj2k/internal/dwt"
+	"pj2k/internal/t1"
+)
+
+// reshapeCase is one tile geometry with synthetic block streams and a layer
+// allocation per component.
+type reshapeCase struct {
+	comps  [][]BandBlocks
+	layers [][][]int
+	levels int
+	sop    bool
+	modes  t1.Modes
+}
+
+func synthShape(rng *rand.Rand) reshapeCase {
+	w, h := 1+rng.Intn(150), 1+rng.Intn(150)
+	cbw, cbh := 4<<rng.Intn(4), 4<<rng.Intn(4)
+	c := reshapeCase{levels: rng.Intn(4), sop: rng.Intn(2) == 1}
+	if rng.Intn(2) == 1 {
+		c.modes = t1.Modes{TermAll: true}
+	}
+	nlayers := 1 + rng.Intn(3)
+	ncomp := 1 + 2*rng.Intn(2)
+	for ci := 0; ci < ncomp; ci++ {
+		var bands []BandBlocks
+		nblocks := 0
+		for _, b := range dwt.Subbands(w, h, c.levels) {
+			g := MakeGrid(b, cbw, cbh)
+			bb := BandBlocks{Grid: g, Mb: 12, Blocks: make([]*BlockStream, len(g.Rects))}
+			for k := range bb.Blocks {
+				bs := &BlockStream{NumBitplanes: 1 + rng.Intn(11)}
+				r := 0
+				for pi := rng.Intn(8); pi > 0; pi-- {
+					r += 1 + rng.Intn(30)
+					bs.PassRates = append(bs.PassRates, r)
+				}
+				bs.Data = make([]byte, r)
+				rng.Read(bs.Data)
+				bb.Blocks[k] = bs
+			}
+			nblocks += len(g.Rects)
+			bands = append(bands, bb)
+		}
+		cur := make([]int, nblocks)
+		var layers [][]int
+		for li := 0; li < nlayers; li++ {
+			id := 0
+			for _, b := range bands {
+				for _, blk := range b.Blocks {
+					if n := len(blk.PassRates); n > cur[id] && rng.Intn(2) == 1 {
+						cur[id] += rng.Intn(n-cur[id]) + 1
+					}
+					id++
+				}
+			}
+			layers = append(layers, append([]int(nil), cur...))
+		}
+		c.comps = append(c.comps, bands)
+		c.layers = append(c.layers, layers)
+	}
+	return c
+}
+
+// geometry strips the block streams: what a decoder knows of the tile.
+func (c reshapeCase) geometry() [][]BandBlocks {
+	out := make([][]BandBlocks, len(c.comps))
+	for ci, bands := range c.comps {
+		for _, b := range bands {
+			out[ci] = append(out[ci], BandBlocks{Grid: b.Grid, Mb: b.Mb})
+		}
+	}
+	return out
+}
+
+func (c reshapeCase) configure(tc *TileCoder) *TileCoder {
+	tc.SOP, tc.EPH, tc.Modes = c.sop, c.sop, c.modes
+	return tc
+}
+
+// TestTileCoderReshapeMatchesNew: one encoder TileCoder and one decoder
+// TileCoder (with recycled block accumulators), carried through a random
+// sequence of tile shapes — component counts, tile sizes, levels, code-block
+// sizes and layer counts all changing between tiles — emit and parse exactly
+// the packets a fresh NewTileCoderComps of each shape does.
+func TestTileCoderReshapeMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var enc, dec *TileCoder
+	var pooled [][]DecodedBlock
+	for trial := 0; trial < 60; trial++ {
+		c := synthShape(rng)
+		ncomp, nlayers := len(c.comps), len(c.layers[0])
+		if enc == nil {
+			enc, dec = NewTileCoderComps(c.comps), NewTileCoderComps(c.geometry())
+		}
+		want := c.configure(NewTileCoderComps(c.comps)).EncodeTileCompsPackets(c.comps, c.levels, c.layers, nil, nil)
+		got := c.configure(enc).EncodeTileCompsPackets(c.comps, c.levels, c.layers, nil, nil)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: reshaped coder emits %d bytes that differ from a new coder's %d", trial, len(got), len(want))
+		}
+
+		geom := c.geometry()
+		fresh, n, err := c.configure(NewTileCoderComps(geom)).DecodeTileCompsPackets(geom, c.levels, nlayers, want, make([][]DecodedBlock, ncomp))
+		if err != nil || n != len(want) {
+			t.Fatalf("trial %d: new coder decode: %d of %d bytes, %v", trial, n, len(want), err)
+		}
+		for len(pooled) < ncomp {
+			pooled = append(pooled, nil)
+		}
+		decs, n, err := c.configure(dec).DecodeTileCompsPackets(geom, c.levels, nlayers, want, pooled[:ncomp])
+		if err != nil || n != len(want) {
+			t.Fatalf("trial %d: reshaped coder decode: %d of %d bytes, %v", trial, n, len(want), err)
+		}
+		copy(pooled, decs)
+		for ci := range fresh {
+			if len(decs[ci]) != len(fresh[ci]) {
+				t.Fatalf("trial %d comp %d: %d blocks, want %d", trial, ci, len(decs[ci]), len(fresh[ci]))
+			}
+			for id, b := range fresh[ci] {
+				g := decs[ci][id]
+				if g.Passes != b.Passes || g.NumBitplanes != b.NumBitplanes || !bytes.Equal(g.Data, b.Data) ||
+					!equalInts(g.SegmentEnds(c.modes), b.SegmentEnds(c.modes)) {
+					t.Fatalf("trial %d comp %d block %d: reshaped decode %+v, new decode %+v", trial, ci, id, g, b)
+				}
+			}
+		}
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGridReshapeMatchesMakeGrid: a grid reshaped from any earlier band
+// equals MakeGrid of the new band.
+func TestGridReshapeMatchesMakeGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var g Grid
+	for trial := 0; trial < 200; trial++ {
+		b := dwt.Subband{X0: rng.Intn(9), Y0: rng.Intn(9)}
+		b.X1, b.Y1 = b.X0+rng.Intn(140), b.Y0+rng.Intn(140)
+		cbw, cbh := 4<<rng.Intn(4), 4<<rng.Intn(4)
+		g.Reshape(b, cbw, cbh)
+		want := MakeGrid(b, cbw, cbh)
+		if g.Band != want.Band || g.GW != want.GW || g.GH != want.GH || len(g.Rects) != len(want.Rects) {
+			t.Fatalf("trial %d: reshaped %+v, MakeGrid %+v", trial, g, want)
+		}
+		for i := range want.Rects {
+			if g.Rects[i] != want.Rects[i] {
+				t.Fatalf("trial %d rect %d: %+v, want %+v", trial, i, g.Rects[i], want.Rects[i])
+			}
+		}
+	}
+}

@@ -23,63 +23,55 @@ type node struct {
 	parent int // index of parent node, -1 at root
 }
 
-// Tree is a tag tree over an ncols x nrows grid of leaves.
+// Tree is a tag tree over an ncols x nrows grid of leaves. Nodes are stored
+// level by level, leaves first, so the first internal node is at ncols*nrows
+// and the root is last.
 type Tree struct {
 	ncols, nrows int
 	nodes        []node
-	levelBase    []int // index of first node of each level; leaves at level 0
-	levels       int
 	dirty        bool
 }
 
 // New builds a tag tree for the given grid. Leaf values are set with
 // SetValue before encoding; decoders leave them unset.
 func New(ncols, nrows int) *Tree {
-	if ncols <= 0 || nrows <= 0 {
-		panic("tagtree: empty grid")
-	}
-	t := &Tree{ncols: ncols, nrows: nrows}
-	type dim struct{ c, r int }
-	var dims []dim
-	c, r := ncols, nrows
-	for {
-		dims = append(dims, dim{c, r})
-		if c == 1 && r == 1 {
-			break
-		}
-		c = (c + 1) / 2
-		r = (r + 1) / 2
-	}
-	t.levels = len(dims)
-	t.levelBase = make([]int, t.levels)
-	total := 0
-	for k, d := range dims {
-		t.levelBase[k] = total
-		total += d.c * d.r
-	}
-	t.nodes = make([]node, total)
-	for i := range t.nodes {
-		t.nodes[i].parent = -1
-	}
-	for k := 0; k+1 < t.levels; k++ {
-		dc, dr := dims[k].c, dims[k].r
-		pc := dims[k+1].c
-		for y := 0; y < dr; y++ {
-			for x := 0; x < dc; x++ {
-				child := t.levelBase[k] + y*dc + x
-				parent := t.levelBase[k+1] + (y/2)*pc + x/2
-				t.nodes[child].parent = parent
-			}
-		}
-	}
+	t := new(Tree)
+	t.Reshape(ncols, nrows)
 	return t
 }
 
-// Reset clears all coding state and values for reuse.
-func (t *Tree) Reset() {
-	for i := range t.nodes {
-		t.nodes[i] = node{parent: t.nodes[i].parent}
+// Reshape rebuilds t for an ncols x nrows grid with all coding state and
+// values cleared, as New would return it, reusing t's node storage when it is
+// large enough: a pooled tree follows its band's shape without allocating.
+func (t *Tree) Reshape(ncols, nrows int) {
+	if ncols <= 0 || nrows <= 0 {
+		panic("tagtree: empty grid")
 	}
+	t.ncols, t.nrows = ncols, nrows
+	total := 0
+	for c, r := ncols, nrows; ; c, r = (c+1)/2, (r+1)/2 {
+		total += c * r
+		if c == 1 && r == 1 {
+			break
+		}
+	}
+	if cap(t.nodes) < total {
+		t.nodes = make([]node, total)
+	}
+	t.nodes = t.nodes[:total]
+	// Level by level: node (x, y) of a c x r level at base has parent
+	// (x/2, y/2) in the next level, which starts right after this one.
+	base := 0
+	for c, r := ncols, nrows; c*r > 1; c, r = (c+1)/2, (r+1)/2 {
+		next, pc := base+c*r, (c+1)/2
+		for y := 0; y < r; y++ {
+			for x := 0; x < c; x++ {
+				t.nodes[base+y*c+x] = node{parent: next + (y/2)*pc + x/2}
+			}
+		}
+		base = next
+	}
+	t.nodes[total-1] = node{parent: -1}
 	t.dirty = false
 }
 
@@ -99,11 +91,8 @@ func (t *Tree) propagate() {
 		return
 	}
 	t.dirty = false
-	if t.levels == 1 {
-		return
-	}
 	const maxInt = int(^uint(0) >> 1)
-	for i := t.levelBase[1]; i < len(t.nodes); i++ {
+	for i := t.ncols * t.nrows; i < len(t.nodes); i++ {
 		t.nodes[i].value = maxInt
 	}
 	for i := 0; i < len(t.nodes)-1; i++ { // every node except the root

@@ -152,7 +152,7 @@ func TestResetReuse(t *testing.T) {
 			tr.EncodeValue(w1, x, y)
 		}
 	}
-	tr.Reset()
+	tr.Reshape(3, 3)
 	for y := 0; y < 3; y++ {
 		for x := 0; x < 3; x++ {
 			tr.SetValue(x, y, x+y)
@@ -218,5 +218,93 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// codeGrid sets values on enc, runs the tier-2 query pattern (thresholds
+// outer, leaves inner, then EncodeValue for every leaf) and returns the bits;
+// dec then replays the same queries and must recover every value.
+func codeGrid(t *testing.T, enc, dec *Tree, nc, nr int, values []int) []byte {
+	t.Helper()
+	maxv := 0
+	for y := 0; y < nr; y++ {
+		for x := 0; x < nc; x++ {
+			enc.SetValue(x, y, values[y*nc+x])
+			maxv = max(maxv, values[y*nc+x])
+		}
+	}
+	w := bitio.NewWriter()
+	for thr := 1; thr <= maxv/2; thr++ {
+		for y := 0; y < nr; y++ {
+			for x := 0; x < nc; x++ {
+				enc.Encode(w, x, y, thr)
+			}
+		}
+	}
+	for y := 0; y < nr; y++ {
+		for x := 0; x < nc; x++ {
+			enc.EncodeValue(w, x, y)
+		}
+	}
+	bits := w.Bytes()
+	r := bitio.NewReader(bits)
+	for thr := 1; thr <= maxv/2; thr++ {
+		for y := 0; y < nr; y++ {
+			for x := 0; x < nc; x++ {
+				got, err := dec.Decode(r, x, y, thr)
+				if err != nil || got != (values[y*nc+x] < thr) {
+					t.Fatalf("%dx%d (%d,%d) thr %d: got %v, %v", nc, nr, x, y, thr, got, err)
+				}
+			}
+		}
+	}
+	for y := 0; y < nr; y++ {
+		for x := 0; x < nc; x++ {
+			v, err := dec.DecodeValue(r, x, y)
+			if err != nil || v != values[y*nc+x] {
+				t.Fatalf("%dx%d (%d,%d): got %d, %v, want %d", nc, nr, x, y, v, err, values[y*nc+x])
+			}
+		}
+	}
+	return bits
+}
+
+// TestReshapeMatchesNew: one encoder tree and one decoder tree, reshaped
+// through a random sequence of grid shapes (growing, shrinking, degenerate
+// rows and columns, repeats) after coding at each, emit and decode exactly
+// the bits a fresh New tree of each shape does.
+func TestReshapeMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	enc, dec := New(1, 1), New(1, 1)
+	for trial := 0; trial < 200; trial++ {
+		nc, nr := 1+rng.Intn(12), 1+rng.Intn(12)
+		if trial%7 == 0 {
+			nr = 1
+		}
+		values := make([]int, nc*nr)
+		for i := range values {
+			values[i] = rng.Intn(9)
+		}
+		enc.Reshape(nc, nr)
+		dec.Reshape(nc, nr)
+		got := codeGrid(t, enc, dec, nc, nr, values)
+		want := codeGrid(t, New(nc, nr), New(nc, nr), nc, nr, values)
+		if string(got) != string(want) {
+			t.Fatalf("trial %d %dx%d: reshaped tree emits %x, New emits %x", trial, nc, nr, got, want)
+		}
+	}
+}
+
+// TestReshapeAllocs: reshaping to a shape no larger than one the tree has
+// held allocates nothing.
+func TestReshapeAllocs(t *testing.T) {
+	tr := New(16, 16)
+	shapes := [][2]int{{3, 5}, {16, 16}, {1, 1}, {9, 2}, {16, 15}}
+	if n := testing.AllocsPerRun(20, func() {
+		for _, s := range shapes {
+			tr.Reshape(s[0], s[1])
+		}
+	}); n != 0 {
+		t.Fatalf("Reshape allocates %.0f times per cycle, want 0", n)
 	}
 }
