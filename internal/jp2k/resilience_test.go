@@ -256,3 +256,72 @@ func FuzzDecodeResilient(f *testing.F) {
 		Decode(data, DecodeOptions{})
 	})
 }
+
+// TestResilientSOPResyncCounts pins the resilient walk's SOP resync
+// accounting at packet granularity. In a single-layer SOP+EPH stream it
+// zeroes the first header byte of one non-empty packet of one tile, which
+// turns the packet's empty-bit off so its header ends before the real EPH.
+// A packet in the middle of the tile must be skipped by resyncing to the next
+// SOP, {1 bad, 1 resynced, 1 lost}; the tile's last packet has no SOP after
+// it, so the walk abandons it, {1 bad, 0 resynced, 1 lost}. Every other tile
+// must stay undamaged.
+func TestResilientSOPResyncCounts(t *testing.T) {
+	cs, _, err := Encode(raster.Synthetic(96, 96, 11), Options{
+		Kernel: dwt.Rev53, TileW: 48, TileH: 48,
+		Resilience: ResilienceOptions{SOP: true, EPH: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := faultinject.TileBodies(cs)
+	if len(bodies) != 4 {
+		t.Fatalf("%d tile bodies, want 4", len(bodies))
+	}
+	const tile = 2
+	body := bodies[tile]
+	// Packet starts, by their SOP markers (FF91, Lsop = 4).
+	var sops []int
+	for i := body.Off; i+6 <= body.End(); i++ {
+		if cs[i] == 0xFF && cs[i+1] == 0x91 && cs[i+2] == 0 && cs[i+3] == 4 {
+			sops = append(sops, i)
+		}
+	}
+	if len(sops) < 3 || sops[0] != body.Off {
+		t.Fatalf("found %d SOP markers, the first at %d; body starts at %d", len(sops), sops[0], body.Off)
+	}
+	last := len(sops) - 1
+	mid := -1
+	for k := 1; k < last; k++ {
+		if cs[sops[k]+6]&0x80 != 0 { // empty-bit set: a non-empty packet
+			mid = k
+			break
+		}
+	}
+	if mid < 0 || cs[sops[last]+6]&0x80 == 0 {
+		t.Fatalf("tile %d: no non-empty middle packet (%d) or an empty last one", tile, mid)
+	}
+	for _, c := range []struct {
+		name string
+		pk   int
+		want TileDamage
+	}{
+		{"middle", mid, TileDamage{Tile: tile, BadPackets: 1, PacketsResynced: 1, PacketsLost: 1}},
+		{"last", last, TileDamage{Tile: tile, BadPackets: 1, PacketsResynced: 0, PacketsLost: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := append([]byte(nil), cs...)
+			bad[sops[c.pk]+6] = 0
+			dec := NewDecoder()
+			if _, err := dec.Decode(bad, DecodeOptions{Resilient: true}); err != nil {
+				t.Fatalf("resilient decode: %v", err)
+			}
+			tiles := dec.Damage().Tiles
+			if len(tiles) != 1 {
+				t.Fatalf("damage on %d tiles, want only tile %d: %+v", len(tiles), tile, tiles)
+			}
+			if tiles[0] != c.want {
+				t.Fatalf("packet %d zeroed: damage %+v, want %+v", c.pk, tiles[0], c.want)
+			}
+		})
+	}
+}
