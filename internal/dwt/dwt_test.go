@@ -353,20 +353,28 @@ func TestSubbandsOddSizes(t *testing.T) {
 	}
 }
 
-func TestBandsOfResolution(t *testing.T) {
+func TestResolutionBands(t *testing.T) {
 	levels := 3
-	if got := BandsOfResolution(levels, 0); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("r0: %v", got)
-	}
 	bands := Subbands(64, 64, levels)
-	for r := 1; r <= levels; r++ {
-		idx := BandsOfResolution(levels, r)
+	next := 0 // the resolutions partition the bands, in order
+	for r := 0; r <= levels; r++ {
+		lo, hi := ResolutionBands(r)
+		if lo != next || hi <= lo {
+			t.Fatalf("resolution %d: bands [%d, %d), want to start at %d", r, lo, hi, next)
+		}
+		next = hi
 		wantLevel := levels - r + 1
-		for _, i := range idx {
-			if bands[i].Level != wantLevel {
-				t.Fatalf("resolution %d includes band level %d, want %d", r, bands[i].Level, wantLevel)
+		if r == 0 {
+			wantLevel = levels
+		}
+		for _, b := range bands[lo:hi] {
+			if b.Level != wantLevel || (r == 0) != (b.Type == LL) {
+				t.Fatalf("resolution %d includes %v band of level %d, want level %d", r, b.Type, b.Level, wantLevel)
 			}
 		}
+	}
+	if next != len(bands) {
+		t.Fatalf("resolutions cover %d of %d bands", next, len(bands))
 	}
 }
 

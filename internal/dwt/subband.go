@@ -77,12 +77,9 @@ func SubbandsAppend(dst []Subband, w, h, levels int) []Subband {
 	return bands
 }
 
-// BandsOfResolution returns the indices into Subbands(w,h,levels) that belong
-// to resolution r (r = 0 is the LL band alone).
-func BandsOfResolution(levels, r int) []int {
-	if r == 0 {
-		return []int{0}
-	}
-	base := 1 + 3*(r-1)
-	return []int{base, base + 1, base + 2}
+// ResolutionBands returns the half-open range [lo, hi) of indices into
+// Subbands(w, h, levels) that belong to resolution r: the LL band alone for
+// r = 0, else the HL, LH, HH bands of level levels-r+1.
+func ResolutionBands(r int) (lo, hi int) {
+	return max(3*r-2, 0), 3*r + 1
 }

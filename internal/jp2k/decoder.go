@@ -149,25 +149,23 @@ type decJob struct {
 
 // compDec is the pooled per-(tile, component) decode state.
 type compDec struct {
-	bands  []t2.BandBlocks
 	dec    []t2.DecodedBlock
 	slots  []decSlot
 	plane  *raster.Image // 5/3 coefficient plane
 	fplane *dwt.FPlane   // 9/7 coefficient plane
 }
 
-// tileDec is the pooled per-tile decode state: geometry shared across
-// components plus one compDec per component.
+// tileDec is the pooled per-tile decode state: the tile's layout (its size,
+// subbands and per-component band geometry, rebuilt in place by
+// t2.TileLayout.Reshape), its placement in the reduced image, and one compDec
+// per component.
 type tileDec struct {
 	body     []byte // pooled read buffer for the tile-part body
-	w, h     int    // full-resolution tile dims
-	rtw, rth int    // reduced dims
-	ox, oy   int    // origin in the reduced image
-	subbands []dwt.Subband
-	grids    []t2.Grid // per band, shared by the components
+	layout   t2.TileLayout
+	rtw, rth int // reduced dims
+	ox, oy   int // origin in the reduced image
 	comps    []compDec
-	bandsV   [][]t2.BandBlocks // per-component views for the packet walk
-	decV     [][]t2.DecodedBlock
+	decV     [][]t2.DecodedBlock // per-component views for the packet walk
 	tc       *t2.TileCoder
 }
 
@@ -258,7 +256,6 @@ func (d *Decoder) Decode(data []byte, opts DecodeOptions) (*raster.Image, error)
 func (d *Decoder) walkTask(_, si int) {
 	p := &d.cur.p
 	ncomp, nlayers, discard, ntx := d.cur.ncomp, d.cur.nlayers, d.cur.discard, d.cur.ntx
-	nbands := 1 + 3*p.Levels
 	ti := d.sel[si]
 	tx, ty := ti%ntx, ti/ntx
 	te := d.tiles[si]
@@ -284,43 +281,29 @@ func (d *Decoder) walkTask(_, si int) {
 			d.tileIOFail[si] = true
 		}
 	}
-	x0, y0 := tx*p.TileW, ty*p.TileH
-	te.w = min(x0+p.TileW, p.Width) - x0
-	te.h = min(y0+p.TileH, p.Height) - y0
-	te.rtw, te.rth = reduceDim(te.w, discard), reduceDim(te.h, discard)
-	te.ox, te.oy = d.colW[tx], d.rowH[ty]
-
 	// The tile's band and code-block geometry, rebuilt in place: a slot that
 	// served another shape last keeps its storage.
-	te.subbands = dwt.SubbandsAppend(te.subbands[:0], te.w, te.h, p.Levels)
-	te.grids = grow(te.grids, nbands)
-	for bi, b := range te.subbands {
-		te.grids[bi].Reshape(b, p.CBW, p.CBH)
-	}
+	lay := &te.layout
+	lay.Reshape(p, ti)
+	te.rtw, te.rth = reduceDim(lay.W, discard), reduceDim(lay.H, discard)
+	te.ox, te.oy = d.colW[tx], d.rowH[ty]
 	te.comps = grow(te.comps, ncomp)
-	te.bandsV = grow(te.bandsV, ncomp)
 	te.decV = grow(te.decV, ncomp)
-	for ci := 0; ci < ncomp; ci++ {
-		cd := &te.comps[ci]
-		cd.bands = grow(cd.bands, nbands)
-		for bi := range cd.bands {
-			cd.bands[bi] = t2.BandBlocks{Grid: te.grids[bi], Mb: p.Mb[ci][bi]}
-		}
-		te.bandsV[ci] = cd.bands
-		te.decV[ci] = cd.dec
+	for ci := range te.decV {
+		te.decV[ci] = te.comps[ci].dec
 	}
 	if te.tc == nil {
-		te.tc = t2.NewTileCoderComps(te.bandsV[:ncomp])
+		te.tc = t2.NewTileCoderComps(lay.Comps)
 	}
 	te.tc.SOP, te.tc.EPH = p.UseSOP, p.UseEPH
 	te.tc.Modes = d.cur.modes
 	var decV [][]t2.DecodedBlock
 	if d.cur.opts.Resilient {
 		decV, _, d.tileDmg[si] = te.tc.DecodeTileCompsPacketsResilient(
-			te.bandsV[:ncomp], p.Levels, nlayers, data, te.decV[:ncomp])
+			lay.Comps, p.Levels, nlayers, data, te.decV)
 	} else {
 		var err error
-		decV, _, err = te.tc.DecodeTileCompsPackets(te.bandsV[:ncomp], p.Levels, nlayers, data, te.decV[:ncomp])
+		decV, _, err = te.tc.DecodeTileCompsPackets(lay.Comps, p.Levels, nlayers, data, te.decV)
 		if err != nil {
 			d.tileErrs[si] = fmt.Errorf("jp2k: tile %d: %w", ti, err)
 			return
@@ -335,9 +318,9 @@ func (d *Decoder) walkTask(_, si int) {
 		cd.dec = decV[ci]
 		cd.slots = cd.slots[:0]
 		id := 0
-		for bi := range cd.bands {
-			keep := bi == 0 || te.subbands[bi].Level > discard
-			for _, r := range cd.bands[bi].Grid.Rects {
+		for bi, b := range lay.Comps[ci] {
+			keep := bi == 0 || lay.Subbands[bi].Level > discard
+			for _, r := range b.Grid.Rects {
 				if keep {
 					cd.slots = append(cd.slots, decSlot{bi: bi, rect: r, id: id})
 				}
@@ -360,7 +343,7 @@ func (d *Decoder) blockTask(worker, i int) {
 	// resilient mode.
 	in := t1.BlockIn{
 		W: s.rect.X1 - s.rect.X0, H: s.rect.Y1 - s.rect.Y0,
-		Band:         te.subbands[s.bi].Type,
+		Band:         te.layout.Subbands[s.bi].Type,
 		NumBitplanes: blk.NumBitplanes,
 		Data:         blk.Data,
 		NPasses:      blk.Passes,
@@ -396,7 +379,7 @@ func (d *Decoder) asmTask(worker, u int) {
 	if p.Kernel == dwt.Rev53 {
 		cd.plane = reuseImage(cd.plane, te.rtw, te.rth)
 		for _, s := range cd.slots {
-			b := te.subbands[s.bi]
+			b := te.layout.Subbands[s.bi]
 			w := s.rect.X1 - s.rect.X0
 			for y := s.rect.Y0; y < s.rect.Y1; y++ {
 				copy(cd.plane.Pix[(b.Y0+y)*cd.plane.Stride+b.X0+s.rect.X0:(b.Y0+y)*cd.plane.Stride+b.X0+s.rect.X1],
@@ -416,7 +399,7 @@ func (d *Decoder) asmTask(worker, u int) {
 		cd.fplane = reuseFPlane(cd.fplane, te.rtw, te.rth)
 		fp := cd.fplane
 		for _, s := range cd.slots {
-			b := te.subbands[s.bi]
+			b := te.layout.Subbands[s.bi]
 			w := s.rect.X1 - s.rect.X0
 			sub := dwt.Subband{X0: b.X0 + s.rect.X0, Y0: b.Y0 + s.rect.Y0, X1: b.X0 + s.rect.X1, Y1: b.Y0 + s.rect.Y1}
 			quant.Inverse(s.vals, w, sub, p.Steps[ci][s.bi].Value(), fp.Data, fp.Stride, 1)

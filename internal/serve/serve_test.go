@@ -16,8 +16,10 @@ import (
 	"time"
 
 	"pj2k/internal/dwt"
+	"pj2k/internal/faultinject"
 	"pj2k/internal/jp2k"
 	"pj2k/internal/raster"
+	"pj2k/internal/t2"
 )
 
 func testImage() *raster.Image { return raster.Synthetic(230, 190, 99) }
@@ -684,6 +686,56 @@ func TestServerInfoAndErrors(t *testing.T) {
 		if !bytes.Contains(body.Bytes(), []byte(frag)) {
 			t.Errorf("info response missing %s: %s", frag, body.String())
 		}
+	}
+}
+
+// TestInfoFailsOnUnindexableTile: a tile whose packet map cannot be built
+// makes /info a 500, never a 200 whose packet_bytes silently leaves the tile
+// out. A resilient /region over that tile still serves it concealed, without
+// an X-PJ2K-Packet-Bytes header rather than with an under-reported one; a
+// window over healthy tiles keeps the header.
+func TestInfoFailsOnUnindexableTile(t *testing.T) {
+	cs, _, err := jp2k.Encode(testImage(), jp2k.Options{
+		Kernel: dwt.Irr97, LayerBPP: []float64{0.25, 1.0}, TileW: 96, TileH: 80, Levels: 3,
+		Resilience: jp2k.ResilienceOptions{SOP: true, EPH: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Clear the empty-bit of tile 0's first non-empty packet (its first
+	// header byte, after the 6-byte SOP): the header then ends before its
+	// EPH, which the index's strict walk rejects and the resilient decode
+	// resyncs past.
+	body := faultinject.TileBodies(cs)[0]
+	hdr := -1
+	for i := body.Off; i+6 < body.End() && hdr < 0; i++ {
+		if cs[i] == 0xFF && cs[i+1] == 0x91 && cs[i+6]&0x80 != 0 {
+			hdr = i + 6
+		}
+	}
+	if hdr < 0 {
+		t.Fatal("tile 0 has no non-empty packet to damage")
+	}
+	cs[hdr] = 0
+	store := NewStore() // AddSource: packet maps build on first touch
+	if _, err := store.AddSource("bad", t2.BytesSource(cs)); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Options{Resilient: true})
+	defer srv.Close()
+	if rec := get(t, srv, "/img/bad/info"); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("/info over an unindexable tile: %d %q, want 500", rec.Code, rec.Body.String())
+	}
+	rec := get(t, srv, "/img/bad?x0=0&y0=0&x1=96&y1=80&format=raw")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/region over the damaged tile: %d %q", rec.Code, rec.Body.String())
+	}
+	if n, ok := rec.Header()["X-Pj2k-Packet-Bytes"]; ok {
+		t.Fatalf("/region over the damaged tile reports %v packet bytes", n)
+	}
+	rec = get(t, srv, "/img/bad?x0=96&y0=0&x1=192&y1=80&format=raw")
+	if rec.Code != http.StatusOK || rec.Header().Get("X-PJ2K-Packet-Bytes") == "" {
+		t.Fatalf("/region over healthy tiles: %d, X-PJ2K-Packet-Bytes %q", rec.Code, rec.Header().Get("X-PJ2K-Packet-Bytes"))
 	}
 }
 

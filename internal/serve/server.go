@@ -468,6 +468,13 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	for i := range all {
 		all[i] = i
 	}
+	// A tile that cannot be indexed is a 500, as on /stream, not a 200 with
+	// a short packet_bytes.
+	packetBytes, err := img.Index.RegionBytes(all, 0, 0)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	kernel := "9x7"
 	if p.Kernel == dwt.Rev53 {
 		kernel = "5x3"
@@ -477,7 +484,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		TileW: p.TileW, TileH: p.TileH, Tiles: img.Index.NumTiles(),
 		Components: p.Components(), MCT: p.MCT,
 		Levels: p.Levels, Layers: p.Layers, BitDepth: p.BitDepth,
-		Kernel: kernel, Bytes: int(img.Size()), PacketBytes: img.Index.RegionBytes(all, 0, 0),
+		Kernel: kernel, Bytes: int(img.Size()), PacketBytes: packetBytes,
 	}
 	for d := 0; d <= p.Levels; d++ {
 		colW, rowH := img.Grid(d)

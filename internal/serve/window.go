@@ -90,8 +90,11 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 	h := w.Header()
 	// The packet-byte cost of this window per the index (all components):
 	// what a byte-range transport (JPIP-style) would have shipped instead of
-	// pixels.
-	h.Set("X-PJ2K-Packet-Bytes", strconv.Itoa(img.Index.RegionBytes(tiles, req.discard, req.layers)))
+	// pixels. A tile whose packet map fails (served concealed) leaves the
+	// header out rather than under-reporting it.
+	if n, err := img.Index.RegionBytes(tiles, req.discard, req.layers); err == nil {
+		h.Set("X-PJ2K-Packet-Bytes", strconv.Itoa(n))
+	}
 	h.Set("Content-Type", contentType(req.format))
 	if req.format == "raw" {
 		// Headerless samples in planar component order: 1 byte/sample when

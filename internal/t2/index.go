@@ -17,26 +17,25 @@ type Span struct {
 // End returns the offset one past the span.
 func (s Span) End() int { return s.Off + s.Len }
 
-// TileIndex locates every packet of one tile: Packets[component][layer]
-// [resolution] is the packet's byte range within the tile-part body (the
-// tile's entry in Index.Spans). It holds no body bytes. Packets are
-// contiguous in LRCP order (layer outer, resolution middle, component inner),
-// so the body prefix through any layer is a single range starting at offset 0.
+// TileIndex locates every packet of one tile: Packets[pos] is the byte range,
+// within the tile-part body (the tile's entry in Index.Spans), of the packet
+// at stream position pos — lrcp names which packet that is. It holds no body
+// bytes. The packets are contiguous in stream order, so the body prefix
+// through any layer is a single range starting at offset 0.
 type TileIndex struct {
-	Packets [][][]Span
+	Packets []Span
 }
 
-// layerPrefixLen returns the length of the body prefix carrying the first
-// `layers` quality layers — the embedded-stream property LRCP ordering
-// guarantees: fewer layers are always a contiguous prefix.
-func (t *TileIndex) layerPrefixLen(layers int) int {
+// layerPrefixLen returns the length of tile t's body prefix carrying the
+// first `layers` quality layers — the embedded-stream property LRCP ordering
+// guarantees: fewer layers are always a contiguous prefix. lrcp is
+// layer-major, so the prefix ends with the packet at position
+// layers·(levels+1)·components − 1.
+func (ix *Index) layerPrefixLen(t *TileIndex, layers int) int {
 	if layers <= 0 {
 		return 0
 	}
-	// The last packet of a layer belongs to the last component's highest
-	// resolution (component is the innermost LRCP loop).
-	last := t.Packets[len(t.Packets)-1][layers-1]
-	return last[len(last)-1].End()
+	return t.Packets[layers*(ix.Params.Levels+1)*ix.Params.Components()-1].End()
 }
 
 // lazyTile is one tile's once-built packet map. A successful build and a
@@ -153,38 +152,54 @@ func (ix *Index) Tile(ti int) (*TileIndex, error) {
 	return &lt.ti, nil
 }
 
+// TileLayout is one tile's geometry as a decode derives it from Params: the
+// tile's full-resolution size, its subbands (dwt.Subbands order) and, per
+// component, the bands' code-block grids and Mb — the shape the packet walk
+// and tier-1 read. The components share one grid per band.
+type TileLayout struct {
+	W, H     int
+	Subbands []dwt.Subband
+	Comps    [][]BandBlocks
+}
+
+// Reshape rebuilds l for tile ti of the stream p describes, into l's own
+// storage: a layout that has held a shape at least as large allocates nothing.
+func (l *TileLayout) Reshape(p *Params, ti int) {
+	ntx, _ := p.NumTiles()
+	x0, y0 := ti%ntx*p.TileW, ti/ntx*p.TileH
+	l.W, l.H = min(x0+p.TileW, p.Width)-x0, min(y0+p.TileH, p.Height)-y0
+	l.Subbands = dwt.SubbandsAppend(l.Subbands[:0], l.W, l.H, p.Levels)
+	l.Comps = grow(l.Comps, p.Components())
+	for ci := range l.Comps {
+		l.Comps[ci] = grow(l.Comps[ci], len(l.Subbands))
+	}
+	for bi, b := range l.Subbands {
+		g := &l.Comps[0][bi].Grid
+		g.Reshape(b, p.CBW, p.CBH)
+		for ci, bands := range l.Comps {
+			bands[bi] = BandBlocks{Grid: *g, Mb: p.Mb[ci][bi]}
+		}
+	}
+}
+
 // buildTile reads one tile-part body into a temporary buffer and walks its
 // packet headers into a TileIndex; the body is dropped when the walk is done.
 // All state is local, so concurrent builds of different tiles never share
 // coder scratch.
 func (ix *Index) buildTile(ti int) (TileIndex, error) {
-	p := ix.Params
+	p := &ix.Params
 	sp := ix.spans[ti]
-	nc := p.Components()
-	nbands := 1 + 3*p.Levels
-	ntx, _ := p.NumTiles()
-	tx, ty := ti%ntx, ti/ntx
-	x0, y0 := tx*p.TileW, ty*p.TileH
-	tw := min(x0+p.TileW, p.Width) - x0
-	th := min(y0+p.TileH, p.Height) - y0
-	comps := make([][]BandBlocks, nc)
-	for ci := range comps {
-		comps[ci] = make([]BandBlocks, nbands)
-	}
-	for bi, b := range dwt.Subbands(tw, th, p.Levels) {
-		g := MakeGrid(b, p.CBW, p.CBH)
-		for ci := 0; ci < nc; ci++ {
-			comps[ci][bi] = BandBlocks{Grid: g, Mb: p.Mb[ci][bi]}
-		}
-	}
-	tc := NewTileCoderComps(comps)
+	var l TileLayout
+	l.Reshape(p, ti)
+	tc := NewTileCoderComps(l.Comps)
 	tc.SOP, tc.EPH = p.UseSOP, p.UseEPH
 	tc.Modes = p.CoderModes()
 	// Every packet costs at least one body byte (the empty-bit header), so
 	// the declared layer/level/component counts bound the body size. Checking
 	// before allocating keeps a tiny corrupt stream from demanding gigabytes
 	// of span bookkeeping.
-	if npackets := nc * p.Layers * (p.Levels + 1); int64(npackets) > sp.Len {
+	npackets := p.Layers * (p.Levels + 1) * len(l.Comps)
+	if int64(npackets) > sp.Len {
 		return TileIndex{}, fmt.Errorf("t2: tile %d declares %d packets but carries %d bytes",
 			ti, npackets, sp.Len)
 	}
@@ -192,15 +207,9 @@ func (ix *Index) buildTile(ti int) (TileIndex, error) {
 	if _, err := ix.src.ReadAt(body, sp.Off); err != nil {
 		return TileIndex{}, fmt.Errorf("t2: tile %d body: %w", ti, err)
 	}
-	packets := make([][][]Span, nc)
-	for ci := range packets {
-		packets[ci] = make([][]Span, p.Layers)
-		for li := range packets[ci] {
-			packets[ci][li] = make([]Span, p.Levels+1)
-		}
-	}
-	dec := make([][]DecodedBlock, nc)
-	if _, _, _, err := tc.walkPackets(comps, p.Levels, p.Layers, body, dec, false, packets); err != nil {
+	packets := make([]Span, npackets)
+	dec := make([][]DecodedBlock, len(l.Comps))
+	if _, _, _, err := tc.walkPackets(l.Comps, p.Levels, p.Layers, body, dec, false, packets); err != nil {
 		return TileIndex{}, fmt.Errorf("t2: tile %d: %w", ti, err)
 	}
 	return TileIndex{Packets: packets}, nil
@@ -209,11 +218,11 @@ func (ix *Index) buildTile(ti int) (TileIndex, error) {
 // RegionBytes sums the packet bytes a decode of the given tiles at the given
 // discard-levels/layer limit must touch, across every component — the payload
 // cost of a window request, before any caching. discard and layers are
-// clamped to the stream. Only the listed tiles are forced; a tile whose
-// packet walk fails contributes zero (the serving path surfaces the error
-// when the tile is actually decoded).
-func (ix *Index) RegionBytes(tiles []int, discard, layers int) int {
-	p := ix.Params
+// clamped to the stream. Only the listed tiles are forced; the first tile
+// whose packet map cannot be built fails the call, so a caller never reports
+// a silently short count.
+func (ix *Index) RegionBytes(tiles []int, discard, layers int) (int, error) {
+	p := &ix.Params
 	if discard < 0 {
 		discard = 0
 	}
@@ -223,22 +232,27 @@ func (ix *Index) RegionBytes(tiles []int, discard, layers int) int {
 	if layers <= 0 || layers > p.Layers {
 		layers = p.Layers
 	}
-	maxRes := p.Levels - discard
+	// The kept positions of the layer prefix are the same in every tile:
+	// name them once, not once per tile.
+	var buf [64]bool
+	keep := buf[:0]
+	nc := p.Components()
+	for pos := range layers * (p.Levels + 1) * nc {
+		keep = append(keep, lrcp(pos, p.Levels, nc).res <= p.Levels-discard)
+	}
 	total := 0
 	for _, ti := range tiles {
 		t, err := ix.Tile(ti)
 		if err != nil {
-			continue
+			return 0, err
 		}
-		for _, comp := range t.Packets {
-			for li := 0; li < layers; li++ {
-				for r := 0; r <= maxRes; r++ {
-					total += comp[li][r].Len
-				}
+		for pos, k := range keep {
+			if k {
+				total += t.Packets[pos].Len
 			}
 		}
 	}
-	return total
+	return total, nil
 }
 
 // sotLen is the length of the tile-part header appendSOT writes: the SOT
@@ -258,7 +272,7 @@ func (ix *Index) PrefixSize(maxLayers int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		n += sotLen + int64(t.layerPrefixLen(hp.Layers))
+		n += sotLen + int64(ix.layerPrefixLen(t, hp.Layers))
 	}
 	return n, nil
 }
@@ -287,7 +301,7 @@ func (ix *Index) WritePrefix(w io.Writer, maxLayers int) (int64, error) {
 		if err != nil {
 			return written, err
 		}
-		pl := t.layerPrefixLen(hp.Layers)
+		pl := ix.layerPrefixLen(t, hp.Layers)
 		buf = slices.Grow(appendSOT(buf[:0], ti, pl), pl)[:sotLen+pl]
 		if _, err := ix.src.ReadAt(buf[sotLen:], sp.Off); err != nil {
 			return written, fmt.Errorf("t2: tile %d body: %w", ti, err)

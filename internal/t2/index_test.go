@@ -46,7 +46,7 @@ func indexCases() []jp2k.Options {
 }
 
 // TestIndexSpansPartitionTileBodies asserts the fundamental index invariant:
-// per tile, the located packets are contiguous in LRCP order and exactly
+// per tile, the located packets are contiguous in stream order and exactly
 // partition the tile-part body — no gap, no overlap, no trailing bytes.
 func TestIndexSpansPartitionTileBodies(t *testing.T) {
 	for ci, o := range indexCases() {
@@ -66,40 +66,53 @@ func TestIndexSpansPartitionTileBodies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("case %d tile %d: %v", ci, ti, err)
 			}
-			if len(tile.Packets) != nc {
-				t.Fatalf("case %d tile %d: %d components indexed, want %d", ci, ti, len(tile.Packets), nc)
+			if want := nc * p.Layers * (p.Levels + 1); len(tile.Packets) != want {
+				t.Fatalf("case %d tile %d: %d packets indexed, want %d", ci, ti, len(tile.Packets), want)
 			}
-			for cc, comp := range tile.Packets {
-				if len(comp) != p.Layers {
-					t.Fatalf("case %d tile %d comp %d: %d layers indexed, want %d", ci, ti, cc, len(comp), p.Layers)
-				}
-				for li, spans := range comp {
-					if len(spans) != p.Levels+1 {
-						t.Fatalf("case %d tile %d comp %d layer %d: %d resolutions, want %d",
-							ci, ti, cc, li, len(spans), p.Levels+1)
-					}
-				}
-			}
-			// Walk the body in LRCP order (layer, resolution, component):
-			// packets must be contiguous and exactly partition the body.
+			// Walk the body in stream order: packets must be contiguous and
+			// exactly partition the body.
 			pos := 0
-			for li := 0; li < p.Layers; li++ {
-				for r := 0; r <= p.Levels; r++ {
-					for cc := 0; cc < nc; cc++ {
-						s := tile.Packets[cc][li][r]
-						if s.Off != pos {
-							t.Fatalf("case %d tile %d layer %d res %d comp %d: off %d, want %d",
-								ci, ti, li, r, cc, s.Off, pos)
-						}
-						if s.Len < 0 {
-							t.Fatalf("case %d tile %d layer %d res %d comp %d: negative length", ci, ti, li, r, cc)
-						}
-						pos = s.End()
-					}
+			for pk, s := range tile.Packets {
+				if s.Off != pos {
+					t.Fatalf("case %d tile %d packet %d: off %d, want %d", ci, ti, pk, s.Off, pos)
 				}
+				if s.Len < 0 {
+					t.Fatalf("case %d tile %d packet %d: negative length", ci, ti, pk)
+				}
+				pos = s.End()
 			}
 			if body := ix.Spans()[ti].Len; int64(pos) != body {
 				t.Fatalf("case %d tile %d: packets cover %d of %d body bytes", ci, ti, pos, body)
+			}
+		}
+	}
+}
+
+// TestIndexPositionsMatchSOP checks that the encoder and the index agree on
+// stream positions by reading the bytes: in the SOP+EPH indexCases stream,
+// every Packets[pos] starts with an SOP marker whose Nsop is pos mod 2^16.
+func TestIndexPositionsMatchSOP(t *testing.T) {
+	o := indexCases()[3]
+	if !o.Resilience.SOP {
+		t.Fatal("indexCases()[3] no longer carries SOP markers")
+	}
+	cs := encodeTestStream(t, o)
+	ix, err := t2.BuildIndex(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti, sp := range ix.Spans() {
+		tile, err := ix.Tile(ti)
+		if err != nil {
+			t.Fatalf("tile %d: %v", ti, err)
+		}
+		for pos, s := range tile.Packets {
+			b := cs[sp.Off+int64(s.Off):]
+			if s.Len < 6 || b[0] != 0xFF || b[1] != 0x91 || b[2] != 0 || b[3] != 4 {
+				t.Fatalf("tile %d packet %d: no SOP at its start (% x)", ti, pos, b[:min(len(b), 6)])
+			}
+			if nsop := int(b[4])<<8 | int(b[5]); nsop != pos&0xFFFF {
+				t.Fatalf("tile %d packet %d: Nsop %d", ti, pos, nsop)
 			}
 		}
 	}
@@ -241,8 +254,7 @@ func TestPrefixSize(t *testing.T) {
 // TestIndexByteAccounting checks RegionBytes consistency and monotonicity:
 // more layers or more resolutions never cost fewer bytes, the full request
 // equals the whole stream's tile-part bodies, and each tile's last packet
-// (last layer, last component, highest resolution) ends exactly at its body's
-// end.
+// ends exactly at its body's end.
 func TestIndexByteAccounting(t *testing.T) {
 	cs := encodeTestStream(t, jp2k.Options{
 		Kernel: dwt.Irr97, LayerBPP: []float64{0.25, 1.0}, TileW: 64, TileH: 96, Levels: 3,
@@ -255,12 +267,15 @@ func TestIndexByteAccounting(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	if got, want := ix.RegionBytes(all, 0, 0), bodyBytes(ix); got != want {
-		t.Fatalf("full region costs %d bytes, stream carries %d", got, want)
+	if got, err := ix.RegionBytes(all, 0, 0); err != nil || got != bodyBytes(ix) {
+		t.Fatalf("full region costs %d bytes (%v), stream carries %d", got, err, bodyBytes(ix))
 	}
 	prev := -1
 	for layers := 1; layers <= ix.Params.Layers; layers++ {
-		n := ix.RegionBytes(all, 0, layers)
+		n, err := ix.RegionBytes(all, 0, layers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if n < prev {
 			t.Fatalf("layers=%d: %d bytes < layers=%d's %d", layers, n, layers-1, prev)
 		}
@@ -268,7 +283,10 @@ func TestIndexByteAccounting(t *testing.T) {
 	}
 	prev = 1 << 62
 	for discard := 0; discard <= ix.Params.Levels; discard++ {
-		n := ix.RegionBytes(all, discard, 0)
+		n, err := ix.RegionBytes(all, discard, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if n > prev {
 			t.Fatalf("discard=%d: %d bytes > discard=%d's %d", discard, n, discard-1, prev)
 		}
@@ -279,15 +297,15 @@ func TestIndexByteAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tile %d: %v", ti, err)
 		}
-		last := tile.Packets[len(tile.Packets)-1][ix.Params.Layers-1]
-		if got, want := int64(last[len(last)-1].End()), ix.Spans()[ti].Len; got != want {
+		last := tile.Packets[len(tile.Packets)-1]
+		if got, want := int64(last.End()), ix.Spans()[ti].Len; got != want {
 			t.Fatalf("tile %d: full layer prefix %d != body %d", ti, got, want)
 		}
 	}
 }
 
 // TestIndexColorStream runs the span-partition and layer-truncation
-// invariants over a Csiz=3 MCT stream: spans are keyed tile x component x
+// invariants over a Csiz=3 MCT stream: every tile holds a span per component x
 // layer x resolution, RegionBytes sums every component, and the truncated
 // color stream decodes identically to MaxLayers.
 func TestIndexColorStream(t *testing.T) {
@@ -307,23 +325,21 @@ func TestIndexColorStream(t *testing.T) {
 	if p.Components() != 3 || !p.MCT {
 		t.Fatalf("indexed params: %d components, MCT %v", p.Components(), p.MCT)
 	}
-	// Spans partition each body in LRCP order across the three components.
+	// Spans partition each body in stream order across the three components.
 	for ti := 0; ti < ix.NumTiles(); ti++ {
 		tile, err := ix.Tile(ti)
 		if err != nil {
 			t.Fatalf("tile %d: %v", ti, err)
 		}
+		if want := 3 * p.Layers * (p.Levels + 1); len(tile.Packets) != want {
+			t.Fatalf("tile %d: %d packets indexed, want %d", ti, len(tile.Packets), want)
+		}
 		pos := 0
-		for li := 0; li < p.Layers; li++ {
-			for r := 0; r <= p.Levels; r++ {
-				for ci := 0; ci < 3; ci++ {
-					s := tile.Packets[ci][li][r]
-					if s.Off != pos {
-						t.Fatalf("tile %d layer %d res %d comp %d: off %d want %d", ti, li, r, ci, s.Off, pos)
-					}
-					pos = s.End()
-				}
+		for pk, s := range tile.Packets {
+			if s.Off != pos {
+				t.Fatalf("tile %d packet %d: off %d want %d", ti, pk, s.Off, pos)
 			}
+			pos = s.End()
 		}
 		if body := ix.Spans()[ti].Len; int64(pos) != body {
 			t.Fatalf("tile %d: packets cover %d of %d body bytes", ti, pos, body)
@@ -333,8 +349,8 @@ func TestIndexColorStream(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	if got, want := ix.RegionBytes(all, 0, 0), bodyBytes(ix); got != want {
-		t.Fatalf("full region costs %d bytes, stream carries %d", got, want)
+	if got, err := ix.RegionBytes(all, 0, 0); err != nil || got != bodyBytes(ix) {
+		t.Fatalf("full region costs %d bytes (%v), stream carries %d", got, err, bodyBytes(ix))
 	}
 	// Layer truncation: the re-emitted 1-layer color stream decodes exactly
 	// as MaxLayers=1.

@@ -276,17 +276,16 @@ func (tc *TileCoder) seedInclusion(ci int, bands []BandBlocks, layers [][]int) {
 	}
 }
 
-// encodePacket appends component ci's packet for (layer, resolution) to dst.
-// bandIdx lists the subband indices of this resolution; target holds
-// cumulative pass counts per component-local block id through this layer.
-// The header writer and body buffer are reused across packets.
-func (tc *TileCoder) encodePacket(ci int, dst []byte, bands []BandBlocks, bandIdx []int,
-	layer int, target []int) []byte {
-
-	cc := &tc.comps[ci]
+// encodePacket appends packet id to dst. bands are the packet's component's
+// bands; target holds that component's cumulative pass counts per
+// component-local block id through id.layer. The header writer and body
+// buffer are reused across packets.
+func (tc *TileCoder) encodePacket(id packetID, dst []byte, bands []BandBlocks, target []int) []byte {
+	cc := &tc.comps[id.comp]
+	lo, hi := dwt.ResolutionBands(id.res)
 	nonEmpty := false
 	if target != nil {
-		for _, bi := range bandIdx {
+		for bi := lo; bi < hi; bi++ {
 			st := &cc.states[bi]
 			for k := range st.passesCum {
 				if target[cc.blockBase[bi]+k] > st.passesCum[k] {
@@ -307,19 +306,19 @@ func (tc *TileCoder) encodePacket(ci int, dst []byte, bands []BandBlocks, bandId
 	}
 	w.WriteBit(1)
 	body := tc.body[:0]
-	for _, bi := range bandIdx {
+	for bi := lo; bi < hi; bi++ {
 		b := bands[bi]
 		st := &cc.states[bi]
 		for k := range st.passesCum {
 			blk := b.Blocks[k]
-			id := cc.blockBase[bi] + k
+			bid := cc.blockBase[bi] + k
 			gx, gy := k%b.Grid.GW, k/b.Grid.GW
 			cum := st.passesCum[k]
-			newPasses := target[id] - cum
+			newPasses := target[bid] - cum
 			if !st.included[k] {
 				// Tag-tree inclusion: decoder learns whether the block's
 				// first layer is <= this layer.
-				st.incl.Encode(w, gx, gy, layer+1)
+				st.incl.Encode(w, gx, gy, id.layer+1)
 				if newPasses <= 0 {
 					continue
 				}
@@ -337,46 +336,33 @@ func (tc *TileCoder) encodePacket(ci int, dst []byte, bands []BandBlocks, bandId
 			if cum > 0 {
 				start = blk.PassRates[cum-1]
 			}
-			end := blk.PassRates[cum+newPasses-1]
-			if m := tc.Modes; m.Terminated() {
-				// Terminating modes: one signalled length per codeword
-				// segment. The Lblock raise is shared — a single 1-bit run
-				// covering the worst segment — then each segment's length is
-				// written with Lblock + floor(log2(its pass count)) bits.
-				segs := m.AppendSegEnds(tc.segs[:0], cum, cum+newPasses)
-				tc.segs = segs
-				need := 0
-				prev, segStart := cum, start
-				for _, e := range segs {
-					if d := bitLen(blk.PassRates[e-1]-segStart) - floorLog2(e-prev); d > need {
-						need = d
-					}
-					prev, segStart = e, blk.PassRates[e-1]
+			// One signalled length per codeword segment (a single segment
+			// unless the coder modes terminate passes). The Lblock raise is
+			// shared — a single 1-bit run covering the worst segment — then
+			// each segment's length is written with Lblock + floor(log2(its
+			// pass count)) bits.
+			segs := tc.Modes.AppendSegEnds(tc.segs[:0], cum, cum+newPasses)
+			tc.segs = segs
+			need := 0
+			prev, segStart := cum, start
+			for _, e := range segs {
+				if d := bitLen(blk.PassRates[e-1]-segStart) - floorLog2(e-prev); d > need {
+					need = d
 				}
-				for st.lblock[k] < need {
-					w.WriteBit(1)
-					st.lblock[k]++
-				}
-				w.WriteBit(0)
-				prev, segStart = cum, start
-				for _, e := range segs {
-					w.WriteBits(uint32(blk.PassRates[e-1]-segStart), st.lblock[k]+floorLog2(e-prev))
-					prev, segStart = e, blk.PassRates[e-1]
-				}
-			} else {
-				segLen := end - start
-				needed := bitLen(segLen)
-				avail := st.lblock[k] + floorLog2(newPasses)
-				for needed > avail {
-					w.WriteBit(1)
-					st.lblock[k]++
-					avail++
-				}
-				w.WriteBit(0)
-				w.WriteBits(uint32(segLen), avail)
+				prev, segStart = e, blk.PassRates[e-1]
 			}
-			body = append(body, blk.Data[start:end]...)
-			st.passesCum[k] = target[id]
+			for st.lblock[k] < need {
+				w.WriteBit(1)
+				st.lblock[k]++
+			}
+			w.WriteBit(0)
+			prev, segStart = cum, start
+			for _, e := range segs {
+				w.WriteBits(uint32(blk.PassRates[e-1]-segStart), st.lblock[k]+floorLog2(e-prev))
+				prev, segStart = e, blk.PassRates[e-1]
+			}
+			body = append(body, blk.Data[start:blk.PassRates[cum+newPasses-1]]...)
+			st.passesCum[k] = target[bid]
 		}
 	}
 	tc.body = body // keep the grown capacity for the next packet
@@ -415,11 +401,27 @@ func (b *DecodedBlock) SegmentEnds(m t1.Modes) []int {
 	return append(b.SegEnds, len(b.Data))
 }
 
-// EncodeTileCompsPackets assembles all packets of one tile in LRCP order:
-// layer outer, resolution middle, component inner (single precinct) — the
-// standard's layer-resolution-component-position progression. The coder is
-// reset first and the packets are appended to dst (which may be a recycled
-// buffer sliced to length 0). layers[ci][li] holds component ci's cumulative
+// packetID names one packet of a tile: its quality layer, resolution and
+// component (one precinct per resolution, so no fourth key).
+type packetID struct {
+	layer, res, comp int
+}
+
+// lrcp returns the packet at stream position pos of a tile with levels
+// decomposition levels and ncomp components, in the standard's
+// layer-resolution-component-position progression: layer outer, resolution
+// middle, component inner. It is the only place the progression order is
+// written — the encoder, the decode walk and the Index all read it — and pos
+// is also the packet's SOP sequence number (mod 2^16). Another progression
+// order is another function of this shape.
+func lrcp(pos, levels, ncomp int) packetID {
+	perLayer := (levels + 1) * ncomp
+	return packetID{layer: pos / perLayer, res: pos % perLayer / ncomp, comp: pos % ncomp}
+}
+
+// EncodeTileCompsPackets assembles all packets of one tile in lrcp order, one
+// packet per stream position. The coder is reset first and the packets are
+// appended to dst (which may be a recycled buffer sliced to length 0). layers[ci][li] holds component ci's cumulative
 // pass counts per component-local block id through layer li; ids enumerate
 // bands in dwt.Subbands order, blocks raster-scan within a band. When
 // compBytes is non-nil it accumulates the packet bytes emitted per component
@@ -435,29 +437,23 @@ func (tc *TileCoder) EncodeTileCompsPackets(comps [][]BandBlocks, levels int,
 			nlayers = len(layers[ci])
 		}
 	}
-	pk := 0 // flat LRCP packet index; Nsop carries its low 16 bits
-	for li := 0; li < nlayers; li++ {
-		for r := 0; r <= levels; r++ {
-			bandIdx := dwt.BandsOfResolution(levels, r)
-			for ci := range comps {
-				// A component with fewer layers than the progression still
-				// contributes one (empty) packet per remaining layer: its
-				// last cumulative targets carry no new passes (nil for a
-				// component with no layers at all).
-				var target []int
-				if n := len(layers[ci]); n > 0 {
-					target = layers[ci][min(li, n-1)]
-				}
-				before := len(dst)
-				if tc.SOP {
-					dst = append(dst, 0xFF, byte(mSOP&0xFF), 0, 4, byte(pk>>8), byte(pk))
-				}
-				dst = tc.encodePacket(ci, dst, comps[ci], bandIdx, li, target)
-				if compBytes != nil {
-					compBytes[ci] += len(dst) - before
-				}
-				pk++
-			}
+	for pos := range nlayers * (levels + 1) * len(comps) {
+		id := lrcp(pos, levels, len(comps))
+		// A component with fewer layers than the progression still
+		// contributes one (empty) packet per remaining layer: its last
+		// cumulative targets carry no new passes (nil for a component with
+		// no layers at all).
+		var target []int
+		if n := len(layers[id.comp]); n > 0 {
+			target = layers[id.comp][min(id.layer, n-1)]
+		}
+		before := len(dst)
+		if tc.SOP { // Nsop carries the position's low 16 bits
+			dst = append(dst, 0xFF, byte(mSOP&0xFF), 0, 4, byte(pos>>8), byte(pos))
+		}
+		dst = tc.encodePacket(id, dst, comps[id.comp], target)
+		if compBytes != nil {
+			compBytes[id.comp] += len(dst) - before
 		}
 	}
 	return dst
@@ -485,7 +481,7 @@ func resetDec(dec []DecodedBlock, n int) []DecodedBlock {
 }
 
 // DecodeTileCompsPackets parses nlayers * (levels+1) * len(comps) packets in
-// the LRCP interleaving EncodeTileCompsPackets emits. comps carries the grid
+// the lrcp order EncodeTileCompsPackets emits. comps carries the grid
 // geometry and Mb per band (Blocks entries are ignored). The coder is reset
 // over that geometry and dec[ci] (which may be recycled from a previous tile,
 // or nil) is regrown to component ci's block count with each block's Data
@@ -517,14 +513,14 @@ type pendingSeg struct {
 	closed bool // the segment's last pass terminated it (terminating modes)
 }
 
-// decodePacket parses component ci's packet for (layer, resolution),
-// appending segment bytes and pass counts to dec (indexed by component-local
-// block id). NumBitplanes of first-included blocks is stored into dec. With
+// decodePacket parses packet id, appending segment bytes and pass counts to
+// dec (its component's blocks, indexed by component-local block id).
+// NumBitplanes of first-included blocks is stored into dec. With
 // copyBody false the body bytes are skipped rather than accumulated — the
 // header-only walk the codestream Index uses to locate packet boundaries
 // without touching block payloads. Returns the bytes consumed.
-func (tc *TileCoder) decodePacket(ci int, bands []BandBlocks, bandIdx []int,
-	layer int, data []byte, dec []DecodedBlock, copyBody bool) (int, error) {
+func (tc *TileCoder) decodePacket(id packetID, bands []BandBlocks, data []byte,
+	dec []DecodedBlock, copyBody bool) (int, error) {
 
 	skip := 0
 	if tc.SOP {
@@ -537,7 +533,7 @@ func (tc *TileCoder) decodePacket(ci int, bands []BandBlocks, bandIdx []int,
 		skip = 6
 		data = data[skip:]
 	}
-	cc := &tc.comps[ci]
+	cc := &tc.comps[id.comp]
 	r := &tc.hr
 	r.Reset(data)
 	bit, err := r.ReadBit()
@@ -555,14 +551,15 @@ func (tc *TileCoder) decodePacket(ci int, bands []BandBlocks, bandIdx []int,
 		return skip + pos, nil
 	}
 	body := tc.pend[:0]
-	for _, bi := range bandIdx {
+	lo, hi := dwt.ResolutionBands(id.res)
+	for bi := lo; bi < hi; bi++ {
 		b := bands[bi]
 		st := &cc.states[bi]
 		for k := range st.passesCum {
-			id := cc.blockBase[bi] + k
+			bid := cc.blockBase[bi] + k
 			gx, gy := k%b.Grid.GW, k/b.Grid.GW
 			if !st.included[k] {
-				inc, err := st.incl.Decode(r, gx, gy, layer+1)
+				inc, err := st.incl.Decode(r, gx, gy, id.layer+1)
 				if err != nil {
 					return 0, err
 				}
@@ -573,7 +570,7 @@ func (tc *TileCoder) decodePacket(ci int, bands []BandBlocks, bandIdx []int,
 				if err != nil {
 					return 0, err
 				}
-				dec[id].NumBitplanes = b.Mb - zbp
+				dec[bid].NumBitplanes = b.Mb - zbp
 				st.included[k] = true
 			} else {
 				bit, err := r.ReadBit()
@@ -599,28 +596,21 @@ func (tc *TileCoder) decodePacket(ci int, bands []BandBlocks, bandIdx []int,
 				}
 				*lb++
 			}
-			if m := tc.Modes; m.Terminated() {
-				// One signalled length per codeword segment; commit each as
-				// its own body segment so pass accounting and segment layout
-				// stay consistent under mid-packet damage.
-				segs := m.AppendSegEnds(tc.segs[:0], st.passesCum[k], st.passesCum[k]+np)
-				tc.segs = segs
-				prev := st.passesCum[k]
-				for _, e := range segs {
-					segLen, err := r.ReadBits(*lb + floorLog2(e-prev))
-					if err != nil {
-						return 0, err
-					}
-					body = append(body, pendingSeg{id: id, segLen: int(segLen), np: e - prev,
-						st: st, k: k, closed: m.TermPass(e - 1)})
-					prev = e
-				}
-			} else {
-				segLen, err := r.ReadBits(*lb + floorLog2(np))
+			// One signalled length per codeword segment; commit each as its
+			// own body segment so pass accounting and segment layout stay
+			// consistent under mid-packet damage.
+			m := tc.Modes
+			segs := m.AppendSegEnds(tc.segs[:0], st.passesCum[k], st.passesCum[k]+np)
+			tc.segs = segs
+			prev := st.passesCum[k]
+			for _, e := range segs {
+				segLen, err := r.ReadBits(*lb + floorLog2(e-prev))
 				if err != nil {
 					return 0, err
 				}
-				body = append(body, pendingSeg{id: id, segLen: int(segLen), np: np, st: st, k: k})
+				body = append(body, pendingSeg{id: bid, segLen: int(segLen), np: e - prev,
+					st: st, k: k, closed: m.TermPass(e - 1)})
+				prev = e
 			}
 		}
 	}
@@ -662,7 +652,7 @@ func (d DecodeDamage) Any() bool { return d.BadPackets > 0 || d.PacketsLost > 0 
 // DecodeTileCompsPacketsResilient is the best-effort form of
 // DecodeTileCompsPackets: a malformed packet never fails the tile. When the
 // stream carries SOP markers the walk scans forward for the next SOP whose
-// sequence number maps to a later packet index and resumes there; without
+// sequence number names a later stream position and resumes there; without
 // them it keeps everything committed so far and abandons the rest of the
 // tile. Pass counts commit per verified body segment (see pendingSeg), so
 // the returned blocks are always self-consistent — at worst shallow.
@@ -673,68 +663,63 @@ func (tc *TileCoder) DecodeTileCompsPacketsResilient(comps [][]BandBlocks, level
 	return dec, pos, dmg
 }
 
-// walkPackets is the one LRCP packet loop — behind both decode entry points
-// and the Index: a loop over the flat packet index (layer outer, resolution
-// middle, component inner). The only policy is what the first bad packet
-// does — fail the tile (strict), or resync/abandon and count (resilient,
-// which never errors). With spans non-nil the walk is header-only (block
-// bodies are skipped, not copied into dec) and records each packet's byte
-// range at spans[ci][li][r].
+// walkPackets is the one decode-side packet loop — behind both decode entry
+// points and the Index: a loop over stream positions, each naming its packet
+// through lrcp. The only policy is what the first bad packet does — fail the
+// tile (strict), or resync/abandon and count (resilient, which never errors).
+// With spans non-nil the walk is header-only (block bodies are skipped, not
+// copied into dec) and records the byte range of the packet at position pos
+// in spans[pos], which must have room for every packet.
 func (tc *TileCoder) walkPackets(comps [][]BandBlocks, levels, nlayers int,
-	data []byte, dec [][]DecodedBlock, resilient bool, spans [][][]Span) ([][]DecodedBlock, int, DecodeDamage, error) {
+	data []byte, dec [][]DecodedBlock, resilient bool, spans []Span) ([][]DecodedBlock, int, DecodeDamage, error) {
 
 	tc.resetComps(comps)
 	for ci := range comps {
 		dec[ci] = resetDec(dec[ci], tc.comps[ci].nblocks)
 	}
 	var dmg DecodeDamage
-	ncomp := len(comps)
-	perLayer := (levels + 1) * ncomp
-	npk := nlayers * perLayer
-	pos := 0
-	for pk := 0; pk < npk; {
-		li := pk / perLayer
-		r := (pk % perLayer) / ncomp
-		ci := pk % ncomp
-		bandIdx := dwt.BandsOfResolution(levels, r)
-		n, err := tc.decodePacket(ci, comps[ci], bandIdx, li, data[pos:], dec[ci], spans == nil)
+	npk := nlayers * (levels + 1) * len(comps)
+	off := 0
+	for pos := 0; pos < npk; {
+		id := lrcp(pos, levels, len(comps))
+		n, err := tc.decodePacket(id, comps[id.comp], data[off:], dec[id.comp], spans == nil)
 		if err == nil {
 			if spans != nil {
-				spans[ci][li][r] = Span{Off: pos, Len: n}
+				spans[pos] = Span{Off: off, Len: n}
 			}
-			pos += n
-			pk++
+			off += n
+			pos++
 			continue
 		}
 		if !resilient {
-			return nil, 0, dmg, fmt.Errorf("t2: layer %d resolution %d component %d: %w", li, r, ci, err)
+			return nil, 0, dmg, fmt.Errorf("t2: layer %d resolution %d component %d: %w", id.layer, id.res, id.comp, err)
 		}
 		dmg.BadPackets++
 		if tc.SOP {
-			if next, at := findSOP(data, pos+1, pk, npk); next >= 0 {
+			if next, at := findSOP(data, off+1, pos, npk); next >= 0 {
 				dmg.PacketsResynced++
-				dmg.PacketsLost += next - pk
-				pk = next
-				pos = at
+				dmg.PacketsLost += next - pos
+				pos = next
+				off = at
 				continue
 			}
 		}
 		// No resync anchor ahead: keep every pass committed so far and give
 		// up on the rest of the tile.
-		dmg.PacketsLost += npk - pk
+		dmg.PacketsLost += npk - pos
 		break
 	}
-	return dec, pos, dmg, nil
+	return dec, off, dmg, nil
 }
 
-// findSOP scans data at or after pos for an SOP marker whose sequence number
-// maps to a packet index after cur and before npk, returning that index and
-// the marker's offset (-1, 0 when none is found). MQ bit-stuffing keeps 0x91
+// findSOP scans data at or after off for an SOP marker whose sequence number
+// maps to a stream position after cur and before npk, returning that position
+// and the marker's offset (-1, 0 when none is found). MQ bit-stuffing keeps 0x91
 // from following 0xFF inside codeword segments and stuffed headers, so a hit
 // is a real marker rather than body bytes — the property that makes SOP a
 // usable resync anchor.
-func findSOP(data []byte, pos, cur, npk int) (int, int) {
-	for i := pos; i+6 <= len(data); i++ {
+func findSOP(data []byte, off, cur, npk int) (int, int) {
+	for i := off; i+6 <= len(data); i++ {
 		if data[i] != 0xFF || data[i+1] != byte(mSOP&0xFF) || data[i+2] != 0 || data[i+3] != 4 {
 			continue
 		}

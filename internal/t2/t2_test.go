@@ -347,3 +347,28 @@ func TestCodestreamErrors(t *testing.T) {
 		t.Fatal("want error for truncated stream")
 	}
 }
+
+// TestLRCPOrder checks lrcp against the progression written out as nested
+// loops — layer outer, resolution middle, component inner — with a running
+// stream position.
+func TestLRCPOrder(t *testing.T) {
+	for levels := 0; levels <= 5; levels++ {
+		for ncomp := 1; ncomp <= 3; ncomp++ {
+			for nlayers := 1; nlayers <= 4; nlayers++ {
+				pos := 0
+				for li := 0; li < nlayers; li++ {
+					for r := 0; r <= levels; r++ {
+						for ci := 0; ci < ncomp; ci++ {
+							want := packetID{layer: li, res: r, comp: ci}
+							if got := lrcp(pos, levels, ncomp); got != want {
+								t.Fatalf("levels %d comps %d layers %d: lrcp(%d) = %+v, want %+v",
+									levels, ncomp, nlayers, pos, got, want)
+							}
+							pos++
+						}
+					}
+				}
+			}
+		}
+	}
+}
