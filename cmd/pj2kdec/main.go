@@ -21,7 +21,6 @@ import (
 	"os"
 	"strings"
 
-	"pj2k/internal/dwt"
 	"pj2k/internal/jp2k"
 	"pj2k/internal/raster"
 	"pj2k/internal/t2"
@@ -54,7 +53,6 @@ func main() {
 		MaxLayers:     *layers,
 		DiscardLevels: *reduce,
 		Workers:       *workers,
-		VertMode:      dwt.VertBlocked,
 		Resilient:     *resilient,
 	})
 	if err != nil {

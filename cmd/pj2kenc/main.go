@@ -112,8 +112,8 @@ func main() {
 			SegSymbols: *segsym || *resilient,
 		},
 	}
-	if *improved {
-		opts.VertMode = dwt.VertBlocked
+	if !*improved {
+		opts.VertMode = dwt.VertNaive
 	}
 	if *lossless {
 		opts.Kernel = dwt.Rev53

@@ -22,7 +22,6 @@ func main() {
 	cs, stats, err := jp2k.Encode(im, jp2k.Options{
 		Kernel:   dwt.Rev53,
 		BitDepth: 12,
-		VertMode: dwt.VertBlocked,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -44,7 +43,6 @@ func main() {
 		Kernel:   dwt.Irr97,
 		BitDepth: 12,
 		LayerBPP: []float64{0.25, 1.0, 3.0},
-		VertMode: dwt.VertBlocked,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -19,8 +19,7 @@ func main() {
 
 	// --- Lossless: reversible 5/3 transform, every coding pass kept.
 	cs, stats, err := jp2k.Encode(im, jp2k.Options{
-		Kernel:   dwt.Rev53,
-		VertMode: dwt.VertBlocked, // the paper's improved vertical filtering
+		Kernel: dwt.Rev53,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -38,7 +37,6 @@ func main() {
 	cs, stats, err = jp2k.Encode(im, jp2k.Options{
 		Kernel:   dwt.Irr97,
 		LayerBPP: []float64{0.5},
-		VertMode: dwt.VertBlocked,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -29,7 +29,6 @@ func main() {
 	opts := jp2k.Options{
 		Kernel:   dwt.Irr97,
 		LayerBPP: []float64{1.0},
-		VertMode: dwt.VertBlocked,
 	}
 
 	fmt.Printf("host: %d CPU(s)\n\nreal goroutines (1024x1024 @ 1.0 bpp, best of %d):\n", runtime.NumCPU(), samples)
@@ -74,7 +73,7 @@ func main() {
 
 	fmt.Println("\nsimulated 4-CPU Pentium II Xeon SMP (the paper's testbed):")
 	m := smp.PentiumIIXeon(4)
-	spec := smp.FilterSpec{W: 1024, H: 1024, Stride: 1024, Levels: 5, Kernel: dwt.Irr97, Mode: dwt.VertBlocked}
+	spec := smp.FilterSpec{W: 1024, H: 1024, Stride: 1024, Levels: 5, Kernel: dwt.Irr97}
 	work := smp.VerticalWork(cachesim.NewPentiumII(), spec)
 	base := m.ParallelTime(work, 1, 5)
 	for p := 1; p <= 4; p++ {

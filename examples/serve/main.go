@@ -34,7 +34,6 @@ func main() {
 		Kernel:   dwt.Irr97,
 		LayerBPP: []float64{0.125, 0.5, 1.0},
 		TileW:    256, TileH: 256,
-		VertMode: dwt.VertBlocked,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -56,7 +55,6 @@ func main() {
 		MCT:      true,
 		LayerBPP: []float64{0.25, 1.0},
 		TileW:    256, TileH: 256,
-		VertMode: dwt.VertBlocked,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -19,7 +19,7 @@ func main() {
 	const bpp = 0.25
 	fmt.Printf("512x512 @ %.2f bpp\n\n%-18s %-10s %s\n", bpp, "tiling", "PSNR(dB)", "blockiness at tile grid")
 	for _, tile := range []int{0, 256, 128, 64, 32} {
-		opts := jp2k.Options{Kernel: dwt.Irr97, LayerBPP: []float64{bpp}, VertMode: dwt.VertBlocked}
+		opts := jp2k.Options{Kernel: dwt.Irr97, LayerBPP: []float64{bpp}}
 		label := "whole image"
 		if tile > 0 {
 			opts.TileW, opts.TileH = tile, tile

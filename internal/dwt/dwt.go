@@ -8,19 +8,22 @@ import (
 	"pj2k/internal/raster"
 )
 
-// VertMode selects the vertical filtering implementation under study.
+// VertMode selects the vertical filtering implementation under study. The
+// zero value is the paper's improved filter, so a zero Strategy (and the
+// codec's zero options) runs the fast one; the naive filter is reached only by
+// name. The two are bit-identical.
 type VertMode int
 
 const (
+	// VertBlocked is the paper's improved filtering: several adjacent
+	// columns are filtered concurrently within a single processor, so each
+	// loaded cache line is fully consumed.
+	VertBlocked VertMode = iota
 	// VertNaive is the original reference-implementation strategy: each
 	// image column is gathered, filtered and scattered one at a time. For
 	// power-of-two widths every sample of a column lands in the same cache
 	// set of a low-associativity cache (the paper's pathology).
-	VertNaive VertMode = iota
-	// VertBlocked is the paper's improved filtering: several adjacent
-	// columns are filtered concurrently within a single processor, so each
-	// loaded cache line is fully consumed.
-	VertBlocked
+	VertNaive
 )
 
 func (m VertMode) String() string {

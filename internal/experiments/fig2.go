@@ -58,6 +58,7 @@ func Fig2(sizes []int) *Table {
 		j2kTime := best(func() {
 			_, _, err := jp2k.Encode(im, jp2k.Options{
 				Kernel: dwt.Irr97, LayerBPP: []float64{1.0}, Workers: 1,
+				VertMode: dwt.VertNaive, // the reference implementations' filter
 			})
 			if err != nil {
 				panic(err)

@@ -34,14 +34,14 @@ func hostShapes(side int) []hostShape {
 	half := side / 2
 	return []hostShape{
 		{"one-tile 5/3", gray(1),
-			jp2k.Options{Kernel: dwt.Rev53, VertMode: dwt.VertBlocked}},
+			jp2k.Options{Kernel: dwt.Rev53}},
 		{"tiled 9/7 + layers", gray(2),
-			jp2k.Options{Kernel: dwt.Irr97, LayerBPP: []float64{0.25, 1.0}, TileW: side / 4, TileH: side / 4, VertMode: dwt.VertBlocked}},
+			jp2k.Options{Kernel: dwt.Irr97, LayerBPP: []float64{0.25, 1.0}, TileW: side / 4, TileH: side / 4}},
 		{"bypass+termall", raster.Gray(raster.SyntheticRadiograph(side, side, 3)),
-			jp2k.Options{Kernel: dwt.Rev53, BitDepth: 12, VertMode: dwt.VertBlocked,
+			jp2k.Options{Kernel: dwt.Rev53, BitDepth: 12,
 				Coder: jp2k.CoderOptions{Bypass: true, TermAll: true}}},
 		{"colour + MCT", raster.RGB(raster.Synthetic(half, half, 4), raster.Synthetic(half, half, 5), raster.Synthetic(half, half, 6)),
-			jp2k.Options{Kernel: dwt.Irr97, MCT: true, LayerBPP: []float64{1.0}, VertMode: dwt.VertBlocked}},
+			jp2k.Options{Kernel: dwt.Irr97, MCT: true, LayerBPP: []float64{1.0}}},
 	}
 }
 
@@ -104,7 +104,7 @@ func HostScaling(side int) *Table {
 	}
 	decode := func(sh *hostShape, cs []byte, workers int) (*raster.Planar, hostRun) {
 		t0 := time.Now()
-		pl, err := dec.DecodePlanarSource(t2.BytesSource(cs), jp2k.DecodeOptions{Workers: workers, VertMode: dwt.VertBlocked})
+		pl, err := dec.DecodePlanarSource(t2.BytesSource(cs), jp2k.DecodeOptions{Workers: workers})
 		wall := time.Since(t0)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s: decode failed: %v", sh.name, err))

@@ -8,7 +8,6 @@ import (
 
 	"pj2k/internal/core"
 	"pj2k/internal/dwt"
-	"pj2k/internal/quant"
 	"pj2k/internal/raster"
 	"pj2k/internal/t1"
 	"pj2k/internal/t2"
@@ -67,17 +66,18 @@ func (r Rect) Intersect(o Rect) Rect {
 //
 // Multi-component codestreams decode natively: the packet walk de-interleaves
 // per-component packets per tile, tier-1 runs over every kept (tile,
-// component, block) job, and assembly + inverse transform parallelize over
-// the tile x component grid; the inverse inter-component transform is applied
-// when the stream's COD marker flags MCT.
+// component, block) job, writing each block into its (tile, component)
+// coefficient plane, and the inverse transform parallelizes over the tile x
+// component grid; the inverse inter-component transform is applied when the
+// stream's COD marker flags MCT.
 //
 // Every entry point (Decode here; the Source forms in stream.go) is a thin
 // adapter over the one decode route: from a scanned codestream's tile spans,
-// walk the selected tiles' packets, tier-1, assemble. DecodeRegion takes the
-// scan from a t2.Index; the others scan the Source first. A Decoder is not
-// safe for concurrent use; pooled state does not leak between calls (output
-// is bit-identical to a throwaway Decoder's for any worker count, and a
-// region decode is bit-identical to cropping a full one).
+// walk the selected tiles' packets, tier-1 into the planes, inverse transform.
+// DecodeRegion takes the scan from a t2.Index; the others scan the Source
+// first. A Decoder is not safe for concurrent use; pooled state does not leak
+// between calls (output is bit-identical to a throwaway Decoder's for any
+// worker count, and a region decode is bit-identical to cropping a full one).
 type Decoder struct {
 	workers    []*decWorker // one padded block per worker (worker.go)
 	tiles      []*tileDec
@@ -138,7 +138,6 @@ type decSlot struct {
 	bi   int
 	rect t2.CBRect
 	id   int // component-local block id within the tile
-	vals []int32
 }
 
 // decJob addresses one kept block: selected-tile slot x component x block
@@ -327,45 +326,60 @@ func (d *Decoder) walkTask(_, si int) {
 				id++
 			}
 		}
+		// Size the unit's plane before tier-1 writes into it; the kept
+		// blocks exactly tile it, so a pooled plane needs no clearing.
+		if p.Kernel == dwt.Rev53 {
+			cd.plane = reuseImage(cd.plane, te.rtw, te.rth)
+		} else {
+			cd.fplane = reuseFPlane(cd.fplane, te.rtw, te.rth)
+		}
 	}
 }
 
 // blockTask entropy-decodes one kept code-block on the dispatching worker's
-// pooled BlockDecoder.
+// pooled BlockDecoder, straight into its rectangle of the unit's coefficient
+// plane (dequantized for 9/7, MAXSHIFT undone under ROI). Blocks are disjoint
+// rectangles, so concurrent tasks write disjoint samples.
 func (d *Decoder) blockTask(worker, i int) {
-	te := d.tiles[d.jobs[i].ti]
-	cd := &te.comps[d.jobs[i].ci]
-	s := &cd.slots[d.jobs[i].si]
+	p := &d.cur.p
+	j := d.jobs[i]
+	te := d.tiles[j.ti]
+	cd := &te.comps[j.ci]
+	s := &cd.slots[j.si]
 	blk := &cd.dec[s.id]
+	b := te.layout.Subbands[s.bi]
+	dst := t1.Dest{ROIShift: p.ROIShift}
+	if p.Kernel == dwt.Rev53 {
+		dst.Int, dst.Stride = cd.plane.Pix, cd.plane.Stride
+	} else {
+		dst.Float, dst.Stride, dst.Step = cd.fplane.Data, cd.fplane.Stride, p.Steps[j.ci][s.bi].Value()
+	}
+	dst.Off = (b.Y0+s.rect.Y0)*dst.Stride + b.X0 + s.rect.X0
 	// The coder modes travel from COD into each block decode; segmentation
 	// symbols (when the stream carries them) are verified in strict mode too —
 	// a symbol-carrying stream is self-checking — and drive concealment in
 	// resilient mode.
 	in := t1.BlockIn{
 		W: s.rect.X1 - s.rect.X0, H: s.rect.Y1 - s.rect.Y0,
-		Band:         te.layout.Subbands[s.bi].Type,
+		Band:         b.Type,
 		NumBitplanes: blk.NumBitplanes,
 		Data:         blk.Data,
 		NPasses:      blk.Passes,
 		Modes:        d.cur.modes,
 		SegEnds:      blk.SegmentEnds(d.cur.modes),
 	}
-	s.vals, d.blockStats[i], d.blockErrs[i] = d.workers[worker].bd.DecodeBlock(&in, d.cur.opts.Resilient)
+	d.blockStats[i], d.blockErrs[i] = d.workers[worker].bd.DecodeInto(&in, &dst, d.cur.opts.Resilient)
 }
 
-// asmTask assembles one (selected tile, component) unit's coefficient plane,
-// runs the inverse transform and copies the window into the output.
+// asmTask runs the inverse transform over one (selected tile, component)
+// unit's coefficient plane, which tier-1 filled, and copies the window into
+// the output.
 func (d *Decoder) asmTask(worker, u int) {
 	p := &d.cur.p
 	ncomp, win, opts := d.cur.ncomp, d.cur.win, &d.cur.opts
 	te := d.tiles[u/ncomp]
 	ci := u % ncomp
 	cd := &te.comps[ci]
-	if p.ROIShift > 0 {
-		for _, s := range cd.slots {
-			unscaleROI(s.vals, p.ROIShift)
-		}
-	}
 	st := dwt.Strategy{
 		VertMode: opts.VertMode, BlockWidth: opts.VertBlockWidth,
 		Workers: d.cur.innerW, Scratch: &d.workers[worker].scratch, Pool: d.pool,
@@ -377,15 +391,6 @@ func (d *Decoder) asmTask(worker, u int) {
 	dst := d.cur.dst[ci]
 	outShift := d.cur.outShift
 	if p.Kernel == dwt.Rev53 {
-		cd.plane = reuseImage(cd.plane, te.rtw, te.rth)
-		for _, s := range cd.slots {
-			b := te.layout.Subbands[s.bi]
-			w := s.rect.X1 - s.rect.X0
-			for y := s.rect.Y0; y < s.rect.Y1; y++ {
-				copy(cd.plane.Pix[(b.Y0+y)*cd.plane.Stride+b.X0+s.rect.X0:(b.Y0+y)*cd.plane.Stride+b.X0+s.rect.X1],
-					s.vals[(y-s.rect.Y0)*w:(y-s.rect.Y0+1)*w])
-			}
-		}
 		dwt.Inverse53(cd.plane, d.cur.keep, st)
 		for y := ly0; y < ly1; y++ {
 			src := cd.plane.Row(y)[lx0:lx1]
@@ -396,14 +401,7 @@ func (d *Decoder) asmTask(worker, u int) {
 			}
 		}
 	} else {
-		cd.fplane = reuseFPlane(cd.fplane, te.rtw, te.rth)
 		fp := cd.fplane
-		for _, s := range cd.slots {
-			b := te.layout.Subbands[s.bi]
-			w := s.rect.X1 - s.rect.X0
-			sub := dwt.Subband{X0: b.X0 + s.rect.X0, Y0: b.Y0 + s.rect.Y0, X1: b.X0 + s.rect.X1, Y1: b.Y0 + s.rect.Y1}
-			quant.Inverse(s.vals, w, sub, p.Steps[ci][s.bi].Value(), fp.Data, fp.Stride, 1)
-		}
 		dwt.Inverse97(fp, d.cur.keep, st)
 		for y := ly0; y < ly1; y++ {
 			src := fp.Data[y*fp.Stride+lx0 : y*fp.Stride+lx1]
@@ -571,7 +569,7 @@ func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region
 	out := raster.NewPlanar(win.Dx(), win.Dy(), ncomp)
 
 	// Worker split, as in Encoder: the tier-2 packet walk parallelizes over
-	// selected tiles; assembly + inverse transform over the tile x component
+	// selected tiles; the inverse transform over the tile x component
 	// units.
 	workers := core.Workers(opts.Workers)
 	outerW := min(workers, max(nsel, 1))
@@ -621,8 +619,9 @@ func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region
 
 	// --- Tier-1: every kept block of every selected tile component, decoded
 	// in parallel under the staggered round-robin assignment with per-worker
-	// pooled BlockDecoders ("no synchronization is necessary due to the
-	// processing of independent code-blocks").
+	// pooled BlockDecoders into its own rectangle of the unit's plane ("no
+	// synchronization is necessary due to the processing of independent
+	// code-blocks").
 	jobs := d.jobs[:0]
 	for si := 0; si < nsel; si++ {
 		for ci := 0; ci < ncomp; ci++ {
@@ -634,9 +633,6 @@ func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region
 	d.jobs = jobs
 	njobs := len(jobs)
 	d.ensureWorkers(min(workers, max(njobs, nunits, 1)))
-	for _, w := range d.workers {
-		w.bd.Release()
-	}
 	d.blockErrs = grow(d.blockErrs, njobs)
 	blockErrs := d.blockErrs
 	clear(blockErrs)
@@ -683,11 +679,10 @@ func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region
 		return nil, err
 	}
 
-	// --- Assembly + inverse transform per (selected tile, component) unit,
-	// parallel across units; the kept bands exactly tile the reduced
-	// coefficient plane, so the pooled planes need no clearing. For MCT
-	// streams the level shift is folded into the post-transform pass below
-	// instead of being added here only to be subtracted again.
+	// --- Inverse transform per (selected tile, component) unit over the
+	// plane tier-1 filled, parallel across units. For MCT streams the level
+	// shift is folded into the post-transform pass below instead of being
+	// added here only to be subtracted again.
 	shift := int32(1) << uint(p.BitDepth-1)
 	mctActive := p.MCT && ncomp == 3
 	outShift := shift

@@ -313,6 +313,20 @@ func TestWorkersDefaultToGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestZeroOptionsSelectBlockedFilter: a caller who sets nothing gets the
+// paper's improved vertical filter, in the codec and in the transform alike.
+func TestZeroOptionsSelectBlockedFilter(t *testing.T) {
+	for name, m := range map[string]dwt.VertMode{
+		"Options{}":       Options{}.withDefaults().VertMode,
+		"DecodeOptions{}": DecodeOptions{}.VertMode,
+		"dwt.Strategy{}":  dwt.Strategy{}.VertMode,
+	} {
+		if m != dwt.VertBlocked {
+			t.Errorf("%s selects the %v filter, want %v", name, m, dwt.VertBlocked)
+		}
+	}
+}
+
 func TestCodeBlockSizes(t *testing.T) {
 	im := raster.Synthetic(128, 128, 13)
 	for _, cb := range [][2]int{{16, 16}, {32, 32}, {64, 64}, {64, 16}} {

@@ -52,7 +52,8 @@ type Options struct {
 	// (including single-component Encode) is an error.
 	MCT bool
 	// VertMode and VertBlockWidth select the vertical filtering strategy
-	// (the paper's original vs. improved filter).
+	// (the paper's original vs. improved filter). The zero value is the
+	// improved (blocked) filter; the two are bit-identical.
 	VertMode       dwt.VertMode
 	VertBlockWidth int
 	// ROI selects a region of interest coded with the MAXSHIFT method (the
@@ -229,8 +230,8 @@ func (s *EncodeStats) Tier1Work() string {
 type DecodeTimings struct {
 	Parse     time.Duration // codestream markers + geometry validation
 	Tier2     time.Duration // packet-header walk, segment gathering
-	Tier1     time.Duration // code-block entropy decoding
-	Assemble  time.Duration // coefficient assembly + dequant + inverse DWT
+	Tier1     time.Duration // code-block entropy decoding, written (9/7: dequantized) into the coefficient planes
+	Assemble  time.Duration // inverse DWT + copy of the window into the output
 	InterComp time.Duration // inverse multiple-component transform
 }
 
@@ -323,7 +324,8 @@ type DecodeOptions struct {
 	// coder mode; <= 0 is GOMAXPROCS, and 1 decodes on the calling goroutine
 	// without dispatching onto the pool.
 	Workers int
-	// VertMode selects the inverse vertical filtering strategy.
+	// VertMode selects the inverse vertical filtering strategy; the zero
+	// value is the improved (blocked) filter.
 	VertMode       dwt.VertMode
 	VertBlockWidth int
 }

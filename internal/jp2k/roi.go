@@ -59,10 +59,10 @@ func applyROI(tiles []*tileEnc, origins [][2]int, roi ROIRect, o Options) int {
 			// Footprint of the ROI in band coordinates, expanded by the
 			// filter support.
 			const margin = 3
-			fx0 := clampi((rx0>>uint(l))-margin, 0, b.Width())
-			fy0 := clampi((ry0>>uint(l))-margin, 0, b.Height())
-			fx1 := clampi(((rx1-1)>>uint(l))+margin+1, 0, b.Width())
-			fy1 := clampi(((ry1-1)>>uint(l))+margin+1, 0, b.Height())
+			fx0 := min(max((rx0>>uint(l))-margin, 0), b.Width())
+			fy0 := min(max((ry0>>uint(l))-margin, 0), b.Height())
+			fx1 := min(max(((rx1-1)>>uint(l))+margin+1, 0), b.Width())
+			fy1 := min(max(((ry1-1)>>uint(l))+margin+1, 0), b.Height())
 			for y := fy0; y < fy1; y++ {
 				row := data[y*stride : y*stride+b.Width()]
 				for x := fx0; x < fx1; x++ {
@@ -72,25 +72,6 @@ func applyROI(tiles []*tileEnc, origins [][2]int, roi ROIRect, o Options) int {
 		})
 	}
 	return s
-}
-
-// unscaleROI reverses MAXSHIFT on decoded block values: magnitudes at or
-// above 2^s belong to the ROI and are shifted back down.
-func unscaleROI(vals []int32, s int) {
-	thr := int32(1) << uint(s)
-	for i, v := range vals {
-		m := v
-		if m < 0 {
-			m = -m
-		}
-		if m >= thr {
-			m >>= uint(s)
-			if v < 0 {
-				m = -m
-			}
-			vals[i] = m
-		}
-	}
 }
 
 // forEachBand visits every band's coefficient plane of every tile.
@@ -117,14 +98,4 @@ func forEachBandOf(te *tileEnc, o Options, fn func(bi int, b dwt.Subband, data [
 			fn(bi, b, te.bandInts[bi], b.Width())
 		}
 	}
-}
-
-func clampi(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

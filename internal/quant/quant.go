@@ -141,9 +141,8 @@ func ForwardBands(src []float64, stride int, jobs []BandJob, workers int, pool *
 // Inverse dequantizes integers back into float coefficients with the
 // standard half-step midpoint bias for nonzero values (bit-plane truncation
 // offsets at coarser granularity are already applied by the tier-1 decoder).
-// The serial case bypasses the fork/join helper entirely: Inverse runs once
-// per code-block on the decode path, where even a dead closure allocation
-// per call would dominate the pooled decoder's steady-state alloc budget.
+// The serial case bypasses the fork/join helper entirely, so a per-block call
+// allocates nothing.
 func Inverse(src []int32, srcStride int, b dwt.Subband, step float64, dst []float64, stride, workers int) {
 	if workers == 1 {
 		inverseRows(src, srcStride, b, step, dst, stride, 0, b.Height())
@@ -154,13 +153,14 @@ func Inverse(src []int32, srcStride int, b dwt.Subband, step float64, dst []floa
 	})
 }
 
-// midpoint is the reconstruction bias of a quantized value without a
-// branch: +0.5 for v > 0, -0.5 for v < 0 and 0 for v == 0, from v's sign
-// (-1, 0 or +1). Adding it to float64(v) gives the same bits as adding or
-// subtracting 0.5 directly; a zero stays +0.
-func midpoint(v int32) float64 {
+// Dequant reconstructs one float coefficient from its quantized value v: v
+// plus the half-step midpoint bias, times step. The bias comes from v's sign
+// (-1, 0 or +1) without a branch: +0.5 for v > 0, -0.5 for v < 0, and +0 for
+// v == 0, the bits adding or subtracting 0.5 directly gives. Inverse and
+// tier-1's into-plane decode both call it, so they produce the same bits.
+func Dequant(v int32, step float64) float64 {
 	sign := v>>31 | int32(uint32(-v)>>31)
-	return float64(0.5 * float64(sign))
+	return (float64(v) + float64(0.5*float64(sign))) * step
 }
 
 func inverseRows(src []int32, srcStride int, b dwt.Subband, step float64, dst []float64, stride, lo, hi int) {
@@ -168,7 +168,7 @@ func inverseRows(src []int32, srcStride int, b dwt.Subband, step float64, dst []
 		srow := src[y*srcStride:]
 		drow := dst[(b.Y0+y)*stride+b.X0:]
 		for x, v := range srow[:b.Width()] {
-			drow[x] = (float64(v) + midpoint(v)) * step
+			drow[x] = Dequant(v, step)
 		}
 	}
 }

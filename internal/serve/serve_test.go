@@ -753,7 +753,7 @@ func BenchmarkServeTileCache(b *testing.B) {
 		srv := New(store, Options{CacheBytes: 64 << 20})
 		key := TileKey{Image: "bench", TX: 0, TY: 0}
 		decode := func() (*raster.Planar, error) {
-			pl, _, err := srv.decodeTile(context.Background(), img, nil, colW, rowH, 0, 0, 0, 0)
+			pl, _, err := srv.decodeTile(context.Background(), img, img.src, colW, rowH, 0, 0, 0, 0)
 			return pl, err
 		}
 		if _, _, err := srv.cache.GetOrDecode(context.Background(), key, decode); err != nil {
@@ -770,7 +770,7 @@ func BenchmarkServeTileCache(b *testing.B) {
 	b.Run("miss", func(b *testing.B) {
 		srv := New(store, Options{CacheBytes: 64 << 20})
 		decode := func() (*raster.Planar, error) {
-			pl, _, err := srv.decodeTile(context.Background(), img, nil, colW, rowH, 0, 0, 0, 0)
+			pl, _, err := srv.decodeTile(context.Background(), img, img.src, colW, rowH, 0, 0, 0, 0)
 			return pl, err
 		}
 		b.ReportAllocs()

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"pj2k/internal/dwt"
 	"pj2k/internal/jp2k"
 	"pj2k/internal/raster"
 	"pj2k/internal/t2"
@@ -223,7 +222,6 @@ func (s *Server) decodeTile(ctx context.Context, img *Image, src *t2.Source, col
 		DiscardLevels: discard,
 		MaxLayers:     layers,
 		Workers:       s.opts.TileWorkers,
-		VertMode:      dwt.VertBlocked,
 		Resilient:     s.opts.Resilient,
 		Ctx:           ctx,
 	})

@@ -5,6 +5,7 @@ import (
 
 	"pj2k/internal/dwt"
 	"pj2k/internal/mq"
+	"pj2k/internal/quant"
 )
 
 // Decode reconstructs a code-block from the first npasses coding passes of
@@ -35,22 +36,26 @@ func Decode(eb *EncodedBlock, npasses int) ([]int32, error) {
 }
 
 // BlockDecoder is the reusable tier-1 block decoder, mirroring Coder on the
-// encode side: the bordered magnitude/flag/last-plane arrays, the MQ decoder
-// and the output arena all persist across blocks, so steady-state decoding
-// performs no heap allocations. Code-blocks are independent, so each decode
-// worker owns one BlockDecoder and shares nothing.
+// encode side: the bordered magnitude/flag/last-plane arrays and the MQ
+// decoder persist across blocks, so steady-state decoding performs no heap
+// allocations. Code-blocks are independent, so each decode worker owns one
+// BlockDecoder and shares nothing.
 //
-// Returned sample slices live in an arena owned by the BlockDecoder: they
-// stay valid until Release, which reclaims every slice handed out since the
-// previous Release. A BlockDecoder is not safe for concurrent use. Like Coder
-// it holds its symbol-rate state (contexts, MQ registers, raw reader) by
-// value and its zero value is ready for use, so an owner embeds it in a
-// per-worker block; it must not be copied once it has decoded a block.
+// DecodeInto writes a block's final samples straight into its rectangle of
+// the caller's coefficient plane, the decode path's one write per sample;
+// workers decoding different blocks of one plane write disjoint rectangles.
+// DecodeBlock is its arena form: the returned slice lives in an arena owned
+// by the BlockDecoder and stays valid until Release, which reclaims every
+// slice handed out since the previous Release. A BlockDecoder is not safe for
+// concurrent use. Like Coder it holds its symbol-rate state (contexts, MQ
+// registers, raw reader) by value and its zero value is ready for use, so an
+// owner embeds it in a per-worker block; it must not be copied once it has
+// decoded a block.
 type BlockDecoder struct {
 	c         coder
 	mq        mq.Decoder
 	lastPlane []uint8 // per bordered sample: (last updated plane)+1, 0 = never
-	out       []int32
+	out       []int32 // DecodeBlock's arena
 
 	modes   Modes
 	segData []byte
@@ -66,27 +71,6 @@ func NewBlockDecoder() *BlockDecoder { return &BlockDecoder{} }
 // Release reclaims every sample slice returned by DecodeBlock since the
 // last Release. The caller must have dropped all references to them.
 func (bd *BlockDecoder) Release() { bd.out = bd.out[:0] }
-
-// takeOut carves a zeroed length-n slice out of the sample arena. When the
-// current chunk is exhausted a larger one replaces it; slices handed out
-// earlier keep their (still live) old backing storage.
-func (bd *BlockDecoder) takeOut(n int) []int32 {
-	if cap(bd.out)-len(bd.out) < n {
-		c := 2 * cap(bd.out)
-		if c < n {
-			c = n
-		}
-		if c < 1<<12 {
-			c = 1 << 12
-		}
-		bd.out = make([]int32, 0, c)
-	}
-	base := len(bd.out)
-	bd.out = bd.out[:base+n]
-	s := bd.out[base : base+n : base+n]
-	clear(s)
-	return s
-}
 
 // SegStats reports what a checked decode had to do to a block: whether the
 // result was concealed (truncated to its last clean cleanup pass, or zeroed
@@ -104,11 +88,11 @@ type SegStats struct {
 // rate-truncated segments, whose final bits legitimately come from synthesis.
 func overrunSlack(n int) int { return 8 + n/4 }
 
-// BlockIn describes one code-block handed to DecodeBlock: the concatenated
-// codeword segments in Data, the pass count they cover, the coder modes the
-// stream was encoded with, and — when Modes terminate passes — the cumulative
-// byte offsets in Data at which segments end (nil otherwise; tier-2 collects
-// them from the per-segment lengths the packet headers signal).
+// BlockIn describes one code-block to decode: the concatenated codeword
+// segments in Data, the pass count they cover, the coder modes the stream was
+// encoded with, and — when Modes terminate passes — the cumulative byte
+// offsets in Data at which segments end (nil otherwise; tier-2 collects them
+// from the per-segment lengths the packet headers signal).
 type BlockIn struct {
 	W, H         int
 	Band         dwt.BandType
@@ -119,57 +103,97 @@ type BlockIn struct {
 	SegEnds      []int
 }
 
-// DecodeBlock reconstructs a code-block under its coder modes, with the
-// error-resilience tools wired in. With Modes.SegSym the four-symbol
-// segmentation marker terminating each cleanup pass is verified: a mismatch
-// is corruption at or before that pass. With resilient set, detected
-// corruption — a failed segmentation symbol, an inconsistent segment layout,
-// or (without symbols) the coders running far past their segments — is
-// concealed instead of returned as an error: the block is re-decoded
-// truncated to its last clean cleanup pass (or zeroed when no clean prefix
-// exists) and the damage is reported in SegStats. With resilient false those
-// conditions are errors, making strict decodes self-checking.
+// Dest is the W x H rectangle of a coefficient plane a block decodes into:
+// its first sample at index Off, rows Stride apart, in Int (the integer
+// coefficients of a 5/3 plane) or, when Float is set, in Float (a 9/7 plane,
+// dequantized by Step with quant.Dequant). A positive ROIShift is the
+// MAXSHIFT scaling to undo.
+type Dest struct {
+	Int         []int32
+	Float       []float64
+	Off, Stride int
+	Step        float64
+	ROIShift    int
+}
+
+// DecodeBlock decodes a block into a W x H slice of the arena (stride W).
 func (bd *BlockDecoder) DecodeBlock(in *BlockIn, resilient bool) ([]int32, SegStats, error) {
+	n := max(in.W, 0) * max(in.H, 0)
+	if cap(bd.out)-len(bd.out) < n {
+		// A fresh chunk; slices handed out earlier keep the old one.
+		bd.out = make([]int32, 0, max(2*cap(bd.out), n, 1<<12))
+	}
+	out := bd.out[len(bd.out) : len(bd.out)+n : len(bd.out)+n]
+	bd.out = bd.out[:len(bd.out)+n]
+	st, err := bd.DecodeInto(in, &Dest{Int: out, Stride: in.W}, resilient)
+	if err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
+}
+
+// DecodeInto reconstructs a code-block under its coder modes, with the
+// error-resilience tools wired in, and writes every sample of dst's
+// rectangle, zeros included, so the plane needs no clearing. With
+// Modes.SegSym the four-symbol segmentation marker terminating each cleanup
+// pass is verified: a mismatch is corruption at or before that pass. With
+// resilient set, detected corruption — a failed segmentation symbol, an
+// inconsistent segment layout, or (without symbols) the coders running far
+// past their segments — is concealed instead of returned as an error: the
+// block is re-decoded truncated to its last clean cleanup pass (or zeroed
+// when no clean prefix exists) and the damage is reported in SegStats. With
+// resilient false those conditions are errors, making strict decodes
+// self-checking; after an error the rectangle is left unspecified.
+func (bd *BlockDecoder) DecodeInto(in *BlockIn, dst *Dest, resilient bool) (SegStats, error) {
+	st, decoded, err := bd.decode(in, resilient)
+	if err == nil {
+		bd.fill(dst, in.W, in.H, decoded)
+	}
+	return st, err
+}
+
+// decode runs DecodeInto's pass loop and concealment, reporting whether the
+// coder's bordered state holds the block (false: the block is all zero).
+func (bd *BlockDecoder) decode(in *BlockIn, resilient bool) (SegStats, bool, error) {
 	var st SegStats
 	if in.W <= 0 || in.H <= 0 {
-		return nil, st, fmt.Errorf("t1: invalid block %dx%d", in.W, in.H)
+		return st, false, fmt.Errorf("t1: invalid block %dx%d", in.W, in.H)
 	}
 	npasses := in.NPasses
 	if npasses < 0 {
 		if !resilient {
-			return nil, st, fmt.Errorf("t1: negative pass count %d", npasses)
+			return st, false, fmt.Errorf("t1: negative pass count %d", npasses)
 		}
 		st.Concealed = true // impossible state: conceal as an empty block
 		npasses = 0
 	}
-	out := bd.takeOut(in.W * in.H)
 	if in.NumBitplanes <= 0 || npasses == 0 {
-		return out, st, nil
+		return st, false, nil
 	}
 	if resilient && in.NumBitplanes > 31 {
 		// int32 magnitudes cannot hold more planes: a corrupt zero-bit-plane
 		// count drove Mb-zbp out of range. Conceal as a zero block.
 		st.Concealed = true
 		st.DroppedPasses = npasses
-		return out, st, nil
+		return st, false, nil
 	}
 	if err := bd.bindSegments(in, npasses); err != nil {
 		if !resilient {
-			return nil, st, err
+			return st, false, err
 		}
 		st.Concealed = true // segment layout lies about the data: zero the block
 		st.DroppedPasses = npasses
-		return out, st, nil
+		return st, false, nil
 	}
 	decoded, ok := bd.runPasses(in.W, in.H, in.Band, in.NumBitplanes, npasses)
 	if !ok {
 		if !resilient {
-			return nil, st, fmt.Errorf("t1: segmentation symbol mismatch after pass %d", decoded)
+			return st, false, fmt.Errorf("t1: segmentation symbol mismatch after pass %d", decoded)
 		}
 		st.Concealed = true
 		st.DroppedPasses = npasses - decoded
 		if decoded == 0 {
-			return out, st, nil // no clean prefix: zero the block
+			return st, false, nil // no clean prefix: zero the block
 		}
 		// The prefix through the last verified cleanup pass is clean;
 		// re-decode just it (corruption is rare, so the replay cost is paid
@@ -181,11 +205,10 @@ func (bd *BlockDecoder) DecodeBlock(in *BlockIn, resilient bool) ([]int32, SegSt
 			// replay to; a decoder driven far past its segments zeroes the block.
 			st.Concealed = true
 			st.DroppedPasses = npasses
-			return out, st, nil
+			return st, false, nil
 		}
 	}
-	bd.fillOut(out, in.W, in.H)
-	return out, st, nil
+	return st, true, nil
 }
 
 // bindSegments validates in's codeword-segment layout against its modes and
@@ -347,24 +370,41 @@ func (bd *BlockDecoder) decSegSym() bool {
 	return v == 0xA
 }
 
-// fillOut writes the decoded samples (with midpoint compensation for planes
-// below the last decoded one) into out from the coder's bordered state.
-func (bd *BlockDecoder) fillOut(out []int32, w, h int) {
+// fill writes the w x h block into dst's rectangle, every sample: zero for a
+// block that decoded nothing and for a sample that never became significant;
+// otherwise the magnitude plus the midpoint of the undecoded interval (planes
+// below the last decoded one), signed, with MAXSHIFT undone — magnitudes at or
+// above 2^ROIShift belong to the ROI and are shifted back down — and, on a
+// float plane, dequantized.
+func (bd *BlockDecoder) fill(dst *Dest, w, h int, decoded bool) {
 	c := &bd.c
+	s := uint(max(dst.ROIShift, 0))
+	thr := int32(1) << s
 	for y := 0; y < h; y++ {
+		o, i := dst.Off+y*dst.Stride, c.idx(0, y)
 		for x := 0; x < w; x++ {
-			i := c.idx(x, y)
-			if c.flags[i]&fSig == 0 {
-				continue
+			var v int32
+			if decoded && c.flags[i+x]&fSig != 0 {
+				v = c.mag[i+x]
+				if lp := bd.lastPlane[i+x]; lp >= 2 {
+					v += 1 << (lp - 2) // midpoint of the undecoded interval
+				}
+				if c.flags[i+x]&fNeg != 0 {
+					v = -v
+				}
+				if m := max(v, -v); s > 0 && m >= thr {
+					if v < 0 {
+						v = -(m >> s)
+					} else {
+						v = m >> s
+					}
+				}
 			}
-			v := c.mag[i]
-			if lp := bd.lastPlane[i]; lp >= 2 {
-				v += 1 << (lp - 2) // midpoint of the undecoded interval
+			if dst.Float != nil {
+				dst.Float[o+x] = quant.Dequant(v, dst.Step)
+			} else {
+				dst.Int[o+x] = v
 			}
-			if c.flags[i]&fNeg != 0 {
-				v = -v
-			}
-			out[y*w+x] = v
 		}
 	}
 }
@@ -375,10 +415,7 @@ func (bd *BlockDecoder) decSigProp(plane uint) {
 	f, bw, zc := c.flags, c.bw, c.zc
 	rm := &c.rowMask
 	for y0 := 0; y0 < c.h; y0 += 4 {
-		rows := c.h - y0
-		if rows > 4 {
-			rows = 4
-		}
+		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
 		for x := 0; x < c.w; x++ {
 			i := i0 + x
@@ -407,10 +444,7 @@ func (bd *BlockDecoder) decSigPropRaw(plane uint) {
 	r := &bd.rr
 	rm := &c.rowMask
 	for y0 := 0; y0 < c.h; y0 += 4 {
-		rows := c.h - y0
-		if rows > 4 {
-			rows = 4
-		}
+		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
 		for x := 0; x < c.w; x++ {
 			i := i0 + x
@@ -460,10 +494,7 @@ func (bd *BlockDecoder) decRefine(plane uint) {
 	f, mag, bw := c.flags, c.mag, c.bw
 	rm := &c.rowMask
 	for y0 := 0; y0 < c.h; y0 += 4 {
-		rows := c.h - y0
-		if rows > 4 {
-			rows = 4
-		}
+		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
 		for x := 0; x < c.w; x++ {
 			i := i0 + x
@@ -492,10 +523,7 @@ func (bd *BlockDecoder) decRefineRaw(plane uint) {
 	f, mag, bw := c.flags, c.mag, c.bw
 	r := &bd.rr
 	for y0 := 0; y0 < c.h; y0 += 4 {
-		rows := c.h - y0
-		if rows > 4 {
-			rows = 4
-		}
+		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
 		for x := 0; x < c.w; x++ {
 			i := i0 + x
@@ -524,10 +552,7 @@ func (bd *BlockDecoder) decCleanup(plane uint) {
 	f, bw, zc := c.flags, c.bw, c.zc
 	rm := &c.rowMask
 	for y0 := 0; y0 < c.h; y0 += 4 {
-		rows := c.h - y0
-		if rows > 4 {
-			rows = 4
-		}
+		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
 		for x := 0; x < c.w; x++ {
 			i := i0 + x

@@ -1,0 +1,270 @@
+package t1
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"pj2k/internal/dwt"
+	"pj2k/internal/quant"
+)
+
+// Poison values a plane starts with: a sample that still holds one after a
+// decode was never written. The float one is a NaN with a payload no
+// arithmetic produces, compared by bits.
+const (
+	intPoison   = int32(-0x5A5A5A5B)
+	floatPoison = 0x7FF8DEADBEEF0001
+)
+
+// unscaleROIOracle is the decoder's former separate MAXSHIFT sweep over a
+// decoded block, kept as the reference for the fused form: magnitudes at or
+// above 2^s belong to the ROI and are shifted back down.
+func unscaleROIOracle(vals []int32, s int) {
+	thr := int32(1) << uint(s)
+	for i, v := range vals {
+		m := v
+		if m < 0 {
+			m = -m
+		}
+		if m >= thr {
+			m >>= uint(s)
+			if v < 0 {
+				m = -m
+			}
+			vals[i] = m
+		}
+	}
+}
+
+// checkInto decodes in through DecodeInto into an int and a float plane, each
+// poisoned and larger than the block on every side, and checks both against
+// want (the block's coefficients before ROI un-scaling, stride W): the int
+// rectangle must equal want with MAXSHIFT undone by the oracle, the float
+// rectangle must equal quant.Inverse of that bit for bit, and every sample
+// outside the rectangle must keep its poison. It returns the SegStats of the
+// int decode (the float one must agree).
+func checkInto(t *testing.T, bd *BlockDecoder, name string, in *BlockIn, resilient bool, want []int32, roi int) SegStats {
+	t.Helper()
+	w, h := in.W, in.H
+	const ox, oy, padX, padY = 3, 2, 5, 3
+	stride, ph := ox+w+padX, oy+h+padY
+	off := oy*stride + ox
+	ref := append([]int32(nil), want...)
+	if roi > 0 {
+		unscaleROIOracle(ref, roi)
+	}
+
+	ip := make([]int32, stride*ph)
+	for i := range ip {
+		ip[i] = intPoison
+	}
+	st, err := bd.DecodeInto(in, &Dest{Int: ip, Off: off, Stride: stride, ROIShift: roi}, resilient)
+	if err != nil {
+		t.Fatalf("%s: int decode: %v", name, err)
+	}
+	for y := 0; y < ph; y++ {
+		for x := 0; x < stride; x++ {
+			got := ip[y*stride+x]
+			exp := intPoison
+			if x >= ox && x < ox+w && y >= oy && y < oy+h {
+				exp = ref[(y-oy)*w+x-ox]
+			}
+			if got != exp {
+				t.Fatalf("%s: int plane (%d,%d) = %d, want %d", name, x, y, got, exp)
+			}
+		}
+	}
+
+	const step = 0.0371
+	fp := make([]float64, stride*ph)
+	fexp := make([]float64, stride*ph)
+	for i := range fp {
+		fp[i] = math.Float64frombits(floatPoison)
+		fexp[i] = fp[i]
+	}
+	sub := dwt.Subband{X0: ox, Y0: oy, X1: ox + w, Y1: oy + h}
+	quant.Inverse(ref, w, sub, step, fexp, stride, 1)
+	fst, err := bd.DecodeInto(in, &Dest{Float: fp, Off: off, Stride: stride, Step: step, ROIShift: roi}, resilient)
+	if err != nil {
+		t.Fatalf("%s: float decode: %v", name, err)
+	}
+	if fst != st {
+		t.Fatalf("%s: float decode stats %+v, int decode %+v", name, fst, st)
+	}
+	for i := range fp {
+		if g, e := math.Float64bits(fp[i]), math.Float64bits(fexp[i]); g != e {
+			t.Fatalf("%s: float plane (%d,%d) bits %#x, want %#x", name, i%stride, i/stride, g, e)
+		}
+	}
+	return st
+}
+
+// arenaDecode is the DecodeBlock adapter's output for in, copied out of the
+// arena.
+func arenaDecode(t *testing.T, bd *BlockDecoder, in *BlockIn, resilient bool) []int32 {
+	t.Helper()
+	out, _, err := bd.DecodeBlock(in, resilient)
+	if err != nil {
+		t.Fatalf("DecodeBlock: %v", err)
+	}
+	out = append([]int32(nil), out...)
+	bd.Release()
+	return out
+}
+
+// blockIn is the decode input for the first np passes of eb.
+func blockIn(eb *EncodedBlock, np int) BlockIn {
+	data := eb.Data
+	if np > 0 {
+		if r := eb.Passes[np-1].Rate; r < len(data) {
+			data = data[:r]
+		}
+	}
+	return BlockIn{
+		W: eb.W, H: eb.H, Band: eb.Band,
+		NumBitplanes: eb.NumBitplanes,
+		Data:         data,
+		NPasses:      np,
+		Modes:        eb.Modes,
+		SegEnds:      eb.SegmentEnds(nil, np),
+	}
+}
+
+// TestDecodeIntoPlane pins the into-plane write for every coder mode: at any
+// pass count, with and without MAXSHIFT, the block's rectangle of an int plane
+// equals the DecodeBlock adapter's output (ROI undone as the former separate
+// sweep did), the float plane equals quant.Inverse of it bit for bit, and
+// nothing outside the rectangle is written.
+func TestDecodeIntoPlane(t *testing.T) {
+	co := NewCoder()
+	bd := NewBlockDecoder()
+	const roi = 7
+	for _, m := range modeCombos {
+		co.Modes = m
+		for _, sz := range [][2]int{{32, 32}, {13, 7}, {1, 1}} {
+			w, h := sz[0], sz[1]
+			plain := randBlock(w, h, 20000, 0.6, int64(w*31+h))
+			// The ROI block: a background below 2^roi with a scaled-up
+			// foreground, as the MAXSHIFT encoder leaves it.
+			scaled := randBlock(w, h, 1<<roi-1, 0.6, int64(w*37+h))
+			for i := range scaled {
+				if i%w < w/2+1 {
+					scaled[i] <<= roi
+				}
+			}
+			for _, c := range []struct {
+				data []int32
+				roi  int
+			}{{plain, 0}, {scaled, roi}} {
+				eb := co.Encode(c.data, w, h, w, dwt.HL)
+				np := len(eb.Passes)
+				for _, n := range []int{1, np / 2, np} {
+					if n < 1 || n > np {
+						continue // a block with no coded passes has no prefixes
+					}
+					in := blockIn(eb, n)
+					name := fmt.Sprintf("%s %dx%d roi=%d passes %d/%d", modeName(m), w, h, c.roi, n, np)
+					checkInto(t, bd, name, &in, false, arenaDecode(t, bd, &in, false), c.roi)
+				}
+			}
+			co.Release()
+		}
+	}
+}
+
+// TestDecodeIntoEarlyReturns covers every path of DecodeInto that returns
+// before the pass loop's fill: each must still write the whole rectangle —
+// zeros, or the clean prefix a concealment keeps — since the decoder's pooled
+// planes are never cleared.
+func TestDecodeIntoEarlyReturns(t *testing.T) {
+	co := NewCoder()
+	bd := NewBlockDecoder()
+	zero := make([]int32, 32*32)
+
+	co.Modes = Modes{}
+	eb := co.Encode(randBlock(32, 32, 20000, 0.6, 11), 32, 32, 32, dwt.LH)
+	full := blockIn(eb, len(eb.Passes))
+
+	noPlanes := full
+	noPlanes.NumBitplanes = 0
+	noPasses := blockIn(eb, 0)
+	negPasses := full
+	negPasses.NPasses = -1
+	deep := full
+	deep.NumBitplanes = 32
+	// The coders driven far past a one-byte segment: without segmentation
+	// symbols the overrun is the only corruption signal.
+	overrun := full
+	overrun.Data = full.Data[:1]
+
+	co.Modes = Modes{Bypass: true, TermAll: true}
+	ebT := co.Encode(randBlock(32, 32, 20000, 0.6, 12), 32, 32, 32, dwt.LH)
+	badLayout := blockIn(ebT, len(ebT.Passes))
+	badLayout.SegEnds = badLayout.SegEnds[:1]
+
+	for _, c := range []struct {
+		name      string
+		in        BlockIn
+		resilient bool
+		concealed bool
+	}{
+		{"NumBitplanes 0", noPlanes, false, false},
+		{"npasses 0", noPasses, false, false},
+		{"negative npasses", negPasses, true, true},
+		{"32 planes", deep, true, true},
+		{"overrun", overrun, true, true},
+		{"bad segment layout", badLayout, true, true},
+	} {
+		st := checkInto(t, bd, c.name, &c.in, c.resilient, zero, 0)
+		if st.Concealed != c.concealed {
+			t.Fatalf("%s: stats %+v, want concealed=%v", c.name, st, c.concealed)
+		}
+		if got := arenaDecode(t, bd, &c.in, c.resilient); fmt.Sprint(got) != fmt.Sprint(zero) {
+			t.Fatalf("%s: DecodeBlock adapter output not all zero", c.name)
+		}
+	}
+
+	// Segmentation-symbol mismatches: corrupt one byte of one cleanup pass's
+	// segment (every pass is its own segment under TermAll). A mismatch at
+	// the first cleanup keeps nothing; a later one keeps the clean prefix,
+	// which must equal a clean decode truncated there.
+	co.Modes = Modes{TermAll: true, SegSym: true}
+	data := randBlock(32, 32, 20000, 0.6, 13)
+	ebS := co.Encode(data, 32, 32, 32, dwt.HH)
+	np := len(ebS.Passes)
+	ends := ebS.SegmentEnds(nil, np)
+	sawZero, sawPrefix := false, false
+	for pass := 0; pass < np; pass += 3 { // the cleanup passes
+		lo := 0
+		if pass > 0 {
+			lo = ends[pass-1]
+		}
+		for b := lo; b < ends[pass]; b++ {
+			in := blockIn(ebS, np)
+			in.Data = append([]byte(nil), ebS.Data...)
+			in.Data[b] ^= 0xA5
+			// The clean prefix ends at the cleanup before the corrupted one;
+			// a flip that keeps this pass's symbol is no test of it.
+			good := max(pass-2, 0)
+			if _, st, _ := bd.DecodeBlock(&in, true); !st.Concealed || st.DroppedPasses != np-good {
+				bd.Release()
+				continue
+			}
+			bd.Release()
+			want := zero
+			if good > 0 {
+				clean := blockIn(ebS, good)
+				want = arenaDecode(t, bd, &clean, false)
+				sawPrefix = true
+			} else {
+				sawZero = true
+			}
+			checkInto(t, bd, fmt.Sprintf("segsym mismatch at pass %d (byte %d)", pass, b), &in, true, want, 0)
+			break
+		}
+	}
+	if !sawZero || !sawPrefix {
+		t.Fatalf("no corruption produced both mismatch kinds (first cleanup %v, later %v)", sawZero, sawPrefix)
+	}
+}

@@ -480,10 +480,7 @@ func (c *coder) encSigProp(enc *mq.Encoder, plane uint) float64 {
 	f, mag, bw, zc := c.flags, c.mag, c.bw, c.zc
 	rm := &c.rowMask
 	for y0 := 0; y0 < c.h; y0 += 4 {
-		rows := c.h - y0
-		if rows > 4 {
-			rows = 4
-		}
+		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
 		for x := 0; x < c.w; x++ {
 			i := i0 + x
@@ -515,10 +512,7 @@ func (c *coder) encSigPropRaw(w *bitio.StuffWriter, plane uint) float64 {
 	f, mag, bw := c.flags, c.mag, c.bw
 	rm := &c.rowMask
 	for y0 := 0; y0 < c.h; y0 += 4 {
-		rows := c.h - y0
-		if rows > 4 {
-			rows = 4
-		}
+		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
 		for x := 0; x < c.w; x++ {
 			i := i0 + x
@@ -570,10 +564,7 @@ func (c *coder) encRefine(enc *mq.Encoder, plane uint) float64 {
 	f, mag, bw := c.flags, c.mag, c.bw
 	rm := &c.rowMask
 	for y0 := 0; y0 < c.h; y0 += 4 {
-		rows := c.h - y0
-		if rows > 4 {
-			rows = 4
-		}
+		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
 		for x := 0; x < c.w; x++ {
 			i := i0 + x
@@ -600,10 +591,7 @@ func (c *coder) encRefineRaw(w *bitio.StuffWriter, plane uint) float64 {
 	var dist float64
 	f, mag, bw := c.flags, c.mag, c.bw
 	for y0 := 0; y0 < c.h; y0 += 4 {
-		rows := c.h - y0
-		if rows > 4 {
-			rows = 4
-		}
+		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
 		for x := 0; x < c.w; x++ {
 			i := i0 + x
@@ -633,10 +621,7 @@ func (c *coder) encCleanup(enc *mq.Encoder, plane uint) float64 {
 	f, mag, bw, zc := c.flags, c.mag, c.bw, c.zc
 	rm := &c.rowMask
 	for y0 := 0; y0 < c.h; y0 += 4 {
-		rows := c.h - y0
-		if rows > 4 {
-			rows = 4
-		}
+		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
 		for x := 0; x < c.w; x++ {
 			i := i0 + x
