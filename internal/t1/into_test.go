@@ -1,6 +1,9 @@
 package t1
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"testing"
@@ -266,5 +269,76 @@ func TestDecodeIntoEarlyReturns(t *testing.T) {
 	}
 	if !sawZero || !sawPrefix {
 		t.Fatalf("no corruption produced both mismatch kinds (first cleanup %v, later %v)", sawZero, sawPrefix)
+	}
+}
+
+// TestDecodeIntoDigest pins what DecodeInto writes, bit for bit: a fixed
+// corpus of blocks (sizes, bands and magnitudes that exercise every stripe
+// shape, with and without a MAXSHIFT-scaled foreground) is encoded in every
+// coder mode and decoded at every pass count, into an int and a dequantized
+// float plane, and the SHA-256 of all of it must not move. Each truncation
+// point ends on a different pass kind, so the digest covers every midpoint
+// rule. A resilient decode of a corrupted copy of each block rides along, so
+// the concealment replay's output is pinned too.
+func TestDecodeIntoDigest(t *testing.T) {
+	co := NewCoder()
+	bd := NewBlockDecoder()
+	h := sha256.New()
+	var b [8]byte
+	const roi, step = 6, 0.0371
+	for _, m := range modeCombos {
+		co.Modes = m
+		for bi, sz := range [][3]int{{32, 32, 30000}, {13, 7, 900}, {64, 5, 5000}, {1, 1, 77}} {
+			w, hh := sz[0], sz[1]
+			band := bandTypes[bi%len(bandTypes)]
+			plain := randBlock(w, hh, int32(sz[2]), 0.7, int64(w*131+hh))
+			scaled := randBlock(w, hh, 1<<roi-1, 0.7, int64(w*137+hh))
+			for i := range scaled {
+				if (i/w)%3 == 0 {
+					scaled[i] <<= roi
+				}
+			}
+			for _, c := range []struct {
+				data []int32
+				roi  int
+			}{{plain, 0}, {scaled, roi}} {
+				eb := co.Encode(c.data, w, hh, w, band)
+				np := len(eb.Passes)
+				ip := make([]int32, w*hh)
+				fp := make([]float64, w*hh)
+				decode := func(in *BlockIn, resilient bool) {
+					st, err := bd.DecodeInto(in, &Dest{Int: ip, Stride: w, ROIShift: c.roi}, resilient)
+					if err != nil {
+						t.Fatalf("%s %dx%d: %v", modeName(m), w, hh, err)
+					}
+					if _, err := bd.DecodeInto(in, &Dest{Float: fp, Stride: w, Step: step, ROIShift: c.roi}, resilient); err != nil {
+						t.Fatalf("%s %dx%d: %v", modeName(m), w, hh, err)
+					}
+					binary.LittleEndian.PutUint64(b[:], uint64(st.DroppedPasses))
+					h.Write(b[:])
+					for i, v := range ip {
+						binary.LittleEndian.PutUint32(b[:], uint32(v))
+						h.Write(b[:4])
+						binary.LittleEndian.PutUint64(b[:], math.Float64bits(fp[i]))
+						h.Write(b[:])
+					}
+				}
+				for n := 0; n <= np; n++ {
+					in := blockIn(eb, n)
+					decode(&in, false)
+				}
+				in := blockIn(eb, np)
+				in.Data = append([]byte(nil), in.Data...)
+				if len(in.Data) > 0 {
+					in.Data[len(in.Data)/2] ^= 0x5A
+				}
+				decode(&in, true)
+			}
+			co.Release()
+		}
+	}
+	const want = "c0213980d3e66ac1c3636d986b194299b1a221e599f30acd821373fa09a1af5c"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("DecodeInto digest %s, want %s", got, want)
 	}
 }
