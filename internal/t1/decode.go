@@ -36,7 +36,7 @@ func Decode(eb *EncodedBlock, npasses int) ([]int32, error) {
 }
 
 // BlockDecoder is the reusable tier-1 block decoder, mirroring Coder on the
-// encode side: the bordered magnitude/flag/last-plane arrays and the MQ
+// encode side: the bordered magnitude/flag arrays and the MQ
 // decoder persist across blocks, so steady-state decoding performs no heap
 // allocations. Code-blocks are independent, so each decode worker owns one
 // BlockDecoder and shares nothing.
@@ -52,10 +52,9 @@ func Decode(eb *EncodedBlock, npasses int) ([]int32, error) {
 // owner embeds it in a per-worker block; it must not be copied once it has
 // decoded a block.
 type BlockDecoder struct {
-	c         coder
-	mq        mq.Decoder
-	lastPlane []uint8 // per bordered sample: (last updated plane)+1, 0 = never
-	out       []int32 // DecodeBlock's arena
+	c   coder
+	mq  mq.Decoder
+	out []int32 // DecodeBlock's arena
 
 	modes   Modes
 	segData []byte
@@ -145,55 +144,55 @@ func (bd *BlockDecoder) DecodeBlock(in *BlockIn, resilient bool) ([]int32, SegSt
 // resilient false those conditions are errors, making strict decodes
 // self-checking; after an error the rectangle is left unspecified.
 func (bd *BlockDecoder) DecodeInto(in *BlockIn, dst *Dest, resilient bool) (SegStats, error) {
-	st, decoded, err := bd.decode(in, resilient)
+	st, passes, err := bd.decode(in, resilient)
 	if err == nil {
-		bd.fill(dst, in.W, in.H, decoded)
+		bd.fill(dst, in.W, in.H, in.NumBitplanes, passes)
 	}
 	return st, err
 }
 
-// decode runs DecodeInto's pass loop and concealment, reporting whether the
-// coder's bordered state holds the block (false: the block is all zero).
-func (bd *BlockDecoder) decode(in *BlockIn, resilient bool) (SegStats, bool, error) {
+// decode runs DecodeInto's pass loop and concealment, reporting how many
+// passes the coder's bordered state holds (0: the block is all zero).
+func (bd *BlockDecoder) decode(in *BlockIn, resilient bool) (SegStats, int, error) {
 	var st SegStats
 	if in.W <= 0 || in.H <= 0 {
-		return st, false, fmt.Errorf("t1: invalid block %dx%d", in.W, in.H)
+		return st, 0, fmt.Errorf("t1: invalid block %dx%d", in.W, in.H)
 	}
 	npasses := in.NPasses
 	if npasses < 0 {
 		if !resilient {
-			return st, false, fmt.Errorf("t1: negative pass count %d", npasses)
+			return st, 0, fmt.Errorf("t1: negative pass count %d", npasses)
 		}
 		st.Concealed = true // impossible state: conceal as an empty block
 		npasses = 0
 	}
 	if in.NumBitplanes <= 0 || npasses == 0 {
-		return st, false, nil
+		return st, 0, nil
 	}
 	if resilient && in.NumBitplanes > 31 {
 		// int32 magnitudes cannot hold more planes: a corrupt zero-bit-plane
 		// count drove Mb-zbp out of range. Conceal as a zero block.
 		st.Concealed = true
 		st.DroppedPasses = npasses
-		return st, false, nil
+		return st, 0, nil
 	}
 	if err := bd.bindSegments(in, npasses); err != nil {
 		if !resilient {
-			return st, false, err
+			return st, 0, err
 		}
 		st.Concealed = true // segment layout lies about the data: zero the block
 		st.DroppedPasses = npasses
-		return st, false, nil
+		return st, 0, nil
 	}
 	decoded, ok := bd.runPasses(in.W, in.H, in.Band, in.NumBitplanes, npasses)
 	if !ok {
 		if !resilient {
-			return st, false, fmt.Errorf("t1: segmentation symbol mismatch after pass %d", decoded)
+			return st, 0, fmt.Errorf("t1: segmentation symbol mismatch after pass %d", decoded)
 		}
 		st.Concealed = true
 		st.DroppedPasses = npasses - decoded
 		if decoded == 0 {
-			return st, false, nil // no clean prefix: zero the block
+			return st, 0, nil // no clean prefix: zero the block
 		}
 		// The prefix through the last verified cleanup pass is clean;
 		// re-decode just it (corruption is rare, so the replay cost is paid
@@ -205,10 +204,10 @@ func (bd *BlockDecoder) decode(in *BlockIn, resilient bool) (SegStats, bool, err
 			// replay to; a decoder driven far past its segments zeroes the block.
 			st.Concealed = true
 			st.DroppedPasses = npasses
-			return st, false, nil
+			return st, 0, nil
 		}
 	}
-	return st, true, nil
+	return st, decoded, nil
 }
 
 // bindSegments validates in's codeword-segment layout against its modes and
@@ -288,13 +287,6 @@ func (bd *BlockDecoder) runPasses(w, h int, band dwt.BandType, numBitplanes, npa
 	m := bd.modes
 	c.causal = m.Causal
 	c.reset(w, h, band)
-	n := (w + 2) * (h + 2)
-	if cap(bd.lastPlane) < n {
-		bd.lastPlane = make([]uint8, n)
-	} else {
-		bd.lastPlane = bd.lastPlane[:n]
-		clear(bd.lastPlane)
-	}
 	c.resetContexts()
 	bd.ovr = 0
 
@@ -346,7 +338,6 @@ planes:
 		if m.ResetCtx {
 			c.resetContexts()
 		}
-		c.clearVisited()
 	}
 	// Bank the final segment's overrun (raw iff the last pass was bypassed).
 	if pass > 0 {
@@ -371,23 +362,33 @@ func (bd *BlockDecoder) decSegSym() bool {
 }
 
 // fill writes the w x h block into dst's rectangle, every sample: zero for a
-// block that decoded nothing and for a sample that never became significant;
+// block that decoded no passes and for a sample that never became significant;
 // otherwise the magnitude plus the midpoint of the undecoded interval (planes
-// below the last decoded one), signed, with MAXSHIFT undone — magnitudes at or
-// above 2^ROIShift belong to the ROI and are shifted back down — and, on a
-// float plane, dequantized.
-func (bd *BlockDecoder) fill(dst *Dest, w, h int, decoded bool) {
+// below the one it was last coded at), signed, with MAXSHIFT undone —
+// magnitudes at or above 2^ROIShift belong to the ROI and are shifted back
+// down — and, on a float plane, dequantized. The last of the passes run fixes
+// that plane: p after a cleanup or refinement pass at p; after a significance
+// pass at p, p for a sample it visited and p+1 for every other.
+func (bd *BlockDecoder) fill(dst *Dest, w, h, nbp, passes int) {
 	c := &bd.c
+	p, sigLast := max(nbp-1, 0), false
+	if k := passes - 1; k > 0 {
+		p, sigLast = nbp-2-(k-1)/3, (k-1)%3 == 0
+	}
+	midVis, midRest := int32(uint32(1)<<p>>1), int32(uint32(1)<<p>>1)
+	if sigLast {
+		midRest = int32(uint32(1) << p)
+	}
 	s := uint(max(dst.ROIShift, 0))
 	thr := int32(1) << s
 	for y := 0; y < h; y++ {
 		o, i := dst.Off+y*dst.Stride, c.idx(0, y)
 		for x := 0; x < w; x++ {
 			var v int32
-			if decoded && c.flags[i+x]&fSig != 0 {
-				v = c.mag[i+x]
-				if lp := bd.lastPlane[i+x]; lp >= 2 {
-					v += 1 << (lp - 2) // midpoint of the undecoded interval
+			if passes > 0 && c.flags[i+x]&fSig != 0 {
+				v = c.mag[i+x] + midRest
+				if c.flags[i+x]&fVisited != 0 {
+					v = c.mag[i+x] + midVis
 				}
 				if c.flags[i+x]&fNeg != 0 {
 					v = -v
@@ -463,7 +464,6 @@ func (bd *BlockDecoder) decSigPropRaw(plane uint) {
 					}
 					c.setSig(i, neg)
 					c.mag[i] |= 1 << plane
-					bd.lastPlane[i] = uint8(plane) + 1
 				}
 				f[i] |= fVisited
 			}
@@ -472,8 +472,7 @@ func (bd *BlockDecoder) decSigPropRaw(plane uint) {
 }
 
 // decSign decodes the sign of sample i which just became significant at
-// plane, marks it significant in its neighborhood, and records the plane for
-// the midpoint compensation of truncated decodes. mask is the stripe-row
+// plane and marks it significant in its neighborhood. mask is the stripe-row
 // flag mask (all ones outside causal mode).
 func (bd *BlockDecoder) decSign(i int, plane uint, mask uint32) {
 	c := &bd.c
@@ -485,7 +484,6 @@ func (bd *BlockDecoder) decSign(i int, plane uint, mask uint32) {
 	}
 	c.setSig(i, neg)
 	c.mag[i] |= 1 << plane
-	bd.lastPlane[i] = uint8(plane) + 1 // store plane+1 (0 = untouched)
 }
 
 // decRefine mirrors encRefine on the decode side.
@@ -509,7 +507,6 @@ func (bd *BlockDecoder) decRefine(plane uint) {
 				if bd.mq.Decode(&c.cx[mrCtx(fl&rm[k])]) == 1 {
 					mag[i] |= 1 << plane
 				}
-				bd.lastPlane[i] = uint8(plane) + 1
 				f[i] = fl | fRefined
 			}
 		}
@@ -540,13 +537,14 @@ func (bd *BlockDecoder) decRefineRaw(plane uint) {
 				if r.ReadBit() == 1 {
 					mag[i] |= 1 << plane
 				}
-				bd.lastPlane[i] = uint8(plane) + 1
 			}
 		}
 	}
 }
 
-// decCleanup mirrors encCleanup on the decode side.
+// decCleanup mirrors encCleanup on the decode side, and drops each visited
+// bit as it passes the sample, leaving the next plane's significance pass a
+// clean slate.
 func (bd *BlockDecoder) decCleanup(plane uint) {
 	c := &bd.c
 	f, bw, zc := c.flags, c.bw, c.zc
@@ -569,6 +567,7 @@ func (bd *BlockDecoder) decCleanup(plane uint) {
 				ii := i + y*bw
 				fl := f[ii] & rm[y]
 				if fl&(fSig|fVisited) != 0 {
+					f[ii] &^= fVisited
 					continue
 				}
 				if bd.mq.Decode(&c.cx[zc[fl&fSigOth]]) == 1 {
