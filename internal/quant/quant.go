@@ -141,16 +141,15 @@ func ForwardBands(src []float64, stride int, jobs []BandJob, workers int, pool *
 // Inverse dequantizes integers back into float coefficients with the
 // standard half-step midpoint bias for nonzero values (bit-plane truncation
 // offsets at coarser granularity are already applied by the tier-1 decoder).
-// The serial case bypasses the fork/join helper entirely, so a per-block call
-// allocates nothing.
+// It runs serially and allocates nothing; workers is accepted and ignored
+// (the decoder dequantizes in tier-1's into-plane write, per block).
 func Inverse(src []int32, srcStride int, b dwt.Subband, step float64, dst []float64, stride, workers int) {
-	if workers == 1 {
-		inverseRows(src, srcStride, b, step, dst, stride, 0, b.Height())
-		return
+	for y := 0; y < b.Height(); y++ {
+		drow := dst[(b.Y0+y)*stride+b.X0:]
+		for x, v := range src[y*srcStride:][:b.Width()] {
+			drow[x] = Dequant(v, step)
+		}
 	}
-	core.Default().ForMax(core.Workers(workers), b.Height(), func(lo, hi int) {
-		inverseRows(src, srcStride, b, step, dst, stride, lo, hi)
-	})
 }
 
 // Dequant reconstructs one float coefficient from its quantized value v: v
@@ -161,14 +160,4 @@ func Inverse(src []int32, srcStride int, b dwt.Subband, step float64, dst []floa
 func Dequant(v int32, step float64) float64 {
 	sign := v>>31 | int32(uint32(-v)>>31)
 	return (float64(v) + float64(0.5*float64(sign))) * step
-}
-
-func inverseRows(src []int32, srcStride int, b dwt.Subband, step float64, dst []float64, stride, lo, hi int) {
-	for y := lo; y < hi; y++ {
-		srow := src[y*srcStride:]
-		drow := dst[(b.Y0+y)*stride+b.X0:]
-		for x, v := range srow[:b.Width()] {
-			drow[x] = Dequant(v, step)
-		}
-	}
 }
