@@ -1,6 +1,11 @@
 package raster
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"unsafe"
+)
 
 // Planar is a multi-component raster: one Image per component, all with equal
 // visible dimensions (component interleaving is a transport concern; the
@@ -10,16 +15,47 @@ type Planar struct {
 	Comps []*Image
 }
 
-// NewPlanar allocates ncomp components of width x height samples.
+// NewPlanar allocates ncomp components of width x height samples in two
+// blocks, whatever the component count: one holds the Planar, its component
+// list and every component header, the other all samples, each component a
+// cap-limited sub-slice of it (so an append to one never runs into the next).
 func NewPlanar(width, height, ncomp int) *Planar {
 	if ncomp <= 0 {
 		panic(fmt.Sprintf("raster: invalid component count %d", ncomp))
 	}
-	p := &Planar{Comps: make([]*Image, ncomp)}
-	for i := range p.Comps {
-		p.Comps[i] = New(width, height)
+	if width <= 0 || height <= 0 {
+		panic(fmt.Sprintf("raster: invalid dimensions %dx%d", width, height))
+	}
+	blk := reflect.New(planarBlock(ncomp)).Elem()
+	p := (*Planar)(blk.Field(0).Addr().UnsafePointer())
+	p.Comps = unsafe.Slice((**Image)(blk.Field(1).Addr().UnsafePointer()), ncomp)
+	hdrs := unsafe.Slice((*Image)(blk.Field(2).Addr().UnsafePointer()), ncomp)
+	n := width * height
+	pix := make([]int32, n*ncomp)
+	for i := range hdrs {
+		hdrs[i] = Image{Width: width, Height: height, Stride: width, Pix: pix[i*n : (i+1)*n : (i+1)*n]}
+		p.Comps[i] = &hdrs[i]
 	}
 	return p
+}
+
+// planarBlocks caches planarBlock's types by component count.
+var planarBlocks sync.Map
+
+// planarBlock is the type of NewPlanar's header block for ncomp components:
+// struct{ P Planar; C [ncomp]*Image; I [ncomp]Image }. Go has no
+// variable-length struct, so the type is built once per count.
+func planarBlock(ncomp int) reflect.Type {
+	if t, ok := planarBlocks.Load(ncomp); ok {
+		return t.(reflect.Type)
+	}
+	t := reflect.StructOf([]reflect.StructField{
+		{Name: "P", Type: reflect.TypeFor[Planar]()},
+		{Name: "C", Type: reflect.ArrayOf(ncomp, reflect.TypeFor[*Image]())},
+		{Name: "I", Type: reflect.ArrayOf(ncomp, reflect.TypeFor[Image]())},
+	})
+	planarBlocks.Store(ncomp, t)
+	return t
 }
 
 // Gray wraps a single image as a one-component Planar (sharing storage).

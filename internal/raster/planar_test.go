@@ -114,3 +114,35 @@ func TestPlanarClone(t *testing.T) {
 		t.Fatal("clone differs")
 	}
 }
+
+// TestNewPlanarAllocs: a Planar of any component count is two allocations —
+// the Planar with its component list and headers, and one sample block — and
+// every component is a cap-limited window of that block.
+func TestNewPlanarAllocs(t *testing.T) {
+	for _, nc := range []int{1, 3, 4} {
+		NewPlanar(5, 3, nc) // build the block type outside the count
+		if n := testing.AllocsPerRun(100, func() { NewPlanar(37, 11, nc) }); n != 2 {
+			t.Errorf("%d components: %.0f allocations, want 2", nc, n)
+		}
+		p := NewPlanar(37, 11, nc)
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range p.Comps {
+			if c.Width != 37 || c.Height != 11 || c.Stride != 37 || len(c.Pix) != 37*11 || cap(c.Pix) != 37*11 {
+				t.Fatalf("%d components: component %d is %dx%d stride %d len %d cap %d",
+					nc, i, c.Width, c.Height, c.Stride, len(c.Pix), cap(c.Pix))
+			}
+			for j := range c.Pix {
+				c.Pix[j] = int32(i + 1)
+			}
+		}
+		for i, c := range p.Comps {
+			for _, v := range c.Pix {
+				if v != int32(i+1) {
+					t.Fatalf("%d components: component %d overlaps another", nc, i)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package raster
 
-import "math"
+import (
+	"math"
+	"runtime"
+	"sync"
+)
 
 // xorshift64 is a tiny deterministic PRNG so synthetic workloads are
 // reproducible across runs and hosts without pulling in math/rand's global
@@ -47,25 +51,41 @@ func Synthetic(width, height int, seed uint64) *Image {
 	theta := rng.float() * math.Pi
 	nx, ny := math.Cos(theta), math.Sin(theta)
 
+	// The blob-and-edge phase reads only the parameters drawn above, so its
+	// rows are independent: it runs over up to GOMAXPROCS contiguous row
+	// bands, each sample computed exactly as a serial pass would.
 	fw, fh := float64(width), float64(height)
-	for y := 0; y < height; y++ {
-		row := im.Row(y)
-		fy := float64(y)
-		for x := 0; x < width; x++ {
-			fx := float64(x)
-			v := 110.0 + 60.0*fx/fw + 30.0*fy/fh // illumination gradient
-			for _, b := range blobs {
-				dx, dy := fx-b.cx, fy-b.cy
-				d2 := (dx*dx + dy*dy) / (2 * b.sigma * b.sigma)
-				if d2 < 12 {
-					v += b.amp * math.Exp(-d2)
+	rows := func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			row := im.Row(y)
+			fy := float64(y)
+			for x := 0; x < width; x++ {
+				fx := float64(x)
+				v := 110.0 + 60.0*fx/fw + 30.0*fy/fh // illumination gradient
+				for _, b := range blobs {
+					dx, dy := fx-b.cx, fy-b.cy
+					d2 := (dx*dx + dy*dy) / (2 * b.sigma * b.sigma)
+					if d2 < 12 {
+						v += b.amp * math.Exp(-d2)
+					}
 				}
+				d := (fx-ex)*nx + (fy-ey)*ny
+				v += 25.0 * math.Tanh(d/3.0) // soft edge
+				row[x] = int32(v)
 			}
-			d := (fx-ex)*nx + (fy-ey)*ny
-			v += 25.0 * math.Tanh(d/3.0) // soft edge
-			row[x] = int32(v)
 		}
 	}
+	nb := min(runtime.GOMAXPROCS(0), height)
+	var wg sync.WaitGroup
+	for b := 1; b < nb; b++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows(b*height/nb, (b+1)*height/nb)
+		}()
+	}
+	rows(0, height/nb)
+	wg.Wait()
 
 	// Low-pass-filtered noise: one pass of a 3x3 box over white noise,
 	// generated row-by-row with a two-row buffer to stay O(width).
