@@ -1,6 +1,7 @@
 package jp2k
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -58,11 +59,12 @@ func (r Rect) Intersect(o Rect) Rect {
 // Decoder has run and reshapes in place for any other (DESIGN.md §7). A warm
 // decode — one whose selected tiles, code-blocks and planes are no larger than
 // earlier decodes', whatever their component count, kernel, tiling or levels —
-// allocates its returned image (the Planar, its component list, and a header
-// and sample slice per component) and nothing per tile, band or block.
-// DecodeRegion from an Index allocates only that; the scanning entry points
-// add their source's container scan (header parameters and tile-part spans),
-// Decode its bytes Source, and a resilient decode its DamageReport.
+// allocates only its returned image, in two blocks (raster.NewPlanar: the
+// Planar with its component list and headers, and the samples), and nothing
+// per tile, band or block, whatever the entry point: the scanning entry
+// points scan into the Decoder's pooled container scan (header parameters,
+// tile-part spans, read window) and Decode reads its bytes through a pooled
+// Source. A resilient decode also allocates its DamageReport.
 //
 // Multi-component codestreams decode natively: the packet walk de-interleaves
 // per-component packets per tile, tier-1 runs over every kept (tile,
@@ -88,9 +90,17 @@ type Decoder struct {
 	tileDmg    []t2.DecodeDamage // per selected tile (resilient decodes)
 	blockStats []t1.SegStats     // per tier-1 job (resilient decodes)
 	damage     *DamageReport     // of the last resilient decode
+	perTile    []TileDamage      // per selected tile (resilient decodes)
 	colW, rowH []int
 	sel        []int
 	mctFloats  [][]float64 // pooled float planes for the inverse ICT
+
+	// The scanning entry points' container scan, reshaped in place per call,
+	// and Decode's source over its resident bytes.
+	scanner t2.Scanner
+	cs      scanned
+	rd      bytes.Reader
+	bsrc    t2.Source
 
 	// Dispatch funcs bound once at construction, so the hot TasksIDMax call
 	// sites pass a stored func instead of allocating a fresh closure per
@@ -234,16 +244,20 @@ func (d *Decoder) ensureWorkers(n int) {
 // freshly allocated and caller-owned. Multi-component streams are an error,
 // reported before any tier-1 work; use DecodePlanarSource.
 func (d *Decoder) Decode(data []byte, opts DecodeOptions) (*raster.Image, error) {
-	src := t2.BytesSource(data)
-	cs, err := scan(src, opts.Resilient)
-	if err == nil && cs.p.Components() != 1 {
-		err = fmt.Errorf("jp2k: %d-component stream; use DecodePlanarSource/DecodeRegionPlanarSource", cs.p.Components())
+	// The pooled source over data: NewSource inlines, so the copy allocates
+	// nothing. Reset drops data once the decode is done.
+	d.rd.Reset(data)
+	d.bsrc = *t2.NewSource(&d.rd, int64(len(data)))
+	defer d.rd.Reset(nil)
+	err := d.scan(&d.bsrc, opts.Resilient)
+	if err == nil && d.cs.p.Components() != 1 {
+		err = fmt.Errorf("jp2k: %d-component stream; use DecodePlanarSource/DecodeRegionPlanarSource", d.cs.p.Components())
 	}
 	if err != nil {
 		d.damage, d.stats = nil, DecodeStats{}
 		return nil, err
 	}
-	pl, err := d.decode(src, &cs, opts, nil)
+	pl, err := d.decode(&d.bsrc, &d.cs, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -454,31 +468,28 @@ type scanned struct {
 	parse time.Duration
 }
 
-// scan parses src's main header and tile-part chain for the scanning entry
-// points: strictly, or resilient — salvaging the chain (Psot re-bounding,
-// marker resync) without reading any body, so an unreadable body later
-// degrades its one tile instead of failing the decode up front.
-func scan(src *t2.Source, resilient bool) (scanned, error) {
+// scan parses src's main header and tile-part chain into d.cs for the
+// scanning entry points, on the Decoder's pooled Scanner: strictly, or
+// resilient — salvaging the chain (Psot re-bounding, marker resync) without
+// reading any body, so an unreadable body later degrades its one tile instead
+// of failing the decode up front.
+func (d *Decoder) scan(src *t2.Source, resilient bool) error {
 	t0 := time.Now()
-	var cs scanned
+	cs := &d.cs
 	var err error
-	if resilient {
-		cs.p, cs.spans, cs.cdmg, err = t2.ScanCodestreamResilient(src)
-	} else {
-		cs.p, cs.spans, err = t2.ScanCodestream(src)
-	}
+	cs.p, cs.spans, cs.cdmg, err = d.scanner.Scan(src, resilient)
 	if err != nil {
-		return scanned{}, err
+		return err
 	}
 	// Even a resilient decode needs a viable geometry: without it there is
 	// no image to degrade toward.
 	if err := cs.p.CheckGeometry(); err != nil {
-		return scanned{}, err
+		return err
 	}
 	ntx, nty := cs.p.NumTiles()
 	if n := ntx * nty; len(cs.spans) != n {
 		if !resilient {
-			return scanned{}, fmt.Errorf("jp2k: %d tile-parts for a %dx%d tile grid", len(cs.spans), ntx, nty)
+			return fmt.Errorf("jp2k: %d tile-parts for a %dx%d tile grid", len(cs.spans), ntx, nty)
 		}
 		// Salvage: a negative-offset sentinel stands in for each missing
 		// tile-part (it decodes as an empty gray tile), surplus ones are
@@ -494,17 +505,16 @@ func scan(src *t2.Source, resilient bool) (scanned, error) {
 		}
 	}
 	cs.parse = time.Since(t0)
-	return cs, nil
+	return nil
 }
 
 // decodeSource is the scanning entry points' route: scan src, then decode it.
 func (d *Decoder) decodeSource(src *t2.Source, opts DecodeOptions, region *Rect) (*raster.Planar, error) {
-	cs, err := scan(src, opts.Resilient)
-	if err != nil {
+	if err := d.scan(src, opts.Resilient); err != nil {
 		d.damage, d.stats = nil, DecodeStats{}
 		return nil, err
 	}
-	return d.decode(src, &cs, opts, region)
+	return d.decode(src, &d.cs, opts, region)
 }
 
 // decode is the one decode route: the selected tiles of an already-scanned
@@ -651,7 +661,8 @@ func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region
 		// Aggregate the damage report after both parallel stages are done, so
 		// the accounting never races the workers.
 		rep := &DamageReport{Container: cs.cdmg}
-		perTile := make([]TileDamage, nsel)
+		d.perTile = grow(d.perTile, nsel)
+		perTile := d.perTile
 		for si := 0; si < nsel; si++ {
 			dm := d.tileDmg[si]
 			perTile[si] = TileDamage{

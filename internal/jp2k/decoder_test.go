@@ -180,6 +180,64 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestScanningDecodeAllocs: a warm Decoder's scanning entry points allocate
+// only the image they return — two blocks, the Planar with its headers and
+// the samples — on gray and colour streams, strict and resilient, at one and
+// two workers: the container scan, the read window, the span list and
+// Decode's bytes source are all pooled. A resilient decode may also allocate
+// its DamageReport.
+func TestScanningDecodeAllocs(t *testing.T) {
+	gray, _, err := Encode(raster.Synthetic(96, 80, 3), Options{
+		Kernel: dwt.Irr97, LayerBPP: []float64{0.5, 1.0}, TileW: 32, TileH: 32,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, _, err := EncodePlanar(colorPlanar(48, 40), Options{Kernel: dwt.Rev53, MCT: true, TileW: 16, TileH: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gsrc, csrc := t2.BytesSource(gray), t2.BytesSource(col)
+	for _, workers := range []int{1, 2} {
+		for _, resilient := range []bool{false, true} {
+			dec := NewDecoder()
+			opts := DecodeOptions{Workers: workers, Resilient: resilient}
+			region := Rect{X0: 5, Y0: 7, X1: 41, Y1: 33}
+			for _, c := range []struct {
+				name string
+				run  func() error
+			}{
+				{"Decode gray", func() error { _, err := dec.Decode(gray, opts); return err }},
+				{"DecodePlanarSource gray", func() error { _, err := dec.DecodePlanarSource(gsrc, opts); return err }},
+				{"DecodePlanarSource colour", func() error { _, err := dec.DecodePlanarSource(csrc, opts); return err }},
+				{"DecodeRegionPlanarSource colour", func() error {
+					_, err := dec.DecodeRegionPlanarSource(csrc, region, opts)
+					return err
+				}},
+			} {
+				for i := 0; i < 2; i++ { // warm the pools
+					if err := c.run(); err != nil {
+						t.Fatalf("%s: %v", c.name, err)
+					}
+				}
+				n := testing.AllocsPerRun(10, func() {
+					if err := c.run(); err != nil {
+						t.Fatalf("%s: %v", c.name, err)
+					}
+				})
+				want := 2.0
+				if resilient {
+					want++ // the DamageReport
+				}
+				if n != want {
+					t.Errorf("workers %d resilient %v: %s allocates %.1f times, want %.0f", workers, resilient, c.name, n, want)
+				}
+			}
+			dec.Close()
+		}
+	}
+}
+
 // TestDecodeRegionRobustness feeds corrupted and truncated streams to the
 // windowed decoder: errors are expected, panics are not.
 func TestDecodeRegionRobustness(t *testing.T) {

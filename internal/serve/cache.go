@@ -37,7 +37,9 @@ type tileEntry struct {
 }
 
 // inflightCall coalesces concurrent misses on one key: the first caller
-// decodes, everyone else blocks on done and shares the result.
+// decodes, everyone else blocks on done and shares the result. Most misses
+// have no second caller, so done is made by the first waiter to join, under
+// Cache.mu, and closed by the leader, under Cache.mu, only if one was made.
 type inflightCall struct {
 	done chan struct{}
 	pl   *raster.Planar
@@ -145,10 +147,14 @@ func (c *Cache) GetOrDecode(ctx context.Context, key TileKey, decode func() (*ra
 		if !ok {
 			break // lead the decode, still holding c.mu
 		}
+		if call.done == nil {
+			call.done = make(chan struct{})
+		}
+		done := call.done
 		c.mu.Unlock()
 		c.coalesced.Add(1)
 		select {
-		case <-call.done:
+		case <-done:
 			if ctx.Err() == nil && (errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded)) {
 				continue
 			}
@@ -157,7 +163,7 @@ func (c *Cache) GetOrDecode(ctx context.Context, key TileKey, decode func() (*ra
 			return nil, OutcomeCoalesced, ctx.Err()
 		}
 	}
-	call := &inflightCall{done: make(chan struct{})}
+	call := &inflightCall{}
 	c.inflight[key] = call
 	c.mu.Unlock()
 	c.misses.Add(1)
@@ -193,8 +199,10 @@ func (c *Cache) GetOrDecode(ctx context.Context, key TileKey, decode func() (*ra
 				}
 			}
 		}
+		if call.done != nil {
+			close(call.done)
+		}
 		c.mu.Unlock()
-		close(call.done)
 	}()
 	call.pl, call.err = decode()
 	return call.pl, OutcomeMiss, call.err

@@ -267,6 +267,70 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
+// TestCoalescedWaitersWake: N callers join one in-flight miss — the first of
+// them makes the wake channel, the rest reuse it — and every one wakes when
+// the leader's decode ends, with the leader's tile, or in the second case
+// with its error; nothing is cached after the error and no entry stays in
+// flight.
+func TestCoalescedWaitersWake(t *testing.T) {
+	decodeErr := errors.New("decode failed")
+	for _, fail := range []bool{false, true} {
+		c := NewCache(1 << 20)
+		key := TileKey{Image: "a"}
+		want := tile(8, 8)
+		entered, release := make(chan struct{}), make(chan struct{})
+		leader := make(chan error, 1)
+		go func() {
+			pl, _, err := c.GetOrDecode(context.Background(), key, func() (*raster.Planar, error) {
+				close(entered)
+				<-release
+				if fail {
+					return nil, decodeErr
+				}
+				return want, nil
+			})
+			if err == nil && pl != want {
+				err = fmt.Errorf("leader got %p, want %p", pl, want)
+			}
+			leader <- err
+		}()
+		<-entered
+		const waiters = 8
+		var wg sync.WaitGroup
+		for i := 0; i < waiters; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pl, outcome, err := c.GetOrDecode(context.Background(), key, func() (*raster.Planar, error) {
+					return nil, fmt.Errorf("waiter %d decoded", i)
+				})
+				switch {
+				case outcome != OutcomeCoalesced:
+					t.Errorf("fail=%v waiter %d: outcome %v, want coalesced", fail, i, outcome)
+				case fail && (pl != nil || !errors.Is(err, decodeErr)):
+					t.Errorf("fail=%v waiter %d: %p, %v; want the leader's error", fail, i, pl, err)
+				case !fail && (pl != want || err != nil):
+					t.Errorf("fail=%v waiter %d: %p, %v; want the leader's tile %p", fail, i, pl, err, want)
+				}
+			}()
+		}
+		for c.Stats().Coalesced < waiters {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		wg.Wait()
+		if err := <-leader; fail != errors.Is(err, decodeErr) || (!fail && err != nil) {
+			t.Fatalf("fail=%v: leader returned %v", fail, err)
+		}
+		c.mu.Lock()
+		inflight := len(c.inflight)
+		c.mu.Unlock()
+		if st := c.Stats(); inflight != 0 || st.Misses != 1 || st.Entries != map[bool]int{false: 1, true: 0}[fail] {
+			t.Fatalf("fail=%v: %d in flight, stats %+v", fail, inflight, st)
+		}
+	}
+}
+
 // A coalesced waiter shares the leader's decode, not the leader's fate: when
 // the leader's request context ends mid-decode, waiters whose own contexts are
 // live must still get the tile — one of them leads the next decode, the other

@@ -24,6 +24,7 @@ type Image struct {
 	ID    string
 	src   *t2.Source
 	Index *t2.Index
+	grids [][2][]int // Grid per discard level, computed at registration
 
 	// health is the server's per-image IO-failure tracking (quarantine
 	// state); it is the one mutable part of an Image and is internally
@@ -60,13 +61,26 @@ func (im *Image) ClampLayers(layers int) int {
 	return layers
 }
 
-// Grid returns the reduced tile geometry at the given discard level as
-// prefix sums: colW[tx] is the x origin of tile column tx in the reduced
-// image (colW[ntx] its width), likewise rowH for rows. The geometry comes
-// from the decoder (jp2k.TileGrid), so window/tile mapping here can never
-// drift from what DecodeRegion actually decodes.
+// Grid returns the reduced tile geometry at the given discard level (0 to
+// Params().Levels) as prefix sums: colW[tx] is the x origin of tile column tx
+// in the reduced image (colW[ntx] its width), likewise rowH for rows. The
+// geometry comes from the decoder (jp2k.TileGrid), so window/tile mapping
+// here can never drift from what DecodeRegion actually decodes. It is
+// computed once per level when the image is registered; the slices are
+// shared by every request and must not be modified.
 func (im *Image) Grid(discard int) (colW, rowH []int) {
-	return jp2k.TileGrid(im.Index.Params, discard)
+	g := &im.grids[discard]
+	return g[0], g[1]
+}
+
+// newImage is a registered image over src and its index, with the tile grid
+// of every discard level computed up front.
+func newImage(id string, src *t2.Source, ix *t2.Index) *Image {
+	im := &Image{ID: id, src: src, Index: ix, grids: make([][2][]int, ix.Params.Levels+1)}
+	for d := range im.grids {
+		im.grids[d][0], im.grids[d][1] = jp2k.TileGrid(ix.Params, d)
+	}
+	return im
 }
 
 // Store is the registry of served images. Registration validates the stream
@@ -95,7 +109,7 @@ func (s *Store) Add(id string, data []byte) (*Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: indexing %q: %w", id, err)
 	}
-	return s.put(&Image{ID: id, src: ix.Source(), Index: ix})
+	return s.put(newImage(id, ix.Source(), ix))
 }
 
 // AddSource registers a codestream source under id with lazy ingest: only
@@ -116,7 +130,7 @@ func (s *Store) AddSource(id string, src *t2.Source) (*Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: indexing %q: %w", id, err)
 	}
-	return s.put(&Image{ID: id, src: src, Index: ix})
+	return s.put(newImage(id, src, ix))
 }
 
 func (s *Store) put(im *Image) (*Image, error) {

@@ -347,9 +347,9 @@ func (r *sreader) readQuant(tail int) (guard int, mb []int, steps []quant.Step, 
 	if nb < 0 || nb > 1+3*32 { // COD caps levels at 32
 		return 0, nil, nil, fmt.Errorf("t2: implausible quantization band count %d", nb)
 	}
-	mb = make([]int, nb)
+	mb = carve(&r.bands, nb)
 	if style == 2 {
-		steps = make([]quant.Step, nb)
+		steps = carve(&r.stepv, nb)
 	}
 	for i := 0; i < nb; i++ {
 		v, err := r.u8()
@@ -366,6 +366,17 @@ func (r *sreader) readQuant(tail int) (guard int, mb []int, steps []quant.Step, 
 		}
 	}
 	return guard, mb, steps, nil
+}
+
+// carve returns the next n elements of *arena, growing it when full; a
+// slice carved before a growth keeps the old backing array.
+func carve[T any](arena *[]T, n int) []T {
+	a := *arena
+	if cap(a)-len(a) < n {
+		a = make([]T, len(a), 2*cap(a)+n)
+	}
+	*arena = a[:len(a)+n]
+	return a[len(a) : len(a)+n : len(a)+n]
 }
 
 // ContainerDamage counts what the resilient container walk had to skip or
@@ -463,8 +474,11 @@ func (r *sreader) readSIZ(p *Params) error {
 	if p.BitDepth < 1 || p.BitDepth > 16 {
 		return fmt.Errorf("t2: unsupported bit depth %d", p.BitDepth)
 	}
-	p.Mb = make([][]int, ncomp)
-	p.Steps = make([][]quant.Step, ncomp)
+	r.mb, r.steps, r.qccSeen = grow(r.mb, ncomp), grow(r.steps, ncomp), grow(r.qccSeen, ncomp)
+	clear(r.mb)
+	clear(r.steps)
+	clear(r.qccSeen)
+	p.Mb, p.Steps = r.mb, r.steps
 	return nil
 }
 
@@ -555,7 +569,7 @@ func (r *sreader) readCOD(p *Params, resilient bool, dmg *ContainerDamage) error
 	return nil
 }
 
-func (r *sreader) readQCD(p *Params, qccSeen []bool) error {
+func (r *sreader) readQCD(p *Params) error {
 	if p.NComp == 0 {
 		return fmt.Errorf("t2: QCD before SIZ")
 	}
@@ -570,7 +584,7 @@ func (r *sreader) readQCD(p *Params, qccSeen []bool) error {
 	p.GuardBits = guard
 	// QCD is the default for every component; QCC overrides one.
 	for ci := 0; ci < p.NComp; ci++ {
-		if !qccSeen[ci] {
+		if !r.qccSeen[ci] {
 			p.Mb[ci] = mb
 			p.Steps[ci] = steps
 		}
@@ -578,7 +592,7 @@ func (r *sreader) readQCD(p *Params, qccSeen []bool) error {
 	return nil
 }
 
-func (r *sreader) readQCC(p *Params, qccSeen []bool) error {
+func (r *sreader) readQCC(p *Params) error {
 	if p.NComp == 0 {
 		return fmt.Errorf("t2: QCC before SIZ")
 	}
@@ -599,7 +613,7 @@ func (r *sreader) readQCC(p *Params, qccSeen []bool) error {
 	}
 	p.Mb[ci] = mb
 	p.Steps[ci] = steps
-	qccSeen[ci] = true
+	r.qccSeen[ci] = true
 	return nil
 }
 

@@ -3,9 +3,11 @@ package t2
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pj2k/internal/dwt"
+	"pj2k/internal/quant"
 	"pj2k/internal/t1"
 )
 
@@ -164,5 +166,76 @@ func TestGridReshapeMatchesMakeGrid(t *testing.T) {
 				t.Fatalf("trial %d rect %d: %+v, want %+v", trial, i, g.Rects[i], want.Rects[i])
 			}
 		}
+	}
+}
+
+// TestScannerReuseMatchesNew: one Scanner driven through streams of
+// alternating shape — component counts 1, 3 and 4, per-component QCC markers
+// or one QCD for all, 5/3 and 9/7, one to six tiles — returns what a fresh
+// scan of each returns, strict and resilient, and a warm rescan allocates
+// nothing.
+func TestScannerReuseMatchesNew(t *testing.T) {
+	stream := func(ncomp, levels, tiles int, kernel dwt.Kernel, qcc bool) *Source {
+		nb := 1 + 3*levels
+		p := Params{
+			Width: 40 * tiles, Height: 30, TileW: 40, TileH: 30, NComp: ncomp,
+			BitDepth: 8, Levels: levels, Layers: 2, CBW: 32, CBH: 32, MCT: ncomp == 3,
+			Kernel: kernel, GuardBits: 2,
+		}
+		for ci := 0; ci < ncomp; ci++ {
+			mb := make([]int, nb)
+			var steps []quant.Step
+			if kernel == dwt.Irr97 {
+				steps = make([]quant.Step, nb)
+			}
+			for b := range mb {
+				mb[b] = 9 + b%3
+				if qcc {
+					mb[b] += ci
+				}
+				if steps != nil {
+					steps[b] = quant.StepFor(0.002 * float64(b+1) * float64(mb[b]))
+				}
+			}
+			p.Mb, p.Steps = append(p.Mb, mb), append(p.Steps, steps)
+		}
+		if !qcc { // one QCD serves every component
+			p.Mb, p.Steps = p.Mb[:1], p.Steps[:1]
+		}
+		bodies := make([][]byte, tiles)
+		for i := range bodies {
+			bodies[i] = bytes.Repeat([]byte{byte(i + 1)}, 3+i)
+		}
+		return BytesSource(WriteCodestream(p, bodies))
+	}
+	srcs := []*Source{
+		stream(3, 2, 2, dwt.Irr97, true),
+		stream(3, 2, 2, dwt.Irr97, false),
+		stream(1, 5, 6, dwt.Rev53, false),
+		stream(4, 3, 1, dwt.Irr97, true),
+		stream(1, 1, 3, dwt.Irr97, false),
+	}
+	var sc Scanner
+	cycle := func(check bool) {
+		for _, resilient := range []bool{false, true} {
+			for i, src := range srcs {
+				p, spans, dmg, err := sc.Scan(src, resilient)
+				if !check {
+					continue
+				}
+				wp, wspans, wdmg, werr := new(Scanner).Scan(src, resilient)
+				if err != nil || werr != nil {
+					t.Fatalf("stream %d resilient %v: %v / %v", i, resilient, err, werr)
+				}
+				if !reflect.DeepEqual(p, wp) || !reflect.DeepEqual(spans, wspans) || dmg != wdmg {
+					t.Fatalf("stream %d resilient %v: reused scan %+v %v, fresh %+v %v", i, resilient, p, spans, wp, wspans)
+				}
+			}
+		}
+	}
+	cycle(true)
+	cycle(true)
+	if n := testing.AllocsPerRun(5, func() { cycle(false) }); n != 0 {
+		t.Errorf("warm rescans allocate %.1f times per cycle, want 0", n)
 	}
 }

@@ -3,6 +3,8 @@ package t2
 import (
 	"encoding/binary"
 	"fmt"
+
+	"pj2k/internal/quant"
 )
 
 // TileSpan is the byte range of one tile-part body (the bytes after SOD,
@@ -21,13 +23,20 @@ func (s TileSpan) End() int64 { return s.Off + s.Len }
 const sourceChunk = 8 << 10
 
 // sreader reads a codestream through a Source with one buffered sliding
-// window.
+// window. It also owns the storage the parsed header's per-component
+// quantization slices are carved from, so a Scanner reuses both.
 type sreader struct {
 	src *Source
 	pos int64
 	win []byte // buffered bytes src[wlo : wlo+len(win))
 	wlo int64
 	buf []byte // backing storage for the window
+
+	mb      [][]int        // Params.Mb, one entry per component
+	steps   [][]quant.Step // Params.Steps
+	bands   []int          // every QCD/QCC's band values, back to back
+	stepv   []quant.Step   // every QCD/QCC's steps, back to back
+	qccSeen []bool         // per component: quantization pinned by a QCC marker
 }
 
 // view returns n bytes at the current position without consuming them,
@@ -101,13 +110,38 @@ func (r *sreader) u16e() (int, error) {
 	return int(binary.BigEndian.Uint16(b)), nil
 }
 
+// Scanner is the reusable container scan: its read window, its span list and
+// the per-component quantization slices of the Params it returns are kept
+// between scans and reshaped in place, so rescanning a stream whose header
+// and tile count are no larger than an earlier one's allocates nothing. The
+// Params slices and spans Scan returns alias that storage and stay valid
+// until the Scanner's next Scan. A Scanner is not safe for concurrent use;
+// its zero value is ready.
+type Scanner struct {
+	r     sreader
+	spans []TileSpan
+}
+
+// Scan parses src's main header and walks its tile-part chain, strictly (as
+// ScanCodestream) or in best-effort mode (as ScanCodestreamResilient).
+func (s *Scanner) Scan(src *Source, resilient bool) (Params, []TileSpan, ContainerDamage, error) {
+	s.r.src, s.r.pos, s.r.win, s.r.wlo = src, 0, nil, 0
+	s.r.bands, s.r.stepv = s.r.bands[:0], s.r.stepv[:0]
+	p, spans, dmg, err := s.r.scan(s.spans[:0], resilient)
+	s.r.src, s.r.win = nil, nil // pin no source between scans
+	if cap(spans) > cap(s.spans) {
+		s.spans = spans[:0]
+	}
+	return p, spans, dmg, err
+}
+
 // ScanCodestream parses the main header and walks the SOT/Psot tile-part
 // chain of a codestream, seeking tile to tile without reading any body bytes:
 // the parse cost (and IO) of registering a stream is its headers, not its
 // size. The returned spans locate each tile-part body in the source, in
 // chain order.
 func ScanCodestream(src *Source) (Params, []TileSpan, error) {
-	p, spans, _, err := scanCodestream(src, false)
+	p, spans, _, err := new(Scanner).Scan(src, false)
 	return p, spans, err
 }
 
@@ -119,13 +153,13 @@ func ScanCodestream(src *Source) (Params, []TileSpan, error) {
 // not even the SOC survives; callers must still CheckGeometry the result
 // before decoding.
 func ScanCodestreamResilient(src *Source) (Params, []TileSpan, ContainerDamage, error) {
-	return scanCodestream(src, true)
+	return new(Scanner).Scan(src, true)
 }
 
-func scanCodestream(src *Source, resilient bool) (Params, []TileSpan, ContainerDamage, error) {
+// scan is Scanner.Scan over the reset reader, appending spans to spans.
+func (r *sreader) scan(spans []TileSpan, resilient bool) (Params, []TileSpan, ContainerDamage, error) {
 	var p Params
 	var dmg ContainerDamage
-	r := &sreader{src: src}
 	if m, err := r.u16(); err != nil || m != mSOC {
 		if err != nil {
 			// Keep the read error in the chain: an unreadable first chunk is
@@ -134,8 +168,6 @@ func scanCodestream(src *Source, resilient bool) (Params, []TileSpan, ContainerD
 		}
 		return p, nil, dmg, fmt.Errorf("t2: missing SOC (got %#x)", m)
 	}
-	var spans []TileSpan
-	var qccSeen []bool // per component: quantization pinned by a QCC marker
 	for {
 		m, err := r.u16e()
 		if err != nil { // stream ends without EOC
@@ -147,15 +179,13 @@ func scanCodestream(src *Source, resilient bool) (Params, []TileSpan, ContainerD
 		}
 		switch m {
 		case mSIZ:
-			if err = r.readSIZ(&p); err == nil {
-				qccSeen = make([]bool, p.NComp)
-			}
+			err = r.readSIZ(&p)
 		case mCOD:
 			err = r.readCOD(&p, resilient, &dmg)
 		case mQCD:
-			err = r.readQCD(&p, qccSeen)
+			err = r.readQCD(&p)
 		case mQCC:
-			err = r.readQCC(&p, qccSeen)
+			err = r.readQCC(&p)
 		case mRGN:
 			err = r.readRGN(&p)
 		case mSOT:

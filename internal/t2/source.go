@@ -27,10 +27,16 @@ type Source struct {
 }
 
 // BytesSource wraps resident bytes as a Source: NewSource over a
-// bytes.Reader. Reads copy out of data; the caller must not mutate it while
-// the Source is in use.
+// bytes.Reader, both in one allocation. Reads copy out of data; the caller
+// must not mutate it while the Source is in use.
 func BytesSource(data []byte) *Source {
-	return NewSource(bytes.NewReader(data), int64(len(data)))
+	b := new(struct {
+		Source
+		rd bytes.Reader
+	})
+	b.rd.Reset(data)
+	b.Source = Source{r: &b.rd, size: int64(len(data))}
+	return &b.Source
 }
 
 // NewSource wraps an io.ReaderAt of the given size. The reader must support
