@@ -59,8 +59,8 @@ func (r Rect) Intersect(o Rect) Rect {
 // Decoder has run and reshapes in place for any other (DESIGN.md §7). A warm
 // decode — one whose selected tiles, code-blocks and planes are no larger than
 // earlier decodes', whatever their component count, kernel, tiling or levels —
-// allocates only its returned image, in two blocks (raster.NewPlanar: the
-// Planar with its component list and headers, and the samples), and nothing
+// allocates only its returned image, in four blocks (raster.NewPlanar: the
+// Planar, its component list, its headers and the samples), and nothing
 // per tile, band or block, whatever the entry point: the scanning entry
 // points scan into the Decoder's pooled container scan (header parameters,
 // tile-part spans, read window) and Decode reads its bytes through a pooled

@@ -181,8 +181,8 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 }
 
 // TestScanningDecodeAllocs: a warm Decoder's scanning entry points allocate
-// only the image they return — two blocks, the Planar with its headers and
-// the samples — on gray and colour streams, strict and resilient, at one and
+// only the image they return — four blocks: the Planar, its component list,
+// its headers and the samples — on gray and colour streams, strict and resilient, at one and
 // two workers: the container scan, the read window, the span list and
 // Decode's bytes source are all pooled. A resilient decode may also allocate
 // its DamageReport.
@@ -225,7 +225,7 @@ func TestScanningDecodeAllocs(t *testing.T) {
 						t.Fatalf("%s: %v", c.name, err)
 					}
 				})
-				want := 2.0
+				want := 4.0
 				if resilient {
 					want++ // the DamageReport
 				}

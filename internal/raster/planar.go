@@ -1,11 +1,6 @@
 package raster
 
-import (
-	"fmt"
-	"reflect"
-	"sync"
-	"unsafe"
-)
+import "fmt"
 
 // Planar is a multi-component raster: one Image per component, all with equal
 // visible dimensions (component interleaving is a transport concern; the
@@ -15,10 +10,10 @@ type Planar struct {
 	Comps []*Image
 }
 
-// NewPlanar allocates ncomp components of width x height samples in two
-// blocks, whatever the component count: one holds the Planar, its component
-// list and every component header, the other all samples, each component a
-// cap-limited sub-slice of it (so an append to one never runs into the next).
+// NewPlanar allocates ncomp components of width x height samples in four
+// blocks, whatever the component count: the Planar, its component list, the
+// component headers and one sample block, each component a cap-limited
+// sub-slice of it (so an append to one never runs into the next).
 func NewPlanar(width, height, ncomp int) *Planar {
 	if ncomp <= 0 {
 		panic(fmt.Sprintf("raster: invalid component count %d", ncomp))
@@ -26,10 +21,8 @@ func NewPlanar(width, height, ncomp int) *Planar {
 	if width <= 0 || height <= 0 {
 		panic(fmt.Sprintf("raster: invalid dimensions %dx%d", width, height))
 	}
-	blk := reflect.New(planarBlock(ncomp)).Elem()
-	p := (*Planar)(blk.Field(0).Addr().UnsafePointer())
-	p.Comps = unsafe.Slice((**Image)(blk.Field(1).Addr().UnsafePointer()), ncomp)
-	hdrs := unsafe.Slice((*Image)(blk.Field(2).Addr().UnsafePointer()), ncomp)
+	p := &Planar{Comps: make([]*Image, ncomp)}
+	hdrs := make([]Image, ncomp)
 	n := width * height
 	pix := make([]int32, n*ncomp)
 	for i := range hdrs {
@@ -37,25 +30,6 @@ func NewPlanar(width, height, ncomp int) *Planar {
 		p.Comps[i] = &hdrs[i]
 	}
 	return p
-}
-
-// planarBlocks caches planarBlock's types by component count.
-var planarBlocks sync.Map
-
-// planarBlock is the type of NewPlanar's header block for ncomp components:
-// struct{ P Planar; C [ncomp]*Image; I [ncomp]Image }. Go has no
-// variable-length struct, so the type is built once per count.
-func planarBlock(ncomp int) reflect.Type {
-	if t, ok := planarBlocks.Load(ncomp); ok {
-		return t.(reflect.Type)
-	}
-	t := reflect.StructOf([]reflect.StructField{
-		{Name: "P", Type: reflect.TypeFor[Planar]()},
-		{Name: "C", Type: reflect.ArrayOf(ncomp, reflect.TypeFor[*Image]())},
-		{Name: "I", Type: reflect.ArrayOf(ncomp, reflect.TypeFor[Image]())},
-	})
-	planarBlocks.Store(ncomp, t)
-	return t
 }
 
 // Gray wraps a single image as a one-component Planar (sharing storage).

@@ -115,14 +115,13 @@ func TestPlanarClone(t *testing.T) {
 	}
 }
 
-// TestNewPlanarAllocs: a Planar of any component count is two allocations —
-// the Planar with its component list and headers, and one sample block — and
+// TestNewPlanarAllocs: a Planar of any component count is four allocations —
+// the Planar, its component list, its headers and one sample block — and
 // every component is a cap-limited window of that block.
 func TestNewPlanarAllocs(t *testing.T) {
 	for _, nc := range []int{1, 3, 4} {
-		NewPlanar(5, 3, nc) // build the block type outside the count
-		if n := testing.AllocsPerRun(100, func() { NewPlanar(37, 11, nc) }); n != 2 {
-			t.Errorf("%d components: %.0f allocations, want 2", nc, n)
+		if n := testing.AllocsPerRun(100, func() { NewPlanar(37, 11, nc) }); n != 4 {
+			t.Errorf("%d components: %.0f allocations, want 4", nc, n)
 		}
 		p := NewPlanar(37, 11, nc)
 		if err := p.Validate(); err != nil {

@@ -2,8 +2,8 @@ package raster
 
 import (
 	"math"
-	"runtime"
-	"sync"
+
+	"pj2k/internal/core"
 )
 
 // xorshift64 is a tiny deterministic PRNG so synthetic workloads are
@@ -53,7 +53,8 @@ func Synthetic(width, height int, seed uint64) *Image {
 
 	// The blob-and-edge phase reads only the parameters drawn above, so its
 	// rows are independent: it runs over up to GOMAXPROCS contiguous row
-	// bands, each sample computed exactly as a serial pass would.
+	// bands on the shared pool, each sample computed exactly as a serial pass
+	// would.
 	fw, fh := float64(width), float64(height)
 	rows := func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
@@ -75,17 +76,7 @@ func Synthetic(width, height int, seed uint64) *Image {
 			}
 		}
 	}
-	nb := min(runtime.GOMAXPROCS(0), height)
-	var wg sync.WaitGroup
-	for b := 1; b < nb; b++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rows(b*height/nb, (b+1)*height/nb)
-		}()
-	}
-	rows(0, height/nb)
-	wg.Wait()
+	core.Default().ForMax(core.Workers(0), height, rows)
 
 	// Low-pass-filtered noise: one pass of a 3x3 box over white noise,
 	// generated row-by-row with a two-row buffer to stay O(width).

@@ -37,9 +37,13 @@ type tileEntry struct {
 }
 
 // inflightCall coalesces concurrent misses on one key: the first caller
-// decodes, everyone else blocks on done and shares the result. Most misses
-// have no second caller, so done is made by the first waiter to join, under
-// Cache.mu, and closed by the leader, under Cache.mu, only if one was made.
+// decodes, everyone else blocks on done and shares the result. Almost no miss
+// has a second caller: on the benchmark's serve-cold and serve-zipf workloads
+// (traced runs, seeds 1-3) serve.cache.coalesced was 4-12 waiters per
+// 3 274-4 908 misses and 4-43 per 1 792-2 224 misses, so at most 0.25 % and
+// 2.2 % of misses were joined. done is therefore made by the first waiter to
+// join, under Cache.mu, and closed by the leader, under Cache.mu, only if one
+// was made; an unjoined miss skips the channel's allocation.
 type inflightCall struct {
 	done chan struct{}
 	pl   *raster.Planar
