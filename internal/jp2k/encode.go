@@ -21,14 +21,14 @@ type blockJob struct {
 	pilot   bool // coded in full ahead of the rest to predict the stop threshold
 }
 
-// tileEnc is the per-tile encoding state, pooled inside an Encoder: the
-// coefficient planes, quantization arena, subband enumeration and tier-2
-// coding state all persist across encodes.
+// tileEnc is the per-(component, tile) encoding state, pooled inside an
+// Encoder: the coefficient planes and quantization arena persist across
+// encodes. Its geometry is its tile's layout, which the encoder derives from
+// its Params as every reader does.
 type tileEnc struct {
-	w, h     int
-	subbands []dwt.Subband
-	bands    []t2.BandBlocks
-	blocks   []*t1.EncodedBlock // tile-local global order (bands raster)
+	lay    *t2.TileLayout     // the tile's size, origin and subbands
+	bands  []t2.BandBlocks    // lay.Comps[ci]: this component's grids, Mb and block streams
+	blocks []*t1.EncodedBlock // tile-local global order (bands raster)
 	// coefficient storage kept alive for the tier-1 jobs
 	intPlane  *raster.Image
 	fplane    *dwt.FPlane

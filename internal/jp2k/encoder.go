@@ -1,7 +1,6 @@
 package jp2k
 
 import (
-	"fmt"
 	"time"
 
 	"pj2k/internal/core"
@@ -44,9 +43,10 @@ import (
 type Encoder struct {
 	workers []*encWorker // one padded block per worker (worker.go)
 
+	p            t2.Params       // the codestream the current encode writes, described before any stage runs
+	layouts      []t2.TileLayout // per tile: its geometry, derived from p as every reader derives it
 	units        []*tileEnc      // per (component, tile): unit u = ci*ntiles + ti
 	tcoders      []*t2.TileCoder // per tile: multi-component packet assembly
-	origins      [][2]int        // per unit: tile origin in image coordinates
 	jobs         []blockJob
 	order        []int     // block ids in tier-1 coding order: pilot first, or the blocks to re-code
 	batch        []int     // the run of order the current tier-1 dispatch codes
@@ -59,10 +59,7 @@ type Encoder struct {
 	rates        []int     // arena: per-pass cumulative rates (shared by rate and tier-2)
 	dists        []float64 // arena: per-pass weighted distortion deltas
 	terms        []bool    // arena: per-pass truncation eligibility (bypass modes)
-	mb           [][]int   // per component, per band
-	stepsPerComp [][]quant.Step
 	weights      []float64
-	bandsRef     []dwt.Subband
 	compBase     []int // first global block id of each component (+ total)
 	blockOff     []int // per tile: first component-local block id (+ total)
 	compBytes    []int
@@ -85,17 +82,10 @@ type Encoder struct {
 	t2Fn    func(worker, ti int)
 	mctFn   func(worker, lo, hi int)
 	cur     struct {
-		o       Options
-		mctSrc  []*raster.Image // the caller's planes, during the MCT dispatch
-		shift   int32           // level shift of the MCT dispatch
-		steps   []quant.Step
-		modes   t1.Modes // tier-1 coder modes, shared with tier-2 signalling
-		innerW  int
-		nbands  int
-		ntiles  int
-		ncomp   int
-		nlayers int
-		npixels int
+		o      Options
+		mctSrc []*raster.Image // the caller's planes, during the MCT dispatch
+		shift  int32           // level shift of the MCT dispatch
+		innerW int
 	}
 
 	pool    *core.Pool // resident workers for every stage dispatch
@@ -235,13 +225,14 @@ func (e *Encoder) dwtTask(worker, u int) {
 // tile-sized).
 func (e *Encoder) quantTask(_, u int) {
 	te := e.units[u]
-	te.bandInts = grow(te.bandInts, e.cur.nbands)
-	if cap(te.bandArena) < te.w*te.h {
-		te.bandArena = make([]int32, te.w*te.h)
+	steps := e.p.Steps[u/len(e.layouts)]
+	te.bandInts = grow(te.bandInts, len(te.lay.Subbands))
+	if n := te.lay.W * te.lay.H; cap(te.bandArena) < n {
+		te.bandArena = make([]int32, n)
 	}
 	te.qjobs = te.qjobs[:0]
 	off := 0
-	for bi, b := range te.subbands {
+	for bi, b := range te.lay.Subbands {
 		te.bandInts[bi] = nil
 		if b.Empty() {
 			continue
@@ -250,7 +241,7 @@ func (e *Encoder) quantTask(_, u int) {
 		buf := te.bandArena[off : off+n : off+n]
 		off += n
 		te.qjobs = append(te.qjobs, quant.BandJob{
-			Band: b, Step: e.cur.steps[bi].Value(), Dst: buf, DstStride: b.Width(),
+			Band: b, Step: steps[bi].Value(), Dst: buf, DstStride: b.Width(),
 		})
 		te.bandInts[bi] = buf
 	}
@@ -297,24 +288,22 @@ func (e *Encoder) rateTask(worker, ci int) {
 // scratch.
 func (e *Encoder) t2Task(worker, ti int) {
 	sc := &e.workers[worker].t2
-	ncomp, ntiles, nlayers := e.cur.ncomp, e.cur.ntiles, e.cur.nlayers
+	comps := e.layouts[ti].Comps
 	base := e.blockOff[ti]
 	n := e.blockOff[ti+1] - base
-	for ci := 0; ci < ncomp; ci++ {
-		te := e.units[ci*ntiles+ti]
-		sc.compBands[ci] = te.bands
-		for li := 0; li < nlayers; li++ {
+	for ci := range comps {
+		for li := range e.p.Layers {
 			sc.compLayers[ci][li] = e.allocs[ci].NPasses[li][base : base+n]
 		}
 	}
 	if e.tcoders[ti] == nil {
-		e.tcoders[ti] = t2.NewTileCoderComps(sc.compBands[:ncomp])
+		e.tcoders[ti] = t2.NewTileCoderComps(comps)
 	}
-	e.tcoders[ti].SOP = e.cur.o.Resilience.SOP
-	e.tcoders[ti].EPH = e.cur.o.Resilience.EPH
-	e.tcoders[ti].Modes = e.cur.modes
+	e.tcoders[ti].SOP = e.p.UseSOP
+	e.tcoders[ti].EPH = e.p.UseEPH
+	e.tcoders[ti].Modes = e.p.CoderModes()
 	e.tileStreams[ti] = e.tcoders[ti].EncodeTileCompsPackets(
-		sc.compBands[:ncomp], e.cur.o.Levels, sc.compLayers[:ncomp],
+		comps, e.p.Levels, sc.compLayers[:len(comps)],
 		e.tileStreams[ti][:0], sc.compBytes)
 }
 
@@ -325,23 +314,24 @@ func (e *Encoder) t2Task(worker, ti int) {
 // fits (at most three rounds).
 func (e *Encoder) setBudgets() {
 	o := &e.cur.o
-	for ci := 0; ci < e.cur.ncomp; ci++ {
+	ncomp, npixels := e.p.NComp, e.p.Width*e.p.Height
+	for ci := 0; ci < ncomp; ci++ {
 		share := 1.0
-		if e.cur.ncomp > 1 {
+		if ncomp > 1 {
 			if o.MCT {
 				share = chromaShare
 				if ci == 0 {
 					share = 1 - 2*chromaShare
 				}
 			} else {
-				share = 1 / float64(e.cur.ncomp)
+				share = 1 / float64(ncomp)
 			}
 		}
 		e.budgets[ci] = e.budgets[ci][:0]
 		for _, bpp := range o.LayerBPP {
-			e.budgets[ci] = append(e.budgets[ci], int(bpp*share*float64(e.cur.npixels)/8))
+			e.budgets[ci] = append(e.budgets[ci], int(bpp*share*float64(npixels)/8))
 		}
-		e.headerEst[ci] = 70 + e.cur.ntiles*(14+e.cur.nlayers*(o.Levels+1))
+		e.headerEst[ci] = 70 + len(e.layouts)*(14+e.p.Layers*(o.Levels+1))
 	}
 }
 
@@ -363,7 +353,7 @@ const pilotStride = 8
 // billed to rate allocation, not tier-1.
 func (e *Encoder) codeBlocks(stats *EncodeStats) time.Duration {
 	o := &e.cur.o
-	nblocks, ncomp, nbands := len(e.jobs), e.cur.ncomp, e.cur.nbands
+	nblocks, ncomp, nbands := len(e.jobs), e.p.NComp, len(e.layouts[0].Subbands)
 	e.order = grow(e.order, nblocks)
 	e.lambda = grow(e.lambda, ncomp)
 	clear(e.lambda)
@@ -457,7 +447,7 @@ func appendPasses(rates []int, dists []float64, eb *t1.EncodedBlock, weight floa
 // of a component's blocks for the parallel tier-2 stage (identical for every
 // component — they share the tile geometry).
 func (e *Encoder) wireBlocks() {
-	ncomp, ntiles, modes := e.cur.ncomp, e.cur.ntiles, e.cur.modes
+	ncomp, ntiles, modes := e.p.NComp, len(e.layouts), e.p.CoderModes()
 	units := e.units[:ncomp*ntiles]
 	totalPasses := 0
 	for _, eb := range e.results {
@@ -482,15 +472,17 @@ func (e *Encoder) wireBlocks() {
 		}
 		kt := 0 // unit-local block index; k stays global for the arenas
 		for bi := range te.bands {
-			te.bands[bi].Mb = e.mb[ci][bi]
-			for gi := range te.bands[bi].Grid.Rects {
+			bb := &te.bands[bi]
+			bb.Mb = e.p.Mb[ci][bi]
+			bb.Blocks = grow(bb.Blocks, len(bb.Grid.Rects))
+			for gi := range bb.Blocks {
 				eb := te.blocks[kt]
 				kt++
 				base := len(rates)
 				rates, dists, e.rblocks[k] = appendPasses(rates, dists, eb, e.weights[bi])
 				bs := &e.blockStreams[k]
 				*bs = t2.BlockStream{Data: eb.Data, NumBitplanes: eb.NumBitplanes, PassRates: e.rblocks[k].Rates}
-				te.bands[bi].Blocks[gi] = bs
+				bb.Blocks[gi] = bs
 				if restrict {
 					for pi := range eb.Passes {
 						terms = append(terms, pi == len(eb.Passes)-1 || modes.TermPass(pi))
@@ -513,8 +505,8 @@ func (e *Encoder) wireBlocks() {
 // every block still stopped. Returns the count.
 func (e *Encoder) failedStops(all bool) int {
 	e.batch = e.order[:0]
-	last := e.cur.nlayers - 1
-	for ci := 0; ci < e.cur.ncomp; ci++ {
+	last := e.p.Layers - 1
+	for ci := 0; ci < e.p.NComp; ci++ {
 		base := e.compBase[ci]
 		for i, np := range e.allocs[ci].NPasses[last] {
 			if wit := e.results[base+i].Witness; wit != 0 && (all || np >= wit) {
@@ -525,22 +517,59 @@ func (e *Encoder) failedStops(all bool) int {
 	return len(e.batch)
 }
 
+// describe builds in e.p the codestream this encode writes — every field SIZ,
+// COD and QCD carry, with Mb sized now and filled once tier-1 has measured it
+// — and checks it with the rule every reader applies, so the encoder refuses
+// what a decoder would refuse before any stage runs.
+func (e *Encoder) describe(width, height, ncomp int, o Options) error {
+	tileW, tileH := o.TileW, o.TileH
+	if tileW <= 0 || tileH <= 0 {
+		tileW, tileH = width, height
+	}
+	p := &e.p
+	*p = t2.Params{
+		Width: width, Height: height, TileW: tileW, TileH: tileH,
+		NComp: ncomp, BitDepth: o.BitDepth, Levels: o.Levels, Layers: max(len(o.LayerBPP), 1),
+		CBW: o.CBW, CBH: o.CBH, MCT: o.MCT, Kernel: o.Kernel, GuardBits: 2,
+		Mb: grow(p.Mb, ncomp), Steps: p.Steps[:0],
+		UseSOP: o.Resilience.SOP, UseEPH: o.Resilience.EPH, SegSym: o.Resilience.SegSymbols,
+		Bypass: o.Coder.Bypass, ResetCtx: o.Coder.ResetCtx,
+		TermAll: o.Coder.TermAll, Causal: o.Coder.Causal,
+	}
+	if o.Kernel == dwt.Irr97 {
+		p.Steps = grow(p.Steps, ncomp)
+	}
+	// Bands are counted at most MaxLevels deep, so a level count out of range
+	// costs no memory before CheckGeometry refuses it. The step values wait
+	// for the check too: deriving them takes time and memory exponential in
+	// the level count.
+	nb := 1 + 3*min(max(o.Levels, 0), t2.MaxLevels)
+	for ci := range p.Mb {
+		p.Mb[ci] = grow(p.Mb[ci], nb)
+	}
+	for ci := range p.Steps {
+		p.Steps[ci] = grow(p.Steps[ci], nb)
+	}
+	if err := p.CheckGeometry(); err != nil {
+		return err
+	}
+	if len(p.Steps) > 0 {
+		steps := quant.BandSteps(dwt.Irr97, width, height, o.Levels, o.BaseStep)
+		for _, row := range p.Steps {
+			copy(row, steps)
+		}
+	}
+	return nil
+}
+
 func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeStats, error) {
 	o := opts.withDefaults()
 	ncomp := len(comps)
-	if ncomp > t2.MaxComponents {
-		return nil, nil, fmt.Errorf("jp2k: %d components exceeds the %d limit", ncomp, t2.MaxComponents)
-	}
-	if o.MCT && ncomp != 3 {
-		return nil, nil, fmt.Errorf("jp2k: MCT needs exactly 3 components, have %d", ncomp)
-	}
-	if o.CBW > 64 || o.CBH > 64 || o.CBW < 4 || o.CBH < 4 {
-		return nil, nil, fmt.Errorf("jp2k: code-block size %dx%d out of range", o.CBW, o.CBH)
-	}
-	if o.Levels < 0 || o.Levels > 32 {
-		return nil, nil, fmt.Errorf("jp2k: %d decomposition levels out of range [0, 32]", o.Levels)
-	}
 	width, height := comps[0].Width, comps[0].Height
+	if err := e.describe(width, height, ncomp, o); err != nil {
+		return nil, nil, err
+	}
+	p := &e.p
 	stats := &EncodeStats{}
 	// Reclaim the tier-1 arenas of the previous encode; every reference into
 	// them died with that call's tier-2 assembly.
@@ -573,51 +602,31 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	}
 	stats.Timings.InterComp = time.Since(tMCT)
 
-	// --- Pipeline setup: tiling and level shift, per component. Units
+	// --- Pipeline setup: every tile's geometry from p, as the decoder and the
+	// index derive it, then the level-shifted copy of each unit. Units
 	// enumerate the component x tile grid component-major, so each
 	// component's blocks stay contiguous for per-component rate allocation.
 	t0 := time.Now()
-	tileW, tileH := o.TileW, o.TileH
-	if tileW <= 0 || tileH <= 0 {
-		tileW, tileH = width, height
-	}
-	ntx := (width + tileW - 1) / tileW
-	nty := (height + tileH - 1) / tileH
+	ntx, nty := p.NumTiles()
 	ntiles := ntx * nty
 	nunits := ncomp * ntiles
+	e.layouts = grow(e.layouts, ntiles)
+	for ti := range e.layouts {
+		e.layouts[ti].Reshape(p, ti)
+	}
 	for len(e.units) < nunits {
 		e.units = append(e.units, &tileEnc{})
 	}
 	units := e.units[:nunits]
-	e.origins = grow(e.origins, nunits)
-	origins := e.origins
-	for ci, src := range srcs {
-		u := ci * ntiles
-		for ty := 0; ty < nty; ty++ {
-			for tx := 0; tx < ntx; tx++ {
-				x0, y0 := tx*tileW, ty*tileH
-				x1, y1 := min(x0+tileW, width), min(y0+tileH, height)
-				te := units[u]
-				te.w, te.h = x1-x0, y1-y0
-				te.intPlane = reuseImage(te.intPlane, te.w, te.h)
-				for y := 0; y < te.h; y++ {
-					srow := src.Pix[(y0+y)*src.Stride+x0 : (y0+y)*src.Stride+x1]
-					dst := te.intPlane.Row(y)
-					for x, v := range srow {
-						dst[x] = v - srcShift
-					}
-				}
-				// The band and code-block geometry, rebuilt in place: a unit
-				// that held another shape last keeps its storage.
-				te.subbands = dwt.SubbandsAppend(te.subbands[:0], te.w, te.h, o.Levels)
-				te.bands = grow(te.bands, len(te.subbands))
-				for bi, b := range te.subbands {
-					bb := &te.bands[bi]
-					bb.Grid.Reshape(b, o.CBW, o.CBH)
-					bb.Blocks = grow(bb.Blocks, len(bb.Grid.Rects))
-				}
-				origins[u] = [2]int{x0, y0}
-				u++
+	for u, te := range units {
+		src, lay := srcs[u/ntiles], &e.layouts[u%ntiles]
+		te.lay, te.bands = lay, lay.Comps[u/ntiles]
+		te.intPlane = reuseImage(te.intPlane, lay.W, lay.H)
+		for y := 0; y < lay.H; y++ {
+			off := (lay.Y0+y)*src.Stride + lay.X0
+			dst := te.intPlane.Row(y)
+			for x, v := range src.Pix[off : off+lay.W] {
+				dst[x] = v - srcShift
 			}
 		}
 	}
@@ -639,22 +648,9 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	// tile) stages; tier-1 tops the blocks up once the code-block count is
 	// known.
 	e.ensureWorkers(min(o.Workers, nunits))
-	var steps []quant.Step
-	if o.Kernel == dwt.Irr97 {
-		steps = quant.BandSteps(dwt.Irr97, width, height, o.Levels, o.BaseStep)
-	}
-	nbands := 1 + 3*o.Levels
-	nlayers := len(o.LayerBPP)
-	if nlayers == 0 {
-		nlayers = 1
-	}
-	e.cur.steps = steps
+	subbands := e.layouts[0].Subbands
+	nbands, nlayers := len(subbands), p.Layers
 	e.cur.innerW = innerW
-	e.cur.nbands = nbands
-	e.cur.ntiles = ntiles
-	e.cur.ncomp = ncomp
-	e.cur.nlayers = nlayers
-	e.cur.npixels = width * height
 	stats.Timings.Setup = time.Since(t0)
 
 	tDWT := time.Now()
@@ -668,23 +664,21 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	if o.Kernel == dwt.Irr97 {
 		e.pool.TasksIDMax(outerW, nunits, e.quantFn)
 	}
-	roiShift := 0
 	if o.ROI != nil {
-		roiShift = applyROI(units, origins, *o.ROI, o)
+		p.ROIShift = applyROI(units, *o.ROI, o)
 	}
 	stats.Timings.Quant = time.Since(tQ)
 
-	// --- Per-band R-D weights (geometry-derived, so shared by every
-	// component): the allocator's distortion scale, and the tier-1 stop
-	// rule's.
+	// --- Per-band R-D weights (shared by every component and tile: BandNorm
+	// reads only a band's type and level): the allocator's distortion scale,
+	// and the tier-1 stop rule's.
 	tT1 := time.Now()
 	weights := grow(e.weights, nbands)
 	e.weights = weights
-	e.bandsRef = dwt.SubbandsAppend(e.bandsRef[:0], width, height, o.Levels)
-	for bi, b := range e.bandsRef {
+	for bi, b := range subbands {
 		step := 1.0
 		if o.Kernel == dwt.Irr97 {
-			step = steps[bi].Value()
+			step = p.Steps[0][bi].Value()
 		}
 		n := dwt.BandNorm(o.Kernel, o.Levels, b)
 		weights[bi] = step * step * n * n
@@ -695,7 +689,7 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	// codes with its own pooled Coder.
 	jobs := e.jobs[:0]
 	for u, te := range units {
-		for bi, b := range te.subbands {
+		for bi, b := range te.lay.Subbands {
 			g := te.bands[bi].Grid
 			for _, r := range g.Rects {
 				var job blockJob
@@ -721,14 +715,7 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	e.jobs = jobs
 	nblocks := len(jobs)
 	e.ensureWorkers(min(o.Workers, max(nblocks, 1)))
-	modes := t1.Modes{
-		Bypass:   o.Coder.Bypass,
-		ResetCtx: o.Coder.ResetCtx,
-		TermAll:  o.Coder.TermAll,
-		Causal:   o.Coder.Causal,
-		SegSym:   o.Resilience.SegSymbols,
-	}
-	e.cur.modes = modes
+	modes := p.CoderModes()
 	for _, w := range e.workers {
 		w.coder.Modes = modes
 		w.passesCoded, w.blocksStopped = 0, 0
@@ -757,27 +744,24 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 	// --- Mb per (component, band) index (global across tiles). A stopped
 	// block knows its bit-plane count like any other.
 	tRA := time.Now()
-	mb := grow(e.mb, ncomp)
-	e.mb = mb
-	for ci := 0; ci < ncomp; ci++ {
-		mb[ci] = grow(mb[ci], nbands)
-		clear(mb[ci])
+	for ci, mb := range p.Mb {
+		clear(mb)
 		for _, te := range units[ci*ntiles : (ci+1)*ntiles] {
 			k := 0
 			for bi := range te.bands {
 				for range te.bands[bi].Grid.Rects {
 					nbp := te.blocks[k].NumBitplanes
-					if nbp > mb[ci][bi] {
-						mb[ci][bi] = nbp
+					if nbp > mb[bi] {
+						mb[bi] = nbp
 					}
 					stats.PassesPossible += t1.TotalPasses(nbp)
 					k++
 				}
 			}
 		}
-		for bi := range mb[ci] {
-			if mb[ci][bi] == 0 {
-				mb[ci][bi] = 1
+		for bi := range mb {
+			if mb[bi] == 0 {
+				mb[bi] = 1
 			}
 		}
 	}
@@ -867,27 +851,10 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 
 	// --- Bitstream I/O.
 	tIO := time.Now()
-	var stepsAll [][]quant.Step
-	if o.Kernel == dwt.Irr97 {
-		e.stepsPerComp = grow(e.stepsPerComp, ncomp)
-		for ci := range e.stepsPerComp[:ncomp] {
-			e.stepsPerComp[ci] = steps
-		}
-		stepsAll = e.stepsPerComp[:ncomp]
-	}
-	params := t2.Params{
-		Width: width, Height: height, TileW: tileW, TileH: tileH,
-		NComp: ncomp, BitDepth: o.BitDepth, Levels: o.Levels, Layers: nlayers,
-		CBW: o.CBW, CBH: o.CBH, MCT: o.MCT, Kernel: o.Kernel, GuardBits: 2,
-		Steps: stepsAll, Mb: mb[:ncomp], ROIShift: roiShift,
-		UseSOP: o.Resilience.SOP, UseEPH: o.Resilience.EPH, SegSym: o.Resilience.SegSymbols,
-		Bypass: o.Coder.Bypass, ResetCtx: o.Coder.ResetCtx,
-		TermAll: o.Coder.TermAll, Causal: o.Coder.Causal,
-	}
-	out := t2.WriteCodestream(params, e.tileStreams[:ntiles])
+	out := t2.WriteCodestream(*p, e.tileStreams[:ntiles])
 	stats.Timings.StreamIO = time.Since(tIO)
 	stats.Bytes = len(out)
-	stats.BPP = float64(len(out)) * 8 / float64(e.cur.npixels)
+	stats.BPP = float64(len(out)) * 8 / float64(width*height)
 	e.Metrics.recordEncode(stats)
 	return out, stats, nil
 }

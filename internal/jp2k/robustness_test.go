@@ -6,6 +6,7 @@ import (
 
 	"pj2k/internal/dwt"
 	"pj2k/internal/raster"
+	"pj2k/internal/t2"
 )
 
 // decodeNoPanic decodes arbitrary bytes and reports any panic as a test
@@ -93,5 +94,63 @@ func TestDecodeHeaderBombs(t *testing.T) {
 	mut[8], mut[9], mut[10], mut[11] = 0x7F, 0xFF, 0xFF, 0xFF
 	if _, err := Decode(mut, DecodeOptions{}); err == nil {
 		t.Fatal("want error for absurd width")
+	}
+}
+
+// TestEncodeRefusesWhatDecodeRefuses: the encoder checks the Params it is
+// about to write with the rule the readers apply, so an option set the
+// codestream cannot carry is an error and no stream — not a stream that
+// decodes to other samples (COD carries code-block sides as exponents, so a
+// 48-wide block was signalled as 32) or one Decode refuses (17-bit samples) —
+// while the edges of each range round-trip exactly, on the Encoder that
+// refused the rest.
+func TestEncodeRefusesWhatDecodeRefuses(t *testing.T) {
+	enc := NewEncoder()
+	defer enc.Close()
+	gray := fuzzImage(128, 128, 1, 8, 41)
+	for _, tc := range []struct {
+		name string
+		pl   *raster.Planar
+		o    Options
+	}{
+		{"48x48 blocks", gray, Options{CBW: 48, CBH: 48}},
+		{"20-high blocks", gray, Options{CBH: 20}},
+		{"2-wide blocks", gray, Options{CBW: 2}},
+		{"17-bit samples", gray, Options{BitDepth: 17}},
+		{"24-bit samples", gray, Options{BitDepth: 24}},
+		{"33 levels", gray, Options{Levels: 33}},
+		{"MCT on one component", gray, Options{MCT: true}},
+		{"MaxComponents+1 components", raster.NewPlanar(8, 8, t2.MaxComponents+1), Options{}},
+		{"tile wider than SIZ's axis bound", gray, Options{TileW: 1 << 21, TileH: 64}},
+	} {
+		if cs, _, err := enc.EncodePlanar(tc.pl, tc.o); err == nil || cs != nil {
+			t.Errorf("%s: EncodePlanar returned %d bytes and error %v, want an error and no stream", tc.name, len(cs), err)
+		}
+		if len(tc.pl.Comps) == 1 {
+			if cs, _, err := Encode(tc.pl.Comps[0], tc.o); err == nil || cs != nil {
+				t.Errorf("%s: Encode returned %d bytes and error %v, want an error and no stream", tc.name, len(cs), err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		o    Options
+	}{
+		{"4x64 blocks", Options{CBW: 4, CBH: 64}},
+		{"16-bit samples", Options{BitDepth: 16}},
+		{"Levels 0 (the default depth)", Options{Levels: 0}},
+	} {
+		pl := fuzzImage(128, 128, 1, max(tc.o.BitDepth, 8), 42)
+		cs, _, err := enc.EncodePlanar(pl, tc.o)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		back, err := DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !raster.PlanarEqual(pl, back) {
+			t.Errorf("%s: lossless round trip is not exact", tc.name)
+		}
 	}
 }

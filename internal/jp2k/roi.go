@@ -11,24 +11,26 @@ import (
 // mask is transmitted, only s (in the RGN marker). Returns the shift used
 // (0 if ROI coding is not possible within the integer headroom).
 //
-// tiles hold the already-transformed (and, for 9/7, quantized) coefficients;
-// origins are the tile top-left corners in image coordinates.
-func applyROI(tiles []*tileEnc, origins [][2]int, roi ROIRect, o Options) int {
-	// Background maximum magnitude across all tiles and bands.
+// units hold the already-transformed (and, for 9/7, quantized) coefficients;
+// each unit's tile layout places it in the image.
+func applyROI(units []*tileEnc, roi ROIRect, o Options) int {
+	// Background maximum magnitude across all units and bands.
 	var maxMag int32
-	forEachBand(tiles, o, func(te *tileEnc, bi int, b dwt.Subband, data []int32, stride int) {
-		for y := 0; y < b.Height(); y++ {
-			row := data[y*stride : y*stride+b.Width()]
-			for _, v := range row {
-				if v < 0 {
-					v = -v
-				}
-				if v > maxMag {
-					maxMag = v
+	for _, te := range units {
+		forEachBandOf(te, o, func(b dwt.Subband, data []int32, stride int) {
+			for y := 0; y < b.Height(); y++ {
+				row := data[y*stride : y*stride+b.Width()]
+				for _, v := range row {
+					if v < 0 {
+						v = -v
+					}
+					if v > maxMag {
+						maxMag = v
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 	if maxMag == 0 {
 		return 0
 	}
@@ -43,15 +45,14 @@ func applyROI(tiles []*tileEnc, origins [][2]int, roi ROIRect, o Options) int {
 	if s <= 0 {
 		return 0
 	}
-	for ti, te := range tiles {
-		ox, oy := origins[ti][0], origins[ti][1]
+	for _, te := range units {
 		// ROI in tile coordinates.
-		rx0, ry0 := roi.X0-ox, roi.Y0-oy
-		rx1, ry1 := roi.X1-ox, roi.Y1-oy
-		if rx1 <= 0 || ry1 <= 0 || rx0 >= te.w || ry0 >= te.h {
+		rx0, ry0 := roi.X0-te.lay.X0, roi.Y0-te.lay.Y0
+		rx1, ry1 := roi.X1-te.lay.X0, roi.Y1-te.lay.Y0
+		if rx1 <= 0 || ry1 <= 0 || rx0 >= te.lay.W || ry0 >= te.lay.H {
 			continue
 		}
-		forEachBandOf(te, o, func(bi int, b dwt.Subband, data []int32, stride int) {
+		forEachBandOf(te, o, func(b dwt.Subband, data []int32, stride int) {
 			l := b.Level
 			if b.Type == dwt.LL {
 				l = o.Levels
@@ -74,28 +75,19 @@ func applyROI(tiles []*tileEnc, origins [][2]int, roi ROIRect, o Options) int {
 	return s
 }
 
-// forEachBand visits every band's coefficient plane of every tile.
-func forEachBand(tiles []*tileEnc, o Options, fn func(te *tileEnc, bi int, b dwt.Subband, data []int32, stride int)) {
-	for _, te := range tiles {
-		forEachBandOf(te, o, func(bi int, b dwt.Subband, data []int32, stride int) {
-			fn(te, bi, b, data, stride)
-		})
-	}
-}
-
-// forEachBandOf visits one tile's bands, handing out the coefficient
+// forEachBandOf visits one unit's bands, handing out the coefficient
 // storage for each (the Mallat plane for 5/3, the dense per-band buffers
 // for 9/7).
-func forEachBandOf(te *tileEnc, o Options, fn func(bi int, b dwt.Subband, data []int32, stride int)) {
-	for bi, b := range te.subbands {
+func forEachBandOf(te *tileEnc, o Options, fn func(b dwt.Subband, data []int32, stride int)) {
+	for bi, b := range te.lay.Subbands {
 		if b.Empty() {
 			continue
 		}
 		if o.Kernel == dwt.Rev53 {
 			off := b.Y0*te.intPlane.Stride + b.X0
-			fn(bi, b, te.intPlane.Pix[off:], te.intPlane.Stride)
+			fn(b, te.intPlane.Pix[off:], te.intPlane.Stride)
 		} else {
-			fn(bi, b, te.bandInts[bi], b.Width())
+			fn(b, te.bandInts[bi], b.Width())
 		}
 	}
 }

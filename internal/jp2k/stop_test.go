@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pj2k/internal/dwt"
+	"pj2k/internal/quant"
 	"pj2k/internal/raster"
 	"pj2k/internal/t2"
 	"pj2k/internal/telemetry"
@@ -247,40 +248,67 @@ const (
 	fzLayerShift = 14 // three bits: 0..4 layers (mod 5)
 )
 
+// fuzzParams is the codestream description an encode of a w x h image of
+// ncomp components under o must write, for the Mb and Steps coverage its
+// levels need: CheckGeometry's verdict on it is the verdict the encoder must
+// reach.
+func fuzzParams(w, h, ncomp int, o Options) t2.Params {
+	o = o.withDefaults()
+	p := t2.Params{
+		Width: w, Height: h, TileW: w, TileH: h, NComp: ncomp, BitDepth: o.BitDepth,
+		Levels: o.Levels, Layers: max(len(o.LayerBPP), 1), CBW: o.CBW, CBH: o.CBH,
+		MCT: o.MCT, Kernel: o.Kernel,
+	}
+	if o.TileW > 0 && o.TileH > 0 {
+		p.TileW, p.TileH = o.TileW, o.TileH
+	}
+	for range ncomp {
+		p.Mb = append(p.Mb, make([]int, 1+3*o.Levels))
+		p.Steps = append(p.Steps, make([]quant.Step, 1+3*o.Levels))
+	}
+	return p
+}
+
 // FuzzRoundTrip is the encoder's safety net: fuzzer-chosen geometry (1xN,
 // primes, tiles larger than the image), depth, one or three components with or
-// without the inter-component transform, decomposition depth, code-block size,
-// every coder style, the resilience markers, zero to four layer budgets from
-// starving to non-binding, and ROI. Whatever the options, the 5/3 path without
-// budgets is the identity, the 9/7 path without budgets clears a PSNR floor,
-// PSNR does not fall from layer to layer, and the codestream is the same bytes
-// for every worker count, on a reused Encoder, and with the tier-1 stop rule
-// forced off — the invariant that makes early termination safe to ship.
+// without the inter-component transform, decomposition depth, any code-block
+// side from 1 to 80, every coder style, the resilience markers, zero to four
+// layer budgets from starving to non-binding, and ROI. The encoder refuses an
+// option set exactly when CheckGeometry refuses the Params it describes — the
+// rule every reader applies — and returns no stream then. Whatever options it
+// accepts, the 5/3 path without budgets is the identity, the 9/7 path without
+// budgets clears a PSNR floor, PSNR does not fall from layer to layer, and the
+// codestream is the same bytes for every worker count, on a reused Encoder,
+// and with the tier-1 stop rule forced off — the invariant that makes early
+// termination safe to ship.
 func FuzzRoundTrip(f *testing.F) {
 	layers := func(n int) uint32 { return uint32(n) << fzLayerShift }
 	// Golden-matrix option sets, the coder styles, and the encode-batch shapes
 	// (tiled two-layer 9/7; colour + MCT one-layer). Budgets are in units of
 	// 1/200 bpp.
-	f.Add(uint64(99), uint16(229), uint16(189), uint16(0), uint16(0), uint32(0), uint8(0), uint8(4), uint8(4), uint16(0), uint16(0), uint16(0), uint16(0), uint32(0))
-	f.Add(uint64(99), uint16(229), uint16(189), uint16(64), uint16(96), uint32(0), uint8(3), uint8(3), uint8(2), uint16(0), uint16(0), uint16(0), uint16(0), uint32(0))
-	f.Add(uint64(99), uint16(229), uint16(189), uint16(0), uint16(0), fzIrr97|layers(2), uint8(0), uint8(4), uint8(4), uint16(50), uint16(200), uint16(0), uint16(0), uint32(0))
-	f.Add(uint64(99), uint16(229), uint16(189), uint16(0), uint16(0), fzIrr97|fzROI|layers(1), uint8(0), uint8(4), uint8(4), uint16(100), uint16(0), uint16(0), uint16(0), uint32(0x1e14785a))
-	f.Add(uint64(7), uint16(119), uint16(87), uint16(0), uint16(0), uint32(fzColor|fzMCT), uint8(0), uint8(4), uint8(4), uint16(0), uint16(0), uint16(0), uint16(0), uint32(0))
-	f.Add(uint64(7), uint16(119), uint16(87), uint16(0), uint16(0), fzIrr97|fzColor|fzMCT|layers(1), uint8(0), uint8(4), uint8(4), uint16(200), uint16(0), uint16(0), uint16(0), uint32(0))
-	f.Add(uint64(21), uint16(255), uint16(255), uint16(64), uint16(64), fzIrr97|fzVertBlocked|layers(2), uint8(0), uint8(4), uint8(4), uint16(50), uint16(200), uint16(0), uint16(0), uint32(0))
-	f.Add(uint64(22), uint16(127), uint16(127), uint16(0), uint16(0), fzIrr97|fzColor|fzMCT|fzVertBlocked|layers(1), uint8(0), uint8(4), uint8(4), uint16(200), uint16(0), uint16(0), uint16(0), uint32(0))
+	f.Add(uint64(99), uint16(229), uint16(189), uint16(0), uint16(0), uint32(0), uint8(0), uint8(63), uint8(63), uint16(0), uint16(0), uint16(0), uint16(0), uint32(0))
+	f.Add(uint64(99), uint16(229), uint16(189), uint16(64), uint16(96), uint32(0), uint8(3), uint8(31), uint8(15), uint16(0), uint16(0), uint16(0), uint16(0), uint32(0))
+	f.Add(uint64(99), uint16(229), uint16(189), uint16(0), uint16(0), fzIrr97|layers(2), uint8(0), uint8(63), uint8(63), uint16(50), uint16(200), uint16(0), uint16(0), uint32(0))
+	f.Add(uint64(99), uint16(229), uint16(189), uint16(0), uint16(0), fzIrr97|fzROI|layers(1), uint8(0), uint8(63), uint8(63), uint16(100), uint16(0), uint16(0), uint16(0), uint32(0x1e14785a))
+	f.Add(uint64(7), uint16(119), uint16(87), uint16(0), uint16(0), uint32(fzColor|fzMCT), uint8(0), uint8(63), uint8(63), uint16(0), uint16(0), uint16(0), uint16(0), uint32(0))
+	f.Add(uint64(7), uint16(119), uint16(87), uint16(0), uint16(0), fzIrr97|fzColor|fzMCT|layers(1), uint8(0), uint8(63), uint8(63), uint16(200), uint16(0), uint16(0), uint16(0), uint32(0))
+	f.Add(uint64(21), uint16(255), uint16(255), uint16(64), uint16(64), fzIrr97|fzVertBlocked|layers(2), uint8(0), uint8(63), uint8(63), uint16(50), uint16(200), uint16(0), uint16(0), uint32(0))
+	f.Add(uint64(22), uint16(127), uint16(127), uint16(0), uint16(0), fzIrr97|fzColor|fzMCT|fzVertBlocked|layers(1), uint8(0), uint8(63), uint8(63), uint16(200), uint16(0), uint16(0), uint16(0), uint32(0))
 	for _, style := range []uint32{fzBypass, fzTermAll, fzResetCtx, fzCausal, fzBypass | fzTermAll, fzBypass | fzTermAll | fzResetCtx | fzCausal, fzSOP | fzEPH | fzSegSym} {
-		f.Add(uint64(99), uint16(229), uint16(189), uint16(64), uint16(96), fzIrr97|style|layers(2), uint8(0), uint8(4), uint8(4), uint16(50), uint16(200), uint16(0), uint16(0), uint32(0))
+		f.Add(uint64(99), uint16(229), uint16(189), uint16(64), uint16(96), fzIrr97|style|layers(2), uint8(0), uint8(63), uint8(63), uint16(50), uint16(200), uint16(0), uint16(0), uint32(0))
 	}
 	// 1xN, Nx1, prime sides, a tile larger than the image, a 12-bit image, a
 	// starving budget next to a non-binding one.
-	f.Add(uint64(1), uint16(0), uint16(96), uint16(0), uint16(0), fzIrr97|layers(1), uint8(2), uint8(0), uint8(4), uint16(300), uint16(0), uint16(0), uint16(0), uint32(0))
-	f.Add(uint64(2), uint16(130), uint16(0), uint16(0), uint16(0), uint32(0), uint8(1), uint8(4), uint8(0), uint16(0), uint16(0), uint16(0), uint16(0), uint32(0))
-	f.Add(uint64(3), uint16(96), uint16(100), uint16(250), uint16(250), fzIrr97|3<<fzDepthShift|layers(3), uint8(4), uint8(2), uint8(3), uint16(1), uint16(40), uint16(3999), uint16(0), uint32(0))
+	f.Add(uint64(1), uint16(0), uint16(96), uint16(0), uint16(0), fzIrr97|layers(1), uint8(2), uint8(3), uint8(63), uint16(300), uint16(0), uint16(0), uint16(0), uint32(0))
+	f.Add(uint64(2), uint16(130), uint16(0), uint16(0), uint16(0), uint32(0), uint8(1), uint8(63), uint8(3), uint16(0), uint16(0), uint16(0), uint16(0), uint32(0))
+	f.Add(uint64(3), uint16(96), uint16(100), uint16(250), uint16(250), fzIrr97|3<<fzDepthShift|layers(3), uint8(4), uint8(15), uint8(31), uint16(1), uint16(40), uint16(3999), uint16(0), uint32(0))
+	// Code-block sides COD cannot carry: refused, not signalled as another.
+	f.Add(uint64(99), uint16(127), uint16(127), uint16(0), uint16(0), uint32(0), uint8(0), uint8(47), uint8(47), uint16(0), uint16(0), uint16(0), uint16(0), uint32(0))
+	f.Add(uint64(99), uint16(127), uint16(127), uint16(0), uint16(0), fzIrr97|layers(1), uint8(0), uint8(63), uint8(19), uint16(100), uint16(0), uint16(0), uint16(0), uint32(0))
 
 	f.Fuzz(func(t *testing.T, seed uint64, w16, h16, tw16, th16 uint16, flags uint32, levels, cbw, cbh uint8, b0, b1, b2, b3 uint16, roi uint32) {
 		w, h := 1+int(w16)%256, 1+int(h16)%256
-		o := Options{Kernel: dwt.Rev53, Levels: int(levels) % 7, CBW: 4 << (cbw % 5), CBH: 4 << (cbh % 5)}
+		o := Options{Kernel: dwt.Rev53, Levels: int(levels) % 7, CBW: 1 + int(cbw)%80, CBH: 1 + int(cbh)%80}
 		if flags&fzIrr97 != 0 {
 			o.Kernel = dwt.Irr97
 		}
@@ -311,6 +339,13 @@ func FuzzRoundTrip(f *testing.F) {
 		pl := fuzzImage(w, h, ncomp, o.BitDepth, seed)
 
 		o.Workers = 1
+		if err := fuzzParams(w, h, ncomp, o).CheckGeometry(); err != nil {
+			if cs, _, encErr := EncodePlanar(pl, o); encErr == nil || cs != nil {
+				t.Fatalf("%+v: encoded %d bytes of what CheckGeometry refuses (%v)", o, len(cs), err)
+			}
+			return
+		}
+		// Accepted: encodeWithLambda fails the run on any encode error.
 		want, _ := encodeWithLambda(t, pl, o, nil)
 		if full, _ := encodeWithLambda(t, pl, o, forceFull); !bytes.Equal(full, want) {
 			t.Fatalf("%+v: stopped encode differs from full coding", o)

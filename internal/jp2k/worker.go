@@ -7,7 +7,6 @@ import (
 	"pj2k/internal/dwt"
 	"pj2k/internal/rate"
 	"pj2k/internal/t1"
-	"pj2k/internal/t2"
 )
 
 // Per-worker state (DESIGN.md §7). Everything a worker writes while a stage
@@ -59,11 +58,10 @@ type decWorker struct {
 }
 
 // t2Scratch is the per-worker scratch of the parallel tier-2 stage: the
-// per-component band/layer views a tile's packet assembly needs, plus a
-// per-worker byte accumulator summed (in worker order) after the dispatch —
-// so the stage writes no shared state and allocates nothing once warm.
+// per-component layer views a tile's packet assembly needs, plus a per-worker
+// byte accumulator summed (in worker order) after the dispatch — so the stage
+// writes no shared state and allocates nothing once warm.
 type t2Scratch struct {
-	compBands  [][]t2.BandBlocks
 	compLayers [][][]int
 	compBytes  []int
 }
@@ -72,7 +70,6 @@ type t2Scratch struct {
 // arrays are a few words per component, written once per tile (the views) or
 // once per packet (compBytes) — too rarely to need lines of their own.
 func (sc *t2Scratch) size(ncomp, nlayers int) {
-	sc.compBands = grow(sc.compBands, ncomp)
 	sc.compLayers = grow(sc.compLayers, ncomp)
 	for ci := range sc.compLayers {
 		sc.compLayers[ci] = grow(sc.compLayers[ci], nlayers)

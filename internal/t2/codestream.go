@@ -40,6 +40,9 @@ var MaxImagePixels int64 = 1 << 28
 // maxImageDim bounds each image axis independently of the pixel budget.
 const maxImageDim = 1 << 20
 
+// MaxLevels is the deepest decomposition COD may declare.
+const MaxLevels = 32
+
 // Params is the codestream-level configuration carried by the SIZ/COD/QCD/QCC
 // markers. Deviations from the standard's field semantics (documented in
 // DESIGN.md): the QCD/QCC step exponents are absolute rather than relative to
@@ -57,7 +60,7 @@ type Params struct {
 	BitDepth      int
 	Levels        int
 	Layers        int
-	CBW, CBH      int  // code-block size (powers of two, <= 64)
+	CBW, CBH      int  // code-block size (powers of two, 4 to 64)
 	MCT           bool // inter-component transform applied to components 0-2
 	Kernel        dwt.Kernel
 	GuardBits     int
@@ -116,28 +119,21 @@ func (p Params) NumTiles() (int, int) {
 	return tx, ty
 }
 
-// CheckGeometry verifies that the per-component per-band header arrays cover
-// the decomposition the COD marker declares. ScanCodestream is a lenient
-// container parser and does not cross-check markers against each other;
-// consumers that index Mb/Steps by (component, band) — the decoder, the
-// codestream Index — must call this first so a corrupt stream yields an error
-// instead of an out-of-range panic.
+// CheckGeometry is the one rule for a Params, written or read: every SIZ and
+// COD field is in the range its marker carries and this codec implements, and
+// the per-component per-band header arrays cover the decomposition COD
+// declares. The encoder checks the Params it is about to write with it.
+// ScanCodestream does not cross-check markers against each other, so
+// consumers that index Mb/Steps by (component, band) — the decoder, the Index
+// — must call this first: a corrupt stream is an error, not a panic.
 func (p Params) CheckGeometry() error {
-	if p.Width <= 0 || p.Height <= 0 {
-		return fmt.Errorf("t2: missing or empty SIZ (%dx%d)", p.Width, p.Height)
+	if err := p.checkSIZ(); err != nil {
+		return err
 	}
-	if p.Layers < 1 {
-		return fmt.Errorf("t2: missing COD (layers %d)", p.Layers)
+	if err := p.checkCOD(); err != nil {
+		return err
 	}
 	nc := p.Components()
-	if nc > MaxComponents {
-		return fmt.Errorf("t2: %d components exceeds the %d limit", nc, MaxComponents)
-	}
-	if p.Width > maxImageDim || p.Height > maxImageDim ||
-		int64(p.Width)*int64(p.Height)*int64(nc) > MaxImagePixels {
-		return fmt.Errorf("t2: declared size %dx%dx%d exceeds the %d-sample budget (MaxImagePixels)",
-			p.Width, p.Height, nc, MaxImagePixels)
-	}
 	if p.MCT && nc != 3 {
 		return fmt.Errorf("t2: MCT flagged on a %d-component stream (needs exactly 3)", nc)
 	}
@@ -163,6 +159,45 @@ func (p Params) CheckGeometry() error {
 	}
 	return nil
 }
+
+// checkSIZ is the range rule for the SIZ fields. The sample budget covers all
+// components (decoders allocate one plane per component), so a tiny header
+// cannot multiply a legal per-plane size by Csiz.
+func (p *Params) checkSIZ() error {
+	nc := p.Components()
+	if nc > MaxComponents {
+		return fmt.Errorf("t2: %d components exceeds the %d limit", nc, MaxComponents)
+	}
+	if p.Width <= 0 || p.Height <= 0 || p.Width > maxImageDim || p.Height > maxImageDim ||
+		int64(p.Width)*int64(p.Height)*int64(nc) > MaxImagePixels {
+		return fmt.Errorf("t2: implausible image size %dx%dx%d (axis limit %d, MaxImagePixels %d)",
+			p.Width, p.Height, nc, maxImageDim, MaxImagePixels)
+	}
+	// A tile larger than the image is legal (one tile, clipped to the image
+	// wherever the size is used), so only the axis bound applies.
+	if p.TileW <= 0 || p.TileH <= 0 || p.TileW > maxImageDim || p.TileH > maxImageDim {
+		return fmt.Errorf("t2: implausible tile size %dx%d", p.TileW, p.TileH)
+	}
+	if p.BitDepth < 1 || p.BitDepth > 16 {
+		return fmt.Errorf("t2: unsupported bit depth %d", p.BitDepth)
+	}
+	return nil
+}
+
+// checkCOD is the range rule for the COD fields. COD carries a code-block
+// side as its exponent, so any side but a power of two would be written as
+// another one.
+func (p *Params) checkCOD() error {
+	if p.Levels < 0 || p.Levels > MaxLevels || p.Layers < 1 || p.Layers > 0xFFFF ||
+		!codeBlockSide(p.CBW) || !codeBlockSide(p.CBH) {
+		return fmt.Errorf("t2: implausible COD (levels %d, layers %d, cb %dx%d)",
+			p.Levels, p.Layers, p.CBW, p.CBH)
+	}
+	return nil
+}
+
+// codeBlockSide reports whether n is a code-block side COD can carry.
+func codeBlockSide(n int) bool { return n >= 4 && n <= 64 && n&(n-1) == 0 }
 
 func put16(b []byte, v int) []byte { return append(b, byte(v>>8), byte(v)) }
 func put32(b []byte, v int) []byte {
@@ -285,7 +320,7 @@ func appendMainHeader(out []byte, p Params) []byte {
 	// matching the pre-multi-component tolerance for empty Mb). Marker
 	// lengths are measured from the serialized tail so they can never drift
 	// from appendQuant's layout.
-	var tailBuf [1 + 3*(1+3*32)]byte // Sqcd plus 3 bytes for each of up to 97 bands
+	var tailBuf [1 + 3*(1+3*MaxLevels)]byte // Sqcd plus 3 bytes for each band
 	tail := appendQuant(tailBuf[:0], p, 0)
 	out = put16(out, mQCD)
 	out = put16(out, 2+len(tail))
@@ -344,7 +379,7 @@ func (r *sreader) readQuant(tail int) (guard int, mb []int, steps []quant.Step, 
 		perBand = 3
 	}
 	nb := (tail - 1) / perBand
-	if nb < 0 || nb > 1+3*32 { // COD caps levels at 32
+	if nb < 0 || nb > 1+3*MaxLevels {
 		return 0, nil, nil, fmt.Errorf("t2: implausible quantization band count %d", nb)
 	}
 	mb = carve(&r.bands, nb)
@@ -393,12 +428,9 @@ func (d ContainerDamage) Any() bool {
 	return d.Truncated || d.BadMarkers > 0 || d.BadTileParts > 0 || d.BadStyles > 0
 }
 
-// readSIZ parses the SIZ segment into p, including the sanity limits that
-// keep a corrupt header from demanding absurd allocations downstream: each
-// axis is bounded, and the Width x Height x Csiz sample budget is bounded by
-// MaxImagePixels. The budget covers ALL components (decoders allocate one
-// plane per component), so a tiny header cannot multiply a legal per-plane
-// size by Csiz.
+// readSIZ parses the SIZ segment into p and applies checkSIZ before any
+// per-component array is sized, so a corrupt header cannot demand absurd
+// allocations downstream.
 func (r *sreader) readSIZ(p *Params) error {
 	if _, err := r.u16(); err != nil { // Lsiz
 		return err
@@ -461,18 +493,8 @@ func (r *sreader) readSIZ(p *Params) error {
 			return fmt.Errorf("t2: component %d subsampling %dx%d unsupported", ci, xr, yr)
 		}
 	}
-	if p.Width <= 0 || p.Height <= 0 || p.Width > maxImageDim || p.Height > maxImageDim ||
-		int64(p.Width)*int64(p.Height)*int64(ncomp) > MaxImagePixels {
-		return fmt.Errorf("t2: implausible image size %dx%dx%d", p.Width, p.Height, ncomp)
-	}
-	// A tile larger than the image is legal (one tile, clipped to the image
-	// wherever the size is used) and the encoder writes whatever it was asked
-	// for, so only the axis bound applies.
-	if p.TileW <= 0 || p.TileH <= 0 || p.TileW > maxImageDim || p.TileH > maxImageDim {
-		return fmt.Errorf("t2: implausible tile size %dx%d", p.TileW, p.TileH)
-	}
-	if p.BitDepth < 1 || p.BitDepth > 16 {
-		return fmt.Errorf("t2: unsupported bit depth %d", p.BitDepth)
+	if err := p.checkSIZ(); err != nil {
+		return err
 	}
 	r.mb, r.steps, r.qccSeen = grow(r.mb, ncomp), grow(r.steps, ncomp), grow(r.qccSeen, ncomp)
 	clear(r.mb)
@@ -562,11 +584,7 @@ func (r *sreader) readCOD(p *Params, resilient bool, dmg *ContainerDamage) error
 	} else {
 		p.Kernel = dwt.Irr97
 	}
-	if p.Levels < 0 || p.Levels > 32 || p.Layers < 1 || p.CBW < 4 || p.CBW > 64 || p.CBH < 4 || p.CBH > 64 {
-		return fmt.Errorf("t2: implausible COD (levels %d, layers %d, cb %dx%d)",
-			p.Levels, p.Layers, p.CBW, p.CBH)
-	}
-	return nil
+	return p.checkCOD()
 }
 
 func (r *sreader) readQCD(p *Params) error {

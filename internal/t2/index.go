@@ -152,22 +152,25 @@ func (ix *Index) Tile(ti int) (*TileIndex, error) {
 	return &lt.ti, nil
 }
 
-// TileLayout is one tile's geometry as a decode derives it from Params: the
-// tile's full-resolution size, its subbands (dwt.Subbands order) and, per
-// component, the bands' code-block grids and Mb — the shape the packet walk
-// and tier-1 read. The components share one grid per band.
+// TileLayout is one tile's geometry as it follows from Params — the one
+// derivation the encoder, the decoder and the Index share: the tile's origin
+// in the image and full-resolution size, its subbands (dwt.Subbands order)
+// and, per component, the bands' code-block grids and Mb — the shape the
+// packet walk and tier-1 read. The components share one grid per band.
 type TileLayout struct {
-	W, H     int
-	Subbands []dwt.Subband
-	Comps    [][]BandBlocks
+	X0, Y0, W, H int
+	Subbands     []dwt.Subband
+	Comps        [][]BandBlocks
 }
 
 // Reshape rebuilds l for tile ti of the stream p describes, into l's own
 // storage: a layout that has held a shape at least as large allocates nothing.
+// Each band's Blocks is left as it was — the encoder fills it in place; the
+// decoder and the Index never use it.
 func (l *TileLayout) Reshape(p *Params, ti int) {
 	ntx, _ := p.NumTiles()
-	x0, y0 := ti%ntx*p.TileW, ti/ntx*p.TileH
-	l.W, l.H = min(x0+p.TileW, p.Width)-x0, min(y0+p.TileH, p.Height)-y0
+	l.X0, l.Y0 = ti%ntx*p.TileW, ti/ntx*p.TileH
+	l.W, l.H = min(l.X0+p.TileW, p.Width)-l.X0, min(l.Y0+p.TileH, p.Height)-l.Y0
 	l.Subbands = dwt.SubbandsAppend(l.Subbands[:0], l.W, l.H, p.Levels)
 	l.Comps = grow(l.Comps, p.Components())
 	for ci := range l.Comps {
@@ -177,7 +180,7 @@ func (l *TileLayout) Reshape(p *Params, ti int) {
 		g := &l.Comps[0][bi].Grid
 		g.Reshape(b, p.CBW, p.CBH)
 		for ci, bands := range l.Comps {
-			bands[bi] = BandBlocks{Grid: *g, Mb: p.Mb[ci][bi]}
+			bands[bi].Grid, bands[bi].Mb = *g, p.Mb[ci][bi]
 		}
 	}
 }

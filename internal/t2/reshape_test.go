@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pj2k/internal/dwt"
@@ -166,6 +167,77 @@ func TestGridReshapeMatchesMakeGrid(t *testing.T) {
 				t.Fatalf("trial %d rect %d: %+v, want %+v", trial, i, g.Rects[i], want.Rects[i])
 			}
 		}
+	}
+}
+
+// TestTileLayoutReshapeReuse: one TileLayout reshaped over alternating shapes
+// — tile sizes and edge tiles, levels, component counts and code-block sizes —
+// equals a fresh layout of each, hands every band's Blocks back as it was (the
+// encoder keeps its per-block streams there), and allocates nothing once it
+// has held every shape.
+func TestTileLayoutReshapeReuse(t *testing.T) {
+	type shape struct {
+		p  Params
+		ti int
+	}
+	mk := func(w, h, tw, th, ncomp, levels, cbw, cbh, ti int) shape {
+		p := Params{Width: w, Height: h, TileW: tw, TileH: th, NComp: ncomp, Levels: levels, CBW: cbw, CBH: cbh}
+		for ci := range ncomp {
+			mb := make([]int, 1+3*levels)
+			for bi := range mb {
+				mb[bi] = 1 + ci + bi
+			}
+			p.Mb = append(p.Mb, mb)
+		}
+		return shape{p, ti}
+	}
+	shapes := []shape{
+		mk(200, 120, 64, 64, 3, 5, 64, 64, 0),
+		mk(200, 120, 64, 64, 1, 2, 16, 32, 7), // the corner tile, 8x56
+		mk(37, 53, 37, 53, 4, 0, 4, 64, 0),
+		mk(300, 300, 128, 96, 3, 3, 32, 8, 5),
+		mk(17, 9, 100, 100, 1, 6, 8, 4, 0), // a tile larger than the image
+	}
+	var l TileLayout
+	kept := map[[2]int]*BlockStream{} // per (component, band): the first element of the Blocks it was given
+	for round := 0; round < 2; round++ {
+		for i := range shapes {
+			s := &shapes[i]
+			l.Reshape(&s.p, s.ti)
+			var fresh TileLayout
+			fresh.Reshape(&s.p, s.ti)
+			if l.X0 != fresh.X0 || l.Y0 != fresh.Y0 || l.W != fresh.W || l.H != fresh.H ||
+				!reflect.DeepEqual(l.Subbands, fresh.Subbands) || len(l.Comps) != len(fresh.Comps) {
+				t.Fatalf("shape %d: reshaped %+v, fresh %+v", i, l, fresh)
+			}
+			for ci, bands := range fresh.Comps {
+				if len(l.Comps[ci]) != len(bands) {
+					t.Fatalf("shape %d component %d: %d bands, want %d", i, ci, len(l.Comps[ci]), len(bands))
+				}
+				for bi, want := range bands {
+					got := &l.Comps[ci][bi]
+					if got.Mb != want.Mb || got.Grid.Band != want.Grid.Band || got.Grid.GW != want.Grid.GW ||
+						got.Grid.GH != want.Grid.GH || !slices.Equal(got.Grid.Rects, want.Grid.Rects) {
+						t.Fatalf("shape %d component %d band %d: grid %+v Mb %d, want %+v Mb %d",
+							i, ci, bi, got.Grid, got.Mb, want.Grid, want.Mb)
+					}
+					key := [2]int{ci, bi}
+					if first, ok := kept[key]; !ok {
+						got.Blocks = []*BlockStream{{}}
+						kept[key] = got.Blocks[0]
+					} else if len(got.Blocks) != 1 || got.Blocks[0] != first {
+						t.Fatalf("shape %d component %d band %d: Blocks not kept", i, ci, bi)
+					}
+				}
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		for i := range shapes {
+			l.Reshape(&shapes[i].p, shapes[i].ti)
+		}
+	}); a != 0 {
+		t.Errorf("warm Reshape over %d shapes: %.1f allocations, want 0", len(shapes), a)
 	}
 }
 
