@@ -34,6 +34,26 @@ func deepTestStream(t testing.TB) []byte {
 	return cs
 }
 
+// deepColorTestStream is a tiled 12-bit three-component stream with the MCT:
+// colour responses that carry two bytes per sample.
+func deepColorTestStream(t testing.TB) []byte {
+	t.Helper()
+	pl := raster.NewPlanar(230, 190, 3)
+	for ci, c := range pl.Comps {
+		for i, v := range raster.Synthetic(230, 190, uint64(301+ci)).Pix {
+			c.Pix[i] = v << 4
+		}
+	}
+	cs, _, err := jp2k.EncodePlanar(pl, jp2k.Options{
+		Kernel: dwt.Irr97, MCT: true, LayerBPP: []float64{3.0}, BitDepth: 12,
+		TileW: 96, TileH: 80, Levels: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
+
 // wantBody is the independent reference for a region response: the window
 // cropped out of a straight full decode, clamped the way the CLI decoder
 // clamps (ClampTo8 for 8-bit streams), and serialised by the PNM writers —
@@ -74,7 +94,7 @@ func wantBody(t *testing.T, ref *raster.Planar, win jp2k.Rect, format string, ma
 }
 
 // TestRegionResponseByteIdentity is the response-format gate inside Tier-1:
-// for gray 8-bit, colour 8-bit and gray 12-bit streams, every format, and
+// for gray and colour streams at 8 and 12 bits, every format, and
 // tile-aligned, unaligned, single-pixel and edge-clipped windows at reduce
 // 0..2, the body assembled straight from the cached tiles equals the
 // reference byte for byte and arrives with its Content-Length. Every request
@@ -88,6 +108,7 @@ func TestRegionResponseByteIdentity(t *testing.T) {
 		{"gray8", encodeTest(t, testImage()), 255},
 		{"color8", colorTestStream(t), 255},
 		{"gray12", deepTestStream(t), 4095},
+		{"color12", deepColorTestStream(t), 4095},
 	}
 	store := NewStore()
 	for _, st := range streams {
