@@ -14,6 +14,8 @@ import (
 // encode then a decode with default flags over an 8-bit PGM, a 12-bit PGM
 // (maxval 4095) and an 8-bit PPM: each output file must equal its input byte
 // for byte, header included, so neither tool may change the sample depth.
+// Then pj2kenc must refuse -levels 0 (which the library reads as "default")
+// and -levels 33, exiting non-zero with the valid range and writing nothing.
 func TestCLIRoundTripKeepsDepth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds both commands")
@@ -59,6 +61,19 @@ func TestCLIRoundTripKeepsDepth(t *testing.T) {
 		}
 		if !bytes.Equal(got, in) {
 			t.Errorf("%s: round trip gives %d bytes that differ from the %d-byte input", name, len(got), len(in))
+		}
+	}
+	for _, levels := range []string{"0", "-1", "33"} {
+		cs := filepath.Join(dir, "levels"+levels+".j2k")
+		out, err := exec.Command(filepath.Join(dir, "pj2kenc"), "-in", filepath.Join(dir, "gray8.pgm"), "-out", cs, "-levels", levels).CombinedOutput()
+		if err == nil {
+			t.Errorf("pj2kenc -levels %s exited 0", levels)
+		}
+		if !bytes.Contains(out, []byte("1-32")) {
+			t.Errorf("pj2kenc -levels %s: message %q does not name the range 1-32", levels, out)
+		}
+		if _, err := os.Stat(cs); !os.IsNotExist(err) {
+			t.Errorf("pj2kenc -levels %s wrote %s", levels, cs)
 		}
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"pj2k/internal/dwt"
 	"pj2k/internal/jp2k"
 	"pj2k/internal/raster"
+	"pj2k/internal/t2"
 )
 
 // parseCoder maps the -coder comma list onto jp2k.CoderOptions.
@@ -67,7 +68,7 @@ func main() {
 	out := flag.String("out", "", "output codestream file")
 	rate := flag.Float64("rate", 1.0, "target bitrate in bits per pixel (lossy mode)")
 	lossless := flag.Bool("lossless", false, "use the reversible 5/3 transform, no rate target")
-	levels := flag.Int("levels", 5, "wavelet decomposition levels")
+	levels := flag.Int("levels", 5, "wavelet decomposition levels, 1-32")
 	tile := flag.Int("tile", 0, "tile size (0 = whole image; quality suffers, see paper Fig. 5)")
 	workers := flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
 	mct := flag.Bool("mct", true, "apply the inter-component transform to color input")
@@ -83,6 +84,11 @@ func main() {
 	if *in == "" || *out == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	// Options.Levels 0 means the default depth, so 0 is refused here rather
+	// than silently encoded as 5.
+	if *levels < 1 || *levels > t2.MaxLevels {
+		log.Fatalf("-levels %d: decomposition levels out of range 1-%d", *levels, t2.MaxLevels)
 	}
 	coderOpts, err := parseCoder(*coder)
 	if err != nil {

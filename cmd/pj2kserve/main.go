@@ -58,7 +58,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8732", "listen address")
 	dir := flag.String("dir", "", "directory of *.j2k codestreams to serve (id = basename)")
-	cacheMB := flag.Int64("cache-mb", 256, "decoded-tile cache budget in MiB (0 disables caching)")
+	cacheMB := flag.Int64("cache-mb", 256, "decoded-tile cache budget in MiB, tiles held as the bytes a response carries (0 disables caching)")
 	tileWorkers := flag.Int("tile-workers", 1, "parallel workers per tile decode (request concurrency is separate)")
 	maxMPix := flag.Int64("max-mpix", 64, "largest window in megapixels a single request may ask for")
 	timeout := flag.Duration("timeout", 0, "per-request decode deadline (0 = unbounded)")

@@ -22,8 +22,9 @@ type Options struct {
 	// Kernel selects reversible 5/3 (lossless unless Layers truncate) or
 	// irreversible 9/7 coding. Default Rev53.
 	Kernel dwt.Kernel
-	// Levels is the decomposition depth; default 5 (the JPEG2000 default the
-	// paper cites).
+	// Levels is the decomposition depth, 1 to t2.MaxLevels; 0 selects the
+	// default 5 (the JPEG2000 default the paper cites), so a zero-level
+	// transform cannot be requested.
 	Levels int
 	// LayerBPP lists cumulative target bitrates (bits per pixel) for the
 	// quality layers, ascending. Empty means a single layer carrying all

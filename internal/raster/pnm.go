@@ -4,16 +4,24 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // AppendPNMHeader appends the binary PNM header of a width x height image to
-// dst: P5 (PGM) for one component, P6 (PPM) for three.
+// dst: P5 (PGM) for one component, P6 (PPM) for three. It appends with
+// strconv, not fmt, so a warm call allocates nothing.
 func AppendPNMHeader(dst []byte, ncomp, width, height, maxval int) []byte {
-	magic := "P5"
+	magic := "P5\n"
 	if ncomp == 3 {
-		magic = "P6"
+		magic = "P6\n"
 	}
-	return fmt.Appendf(dst, "%s\n%d %d\n%d\n", magic, width, height, maxval)
+	dst = append(dst, magic...)
+	dst = strconv.AppendInt(dst, int64(width), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(height), 10)
+	dst = append(dst, '\n')
+	dst = strconv.AppendInt(dst, int64(maxval), 10)
+	return append(dst, '\n')
 }
 
 // SampleBytes is the wire width of one sample at maxval: one byte up to 255,
@@ -29,8 +37,9 @@ func SampleBytes(maxval int) int {
 // into dst in wire format, SampleBytes(maxval) bytes each. One source packs
 // densely (a PGM row, a row of one planar raw component); three sources of
 // equal length interleave into RGB triplets (a PPM row). This is the repo's
-// one clamp-and-serialise loop: the PNM writers and the tile server's response
-// assembly both run on it.
+// one clamp-and-serialise loop: the PNM writers run on it, and the tile
+// server runs it once per tile miss, to pack the tile it caches; a cache hit
+// copies those bytes and does not run it.
 func PackSamples(dst []byte, maxval int, srcs ...[]int32) {
 	hi := int32(maxval)
 	switch {

@@ -167,6 +167,32 @@ func FuzzPackSamples(f *testing.F) {
 }
 
 // failAfter fails the n-th Write.
+// TestAppendPNMHeaderMatchesFmt pins the strconv header to the fmt form it
+// replaced, byte for byte, after a non-empty prefix, and checks that it
+// allocates nothing once dst has room.
+func TestAppendPNMHeaderMatchesFmt(t *testing.T) {
+	prefix := []byte("xy")
+	for _, ncomp := range []int{1, 3, 4} {
+		for _, dim := range [][2]int{{1, 1}, {9, 10}, {230, 190}, {1024, 768}, {65535, 1}, {1 << 20, 1 << 20}} {
+			for _, maxval := range []int{1, 255, 256, 4095, 65535} {
+				magic := "P5"
+				if ncomp == 3 {
+					magic = "P6"
+				}
+				want := fmt.Appendf(append([]byte(nil), prefix...), "%s\n%d %d\n%d\n", magic, dim[0], dim[1], maxval)
+				got := AppendPNMHeader(append([]byte(nil), prefix...), ncomp, dim[0], dim[1], maxval)
+				if !bytes.Equal(got, want) {
+					t.Errorf("ncomp %d, %dx%d, maxval %d: %q, want %q", ncomp, dim[0], dim[1], maxval, got, want)
+				}
+			}
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { AppendPNMHeader(buf, 3, 1024, 768, 65535) }); n != 0 {
+		t.Errorf("AppendPNMHeader allocates %.0f times into a buffer with room", n)
+	}
+}
+
 type failAfter struct{ n int }
 
 func (f *failAfter) Write(p []byte) (int, error) {
@@ -186,9 +212,9 @@ func TestPNMWriteErrorSurfaces(t *testing.T) {
 }
 
 // BenchmarkPackSamples packs 1024x768 viewports out of 256 cached 128x128
-// int32 tiles (16 MiB, larger than L2), the shape of a warm tile-server
-// request: each viewport takes the next 48 tiles of the set (144 for rgb8,
-// three per pixel tile) and packs them row by row into their window positions.
+// int32 tiles (16 MiB, larger than L2): each viewport takes the next 48 tiles
+// of the set (144 for rgb8, three per pixel tile) and packs them row by row
+// into their window positions: the packer alone, on tiles that live in L3.
 func BenchmarkPackSamples(b *testing.B) {
 	const T, nTiles, vw, vh = 128, 256, 1024, 768
 	for _, c := range []struct {

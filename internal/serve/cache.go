@@ -29,11 +29,11 @@ type TileKey struct {
 }
 
 // tileEntry is one cache resident on the intrusive LRU list.
-type tileEntry struct {
+type tileEntry[V any] struct {
 	key        TileKey
-	pl         *raster.Planar
+	val        V
 	bytes      int64
-	prev, next *tileEntry
+	prev, next *tileEntry[V]
 }
 
 // inflightCall coalesces concurrent misses on one key: the first caller
@@ -43,11 +43,15 @@ type tileEntry struct {
 // 3 274-4 908 misses and 4-43 per 1 792-2 224 misses, so at most 0.25 % and
 // 2.2 % of misses were joined. done is therefore made by the first waiter to
 // join, under Cache.mu, and closed by the leader, under Cache.mu, only if one
-// was made; an unjoined miss skips the channel's allocation.
-type inflightCall struct {
+// was made; an unjoined miss skips the channel's allocation. A record whose
+// done is still nil when its leader finishes under Cache.mu was never seen by
+// anyone else (it has just left the in-flight map), so it goes on the cache's
+// free list for the next miss; a record that had waiters is never reused.
+type inflightCall[V any] struct {
 	done chan struct{}
-	pl   *raster.Planar
+	val  V
 	err  error
+	next *inflightCall[V] // free-list link while recycled
 }
 
 // errDecodePanicked is what waiters on a decode that panicked receive. It is
@@ -57,15 +61,21 @@ var errDecodePanicked = errors.New("serve: tile decode panicked")
 
 // Cache is a byte-budgeted LRU cache of decoded tiles (all components of a
 // tile variant cache as one entry) with single-flight deduplication of
-// concurrent misses. It is safe for concurrent use; the cached images are
-// shared read-only between callers and must not be mutated.
-type Cache struct {
+// concurrent misses. V is what a tile is kept as, and charge is what one
+// resident costs against the budget. It is safe for concurrent use; the
+// cached values are shared read-only between callers and must not be
+// mutated.
+type Cache[V any] struct {
 	mu       sync.Mutex
 	maxBytes int64
+	charge   func(V) int64
 	size     int64
-	entries  map[TileKey]*tileEntry
-	head     tileEntry // sentinel: head.next is most recent
-	inflight map[TileKey]*inflightCall
+	entries  map[TileKey]*tileEntry[V]
+	head     tileEntry[V] // sentinel: head.next is most recent
+	inflight map[TileKey]*inflightCall[V]
+	// free holds the records of finished misses nobody joined. It never
+	// grows past the most misses that were once in flight together.
+	free *inflightCall[V]
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -74,28 +84,47 @@ type Cache struct {
 }
 
 // tileOverhead approximates the per-entry bookkeeping bytes charged against
-// the budget on top of the pixel payload.
+// the budget on top of the sample payload.
 const tileOverhead = 160
 
-// NewCache returns a cache holding at most maxBytes of decoded samples
-// (plus per-entry overhead). maxBytes <= 0 disables caching: every lookup
-// decodes (still deduplicated while in flight).
-func NewCache(maxBytes int64) *Cache {
-	c := &Cache{
+// NewCache returns a cache of decoded *raster.Planar tiles holding at most
+// maxBytes of int32 samples (4 bytes each, plus per-entry overhead).
+// maxBytes <= 0 disables caching: every lookup decodes (still deduplicated
+// while in flight). The server does not use this instantiation: it caches
+// tiles in wire form (newWireCache).
+func NewCache(maxBytes int64) *Cache[*raster.Planar] {
+	return newCache(maxBytes, func(pl *raster.Planar) int64 {
+		bytes := int64(tileOverhead)
+		for _, comp := range pl.Comps {
+			bytes += int64(len(comp.Pix)) * 4
+		}
+		return bytes
+	})
+}
+
+// newWireCache returns the server's cache: tiles held as the bytes a response
+// carries (see wireTile), charged their length plus per-entry overhead.
+func newWireCache(maxBytes int64) *Cache[[]byte] {
+	return newCache(maxBytes, func(b []byte) int64 { return int64(len(b)) + tileOverhead })
+}
+
+func newCache[V any](maxBytes int64, charge func(V) int64) *Cache[V] {
+	c := &Cache[V]{
 		maxBytes: maxBytes,
-		entries:  make(map[TileKey]*tileEntry),
-		inflight: make(map[TileKey]*inflightCall),
+		charge:   charge,
+		entries:  make(map[TileKey]*tileEntry[V]),
+		inflight: make(map[TileKey]*inflightCall[V]),
 	}
 	c.head.prev, c.head.next = &c.head, &c.head
 	return c
 }
 
-func (c *Cache) unlink(e *tileEntry) {
+func (c *Cache[V]) unlink(e *tileEntry[V]) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 }
 
-func (c *Cache) pushFront(e *tileEntry) {
+func (c *Cache[V]) pushFront(e *tileEntry[V]) {
 	e.prev = &c.head
 	e.next = c.head.next
 	e.prev.next = e
@@ -137,7 +166,7 @@ func (o CacheOutcome) String() string {
 // leader's: when it ends mid-decode the shared result is the leader's
 // cancellation, which says nothing about a waiter whose own request is still
 // live, so such a waiter goes round again and leads (or joins) the next decode.
-func (c *Cache) GetOrDecode(ctx context.Context, key TileKey, decode func() (*raster.Planar, error)) (*raster.Planar, CacheOutcome, error) {
+func (c *Cache[V]) GetOrDecode(ctx context.Context, key TileKey, decode func() (V, error)) (V, CacheOutcome, error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -145,7 +174,7 @@ func (c *Cache) GetOrDecode(ctx context.Context, key TileKey, decode func() (*ra
 			c.pushFront(e)
 			c.mu.Unlock()
 			c.hits.Add(1)
-			return e.pl, OutcomeHit, nil
+			return e.val, OutcomeHit, nil
 		}
 		call, ok := c.inflight[key]
 		if !ok {
@@ -162,12 +191,18 @@ func (c *Cache) GetOrDecode(ctx context.Context, key TileKey, decode func() (*ra
 			if ctx.Err() == nil && (errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded)) {
 				continue
 			}
-			return call.pl, OutcomeCoalesced, call.err
+			return call.val, OutcomeCoalesced, call.err
 		case <-ctx.Done():
-			return nil, OutcomeCoalesced, ctx.Err()
+			var zero V
+			return zero, OutcomeCoalesced, ctx.Err()
 		}
 	}
-	call := &inflightCall{}
+	call := c.free
+	if call != nil {
+		c.free, call.next = call.next, nil
+	} else {
+		call = &inflightCall[V]{}
+	}
 	c.inflight[key] = call
 	c.mu.Unlock()
 	c.misses.Add(1)
@@ -175,22 +210,19 @@ func (c *Cache) GetOrDecode(ctx context.Context, key TileKey, decode func() (*ra
 	// The inflight entry must be cleared and waiters released even if decode
 	// panics (net/http recovers handler panics, so a stuck entry would wedge
 	// the key forever); the deferred cleanup runs before the panic unwinds
-	// past us, and waiters see the nil-image error path.
+	// past us, and waiters see the zero-value error path. The return values
+	// are copied out before it runs, so it may recycle an unjoined record.
 	call.err = errDecodePanicked
 	defer func() {
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if call.err == nil && c.maxBytes > 0 {
-			bytes := int64(tileOverhead)
-			for _, comp := range call.pl.Comps {
-				bytes += int64(len(comp.Pix)) * 4
-			}
 			// Admission never violates the budget: an entry that alone
 			// exceeds it bypasses the cache entirely (it would pin the cache
 			// over budget until an unrelated miss evicted it), and any other
 			// admission evicts LRU entries until the budget holds again.
-			if bytes <= c.maxBytes {
-				e := &tileEntry{key: key, pl: call.pl, bytes: bytes}
+			if bytes := c.charge(call.val); bytes <= c.maxBytes {
+				e := &tileEntry[V]{key: key, val: call.val, bytes: bytes}
 				c.entries[key] = e
 				c.pushFront(e)
 				c.size += e.bytes
@@ -205,11 +237,14 @@ func (c *Cache) GetOrDecode(ctx context.Context, key TileKey, decode func() (*ra
 		}
 		if call.done != nil {
 			close(call.done)
+		} else {
+			*call = inflightCall[V]{next: c.free}
+			c.free = call
 		}
 		c.mu.Unlock()
 	}()
-	call.pl, call.err = decode()
-	return call.pl, OutcomeMiss, call.err
+	call.val, call.err = decode()
+	return call.val, OutcomeMiss, call.err
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.
@@ -224,7 +259,7 @@ type CacheStats struct {
 }
 
 // Stats returns the current counters and occupancy.
-func (c *Cache) Stats() CacheStats {
+func (c *Cache[V]) Stats() CacheStats {
 	c.mu.Lock()
 	entries, size := len(c.entries), c.size
 	c.mu.Unlock()

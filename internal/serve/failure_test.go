@@ -29,7 +29,7 @@ func get(t *testing.T, srv *Server, path string) *httptest.ResponseRecorder {
 // returned func unjams (releasing zero waiters — callers arrange that none
 // remain).
 func jamTile(srv *Server, key TileKey) func() {
-	call := &inflightCall{done: make(chan struct{})}
+	call := &inflightCall[[]byte]{done: make(chan struct{})}
 	srv.cache.mu.Lock()
 	srv.cache.inflight[key] = call
 	srv.cache.mu.Unlock()

@@ -389,6 +389,123 @@ func TestCoalescedWaiterSurvivesLeaderCancel(t *testing.T) {
 	}
 }
 
+// TestRecycledInflightRecords: the record of a miss nobody joined goes back
+// on the cache's free list and serves the next miss; a record that had
+// waiters never does. Each round runs sequential unjoined misses, then one
+// miss that waiters join while other goroutines churn unjoined misses through
+// the free list, then releases it; every caller must get its own key's tile
+// (by identity) or its own key's error. The cache admits nothing, so every
+// lookup is a miss. Run under -race in CI.
+func TestRecycledInflightRecords(t *testing.T) {
+	c := newWireCache(-1)
+	ctx := context.Background()
+	tileOf := func(k TileKey) []byte { return []byte(fmt.Sprintf("%s/%d/%d", k.Image, k.TX, k.Layers)) }
+	errOf := func(k TileKey) error { return fmt.Errorf("decode %v failed", k) }
+	check := func(who string, k TileKey, got []byte, err error, want []byte, fail bool) {
+		t.Helper()
+		switch {
+		case fail && !(err != nil && err.Error() == errOf(k).Error()):
+			t.Errorf("%s on %v: %q, %v; want its own error", who, k, got, err)
+		case !fail && (err != nil || !bytes.Equal(got, tileOf(k)) || (want != nil && &got[0] != &want[0])):
+			t.Errorf("%s on %v: %q, %v; want its own tile", who, k, got, err)
+		}
+	}
+	const rounds, churners, waiters = 40, 3, 4
+	for round := range rounds {
+		fail := round%3 == 2
+		for i := range 4 {
+			k := TileKey{Image: "seq", TX: i, Layers: round}
+			got, co, err := c.GetOrDecode(ctx, k, func() ([]byte, error) { return tileOf(k), nil })
+			if co != OutcomeMiss {
+				t.Fatalf("sequential lookup of %v: %v, want a miss", k, co)
+			}
+			check("sequential miss", k, got, err, nil, false)
+		}
+
+		joined := TileKey{Image: "joined", Layers: round}
+		want := tileOf(joined)
+		entered, release := make(chan struct{}), make(chan struct{})
+		leader := make(chan error, 1)
+		go func() {
+			got, _, err := c.GetOrDecode(ctx, joined, func() ([]byte, error) {
+				close(entered)
+				<-release
+				if fail {
+					return nil, errOf(joined)
+				}
+				return want, nil
+			})
+			if !fail && err == nil && &got[0] != &want[0] {
+				err = fmt.Errorf("leader got %q, not its own tile", got)
+			}
+			if fail && err != nil && err.Error() == errOf(joined).Error() {
+				err = nil
+			}
+			leader <- err
+		}()
+		<-entered
+		c.mu.Lock()
+		rec := c.inflight[joined]
+		c.mu.Unlock()
+		coalesced := c.Stats().Coalesced
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for g := range churners {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; ; n++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					k := TileKey{Image: "churn", TX: g, Layers: round*1000 + n}
+					got, _, err := c.GetOrDecode(ctx, k, func() ([]byte, error) { return tileOf(k), nil })
+					check("churning miss", k, got, err, nil, false)
+				}
+			}()
+		}
+		var ww sync.WaitGroup
+		for range waiters {
+			ww.Add(1)
+			go func() {
+				defer ww.Done()
+				got, co, err := c.GetOrDecode(ctx, joined, func() ([]byte, error) {
+					return nil, errors.New("a waiter decoded")
+				})
+				if co != OutcomeCoalesced {
+					t.Errorf("waiter on %v: %v, want coalesced", joined, co)
+				}
+				check("waiter", joined, got, err, want, fail)
+			}()
+		}
+		for c.Stats().Coalesced < coalesced+waiters {
+			time.Sleep(100 * time.Microsecond)
+		}
+		close(release)
+		ww.Wait()
+		close(stop)
+		wg.Wait()
+		if err := <-leader; err != nil {
+			t.Fatalf("round %d leader: %v", round, err)
+		}
+		c.mu.Lock()
+		free := 0
+		for r := c.free; r != nil; r = r.next {
+			if r == rec {
+				t.Errorf("round %d: the joined miss's record was recycled", round)
+			}
+			free++
+		}
+		inflight := len(c.inflight)
+		c.mu.Unlock()
+		if inflight != 0 || free > churners+1 {
+			t.Fatalf("round %d: %d in flight, %d free records; want 0 and at most %d", round, inflight, free, churners+1)
+		}
+	}
+}
+
 // --- Server integration tests.
 
 func fetchPGM(t *testing.T, ts *httptest.Server, path string) *raster.Image {
@@ -816,9 +933,12 @@ func BenchmarkServeTileCache(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		srv := New(store, Options{CacheBytes: 64 << 20})
 		key := TileKey{Image: "bench", TX: 0, TY: 0}
-		decode := func() (*raster.Planar, error) {
+		decode := func() ([]byte, error) {
 			pl, _, err := srv.decodeTile(context.Background(), img, img.src, colW, rowH, 0, 0, 0, 0)
-			return pl, err
+			if err != nil {
+				return nil, err
+			}
+			return wireTile(pl, 255), nil
 		}
 		if _, _, err := srv.cache.GetOrDecode(context.Background(), key, decode); err != nil {
 			b.Fatal(err)
@@ -833,9 +953,12 @@ func BenchmarkServeTileCache(b *testing.B) {
 	})
 	b.Run("miss", func(b *testing.B) {
 		srv := New(store, Options{CacheBytes: 64 << 20})
-		decode := func() (*raster.Planar, error) {
+		decode := func() ([]byte, error) {
 			pl, _, err := srv.decodeTile(context.Background(), img, img.src, colW, rowH, 0, 0, 0, 0)
-			return pl, err
+			if err != nil {
+				return nil, err
+			}
+			return wireTile(pl, 255), nil
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -25,7 +25,9 @@ import (
 type Options struct {
 	// CacheBytes is the decoded-tile cache budget: 0 uses DefaultCacheBytes,
 	// negative disables caching (every request decodes; concurrent misses
-	// are still deduplicated in flight).
+	// are still deduplicated in flight). Tiles are held in wire form, so a
+	// tile costs its width x height x components x bytes per sample (1 up
+	// to 8-bit samples, 2 above), plus a small per-entry overhead.
 	CacheBytes int64
 	// TileWorkers bounds the parallelism of one tile decode: it is the
 	// decode's Workers, which bounds every stage in every coder mode. The
@@ -106,11 +108,12 @@ const (
 //	    JSON server and cache counters.
 //
 // Region pixels are assembled from per-tile decodes that pass through the
-// tile cache, so a hot viewport costs one clamp-and-narrow pass over its
-// samples (see assembleWindow), not tier-1 decoding.
+// tile cache, which holds each tile packed as the response carries it, so a
+// hot viewport costs one copy of its bytes (see assembleWindow), not tier-1
+// decoding and not a clamp.
 type Server struct {
 	store *Store
-	cache *Cache
+	cache *Cache[[]byte]
 	opts  Options
 	mux   *http.ServeMux
 
@@ -197,7 +200,7 @@ func New(store *Store, opts Options) *Server {
 	}
 	s := &Server{
 		store:   store,
-		cache:   NewCache(opts.CacheBytes),
+		cache:   newWireCache(opts.CacheBytes),
 		opts:    opts,
 		mux:     http.NewServeMux(),
 		pool:    core.NewPool(0),
@@ -295,7 +298,7 @@ func (s *Server) initTelemetry() {
 	r.CounterFunc("pj2k_cache_coalesced_total", "Lookups coalesced onto an in-flight decode.",
 		func() int64 { return s.cache.Stats().Coalesced })
 	r.CounterFunc("pj2k_cache_evictions_total", "Tile cache evictions.", func() int64 { return s.cache.Stats().Evictions })
-	r.GaugeFunc("pj2k_cache_bytes", "Bytes of decoded tiles resident in the cache.", func() int64 { return s.cache.Stats().Bytes })
+	r.GaugeFunc("pj2k_cache_bytes", "Bytes of decoded tiles resident in the cache, in wire form (1 or 2 bytes per sample) plus per-entry overhead.", func() int64 { return s.cache.Stats().Bytes })
 	r.GaugeFunc("pj2k_cache_entries", "Decoded tiles resident in the cache.", func() int64 { return int64(s.cache.Stats().Entries) })
 	r.GaugeFunc("pj2k_inflight_requests", "Decode-bearing requests currently admitted.",
 		func() int64 {
@@ -341,7 +344,7 @@ func (s *Server) Close() {
 }
 
 // Cache exposes the tile cache (for tests and ops tooling).
-func (s *Server) Cache() *Cache { return s.cache }
+func (s *Server) Cache() *Cache[[]byte] { return s.cache }
 
 // TileDecodes returns the number of tile decodes performed so far; requests
 // served entirely from cache do not move it.

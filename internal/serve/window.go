@@ -124,8 +124,10 @@ func tileSpan(edges []int, lo, hi int) (t0, t1 int) {
 
 // assembleWindow builds req's complete response body in buf's storage (grown
 // when too small): the PNM header, if the format has one, then every sample
-// of the window, clamped and narrowed straight out of the cached tiles into
-// its final position — no intermediate window raster. The tiles partition the
+// of the window, copied out of the cached wire tiles into its final position —
+// whole tile rows for the planar formats, three interleaved byte runs for PPM —
+// with no intermediate window raster and no clamp: the samples were clamped
+// and narrowed once, when their tile was decoded. The tiles partition the
 // window (each is its whole grid cell), so every byte past the header is
 // written and the recycled storage is not cleared. It returns the body, the
 // indices of the tiles it touched, and the request's outcome: the per-tile
@@ -158,13 +160,16 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 	// One source per request, built on its first miss (an all-hit request
 	// builds none): every miss reads through it and spends its retry budget.
 	var src *t2.Source
-	decode := func() (*raster.Planar, error) {
+	decode := func() ([]byte, error) {
 		if src == nil {
 			src = s.requestSource(req.img, s.newRequestBudget())
 		}
 		pl, dmg, err := s.decodeTile(ctx, req.img, src, colW, rowH, tx, ty, req.discard, req.layers)
 		damaged = damaged || dmg
-		return pl, err
+		if err != nil {
+			return nil, err
+		}
+		return wireTile(pl, req.maxval), nil
 	}
 	for ty = ty0; ty < ty1; ty++ {
 		for tx = tx0; tx < tx1; tx++ {
@@ -180,20 +185,23 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 			if err != nil {
 				return body, tiles, agg, fmt.Errorf("tile (%d,%d): %w", tx, ty, err)
 			}
-			// The tile's overlap with the window, in tile coordinates, and
-			// where its first sample lands in the window.
+			// The tile's size, its overlap with the window in tile
+			// coordinates, and where its first sample lands in the window;
+			// then the same in bytes.
+			tw, th := colW[tx+1]-colW[tx], rowH[ty+1]-rowH[ty]
 			lx0, lx1 := max(win.X0-colW[tx], 0), min(win.X1, colW[tx+1])-colW[tx]
 			ly0, ly1 := max(win.Y0-rowH[ty], 0), min(win.Y1, rowH[ty+1])-rowH[ty]
 			ox, oy := colW[tx]+lx0-win.X0, rowH[ty]+ly0-win.Y0
+			plane, run := tw*th*bps, (lx1-lx0)*bps
 			for y := ly0; y < ly1; y++ {
-				px := (oy+y-ly0)*w + ox // the row's first pixel in the window
+				px := (oy+y-ly0)*w + ox  // the row's first pixel in the window
+				at := (y*tw + lx0) * bps // its first sample in a tile plane
 				if interleaved {
-					c := tile.Comps
-					raster.PackSamples(body[hdr+3*px*bps:], req.maxval, c[0].Row(y)[lx0:lx1], c[1].Row(y)[lx0:lx1], c[2].Row(y)[lx0:lx1])
+					interleave3(body[hdr+3*px*bps:], bps, tile[at:][:run], tile[plane+at:][:run], tile[2*plane+at:][:run])
 					continue
 				}
-				for ci, src := range tile.Comps {
-					raster.PackSamples(body[hdr+(ci*w*h+px)*bps:], req.maxval, src.Row(y)[lx0:lx1])
+				for ci := range req.ncomp {
+					copy(body[hdr+(ci*w*h+px)*bps:], tile[ci*plane+at:][:run])
 				}
 			}
 		}
@@ -202,6 +210,50 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 		agg = outcomeDamaged
 	}
 	return body, tiles, agg, nil
+}
+
+// wireTile is what the server caches of a decoded tile: the bytes a planar
+// response carries, packed once at the miss so a hit only copies. Its
+// components follow one another, each row-major, every sample clamped into
+// [0, maxval] and raster.SampleBytes(maxval) bytes wide (big-endian pairs
+// above 255).
+func wireTile(pl *raster.Planar, maxval int) []byte {
+	tw, bps := pl.Width(), raster.SampleBytes(maxval)
+	plane := tw * pl.Height() * bps
+	out := make([]byte, plane*pl.NComp())
+	for ci, c := range pl.Comps {
+		for y := range c.Height {
+			raster.PackSamples(out[ci*plane+y*tw*bps:], maxval, c.Row(y))
+		}
+	}
+	return out
+}
+
+// interleave3 writes three equal runs of bps-byte samples into dst as pixel
+// triplets: the PPM row layout. At one byte per sample it moves four pixels
+// per iteration, which ran ~1.5x faster than one pixel per iteration over
+// rows of 128x128 tiles.
+func interleave3(dst []byte, bps int, r, g, b []byte) {
+	n := len(r)
+	g, b, dst = g[:n], b[:n], dst[:3*n]
+	if bps == 2 {
+		for i := 0; i+1 < n; i += 2 {
+			d := dst[3*i : 3*i+6 : 3*i+6]
+			d[0], d[1], d[2], d[3], d[4], d[5] = r[i], r[i+1], g[i], g[i+1], b[i], b[i+1]
+		}
+		return
+	}
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		r4, g4, b4, d := r[i:i+4:i+4], g[i:i+4:i+4], b[i:i+4:i+4], dst[3*i:3*i+12:3*i+12]
+		d[0], d[1], d[2] = r4[0], g4[0], b4[0]
+		d[3], d[4], d[5] = r4[1], g4[1], b4[1]
+		d[6], d[7], d[8] = r4[2], g4[2], b4[2]
+		d[9], d[10], d[11] = r4[3], g4[3], b4[3]
+	}
+	for ; i < n; i++ {
+		dst[3*i], dst[3*i+1], dst[3*i+2] = r[i], g[i], b[i]
+	}
 }
 
 // decodeTile produces one cached tile variant (every component), charging the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -170,6 +171,61 @@ func TestRegionResponseByteIdentity(t *testing.T) {
 	}
 }
 
+// TestCacheChargesWireBytes: the server caches tiles in wire form, so after
+// warming windows on gray 8-bit, colour 8-bit and gray 12-bit images (at two
+// reduce levels), /stats cache.bytes is the sum over the resident tiles of
+// tw*th*ncomp*SampleBytes plus the per-entry overhead, with tw x th each
+// tile's grid cell. The budget is large enough that nothing is evicted, so
+// the resident tiles are every tile a window touched.
+func TestCacheChargesWireBytes(t *testing.T) {
+	store := NewStore()
+	for id, cs := range map[string][]byte{"gray8": encodeTest(t, testImage()), "color8": colorTestStream(t), "gray12": deepTestStream(t)} {
+		if _, err := store.Add(id, cs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(store, Options{CacheBytes: 64 << 20})
+	defer srv.Close()
+	resident := map[TileKey]int64{}
+	for _, id := range []string{"gray8", "color8", "gray12"} {
+		img, _ := store.Get(id)
+		p := img.Params()
+		bps := 1
+		if p.BitDepth > 8 {
+			bps = 2
+		}
+		for reduce, win := range []jp2k.Rect{{X0: 10, Y0: 20, X1: 150, Y1: 100}, {X0: 0, Y0: 0, X1: 40, Y1: 30}} {
+			path := fmt.Sprintf("/img/%s?reduce=%d&x0=%d&y0=%d&x1=%d&y1=%d&format=raw", id, reduce, win.X0, win.Y0, win.X1, win.Y1)
+			if rec := get(t, srv, path); rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+			}
+			colW, rowH := img.Grid(reduce)
+			for ty := 0; ty+1 < len(rowH); ty++ {
+				for tx := 0; tx+1 < len(colW); tx++ {
+					if colW[tx] < win.X1 && colW[tx+1] > win.X0 && rowH[ty] < win.Y1 && rowH[ty+1] > win.Y0 {
+						key := TileKey{Image: id, TX: tx, TY: ty, Discard: reduce, Layers: img.ClampLayers(0)}
+						resident[key] = int64((colW[tx+1]-colW[tx])*(rowH[ty+1]-rowH[ty])*p.Components()*bps) + 160
+					}
+				}
+			}
+		}
+	}
+	var want int64
+	for _, b := range resident {
+		want += b
+	}
+	var stats struct {
+		Cache CacheStats `json:"cache"`
+	}
+	if err := json.Unmarshal(get(t, srv, "/stats").Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Cache; got.Bytes != want || got.Entries != len(resident) || got.Evictions != 0 {
+		t.Fatalf("/stats cache: %d bytes in %d entries (%d evictions), want %d bytes in %d entries",
+			got.Bytes, got.Entries, got.Evictions, want, len(resident))
+	}
+}
+
 // TestRegionFailureSendsNoImageBytes: a strict-mode window whose first tile
 // is cached and whose second tile cannot be read is a 5xx carrying only the
 // error text — the body is assembled before the status line, so a failure
@@ -247,8 +303,8 @@ func TestClientErrorOutcome(t *testing.T) {
 
 // TestWarmRequestAllocs caps the allocations of an all-hits region request
 // through ServeHTTP and shows they do not grow with the window: the tile loop
-// allocates nothing per tile and the body comes from the pool. Measured 22
-// per request at both sizes, 23 under -race (the recorder, the mux's path
+// allocates nothing per tile and the body comes from the pool. Measured 21
+// per request at both sizes, 21-22 under -race (the recorder, the mux's path
 // match and the parsed query included; the tile grid is the image's, computed
 // at registration); the cap leaves room for net/http drift, not for a
 // per-tile or per-row cost.
@@ -299,10 +355,12 @@ func TestWarmRequestAllocs(t *testing.T) {
 // on the gray image. Every tile decode reshapes the pooled codec state the
 // other image left behind. The allocations per request, divided by the tile
 // misses it caused, must stay within the cap: the decoded tile (four blocks,
-// raster.NewPlanar), the per-miss singleflight record and a share of the
-// request's own overhead (TestWarmRequestAllocs counts 22 per request) —
-// measured 11.4 per miss. Before pooled state reshaped in place, a miss after
-// a shape change rebuilt the tier-2 state, grids and DWT level closures;
+// raster.NewPlanar), its packed wire form and a share of the request's own
+// overhead (TestWarmRequestAllocs counts 21 per request); the singleflight
+// record of an unjoined miss is recycled — measured 11.1 per miss (11.4 with
+// a new record per miss, no packing at the miss and an fmt-built PNM
+// header). Before pooled state reshaped in place, a miss after a shape
+// change rebuilt the tier-2 state, grids and DWT level closures;
 // before the container scan was pooled, the Planar took one header and one
 // sample block per component and every miss made a wake channel, a miss cost
 // 14.2.
@@ -370,13 +428,13 @@ func TestColdRequestAllocs(t *testing.T) {
 }
 
 // coldMissCap bounds allocations per tile miss in TestColdRequestAllocs:
-// measured 11.4, with room for net/http drift in the shared request overhead.
+// measured 11.1, with room for net/http drift in the shared request overhead.
 const coldMissCap = 14
 
 // BenchmarkWarmRegion is the warm path in process: ServeHTTP of 1024x768 PGM
 // windows panning over a 2048x2048 9/7 image of 256 128x128 tiles, every
-// tile already cached. The 16 MiB tile set is larger than L2, so this gauges
-// the pack loop reading cached tiles, not the codec.
+// tile already cached. The 4 MiB set of wire tiles is larger than L2, so this
+// gauges the row copies out of cached tiles, not the codec.
 func BenchmarkWarmRegion(b *testing.B) {
 	const side, tileSide, vw, vh = 2048, 128, 1024, 768
 	cs, _, err := jp2k.Encode(raster.Synthetic(side, side, 11), jp2k.Options{
