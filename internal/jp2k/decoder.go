@@ -59,12 +59,15 @@ func (r Rect) Intersect(o Rect) Rect {
 // Decoder has run and reshapes in place for any other (DESIGN.md §7). A warm
 // decode — one whose selected tiles, code-blocks and planes are no larger than
 // earlier decodes', whatever their component count, kernel, tiling or levels —
-// allocates only its returned image, in four blocks (raster.NewPlanar: the
-// Planar, its component list, its headers and the samples), and nothing
-// per tile, band or block, whatever the entry point: the scanning entry
-// points scan into the Decoder's pooled container scan (header parameters,
-// tile-part spans, read window) and Decode reads its bytes through a pooled
-// Source. A resilient decode also allocates its DamageReport.
+// allocates nothing per tile, band or block, whatever the entry point: the
+// scanning entry points scan into the Decoder's pooled container scan (header
+// parameters, tile-part spans, read window) and Decode reads its bytes
+// through a pooled Source. DecodeRegion then allocates nothing at all: its
+// result is the Decoder's own output image, reshaped in place, valid until
+// the Decoder's next decode or Close. The scanning entry points return a
+// fresh caller-owned image, in four blocks (raster.NewPlanar: the Planar, its
+// component list, its headers and the samples). A resilient decode also
+// allocates its DamageReport.
 //
 // Multi-component codestreams decode natively: the packet walk de-interleaves
 // per-component packets per tile, tier-1 runs over every kept (tile,
@@ -101,6 +104,9 @@ type Decoder struct {
 	cs      scanned
 	rd      bytes.Reader
 	bsrc    t2.Source
+
+	// DecodeRegion's result, reshaped in place per call.
+	out raster.Planar
 
 	// Dispatch funcs bound once at construction, so the hot TasksIDMax call
 	// sites pass a stored func instead of allocating a fresh closure per
@@ -257,7 +263,7 @@ func (d *Decoder) Decode(data []byte, opts DecodeOptions) (*raster.Image, error)
 		d.damage, d.stats = nil, DecodeStats{}
 		return nil, err
 	}
-	pl, err := d.decode(&d.bsrc, &d.cs, opts, nil)
+	pl, err := d.decode(&d.bsrc, &d.cs, opts, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -514,12 +520,15 @@ func (d *Decoder) decodeSource(src *t2.Source, opts DecodeOptions, region *Rect)
 		d.damage, d.stats = nil, DecodeStats{}
 		return nil, err
 	}
-	return d.decode(src, &d.cs, opts, region)
+	return d.decode(src, &d.cs, opts, region, nil)
 }
 
 // decode is the one decode route: the selected tiles of an already-scanned
-// codestream, their bodies read from src.
-func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region *Rect) (*raster.Planar, error) {
+// codestream, their bodies read from src, into out, which it reshapes to the
+// window and returns (a nil out is a fresh raster.NewPlanar). Every sample of
+// out is written (asmTask, then the MCT pass), so a recycled out needs no
+// clearing.
+func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region *Rect, out *raster.Planar) (*raster.Planar, error) {
 	// The task parameters alias the caller's source and the result; drop them
 	// on the way out so a pooled Decoder pins neither between calls.
 	defer func() { d.cur.src, d.cur.spans, d.cur.dst = nil, nil, nil }()
@@ -576,7 +585,11 @@ func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region
 	d.sel = sel
 	nsel := len(sel)
 
-	out := raster.NewPlanar(win.Dx(), win.Dy(), ncomp)
+	if out == nil {
+		out = raster.NewPlanar(win.Dx(), win.Dy(), ncomp)
+	} else {
+		out.Reshape(win.Dx(), win.Dy(), ncomp)
+	}
 
 	// Worker split, as in Encoder: the tier-2 packet walk parallelizes over
 	// selected tiles; the inverse transform over the tile x component

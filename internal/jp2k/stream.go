@@ -18,11 +18,14 @@ import (
 // one-tile window costs one read. src is ix's source or a wrapper over the
 // same bytes (a per-request ResilientSource, say). ix is only read, so any
 // number of Decoders may decode from one Index concurrently. region and the
-// result are as for DecodeRegionPlanarSource, and bit-identical to it; a
-// resilient decode reports no container damage, since the index's scan was
-// strict.
+// result's samples are as for DecodeRegionPlanarSource, and bit-identical to
+// it; a resilient decode reports no container damage, since the index's scan
+// was strict. The result is borrowed, not fresh: it is the Decoder's own
+// output image, reshaped in place per call, so a warm call allocates nothing
+// (the DamageReport aside), and it is valid only until the Decoder's next
+// decode or Close. A caller that keeps it longer copies it out first.
 func (d *Decoder) DecodeRegion(ix *t2.Index, src *t2.Source, region Rect, opts DecodeOptions) (*raster.Planar, error) {
-	return d.decode(src, &scanned{p: ix.Params, spans: ix.Spans()}, opts, &region)
+	return d.decode(src, &scanned{p: ix.Params, spans: ix.Spans()}, opts, &region, &d.out)
 }
 
 // DecodePlanarSource reconstructs all components of a codestream, inverting

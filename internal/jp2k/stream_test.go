@@ -313,3 +313,132 @@ func TestDecodeRegionBoundedMemory(t *testing.T) {
 			"region decode is no longer memory-bounded", grew, capBytes, full)
 	}
 }
+
+// TestDecodeRegionRecycledOutput: DecodeRegion returns the Decoder's own
+// output image, reshaped in place, so every decode must overwrite every sample
+// of it. One Decoder alternates shapes — gray 9/7 tiled, colour 5/3 with the
+// MCT, 12-bit, reduce 0 and 2, and a resilient decode whose one unreadable
+// tile-part is concealed — and before each decode the previous result's whole
+// sample block is filled with a sentinel; each result must equal a fresh
+// DecodeRegionPlanarSource decode, damage report included. A warm decode then
+// allocates nothing strict and only its DamageReport resilient, at one and two
+// workers, over the same alternation.
+func TestDecodeRegionRecycledOutput(t *testing.T) {
+	deep := raster.Synthetic(120, 100, 41)
+	for i, v := range deep.Pix {
+		deep.Pix[i] = v << 4
+	}
+	encode := func(pl *raster.Planar, opts Options) *t2.Source {
+		cs, _, err := EncodePlanar(pl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return t2.BytesSource(cs)
+	}
+	gray := encode(raster.Gray(raster.Synthetic(176, 144, 32)),
+		Options{Kernel: dwt.Irr97, LayerBPP: []float64{0.5, 1.5}, TileW: 48, TileH: 40})
+	col := encode(colorPlanar(144, 112), Options{Kernel: dwt.Rev53, MCT: true, TileW: 64, TileH: 48})
+	deep12 := encode(raster.Gray(deep), Options{Kernel: dwt.Rev53, BitDepth: 12, TileW: 64, TileH: 64, Levels: 3})
+	// A tile-part whose body cannot be read: resilient decodes conceal it.
+	lossy := chaosStream(t, 96, 96, 48)
+	broken, _ := flakySource(lossy, faultinject.FlakyConfig{FailSpan: faultinject.TileBodies(lossy)[3]}, t2.RetryPolicy{})
+
+	type shape struct {
+		name     string
+		src      *t2.Source
+		region   Rect
+		discard  int
+		conceals bool // decoded resilient only
+	}
+	shapes := []shape{
+		{"gray97", gray, Rect{X0: 13, Y0: 9, X1: 150, Y1: 131}, 0, false},
+		{"colour53-mct", col, Rect{X0: 5, Y0: 7, X1: 99, Y1: 80}, 0, false},
+		{"gray97-reduce2", gray, Rect{X0: 3, Y0: 2, X1: 40, Y1: 33}, 2, false},
+		{"deep12", deep12, Rect{X1: 120, Y1: 100}, 0, false},
+		{"colour53-mct-reduce2", col, Rect{X0: 1, Y0: 1, X1: 30, Y1: 25}, 2, false},
+		{"concealed", broken, Rect{X0: 20, Y0: 30, X1: 96, Y1: 96}, 0, true},
+	}
+	ixs := make([]*t2.Index, len(shapes))
+	blockLen := 0 // the largest sample block any shape needs
+	for i, sh := range shapes {
+		ix, err := t2.NewIndex(sh.src)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		ixs[i] = ix
+		blockLen = max(blockLen, sh.region.Dx()*sh.region.Dy()*ix.Params.Components())
+	}
+	const sentinel = -0x5a5a5a5
+
+	ref := NewDecoder()
+	defer ref.Close()
+	for _, workers := range []int{1, 2} {
+		for _, resilient := range []bool{false, true} {
+			dec := NewDecoder()
+			var cycle []int // the shapes this pass decodes, in order
+			for i, sh := range shapes {
+				if resilient || !sh.conceals {
+					cycle = append(cycle, i)
+				}
+			}
+			var prev *raster.Planar
+			for round := range 3 {
+				for _, i := range cycle {
+					sh := shapes[i]
+					label := fmt.Sprintf("w=%d/resilient=%v/round %d/%s", workers, resilient, round, sh.name)
+					opts := DecodeOptions{Workers: workers, Resilient: resilient, DiscardLevels: sh.discard}
+					if prev != nil {
+						for j := range prev.Reshape(blockLen, 1, 1).Comps[0].Pix {
+							prev.Comps[0].Pix[j] = sentinel
+						}
+					}
+					got, err := dec.DecodeRegion(ixs[i], sh.src, sh.region, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if prev != nil && got != prev {
+						t.Fatalf("%s: DecodeRegion returned a new image, not the Decoder's own", label)
+					}
+					prev = got
+					want, err := ref.DecodeRegionPlanarSource(sh.src, sh.region, opts)
+					if err != nil {
+						t.Fatalf("%s: fresh decode: %v", label, err)
+					}
+					planarsEqual(t, got, want, label)
+					if !reflect.DeepEqual(dec.Damage(), ref.Damage()) {
+						t.Fatalf("%s: damage %+v, fresh decode %+v", label, dec.Damage(), ref.Damage())
+					}
+					if sh.conceals && dec.Damage().Totals().IOUnreadable != 1 {
+						t.Fatalf("%s: damage %v, want one unreadable tile", label, dec.Damage())
+					}
+				}
+			}
+			// The concealed decode's report lists its damaged tile, one more
+			// allocation; the counted alternation is the clean shapes.
+			var clean []int
+			for _, i := range cycle {
+				if !shapes[i].conceals {
+					clean = append(clean, i)
+				}
+			}
+			n := testing.AllocsPerRun(10, func() {
+				for _, i := range clean {
+					sh := shapes[i]
+					opts := DecodeOptions{Workers: workers, Resilient: resilient, DiscardLevels: sh.discard}
+					if _, err := dec.DecodeRegion(ixs[i], sh.src, sh.region, opts); err != nil {
+						t.Fatalf("%s: %v", sh.name, err)
+					}
+				}
+			}) / float64(len(clean))
+			want := 0.0
+			if resilient {
+				want = 1 // the DamageReport
+			}
+			if n != want {
+				t.Errorf("w=%d resilient=%v: warm DecodeRegion allocates %.2f times per decode over alternating shapes, want %.0f",
+					workers, resilient, n, want)
+			}
+			dec.Close()
+		}
+	}
+}

@@ -8,26 +8,52 @@ import "fmt"
 // three components are an RGB (or post-MCT YCbCr) triplet.
 type Planar struct {
 	Comps []*Image
+
+	// The component headers and the sample block Reshape made, kept so the
+	// next Reshape reuses them.
+	hdrs []Image
+	pix  []int32
 }
 
 // NewPlanar allocates ncomp components of width x height samples in four
 // blocks, whatever the component count: the Planar, its component list, the
 // component headers and one sample block, each component a cap-limited
-// sub-slice of it (so an append to one never runs into the next).
+// sub-slice of it (so an append to one never runs into the next). It stays
+// out of line so the Planar is always a heap block of its own: inlined into a
+// caller that drops the result, it would land on that caller's stack, and the
+// count would depend on the call site.
+//
+//go:noinline
 func NewPlanar(width, height, ncomp int) *Planar {
+	return new(Planar).Reshape(width, height, ncomp)
+}
+
+// Reshape makes p ncomp components of width x height samples in NewPlanar's
+// layout, reusing the component list, headers and sample block of an earlier
+// Reshape and growing each only when it is too small; it returns p. The
+// samples are not cleared. It never writes into an Image or samples it did
+// not make, so it is safe on a Planar built by Gray or RGB.
+func (p *Planar) Reshape(width, height, ncomp int) *Planar {
 	if ncomp <= 0 {
 		panic(fmt.Sprintf("raster: invalid component count %d", ncomp))
 	}
 	if width <= 0 || height <= 0 {
 		panic(fmt.Sprintf("raster: invalid dimensions %dx%d", width, height))
 	}
-	p := &Planar{Comps: make([]*Image, ncomp)}
-	hdrs := make([]Image, ncomp)
 	n := width * height
-	pix := make([]int32, n*ncomp)
-	for i := range hdrs {
-		hdrs[i] = Image{Width: width, Height: height, Stride: width, Pix: pix[i*n : (i+1)*n : (i+1)*n]}
-		p.Comps[i] = &hdrs[i]
+	if cap(p.Comps) < ncomp {
+		p.Comps = make([]*Image, ncomp)
+	}
+	if cap(p.hdrs) < ncomp {
+		p.hdrs = make([]Image, ncomp)
+	}
+	if cap(p.pix) < n*ncomp {
+		p.pix = make([]int32, n*ncomp)
+	}
+	p.Comps, p.hdrs = p.Comps[:ncomp], p.hdrs[:ncomp]
+	for i := range p.hdrs {
+		p.hdrs[i] = Image{Width: width, Height: height, Stride: width, Pix: p.pix[i*n : (i+1)*n : (i+1)*n]}
+		p.Comps[i] = &p.hdrs[i]
 	}
 	return p
 }

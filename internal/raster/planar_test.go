@@ -145,3 +145,45 @@ func TestNewPlanarAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanarReshape: Reshape gives NewPlanar's layout for any shape — every
+// component its own cap-limited window of one sample block — reusing its
+// storage when the new shape fits (no allocation), and never writes into an
+// Image it did not make.
+func TestPlanarReshape(t *testing.T) {
+	p := NewPlanar(40, 30, 3)
+	for _, s := range []struct{ w, h, nc int }{{17, 9, 1}, {40, 30, 3}, {12, 50, 2}, {3, 3, 4}, {60, 41, 3}, {5, 7, 1}} {
+		p.Reshape(s.w, s.h, s.nc)
+		if p.NComp() != s.nc {
+			t.Fatalf("%v: %d components", s, p.NComp())
+		}
+		for i, c := range p.Comps {
+			if c.Width != s.w || c.Height != s.h || c.Stride != s.w || len(c.Pix) != s.w*s.h || cap(c.Pix) != s.w*s.h {
+				t.Fatalf("%v: component %d is %dx%d stride %d len %d cap %d", s, i, c.Width, c.Height, c.Stride, len(c.Pix), cap(c.Pix))
+			}
+			for j := range c.Pix {
+				c.Pix[j] = int32(i + 1)
+			}
+		}
+		for i, c := range p.Comps {
+			for _, v := range c.Pix {
+				if v != int32(i+1) {
+					t.Fatalf("%v: component %d overlaps another", s, i)
+				}
+			}
+		}
+	}
+	// The largest shape so far fits: reshaping within it allocates nothing.
+	if n := testing.AllocsPerRun(20, func() { p.Reshape(60, 41, 3); p.Reshape(11, 13, 4) }); n != 0 {
+		t.Errorf("reshape within the storage allocates %.0f times", n)
+	}
+	im := New(8, 6)
+	g := Gray(im)
+	g.Reshape(8, 6, 1)
+	for i := range g.Comps[0].Pix {
+		g.Comps[0].Pix[i] = 7
+	}
+	if g.Comps[0] == im || im.Pix[0] != 0 || im.Width != 8 {
+		t.Fatal("Reshape of a Gray planar wrote into the wrapped image")
+	}
+}

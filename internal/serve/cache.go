@@ -13,8 +13,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-
-	"pj2k/internal/raster"
 )
 
 // TileKey identifies one decoded tile variant: a tile of an image decoded at
@@ -87,26 +85,14 @@ type Cache[V any] struct {
 // the budget on top of the sample payload.
 const tileOverhead = 160
 
-// NewCache returns a cache of decoded *raster.Planar tiles holding at most
-// maxBytes of int32 samples (4 bytes each, plus per-entry overhead).
-// maxBytes <= 0 disables caching: every lookup decodes (still deduplicated
-// while in flight). The server does not use this instantiation: it caches
-// tiles in wire form (newWireCache).
-func NewCache(maxBytes int64) *Cache[*raster.Planar] {
-	return newCache(maxBytes, func(pl *raster.Planar) int64 {
-		bytes := int64(tileOverhead)
-		for _, comp := range pl.Comps {
-			bytes += int64(len(comp.Pix)) * 4
-		}
-		return bytes
-	})
-}
-
 // newWireCache returns the server's cache: tiles held as the bytes a response
 // carries (see wireTile), charged their length plus per-entry overhead.
 func newWireCache(maxBytes int64) *Cache[[]byte] {
-	return newCache(maxBytes, func(b []byte) int64 { return int64(len(b)) + tileOverhead })
+	return newCache(maxBytes, func(b []byte) int64 { return wireCharge(len(b)) })
 }
+
+// wireCharge is what a wire tile of n bytes costs against the cache budget.
+func wireCharge(n int) int64 { return int64(n) + tileOverhead }
 
 func newCache[V any](maxBytes int64, charge func(V) int64) *Cache[V] {
 	c := &Cache[V]{
@@ -167,6 +153,18 @@ func (o CacheOutcome) String() string {
 // cancellation, which says nothing about a waiter whose own request is still
 // live, so such a waiter goes round again and leads (or joins) the next decode.
 func (c *Cache[V]) GetOrDecode(ctx context.Context, key TileKey, decode func() (V, error)) (V, CacheOutcome, error) {
+	v, co, _, err := c.getOrDecode(ctx, key, decode)
+	return v, co, err
+}
+
+// admits reports whether a value charged bytes enters the cache when its
+// decode succeeds: the cache is on and the value alone fits the budget.
+func (c *Cache[V]) admits(bytes int64) bool { return c.maxBytes > 0 && bytes <= c.maxBytes }
+
+// getOrDecode is GetOrDecode that also reports whether the caller owns the
+// value: this call ran the decode, the cache did not keep the result and no
+// waiter joined, so nobody else holds it and the caller may recycle it.
+func (c *Cache[V]) getOrDecode(ctx context.Context, key TileKey, decode func() (V, error)) (val V, co CacheOutcome, owned bool, err error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -174,7 +172,7 @@ func (c *Cache[V]) GetOrDecode(ctx context.Context, key TileKey, decode func() (
 			c.pushFront(e)
 			c.mu.Unlock()
 			c.hits.Add(1)
-			return e.val, OutcomeHit, nil
+			return e.val, OutcomeHit, false, nil
 		}
 		call, ok := c.inflight[key]
 		if !ok {
@@ -191,10 +189,9 @@ func (c *Cache[V]) GetOrDecode(ctx context.Context, key TileKey, decode func() (
 			if ctx.Err() == nil && (errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded)) {
 				continue
 			}
-			return call.val, OutcomeCoalesced, call.err
+			return call.val, OutcomeCoalesced, false, call.err
 		case <-ctx.Done():
-			var zero V
-			return zero, OutcomeCoalesced, ctx.Err()
+			return val, OutcomeCoalesced, false, ctx.Err()
 		}
 	}
 	call := c.free
@@ -211,17 +208,20 @@ func (c *Cache[V]) GetOrDecode(ctx context.Context, key TileKey, decode func() (
 	// panics (net/http recovers handler panics, so a stuck entry would wedge
 	// the key forever); the deferred cleanup runs before the panic unwinds
 	// past us, and waiters see the zero-value error path. The return values
-	// are copied out before it runs, so it may recycle an unjoined record.
+	// are copied out before it runs, so it may recycle an unjoined record;
+	// it sets owned, which it alone can know.
 	call.err = errDecodePanicked
 	defer func() {
 		c.mu.Lock()
 		delete(c.inflight, key)
-		if call.err == nil && c.maxBytes > 0 {
+		kept := false
+		if call.err == nil {
 			// Admission never violates the budget: an entry that alone
 			// exceeds it bypasses the cache entirely (it would pin the cache
 			// over budget until an unrelated miss evicted it), and any other
 			// admission evicts LRU entries until the budget holds again.
-			if bytes := c.charge(call.val); bytes <= c.maxBytes {
+			if bytes := c.charge(call.val); c.admits(bytes) {
+				kept = true
 				e := &tileEntry[V]{key: key, val: call.val, bytes: bytes}
 				c.entries[key] = e
 				c.pushFront(e)
@@ -240,11 +240,12 @@ func (c *Cache[V]) GetOrDecode(ctx context.Context, key TileKey, decode func() (
 		} else {
 			*call = inflightCall[V]{next: c.free}
 			c.free = call
+			owned = !kept
 		}
 		c.mu.Unlock()
 	}()
 	call.val, call.err = decode()
-	return call.val, OutcomeMiss, call.err
+	return call.val, OutcomeMiss, false, call.err
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 
 	"pj2k/internal/jp2k"
 )
@@ -21,9 +22,32 @@ type regionRequest struct {
 	ncomp, maxval   int
 }
 
-// queryInt parses an integer query parameter, using def when absent.
-func queryInt(q url.Values, name string, def int) (int, error) {
-	v := q.Get(name)
+// queryGet returns the first value of key in the raw query q, as
+// url.ParseQuery(q).Get(key) does, without building the map: empty pairs,
+// pairs holding a ';' and pairs whose key or value fails to unescape are
+// dropped, and url.QueryUnescape copies only a part that holds '%' or '+'.
+func queryGet(q, key string) string {
+	for q != "" {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
+// queryInt parses an integer parameter of the raw query q, using def when
+// absent.
+func queryInt(q, name string, def int) (int, error) {
+	v := queryGet(q, name)
 	if v == "" {
 		return def, nil
 	}
@@ -34,9 +58,10 @@ func queryInt(q url.Values, name string, def int) (int, error) {
 	return n, nil
 }
 
-// parseRegion validates a region query against img. On failure it returns
-// the status to answer with (400, or 413 for a window over maxPixels).
-func parseRegion(img *Image, q url.Values, maxPixels int64) (regionRequest, int, error) {
+// parseRegion validates a raw region query against img. On failure it
+// returns the status to answer with (400, or 413 for a window over
+// maxPixels).
+func parseRegion(img *Image, q string, maxPixels int64) (regionRequest, int, error) {
 	p := &img.Index.Params
 	req := regionRequest{img: img, ncomp: p.Components(), maxval: 255}
 	if p.BitDepth > 8 {
@@ -68,7 +93,7 @@ func parseRegion(img *Image, q url.Values, maxPixels int64) (regionRequest, int,
 		return req, http.StatusRequestEntityTooLarge, fmt.Errorf("window %dx%d exceeds the %d-pixel limit; raise reduce=",
 			req.win.Dx(), req.win.Dy(), maxPixels)
 	}
-	if req.format = q.Get("format"); req.format == "" {
+	if req.format = queryGet(q, "format"); req.format == "" {
 		switch req.ncomp { // grayscale defaults to PGM, color to PPM, anything else to raw
 		case 1:
 			req.format = "pgm"

@@ -506,6 +506,97 @@ func TestRecycledInflightRecords(t *testing.T) {
 	}
 }
 
+// TestGetOrDecodeOwnership: getOrDecode hands a miss's value to its caller
+// (owned) only when nobody else can hold it: the cache did not keep it and no
+// waiter joined. A hit, a kept miss, a joined miss's leader and its waiters —
+// with the cache on or off — must not be told they own the value, or the
+// server would recycle a tile the cache or a waiter still reads; an unjoined
+// miss with the cache off, or of a value too large to admit, is owned.
+func TestGetOrDecodeOwnership(t *testing.T) {
+	ctx := context.Background()
+	value := func(n int) func() ([]byte, error) {
+		return func() ([]byte, error) { return make([]byte, n), nil }
+	}
+	lookup := func(c *Cache[[]byte], key TileKey, n int) (CacheOutcome, bool) {
+		t.Helper()
+		_, co, owned, err := c.getOrDecode(ctx, key, value(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return co, owned
+	}
+	// joinedMiss leads a miss on key that waiters join before it finishes,
+	// and returns the leader's and every waiter's owned report.
+	joinedMiss := func(c *Cache[[]byte], key TileKey, waiters int) (leader bool, joined []bool) {
+		t.Helper()
+		entered, release := make(chan struct{}), make(chan struct{})
+		done := make(chan bool)
+		go func() {
+			_, _, owned, err := c.getOrDecode(ctx, key, func() ([]byte, error) {
+				close(entered)
+				<-release
+				return make([]byte, 64), nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			done <- owned
+		}()
+		<-entered
+		before := c.Stats().Coalesced
+		joined = make([]bool, waiters)
+		var wg sync.WaitGroup
+		for i := range waiters {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, co, owned, err := c.getOrDecode(ctx, key, value(64))
+				if err != nil || co != OutcomeCoalesced {
+					t.Errorf("waiter %d on %v: %v, %v; want coalesced", i, key, co, err)
+				}
+				joined[i] = owned
+			}()
+		}
+		for c.Stats().Coalesced < before+int64(waiters) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		close(release)
+		wg.Wait()
+		return <-done, joined
+	}
+	const waiters = 4
+	for _, tc := range []struct {
+		name     string
+		maxBytes int64
+	}{{"cache on", 1 << 20}, {"cache off", -1}} {
+		c := newWireCache(tc.maxBytes)
+		on := tc.maxBytes > 0
+		k := TileKey{Image: "a"}
+		if co, owned := lookup(c, k, 64); co != OutcomeMiss || owned == on {
+			t.Errorf("%s: unjoined miss: %v, owned %v; want a miss, owned %v", tc.name, co, owned, !on)
+		}
+		if on {
+			if co, owned := lookup(c, k, 64); co != OutcomeHit || owned {
+				t.Errorf("%s: hit: %v, owned %v; want a hit, not owned", tc.name, co, owned)
+			}
+			// Twice the budget: never admitted, so its caller owns it.
+			big := TileKey{Image: "big"}
+			if co, owned := lookup(c, big, 2<<20); co != OutcomeMiss || !owned {
+				t.Errorf("%s: over-budget miss: %v, owned %v; want a miss, owned", tc.name, co, owned)
+			}
+		}
+		leader, joined := joinedMiss(c, TileKey{Image: "joined"}, waiters)
+		if leader {
+			t.Errorf("%s: the leader of a joined miss was told it owns the tile", tc.name)
+		}
+		for i, owned := range joined {
+			if owned {
+				t.Errorf("%s: waiter %d was told it owns the leader's tile", tc.name, i)
+			}
+		}
+	}
+}
+
 // --- Server integration tests.
 
 func fetchPGM(t *testing.T, ts *httptest.Server, path string) *raster.Image {
@@ -934,11 +1025,8 @@ func BenchmarkServeTileCache(b *testing.B) {
 		srv := New(store, Options{CacheBytes: 64 << 20})
 		key := TileKey{Image: "bench", TX: 0, TY: 0}
 		decode := func() ([]byte, error) {
-			pl, _, err := srv.decodeTile(context.Background(), img, img.src, colW, rowH, 0, 0, 0, 0)
-			if err != nil {
-				return nil, err
-			}
-			return wireTile(pl, 255), nil
+			tile, _, err := srv.decodeTile(context.Background(), img, img.src, colW, rowH, 0, 0, 0, 0, 255, nil)
+			return tile, err
 		}
 		if _, _, err := srv.cache.GetOrDecode(context.Background(), key, decode); err != nil {
 			b.Fatal(err)
@@ -954,11 +1042,8 @@ func BenchmarkServeTileCache(b *testing.B) {
 	b.Run("miss", func(b *testing.B) {
 		srv := New(store, Options{CacheBytes: 64 << 20})
 		decode := func() ([]byte, error) {
-			pl, _, err := srv.decodeTile(context.Background(), img, img.src, colW, rowH, 0, 0, 0, 0)
-			if err != nil {
-				return nil, err
-			}
-			return wireTile(pl, 255), nil
+			tile, _, err := srv.decodeTile(context.Background(), img, img.src, colW, rowH, 0, 0, 0, 0, 255, nil)
+			return tile, err
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

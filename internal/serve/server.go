@@ -513,7 +513,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.rejectQuarantined(w, img.ID)
 		return
 	}
-	layers, err := queryInt(r.URL.Query(), "layers", 0)
+	layers, err := queryInt(r.URL.RawQuery, "layers", 0)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -527,9 +527,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-PJ2K-Layers", strconv.Itoa(layers))
-	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
+	h := w.Header() // canonical keys, assigned without Set's canonicalisation
+	h["Content-Type"] = []string{"application/octet-stream"}
+	h["X-Pj2k-Layers"] = []string{strconv.Itoa(layers)}
+	h["Content-Length"] = []string{strconv.FormatInt(n, 10)}
 	// WritePrefix streams the truncated codestream straight to the response,
 	// reading each tile's prefix from the source as it goes. A failure now is
 	// a failed write or read: the status line is already gone, so counting is

@@ -16,6 +16,11 @@ import (
 // bodies recycles region response bodies between requests.
 var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
+// spareTiles recycles the storage of wire tiles the cache does not keep: a
+// miss with the cache off, or of a tile too large to admit, is packed into a
+// request's spare buffer, copied into the body and handed back.
+var spareTiles = sync.Pool{New: func() any { return new([]byte) }}
+
 // contentType returns the media type of a region response format, "" for a
 // format the server does not speak.
 func contentType(format string) string {
@@ -65,7 +70,7 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 		s.rejectQuarantined(w, img.ID)
 		return
 	}
-	req, code, err := parseRegion(img, r.URL.Query(), s.opts.MaxPixels)
+	req, code, err := parseRegion(img, r.URL.RawQuery, s.opts.MaxPixels)
 	if err != nil {
 		outcome = outcomeClientError
 		s.fail(w, code, "%v", err)
@@ -86,26 +91,29 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 	}
 	outcome = agg
 
+	// Every key below is written in the canonical form Header.Set would
+	// store (X-PJ2K-Width becomes X-Pj2k-Width) and assigned straight into
+	// the map, so no request canonicalises a key.
 	h := w.Header()
 	// The packet-byte cost of this window per the index (all components):
 	// what a byte-range transport (JPIP-style) would have shipped instead of
 	// pixels. A tile whose packet map fails (served concealed) leaves the
 	// header out rather than under-reporting it.
 	if n, err := img.Index.RegionBytes(tiles, req.discard, req.layers); err == nil {
-		h.Set("X-PJ2K-Packet-Bytes", strconv.Itoa(n))
+		h["X-Pj2k-Packet-Bytes"] = []string{strconv.Itoa(n)}
 	}
-	h.Set("Content-Type", contentType(req.format))
+	h["Content-Type"] = []string{contentType(req.format)}
 	if req.format == "raw" {
 		// Headerless samples in planar component order: 1 byte/sample when
 		// every sample fits a byte (maxval <= 255), big-endian 2 bytes/sample
 		// otherwise. X-PJ2K-Max-Value tells the client which — without it a
 		// raw payload is uninterpretable.
-		h.Set("X-PJ2K-Width", strconv.Itoa(req.win.Dx()))
-		h.Set("X-PJ2K-Height", strconv.Itoa(req.win.Dy()))
-		h.Set("X-PJ2K-Components", strconv.Itoa(req.ncomp))
-		h.Set("X-PJ2K-Max-Value", strconv.Itoa(req.maxval))
+		h["X-Pj2k-Width"] = []string{strconv.Itoa(req.win.Dx())}
+		h["X-Pj2k-Height"] = []string{strconv.Itoa(req.win.Dy())}
+		h["X-Pj2k-Components"] = []string{strconv.Itoa(req.ncomp)}
+		h["X-Pj2k-Max-Value"] = []string{strconv.Itoa(req.maxval)}
 	}
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
 	if _, err := w.Write(body); err != nil {
 		s.errors.Inc()
 	}
@@ -124,7 +132,8 @@ func tileSpan(edges []int, lo, hi int) (t0, t1 int) {
 
 // assembleWindow builds req's complete response body in buf's storage (grown
 // when too small): the PNM header, if the format has one, then every sample
-// of the window, copied out of the cached wire tiles into its final position —
+// of the window, copied out of the wire tiles (cached, or packed at a miss)
+// into its final position —
 // whole tile rows for the planar formats, three interleaved byte runs for PPM —
 // with no intermediate window raster and no clamp: the samples were clamped
 // and narrowed once, when their tile was decoded. The tiles partition the
@@ -153,29 +162,44 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 	tx0, tx1 := tileSpan(colW, win.X0, win.X1)
 	ty0, ty1 := tileSpan(rowH, win.Y0, win.Y1)
 	tiles = make([]int, 0, (tx1-tx0)*(ty1-ty0))
-	// One decode closure per request, not per tile: GetOrDecode calls it
-	// synchronously, so it may read the loop's current tx, ty.
-	var tx, ty int
+	// One decode closure per request, not per tile: getOrDecode calls it
+	// synchronously, so it may read the loop's current tx, ty, tw, th.
+	var tx, ty, tw, th int
 	damaged := false
 	// One source per request, built on its first miss (an all-hit request
 	// builds none): every miss reads through it and spends its retry budget.
 	var src *t2.Source
+	// A miss the cache will keep is packed into storage of its own. Any other
+	// is packed into the request's spare buffer, taken on the first such miss;
+	// the tile holds that storage until it is copied into the body, then hands
+	// it back, unless a waiter joined the miss and shares the tile.
+	var spare *[]byte
+	defer func() {
+		if spare != nil {
+			spareTiles.Put(spare)
+		}
+	}()
 	decode := func() ([]byte, error) {
 		if src == nil {
 			src = s.requestSource(req.img, s.newRequestBudget())
 		}
-		pl, dmg, err := s.decodeTile(ctx, req.img, src, colW, rowH, tx, ty, req.discard, req.layers)
-		damaged = damaged || dmg
-		if err != nil {
-			return nil, err
+		var buf []byte
+		if !s.cache.admits(wireCharge(tw * th * req.ncomp * bps)) {
+			if spare == nil {
+				spare = spareTiles.Get().(*[]byte)
+			}
+			buf, *spare = *spare, nil // the tile takes the storage
 		}
-		return wireTile(pl, req.maxval), nil
+		tile, dmg, err := s.decodeTile(ctx, req.img, src, colW, rowH, tx, ty, req.discard, req.layers, req.maxval, buf)
+		damaged = damaged || dmg
+		return tile, err
 	}
 	for ty = ty0; ty < ty1; ty++ {
 		for tx = tx0; tx < tx1; tx++ {
 			tiles = append(tiles, ty*(len(colW)-1)+tx)
+			tw, th = colW[tx+1]-colW[tx], rowH[ty+1]-rowH[ty]
 			key := TileKey{Image: req.img.ID, TX: tx, TY: ty, Discard: req.discard, Layers: req.layers}
-			tile, co, err := s.cache.GetOrDecode(ctx, key, decode)
+			tile, co, owned, err := s.cache.getOrDecode(ctx, key, decode)
 			switch co {
 			case OutcomeMiss:
 				agg = max(agg, outcomeMiss)
@@ -185,10 +209,9 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 			if err != nil {
 				return body, tiles, agg, fmt.Errorf("tile (%d,%d): %w", tx, ty, err)
 			}
-			// The tile's size, its overlap with the window in tile
-			// coordinates, and where its first sample lands in the window;
-			// then the same in bytes.
-			tw, th := colW[tx+1]-colW[tx], rowH[ty+1]-rowH[ty]
+			// The tile's overlap with the window in tile coordinates, and
+			// where its first sample lands in the window; then the same in
+			// bytes.
 			lx0, lx1 := max(win.X0-colW[tx], 0), min(win.X1, colW[tx+1])-colW[tx]
 			ly0, ly1 := max(win.Y0-rowH[ty], 0), min(win.Y1, rowH[ty+1])-rowH[ty]
 			ox, oy := colW[tx]+lx0-win.X0, rowH[ty]+ly0-win.Y0
@@ -204,6 +227,9 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 					copy(body[hdr+(ci*w*h+px)*bps:], tile[ci*plane+at:][:run])
 				}
 			}
+			if owned { // nobody else holds the tile: its storage is spare again
+				*spare = tile
+			}
 		}
 	}
 	if damaged {
@@ -216,11 +242,15 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 // response carries, packed once at the miss so a hit only copies. Its
 // components follow one another, each row-major, every sample clamped into
 // [0, maxval] and raster.SampleBytes(maxval) bytes wide (big-endian pairs
-// above 255).
-func wireTile(pl *raster.Planar, maxval int) []byte {
+// above 255). It packs into dst's storage, made anew when too small.
+func wireTile(dst []byte, pl *raster.Planar, maxval int) []byte {
 	tw, bps := pl.Width(), raster.SampleBytes(maxval)
 	plane := tw * pl.Height() * bps
-	out := make([]byte, plane*pl.NComp())
+	n := plane * pl.NComp()
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	out := dst[:n]
 	for ci, c := range pl.Comps {
 		for y := range c.Height {
 			raster.PackSamples(out[ci*plane+y*tw*bps:], maxval, c.Row(y))
@@ -256,21 +286,23 @@ func interleave3(dst []byte, bps int, r, g, b []byte) {
 	}
 }
 
-// decodeTile produces one cached tile variant (every component), charging the
-// decode counter. The header and tile-part chain come from the image's index,
-// so the decode reads only the tile's body, through src (the request's
-// source). The context bounds the decode between pipeline stages; in
-// resilient mode damage is absorbed into the server's counters and the
-// degraded tile is served (and cached) like any other — the damaged return
-// reports it so the request can be classified. The pooled decoder carries the
-// server's codec metrics, so every tile decode also lands in the per-stage
-// pipeline histograms.
-func (s *Server) decodeTile(ctx context.Context, img *Image, src *t2.Source, colW, rowH []int, tx, ty, discard, layers int) (pl *raster.Planar, damaged bool, err error) {
+// decodeTile produces one tile variant (every component) in wire form, packed
+// into buf's storage (wireTile), charging the decode counter. The header and
+// tile-part chain come from the image's index, so the decode reads only the
+// tile's body, through src (the request's source). The context bounds the
+// decode between pipeline stages; in resilient mode damage is absorbed into
+// the server's counters and the degraded tile is served (and cached) like any
+// other — the damaged return reports it so the request can be classified.
+// The pooled decoder carries the server's codec metrics, so every tile decode
+// also lands in the per-stage pipeline histograms.
+func (s *Server) decodeTile(ctx context.Context, img *Image, src *t2.Source, colW, rowH []int, tx, ty, discard, layers, maxval int, buf []byte) (tile []byte, damaged bool, err error) {
 	s.tileDecodes.Inc()
 	dec := s.decoders.Get().(*jp2k.Decoder)
+	// The decoded tile is the Decoder's own output image, so it is packed
+	// before the deferred Put, after which another request may decode over it.
 	defer s.decoders.Put(dec)
 	region := jp2k.Rect{X0: colW[tx], Y0: rowH[ty], X1: colW[tx+1], Y1: rowH[ty+1]}
-	pl, err = dec.DecodeRegion(img.Index, src, region, jp2k.DecodeOptions{
+	pl, err := dec.DecodeRegion(img.Index, src, region, jp2k.DecodeOptions{
 		DiscardLevels: discard,
 		MaxLayers:     layers,
 		Workers:       s.opts.TileWorkers,
@@ -300,5 +332,8 @@ func (s *Server) decodeTile(ctx context.Context, img *Image, src *t2.Source, col
 	} else if err == nil {
 		s.noteIOSuccess(img)
 	}
-	return pl, damaged, err
+	if err != nil {
+		return nil, false, err
+	}
+	return wireTile(buf, pl, maxval), damaged, nil
 }

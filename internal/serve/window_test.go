@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 
 	"pj2k/internal/dwt"
@@ -171,6 +172,81 @@ func TestRegionResponseByteIdentity(t *testing.T) {
 	}
 }
 
+// TestConcurrentColdRequestsMatchDecode: with the cache off every tile is a
+// miss packed from a pooled Decoder's own output image, and every miss no
+// waiter joined is packed into a recycled buffer. Concurrent requests for
+// overlapping windows of a gray and a colour image (so some misses are
+// joined) at TileWorkers 1 and 3 must each get a body byte-equal to the
+// reference. Under -race this is the gate for packing before the Decoder goes
+// back to its pool and for recycling only the tiles nobody else holds.
+func TestConcurrentColdRequestsMatchDecode(t *testing.T) {
+	streams := []struct {
+		id      string
+		cs      []byte
+		formats []string
+	}{
+		{"gray", encodeTest(t, testImage()), []string{"pgm", "raw"}},
+		{"color", colorTestStream(t), []string{"ppm", "raw"}},
+	}
+	type request struct {
+		path string
+		want []byte
+	}
+	var reqs []request
+	store := NewStore()
+	for _, st := range streams {
+		if _, err := store.Add(st.id, st.cs); err != nil {
+			t.Fatal(err)
+		}
+		for reduce := range 2 {
+			ref, err := jp2k.DecodePlanarSource(t2.BytesSource(st.cs), jp2k.DecodeOptions{DiscardLevels: reduce})
+			if err != nil {
+				t.Fatal(err)
+			}
+			W, H := ref.Width(), ref.Height()
+			for i, format := range st.formats {
+				for k := range 3 {
+					win := jp2k.Rect{X0: (17 + 31*k + 7*i) % (W / 2), Y0: (11 + 23*k) % (H / 2)}
+					win.X1, win.Y1 = min(win.X0+W/2, W), min(win.Y0+H/2, H)
+					reqs = append(reqs, request{
+						path: fmt.Sprintf("/img/%s?reduce=%d&x0=%d&y0=%d&x1=%d&y1=%d&format=%s",
+							st.id, reduce, win.X0, win.Y0, win.X1, win.Y1, format),
+						want: wantBody(t, ref, win, format, 255),
+					})
+				}
+			}
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		srv := New(store, Options{CacheBytes: -1, TileWorkers: workers})
+		const goroutines, rounds = 6, 2
+		var wg sync.WaitGroup
+		for g := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range rounds * len(reqs) {
+					r := reqs[(g+i)%len(reqs)]
+					rec := httptest.NewRecorder()
+					srv.ServeHTTP(rec, httptest.NewRequest("GET", r.path, nil))
+					if rec.Code != http.StatusOK {
+						t.Errorf("TileWorkers %d %s: status %d: %s", workers, r.path, rec.Code, rec.Body)
+						return
+					}
+					if !bytes.Equal(rec.Body.Bytes(), r.want) {
+						t.Errorf("TileWorkers %d %s: body differs from the reference", workers, r.path)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		st := srv.Cache().Stats()
+		t.Logf("TileWorkers %d: %d misses, %d joined", workers, st.Misses, st.Coalesced)
+		srv.Close()
+	}
+}
+
 // TestCacheChargesWireBytes: the server caches tiles in wire form, so after
 // warming windows on gray 8-bit, colour 8-bit and gray 12-bit images (at two
 // reduce levels), /stats cache.bytes is the sum over the resident tiles of
@@ -303,11 +379,13 @@ func TestClientErrorOutcome(t *testing.T) {
 
 // TestWarmRequestAllocs caps the allocations of an all-hits region request
 // through ServeHTTP and shows they do not grow with the window: the tile loop
-// allocates nothing per tile and the body comes from the pool. Measured 21
-// per request at both sizes, 21-22 under -race (the recorder, the mux's path
-// match and the parsed query included; the tile grid is the image's, computed
-// at registration); the cap leaves room for net/http drift, not for a
-// per-tile or per-row cost.
+// allocates nothing per tile and the body comes from the pool. Measured 14
+// per request at both sizes (the recorder, the mux's path match, the request
+// context and the header values included; the query is read in place and the
+// header keys are assigned canonical, where a parsed url.Values and
+// canonicalised X-PJ2K-* keys made it 21; the tile grid is the image's,
+// computed at registration); the cap leaves room for net/http drift, not for
+// a per-tile or per-row cost.
 func TestWarmRequestAllocs(t *testing.T) {
 	srv, _ := newTestServer(t, 64<<20)
 	defer srv.Close()
@@ -331,8 +409,8 @@ func TestWarmRequestAllocs(t *testing.T) {
 	const oneTile, nineTiles = "/img/test?x0=0&y0=0&x1=96&y1=80", "/img/test?x0=0&y0=0&x1=230&y1=190"
 	one, nine := measure(oneTile, false), measure(nineTiles, false)
 	t.Logf("allocs per warm request: 1 tile %.0f, 9 tiles %.0f", one, nine)
-	if nine > 26 {
-		t.Errorf("warm 9-tile request allocates %.0f times, cap 26", nine)
+	if nine > 17 {
+		t.Errorf("warm 9-tile request allocates %.0f times, cap 17", nine)
 	}
 	if nine > one+1 { // the touched-tile index list may change size class
 		t.Errorf("allocations grow with the window: %.0f for 1 tile, %.0f for 9", one, nine)
@@ -354,16 +432,18 @@ func TestWarmRequestAllocs(t *testing.T) {
 // image, as unaligned T x T windows (four tiles each) plus reduce=2 windows
 // on the gray image. Every tile decode reshapes the pooled codec state the
 // other image left behind. The allocations per request, divided by the tile
-// misses it caused, must stay within the cap: the decoded tile (four blocks,
-// raster.NewPlanar), its packed wire form and a share of the request's own
-// overhead (TestWarmRequestAllocs counts 21 per request); the singleflight
-// record of an unjoined miss is recycled — measured 11.1 per miss (11.4 with
-// a new record per miss, no packing at the miss and an fmt-built PNM
-// header). Before pooled state reshaped in place, a miss after a shape
-// change rebuilt the tier-2 state, grids and DWT level closures;
-// before the container scan was pooled, the Planar took one header and one
-// sample block per component and every miss made a wake channel, a miss cost
-// 14.2.
+// misses it caused, must stay within the cap: a share of the request's own
+// overhead (TestWarmRequestAllocs counts 14 per request) and nothing per
+// miss — the decoded tile is the pooled Decoder's own output image, its wire
+// form is packed into a recycled buffer, and the singleflight record of an
+// unjoined miss is recycled. Measured 4.2 per miss; 11.1 when every miss
+// allocated a fresh four-block image and a fresh wire tile and every request
+// a url.Values map and canonicalised header keys; 11.4 with a new record per
+// miss, no packing at the miss and an fmt-built PNM header. Before pooled
+// state reshaped in place, a miss after a shape change rebuilt the tier-2
+// state, grids and DWT level closures; before the container scan was
+// pooled, the Planar took one header and one sample block per component and
+// every miss made a wake channel, a miss cost 14.2.
 func TestColdRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled decoders at random; the cap counts the production allocator")
@@ -428,8 +508,8 @@ func TestColdRequestAllocs(t *testing.T) {
 }
 
 // coldMissCap bounds allocations per tile miss in TestColdRequestAllocs:
-// measured 11.1, with room for net/http drift in the shared request overhead.
-const coldMissCap = 14
+// measured 4.2, with room for net/http drift in the shared request overhead.
+const coldMissCap = 6
 
 // BenchmarkWarmRegion is the warm path in process: ServeHTTP of 1024x768 PGM
 // windows panning over a 2048x2048 9/7 image of 256 128x128 tiles, every
