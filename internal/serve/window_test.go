@@ -172,6 +172,129 @@ func TestRegionResponseByteIdentity(t *testing.T) {
 	}
 }
 
+// FuzzRegionBody: for a fuzzer-chosen window (clipped and one-pixel windows
+// included), reduce level 0..2, format ("" for the default, pgm, ppm, raw)
+// and cache on or off, over small gray and colour streams at 8 and 12 bits
+// whose 13x11 tiles leave ragged edge tiles, every region body equals the
+// window cropped out of a direct decode and written in the requested format,
+// on the request that decodes its tiles and on the one that finds them
+// cached. A format the image cannot take is a 400.
+func FuzzRegionBody(f *testing.F) {
+	const w, h = 61, 47
+	gray, rgb := raster.Synthetic(w, h, 41), raster.NewPlanar(w, h, 3)
+	for ci, c := range rgb.Comps {
+		copy(c.Pix, raster.Synthetic(w, h, uint64(42+ci)).Pix)
+	}
+	deep := func(pl *raster.Planar) *raster.Planar {
+		pl = pl.Clone()
+		for _, c := range pl.Comps {
+			for i, v := range c.Pix {
+				c.Pix[i] = v << 4
+			}
+		}
+		return pl
+	}
+	tiled := jp2k.Options{TileW: 13, TileH: 11, Levels: 2}
+	lossy, lossless, deepLossy := tiled, tiled, tiled
+	lossy.Kernel, lossy.LayerBPP = dwt.Irr97, []float64{2.0}
+	lossless.Kernel = dwt.Rev53
+	deepLossy.Kernel, deepLossy.LayerBPP, deepLossy.BitDepth = dwt.Irr97, []float64{3.0}, 12
+	deepLossless := lossless
+	deepLossless.BitDepth = 12
+	streams := []struct {
+		id     string
+		pl     *raster.Planar
+		opts   jp2k.Options
+		mct    bool
+		maxval int
+	}{
+		{"gray8", raster.Gray(gray), lossy, false, 255},
+		{"color8", rgb, lossless, true, 255},
+		{"gray12", deep(raster.Gray(gray)), deepLossless, false, 4095},
+		{"color12", deep(rgb), deepLossy, true, 4095},
+	}
+	store := NewStore()
+	refs := make([][3]*raster.Planar, len(streams)) // a direct decode per stream and reduce
+	for i, st := range streams {
+		st.opts.MCT = st.mct
+		cs, _, err := jp2k.EncodePlanar(st.pl, st.opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := store.Add(st.id, cs); err != nil {
+			f.Fatal(err)
+		}
+		for reduce := range refs[i] {
+			if refs[i][reduce], err = jp2k.DecodePlanarSource(t2.BytesSource(cs), jp2k.DecodeOptions{DiscardLevels: reduce}); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	cached, uncached := New(store, Options{CacheBytes: 8 << 20}), New(store, Options{CacheBytes: -1})
+	f.Cleanup(cached.Close)
+	f.Cleanup(uncached.Close)
+	formats := []string{"", "pgm", "ppm", "raw"}
+
+	// Seeds: TestRegionResponseByteIdentity's five windows on every stream at
+	// every reduce level, formats and cache settings taken in turn. A window
+	// is (x0 mod W, y0 mod H) plus a size of one more than (dx, dy).
+	seed := 0
+	for i, st := range streams {
+		img, _ := store.Get(st.id)
+		for reduce, ref := range refs[i] {
+			colW, rowH := img.Grid(reduce)
+			W, H := ref.Width(), ref.Height()
+			for _, win := range []jp2k.Rect{
+				{X1: W, Y1: H},
+				{X0: colW[1], Y0: rowH[1], X1: colW[2], Y1: rowH[2]},
+				{X0: 3, Y0: 5, X1: W - 7, Y1: H - 4},
+				{X0: W / 2, Y0: H / 2, X1: W/2 + 1, Y1: H/2 + 1},
+				{X0: W - 10, Y0: H - 9, X1: W + 50, Y1: H + 50},
+			} {
+				f.Add(uint8(i), uint8(reduce), uint8(seed%len(formats)), seed%2 == 0,
+					uint16(win.X0), uint16(win.Y0), uint16(win.Dx()-1), uint16(win.Dy()-1))
+				seed++
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, stream, reduce, format uint8, cache bool, x0, y0, dx, dy uint16) {
+		i := int(stream) % len(streams)
+		st, ref := streams[i], refs[i][int(reduce)%3]
+		W, H := ref.Width(), ref.Height()
+		win := jp2k.Rect{X0: int(x0) % W, Y0: int(y0) % H}
+		win.X1, win.Y1 = win.X0+1+int(dx), win.Y0+1+int(dy)
+		fm := formats[int(format)%len(formats)]
+		path := fmt.Sprintf("/img/%s?reduce=%d&x0=%d&y0=%d&x1=%d&y1=%d", st.id, int(reduce)%3, win.X0, win.Y0, win.X1, win.Y1)
+		if fm != "" {
+			path += "&format=" + fm
+		}
+		srv := uncached
+		if cache {
+			srv = cached
+		}
+		ncomp := ref.NComp()
+		if (fm == "pgm" && ncomp != 1) || (fm == "ppm" && ncomp != 3) {
+			if rec := get(t, srv, path); rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s: status %d, want 400", path, rec.Code)
+			}
+			return
+		}
+		if fm == "" {
+			fm = map[int]string{1: "pgm", 3: "ppm"}[ncomp]
+		}
+		want := wantBody(t, ref, win.Intersect(jp2k.Rect{X1: W, Y1: H}), fm, st.maxval)
+		for pass := range 2 {
+			rec := get(t, srv, path)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+			}
+			if !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("%s (cache %v, pass %d): body differs from the reference", path, cache, pass)
+			}
+		}
+	})
+}
+
 // TestConcurrentColdRequestsMatchDecode: with the cache off every tile is a
 // miss packed from a pooled Decoder's own output image, and every miss no
 // waiter joined is packed into a recycled buffer. Concurrent requests for
