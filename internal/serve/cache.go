@@ -86,7 +86,8 @@ type Cache[V any] struct {
 const tileOverhead = 160
 
 // newWireCache returns the server's cache: tiles held as the bytes a response
-// carries (see wireTile), charged their length plus per-entry overhead.
+// carries, in the sample order of the image's default format (see wireTile),
+// charged their length plus per-entry overhead.
 func newWireCache(maxBytes int64) *Cache[[]byte] {
 	return newCache(maxBytes, func(b []byte) int64 { return wireCharge(len(b)) })
 }

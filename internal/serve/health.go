@@ -49,41 +49,32 @@ func (s *Server) probeInterval() time.Duration {
 	return DefaultProbeInterval
 }
 
-// ioPolicy is the per-request retry policy handed to ResilientSource: the
-// server-wide retry/deadline knobs plus this request's budget, feeding the
-// shared IO counters.
-func (s *Server) ioPolicy(budget *t2.RetryBudget) t2.RetryPolicy {
+// ioPolicy is the per-request retry policy handed to ResilientSourceBudget:
+// the server-wide retry/deadline knobs, feeding the shared IO counters.
+func (s *Server) ioPolicy() t2.RetryPolicy {
 	return t2.RetryPolicy{
 		Retries:     s.ioRetries,
 		Backoff:     2 * time.Millisecond,
 		MaxBackoff:  250 * time.Millisecond,
 		ReadTimeout: s.opts.IOReadTimeout,
 		JitterSeed:  0x7069326b_73657276, // constant: jitter mixes in offset+attempt
-		Budget:      budget,
 		Counters:    s.ioc,
 	}
 }
 
 // requestSource returns the source a request's tile decodes read img through:
 // the raw source when the IO layer is fully disabled, otherwise a per-request
-// resilient wrapper carrying the request's budget.
-func (s *Server) requestSource(img *Image, budget *t2.RetryBudget) *t2.Source {
+// resilient wrapper carrying the request's own retry budget (unlimited when
+// IORetryBudget is negative), wrapper and budget built in one allocation.
+func (s *Server) requestSource(img *Image) *t2.Source {
 	if s.ioRetries <= 0 && s.opts.IOReadTimeout <= 0 {
 		return img.src
-	}
-	return t2.ResilientSource(img.src, s.ioPolicy(budget))
-}
-
-// newRequestBudget builds one request's retry budget; nil means unlimited.
-func (s *Server) newRequestBudget() *t2.RetryBudget {
-	if s.opts.IORetryBudget < 0 {
-		return nil
 	}
 	n := s.opts.IORetryBudget
 	if n == 0 {
 		n = DefaultIORetryBudget
 	}
-	return t2.NewRetryBudget(n)
+	return t2.ResilientSourceBudget(img.src, s.ioPolicy(), n)
 }
 
 // isQuarantined reports whether img is currently quarantined.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -133,15 +134,17 @@ func tileSpan(edges []int, lo, hi int) (t0, t1 int) {
 // assembleWindow builds req's complete response body in buf's storage (grown
 // when too small): the PNM header, if the format has one, then every sample
 // of the window, copied out of the wire tiles (cached, or packed at a miss)
-// into its final position —
-// whole tile rows for the planar formats, three interleaved byte runs for PPM —
-// with no intermediate window raster and no clamp: the samples were clamped
-// and narrowed once, when their tile was decoded. The tiles partition the
-// window (each is its whole grid cell), so every byte past the header is
-// written and the recycled storage is not cleared. It returns the body, the
-// indices of the tiles it touched, and the request's outcome: the per-tile
-// cache outcomes aggregated (worst wins), a damaged resilient decode
-// overriding them all.
+// into its final position with no intermediate window raster and no clamp:
+// the samples were clamped, narrowed and put in the image's default order
+// once, when their tile was decoded. A tile's overlap with the window is one
+// strided loop per tile (per component when planar): a PGM or PPM response,
+// and raw on any image but a colour one, copies one run per tile row; only
+// raw on a colour image splits each row's pixels into the three planes. The
+// tiles partition the window (each is its whole grid cell), so every byte
+// past the header is written and the recycled storage is not cleared. It
+// returns the body, the indices of the tiles it touched, and the request's
+// outcome: the per-tile cache outcomes aggregated (worst wins), a damaged
+// resilient decode overriding them all.
 func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []byte) (body []byte, tiles []int, agg reqOutcome, err error) {
 	win, colW, rowH := req.win, req.colW, req.rowH
 	w, h, bps := win.Dx(), win.Dy(), raster.SampleBytes(req.maxval)
@@ -155,9 +158,19 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 		body = append(make([]byte, 0, n), body...)
 	}
 	body = body[:n]
-	// PPM interleaves its three components, so pixel i of the window starts at
-	// sample 3i; PGM and raw are planar, so sample (c, i) sits at c*w*h + i.
-	interleaved := req.format == "ppm"
+	// A wire tile is planes planes of pix-byte pixels (wireTile): one plane of
+	// interleaved triplets for 3 components, one plane per component
+	// otherwise. The body is laid out the same way, unless split: raw on a
+	// colour image wants the components one after another, so each tile row
+	// is split into three planes of bps-byte pixels.
+	planes, pix := req.ncomp, bps
+	if req.ncomp == 3 {
+		planes, pix = 1, 3*bps
+	}
+	split, bodyPix := req.ncomp == 3 && req.format == "raw", pix
+	if split {
+		bodyPix = bps
+	}
 
 	tx0, tx1 := tileSpan(colW, win.X0, win.X1)
 	ty0, ty1 := tileSpan(rowH, win.Y0, win.Y1)
@@ -181,7 +194,7 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 	}()
 	decode := func() ([]byte, error) {
 		if src == nil {
-			src = s.requestSource(req.img, s.newRequestBudget())
+			src = s.requestSource(req.img)
 		}
 		var buf []byte
 		if !s.cache.admits(wireCharge(tw * th * req.ncomp * bps)) {
@@ -210,21 +223,21 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 				return body, tiles, agg, fmt.Errorf("tile (%d,%d): %w", tx, ty, err)
 			}
 			// The tile's overlap with the window in tile coordinates, and
-			// where its first sample lands in the window; then the same in
-			// bytes.
+			// where its first pixel lands in the window.
 			lx0, lx1 := max(win.X0-colW[tx], 0), min(win.X1, colW[tx+1])-colW[tx]
 			ly0, ly1 := max(win.Y0-rowH[ty], 0), min(win.Y1, rowH[ty+1])-rowH[ty]
 			ox, oy := colW[tx]+lx0-win.X0, rowH[ty]+ly0-win.Y0
-			plane, run := tw*th*bps, (lx1-lx0)*bps
-			for y := ly0; y < ly1; y++ {
-				px := (oy+y-ly0)*w + ox  // the row's first pixel in the window
-				at := (y*tw + lx0) * bps // its first sample in a tile plane
-				if interleaved {
-					interleave3(body[hdr+3*px*bps:], bps, tile[at:][:run], tile[plane+at:][:run], tile[2*plane+at:][:run])
-					continue
-				}
-				for ci := range req.ncomp {
-					copy(body[hdr+(ci*w*h+px)*bps:], tile[ci*plane+at:][:run])
+			run := (lx1 - lx0) * pix
+			for p := range planes {
+				at := ((p*th+ly0)*tw + lx0) * pix   // the overlap's first byte in the tile
+				to := hdr + ((p*h+oy)*w+ox)*bodyPix // and in the body
+				for range ly1 - ly0 {
+					if split {
+						deinterleave3(body[to:], body[to+w*h*bps:], body[to+2*w*h*bps:], bps, tile[at:at+run])
+					} else {
+						copy(body[to:to+run], tile[at:at+run])
+					}
+					at, to = at+tw*pix, to+w*bodyPix
 				}
 			}
 			if owned { // nobody else holds the tile: its storage is spare again
@@ -238,9 +251,11 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 	return body, tiles, agg, nil
 }
 
-// wireTile is what the server caches of a decoded tile: the bytes a planar
-// response carries, packed once at the miss so a hit only copies. Its
-// components follow one another, each row-major, every sample clamped into
+// wireTile is what the server caches of a decoded tile: its samples packed
+// once at the miss, in the order of the image's default response format, so
+// a hit only copies. Three components are pixel-interleaved, as PPM carries
+// them; any other count is planar, components one after another, as PGM and
+// raw carry them. Each plane is row-major, every sample clamped into
 // [0, maxval] and raster.SampleBytes(maxval) bytes wide (big-endian pairs
 // above 255). It packs into dst's storage, made anew when too small.
 func wireTile(dst []byte, pl *raster.Planar, maxval int) []byte {
@@ -251,6 +266,12 @@ func wireTile(dst []byte, pl *raster.Planar, maxval int) []byte {
 		dst = make([]byte, n)
 	}
 	out := dst[:n]
+	if c := pl.Comps; len(c) == 3 {
+		for y := range pl.Height() {
+			raster.PackSamples(out[3*y*tw*bps:], maxval, c[0].Row(y), c[1].Row(y), c[2].Row(y))
+		}
+		return out
+	}
 	for ci, c := range pl.Comps {
 		for y := range c.Height {
 			raster.PackSamples(out[ci*plane+y*tw*bps:], maxval, c.Row(y))
@@ -259,30 +280,31 @@ func wireTile(dst []byte, pl *raster.Planar, maxval int) []byte {
 	return out
 }
 
-// interleave3 writes three equal runs of bps-byte samples into dst as pixel
-// triplets: the PPM row layout. At one byte per sample it moves four pixels
-// per iteration, which ran ~1.5x faster than one pixel per iteration over
-// rows of 128x128 tiles.
-func interleave3(dst []byte, bps int, r, g, b []byte) {
-	n := len(r)
-	g, b, dst = g[:n], b[:n], dst[:3*n]
-	if bps == 2 {
-		for i := 0; i+1 < n; i += 2 {
-			d := dst[3*i : 3*i+6 : 3*i+6]
-			d[0], d[1], d[2], d[3], d[4], d[5] = r[i], r[i+1], g[i], g[i+1], b[i], b[i+1]
-		}
-		return
-	}
+// deinterleave3 splits a run of pixel triplets of bps-byte samples into the
+// three planes r, g and b: a row of a colour wire tile into a raw response.
+// The loop is bound by its stores, so it gathers eight bytes of each plane
+// from 24 source bytes and stores each as one word, which ran ~1.7x faster
+// over rows of 128x128 tiles than storing every byte.
+func deinterleave3(r, g, b []byte, bps int, src []byte) {
+	n := len(src) / 3 // bytes per plane
+	r, g, b = r[:n], g[:n], b[:n]
+	le := binary.LittleEndian
 	i := 0
-	for ; i+4 <= n; i += 4 {
-		r4, g4, b4, d := r[i:i+4:i+4], g[i:i+4:i+4], b[i:i+4:i+4], dst[3*i:3*i+12:3*i+12]
-		d[0], d[1], d[2] = r4[0], g4[0], b4[0]
-		d[3], d[4], d[5] = r4[1], g4[1], b4[1]
-		d[6], d[7], d[8] = r4[2], g4[2], b4[2]
-		d[9], d[10], d[11] = r4[3], g4[3], b4[3]
+	for ; i+8 <= n; i += 8 {
+		s := src[3*i : 3*i+24 : 3*i+24]
+		if bps == 1 {
+			le.PutUint64(r[i:], uint64(s[0])|uint64(s[3])<<8|uint64(s[6])<<16|uint64(s[9])<<24|uint64(s[12])<<32|uint64(s[15])<<40|uint64(s[18])<<48|uint64(s[21])<<56)
+			le.PutUint64(g[i:], uint64(s[1])|uint64(s[4])<<8|uint64(s[7])<<16|uint64(s[10])<<24|uint64(s[13])<<32|uint64(s[16])<<40|uint64(s[19])<<48|uint64(s[22])<<56)
+			le.PutUint64(b[i:], uint64(s[2])|uint64(s[5])<<8|uint64(s[8])<<16|uint64(s[11])<<24|uint64(s[14])<<32|uint64(s[17])<<40|uint64(s[20])<<48|uint64(s[23])<<56)
+			continue
+		}
+		le.PutUint64(r[i:], uint64(le.Uint16(s))|uint64(le.Uint16(s[6:]))<<16|uint64(le.Uint16(s[12:]))<<32|uint64(le.Uint16(s[18:]))<<48)
+		le.PutUint64(g[i:], uint64(le.Uint16(s[2:]))|uint64(le.Uint16(s[8:]))<<16|uint64(le.Uint16(s[14:]))<<32|uint64(le.Uint16(s[20:]))<<48)
+		le.PutUint64(b[i:], uint64(le.Uint16(s[4:]))|uint64(le.Uint16(s[10:]))<<16|uint64(le.Uint16(s[16:]))<<32|uint64(le.Uint16(s[22:]))<<48)
 	}
-	for ; i < n; i++ {
-		dst[3*i], dst[3*i+1], dst[3*i+2] = r[i], g[i], b[i]
+	for ; i < n; i++ { // the last pixels, a byte of each plane at a time
+		px, k := i/bps*3*bps, i%bps
+		r[i], g[i], b[i] = src[px+k], src[px+bps+k], src[px+2*bps+k]
 	}
 }
 

@@ -370,12 +370,14 @@ func TestConcurrentColdRequestsMatchDecode(t *testing.T) {
 	}
 }
 
-// TestCacheChargesWireBytes: the server caches tiles in wire form, so after
-// warming windows on gray 8-bit, colour 8-bit and gray 12-bit images (at two
-// reduce levels), /stats cache.bytes is the sum over the resident tiles of
-// tw*th*ncomp*SampleBytes plus the per-entry overhead, with tw x th each
-// tile's grid cell. The budget is large enough that nothing is evicted, so
-// the resident tiles are every tile a window touched.
+// TestCacheChargesWireBytes: the server caches tiles in wire form, in the
+// sample order of the image's default format (interleaved for colour, planar
+// otherwise), so whatever the order, after warming raw windows on gray 8-bit,
+// colour 8-bit and gray 12-bit images (at two reduce levels), /stats
+// cache.bytes is the sum over the resident tiles of tw*th*ncomp*SampleBytes
+// plus the per-entry overhead, with tw x th each tile's grid cell. The budget
+// is large enough that nothing is evicted, so the resident tiles are every
+// tile a window touched.
 func TestCacheChargesWireBytes(t *testing.T) {
 	store := NewStore()
 	for id, cs := range map[string][]byte{"gray8": encodeTest(t, testImage()), "color8": colorTestStream(t), "gray12": deepTestStream(t)} {
@@ -559,7 +561,9 @@ func TestWarmRequestAllocs(t *testing.T) {
 // overhead (TestWarmRequestAllocs counts 14 per request) and nothing per
 // miss — the decoded tile is the pooled Decoder's own output image, its wire
 // form is packed into a recycled buffer, and the singleflight record of an
-// unjoined miss is recycled. Measured 4.2 per miss; 11.1 when every miss
+// unjoined miss is recycled. Measured 3.8 per miss; 4.2 when the first miss
+// of a request built its retry budget and its resilient source in three
+// allocations instead of one; 11.1 when every miss
 // allocated a fresh four-block image and a fresh wire tile and every request
 // a url.Values map and canonicalised header keys; 11.4 with a new record per
 // miss, no packing at the miss and an fmt-built PNM header. Before pooled
@@ -631,50 +635,104 @@ func TestColdRequestAllocs(t *testing.T) {
 }
 
 // coldMissCap bounds allocations per tile miss in TestColdRequestAllocs:
-// measured 4.2, with room for net/http drift in the shared request overhead.
-const coldMissCap = 6
+// measured 3.8, with room for net/http drift in the shared request overhead.
+const coldMissCap = 5
 
-// BenchmarkWarmRegion is the warm path in process: ServeHTTP of 1024x768 PGM
-// windows panning over a 2048x2048 9/7 image of 256 128x128 tiles, every
-// tile already cached. The 4 MiB set of wire tiles is larger than L2, so this
-// gauges the row copies out of cached tiles, not the codec.
+// BenchmarkWarmRegion is the warm path in process: ServeHTTP of windows
+// panning over an image whose tiles are all cached, one sub-benchmark per hit
+// shape. gray/pgm serves 1024x768 PGM windows of a 2048x2048 9/7 image of 256
+// 128x128 tiles; colour/ppm and colour/raw serve 512x384 windows of a
+// 1024x1024 5/3 + MCT image of 64 128x128 tiles as PPM (the order the tiles
+// are cached in) and as raw (split into planes at copy time). Each set of
+// wire tiles (4 MiB gray, 3 MiB colour) is larger than L2, so this gauges the
+// row copies out of cached tiles, not the codec.
 func BenchmarkWarmRegion(b *testing.B) {
-	const side, tileSide, vw, vh = 2048, 128, 1024, 768
-	cs, _, err := jp2k.Encode(raster.Synthetic(side, side, 11), jp2k.Options{
-		Kernel: dwt.Irr97, LayerBPP: []float64{1.0}, TileW: tileSide, TileH: tileSide, Levels: 5,
-	})
-	if err != nil {
-		b.Fatal(err)
+	gray := func(b *testing.B) *Server {
+		cs, _, err := jp2k.Encode(raster.Synthetic(2048, 2048, 11), jp2k.Options{
+			Kernel: dwt.Irr97, LayerBPP: []float64{1.0}, TileW: 128, TileH: 128, Levels: 5,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := warmServer(b, cs)
+		b.Cleanup(srv.Close)
+		return srv
 	}
+	var colour *Server // shared by the two colour formats, encoded once
+	colourServer := func(b *testing.B) *Server {
+		if colour != nil {
+			return colour
+		}
+		const side = 1024
+		pl := raster.NewPlanar(side, side, 3)
+		for ci, c := range pl.Comps {
+			copy(c.Pix, raster.Synthetic(side, side, uint64(12+ci)).Pix)
+		}
+		cs, _, err := jp2k.EncodePlanar(pl, jp2k.Options{
+			Kernel: dwt.Rev53, MCT: true, TileW: 128, TileH: 128, Levels: 5,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		colour = warmServer(b, cs)
+		return colour
+	}
+	b.Cleanup(func() {
+		if colour != nil {
+			colour.Close()
+		}
+	})
+	for _, c := range []struct {
+		name, format string
+		server       func(*testing.B) *Server
+		side, vw, vh int
+	}{
+		{"gray/pgm", "pgm", gray, 2048, 1024, 768},
+		{"colour/ppm", "ppm", colourServer, 1024, 512, 384},
+		{"colour/raw", "raw", colourServer, 1024, 512, 384},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			srv := c.server(b)
+			var reqs []*http.Request
+			for k := range 16 { // tile-unaligned origins spread over the image
+				x0, y0 := k*337%(c.side-c.vw), k*211%(c.side-c.vh)
+				reqs = append(reqs, httptest.NewRequest("GET", fmt.Sprintf("/img/big?x0=%d&y0=%d&x1=%d&y1=%d&format=%s",
+					x0, y0, x0+c.vw, y0+c.vh, c.format), nil))
+			}
+			decodes := srv.TileDecodes()
+			b.SetBytes(int64(c.vw * c.vh))
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				serveOK(b, srv, reqs[i%len(reqs)])
+				i++
+			}
+			if n := srv.TileDecodes(); n != decodes {
+				b.Fatalf("%d tile decodes while serving warm windows", n-decodes)
+			}
+		})
+	}
+}
+
+// warmServer serves cs as "big" with every tile decoded and cached.
+func warmServer(b *testing.B, cs []byte) *Server {
 	store := NewStore()
 	if _, err := store.Add("big", cs); err != nil {
 		b.Fatal(err)
 	}
 	srv := New(store, Options{CacheBytes: 64 << 20})
-	defer srv.Close()
-	serve := func(req *http.Request) {
-		rec := httptest.NewRecorder()
-		rec.Body = nil // count the server's work, not the recorder's copy
-		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("%s: %d", req.URL, rec.Code)
-		}
-	}
-	serve(httptest.NewRequest("GET", "/img/big", nil)) // decode and cache every tile
-	var reqs []*http.Request
-	for k := range 16 { // tile-unaligned origins spread over the image
-		x0, y0 := k*337%(side-vw), k*211%(side-vh)
-		reqs = append(reqs, httptest.NewRequest("GET", fmt.Sprintf("/img/big?x0=%d&y0=%d&x1=%d&y1=%d", x0, y0, x0+vw, y0+vh), nil))
-	}
-	b.SetBytes(vw * vh)
-	b.ReportAllocs()
-	i := 0
-	for b.Loop() {
-		serve(reqs[i%len(reqs)])
-		i++
-	}
-	if n := srv.TileDecodes(); n != side/tileSide*side/tileSide {
-		b.Fatalf("%d tile decodes, want one per tile", n)
+	serveOK(b, srv, httptest.NewRequest("GET", "/img/big", nil))
+	return srv
+}
+
+// serveOK serves req, discarding the body: the benchmarks count the server's
+// work, not the recorder's copy.
+func serveOK(b *testing.B, srv *Server, req *http.Request) {
+	rec := httptest.NewRecorder()
+	rec.Body = nil
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		b.Fatalf("%s: %d", req.URL, rec.Code)
 	}
 }
 

@@ -132,12 +132,40 @@ type RetryPolicy struct {
 // layer of pol and returns a Source over it, whatever backs src. The wrapper
 // does not own the underlying reader: closing it is a no-op, and the original
 // Source's Close still releases the file. Wrappers are cheap — the serving
-// tier builds one per request so each request carries its own retry budget.
+// tier builds one per request so each request carries its own retry budget
+// (ResilientSourceBudget).
 func ResilientSource(src *Source, pol RetryPolicy) *Source {
+	return new(resilientSource).wrap(src, pol)
+}
+
+// ResilientSourceBudget is ResilientSource with a budget of its own in place
+// of pol.Budget: n retries in total, unlimited when n is negative. The
+// wrapper, its reader and the budget are one allocation.
+func ResilientSourceBudget(src *Source, pol RetryPolicy, n int) *Source {
+	rs := new(resilientSource)
+	pol.Budget = nil
+	if n >= 0 {
+		rs.budget.n.Store(int64(n))
+		pol.Budget = &rs.budget
+	}
+	return rs.wrap(src, pol)
+}
+
+// resilientSource is a wrapped Source together with its reader and the
+// budget ResilientSourceBudget gives it.
+type resilientSource struct {
+	src    Source
+	rr     retryReaderAt
+	budget RetryBudget
+}
+
+func (rs *resilientSource) wrap(src *Source, pol RetryPolicy) *Source {
 	if pol.Sleep == nil {
 		pol.Sleep = time.Sleep
 	}
-	return &Source{r: &retryReaderAt{r: src.r, pol: pol}, size: src.size}
+	rs.rr = retryReaderAt{r: src.r, pol: pol}
+	rs.src = Source{r: &rs.rr, size: src.size}
+	return &rs.src
 }
 
 // retryReaderAt is the io.ReaderAt implementing RetryPolicy over a raw

@@ -160,6 +160,38 @@ func TestRetryBudgetCapsRetries(t *testing.T) {
 	}
 }
 
+// TestResilientSourceBudget: each ResilientSourceBudget wrapper spends a
+// budget of its own across all of its reads (a shared pol.Budget is
+// ignored), a negative n retries without limit, and a wrapper is one
+// allocation.
+func TestResilientSourceBudget(t *testing.T) {
+	r := &failNReader{limit: 1 << 30, err: tempErr{}}
+	shared := NewRetryBudget(1)
+	pol := RetryPolicy{Retries: 10, Budget: shared}
+	for _, c := range []struct {
+		n, first, second int // budget, then attempts of two failing reads
+	}{{3, 4, 1}, {12, 11, 3}, {-1, 11, 11}} {
+		src := ResilientSourceBudget(NewSource(r, 100), pol, c.n)
+		for i, want := range []int{c.first, c.second} {
+			_, err := src.ReadAt(make([]byte, 4), int64(8*i))
+			var re *ReadError
+			if !errors.As(err, &re) || re.Attempts != want {
+				t.Fatalf("budget %d, read %d: err %v; want *ReadError with %d attempts", c.n, i, err, want)
+			}
+		}
+	}
+	if !shared.take() {
+		t.Fatal("the policy's own budget was spent")
+	}
+	inner := NewSource(r, 100)
+	if n := testing.AllocsPerRun(20, func() { sinkSource = ResilientSourceBudget(inner, pol, 3) }); n != 1 {
+		t.Fatalf("ResilientSourceBudget allocates %.0f times, want 1", n)
+	}
+}
+
+// sinkSource keeps a measured wrapper on the heap, where a caller's is.
+var sinkSource *Source
+
 // --- Per-read deadline.
 
 func TestReadTimeoutAbandonsStalledRead(t *testing.T) {
