@@ -49,32 +49,33 @@ func (s *Server) probeInterval() time.Duration {
 	return DefaultProbeInterval
 }
 
-// ioPolicy is the per-request retry policy handed to ResilientSourceBudget:
-// the server-wide retry/deadline knobs, feeding the shared IO counters.
+// ioPolicy is the per-request retry policy handed to ResilientSource: the
+// server-wide retry/deadline knobs, feeding the shared IO counters, with the
+// request's retry budget (unlimited when IORetryBudget is negative).
 func (s *Server) ioPolicy() t2.RetryPolicy {
+	budget := s.opts.IORetryBudget
+	if budget == 0 {
+		budget = DefaultIORetryBudget
+	}
 	return t2.RetryPolicy{
 		Retries:     s.ioRetries,
 		Backoff:     2 * time.Millisecond,
 		MaxBackoff:  250 * time.Millisecond,
 		ReadTimeout: s.opts.IOReadTimeout,
 		JitterSeed:  0x7069326b_73657276, // constant: jitter mixes in offset+attempt
+		Budget:      max(budget, 0),
 		Counters:    s.ioc,
 	}
 }
 
 // requestSource returns the source a request's tile decodes read img through:
 // the raw source when the IO layer is fully disabled, otherwise a per-request
-// resilient wrapper carrying the request's own retry budget (unlimited when
-// IORetryBudget is negative), wrapper and budget built in one allocation.
+// resilient wrapper, whose reads all spend the request's one retry budget.
 func (s *Server) requestSource(img *Image) *t2.Source {
 	if s.ioRetries <= 0 && s.opts.IOReadTimeout <= 0 {
 		return img.src
 	}
-	n := s.opts.IORetryBudget
-	if n == 0 {
-		n = DefaultIORetryBudget
-	}
-	return t2.ResilientSourceBudget(img.src, s.ioPolicy(), n)
+	return t2.ResilientSource(img.src, s.ioPolicy())
 }
 
 // isQuarantined reports whether img is currently quarantined.

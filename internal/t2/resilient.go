@@ -77,26 +77,6 @@ type IOCounters struct {
 	Timeouts atomic.Int64 // attempts abandoned at the per-read deadline
 }
 
-// RetryBudget caps the total retries a group of reads may spend — the
-// per-request bound that keeps one degraded image from multiplying its
-// latency by (retries x tiles). A nil budget is unlimited.
-type RetryBudget struct{ n atomic.Int64 }
-
-// NewRetryBudget returns a budget allowing n retries in total.
-func NewRetryBudget(n int) *RetryBudget {
-	b := &RetryBudget{}
-	b.n.Store(int64(n))
-	return b
-}
-
-// take consumes one retry, reporting false when the budget is spent.
-func (b *RetryBudget) take() bool {
-	if b == nil {
-		return true
-	}
-	return b.n.Add(-1) >= 0
-}
-
 // RetryPolicy shapes a ResilientSource: how many times a transient read
 // failure is retried, how backoff grows, the per-read deadline, and where
 // counters land. The zero policy retries nothing but still classifies errors,
@@ -119,9 +99,12 @@ type RetryPolicy struct {
 	// seed/offset/attempt): concurrent tile reads de-synchronize without any
 	// global randomness, and a given failure always replays identically.
 	JitterSeed uint64
-	// Budget, when set, is consumed by every retry; reads keep failing fast
-	// once it is spent. Shared per request across all of its tile reads.
-	Budget *RetryBudget
+	// Budget, when positive, caps the retries all reads through one wrapper
+	// may spend in total; reads keep failing fast once it is spent. It is
+	// the per-request bound that keeps one degraded image from multiplying
+	// a request's latency by retries x tiles: the serving tier builds one
+	// wrapper per request. Zero leaves the total unbounded.
+	Budget int
 	// Counters, when set, receives the read/retry/failure/timeout traffic.
 	Counters *IOCounters
 	// Sleep replaces time.Sleep between attempts (tests inject a fake).
@@ -131,39 +114,16 @@ type RetryPolicy struct {
 // ResilientSource wraps src's reader in the retry/deadline/classification
 // layer of pol and returns a Source over it, whatever backs src. The wrapper
 // does not own the underlying reader: closing it is a no-op, and the original
-// Source's Close still releases the file. Wrappers are cheap — the serving
-// tier builds one per request so each request carries its own retry budget
-// (ResilientSourceBudget).
+// Source's Close still releases the file. A wrapper is one allocation, its
+// reader and retry budget included.
 func ResilientSource(src *Source, pol RetryPolicy) *Source {
-	return new(resilientSource).wrap(src, pol)
-}
-
-// ResilientSourceBudget is ResilientSource with a budget of its own in place
-// of pol.Budget: n retries in total, unlimited when n is negative. The
-// wrapper, its reader and the budget are one allocation.
-func ResilientSourceBudget(src *Source, pol RetryPolicy, n int) *Source {
-	rs := new(resilientSource)
-	pol.Budget = nil
-	if n >= 0 {
-		rs.budget.n.Store(int64(n))
-		pol.Budget = &rs.budget
-	}
-	return rs.wrap(src, pol)
-}
-
-// resilientSource is a wrapped Source together with its reader and the
-// budget ResilientSourceBudget gives it.
-type resilientSource struct {
-	src    Source
-	rr     retryReaderAt
-	budget RetryBudget
-}
-
-func (rs *resilientSource) wrap(src *Source, pol RetryPolicy) *Source {
 	if pol.Sleep == nil {
 		pol.Sleep = time.Sleep
 	}
-	rs.rr = retryReaderAt{r: src.r, pol: pol}
+	rs := &struct {
+		src Source
+		rr  retryReaderAt
+	}{rr: retryReaderAt{r: src.r, pol: pol}}
 	rs.src = Source{r: &rs.rr, size: src.size}
 	return &rs.src
 }
@@ -171,8 +131,14 @@ func (rs *resilientSource) wrap(src *Source, pol RetryPolicy) *Source {
 // retryReaderAt is the io.ReaderAt implementing RetryPolicy over a raw
 // reader. It is safe for concurrent use when the wrapped reader is.
 type retryReaderAt struct {
-	r   io.ReaderAt
-	pol RetryPolicy
+	r     io.ReaderAt
+	pol   RetryPolicy
+	spent atomic.Int64 // retries taken from pol.Budget
+}
+
+// take consumes one retry of the budget, reporting false when it is spent.
+func (rr *retryReaderAt) take() bool {
+	return rr.pol.Budget <= 0 || rr.spent.Add(1) <= int64(rr.pol.Budget)
 }
 
 func (rr *retryReaderAt) ReadAt(p []byte, off int64) (int, error) {
@@ -195,7 +161,7 @@ func (rr *retryReaderAt) ReadAt(p []byte, off int64) (int, error) {
 			return n, nil
 		}
 		transient := Transient(err)
-		if !transient || attempt >= pol.Retries || !pol.Budget.take() {
+		if !transient || attempt >= pol.Retries || !rr.take() {
 			if pol.Counters != nil {
 				pol.Counters.Failures.Add(1)
 			}

@@ -140,14 +140,13 @@ func TestResilientRetriesExhausted(t *testing.T) {
 func TestRetryBudgetCapsRetries(t *testing.T) {
 	r := &failNReader{limit: 1 << 30, err: tempErr{}}
 	var ctr IOCounters
-	budget := NewRetryBudget(3)
-	src := resilientOver(r, 100, RetryPolicy{Retries: 10, Budget: budget, Counters: &ctr})
+	src := resilientOver(r, 100, RetryPolicy{Retries: 10, Budget: 3, Counters: &ctr})
 	_, err := src.ReadAt(make([]byte, 4), 0)
 	var re *ReadError
 	if !errors.As(err, &re) || re.Attempts != 4 {
 		t.Fatalf("first read: err %v; want *ReadError with 4 attempts (1 + 3 budgeted retries)", err)
 	}
-	if budget.take() {
+	if src.r.(*retryReaderAt).take() {
 		t.Fatal("budget still grants a retry after exhaustion")
 	}
 	// The spent budget makes later reads fail fast: one attempt, no retries.
@@ -160,32 +159,30 @@ func TestRetryBudgetCapsRetries(t *testing.T) {
 	}
 }
 
-// TestResilientSourceBudget: each ResilientSourceBudget wrapper spends a
-// budget of its own across all of its reads (a shared pol.Budget is
-// ignored), a negative n retries without limit, and a wrapper is one
-// allocation.
+// TestResilientSourceBudget: each wrapper spends a budget of its own across
+// all of its reads (two wrappers of one policy share nothing), a zero budget
+// retries without limit, and a wrapper is one allocation.
 func TestResilientSourceBudget(t *testing.T) {
 	r := &failNReader{limit: 1 << 30, err: tempErr{}}
-	shared := NewRetryBudget(1)
-	pol := RetryPolicy{Retries: 10, Budget: shared}
 	for _, c := range []struct {
-		n, first, second int // budget, then attempts of two failing reads
-	}{{3, 4, 1}, {12, 11, 3}, {-1, 11, 11}} {
-		src := ResilientSourceBudget(NewSource(r, 100), pol, c.n)
-		for i, want := range []int{c.first, c.second} {
-			_, err := src.ReadAt(make([]byte, 4), int64(8*i))
-			var re *ReadError
-			if !errors.As(err, &re) || re.Attempts != want {
-				t.Fatalf("budget %d, read %d: err %v; want *ReadError with %d attempts", c.n, i, err, want)
+		budget, first, second int // then attempts of two failing reads
+	}{{3, 4, 1}, {12, 11, 3}, {0, 11, 11}} {
+		pol := RetryPolicy{Retries: 10, Budget: c.budget}
+		for range 2 {
+			src := ResilientSource(NewSource(r, 100), pol)
+			for i, want := range []int{c.first, c.second} {
+				_, err := src.ReadAt(make([]byte, 4), int64(8*i))
+				var re *ReadError
+				if !errors.As(err, &re) || re.Attempts != want {
+					t.Fatalf("budget %d, read %d: err %v; want *ReadError with %d attempts", c.budget, i, err, want)
+				}
 			}
 		}
 	}
-	if !shared.take() {
-		t.Fatal("the policy's own budget was spent")
-	}
 	inner := NewSource(r, 100)
-	if n := testing.AllocsPerRun(20, func() { sinkSource = ResilientSourceBudget(inner, pol, 3) }); n != 1 {
-		t.Fatalf("ResilientSourceBudget allocates %.0f times, want 1", n)
+	pol := RetryPolicy{Retries: 10, Budget: 3}
+	if n := testing.AllocsPerRun(20, func() { sinkSource = ResilientSource(inner, pol) }); n != 1 {
+		t.Fatalf("ResilientSource allocates %.0f times, want 1", n)
 	}
 }
 
