@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"pj2k/internal/cachesim"
-	"pj2k/internal/core"
 	"pj2k/internal/dwt"
 	"pj2k/internal/experiments"
 	"pj2k/internal/jp2k"
@@ -162,11 +161,11 @@ func BenchmarkQuant_Parallel(b *testing.B) {
 		src[i] = float64(i%4093)*0.31 - 600
 	}
 	dst := make([]int32, n*n)
-	band := dwt.Subband{X0: 0, Y0: 0, X1: n, Y1: n}
+	jobs := []quant.BandJob{{Band: dwt.Subband{X0: 0, Y0: 0, X1: n, Y1: n}, Step: 1.0 / 512, Dst: dst, DstStride: n}}
 	b.SetBytes(int64(n * n * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		quant.Forward(src, n, band, 1.0/512, dst, n, runtime.GOMAXPROCS(0))
+		quant.ForwardBands(src, n, jobs, runtime.GOMAXPROCS(0), nil)
 	}
 }
 
@@ -180,14 +179,14 @@ func BenchmarkAmdahl_Table(b *testing.B) {
 
 // BenchmarkAblation_BlockWidth sweeps the improved filter's column-block
 // width on the host, for both kernels (4 B and 8 B samples) in both
-// directions: the table DefaultBlockWidth is picked from.
+// directions: the table dwt's default block width is picked from.
 func BenchmarkAblation_BlockWidth(b *testing.B) {
 	im := raster.Synthetic(1024, 1024, 3)
 	for _, k := range dwtCases(im, 5) {
 		for _, fwd := range []bool{true, false} {
 			for _, bw := range []int{8, 16, 32, 64, 128} {
 				b.Run(k.name+"/"+dirName(fwd)+"/"+byName("bw", bw), func(b *testing.B) {
-					st := dwt.Strategy{VertMode: dwt.VertBlocked, BlockWidth: bw, Workers: 1, Scratch: dwt.NewScratch(1)}
+					st := dwt.Strategy{VertMode: dwt.VertBlocked, BlockWidth: bw, Workers: 1, Scratch: new(dwt.Scratch)}
 					k.bench(b, fwd, st)
 				})
 			}
@@ -218,37 +217,6 @@ func BenchmarkAblation_PadVsBlocked(b *testing.B) {
 			b.ReportMetric(last*1e3, "model-ms")
 		})
 	}
-}
-
-// BenchmarkAblation_Scheduling compares the paper's staggered round-robin
-// code-block assignment against contiguous chunking on a cost ramp.
-func BenchmarkAblation_Scheduling(b *testing.B) {
-	const n, p = 1024, 4
-	times := make([]float64, n)
-	for i := range times {
-		times[i] = 1 + float64(i)/64 // spatially correlated block costs
-	}
-	contig := make([][]int, p)
-	for w := 0; w < p; w++ {
-		for k := w * n / p; k < (w+1)*n/p; k++ {
-			contig[w] = append(contig[w], k)
-		}
-	}
-	b.Run("contiguous", func(b *testing.B) {
-		var mk float64
-		for i := 0; i < b.N; i++ {
-			mk = smp.Makespan(times, contig)
-		}
-		b.ReportMetric(mk, "makespan")
-	})
-	b.Run("staggered", func(b *testing.B) {
-		var mk float64
-		sched := core.StaggeredRoundRobin(n, p)
-		for i := 0; i < b.N; i++ {
-			mk = smp.Makespan(times, sched)
-		}
-		b.ReportMetric(mk, "makespan")
-	})
 }
 
 // --- Real-goroutine parallel encode (bit-identical by construction; on a
@@ -533,7 +501,7 @@ func BenchmarkMQEncode(b *testing.B) {
 	}
 	b.SetBytes(int64(len(decisions)) / 8)
 	b.ReportAllocs()
-	enc := mq.NewEncoder()
+	enc := new(mq.Encoder)
 	for i := 0; i < b.N; i++ {
 		enc.Init()
 		var cx mq.Context
@@ -553,14 +521,16 @@ func BenchmarkMQDecode(b *testing.B) {
 	for i := range decisions {
 		decisions[i] = (i * 2654435761) >> 13 & 1
 	}
-	enc := mq.NewEncoder()
+	enc := new(mq.Encoder)
+	enc.Init()
 	var cx mq.Context
 	for _, d := range decisions {
 		enc.Encode(d, &cx)
 	}
 	seg := append([]byte(nil), enc.Flush()...)
 	// Sanity: the segment must decode back to the input decisions.
-	dec := mq.NewDecoder(seg)
+	dec := new(mq.Decoder)
+	dec.Reset(seg)
 	cx = mq.Context{}
 	for i, d := range decisions {
 		if got := dec.Decode(&cx); got != d {
@@ -589,7 +559,7 @@ func BenchmarkDWT(b *testing.B) {
 			for _, mode := range []dwt.VertMode{dwt.VertNaive, dwt.VertBlocked} {
 				for _, w := range []int{1, 2} {
 					b.Run(k.name+"/"+dirName(fwd)+"/"+mode.String()+"/w="+strconv.Itoa(w), func(b *testing.B) {
-						k.bench(b, fwd, dwt.Strategy{VertMode: mode, Workers: w, Scratch: dwt.NewScratch(w)})
+						k.bench(b, fwd, dwt.Strategy{VertMode: mode, Workers: w, Scratch: new(dwt.Scratch)})
 					})
 				}
 			}
@@ -681,11 +651,11 @@ func BenchmarkT1Block(b *testing.B) {
 		b.SetBytes(64 * 64 * 4)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			t1.Encode(data, 64, 64, 64, dwt.HH)
+			new(t1.Coder).Encode(data, 64, 64, 64, dwt.HH)
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {
-		co := t1.NewCoder()
+		co := new(t1.Coder)
 		b.SetBytes(64 * 64 * 4)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -712,7 +682,7 @@ func BenchmarkT1Block(b *testing.B) {
 	}
 	for _, mc := range modeCases[1:] {
 		b.Run(mc.name, func(b *testing.B) {
-			co := t1.NewCoder()
+			co := new(t1.Coder)
 			co.Modes = mc.modes
 			b.SetBytes(64 * 64 * 4)
 			b.ReportAllocs()
@@ -732,7 +702,7 @@ func BenchmarkT1Block(b *testing.B) {
 	}
 	for _, mc := range modeCases[:3] {
 		b.Run("deep/"+mc.name, func(b *testing.B) {
-			co := t1.NewCoder()
+			co := new(t1.Coder)
 			co.Modes = mc.modes
 			b.SetBytes(64 * 64 * 4)
 			b.ReportAllocs()

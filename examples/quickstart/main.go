@@ -14,7 +14,7 @@ import (
 
 func main() {
 	// A deterministic synthetic photograph; any *raster.Image works (see
-	// raster.ReadPGM for file input).
+	// raster.ReadPNM for file input).
 	im := raster.Synthetic(512, 512, 7)
 
 	// --- Lossless: reversible 5/3 transform, every coding pass kept.

@@ -62,14 +62,14 @@ type Reader struct {
 // NewReader returns a bit reader over buf.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
-// ErrOutOfBits is returned when a read goes past the end of the buffer.
-var ErrOutOfBits = errors.New("bitio: out of bits")
+// errOutOfBits is returned when a read goes past the end of the buffer.
+var errOutOfBits = errors.New("bitio: out of bits")
 
 // ReadBit returns the next bit.
 func (r *Reader) ReadBit() (int, error) {
 	if r.nacc == 0 {
 		if r.pos >= len(r.buf) {
-			return 0, ErrOutOfBits
+			return 0, errOutOfBits
 		}
 		r.acc = r.buf[r.pos]
 		r.pos++
@@ -170,9 +170,6 @@ type StuffReader struct {
 	prev byte
 }
 
-// NewStuffReader returns a stuffing-aware bit reader over buf.
-func NewStuffReader(buf []byte) *StuffReader { return &StuffReader{buf: buf} }
-
 // Reset re-aims the reader at a new buffer, allowing one StuffReader to be
 // pooled across the many packet headers of a tile decode.
 func (r *StuffReader) Reset(buf []byte) { *r = StuffReader{buf: buf} }
@@ -181,7 +178,7 @@ func (r *StuffReader) Reset(buf []byte) { *r = StuffReader{buf: buf} }
 func (r *StuffReader) ReadBit() (int, error) {
 	if r.nacc == 0 {
 		if r.pos >= len(r.buf) {
-			return 0, ErrOutOfBits
+			return 0, errOutOfBits
 		}
 		b := r.buf[r.pos]
 		r.pos++

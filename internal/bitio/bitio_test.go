@@ -55,8 +55,8 @@ func TestReaderOutOfBits(t *testing.T) {
 	if _, err := r.ReadBits(8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadBit(); err != ErrOutOfBits {
-		t.Fatalf("want ErrOutOfBits, got %v", err)
+	if _, err := r.ReadBit(); err != errOutOfBits {
+		t.Fatalf("want errOutOfBits, got %v", err)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestStuffRoundTrip(t *testing.T) {
 			w.WriteBit(b)
 		}
 		out := w.Bytes()
-		r := NewStuffReader(out)
+		r := newStuffReader(out)
 		for i, want := range bits {
 			got, err := r.ReadBit()
 			if err != nil {
@@ -147,7 +147,7 @@ func TestStuffRoundTripWithTrailingData(t *testing.T) {
 	}
 	hdr := w.Bytes()
 	full := append(append([]byte(nil), hdr...), 0xAA, 0xBB)
-	r := NewStuffReader(full)
+	r := newStuffReader(full)
 	for i, want := range bits {
 		got, err := r.ReadBit()
 		if err != nil {
@@ -175,7 +175,7 @@ func TestQuickStuffRoundTrip(t *testing.T) {
 			}
 		}
 		out := w.Bytes()
-		r := NewStuffReader(out)
+		r := newStuffReader(out)
 		for _, b := range raw {
 			for k := 7; k >= 0; k-- {
 				got, err := r.ReadBit()
@@ -190,3 +190,5 @@ func TestQuickStuffRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func newStuffReader(buf []byte) *StuffReader { return &StuffReader{buf: buf} }

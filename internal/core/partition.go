@@ -1,8 +1,8 @@
 // Package core implements the paper's parallelization strategy as a reusable
-// library: static contiguous partitioning for the deterministic-workload
-// wavelet transform (Sec. 3.2: "the deterministic workload allows a static
-// load allocation"), a staggered round-robin scheduler for code-blocks (the
-// load-balance fix for tier-1 coding), and a worker pool.
+// library: a worker pool that splits the deterministic-workload wavelet
+// transform into static contiguous chunks (Sec. 3.2: "the deterministic
+// workload allows a static load allocation") and assigns code-blocks
+// staggered round-robin (the load-balance fix for tier-1 coding).
 package core
 
 import "runtime"
@@ -22,27 +22,4 @@ func Workers(w int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return w
-}
-
-// StaggeredRoundRobin assigns n tasks to p workers the way the paper assigns
-// code-blocks to its thread pool: worker w receives tasks w, w+p, w+2p, ...
-// Adjacent code-blocks have correlated cost (they cover neighbouring image
-// regions), so striding by p spreads expensive regions across workers instead
-// of giving one worker a contiguous run of hard blocks.
-// The returned slice maps worker index to its task indices.
-func StaggeredRoundRobin(n, p int) [][]int {
-	p = Workers(p)
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	out := make([][]int, p)
-	for w := 0; w < p; w++ {
-		for t := w; t < n; t += p {
-			out[w] = append(out[w], t)
-		}
-	}
-	return out
 }

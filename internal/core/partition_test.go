@@ -39,40 +39,6 @@ func TestForMaxBarrier(t *testing.T) {
 	}
 }
 
-func TestStaggeredRoundRobin(t *testing.T) {
-	assign := StaggeredRoundRobin(10, 3)
-	if len(assign) != 3 {
-		t.Fatalf("%d workers", len(assign))
-	}
-	if got := assign[0]; len(got) != 4 || got[0] != 0 || got[1] != 3 || got[2] != 6 || got[3] != 9 {
-		t.Fatalf("worker 0 tasks %v", got)
-	}
-	// All tasks exactly once.
-	seen := make([]bool, 10)
-	for _, ts := range assign {
-		for _, i := range ts {
-			if seen[i] {
-				t.Fatalf("task %d assigned twice", i)
-			}
-			seen[i] = true
-		}
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("task %d unassigned", i)
-		}
-	}
-}
-
-func TestStaggeredRoundRobinEdgeCases(t *testing.T) {
-	if got := StaggeredRoundRobin(2, 8); len(got) != 2 {
-		t.Fatalf("more workers than tasks: %d lists", len(got))
-	}
-	if got := StaggeredRoundRobin(0, 4); len(got) != 1 || len(got[0]) != 0 {
-		t.Fatalf("zero tasks: %v", got)
-	}
-}
-
 func TestTasksIDMaxExecutesAll(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		n := 37
@@ -92,13 +58,10 @@ func TestQuickPartitionInvariants(t *testing.T) {
 	f := func(n16 uint16, p8 uint8) bool {
 		n := int(n16 % 2000)
 		p := 1 + int(p8%32)
-		total := 0
+		var total atomic.Int64
 		Default().ForMax(1, 0, func(lo, hi int) {}) // degenerate must not panic
-		assign := StaggeredRoundRobin(n, p)
-		for _, ts := range assign {
-			total += len(ts)
-		}
-		return total == n
+		Default().ForMax(p, n, func(lo, hi int) { total.Add(int64(hi - lo)) })
+		return total.Load() == int64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ func (p *Pool) Stats() PoolStats {
 // read-only fields into locals before its task loop, so a running share never
 // touches the batch between claiming its id and finishing.
 type batch struct {
-	rng    func(worker, lo, hi int) // chunked barrier (ForID): chunk id of q
+	rng    func(worker, lo, hi int) // chunked barrier (ForIDMax): chunk id of q
 	task   func(worker, i int)      // strided tasks (TasksIDMax): ids i, i+q, ...
 	n, q   int
 	next   atomic.Int64 // dense worker-id allocator
@@ -216,16 +216,11 @@ func (p *Pool) sendShare(b *batch) {
 	}
 }
 
-// ForID runs fn over [0, n) in at most Size contiguous chunks on the resident
-// workers, returning after all complete (a barrier, as required between the
-// vertical and horizontal filtering of each DWT level).
-func (p *Pool) ForID(n int, fn func(worker, lo, hi int)) {
-	p.ForIDMax(p.size, n, fn)
-}
-
-// ForIDMax is ForID with the chunk count capped at w instead of the pool
-// size (w <= 0 selects the pool size, mirroring Workers): the index range
-// splits into q = min(w, n) chunks with dense worker ids in [0, q), so
+// ForIDMax runs fn over [0, n) in contiguous chunks on the resident workers,
+// returning after all complete (a barrier, as required between the vertical
+// and horizontal filtering of each DWT level). The chunk count is capped at w
+// (w <= 0 selects the pool size, mirroring Workers): the index range splits
+// into q = min(w, n) chunks with dense worker ids in [0, q), so
 // per-worker scratch sized for min(w, n) workers stays valid; with q <= 1 it
 // runs inline with zero dispatch overhead. When w exceeds the pool size the
 // resident workers multiplex the extra shares; the chunking — and therefore

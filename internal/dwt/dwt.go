@@ -40,7 +40,7 @@ func (m VertMode) String() string {
 // its column-block width, and the number of parallel workers.
 type Strategy struct {
 	VertMode   VertMode
-	BlockWidth int // columns per block for VertBlocked; <=0 selects DefaultBlockWidth
+	BlockWidth int // columns per block for VertBlocked; <=0 selects defaultBlockWidth
 	Workers    int // <=0 selects GOMAXPROCS
 	// Scratch supplies reusable per-worker filtering buffers and the bound
 	// level jobs, so a warm transform allocates nothing; it grows to this
@@ -64,21 +64,21 @@ func (st Strategy) forID(n int, fn func(worker, lo, hi int)) {
 	p.ForIDMax(core.Workers(st.Workers), n, fn)
 }
 
-// DefaultBlockWidth is the column-block width used when Strategy.BlockWidth
+// defaultBlockWidth is the column-block width used when Strategy.BlockWidth
 // is unset, picked from BenchmarkAblation_BlockWidth with the one-sweep
 // kernels: 64 beats 32 for both sample widths and both directions; 128 gains
 // a little more on 9/7 but leaves a 128-wide tile a single block per level.
-const DefaultBlockWidth = 64
+const defaultBlockWidth = 64
 
 func (st Strategy) blockWidth() int {
 	if st.BlockWidth <= 0 {
-		return DefaultBlockWidth
+		return defaultBlockWidth
 	}
 	return st.BlockWidth
 }
 
-// Serial is the baseline strategy of the original reference implementations.
-var Serial = Strategy{VertMode: VertNaive, Workers: 1}
+// serial is the baseline strategy of the original reference implementations.
+var serial = Strategy{VertMode: VertNaive, Workers: 1}
 
 // Improved is the paper's optimized serial strategy.
 var Improved = Strategy{VertMode: VertBlocked, Workers: 1}
@@ -133,10 +133,11 @@ type filter[T sample] struct {
 
 // run is the one level loop behind every transform: forward levels run
 // shallowest first, rows then columns; inverse levels undo them deepest first,
-// columns then rows. With tm set it adds each direction's time to tm. The
-// level barriers dispatch the Scratch's bound level jobs (a nil Scratch gets
-// a throwaway one for this call), so no level allocates a closure.
-func run[T sample](p plane[T], levels int, st Strategy, f *filter[T], fwd bool, tm *Timings) {
+// columns then rows. With tm set it adds each direction's time to tm
+// (horizontal, vertical). The level barriers dispatch the Scratch's bound
+// level jobs (a nil Scratch gets a throwaway one for this call), so no level
+// allocates a closure.
+func run[T sample](p plane[T], levels int, st Strategy, f *filter[T], fwd bool, tm *[2]time.Duration) {
 	j := startLevels(p, st, f, fwd)
 	passes := [2]bool{true, false} // vertical?
 	if fwd {
@@ -159,9 +160,9 @@ func run[T sample](p plane[T], levels int, st Strategy, f *filter[T], fwd bool, 
 				j.horizontal()
 			}
 			if tm != nil {
-				d := &tm.Horizontal
+				d := &tm[0]
 				if vert {
-					d = &tm.Vertical
+					d = &tm[1]
 				}
 				*d += time.Since(t0)
 			}

@@ -67,13 +67,13 @@ func TestForward53OnPaddedStride(t *testing.T) {
 	w, h := 64, 48
 	src := randomImage(w, h, 2)
 	ref := src.Clone()
-	Forward53(ref, 3, Serial)
+	Forward53(ref, 3, serial)
 
-	pad := raster.NewPadded(w, h, w+24)
+	pad := &raster.Image{Width: w, Height: h, Stride: w + 24, Pix: make([]int32, (w+24)*h)}
 	for y := 0; y < h; y++ {
 		copy(pad.Pix[y*pad.Stride:y*pad.Stride+w], src.Row(y))
 	}
-	Forward53(pad, 3, Serial)
+	Forward53(pad, 3, serial)
 	if !raster.Equal(pad.Clone(), ref) {
 		t.Fatal("padded-stride transform differs from dense transform")
 	}
@@ -133,7 +133,7 @@ func TestScratchGrowsKeepingWarmSlots(t *testing.T) {
 	s := NewScratch(1)
 	src := randomImage(64, 48, 5)
 	ref := src.Clone()
-	Forward53(ref, 3, Serial)
+	Forward53(ref, 3, serial)
 	im := src.Clone()
 	Forward53(im, 3, Strategy{VertMode: VertBlocked, Workers: 1, Scratch: s})
 	warm := &s.ws[0].i32[:1][0]
@@ -192,7 +192,7 @@ func TestTransformDigest(t *testing.T) {
 					floats[i] = rng.Float64()*512 - 256
 				}
 				newIm := func() *raster.Image {
-					im := raster.NewPadded(w, h, stride)
+					im := &raster.Image{Width: w, Height: h, Stride: stride, Pix: make([]int32, stride*h)}
 					copy(im.Pix, ints)
 					return im
 				}
@@ -248,7 +248,7 @@ func TestDWT53EnergyCompaction(t *testing.T) {
 	for _, v := range im.Pix {
 		total += float64(v) * float64(v)
 	}
-	Forward53(im, 3, Serial)
+	Forward53(im, 3, serial)
 	// The transform is not orthonormal (lowpass DC gain 1), so weight each
 	// band's energy by its synthesis norm to compare in the image domain.
 	var llE, all float64
@@ -286,7 +286,7 @@ func TestDWT97DCGain(t *testing.T) {
 	for i := range p.Data {
 		p.Data[i] = 100
 	}
-	Forward97(p, 3, Serial)
+	Forward97(p, 3, serial)
 	bands := Subbands(64, 64, 3)
 	ll := bands[0]
 	for y := ll.Y0 + 1; y < ll.Y1-1; y++ {

@@ -67,7 +67,7 @@ func bandNorms(k Kernel, levels int) []float64 {
 		cx := (b.X0 + b.X1) / 2
 		cy := (b.Y0 + b.Y1) / 2
 		p.Data[cy*p.Stride+cx] = 1
-		run(p.plane(), levels, Serial, f, false, nil)
+		run(p.plane(), levels, serial, f, false, nil)
 		var sum2 float64
 		for _, v := range p.Data {
 			sum2 += float64(v * v)

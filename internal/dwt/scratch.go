@@ -1,7 +1,5 @@
 package dwt
 
-import "pj2k/internal/core"
-
 // Scratch holds per-worker filtering buffers and the level jobs that use
 // them, so repeated transforms perform no allocations in their level loops.
 // The paper's threads keep private per-processor state; Scratch is that state
@@ -61,12 +59,6 @@ func levelJobOf[T sample](s *Scratch) *levelJob[T] {
 		j.rowsFn, j.naiveFn, j.blocksFn = j.rows, j.naive, j.blocks
 	}
 	return j
-}
-
-// NewScratch returns scratch state for up to `workers` parallel workers
-// (<= 0 selects GOMAXPROCS, matching Strategy.Workers semantics).
-func NewScratch(workers int) *Scratch {
-	return &Scratch{ws: make([]scratchSlot, core.Workers(workers))}
 }
 
 // grow makes room for n workers, keeping the existing slots.

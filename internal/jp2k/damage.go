@@ -23,8 +23,8 @@ type TileDamage struct {
 	IOUnreadable int
 }
 
-// Any reports whether the tile recorded any damage.
-func (d TileDamage) Any() bool {
+// damaged reports whether the tile recorded any damage.
+func (d TileDamage) damaged() bool {
 	return d.BadPackets > 0 || d.PacketsLost > 0 || d.BlocksConcealed > 0 ||
 		d.PassesDropped > 0 || d.IOUnreadable > 0
 }
@@ -46,7 +46,7 @@ func (r *DamageReport) Damaged() bool {
 		return true
 	}
 	for _, t := range r.Tiles {
-		if t.Any() {
+		if t.damaged() {
 			return true
 		}
 	}
@@ -92,7 +92,7 @@ func (r *DamageReport) String() string {
 		}
 	}
 	t := r.Totals()
-	if t.Any() {
+	if t.damaged() {
 		if b.Len() > 0 {
 			b.WriteString("; ")
 		}
@@ -105,17 +105,17 @@ func (r *DamageReport) String() string {
 	return b.String()
 }
 
-// TileIOError is a strict decode's typed failure to read a tile body from
+// tileIOError is a strict decode's typed failure to read a tile body from
 // its source: the tile index and the byte span that could not be read. It
 // wraps the source's *t2.ReadError, so errors.As reaches both layers.
-type TileIOError struct {
+type tileIOError struct {
 	Tile     int   // tile index (row-major in the tile grid)
 	Off, Len int64 // the unreadable body span within the codestream
 	Err      error // the underlying source read failure
 }
 
-func (e *TileIOError) Error() string {
+func (e *tileIOError) Error() string {
 	return fmt.Sprintf("jp2k: tile %d body [%d, %d) unreadable: %v", e.Tile, e.Off, e.Off+e.Len, e.Err)
 }
 
-func (e *TileIOError) Unwrap() error { return e.Err }
+func (e *tileIOError) Unwrap() error { return e.Err }

@@ -257,7 +257,7 @@ func (d *Decoder) Decode(data []byte, opts DecodeOptions) (*raster.Image, error)
 	defer d.rd.Reset(nil)
 	err := d.scan(&d.bsrc, opts.Resilient)
 	if err == nil && d.cs.p.Components() != 1 {
-		err = fmt.Errorf("jp2k: %d-component stream; use DecodePlanarSource/DecodeRegionPlanarSource", d.cs.p.Components())
+		err = fmt.Errorf("jp2k: %d-component stream; use DecodePlanarSource or DecodeRegion", d.cs.p.Components())
 	}
 	if err != nil {
 		d.damage, d.stats = nil, DecodeStats{}
@@ -291,7 +291,7 @@ func (d *Decoder) walkTask(_, si int) {
 		case err == nil:
 			data = te.body
 		case !d.cur.opts.Resilient:
-			d.tileErrs[si] = &TileIOError{Tile: ti, Off: sp.Off, Len: sp.Len, Err: err}
+			d.tileErrs[si] = &tileIOError{Tile: ti, Off: sp.Off, Len: sp.Len, Err: err}
 			return
 		default:
 			// The body is unreadable after whatever retries the source
@@ -693,7 +693,7 @@ func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region
 			}
 		}
 		for _, td := range perTile {
-			if td.Any() {
+			if td.damaged() {
 				rep.Tiles = append(rep.Tiles, td)
 			}
 		}

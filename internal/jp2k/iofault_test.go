@@ -137,7 +137,7 @@ func TestChaosTransientBitIdentity(t *testing.T) {
 }
 
 // TestChaosPermanentStrictTypedError: a permanently unreadable tile body must
-// fail a strict decode with a TileIOError naming the tile and the exact span,
+// fail a strict decode with a tileIOError naming the tile and the exact span,
 // wrapping the retry layer's permanent ReadError.
 func TestChaosPermanentStrictTypedError(t *testing.T) {
 	cs := chaosStream(t, 96, 96, 48) // 2x2 tile grid
@@ -155,17 +155,17 @@ func TestChaosPermanentStrictTypedError(t *testing.T) {
 			if err == nil {
 				t.Fatal("strict decode of an unreadable tile body succeeded")
 			}
-			var tie *TileIOError
+			var tie *tileIOError
 			if !errors.As(err, &tie) {
-				t.Fatalf("error %v (%T) is not a *TileIOError", err, err)
+				t.Fatalf("error %v (%T) is not a *tileIOError", err, err)
 			}
 			if tie.Tile != target || tie.Off != int64(spans[target].Off) || tie.Len != int64(spans[target].Len) {
-				t.Fatalf("TileIOError = tile %d span [%d, %d); want tile %d span [%d, %d)",
+				t.Fatalf("tileIOError = tile %d span [%d, %d); want tile %d span [%d, %d)",
 					tie.Tile, tie.Off, tie.Off+tie.Len, target, spans[target].Off, spans[target].End())
 			}
 			var re *t2.ReadError
 			if !errors.As(err, &re) || re.Transient {
-				t.Fatalf("TileIOError does not wrap a permanent *t2.ReadError: %v", err)
+				t.Fatalf("tileIOError does not wrap a permanent *t2.ReadError: %v", err)
 			}
 			if !t2.IsIOError(err) {
 				t.Fatal("IsIOError = false for an unreadable tile body")

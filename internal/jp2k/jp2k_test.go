@@ -259,7 +259,7 @@ func TestStageTimingsPopulated(t *testing.T) {
 	if tm.IntraComp <= 0 || tm.Quant <= 0 || tm.Tier1 <= 0 {
 		t.Fatalf("missing stage timings: %+v", tm)
 	}
-	if tm.Total() <= 0 {
+	if tm.total() <= 0 {
 		t.Fatal("total timing zero")
 	}
 	if stats.CodeBlocks == 0 {
@@ -293,7 +293,7 @@ func TestStageSpansFitInWall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum := stats.Timings.Total(); sum <= 0 || sum > wall {
+		if sum := stats.Timings.total(); sum <= 0 || sum > wall {
 			t.Errorf("Workers=%d: encode spans sum to %v in a %v call", workers, sum, wall)
 		}
 		t0 = time.Now()
@@ -301,7 +301,7 @@ func TestStageSpansFitInWall(t *testing.T) {
 			t.Fatal(err)
 		}
 		wall = time.Since(t0)
-		if sum := dec.Stats().Timings.Total(); sum <= 0 || sum > wall {
+		if sum := dec.Stats().Timings.total(); sum <= 0 || sum > wall {
 			t.Errorf("Workers=%d: decode spans sum to %v in a %v call", workers, sum, wall)
 		}
 	}

@@ -95,9 +95,6 @@ type CoderOptions struct {
 	Causal bool
 }
 
-// Any reports whether any coder style is enabled.
-func (c CoderOptions) Any() bool { return c.Bypass || c.TermAll || c.ResetCtx || c.Causal }
-
 // ResilienceOptions selects the JPEG2000 Part 1 error-resilience tools, the
 // markers that let a resilient decoder localize damage instead of losing the
 // tile: all are signalled in the codestream (COD), so decoders need no
@@ -118,9 +115,6 @@ type ResilienceOptions struct {
 	// every clean pass before it.
 	SegSymbols bool
 }
-
-// Any reports whether any resilience tool is enabled.
-func (r ResilienceOptions) Any() bool { return r.SOP || r.EPH || r.SegSymbols }
 
 // ROIRect is a region of interest in image coordinates ([X0,X1) x [Y0,Y1)).
 type ROIRect struct {
@@ -168,8 +162,8 @@ func (s StageTimings) Spans() [NumEncStages]time.Duration {
 	return [...]time.Duration{s.Setup, s.InterComp, s.IntraComp, s.Quant, s.Tier1, s.RateAlloc, s.Tier2, s.StreamIO}
 }
 
-// Total sums all stages.
-func (s StageTimings) Total() time.Duration {
+// total sums all stages.
+func (s StageTimings) total() time.Duration {
 	sp := s.Spans()
 	return sumSpans(sp[:])
 }
@@ -241,8 +235,8 @@ func (t DecodeTimings) Spans() [NumDecStages]time.Duration {
 	return [...]time.Duration{t.Parse, t.Tier2, t.Tier1, t.Assemble, t.InterComp}
 }
 
-// Total sums all stages.
-func (t DecodeTimings) Total() time.Duration {
+// total sums all stages.
+func (t DecodeTimings) total() time.Duration {
 	sp := t.Spans()
 	return sumSpans(sp[:])
 }

@@ -1,6 +1,7 @@
 package jp2k
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -243,11 +244,13 @@ func FuzzDecodeResilient(f *testing.F) {
 			t.Skip("oversized input")
 		}
 		// The default sample budget admits ~1GB of planes — fine as a DoS
-		// bound, uselessly slow per fuzz exec. Tighten it so the fuzzer
-		// spends its time in the codec, not in clearing huge allocations.
-		old := t2.MaxImagePixels
-		t2.MaxImagePixels = 1 << 22
-		defer func() { t2.MaxImagePixels = old }()
+		// bound, uselessly slow per fuzz exec. Pass over headers declaring
+		// more than 1<<22 samples so the fuzzer spends its time in the codec,
+		// not in clearing huge allocations.
+		if p, _, _, err := new(t2.Scanner).Scan(t2.BytesSource(data), true); err == nil &&
+			int64(p.Width)*int64(p.Height)*int64(p.Components()) > 1<<22 {
+			return
+		}
 		dec := NewDecoder()
 		img, err := dec.Decode(data, DecodeOptions{Resilient: true})
 		if err == nil && img == nil {
@@ -323,5 +326,66 @@ func TestResilientSOPResyncCounts(t *testing.T) {
 				t.Fatalf("packet %d zeroed: damage %+v, want %+v", c.pk, tiles[0], c.want)
 			}
 		})
+	}
+}
+
+// TestResilientContainerSalvage pins the container salvage only the scanning
+// route has, which is why pj2kdec -resilient decodes with DecodePlanarSource:
+// Decoder.scan pads a missing tile-part with a sentinel that decodes as the
+// empty tile, and drops surplus tile-parts. A stream cut before its last
+// tile-part reports Truncated, its last tile comes back mid-gray and every
+// other tile equals a clean decode; a stream with its last tile-part repeated
+// reports BadTileParts and decodes clean. t2.NewIndex, the served route's
+// scan, refuses both.
+func TestResilientContainerSalvage(t *testing.T) {
+	const size, tile = 96, 48
+	cs, _, err := Encode(raster.Synthetic(size, size, 5), Options{Kernel: dwt.Rev53, TileW: tile, TileH: tile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := DecodePlanarSource(t2.BytesSource(cs), DecodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bit stuffing keeps 0xFF90 out of tile bodies, so the last one in the
+	// stream is the last tile-part's SOT; the stream ends with EOC.
+	last, eoc := bytes.LastIndex(cs, []byte{0xFF, 0x90}), len(cs)-2
+	cut := cs[:last]
+	surplus := append(append(append([]byte(nil), cs[:eoc]...), cs[last:eoc]...), cs[eoc:]...)
+
+	for _, c := range []struct {
+		name      string
+		stream    []byte
+		truncated bool
+		badParts  int
+	}{
+		{"cut before the last tile-part", cut, true, 0},
+		{"last tile-part repeated", surplus, false, 1},
+	} {
+		if _, err := t2.NewIndex(t2.BytesSource(c.stream)); err == nil {
+			t.Errorf("%s: t2.NewIndex accepted the stream", c.name)
+		}
+		if _, err := DecodePlanarSource(t2.BytesSource(c.stream), DecodeOptions{}); err == nil {
+			t.Errorf("%s: strict decode accepted the stream", c.name)
+		}
+		dec := NewDecoder()
+		got, err := dec.DecodePlanarSource(t2.BytesSource(c.stream), DecodeOptions{Resilient: true})
+		if err != nil {
+			t.Fatalf("%s: resilient decode: %v", c.name, err)
+		}
+		if cd := dec.Damage().Container; cd.Truncated != c.truncated || cd.BadTileParts != c.badParts {
+			t.Errorf("%s: container damage %+v, want Truncated %v, BadTileParts %d", c.name, cd, c.truncated, c.badParts)
+		}
+		for y := range size {
+			for x := range size {
+				want := clean.Comps[0].At(x, y)
+				if c.truncated && x >= tile && y >= tile {
+					want = 128 // the empty tile: zero coefficients plus the 8-bit level shift
+				}
+				if g := got.Comps[0].At(x, y); g != want {
+					t.Fatalf("%s: sample (%d,%d) = %d, want %d", c.name, x, y, g, want)
+				}
+			}
+		}
 	}
 }

@@ -55,7 +55,7 @@ func TestDiscardLevelsMatchesDownsampledTransform(t *testing.T) {
 	for i := range ref.Pix {
 		ref.Pix[i] -= 128
 	}
-	dwt.Forward53(ref, 1, dwt.Serial)
+	dwt.Forward53(ref, 1, dwt.Strategy{VertMode: dwt.VertNaive, Workers: 1})
 	ll, _ := ref.SubImage(0, 0, 64, 64)
 	llc := ll.Clone()
 	for i := range llc.Pix {

@@ -120,7 +120,7 @@ func TestEncodeRefusesWhatDecodeRefuses(t *testing.T) {
 		{"24-bit samples", gray, Options{BitDepth: 24}},
 		{"33 levels", gray, Options{Levels: 33}},
 		{"MCT on one component", gray, Options{MCT: true}},
-		{"MaxComponents+1 components", raster.NewPlanar(8, 8, t2.MaxComponents+1), Options{}},
+		{"257 components (Csiz above 256)", raster.NewPlanar(8, 8, 257), Options{}},
 		{"tile wider than SIZ's axis bound", gray, Options{TileW: 1 << 21, TileH: 64}},
 	} {
 		if cs, _, err := enc.EncodePlanar(tc.pl, tc.o); err == nil || cs != nil {

@@ -13,14 +13,18 @@ import (
 // plane is Comps[0] of the result at the call site.
 
 // DecodeRegion reconstructs the requested window of the codestream ix
-// indexes, reading only the selected tiles' bodies from src: the main header
-// and the tile-part chain come from ix, so nothing is re-scanned and a
-// one-tile window costs one read. src is ix's source or a wrapper over the
-// same bytes (a per-request ResilientSource, say). ix is only read, so any
-// number of Decoders may decode from one Index concurrently. region and the
-// result's samples are as for DecodeRegionPlanarSource, and bit-identical to
-// it; a resilient decode reports no container damage, since the index's scan
-// was strict. The result is borrowed, not fresh: it is the Decoder's own
+// indexes: tiles that do not intersect region are neither read from src,
+// entropy-decoded nor transformed, which is what makes serving viewports out
+// of a tiled gigapixel stream cheap. The main header and the tile-part chain
+// come from ix, so nothing is re-scanned and a one-tile window costs one
+// read. src is ix's source or a wrapper over the same bytes (a per-request
+// ResilientSource, say). ix is only read, so any number of Decoders may
+// decode from one Index concurrently. region is expressed in the output grid
+// of a full decode at opts.DiscardLevels and is clamped to the image; the
+// result is bit-identical to cropping a full decode for any worker count (the
+// inverse inter-component transform is per-pixel, so it applies cleanly to
+// windows). A resilient decode reports no container damage, since the index's
+// scan was strict. The result is borrowed, not fresh: it is the Decoder's own
 // output image, reshaped in place per call, so a warm call allocates nothing
 // (the DamageReport aside), and it is valid only until the Decoder's next
 // decode or Close. A caller that keeps it longer copies it out first.
@@ -34,19 +38,6 @@ func (d *Decoder) DecodeRegion(ix *t2.Index, src *t2.Source, region Rect, opts D
 // the stream. The returned planes are freshly allocated and caller-owned.
 func (d *Decoder) DecodePlanarSource(src *t2.Source, opts DecodeOptions) (*raster.Planar, error) {
 	return d.decodeSource(src, opts, nil)
-}
-
-// DecodeRegionPlanarSource reconstructs only the requested window: tiles that
-// do not intersect region are neither read from the source, entropy-decoded
-// nor transformed, which is what makes serving viewports out of a tiled
-// gigapixel stream cheap. region is expressed in the output grid of a full
-// decode at opts.DiscardLevels and is clamped to the image; the result is
-// bit-identical to cropping a full decode for any worker count (the inverse
-// inter-component transform is per-pixel, so it applies cleanly to windows).
-// It scans src first; a caller decoding many windows of one stream should
-// build a t2.Index once and call DecodeRegion.
-func (d *Decoder) DecodeRegionPlanarSource(src *t2.Source, region Rect, opts DecodeOptions) (*raster.Planar, error) {
-	return d.decodeSource(src, opts, &region)
 }
 
 // DecodePlanarSource is the one-shot convenience over a throwaway Decoder on

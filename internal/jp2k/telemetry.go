@@ -93,7 +93,7 @@ func (m *CodecMetrics) recordEncode(st *EncodeStats) {
 	m.T1PassesCoded.Add(int64(st.PassesCoded))
 	m.T1PassesKept.Add(int64(st.PassesKept))
 	m.T1BlocksRecoded.Add(int64(st.BlocksRecoded))
-	m.EncodeSeconds.Observe(st.Timings.Total())
+	m.EncodeSeconds.Observe(st.Timings.total())
 	for i, d := range st.Timings.Spans() {
 		m.EncodeStages[i].Observe(d)
 	}
@@ -107,7 +107,7 @@ func (m *CodecMetrics) recordDecode(st *DecodeStats) {
 	}
 	m.Decodes.Inc()
 	m.BytesDecoded.Add(int64(st.BytesIn))
-	m.DecodeSeconds.Observe(st.Timings.Total())
+	m.DecodeSeconds.Observe(st.Timings.total())
 	for i, d := range st.Timings.Spans() {
 		m.DecodeStages[i].Observe(d)
 	}

@@ -139,8 +139,8 @@ func TestFlatImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mse, _ := metrics.MSE(im, back)
-	if mse > 1 {
-		t.Fatalf("flat image MSE %.3f", mse)
+	// At peak 1, PSNR is -10·log10(MSE): negative exactly when MSE > 1.
+	if psnr, _ := metrics.PSNR(im, back, 1); psnr < 0 {
+		t.Fatalf("flat image PSNR %.3f dB at peak 1 (MSE above 1)", psnr)
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"pj2k/internal/raster"
 )
 
-// MSE returns the mean squared error between two equally sized images.
-func MSE(a, b *raster.Image) (float64, error) {
+// mse returns the mean squared error between two equally sized images.
+func mse(a, b *raster.Image) (float64, error) {
 	if a.Width != b.Width || a.Height != b.Height {
 		return 0, fmt.Errorf("metrics: size mismatch %dx%d vs %dx%d", a.Width, a.Height, b.Width, b.Height)
 	}
@@ -29,14 +29,14 @@ func MSE(a, b *raster.Image) (float64, error) {
 // PSNR returns the peak signal-to-noise ratio in dB for the given peak value
 // (255 for 8-bit imagery). Identical images give +Inf.
 func PSNR(a, b *raster.Image, peak float64) (float64, error) {
-	mse, err := MSE(a, b)
+	m, err := mse(a, b)
 	if err != nil {
 		return 0, err
 	}
-	if mse == 0 {
+	if m == 0 {
 		return math.Inf(1), nil
 	}
-	return 10 * math.Log10(peak*peak/mse), nil
+	return 10 * math.Log10(peak*peak/m), nil
 }
 
 // Blockiness measures mean absolute intensity discontinuity across the given

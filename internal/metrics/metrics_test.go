@@ -10,8 +10,8 @@ import (
 func TestMSEAndPSNR(t *testing.T) {
 	a := raster.New(4, 4)
 	b := raster.New(4, 4)
-	if mse, err := MSE(a, b); err != nil || mse != 0 {
-		t.Fatalf("mse %v err %v", mse, err)
+	if m, err := mse(a, b); err != nil || m != 0 {
+		t.Fatalf("mse %v err %v", m, err)
 	}
 	if p, _ := PSNR(a, b, 255); !math.IsInf(p, 1) {
 		t.Fatalf("identical images PSNR %v", p)
@@ -19,9 +19,9 @@ func TestMSEAndPSNR(t *testing.T) {
 	for i := range b.Pix {
 		b.Pix[i] = 10
 	}
-	mse, err := MSE(a, b)
-	if err != nil || mse != 100 {
-		t.Fatalf("mse %v err %v", mse, err)
+	m, err := mse(a, b)
+	if err != nil || m != 100 {
+		t.Fatalf("mse %v err %v", m, err)
 	}
 	p, _ := PSNR(a, b, 255)
 	want := 10 * math.Log10(255*255/100.0)
@@ -31,7 +31,7 @@ func TestMSEAndPSNR(t *testing.T) {
 }
 
 func TestMSESizeMismatch(t *testing.T) {
-	if _, err := MSE(raster.New(4, 4), raster.New(5, 4)); err == nil {
+	if _, err := mse(raster.New(4, 4), raster.New(5, 4)); err == nil {
 		t.Fatal("want error")
 	}
 }

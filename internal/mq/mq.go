@@ -90,13 +90,6 @@ type Encoder struct {
 	out []byte // out[0] is a sentinel dropped by Flush
 }
 
-// NewEncoder returns an initialized encoder.
-func NewEncoder() *Encoder {
-	e := &Encoder{}
-	e.Init()
-	return e
-}
-
 // Init resets the encoder for a fresh codeword segment (INITENC). The output
 // buffer's capacity is retained, so a pooled encoder reaches a steady state
 // with no per-segment allocations; any segment previously returned by Flush
@@ -247,13 +240,6 @@ type Decoder struct {
 	a       uint32
 	ct      int
 	overrun int
-}
-
-// NewDecoder returns a decoder over one codeword segment (INITDEC).
-func NewDecoder(data []byte) *Decoder {
-	d := &Decoder{}
-	d.Reset(data)
-	return d
 }
 
 // Reset re-initializes the decoder over a new segment (INITDEC), allowing one

@@ -25,9 +25,9 @@ func (s Step) Value() float64 {
 	return (1 + float64(float64(s.Mantissa)/2048)) * math.Pow(2, -float64(s.Exponent))
 }
 
-// StepFor quantizes a real-valued step into marker form (round to nearest
+// stepFor quantizes a real-valued step into marker form (round to nearest
 // representable), clamping into the representable range.
-func StepFor(step float64) Step {
+func stepFor(step float64) Step {
 	if step <= 0 {
 		return Step{Exponent: 31}
 	}
@@ -55,21 +55,13 @@ func BandSteps(k dwt.Kernel, w, h, levels int, base float64) []Step {
 	bands := dwt.Subbands(w, h, levels)
 	steps := make([]Step, len(bands))
 	for i, b := range bands {
-		steps[i] = StepFor(base / dwt.BandNorm(k, levels, b))
+		steps[i] = stepFor(base / dwt.BandNorm(k, levels, b))
 	}
 	return steps
 }
 
-// Forward quantizes the float coefficients of one band region into signed
-// integers: q = sign(v) * floor(|v|/step). workers > 1 splits the rows as the
-// paper's parallel quantization stage does ("every processor may have a chunk
-// of coefficients").
-func Forward(src []float64, stride int, b dwt.Subband, step float64, dst []int32, dstStride, workers int) {
-	core.Default().ForMax(core.Workers(workers), b.Height(), func(lo, hi int) {
-		forwardRows(src, stride, b, step, dst, dstStride, lo, hi)
-	})
-}
-
+// forwardRows quantizes rows [lo, hi) of one band region into signed
+// integers: q = sign(v) * floor(|v|/step).
 func forwardRows(src []float64, stride int, b dwt.Subband, step float64, dst []int32, dstStride, lo, hi int) {
 	inv := 1 / step
 	for y := lo; y < hi; y++ {
@@ -95,12 +87,13 @@ type BandJob struct {
 }
 
 // ForwardBands quantizes several bands of one float plane under a single
-// dispatch: every band contributes up to `workers` row chunks to one task
+// dispatch, splitting each band's rows as the paper's parallel quantization
+// stage does ("every processor may have a chunk of coefficients"): every band contributes up to `workers` row chunks to one task
 // set, staggered across workers like the tier-1 code-blocks, so the many
 // small deep bands do not each pay their own dispatch. The task list is
 // addressed arithmetically (task t is chunk t%p of band t/p), so dispatch
-// does not allocate. Empty bands are skipped; the output is identical to
-// calling Forward per band for any worker count. The tasks run on pool's
+// does not allocate. Empty bands are skipped; the output is identical for
+// any worker count. The tasks run on pool's
 // resident workers (nil selects the shared core.Default pool).
 func ForwardBands(src []float64, stride int, jobs []BandJob, workers int, pool *core.Pool) {
 	if len(jobs) == 0 {
@@ -138,25 +131,11 @@ func ForwardBands(src []float64, stride int, jobs []BandJob, workers int, pool *
 	})
 }
 
-// Inverse dequantizes integers back into float coefficients with the
-// standard half-step midpoint bias for nonzero values (bit-plane truncation
-// offsets at coarser granularity are already applied by the tier-1 decoder).
-// It runs serially and allocates nothing; workers is accepted and ignored
-// (the decoder dequantizes in tier-1's into-plane write, per block).
-func Inverse(src []int32, srcStride int, b dwt.Subband, step float64, dst []float64, stride, workers int) {
-	for y := 0; y < b.Height(); y++ {
-		drow := dst[(b.Y0+y)*stride+b.X0:]
-		for x, v := range src[y*srcStride:][:b.Width()] {
-			drow[x] = Dequant(v, step)
-		}
-	}
-}
-
 // Dequant reconstructs one float coefficient from its quantized value v: v
 // plus the half-step midpoint bias, times step. The bias comes from v's sign
 // (-1, 0 or +1) without a branch: +0.5 for v > 0, -0.5 for v < 0, and +0 for
-// v == 0, the bits adding or subtracting 0.5 directly gives. Inverse and
-// tier-1's into-plane decode both call it, so they produce the same bits.
+// v == 0, the bits adding or subtracting 0.5 directly gives. Tier-1's
+// into-plane decode calls it for every 9/7 sample.
 func Dequant(v int32, step float64) float64 {
 	sign := v>>31 | int32(uint32(-v)>>31)
 	return (float64(v) + float64(0.5*float64(sign))) * step

@@ -10,7 +10,7 @@ import (
 
 func TestStepMarshalling(t *testing.T) {
 	for _, v := range []float64{1.0, 0.5, 0.25, 0.1, 0.003, 1.0 / 512, 1e-9} {
-		s := StepFor(v)
+		s := stepFor(v)
 		got := s.Value()
 		if v >= math.Pow(2, -31) {
 			if math.Abs(got-v)/v > 0.001 {
@@ -21,10 +21,10 @@ func TestStepMarshalling(t *testing.T) {
 }
 
 func TestStepForClamps(t *testing.T) {
-	if s := StepFor(0); s.Exponent != 31 {
+	if s := stepFor(0); s.Exponent != 31 {
 		t.Fatalf("zero step: %+v", s)
 	}
-	if s := StepFor(1.9999); s.Value() > 2 {
+	if s := stepFor(1.9999); s.Value() > 2 {
 		t.Fatalf("max mantissa step: %v", s.Value())
 	}
 }
@@ -58,9 +58,9 @@ func TestForwardInverseRoundTrip(t *testing.T) {
 	}
 	const step = 0.25
 	q := make([]int32, b.Width()*b.Height())
-	Forward(src, stride, b, step, q, b.Width(), 1)
+	forward(src, stride, b, step, q, b.Width(), 1)
 	back := make([]float64, stride*16)
-	Inverse(q, b.Width(), b, step, back, stride, 1)
+	inverse(q, b.Width(), b, step, back, stride)
 	for y := b.Y0; y < b.Y1; y++ {
 		for x := b.X0; x < b.X1; x++ {
 			diff := math.Abs(back[y*stride+x] - src[y*stride+x])
@@ -75,7 +75,7 @@ func TestDeadzoneSignSymmetry(t *testing.T) {
 	b := dwt.Subband{X0: 0, Y0: 0, X1: 4, Y1: 1}
 	src := []float64{1.7, -1.7, 0.3, -0.3}
 	q := make([]int32, 4)
-	Forward(src, 4, b, 1.0, q, 4, 1)
+	forward(src, 4, b, 1.0, q, 4, 1)
 	if q[0] != 1 || q[1] != -1 {
 		t.Fatalf("q = %v; want sign-symmetric floor", q)
 	}
@@ -92,8 +92,8 @@ func TestParallelQuantizationMatchesSerial(t *testing.T) {
 	}
 	qs := make([]int32, 64*64)
 	qp := make([]int32, 64*64)
-	Forward(src, 64, b, 0.1, qs, 64, 1)
-	Forward(src, 64, b, 0.1, qp, 64, 8)
+	forward(src, 64, b, 0.1, qs, 64, 1)
+	forward(src, 64, b, 0.1, qp, 64, 8)
 	for i := range qs {
 		if qs[i] != qp[i] {
 			t.Fatalf("parallel quantization differs at %d", i)
@@ -107,9 +107,9 @@ func TestQuickQuantBounds(t *testing.T) {
 		b := dwt.Subband{X0: 0, Y0: 0, X1: 1, Y1: 1}
 		src := []float64{float64(raw) / 16}
 		q := make([]int32, 1)
-		Forward(src, 1, b, step, q, 1, 1)
+		forward(src, 1, b, step, q, 1, 1)
 		back := make([]float64, 1)
-		Inverse(q, 1, b, step, back, 1, 1)
+		inverse(q, 1, b, step, back, 1)
 		return math.Abs(back[0]-src[0]) <= step
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -123,7 +123,7 @@ func TestInverseMidpointMatchesBranches(t *testing.T) {
 	vals := []int32{0, 1, -1, 2, -2, 7, -7, 1 << 20, -(1 << 20), math.MaxInt32, math.MinInt32}
 	for _, step := range []float64{1, 0.37, 1.0 / 512, 1.9990234375} {
 		dst := make([]float64, len(vals))
-		Inverse(vals, len(vals), dwt.Subband{X1: len(vals), Y1: 1}, step, dst, len(vals), 1)
+		inverse(vals, len(vals), dwt.Subband{X1: len(vals), Y1: 1}, step, dst, len(vals))
 		for i, v := range vals {
 			want := 0.0
 			if v > 0 {
@@ -134,6 +134,21 @@ func TestInverseMidpointMatchesBranches(t *testing.T) {
 			if math.Float64bits(dst[i]) != math.Float64bits(want) {
 				t.Fatalf("step %g: Inverse(%d) = %g (%#x), want %g (%#x)", step, v, dst[i], math.Float64bits(dst[i]), want, math.Float64bits(want))
 			}
+		}
+	}
+}
+
+// forward quantizes one band through ForwardBands.
+func forward(src []float64, stride int, b dwt.Subband, step float64, dst []int32, dstStride, workers int) {
+	ForwardBands(src, stride, []BandJob{{Band: b, Step: step, Dst: dst, DstStride: dstStride}}, workers, nil)
+}
+
+// inverse dequantizes one band sample by sample, as tier-1's into-plane
+// decode does.
+func inverse(src []int32, srcStride int, b dwt.Subband, step float64, dst []float64, stride int) {
+	for y := 0; y < b.Height(); y++ {
+		for x, v := range src[y*srcStride:][:b.Width()] {
+			dst[(b.Y0+y)*stride+b.X0+x] = Dequant(v, step)
 		}
 	}
 }

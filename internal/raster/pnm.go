@@ -150,30 +150,17 @@ func WritePPM(w io.Writer, pl *Planar, maxval int) error {
 	return writePNM(w, pl.Comps, maxval)
 }
 
-// ReadPGM reads a binary PGM (P5). It returns the image and the maxval
-// declared in the header.
-func ReadPGM(r io.Reader) (*Image, int, error) {
-	pl, maxval, err := ReadPNM(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	if pl.NComp() != 1 {
-		return nil, 0, fmt.Errorf("raster: expected PGM, got %d-component PNM", pl.NComp())
-	}
-	return pl.Comps[0], maxval, nil
-}
-
 // Dimension caps for PNM headers, matching the codestream parser's SIZ
-// limits (t2.ScanCodestream): an image the codec could never decode is
+// limits (t2.Scanner): an image the codec could never decode is
 // rejected at read time instead of allocating for it.
 const (
-	MaxPNMDim    = 1 << 20
-	MaxPNMPixels = 1 << 28
+	maxPNMDim    = 1 << 20
+	maxPNMPixels = 1 << 28
 )
 
 // ReadPNM reads a binary PNM — PGM (P5, one component) or PPM (P6, three
 // components) — returning the planes and the maxval declared in the header.
-// Headers beyond MaxPNMDim per side or MaxPNMPixels total are rejected.
+// Headers beyond maxPNMDim per side or maxPNMPixels total are rejected.
 func ReadPNM(r io.Reader) (*Planar, int, error) {
 	br := bufio.NewReader(r)
 	var magic string
@@ -202,7 +189,7 @@ func ReadPNM(r io.Reader) (*Planar, int, error) {
 		return nil, 0, err
 	}
 	if width <= 0 || height <= 0 || maxval <= 0 || maxval > 65535 ||
-		width > MaxPNMDim || height > MaxPNMDim || height > MaxPNMPixels/width {
+		width > maxPNMDim || height > maxPNMDim || height > maxPNMPixels/width {
 		return nil, 0, fmt.Errorf("raster: bad PNM header %dx%d maxval %d", width, height, maxval)
 	}
 	// Header ends with exactly one whitespace byte, already consumed by

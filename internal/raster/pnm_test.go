@@ -42,7 +42,7 @@ func naivePNM(comps []*Image, maxval int) []byte {
 // noisyPadded fills a padded-stride image with seeded samples that straddle
 // both clamp edges (negatives and values above maxval), padding included.
 func noisyPadded(rng *rand.Rand, w, h, stride, maxval int) *Image {
-	im := NewPadded(w, h, stride)
+	im := newPadded(w, h, stride)
 	for i := range im.Pix {
 		im.Pix[i] = int32(rng.Intn(2*maxval)) - int32(maxval/2)
 	}

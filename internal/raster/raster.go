@@ -7,10 +7,7 @@
 // by the pipeline, not by this package.
 package raster
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Image is a single-component raster of signed samples.
 //
@@ -34,21 +31,6 @@ func New(width, height int) *Image {
 		Height: height,
 		Stride: width,
 		Pix:    make([]int32, width*height),
-	}
-}
-
-// NewPadded allocates a Width x Height image whose rows are padded to the
-// given stride. Padding the stride off a power of two is one of the paper's
-// two cache fixes for vertical filtering.
-func NewPadded(width, height, stride int) *Image {
-	if stride < width {
-		panic("raster: stride < width")
-	}
-	return &Image{
-		Width:  width,
-		Height: height,
-		Stride: stride,
-		Pix:    make([]int32, stride*height),
 	}
 }
 
@@ -100,9 +82,6 @@ func Equal(a, b *Image) bool {
 	}
 	return true
 }
-
-// ErrRange is returned when samples exceed the declared bit depth.
-var ErrRange = errors.New("raster: sample out of range for bit depth")
 
 // ClampTo8 clamps all samples into [0, 255]; used after lossy decoding.
 func (im *Image) ClampTo8() {

@@ -2,9 +2,28 @@ package raster
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"testing"
 	"testing/quick"
 )
+
+// readPGM reads a one-component binary PNM and its maxval.
+func readPGM(r io.Reader) (*Image, int, error) {
+	pl, maxval, err := ReadPNM(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	if pl.NComp() != 1 {
+		return nil, 0, fmt.Errorf("expected PGM, got %d-component PNM", pl.NComp())
+	}
+	return pl.Comps[0], maxval, nil
+}
+
+// newPadded allocates a width x height image whose rows are padded to stride.
+func newPadded(width, height, stride int) *Image {
+	return &Image{Width: width, Height: height, Stride: stride, Pix: make([]int32, stride*height)}
+}
 
 func TestNewAndAccessors(t *testing.T) {
 	im := New(7, 5)
@@ -21,7 +40,7 @@ func TestNewAndAccessors(t *testing.T) {
 }
 
 func TestPaddedStride(t *testing.T) {
-	im := NewPadded(512, 4, 520)
+	im := newPadded(512, 4, 520)
 	im.Set(511, 3, 9)
 	if im.Pix[3*520+511] != 9 {
 		t.Fatal("padded indexing broken")
@@ -161,7 +180,7 @@ func TestPGMRoundTrip8(t *testing.T) {
 	if err := WritePGM(&buf, im, 255); err != nil {
 		t.Fatal(err)
 	}
-	back, maxval, err := ReadPGM(&buf)
+	back, maxval, err := readPGM(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +195,7 @@ func TestPGMRoundTrip16(t *testing.T) {
 	if err := WritePGM(&buf, im, 4095); err != nil {
 		t.Fatal(err)
 	}
-	back, maxval, err := ReadPGM(&buf)
+	back, maxval, err := readPGM(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +206,7 @@ func TestPGMRoundTrip16(t *testing.T) {
 
 func TestPGMComments(t *testing.T) {
 	data := []byte("P5\n# a comment\n2 2\n255\n\x01\x02\x03\x04")
-	im, _, err := ReadPGM(bytes.NewReader(data))
+	im, _, err := readPGM(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +223,7 @@ func TestPGMErrors(t *testing.T) {
 		[]byte("P5\n2 2\n70000\n\x01\x01"), // maxval too large
 	}
 	for i, c := range cases {
-		if _, _, err := ReadPGM(bytes.NewReader(c)); err == nil {
+		if _, _, err := ReadPNM(bytes.NewReader(c)); err == nil {
 			t.Fatalf("case %d: want error", i)
 		}
 	}
@@ -218,7 +237,7 @@ func TestQuickPGMRoundTrip(t *testing.T) {
 		if err := WritePGM(&buf, im, 255); err != nil {
 			return false
 		}
-		back, _, err := ReadPGM(&buf)
+		back, _, err := readPGM(&buf)
 		return err == nil && Equal(im, back)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

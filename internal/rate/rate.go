@@ -155,14 +155,6 @@ type Allocator struct {
 	cur  []int
 }
 
-// Allocate fills the cumulative layer budgets (body bytes) with hull segments
-// in globally decreasing slope order. Budgets beyond the total available data
-// simply include everything.
-func Allocate(blocks []BlockPasses, layerBudgets []int) Allocation {
-	var a Allocator
-	return a.Allocate(blocks, layerBudgets)
-}
-
 // sortedSegments builds every block's hull and returns all segments in the
 // order the greedy fills them: a stable sort by decreasing slope, which keeps
 // each block's segments in pass order (their slopes decrease strictly within a
@@ -201,7 +193,9 @@ func (a *Allocator) CutoffSlope(blocks []BlockPasses, weight []float64, budget i
 	return 0
 }
 
-// Allocate is the scratch-reusing form of the package-level Allocate.
+// Allocate fills the cumulative layer budgets (body bytes) with hull segments
+// in globally decreasing slope order, reusing a's scratch. Budgets beyond the
+// total available data simply include everything.
 func (a *Allocator) Allocate(blocks []BlockPasses, layerBudgets []int) Allocation {
 	segs := a.sortedSegments(blocks)
 

@@ -63,7 +63,7 @@ func TestAllocateRespectsBudget(t *testing.T) {
 	}
 	total := TotalBytes(blocks)
 	for _, budget := range []int{0, total / 10, total / 3, total, total * 2} {
-		alloc := Allocate(blocks, []int{budget})
+		alloc := new(Allocator).Allocate(blocks, []int{budget})
 		if alloc.BodyBytes[0] > budget {
 			t.Fatalf("budget %d exceeded: %d", budget, alloc.BodyBytes[0])
 		}
@@ -79,7 +79,7 @@ func TestAllocateRespectsBudget(t *testing.T) {
 		}
 	}
 	// A generous budget must include every pass.
-	alloc := Allocate(blocks, []int{total * 2})
+	alloc := new(Allocator).Allocate(blocks, []int{total * 2})
 	for bi, np := range alloc.NPasses[0] {
 		if np != len(blocks[bi].Rates) {
 			t.Fatalf("block %d: %d of %d passes under unlimited budget", bi, np, len(blocks[bi].Rates))
@@ -92,7 +92,7 @@ func TestAllocateLayersCumulative(t *testing.T) {
 		{Rates: []int{10, 30, 60}, Dist: []float64{300, 100, 30}},
 		{Rates: []int{5, 25, 70}, Dist: []float64{500, 80, 10}},
 	}
-	alloc := Allocate(blocks, []int{20, 60, 1000})
+	alloc := new(Allocator).Allocate(blocks, []int{20, 60, 1000})
 	for li := 1; li < 3; li++ {
 		for bi := range blocks {
 			if alloc.NPasses[li][bi] < alloc.NPasses[li-1][bi] {
@@ -113,14 +113,14 @@ func TestAllocateGreedyOptimality(t *testing.T) {
 		{Rates: []int{10}, Dist: []float64{1000}}, // slope 100
 		{Rates: []int{10}, Dist: []float64{10}},   // slope 1
 	}
-	alloc := Allocate(blocks, []int{10})
+	alloc := new(Allocator).Allocate(blocks, []int{10})
 	if alloc.NPasses[0][0] != 1 || alloc.NPasses[0][1] != 0 {
 		t.Fatalf("allocator picked wrong block: %v", alloc.NPasses[0])
 	}
 }
 
 func TestZeroBlocks(t *testing.T) {
-	alloc := Allocate([]BlockPasses{{}, {}}, []int{100})
+	alloc := new(Allocator).Allocate([]BlockPasses{{}, {}}, []int{100})
 	if alloc.BodyBytes[0] != 0 {
 		t.Fatal("empty blocks produced bytes")
 	}
@@ -144,7 +144,7 @@ func TestQuickAllocationInvariants(t *testing.T) {
 			}
 		}
 		budget := int(budget16) % 1000
-		alloc := Allocate(blocks, []int{budget})
+		alloc := new(Allocator).Allocate(blocks, []int{budget})
 		if alloc.BodyBytes[0] > budget {
 			return false
 		}

@@ -1,6 +1,10 @@
 package serve
 
-import "pj2k/internal/raster"
+import (
+	"context"
+
+	"pj2k/internal/raster"
+)
 
 // Kept for bench/ only; deleted in the benchmark PR (ROADMAP item 7).
 
@@ -18,3 +22,18 @@ func NewCache(maxBytes int64) *Cache[*raster.Planar] {
 		return bytes
 	})
 }
+
+// Outcomes GetOrDecode reports.
+const (
+	OutcomeHit  = cacheHit
+	OutcomeMiss = cacheMiss
+)
+
+// GetOrDecode is getOrDecode without the ownership report.
+func (c *Cache[V]) GetOrDecode(ctx context.Context, key TileKey, decode func() (V, error)) (V, cacheOutcome, error) {
+	v, co, _, err := c.getOrDecode(ctx, key, decode)
+	return v, co, err
+}
+
+// Cache exposes the server's tile cache.
+func (s *Server) Cache() *Cache[[]byte] { return s.cache }

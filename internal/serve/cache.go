@@ -118,31 +118,23 @@ func (c *Cache[V]) pushFront(e *tileEntry[V]) {
 	e.next.prev = e
 }
 
-// CacheOutcome reports how one GetOrDecode lookup was satisfied: from the
+// cacheOutcome reports how one getOrDecode lookup was satisfied: from the
 // cache, by running the decode, or by waiting on another caller's in-flight
 // decode. The serving layer folds per-tile outcomes into the per-request
 // latency histograms.
-type CacheOutcome int
+type cacheOutcome int
 
 const (
-	OutcomeHit CacheOutcome = iota
-	OutcomeMiss
-	OutcomeCoalesced
+	cacheHit cacheOutcome = iota
+	cacheMiss
+	cacheCoalesced
 )
 
-// String names the outcome (the /metrics label value).
-func (o CacheOutcome) String() string {
-	switch o {
-	case OutcomeHit:
-		return "hit"
-	case OutcomeMiss:
-		return "miss"
-	default:
-		return "coalesced"
-	}
-}
+// admits reports whether a value charged bytes enters the cache when its
+// decode succeeds: the cache is on and the value alone fits the budget.
+func (c *Cache[V]) admits(bytes int64) bool { return c.maxBytes > 0 && bytes <= c.maxBytes }
 
-// GetOrDecode returns the cached tile for key, or runs decode to produce it,
+// getOrDecode returns the cached tile for key, or runs decode to produce it,
 // reporting which happened. Concurrent calls for the same missing key run
 // decode once and share the result (counted as coalesced, not hits).
 // Successful results enter the cache, evicting least-recently-used tiles past
@@ -153,19 +145,10 @@ func (o CacheOutcome) String() string {
 // leader's: when it ends mid-decode the shared result is the leader's
 // cancellation, which says nothing about a waiter whose own request is still
 // live, so such a waiter goes round again and leads (or joins) the next decode.
-func (c *Cache[V]) GetOrDecode(ctx context.Context, key TileKey, decode func() (V, error)) (V, CacheOutcome, error) {
-	v, co, _, err := c.getOrDecode(ctx, key, decode)
-	return v, co, err
-}
-
-// admits reports whether a value charged bytes enters the cache when its
-// decode succeeds: the cache is on and the value alone fits the budget.
-func (c *Cache[V]) admits(bytes int64) bool { return c.maxBytes > 0 && bytes <= c.maxBytes }
-
-// getOrDecode is GetOrDecode that also reports whether the caller owns the
-// value: this call ran the decode, the cache did not keep the result and no
-// waiter joined, so nobody else holds it and the caller may recycle it.
-func (c *Cache[V]) getOrDecode(ctx context.Context, key TileKey, decode func() (V, error)) (val V, co CacheOutcome, owned bool, err error) {
+// owned reports whether the caller owns the value: this call ran the decode,
+// the cache did not keep the result and no waiter joined, so nobody else holds
+// it and the caller may recycle it.
+func (c *Cache[V]) getOrDecode(ctx context.Context, key TileKey, decode func() (V, error)) (val V, co cacheOutcome, owned bool, err error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -173,7 +156,7 @@ func (c *Cache[V]) getOrDecode(ctx context.Context, key TileKey, decode func() (
 			c.pushFront(e)
 			c.mu.Unlock()
 			c.hits.Add(1)
-			return e.val, OutcomeHit, false, nil
+			return e.val, cacheHit, false, nil
 		}
 		call, ok := c.inflight[key]
 		if !ok {
@@ -190,9 +173,9 @@ func (c *Cache[V]) getOrDecode(ctx context.Context, key TileKey, decode func() (
 			if ctx.Err() == nil && (errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded)) {
 				continue
 			}
-			return call.val, OutcomeCoalesced, false, call.err
+			return call.val, cacheCoalesced, false, call.err
 		case <-ctx.Done():
-			return val, OutcomeCoalesced, false, ctx.Err()
+			return val, cacheCoalesced, false, ctx.Err()
 		}
 	}
 	call := c.free
@@ -246,7 +229,7 @@ func (c *Cache[V]) getOrDecode(ctx context.Context, key TileKey, decode func() (
 		c.mu.Unlock()
 	}()
 	call.val, call.err = decode()
-	return call.val, OutcomeMiss, false, call.err
+	return call.val, cacheMiss, false, call.err
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.

@@ -81,8 +81,33 @@ func TestServerShedsAtCapacity(t *testing.T) {
 	}
 }
 
+// TestInfoShedsAtCapacity: /info builds every tile's packet map, reading each
+// tile body on a cold index, so it is admitted like /img and /stream: with
+// the only slot held it answers 503 with Retry-After and counts as shed.
+func TestInfoShedsAtCapacity(t *testing.T) {
+	store := NewStore()
+	if _, err := store.Add("test", encodeTest(t, testImage())); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Options{MaxInFlight: 1})
+	defer srv.Close()
+
+	srv.inflight <- struct{}{}
+	rec := get(t, srv, "/img/test/info")
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("/info at capacity: got %d, Retry-After %q; want 503 with Retry-After", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if n := srv.shed.Value(); n != 1 {
+		t.Fatalf("shed counter %d, want 1", n)
+	}
+	<-srv.inflight
+	if rec := get(t, srv, "/img/test/info"); rec.Code != http.StatusOK {
+		t.Fatalf("/info after release: got %d, want 200", rec.Code)
+	}
+}
+
 func TestServerPanicRecovery(t *testing.T) {
-	srv, _ := newTestServer(t, DefaultCacheBytes)
+	srv, _ := newTestServer(t, defaultCacheBytes)
 	defer srv.Close()
 	var recovered any
 	srv.panicHook = func(v any) { recovered = v }
@@ -119,7 +144,7 @@ func TestServerDeadlineExceeded(t *testing.T) {
 	srv := New(store, Options{Timeout: timeout})
 	defer srv.Close()
 
-	key := TileKey{Image: "test", TX: 0, TY: 0, Discard: 0, Layers: img.ClampLayers(0)}
+	key := TileKey{Image: "test", TX: 0, TY: 0, Discard: 0, Layers: img.clampLayers(0)}
 	unjam := jamTile(srv, key)
 
 	start := time.Now()
@@ -161,7 +186,7 @@ func TestServerDeadlineHammer(t *testing.T) {
 	const timeout = 50 * time.Millisecond
 	srv := New(store, Options{Timeout: timeout, MaxInFlight: 4})
 	defer srv.Close()
-	key := TileKey{Image: "test", TX: 0, TY: 0, Discard: 0, Layers: img.ClampLayers(0)}
+	key := TileKey{Image: "test", TX: 0, TY: 0, Discard: 0, Layers: img.clampLayers(0)}
 	unjam := jamTile(srv, key)
 
 	ts := httptest.NewServer(srv)

@@ -36,7 +36,7 @@ func (s *Server) quarantineAfter() int {
 		return 0
 	}
 	if s.opts.QuarantineAfter == 0 {
-		return DefaultQuarantineAfter
+		return defaultQuarantineAfter
 	}
 	return s.opts.QuarantineAfter
 }
@@ -46,7 +46,7 @@ func (s *Server) probeInterval() time.Duration {
 	if s.opts.ProbeInterval > 0 {
 		return s.opts.ProbeInterval
 	}
-	return DefaultProbeInterval
+	return defaultProbeInterval
 }
 
 // ioPolicy is the per-request retry policy handed to ResilientSource: the
@@ -55,7 +55,7 @@ func (s *Server) probeInterval() time.Duration {
 func (s *Server) ioPolicy() t2.RetryPolicy {
 	budget := s.opts.IORetryBudget
 	if budget == 0 {
-		budget = DefaultIORetryBudget
+		budget = defaultIORetryBudget
 	}
 	return t2.RetryPolicy{
 		Retries:     s.ioRetries,

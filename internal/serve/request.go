@@ -18,7 +18,9 @@ type regionRequest struct {
 	discard, layers int
 	colW, rowH      []int     // tile-grid prefix sums at discard (Image.Grid)
 	win             jp2k.Rect // window on the reduced grid, clipped to the image
-	format          string    // "pgm", "ppm" or "raw"
+	tx0, ty0        int       // the tile cells win overlaps: [tx0, tx1) x [ty0, ty1)
+	tx1, ty1        int
+	format          string // "pgm", "ppm" or "raw"
 	ncomp, maxval   int
 }
 
@@ -70,8 +72,8 @@ func parseRegion(img *Image, q string, maxPixels int64) (regionRequest, int, err
 	var errs [6]error
 	req.discard, errs[0] = queryInt(q, "reduce", 0)
 	req.layers, errs[1] = queryInt(q, "layers", 0)
-	req.discard = img.ClampDiscard(req.discard)
-	req.layers = img.ClampLayers(req.layers)
+	req.discard = img.clampDiscard(req.discard)
+	req.layers = img.clampLayers(req.layers)
 	req.colW, req.rowH = img.Grid(req.discard)
 	fullW, fullH := req.colW[len(req.colW)-1], req.rowH[len(req.rowH)-1]
 	var x0, y0, x1, y1 int
@@ -93,6 +95,8 @@ func parseRegion(img *Image, q string, maxPixels int64) (regionRequest, int, err
 		return req, http.StatusRequestEntityTooLarge, fmt.Errorf("window %dx%d exceeds the %d-pixel limit; raise reduce=",
 			req.win.Dx(), req.win.Dy(), maxPixels)
 	}
+	req.tx0, req.tx1 = tileSpan(req.colW, req.win.X0, req.win.X1)
+	req.ty0, req.ty1 = tileSpan(req.rowH, req.win.Y0, req.win.Y1)
 	if req.format = queryGet(q, "format"); req.format == "" {
 		switch req.ncomp { // grayscale defaults to PGM, color to PPM, anything else to raw
 		case 1:

@@ -204,7 +204,7 @@ func TestCachePanicReachesWaiters(t *testing.T) {
 			_, co, err := c.GetOrDecode(context.Background(), key, func() (*raster.Planar, error) {
 				return tile(2, 2), nil
 			})
-			if co != OutcomeCoalesced {
+			if co != cacheCoalesced {
 				err = fmt.Errorf("outcome %v, want coalesced (err %v)", co, err)
 			}
 			errs <- err
@@ -305,7 +305,7 @@ func TestCoalescedWaitersWake(t *testing.T) {
 					return nil, fmt.Errorf("waiter %d decoded", i)
 				})
 				switch {
-				case outcome != OutcomeCoalesced:
+				case outcome != cacheCoalesced:
 					t.Errorf("fail=%v waiter %d: outcome %v, want coalesced", fail, i, outcome)
 				case fail && (pl != nil || !errors.Is(err, decodeErr)):
 					t.Errorf("fail=%v waiter %d: %p, %v; want the leader's error", fail, i, pl, err)
@@ -416,7 +416,7 @@ func TestRecycledInflightRecords(t *testing.T) {
 		for i := range 4 {
 			k := TileKey{Image: "seq", TX: i, Layers: round}
 			got, co, err := c.GetOrDecode(ctx, k, func() ([]byte, error) { return tileOf(k), nil })
-			if co != OutcomeMiss {
+			if co != cacheMiss {
 				t.Fatalf("sequential lookup of %v: %v, want a miss", k, co)
 			}
 			check("sequential miss", k, got, err, nil, false)
@@ -474,7 +474,7 @@ func TestRecycledInflightRecords(t *testing.T) {
 				got, co, err := c.GetOrDecode(ctx, joined, func() ([]byte, error) {
 					return nil, errors.New("a waiter decoded")
 				})
-				if co != OutcomeCoalesced {
+				if co != cacheCoalesced {
 					t.Errorf("waiter on %v: %v, want coalesced", joined, co)
 				}
 				check("waiter", joined, got, err, want, fail)
@@ -517,7 +517,7 @@ func TestGetOrDecodeOwnership(t *testing.T) {
 	value := func(n int) func() ([]byte, error) {
 		return func() ([]byte, error) { return make([]byte, n), nil }
 	}
-	lookup := func(c *Cache[[]byte], key TileKey, n int) (CacheOutcome, bool) {
+	lookup := func(c *Cache[[]byte], key TileKey, n int) (cacheOutcome, bool) {
 		t.Helper()
 		_, co, owned, err := c.getOrDecode(ctx, key, value(n))
 		if err != nil {
@@ -551,7 +551,7 @@ func TestGetOrDecodeOwnership(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				_, co, owned, err := c.getOrDecode(ctx, key, value(64))
-				if err != nil || co != OutcomeCoalesced {
+				if err != nil || co != cacheCoalesced {
 					t.Errorf("waiter %d on %v: %v, %v; want coalesced", i, key, co, err)
 				}
 				joined[i] = owned
@@ -572,16 +572,16 @@ func TestGetOrDecodeOwnership(t *testing.T) {
 		c := newWireCache(tc.maxBytes)
 		on := tc.maxBytes > 0
 		k := TileKey{Image: "a"}
-		if co, owned := lookup(c, k, 64); co != OutcomeMiss || owned == on {
+		if co, owned := lookup(c, k, 64); co != cacheMiss || owned == on {
 			t.Errorf("%s: unjoined miss: %v, owned %v; want a miss, owned %v", tc.name, co, owned, !on)
 		}
 		if on {
-			if co, owned := lookup(c, k, 64); co != OutcomeHit || owned {
+			if co, owned := lookup(c, k, 64); co != cacheHit || owned {
 				t.Errorf("%s: hit: %v, owned %v; want a hit, not owned", tc.name, co, owned)
 			}
 			// Twice the budget: never admitted, so its caller owns it.
 			big := TileKey{Image: "big"}
-			if co, owned := lookup(c, big, 2<<20); co != OutcomeMiss || !owned {
+			if co, owned := lookup(c, big, 2<<20); co != cacheMiss || !owned {
 				t.Errorf("%s: over-budget miss: %v, owned %v; want a miss, owned", tc.name, co, owned)
 			}
 		}
@@ -610,7 +610,7 @@ func fetchPGM(t *testing.T, ts *httptest.Server, path string) *raster.Image {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("%s: %d: %s", path, resp.StatusCode, body)
 	}
-	im, _, err := raster.ReadPGM(resp.Body)
+	im, err := readPGM(resp.Body)
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
@@ -675,7 +675,7 @@ func TestServerCacheHitsSkipDecoding(t *testing.T) {
 	if !raster.Equal(a, b) {
 		t.Fatal("cached response differs")
 	}
-	st := srv.Cache().Stats()
+	st := srv.cache.Stats()
 	if st.Hits == 0 {
 		t.Fatalf("no cache hits recorded: %+v", st)
 	}
@@ -723,7 +723,7 @@ func TestServerConcurrentRegions(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				im, _, err := raster.ReadPGM(resp.Body)
+				im, err := readPGM(resp.Body)
 				resp.Body.Close()
 				if err != nil {
 					t.Errorf("%s: %v", path, err)
@@ -876,7 +876,7 @@ func TestServerSharedPoolConcurrentRequests(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				im, _, err := raster.ReadPGM(resp.Body)
+				im, err := readPGM(resp.Body)
 				resp.Body.Close()
 				if err != nil {
 					t.Errorf("%s: %v", path, err)
@@ -1054,4 +1054,16 @@ func BenchmarkServeTileCache(b *testing.B) {
 			}
 		}
 	})
+}
+
+// readPGM reads a one-component PNM response body.
+func readPGM(r io.Reader) (*raster.Image, error) {
+	pl, _, err := raster.ReadPNM(r)
+	if err != nil {
+		return nil, err
+	}
+	if pl.NComp() != 1 {
+		return nil, fmt.Errorf("expected PGM, got %d-component PNM", pl.NComp())
+	}
+	return pl.Comps[0], nil
 }

@@ -23,7 +23,7 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// CacheBytes is the decoded-tile cache budget: 0 uses DefaultCacheBytes,
+	// CacheBytes is the decoded-tile cache budget: 0 uses defaultCacheBytes,
 	// negative disables caching (every request decodes; concurrent misses
 	// are still deduplicated in flight). Tiles are held in wire form, so a
 	// tile costs its width x height x components x bytes per sample (1 up
@@ -36,7 +36,7 @@ type Options struct {
 	TileWorkers int
 	// MaxPixels rejects region requests larger than this many output pixels
 	// (protects against accidental whole-gigapixel fetches); <= 0 uses
-	// DefaultMaxPixels.
+	// defaultMaxPixels.
 	MaxPixels int64
 	// Timeout bounds each decode-bearing request: past it the request fails
 	// with 504 and the decode pipeline stops at its next stage boundary.
@@ -66,27 +66,27 @@ type Options struct {
 	IOReadTimeout time.Duration
 	// IORetryBudget caps the total retries one request may spend across all
 	// of its tile reads, so a degraded image cannot multiply request latency
-	// by retries x tiles. 0 uses DefaultIORetryBudget, negative is unlimited.
+	// by retries x tiles. 0 uses defaultIORetryBudget, negative is unlimited.
 	IORetryBudget int
 	// QuarantineAfter takes an image out of service (503 + Retry-After, with
 	// background re-probe until its source reads again) after this many
-	// consecutive IO-failed decodes. 0 uses DefaultQuarantineAfter, negative
+	// consecutive IO-failed decodes. 0 uses defaultQuarantineAfter, negative
 	// disables quarantine.
 	QuarantineAfter int
 	// ProbeInterval is the quarantine re-probe cadence (and the Retry-After
-	// hint quarantined requests carry). 0 uses DefaultProbeInterval.
+	// hint quarantined requests carry). 0 uses defaultProbeInterval.
 	ProbeInterval time.Duration
 }
 
 // Defaults for Options zero values.
 const (
-	DefaultCacheBytes      = 256 << 20
-	DefaultMaxPixels       = 64 << 20
+	defaultCacheBytes      = 256 << 20
+	defaultMaxPixels       = 64 << 20
 	DefaultMaxInFlight     = 64
 	DefaultIORetries       = 2
-	DefaultIORetryBudget   = 32
-	DefaultQuarantineAfter = 3
-	DefaultProbeInterval   = time.Second
+	defaultIORetryBudget   = 32
+	defaultQuarantineAfter = 3
+	defaultProbeInterval   = time.Second
 )
 
 // Server answers progressive image requests over HTTP:
@@ -190,13 +190,13 @@ var outcomeNames = [numOutcomes]string{
 // own goroutines; Close releases them.
 func New(store *Store, opts Options) *Server {
 	if opts.CacheBytes == 0 {
-		opts.CacheBytes = DefaultCacheBytes
+		opts.CacheBytes = defaultCacheBytes
 	}
 	if opts.TileWorkers <= 0 {
 		opts.TileWorkers = 1
 	}
 	if opts.MaxPixels <= 0 {
-		opts.MaxPixels = DefaultMaxPixels
+		opts.MaxPixels = defaultMaxPixels
 	}
 	s := &Server{
 		store:   store,
@@ -343,16 +343,9 @@ func (s *Server) Close() {
 	})
 }
 
-// Cache exposes the tile cache (for tests and ops tooling).
-func (s *Server) Cache() *Cache[[]byte] { return s.cache }
-
 // TileDecodes returns the number of tile decodes performed so far; requests
 // served entirely from cache do not move it.
 func (s *Server) TileDecodes() int64 { return s.tileDecodes.Value() }
-
-// Registry exposes the server's metric registry (for tests and for embedding
-// servers that scrape programmatically).
-func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 // ServeHTTP implements http.Handler. A panicking handler is converted into a
 // 500 (when the response has not started) plus a counter instead of relying
@@ -455,25 +448,29 @@ type sizeInfo struct {
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
+	// A cold /info reads every tile body to build the packet maps, so it
+	// takes an admission slot like /img and /stream.
+	if !s.admit() {
+		s.shedRequest(w)
+		return
+	}
+	defer s.release()
 	img, ok := s.store.Get(r.PathValue("id"))
 	if !ok {
 		s.fail(w, http.StatusNotFound, "unknown image %q", r.PathValue("id"))
 		return
 	}
-	// Info forces every tile's packet map (RegionBytes over every tile) — reads
+	// Info forces every tile's packet map (RegionBytes over the tile grid) — reads
 	// every tile body once — so a quarantined source is rejected here too.
 	if s.isQuarantined(img) {
 		s.rejectQuarantined(w, img.ID)
 		return
 	}
 	p := img.Params()
-	all := make([]int, img.Index.NumTiles())
-	for i := range all {
-		all[i] = i
-	}
+	ntx, nty := p.NumTiles()
 	// A tile that cannot be indexed is a 500, as on /stream, not a 200 with
 	// a short packet_bytes.
-	packetBytes, err := img.Index.RegionBytes(all, 0, 0)
+	packetBytes, err := img.Index.RegionBytes(0, 0, ntx, nty, 0, 0)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -518,7 +515,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	layers = img.ClampLayers(layers)
+	layers = img.clampLayers(layers)
 	// Content-Length comes from the packet maps: PrefixSize forces every
 	// tile's map, so a tile that cannot be indexed is a 500 here instead of a
 	// 200 cut short.

@@ -41,8 +41,8 @@ func (im *Image) Size() int64 { return im.src.Size() }
 // Params returns the codestream header parameters.
 func (im *Image) Params() t2.Params { return im.Index.Params }
 
-// ClampDiscard limits a requested reduction to what the stream carries.
-func (im *Image) ClampDiscard(discard int) int {
+// clampDiscard limits a requested reduction to what the stream carries.
+func (im *Image) clampDiscard(discard int) int {
 	if discard < 0 {
 		return 0
 	}
@@ -52,9 +52,9 @@ func (im *Image) ClampDiscard(discard int) int {
 	return discard
 }
 
-// ClampLayers normalizes a layer limit: 0 (or out of range) means every
+// clampLayers normalizes a layer limit: 0 (or out of range) means every
 // layer in the stream.
-func (im *Image) ClampLayers(layers int) int {
+func (im *Image) clampLayers(layers int) int {
 	if layers <= 0 || layers > im.Index.Params.Layers {
 		return im.Index.Params.Layers
 	}
@@ -151,10 +151,10 @@ func (s *Store) Get(id string) (*Image, bool) {
 	return im, ok
 }
 
-// Lookup is Get bound to a request context: a lookup for an already-expired
+// lookup is Get bound to a request context: a lookup for an already-expired
 // or cancelled request fails fast with the context's error instead of
 // starting work that nobody will read.
-func (s *Store) Lookup(ctx context.Context, id string) (*Image, bool, error) {
+func (s *Store) lookup(ctx context.Context, id string) (*Image, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}

@@ -55,7 +55,7 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	img, ok, err := s.store.Lookup(ctx, r.PathValue("id"))
+	img, ok, err := s.store.lookup(ctx, r.PathValue("id"))
 	if err != nil {
 		outcome = s.failCtx(w, err)
 		return
@@ -79,7 +79,7 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 
 	buf := bodies.Get().(*[]byte)
 	defer bodies.Put(buf)
-	body, tiles, agg, err := s.assembleWindow(ctx, &req, *buf)
+	body, agg, err := s.assembleWindow(ctx, &req, *buf)
 	*buf = body // keep the storage the assembly may have grown
 	if err != nil {
 		if ctx.Err() != nil {
@@ -99,7 +99,7 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 	// what a byte-range transport (JPIP-style) would have shipped instead of
 	// pixels. A tile whose packet map fails (served concealed) leaves the
 	// header out rather than under-reporting it.
-	if n, err := img.Index.RegionBytes(tiles, req.discard, req.layers); err == nil {
+	if n, err := img.Index.RegionBytes(req.tx0, req.ty0, req.tx1, req.ty1, req.discard, req.layers); err == nil {
 		h["X-Pj2k-Packet-Bytes"] = []string{strconv.Itoa(n)}
 	}
 	h["Content-Type"] = []string{contentType(req.format)}
@@ -141,10 +141,9 @@ func tileSpan(edges []int, lo, hi int) (t0, t1 int) {
 // raw on a colour image splits each row's pixels into the three planes. The
 // tiles partition the window (each is its whole grid cell), so every byte
 // past the header is written and the recycled storage is not cleared. It
-// returns the body, the indices of the tiles it touched, and the request's
-// outcome: the per-tile cache outcomes aggregated (worst wins), a damaged
+// returns the body and the request's outcome: the per-tile cache outcomes aggregated (worst wins), a damaged
 // resilient decode overriding them all.
-func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []byte) (body []byte, tiles []int, agg reqOutcome, err error) {
+func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []byte) (body []byte, agg reqOutcome, err error) {
 	win, colW, rowH := req.win, req.colW, req.rowH
 	w, h, bps := win.Dx(), win.Dy(), raster.SampleBytes(req.maxval)
 	body = buf[:0]
@@ -171,9 +170,6 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 		bodyPix = bps
 	}
 
-	tx0, tx1 := tileSpan(colW, win.X0, win.X1)
-	ty0, ty1 := tileSpan(rowH, win.Y0, win.Y1)
-	tiles = make([]int, 0, (tx1-tx0)*(ty1-ty0))
 	// One decode closure per request, not per tile: getOrDecode calls it
 	// synchronously, so it may read the loop's current tx, ty, tw, th.
 	var tx, ty, tw, th int
@@ -206,20 +202,19 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 		damaged = damaged || dmg
 		return tile, err
 	}
-	for ty = ty0; ty < ty1; ty++ {
-		for tx = tx0; tx < tx1; tx++ {
-			tiles = append(tiles, ty*(len(colW)-1)+tx)
+	for ty = req.ty0; ty < req.ty1; ty++ {
+		for tx = req.tx0; tx < req.tx1; tx++ {
 			tw, th = colW[tx+1]-colW[tx], rowH[ty+1]-rowH[ty]
 			key := TileKey{Image: req.img.ID, TX: tx, TY: ty, Discard: req.discard, Layers: req.layers}
 			tile, co, owned, err := s.cache.getOrDecode(ctx, key, decode)
 			switch co {
-			case OutcomeMiss:
+			case cacheMiss:
 				agg = max(agg, outcomeMiss)
-			case OutcomeCoalesced:
+			case cacheCoalesced:
 				agg = max(agg, outcomeCoalesced)
 			}
 			if err != nil {
-				return body, tiles, agg, fmt.Errorf("tile (%d,%d): %w", tx, ty, err)
+				return body, agg, fmt.Errorf("tile (%d,%d): %w", tx, ty, err)
 			}
 			// The tile's overlap with the window in tile coordinates, and
 			// where its first pixel lands in the window.
@@ -247,7 +242,7 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 	if damaged {
 		agg = outcomeDamaged
 	}
-	return body, tiles, agg, nil
+	return body, agg, nil
 }
 
 // wireTile is what the server caches of a decoded tile: its samples packed

@@ -17,8 +17,8 @@ type FilterSpec struct {
 }
 
 // modelBlockWidth is the column-block width the paper-machine figures are
-// computed at. It is the model's own constant, so retuning the codec's
-// dwt.DefaultBlockWidth for this host does not move Figs. 6-13.
+// computed at. It is the model's own constant, so retuning the codec's own
+// default (dwt.Strategy.BlockWidth unset) does not move Figs. 6-13.
 const modelBlockWidth = 32
 
 const bytesPerSample = 4

@@ -102,21 +102,3 @@ func (m Machine) ParallelTime(w Work, p, nbarriers int) float64 {
 	}
 	return t + float64(nbarriers)*m.BarrierCostSec
 }
-
-// Makespan computes the completion time of per-task serial times assigned to
-// workers by the given schedule (worker -> task indices): the slowest
-// worker's total. Bus contention is applied afterwards by the caller when
-// relevant; tier-1 code-block coding is compute-bound.
-func Makespan(taskTime []float64, schedule [][]int) float64 {
-	worst := 0.0
-	for _, tasks := range schedule {
-		sum := 0.0
-		for _, t := range tasks {
-			sum += taskTime[t]
-		}
-		if sum > worst {
-			worst = sum
-		}
-	}
-	return worst
-}

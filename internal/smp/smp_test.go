@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pj2k/internal/cachesim"
-	"pj2k/internal/core"
 	"pj2k/internal/dwt"
 )
 
@@ -128,9 +127,9 @@ func TestMakespanStaggeredBeatsContiguousOnRamps(t *testing.T) {
 			contig[w] = append(contig[w], w*per+k)
 		}
 	}
-	staggered := core.StaggeredRoundRobin(n, p)
-	mc := Makespan(times, contig)
-	ms := Makespan(times, staggered)
+	staggered := staggeredRoundRobin(n, p)
+	mc := makespan(times, contig)
+	ms := makespan(times, staggered)
 	if ms >= mc {
 		t.Fatalf("staggered makespan %.0f not below contiguous %.0f", ms, mc)
 	}

@@ -435,8 +435,8 @@ func (c *codec) refinePassDec(br *budgetReader, plane uint) {
 	}
 }
 
-// Decode reconstructs an n x n image from a SPIHT stream.
-func Decode(data []byte, n, levels int) (*raster.Image, error) {
+// decode reconstructs an n x n image from a SPIHT stream.
+func decode(data []byte, n, levels int) (*raster.Image, error) {
 	if n&(n-1) != 0 || n < 1<<uint(levels) {
 		return nil, fmt.Errorf("spiht: bad geometry n=%d levels=%d", n, levels)
 	}

@@ -94,7 +94,7 @@ func TestRoundTripQuality(t *testing.T) {
 		if len(data) > budget+16 {
 			t.Fatalf("%.2f bpp: stream %d exceeds budget %d", tc.bpp, len(data), budget)
 		}
-		back, err := Decode(data, 256, 5)
+		back, err := decode(data, 256, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestEmbeddedPrefixProperty(t *testing.T) {
 	prev := 0.0
 	for _, frac := range []float64{0.1, 0.25, 0.5, 1.0} {
 		cut := int(float64(len(data)) * frac)
-		back, err := Decode(data[:cut], 128, 4)
+		back, err := decode(data[:cut], 128, 4)
 		if err != nil {
 			t.Fatalf("frac %.2f: %v", frac, err)
 		}
@@ -140,7 +140,7 @@ func TestGeometryErrors(t *testing.T) {
 	if _, err := Encode(rect, 3, 1000); err == nil {
 		t.Fatal("want error for non-square image")
 	}
-	if _, err := Decode([]byte{}, 64, 3); err == nil {
+	if _, err := decode([]byte{}, 64, 3); err == nil {
 		t.Fatal("want error for empty stream")
 	}
 }
@@ -157,12 +157,12 @@ func TestFlatImageCodesTiny(t *testing.T) {
 	if len(data) > 600 {
 		t.Fatalf("flat image coded to %d bytes", len(data))
 	}
-	back, err := Decode(data, 64, 4)
+	back, err := decode(data, 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mse, _ := metrics.MSE(im, back)
-	if mse > 1 {
-		t.Fatalf("flat image MSE %.3f", mse)
+	// At peak 1, PSNR is -10·log10(MSE): negative exactly when MSE > 1.
+	if psnr, _ := metrics.PSNR(im, back, 1); psnr < 0 {
+		t.Fatalf("flat image PSNR %.3f dB at peak 1 (MSE above 1)", psnr)
 	}
 }

@@ -42,7 +42,7 @@ func TestCoderSteadyStateAllocs(t *testing.T) {
 }
 
 // TestCoderMatchesEncode asserts a reused Coder produces byte-identical
-// output to the one-shot Encode path, across blocks of different shapes and
+// output to a fresh Coder, across blocks of different shapes and
 // bands (pooled state must not leak between blocks).
 func TestCoderMatchesEncode(t *testing.T) {
 	co := NewCoder()
@@ -59,7 +59,7 @@ func TestCoderMatchesEncode(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, s := range shapes {
 			data := testBlock(64)[:64*s.h]
-			want := Encode(data, s.w, s.h, 64, s.band)
+			want := encodeBlock(data, s.w, s.h, 64, s.band)
 			got := co.Encode(data, s.w, s.h, 64, s.band)
 			if got.NumBitplanes != want.NumBitplanes || len(got.Passes) != len(want.Passes) {
 				t.Fatalf("%dx%d %v: pooled shape mismatch: %d planes/%d passes, want %d/%d",

@@ -132,7 +132,7 @@ func BenchmarkT1Passes(b *testing.B) {
 // passes, decoded from the matching segment prefix each iteration.
 func BenchmarkT1DecodePasses(b *testing.B) {
 	data := testBlock(64)
-	eb := Encode(data, 64, 64, 64, dwt.HH)
+	eb := encodeBlock(data, 64, 64, 64, dwt.HH)
 	bd := NewBlockDecoder()
 	for _, np := range []int{1, len(eb.Passes) / 2, len(eb.Passes)} {
 		np := np

@@ -8,33 +8,6 @@ import (
 	"pj2k/internal/quant"
 )
 
-// Decode reconstructs a code-block from the first npasses coding passes of
-// eb. For truncated decodes (npasses < len(eb.Passes)) the remaining
-// uncertainty interval is compensated with a midpoint offset, the standard
-// dequantization convention. With all passes decoded the result is exactly
-// the encoder's input. The result has stride eb.W.
-func Decode(eb *EncodedBlock, npasses int) ([]int32, error) {
-	if npasses < 0 || npasses > len(eb.Passes) {
-		return nil, fmt.Errorf("t1: npasses %d out of range [0,%d]", npasses, len(eb.Passes))
-	}
-	data := eb.Data
-	if npasses > 0 {
-		if r := eb.Passes[npasses-1].Rate; r < len(data) {
-			data = data[:r]
-		}
-	}
-	in := BlockIn{
-		W: eb.W, H: eb.H, Band: eb.Band,
-		NumBitplanes: eb.NumBitplanes,
-		Data:         data,
-		NPasses:      npasses,
-		Modes:        eb.Modes,
-		SegEnds:      eb.SegmentEnds(nil, npasses),
-	}
-	out, _, err := NewBlockDecoder().DecodeBlock(&in, false)
-	return out, err
-}
-
 // BlockDecoder is the reusable tier-1 block decoder, mirroring Coder on the
 // encode side: the bordered magnitude/flag arrays and the MQ
 // decoder persist across blocks, so steady-state decoding performs no heap
@@ -44,17 +17,14 @@ func Decode(eb *EncodedBlock, npasses int) ([]int32, error) {
 // DecodeInto writes a block's final samples straight into its rectangle of
 // the caller's coefficient plane, the decode path's one write per sample;
 // workers decoding different blocks of one plane write disjoint rectangles.
-// DecodeBlock is its arena form: the returned slice lives in an arena owned
-// by the BlockDecoder and stays valid until Release, which reclaims every
-// slice handed out since the previous Release. A BlockDecoder is not safe for
-// concurrent use. Like Coder it holds its symbol-rate state (contexts, MQ
-// registers, raw reader) by value and its zero value is ready for use, so an
-// owner embeds it in a per-worker block; it must not be copied once it has
-// decoded a block.
+// A BlockDecoder is not safe for concurrent use. Like Coder it holds its
+// symbol-rate state (contexts, MQ registers, raw reader) by value and its zero
+// value is ready for use, so an owner embeds it in a per-worker block; it must
+// not be copied once it has decoded a block.
 type BlockDecoder struct {
 	c   coder
 	mq  mq.Decoder
-	out []int32 // DecodeBlock's arena
+	out []int32 // the arena DecodeBlock (benchpins.go) hands out
 
 	modes   Modes
 	segData []byte
@@ -62,14 +32,6 @@ type BlockDecoder struct {
 	ovr     int       // overrun total banked across codeword segments
 	rr      rawReader // raw-segment reader of the bypassed passes
 }
-
-// NewBlockDecoder returns an empty BlockDecoder; buffers are sized on first
-// use.
-func NewBlockDecoder() *BlockDecoder { return &BlockDecoder{} }
-
-// Release reclaims every sample slice returned by DecodeBlock since the
-// last Release. The caller must have dropped all references to them.
-func (bd *BlockDecoder) Release() { bd.out = bd.out[:0] }
 
 // SegStats reports what a checked decode had to do to a block: whether the
 // result was concealed (truncated to its last clean cleanup pass, or zeroed
@@ -113,22 +75,6 @@ type Dest struct {
 	Off, Stride int
 	Step        float64
 	ROIShift    int
-}
-
-// DecodeBlock decodes a block into a W x H slice of the arena (stride W).
-func (bd *BlockDecoder) DecodeBlock(in *BlockIn, resilient bool) ([]int32, SegStats, error) {
-	n := max(in.W, 0) * max(in.H, 0)
-	if cap(bd.out)-len(bd.out) < n {
-		// A fresh chunk; slices handed out earlier keep the old one.
-		bd.out = make([]int32, 0, max(2*cap(bd.out), n, 1<<12))
-	}
-	out := bd.out[len(bd.out) : len(bd.out)+n : len(bd.out)+n]
-	bd.out = bd.out[:len(bd.out)+n]
-	st, err := bd.DecodeInto(in, &Dest{Int: out, Stride: in.W}, resilient)
-	if err != nil {
-		return nil, st, err
-	}
-	return out, st, nil
 }
 
 // DecodeInto reconstructs a code-block under its coder modes, with the
@@ -261,7 +207,7 @@ func (bd *BlockDecoder) startSeg(pass int, seg *int, raw bool) {
 		if !bd.modes.TermPass(pass - 1) {
 			return
 		}
-		if bd.modes.PassBypassed(pass - 1) {
+		if bd.modes.passBypassed(pass - 1) {
 			bd.ovr += bd.rr.overrun
 		} else {
 			bd.ovr += bd.mq.Overrun()
@@ -299,7 +245,7 @@ planes:
 			if pass == npasses {
 				break planes
 			}
-			if m.PassBypassed(pass) {
+			if m.passBypassed(pass) {
 				bd.startSeg(pass, &seg, true)
 				bd.decSigPropRaw(plane)
 			} else {
@@ -313,7 +259,7 @@ planes:
 			if pass == npasses {
 				break planes
 			}
-			if m.PassBypassed(pass) {
+			if m.passBypassed(pass) {
 				bd.startSeg(pass, &seg, true)
 				bd.decRefineRaw(plane)
 			} else {
@@ -341,7 +287,7 @@ planes:
 	}
 	// Bank the final segment's overrun (raw iff the last pass was bypassed).
 	if pass > 0 {
-		if m.PassBypassed(pass - 1) {
+		if m.passBypassed(pass - 1) {
 			bd.ovr += bd.rr.overrun
 		} else {
 			bd.ovr += bd.mq.Overrun()

@@ -48,8 +48,8 @@ func TestExtremePatterns(t *testing.T) {
 		for _, band := range bandTypes {
 			for _, sz := range [][2]int{{4, 4}, {17, 5}, {64, 64}} {
 				data := patternBlock(kind, sz[0], sz[1])
-				eb := Encode(data, sz[0], sz[1], sz[0], band)
-				got, err := Decode(eb, len(eb.Passes))
+				eb := encodeBlock(data, sz[0], sz[1], sz[0], band)
+				got, err := decodeBlock(eb, len(eb.Passes))
 				if err != nil {
 					t.Fatalf("%s %v %v: %v", kind, band, sz, err)
 				}
@@ -65,12 +65,12 @@ func TestExtremePatterns(t *testing.T) {
 
 func TestDecodeDeterministic(t *testing.T) {
 	data := patternBlock("maxdense", 32, 32)
-	eb := Encode(data, 32, 32, 32, dwt.HL)
-	a, err := Decode(eb, len(eb.Passes)/2)
+	eb := encodeBlock(data, 32, 32, 32, dwt.HL)
+	a, err := decodeBlock(eb, len(eb.Passes)/2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Decode(eb, len(eb.Passes)/2)
+	b, err := decodeBlock(eb, len(eb.Passes)/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +83,8 @@ func TestDecodeDeterministic(t *testing.T) {
 
 func TestEncodeDeterministic(t *testing.T) {
 	data := patternBlock("gradient", 48, 24)
-	a := Encode(data, 48, 24, 48, dwt.LH)
-	b := Encode(data, 48, 24, 48, dwt.LH)
+	a := encodeBlock(data, 48, 24, 48, dwt.LH)
+	b := encodeBlock(data, 48, 24, 48, dwt.LH)
 	if len(a.Data) != len(b.Data) {
 		t.Fatal("encoder is not deterministic")
 	}
@@ -100,7 +100,7 @@ func TestPassCountStaysVLCRepresentable(t *testing.T) {
 	// stream sends all passes of a block in one packet, so the encoder must
 	// never exceed that for plausible magnitudes (30 bit-planes -> 88).
 	data := patternBlock("singleColumn", 64, 64) // contains 1<<15
-	eb := Encode(data, 64, 64, 64, dwt.HH)
+	eb := encodeBlock(data, 64, 64, 64, dwt.HH)
 	if len(eb.Passes) > 164 {
 		t.Fatalf("%d passes exceed the VLC limit", len(eb.Passes))
 	}

@@ -16,8 +16,8 @@ func TestStripeTailHeights(t *testing.T) {
 		for _, w := range []int{4, 7, 16} {
 			for _, band := range bandTypes {
 				data := randBlock(w, h, 900, 0.4, int64(h*100+w)+int64(band))
-				eb := Encode(data, w, h, w, band)
-				got, err := Decode(eb, len(eb.Passes))
+				eb := encodeBlock(data, w, h, w, band)
+				got, err := decodeBlock(eb, len(eb.Passes))
 				if err != nil {
 					t.Fatalf("%dx%d %v: %v", w, h, band, err)
 				}
@@ -39,8 +39,8 @@ func TestDegenerateRowsAndColumns(t *testing.T) {
 		for _, band := range bandTypes {
 			for _, density := range []float64{0.3, 1.0} {
 				data := randBlock(sz[0], sz[1], 2000, density, int64(sz[0]*31+sz[1]*7)+int64(band))
-				eb := Encode(data, sz[0], sz[1], sz[0], band)
-				got, err := Decode(eb, len(eb.Passes))
+				eb := encodeBlock(data, sz[0], sz[1], sz[0], band)
+				got, err := decodeBlock(eb, len(eb.Passes))
 				if err != nil {
 					t.Fatalf("%v %v density %.1f: %v", sz, band, density, err)
 				}
@@ -77,7 +77,7 @@ func TestPooledCoderEdgeGeometry(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for si, s := range shapes {
 			data := randBlock(s.w, s.h, 1200, 0.5, int64(si*997+round))
-			want := Encode(data, s.w, s.h, s.w, s.band)
+			want := encodeBlock(data, s.w, s.h, s.w, s.band)
 			got := co.Encode(data, s.w, s.h, s.w, s.band)
 			if !bytes.Equal(got.Data, want.Data) || got.NumBitplanes != want.NumBitplanes {
 				t.Fatalf("round %d shape %dx%d %v: pooled encode differs from one-shot", round, s.w, s.h, s.band)

@@ -42,10 +42,10 @@ func (m Modes) Terminated() bool { return m.TermAll || m.Bypass }
 // of the fourth significant bit-plane — the standard's bypass boundary.
 const bypassFirstPass = 10
 
-// PassBypassed reports whether coding pass pass is raw-coded under m:
+// passBypassed reports whether coding pass pass is raw-coded under m:
 // significance and refinement (but never cleanup) passes from the fourth
 // significant bit-plane on.
-func (m Modes) PassBypassed(pass int) bool {
+func (m Modes) passBypassed(pass int) bool {
 	return m.Bypass && pass >= bypassFirstPass && (pass-1)%3 != 2
 }
 
@@ -57,7 +57,7 @@ func (m Modes) TermPass(pass int) bool {
 	if m.TermAll {
 		return true
 	}
-	return m.Bypass && m.PassBypassed(pass) != m.PassBypassed(pass+1)
+	return m.Bypass && m.passBypassed(pass) != m.passBypassed(pass+1)
 }
 
 // NumSegments returns the number of codeword segments covering the first

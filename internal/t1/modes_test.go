@@ -58,7 +58,7 @@ func TestModesRoundTripExact(t *testing.T) {
 				// bypass boundary (4th significant plane) is well exercised.
 				data := randBlock(sz[0], sz[1], 30000, 0.6, int64(sz[0]*7919+sz[1])+int64(band))
 				eb := co.Encode(data, sz[0], sz[1], sz[0], band)
-				got, err := Decode(eb, len(eb.Passes))
+				got, err := decodeBlock(eb, len(eb.Passes))
 				if err != nil {
 					t.Fatalf("%s size %v band %v: %v", modeName(m), sz, band, err)
 				}
@@ -284,10 +284,10 @@ func TestBypassShrinksPassCost(t *testing.T) {
 	}
 }
 
-func ExampleModes_PassBypassed() {
+func ExampleModes_TermPass() {
 	m := Modes{Bypass: true}
 	for pass := 8; pass <= 13; pass++ {
-		fmt.Printf("pass %d bypassed=%v terminated=%v\n", pass, m.PassBypassed(pass), m.TermPass(pass))
+		fmt.Printf("pass %d bypassed=%v terminated=%v\n", pass, m.passBypassed(pass), m.TermPass(pass))
 	}
 	// Output:
 	// pass 8 bypassed=false terminated=false

@@ -125,7 +125,7 @@ func allocPasses(eb *EncodedBlock, weight float64, budget int) int {
 		bp.Rates = append(bp.Rates, p.Rate)
 		bp.Dist = append(bp.Dist, p.DistDelta*weight)
 	}
-	return rate.Allocate([]rate.BlockPasses{bp}, []int{budget}).NPasses[0][0]
+	return new(rate.Allocator).Allocate([]rate.BlockPasses{bp}, []int{budget}).NPasses[0][0]
 }
 
 // The contract of EncodeStop as the encoder uses it: whenever the allocator

@@ -180,14 +180,6 @@ func distRef(v int32, p uint) float64 {
 	return float64(e0*e0 - e1*e1)
 }
 
-// Encode codes one code-block. data holds signed quantized coefficients for
-// a w x h block with the given row stride; band selects the context tables.
-// It is a convenience wrapper over a fresh Coder; hot paths coding many
-// blocks should hold one Coder per worker instead.
-func Encode(data []int32, w, h, stride int, band dwt.BandType) *EncodedBlock {
-	return NewCoder().Encode(data, w, h, stride, band)
-}
-
 // Coder is a reusable tier-1 block encoder: the bordered magnitude/flag
 // arrays, the MQ encoder and the output storage all persist across blocks,
 // so steady-state encoding performs no heap allocations. Code-blocks are
@@ -221,9 +213,6 @@ type Coder struct {
 	passes []Pass
 	data   []byte
 }
-
-// NewCoder returns an empty Coder; buffers are sized on first use.
-func NewCoder() *Coder { return &Coder{} }
 
 // Release reclaims all EncodedBlocks returned by Encode since the last
 // Release. The caller must have dropped every reference to them.
@@ -290,9 +279,9 @@ type stopRule struct {
 	at     int     // tests only: stop unconditionally after this many passes
 }
 
-// Encode codes one code-block, reusing the Coder's buffers. See Encode (the
-// package-level function) for the parameter contract and Coder for the
-// lifetime of the result.
+// Encode codes one code-block, reusing the Coder's buffers. data holds signed
+// quantized coefficients for a w x h block with the given row stride; band
+// selects the context tables. See Coder for the lifetime of the result.
 func (co *Coder) Encode(data []int32, w, h, stride int, band dwt.BandType) *EncodedBlock {
 	return co.encode(data, w, h, stride, band, stopRule{})
 }
@@ -370,7 +359,7 @@ planes:
 		plane := uint(p)
 		if p != nbp-1 {
 			var d float64
-			if m.PassBypassed(pass) {
+			if m.passBypassed(pass) {
 				d = c.encSigPropRaw(raw, plane)
 			} else {
 				d = c.encSigProp(enc, plane)
@@ -379,7 +368,7 @@ planes:
 				break planes
 			}
 			pass++
-			if m.PassBypassed(pass) {
+			if m.passBypassed(pass) {
 				d = c.encRefineRaw(raw, plane)
 			} else {
 				d = c.encRefine(enc, plane)
@@ -434,7 +423,7 @@ planes:
 // It reports whether the stop rule ends the block here.
 func (co *Coder) endPass(eb *EncodedBlock, pass, total int, d float64) bool {
 	m := co.Modes
-	rawPass := m.PassBypassed(pass)
+	rawPass := m.passBypassed(pass)
 	var rate int
 	switch {
 	case pass == total-1 || m.TermPass(pass):

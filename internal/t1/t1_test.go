@@ -1,6 +1,7 @@
 package t1
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,8 +33,8 @@ func TestRoundTripExact(t *testing.T) {
 		for _, band := range bandTypes {
 			for _, density := range []float64{0.05, 0.5, 1.0} {
 				data := randBlock(sz[0], sz[1], 1000, density, int64(sz[0]*1000+sz[1])+int64(band))
-				eb := Encode(data, sz[0], sz[1], sz[0], band)
-				got, err := Decode(eb, len(eb.Passes))
+				eb := encodeBlock(data, sz[0], sz[1], sz[0], band)
+				got, err := decodeBlock(eb, len(eb.Passes))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -50,11 +51,11 @@ func TestRoundTripExact(t *testing.T) {
 
 func TestAllZeroBlock(t *testing.T) {
 	data := make([]int32, 8*8)
-	eb := Encode(data, 8, 8, 8, dwt.HH)
+	eb := encodeBlock(data, 8, 8, 8, dwt.HH)
 	if eb.NumBitplanes != 0 || len(eb.Passes) != 0 || len(eb.Data) != 0 {
 		t.Fatalf("zero block: nbp=%d passes=%d data=%d", eb.NumBitplanes, len(eb.Passes), len(eb.Data))
 	}
-	got, err := Decode(eb, 0)
+	got, err := decodeBlock(eb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +70,8 @@ func TestSingleCoefficient(t *testing.T) {
 	for _, v := range []int32{1, -1, 2, 255, -256, 1 << 20} {
 		data := make([]int32, 16)
 		data[5] = v
-		eb := Encode(data, 4, 4, 4, dwt.LH)
-		got, err := Decode(eb, len(eb.Passes))
+		eb := encodeBlock(data, 4, 4, 4, dwt.LH)
+		got, err := decodeBlock(eb, len(eb.Passes))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,8 +94,8 @@ func TestStrideInput(t *testing.T) {
 	for y := 0; y < h; y++ {
 		copy(strided[y*stride:y*stride+w], flat[y*w:(y+1)*w])
 	}
-	a := Encode(flat, w, h, w, dwt.HL)
-	b := Encode(strided, w, h, stride, dwt.HL)
+	a := encodeBlock(flat, w, h, w, dwt.HL)
+	b := encodeBlock(strided, w, h, stride, dwt.HL)
 	if len(a.Data) != len(b.Data) {
 		t.Fatalf("stride changed output: %d vs %d bytes", len(a.Data), len(b.Data))
 	}
@@ -107,7 +108,7 @@ func TestStrideInput(t *testing.T) {
 
 func TestPassCountMatchesFormula(t *testing.T) {
 	data := randBlock(32, 32, 4095, 0.9, 7)
-	eb := Encode(data, 32, 32, 32, dwt.LL)
+	eb := encodeBlock(data, 32, 32, 32, dwt.LL)
 	if want := TotalPasses(eb.NumBitplanes); len(eb.Passes) != want {
 		t.Fatalf("passes %d, want %d for %d planes", len(eb.Passes), want, eb.NumBitplanes)
 	}
@@ -115,7 +116,7 @@ func TestPassCountMatchesFormula(t *testing.T) {
 
 func TestRatesMonotone(t *testing.T) {
 	data := randBlock(64, 64, 30000, 0.8, 3)
-	eb := Encode(data, 64, 64, 64, dwt.HH)
+	eb := encodeBlock(data, 64, 64, 64, dwt.HH)
 	prev := 0
 	for k, p := range eb.Passes {
 		if p.Rate < prev {
@@ -135,7 +136,7 @@ func TestTruncatedDecodeImproves(t *testing.T) {
 	// Decoding more passes must not increase MSE (distortion is monotone
 	// non-increasing in the pass count).
 	data := randBlock(32, 32, 10000, 0.6, 11)
-	eb := Encode(data, 32, 32, 32, dwt.LH)
+	eb := encodeBlock(data, 32, 32, 32, dwt.LH)
 	mse := func(got []int32) float64 {
 		var s float64
 		for i := range data {
@@ -146,7 +147,7 @@ func TestTruncatedDecodeImproves(t *testing.T) {
 	}
 	prev := math.Inf(1)
 	for np := 0; np <= len(eb.Passes); np += 3 {
-		got, err := Decode(eb, np)
+		got, err := decodeBlock(eb, np)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +164,7 @@ func TestTruncatedDecodeImproves(t *testing.T) {
 
 func TestDistortionDeltasPositiveTotal(t *testing.T) {
 	data := randBlock(32, 32, 5000, 0.5, 13)
-	eb := Encode(data, 32, 32, 32, dwt.HL)
+	eb := encodeBlock(data, 32, 32, 32, dwt.HL)
 	var total float64
 	for _, p := range eb.Passes {
 		total += p.DistDelta
@@ -183,13 +184,13 @@ func TestEveryPrefixDecodable(t *testing.T) {
 	// Every pass count must decode without error and approximate the
 	// original no worse than the midpoint guarantee for its depth.
 	data := randBlock(16, 16, 4000, 0.7, 17)
-	eb := Encode(data, 16, 16, 16, dwt.HH)
+	eb := encodeBlock(data, 16, 16, 16, dwt.HH)
 	for np := 0; np <= len(eb.Passes); np++ {
-		if _, err := Decode(eb, np); err != nil {
+		if _, err := decodeBlock(eb, np); err != nil {
 			t.Fatalf("npasses=%d: %v", np, err)
 		}
 	}
-	if _, err := Decode(eb, len(eb.Passes)+1); err == nil {
+	if _, err := decodeBlock(eb, len(eb.Passes)+1); err == nil {
 		t.Fatal("want error for excess pass count")
 	}
 }
@@ -198,8 +199,8 @@ func TestBandContextsDiffer(t *testing.T) {
 	// The same data coded as HL vs HH should (almost always) produce
 	// different bytes because the context tables differ.
 	data := randBlock(32, 32, 1000, 0.4, 19)
-	a := Encode(data, 32, 32, 32, dwt.HL)
-	b := Encode(data, 32, 32, 32, dwt.HH)
+	a := encodeBlock(data, 32, 32, 32, dwt.HL)
+	b := encodeBlock(data, 32, 32, 32, dwt.HH)
 	same := len(a.Data) == len(b.Data)
 	if same {
 		for i := range a.Data {
@@ -217,7 +218,7 @@ func TestBandContextsDiffer(t *testing.T) {
 func TestCompressionBeatsRaw(t *testing.T) {
 	// Sparse natural-ish data must compress well below raw size.
 	data := randBlock(64, 64, 3, 0.05, 23)
-	eb := Encode(data, 64, 64, 64, dwt.HH)
+	eb := encodeBlock(data, 64, 64, 64, dwt.HH)
 	raw := 64 * 64 * 2 // 2 bytes per sample baseline
 	if len(eb.Data) > raw/8 {
 		t.Fatalf("sparse block coded to %d bytes; raw is %d", len(eb.Data), raw)
@@ -229,8 +230,8 @@ func TestQuickRoundTrip(t *testing.T) {
 		w, h := 1+int(w8%64), 1+int(h8%64)
 		density := 0.05 + float64(dens%90)/100
 		data := randBlock(w, h, 2000, density, seed)
-		eb := Encode(data, w, h, w, bandTypes[band%4])
-		got, err := Decode(eb, len(eb.Passes))
+		eb := encodeBlock(data, w, h, w, bandTypes[band%4])
+		got, err := decodeBlock(eb, len(eb.Passes))
 		if err != nil {
 			return false
 		}
@@ -249,11 +250,11 @@ func TestQuickRoundTrip(t *testing.T) {
 func TestLargeMagnitudes(t *testing.T) {
 	// 30-bit magnitudes exercise deep bit-plane counts.
 	data := []int32{1 << 29, -(1<<29 + 12345), 3, 0}
-	eb := Encode(data, 2, 2, 2, dwt.LL)
+	eb := encodeBlock(data, 2, 2, 2, dwt.LL)
 	if eb.NumBitplanes != 30 {
 		t.Fatalf("nbp = %d", eb.NumBitplanes)
 	}
-	got, err := Decode(eb, len(eb.Passes))
+	got, err := decodeBlock(eb, len(eb.Passes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,4 +263,25 @@ func TestLargeMagnitudes(t *testing.T) {
 			t.Fatalf("sample %d: got %d want %d", i, got[i], data[i])
 		}
 	}
+}
+
+// encodeBlock codes one block with a fresh Coder.
+func encodeBlock(data []int32, w, h, stride int, band dwt.BandType) *EncodedBlock {
+	return new(Coder).Encode(data, w, h, stride, band)
+}
+
+// decodeBlock decodes the first npasses coding passes of eb with a fresh
+// BlockDecoder into a new eb.W x eb.H block. With every pass decoded the
+// result is exactly the encoder's input; fewer passes leave the midpoint of
+// each sample's remaining uncertainty interval.
+func decodeBlock(eb *EncodedBlock, npasses int) ([]int32, error) {
+	if npasses < 0 || npasses > len(eb.Passes) {
+		return nil, fmt.Errorf("npasses %d out of range [0,%d]", npasses, len(eb.Passes))
+	}
+	in := blockIn(eb, npasses)
+	out := make([]int32, eb.W*eb.H)
+	if _, err := new(BlockDecoder).DecodeInto(&in, &Dest{Int: out, Stride: eb.W}, false); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

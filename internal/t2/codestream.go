@@ -23,19 +23,18 @@ const (
 	mEOC = 0xFFD9
 )
 
-// MaxComponents bounds Csiz so a corrupt header cannot demand absurd
+// maxComponents bounds Csiz so a corrupt header cannot demand absurd
 // per-component allocations downstream (the standard allows 16384; nothing in
 // this codebase needs more than a handful).
-const MaxComponents = 256
+const maxComponents = 256
 
-// MaxImagePixels bounds the total sample budget a header may declare —
+// maxImagePixels bounds the total sample budget a header may declare —
 // Width x Height x Csiz, one sample per component plane — before any plane is
 // allocated: the decompression-bomb guard keeping a 16-byte hostile header
 // from demanding gigabytes. The SIZ parser and CheckGeometry both enforce it,
-// so hand-built Params pass through the same gate as parsed streams. Mutable
-// for deployments serving genuinely larger imagery; set it at startup, not
-// concurrently with decoding.
-var MaxImagePixels int64 = 1 << 28
+// so hand-built Params pass through the same gate as parsed streams. Tests
+// lower it; nothing may change it concurrently with decoding.
+var maxImagePixels int64 = 1 << 28
 
 // maxImageDim bounds each image axis independently of the pixel budget.
 const maxImageDim = 1 << 20
@@ -123,7 +122,7 @@ func (p Params) NumTiles() (int, int) {
 // COD field is in the range its marker carries and this codec implements, and
 // the per-component per-band header arrays cover the decomposition COD
 // declares. The encoder checks the Params it is about to write with it.
-// ScanCodestream does not cross-check markers against each other, so
+// Scanner.Scan does not cross-check markers against each other, so
 // consumers that index Mb/Steps by (component, band) — the decoder, the Index
 // — must call this first: a corrupt stream is an error, not a panic.
 func (p Params) CheckGeometry() error {
@@ -165,13 +164,13 @@ func (p Params) CheckGeometry() error {
 // cannot multiply a legal per-plane size by Csiz.
 func (p *Params) checkSIZ() error {
 	nc := p.Components()
-	if nc > MaxComponents {
-		return fmt.Errorf("t2: %d components exceeds the %d limit", nc, MaxComponents)
+	if nc > maxComponents {
+		return fmt.Errorf("t2: %d components exceeds the %d limit", nc, maxComponents)
 	}
 	if p.Width <= 0 || p.Height <= 0 || p.Width > maxImageDim || p.Height > maxImageDim ||
-		int64(p.Width)*int64(p.Height)*int64(nc) > MaxImagePixels {
-		return fmt.Errorf("t2: implausible image size %dx%dx%d (axis limit %d, MaxImagePixels %d)",
-			p.Width, p.Height, nc, maxImageDim, MaxImagePixels)
+		int64(p.Width)*int64(p.Height)*int64(nc) > maxImagePixels {
+		return fmt.Errorf("t2: implausible image size %dx%dx%d (axis limit %d, maxImagePixels %d)",
+			p.Width, p.Height, nc, maxImageDim, maxImagePixels)
 	}
 	// A tile larger than the image is legal (one tile, clipped to the image
 	// wherever the size is used), so only the axis bound applies.
@@ -329,7 +328,7 @@ func appendMainHeader(out []byte, p Params) []byte {
 		tail = appendQuant(tail[:0], p, ci)
 		out = put16(out, mQCC)
 		out = put16(out, 3+len(tail))
-		out = append(out, byte(ci)) // Cqcc (one byte: Csiz <= MaxComponents < 257)
+		out = append(out, byte(ci)) // Cqcc (one byte: Csiz <= maxComponents < 257)
 		out = append(out, tail...)
 	}
 
@@ -465,8 +464,8 @@ func (r *sreader) readSIZ(p *Params) error {
 	if err != nil {
 		return err
 	}
-	if ncomp < 1 || ncomp > MaxComponents {
-		return fmt.Errorf("t2: %d components out of range [1, %d]", ncomp, MaxComponents)
+	if ncomp < 1 || ncomp > maxComponents {
+		return fmt.Errorf("t2: %d components out of range [1, %d]", ncomp, maxComponents)
 	}
 	p.NComp = ncomp
 	for ci := 0; ci < ncomp; ci++ {
@@ -618,7 +617,7 @@ func (r *sreader) readQCC(p *Params) error {
 	if err != nil {
 		return err
 	}
-	ci, err := r.u8() // Cqcc (one byte: Csiz <= MaxComponents < 257)
+	ci, err := r.u8() // Cqcc (one byte: Csiz <= maxComponents < 257)
 	if err != nil {
 		return err
 	}

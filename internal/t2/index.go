@@ -75,7 +75,7 @@ type Index struct {
 // src (and reads from it lazily); the caller keeps ownership and must keep it
 // open for the Index's lifetime.
 func NewIndex(src *Source) (*Index, error) {
-	p, spans, err := ScanCodestream(src)
+	p, spans, _, err := new(Scanner).Scan(src, false)
 	if err != nil {
 		return nil, err
 	}
@@ -218,13 +218,14 @@ func (ix *Index) buildTile(ti int) (TileIndex, error) {
 	return TileIndex{Packets: packets}, nil
 }
 
-// RegionBytes sums the packet bytes a decode of the given tiles at the given
-// discard-levels/layer limit must touch, across every component — the payload
-// cost of a window request, before any caching. discard and layers are
-// clamped to the stream. Only the listed tiles are forced; the first tile
-// whose packet map cannot be built fails the call, so a caller never reports
-// a silently short count.
-func (ix *Index) RegionBytes(tiles []int, discard, layers int) (int, error) {
+// RegionBytes sums the packet bytes a decode of the tiles in the tile-grid
+// rectangle [tx0, tx1) x [ty0, ty1) at the given discard-levels/layer limit
+// must touch, across every component — the payload cost of a window request,
+// before any caching. discard and layers are clamped to the stream. Only those
+// tiles are forced, in row-major order; the first tile whose packet map
+// cannot be built fails the call, so a caller never reports a silently short
+// count.
+func (ix *Index) RegionBytes(tx0, ty0, tx1, ty1, discard, layers int) (int, error) {
 	p := &ix.Params
 	if discard < 0 {
 		discard = 0
@@ -244,14 +245,17 @@ func (ix *Index) RegionBytes(tiles []int, discard, layers int) (int, error) {
 		keep = append(keep, lrcp(pos, p.Levels, nc).res <= p.Levels-discard)
 	}
 	total := 0
-	for _, ti := range tiles {
-		t, err := ix.Tile(ti)
-		if err != nil {
-			return 0, err
-		}
-		for pos, k := range keep {
-			if k {
-				total += t.Packets[pos].Len
+	ntx, _ := p.NumTiles()
+	for ty := ty0; ty < ty1; ty++ {
+		for tx := tx0; tx < tx1; tx++ {
+			t, err := ix.Tile(ty*ntx + tx)
+			if err != nil {
+				return 0, err
+			}
+			for pos, k := range keep {
+				if k {
+					total += t.Packets[pos].Len
+				}
 			}
 		}
 	}

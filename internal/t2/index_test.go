@@ -263,16 +263,13 @@ func TestIndexByteAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := make([]int, ix.NumTiles())
-	for i := range all {
-		all[i] = i
-	}
-	if got, err := ix.RegionBytes(all, 0, 0); err != nil || got != bodyBytes(ix) {
+	ntx, nty := ix.Params.NumTiles()
+	if got, err := ix.RegionBytes(0, 0, ntx, nty, 0, 0); err != nil || got != bodyBytes(ix) {
 		t.Fatalf("full region costs %d bytes (%v), stream carries %d", got, err, bodyBytes(ix))
 	}
 	prev := -1
 	for layers := 1; layers <= ix.Params.Layers; layers++ {
-		n, err := ix.RegionBytes(all, 0, layers)
+		n, err := ix.RegionBytes(0, 0, ntx, nty, 0, layers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +280,7 @@ func TestIndexByteAccounting(t *testing.T) {
 	}
 	prev = 1 << 62
 	for discard := 0; discard <= ix.Params.Levels; discard++ {
-		n, err := ix.RegionBytes(all, discard, 0)
+		n, err := ix.RegionBytes(0, 0, ntx, nty, discard, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,11 +342,8 @@ func TestIndexColorStream(t *testing.T) {
 			t.Fatalf("tile %d: packets cover %d of %d body bytes", ti, pos, body)
 		}
 	}
-	all := make([]int, ix.NumTiles())
-	for i := range all {
-		all[i] = i
-	}
-	if got, err := ix.RegionBytes(all, 0, 0); err != nil || got != bodyBytes(ix) {
+	ntx, nty := ix.Params.NumTiles()
+	if got, err := ix.RegionBytes(0, 0, ntx, nty, 0, 0); err != nil || got != bodyBytes(ix) {
 		t.Fatalf("full region costs %d bytes (%v), stream carries %d", got, err, bodyBytes(ix))
 	}
 	// Layer truncation: the re-emitted 1-layer color stream decodes exactly

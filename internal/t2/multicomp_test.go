@@ -28,7 +28,7 @@ func TestCodestreamMultiComponent(t *testing.T) {
 	}
 	for ci := range p.Steps {
 		for i := range p.Steps[ci] {
-			p.Steps[ci][i] = quant.StepFor(0.002 * float64(ci+1) * float64(i+1))
+			p.Steps[ci][i] = quant.Step{Exponent: 4 + i + ci, Mantissa: 211*i + ci}
 		}
 	}
 	tiles := [][]byte{{1, 2, 3}, {4, 5}}

@@ -28,15 +28,9 @@ type Grid struct {
 	Rects  []CBRect
 }
 
-// MakeGrid splits a subband into code-blocks of at most cbw x cbh samples.
-func MakeGrid(band dwt.Subband, cbw, cbh int) Grid {
-	var g Grid
-	g.Reshape(band, cbw, cbh)
-	return g
-}
-
-// Reshape repartitions g for band, as MakeGrid would, rebuilding the block
-// rectangles into g's existing Rects storage when it is large enough.
+// Reshape partitions band into code-blocks of at most cbw x cbh samples,
+// rebuilding the block rectangles into g's existing Rects storage when it is
+// large enough. The zero Grid is ready for it.
 func (g *Grid) Reshape(band dwt.Subband, cbw, cbh int) {
 	w, h := band.Width(), band.Height()
 	g.Band, g.GW, g.GH = band, 0, 0

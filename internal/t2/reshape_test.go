@@ -266,7 +266,7 @@ func TestScannerReuseMatchesNew(t *testing.T) {
 					mb[b] += ci
 				}
 				if steps != nil {
-					steps[b] = quant.StepFor(0.002 * float64(b+1) * float64(mb[b]))
+					steps[b] = quant.Step{Exponent: mb[b], Mantissa: 41 * b}
 				}
 			}
 			p.Mb, p.Steps = append(p.Mb, mb), append(p.Steps, steps)

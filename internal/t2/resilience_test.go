@@ -66,7 +66,7 @@ func TestDecompressionBombGuard(t *testing.T) {
 	}
 }
 
-// TestBombCapConfigurable exercises the MaxImagePixels knob: a stream that
+// TestBombCapConfigurable exercises the maxImagePixels knob: a stream that
 // parses under the default budget is rejected once the cap drops below its
 // sample count.
 func TestBombCapConfigurable(t *testing.T) {
@@ -74,10 +74,10 @@ func TestBombCapConfigurable(t *testing.T) {
 	if _, _, err := ScanCodestream(BytesSource(cs)); err != nil {
 		t.Fatalf("baseline parse: %v", err)
 	}
-	old := MaxImagePixels
-	defer func() { MaxImagePixels = old }()
-	MaxImagePixels = 63 * 63 // below the 64x64 sample count
+	old := maxImagePixels
+	defer func() { maxImagePixels = old }()
+	maxImagePixels = 63 * 63 // below the 64x64 sample count
 	if _, _, err := ScanCodestream(BytesSource(cs)); err == nil {
-		t.Fatal("lowered MaxImagePixels did not reject the stream")
+		t.Fatal("lowered maxImagePixels did not reject the stream")
 	}
 }

@@ -43,11 +43,11 @@ func IsIOError(err error) bool {
 	return errors.As(err, &re)
 }
 
-// Transient classifies an IO error: true when a retry could plausibly succeed
+// isTransient classifies an IO error: true when a retry could plausibly succeed
 // (deadline expiries, errors advertising Timeout() or Temporary(), short-read
 // contract violations), false for everything else — closed files, missing
 // ranges, corrupt filesystems. Permanent failures must not burn retry budget.
-func Transient(err error) bool {
+func isTransient(err error) bool {
 	if err == nil {
 		return false
 	}
@@ -160,7 +160,7 @@ func (rr *retryReaderAt) ReadAt(p []byte, off int64) (int, error) {
 		if err == nil {
 			return n, nil
 		}
-		transient := Transient(err)
+		transient := isTransient(err)
 		if !transient || attempt >= pol.Retries || !rr.take() {
 			if pol.Counters != nil {
 				pol.Counters.Failures.Add(1)

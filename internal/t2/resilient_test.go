@@ -303,8 +303,8 @@ func TestTransientClassifier(t *testing.T) {
 		{"readerror-transient", &ReadError{Transient: true, Err: errors.New("x")}, true},
 	}
 	for _, c := range cases {
-		if got := Transient(c.err); got != c.want {
-			t.Errorf("Transient(%s) = %v, want %v", c.name, got, c.want)
+		if got := isTransient(c.err); got != c.want {
+			t.Errorf("isTransient(%s) = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

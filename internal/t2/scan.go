@@ -122,8 +122,11 @@ type Scanner struct {
 	spans []TileSpan
 }
 
-// Scan parses src's main header and walks its tile-part chain, strictly (as
-// ScanCodestream) or in best-effort mode (as ScanCodestreamResilient).
+// Scan parses src's main header and walks the SOT/Psot tile-part chain,
+// seeking tile to tile without reading any body bytes: the parse cost (and
+// IO) of registering a stream is its headers, not its size. The returned
+// spans locate each tile-part body in the source, in chain order. The scan is
+// strict, or with resilient set best-effort (see ScanCodestreamResilient).
 func (s *Scanner) Scan(src *Source, resilient bool) (Params, []TileSpan, ContainerDamage, error) {
 	s.r.src, s.r.pos, s.r.win, s.r.wlo = src, 0, nil, 0
 	s.r.bands, s.r.stepv = s.r.bands[:0], s.r.stepv[:0]
@@ -135,17 +138,7 @@ func (s *Scanner) Scan(src *Source, resilient bool) (Params, []TileSpan, Contain
 	return p, spans, dmg, err
 }
 
-// ScanCodestream parses the main header and walks the SOT/Psot tile-part
-// chain of a codestream, seeking tile to tile without reading any body bytes:
-// the parse cost (and IO) of registering a stream is its headers, not its
-// size. The returned spans locate each tile-part body in the source, in
-// chain order.
-func ScanCodestream(src *Source) (Params, []TileSpan, error) {
-	p, spans, _, err := new(Scanner).Scan(src, false)
-	return p, spans, err
-}
-
-// ScanCodestreamResilient is ScanCodestream in best-effort mode: a truncated
+// ScanCodestreamResilient is a one-shot best-effort Scan: a truncated
 // stream keeps the spans that survive, a tile-part with an implausible Psot
 // is re-bounded by scanning for the next tile-part boundary, and unknown
 // main-header markers are skipped by their declared length — with everything

@@ -80,7 +80,7 @@ func (s *Source) ReadAt(b []byte, off int64) (int, error) {
 		// already wrapped, with its attempt accounting).
 		var re *ReadError
 		if !errors.As(err, &re) {
-			err = &ReadError{Off: off, Len: len(b), Attempts: 1, Transient: Transient(err), Err: err}
+			err = &ReadError{Off: off, Len: len(b), Attempts: 1, Transient: isTransient(err), Err: err}
 		}
 	}
 	return n, err

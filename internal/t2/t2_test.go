@@ -45,7 +45,8 @@ func TestPassCountVLC(t *testing.T) {
 	for n := 1; n <= 164; n++ {
 		w := bitio.NewStuffWriter()
 		writePassCount(w, n)
-		r := bitio.NewStuffReader(w.Bytes())
+		r := new(bitio.StuffReader)
+		r.Reset(w.Bytes())
 		got, err := readPassCount(r)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -293,7 +294,7 @@ func TestCodestreamIrreversibleSteps(t *testing.T) {
 		Steps: [][]quant.Step{make([]quant.Step, 7)},
 	}
 	for i := range p.Steps[0] {
-		p.Steps[0][i] = quant.StepFor(0.003 * float64(i+1))
+		p.Steps[0][i] = quant.Step{Exponent: 3 + i, Mantissa: 97 * i}
 	}
 	cs := WriteCodestream(p, [][]byte{{0xAA}})
 	q, _, err := ScanCodestream(BytesSource(cs))

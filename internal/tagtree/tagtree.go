@@ -32,17 +32,11 @@ type Tree struct {
 	dirty        bool
 }
 
-// New builds a tag tree for the given grid. Leaf values are set with
-// SetValue before encoding; decoders leave them unset.
-func New(ncols, nrows int) *Tree {
-	t := new(Tree)
-	t.Reshape(ncols, nrows)
-	return t
-}
-
 // Reshape rebuilds t for an ncols x nrows grid with all coding state and
-// values cleared, as New would return it, reusing t's node storage when it is
-// large enough: a pooled tree follows its band's shape without allocating.
+// values cleared, reusing t's node storage when it is large enough: a pooled
+// tree follows its band's shape without allocating. The zero Tree is reshaped
+// before first use. Leaf values are set with SetValue before encoding;
+// decoders leave them unset.
 func (t *Tree) Reshape(ncols, nrows int) {
 	if ncols <= 0 || nrows <= 0 {
 		panic("tagtree: empty grid")

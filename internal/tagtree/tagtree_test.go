@@ -12,7 +12,7 @@ import (
 // checks the decoder reaches identical conclusions.
 func roundTrip(t *testing.T, ncols, nrows int, values []int, maxThr int) {
 	t.Helper()
-	enc := New(ncols, nrows)
+	enc := newTree(ncols, nrows)
 	for y := 0; y < nrows; y++ {
 		for x := 0; x < ncols; x++ {
 			enc.SetValue(x, y, values[y*ncols+x])
@@ -27,7 +27,7 @@ func roundTrip(t *testing.T, ncols, nrows int, values []int, maxThr int) {
 			}
 		}
 	}
-	dec := New(ncols, nrows)
+	dec := newTree(ncols, nrows)
 	r := bitio.NewReader(w.Bytes())
 	for thr := 1; thr <= maxThr; thr++ {
 		for y := 0; y < nrows; y++ {
@@ -80,7 +80,7 @@ func TestEncodeDecodeValue(t *testing.T) {
 		for i := range values {
 			values[i] = rng.Intn(10)
 		}
-		enc := New(nc, nr)
+		enc := newTree(nc, nr)
 		for y := 0; y < nr; y++ {
 			for x := 0; x < nc; x++ {
 				enc.SetValue(x, y, values[y*nc+x])
@@ -92,7 +92,7 @@ func TestEncodeDecodeValue(t *testing.T) {
 				enc.EncodeValue(w, x, y)
 			}
 		}
-		dec := New(nc, nr)
+		dec := newTree(nc, nr)
 		r := bitio.NewReader(w.Bytes())
 		for y := 0; y < nr; y++ {
 			for x := 0; x < nc; x++ {
@@ -112,7 +112,7 @@ func TestIncrementalThresholds(t *testing.T) {
 	// Interleaved per-leaf queries at increasing thresholds, the tier-2
 	// packet pattern: layer loop outer, block loop inner, shared state.
 	values := []int{2, 0, 3, 1}
-	enc := New(2, 2)
+	enc := newTree(2, 2)
 	enc.SetValue(0, 0, 2)
 	enc.SetValue(1, 0, 0)
 	enc.SetValue(0, 1, 3)
@@ -126,7 +126,7 @@ func TestIncrementalThresholds(t *testing.T) {
 	for _, qq := range queries {
 		enc.Encode(w, qq.x, qq.y, qq.thr)
 	}
-	dec := New(2, 2)
+	dec := newTree(2, 2)
 	r := bitio.NewReader(w.Bytes())
 	for _, qq := range queries {
 		got, err := dec.Decode(r, qq.x, qq.y, qq.thr)
@@ -140,7 +140,7 @@ func TestIncrementalThresholds(t *testing.T) {
 }
 
 func TestResetReuse(t *testing.T) {
-	tr := New(3, 3)
+	tr := newTree(3, 3)
 	for y := 0; y < 3; y++ {
 		for x := 0; x < 3; x++ {
 			tr.SetValue(x, y, x+y)
@@ -188,7 +188,7 @@ func TestQuickRoundTrip(t *testing.T) {
 				maxv = values[i]
 			}
 		}
-		enc := New(nc, nr)
+		enc := newTree(nc, nr)
 		for y := 0; y < nr; y++ {
 			for x := 0; x < nc; x++ {
 				enc.SetValue(x, y, values[y*nc+x])
@@ -202,7 +202,7 @@ func TestQuickRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		dec := New(nc, nr)
+		dec := newTree(nc, nr)
 		r := bitio.NewReader(w.Bytes())
 		for thr := 1; thr <= maxv+1; thr++ {
 			for y := 0; y < nr; y++ {
@@ -272,10 +272,10 @@ func codeGrid(t *testing.T, enc, dec *Tree, nc, nr int, values []int) []byte {
 // TestReshapeMatchesNew: one encoder tree and one decoder tree, reshaped
 // through a random sequence of grid shapes (growing, shrinking, degenerate
 // rows and columns, repeats) after coding at each, emit and decode exactly
-// the bits a fresh New tree of each shape does.
+// the bits a fresh tree of each shape does.
 func TestReshapeMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	enc, dec := New(1, 1), New(1, 1)
+	enc, dec := newTree(1, 1), newTree(1, 1)
 	for trial := 0; trial < 200; trial++ {
 		nc, nr := 1+rng.Intn(12), 1+rng.Intn(12)
 		if trial%7 == 0 {
@@ -288,9 +288,9 @@ func TestReshapeMatchesNew(t *testing.T) {
 		enc.Reshape(nc, nr)
 		dec.Reshape(nc, nr)
 		got := codeGrid(t, enc, dec, nc, nr, values)
-		want := codeGrid(t, New(nc, nr), New(nc, nr), nc, nr, values)
+		want := codeGrid(t, newTree(nc, nr), newTree(nc, nr), nc, nr, values)
 		if string(got) != string(want) {
-			t.Fatalf("trial %d %dx%d: reshaped tree emits %x, New emits %x", trial, nc, nr, got, want)
+			t.Fatalf("trial %d %dx%d: reshaped tree emits %x, fresh tree emits %x", trial, nc, nr, got, want)
 		}
 	}
 }
@@ -298,7 +298,7 @@ func TestReshapeMatchesNew(t *testing.T) {
 // TestReshapeAllocs: reshaping to a shape no larger than one the tree has
 // held allocates nothing.
 func TestReshapeAllocs(t *testing.T) {
-	tr := New(16, 16)
+	tr := newTree(16, 16)
 	shapes := [][2]int{{3, 5}, {16, 16}, {1, 1}, {9, 2}, {16, 15}}
 	if n := testing.AllocsPerRun(20, func() {
 		for _, s := range shapes {
@@ -307,4 +307,10 @@ func TestReshapeAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Reshape allocates %.0f times per cycle, want 0", n)
 	}
+}
+
+func newTree(ncols, nrows int) *Tree {
+	t := new(Tree)
+	t.Reshape(ncols, nrows)
+	return t
 }

@@ -91,11 +91,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	r.register(&metric{name: name, help: help, kind: kindCounterFunc, fn: fn})
 }
 
-// Gauge registers and returns an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.GaugeWithLabels(name, "", help)
-}
-
 // GaugeWithLabels registers a gauge series under a family name with the given
 // rendered labels (see Labels) — the shape of the conventional
 // `*_build_info{...} 1` metric.
@@ -177,9 +172,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case kindGaugeFunc:
 				writeSample(&b, m.name, m.labels, strconv.FormatInt(m.fn(), 10))
 			case kindHistogram:
-				s := m.hist.Snapshot()
+				s := m.hist.snapshot()
 				for i := 0; i < histBuckets; i++ {
-					writeSample(&b, m.name+"_bucket", joinLabels(m.labels, `le="`+formatLe(BucketBound(i))+`"`),
+					writeSample(&b, m.name+"_bucket", joinLabels(m.labels, `le="`+formatLe(bucketBound(i))+`"`),
 						strconv.FormatUint(s.Cumulative[i], 10))
 				}
 				writeSample(&b, m.name+"_bucket", joinLabels(m.labels, `le="+Inf"`),
@@ -226,13 +221,13 @@ type LatencySummary struct {
 
 // Summary digests a histogram into count/mean/p50/p90/p99 milliseconds.
 func Summary(h *Histogram) LatencySummary {
-	s := h.Snapshot()
+	s := h.snapshot()
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return LatencySummary{
 		Count:  s.Count,
-		MeanMS: ms(s.Mean()),
-		P50MS:  ms(s.Quantile(0.50)),
-		P90MS:  ms(s.Quantile(0.90)),
-		P99MS:  ms(s.Quantile(0.99)),
+		MeanMS: ms(s.mean()),
+		P50MS:  ms(s.quantile(0.50)),
+		P90MS:  ms(s.quantile(0.90)),
+		P99MS:  ms(s.quantile(0.99)),
 	}
 }

@@ -88,9 +88,9 @@ const (
 	histFirstNano = 1000 // 1µs
 )
 
-// BucketBound returns the inclusive upper bound of finite bucket i in
+// bucketBound returns the inclusive upper bound of finite bucket i in
 // nanoseconds.
-func BucketBound(i int) int64 { return histFirstNano << uint(i) }
+func bucketBound(i int) int64 { return histFirstNano << uint(i) }
 
 // Histogram is a fixed-bucket latency histogram. Observations are durations;
 // buckets are log-spaced so one histogram spans microsecond DWT stages and
@@ -129,21 +129,21 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(ns)
 }
 
-// HistogramSnapshot is a point-in-time copy of a histogram: cumulative bucket
+// histogramSnapshot is a point-in-time copy of a histogram: cumulative bucket
 // counts (Prometheus semantics: Cumulative[i] counts observations <= the
 // bucket bound, the last entry is the total), the total count and the summed
 // nanoseconds.
-type HistogramSnapshot struct {
+type histogramSnapshot struct {
 	Cumulative [histBuckets + 1]uint64
 	Count      uint64
 	SumNanos   int64
 }
 
-// Snapshot copies the histogram's current state. Concurrent Observe calls may
+// snapshot copies the histogram's current state. Concurrent Observe calls may
 // land between bucket reads; the snapshot is still a valid histogram (each
 // bucket is internally consistent), which is all percentile derivation needs.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	var s HistogramSnapshot
+func (h *Histogram) snapshot() histogramSnapshot {
+	var s histogramSnapshot
 	var cum uint64
 	for i := range h.counts {
 		cum += h.counts[i].Load()
@@ -154,11 +154,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile derives the q-quantile (0 <= q <= 1) from the snapshot as a
+// quantile derives the q-quantile (0 <= q <= 1) from the snapshot as a
 // duration, interpolating linearly within the owning bucket (Prometheus's
 // histogram_quantile rule). It returns 0 for an empty histogram; quantiles
 // landing in the overflow bucket return the largest finite bound.
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
+func (s histogramSnapshot) quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
@@ -174,13 +174,13 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 			continue
 		}
 		if i >= histBuckets {
-			return time.Duration(BucketBound(histBuckets - 1))
+			return time.Duration(bucketBound(histBuckets - 1))
 		}
 		lo := int64(0)
 		if i > 0 {
-			lo = BucketBound(i - 1)
+			lo = bucketBound(i - 1)
 		}
-		hi := BucketBound(i)
+		hi := bucketBound(i)
 		prev := uint64(0)
 		if i > 0 {
 			prev = s.Cumulative[i-1]
@@ -192,11 +192,11 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 		frac := (rank - float64(prev)) / inBucket
 		return time.Duration(float64(lo) + frac*float64(hi-lo))
 	}
-	return time.Duration(BucketBound(histBuckets - 1))
+	return time.Duration(bucketBound(histBuckets - 1))
 }
 
-// Mean returns the snapshot's mean observation.
-func (s HistogramSnapshot) Mean() time.Duration {
+// mean returns the snapshot's mean observation.
+func (s histogramSnapshot) mean() time.Duration {
 	if s.Count == 0 {
 		return 0
 	}

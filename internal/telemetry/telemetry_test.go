@@ -56,8 +56,8 @@ func TestBucketFor(t *testing.T) {
 		{0, 0}, {1, 0}, {999, 0}, {1000, 0}, // first bucket: <= 1µs
 		{1001, 1}, {2000, 1}, // second: <= 2µs
 		{2001, 2}, {4000, 2},
-		{BucketBound(10), 10},
-		{BucketBound(10) + 1, 11},
+		{bucketBound(10), 10},
+		{bucketBound(10) + 1, 11},
 		{1 << 62, histBuckets}, // overflow
 	}
 	for _, tc := range cases {
@@ -77,17 +77,17 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(100 * time.Millisecond)
 	}
-	s := h.Snapshot()
+	s := h.snapshot()
 	if s.Count != 110 {
 		t.Fatalf("count = %d, want 110", s.Count)
 	}
-	if p50 := s.Quantile(0.5); p50 > 2*time.Millisecond || p50 < 100*time.Microsecond {
+	if p50 := s.quantile(0.5); p50 > 2*time.Millisecond || p50 < 100*time.Microsecond {
 		t.Errorf("p50 = %v, want ~1ms", p50)
 	}
-	if p99 := s.Quantile(0.99); p99 > 200*time.Millisecond || p99 < 50*time.Millisecond {
+	if p99 := s.quantile(0.99); p99 > 200*time.Millisecond || p99 < 50*time.Millisecond {
 		t.Errorf("p99 = %v, want ~100ms", p99)
 	}
-	if mean := s.Mean(); mean < 5*time.Millisecond || mean > 20*time.Millisecond {
+	if mean := s.mean(); mean < 5*time.Millisecond || mean > 20*time.Millisecond {
 		t.Errorf("mean = %v, want ~10ms", mean)
 	}
 	// Cumulative counts must be monotone with the total as the last entry.
@@ -105,11 +105,11 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestQuantileEdgeCases(t *testing.T) {
 	var h Histogram
-	if got := h.Snapshot().Quantile(0.5); got != 0 {
+	if got := h.snapshot().quantile(0.5); got != 0 {
 		t.Errorf("empty histogram p50 = %v, want 0", got)
 	}
 	h.Observe(time.Hour) // overflow bucket
-	if got := h.Snapshot().Quantile(0.99); got != time.Duration(BucketBound(histBuckets-1)) {
+	if got := h.snapshot().quantile(0.99); got != time.Duration(bucketBound(histBuckets-1)) {
 		t.Errorf("overflow p99 = %v, want largest finite bound", got)
 	}
 }
@@ -134,7 +134,7 @@ func TestLabels(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("pj2k_requests_total", "Requests served.")
-	g := r.Gauge("pj2k_in_flight", "In-flight requests.")
+	g := r.GaugeWithLabels("pj2k_in_flight", "", "In-flight requests.")
 	r.GaugeFunc("pj2k_queue_depth", "Queue depth.", func() int64 { return 7 })
 	h1 := r.HistogramWithLabels("pj2k_request_seconds", Labels("outcome", "hit"), "Request latency.")
 	h2 := r.HistogramWithLabels("pj2k_request_seconds", Labels("outcome", "miss"), "Request latency.")
