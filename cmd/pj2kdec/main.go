@@ -58,12 +58,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The best-effort scan reads the same main header the decoder used, so it
-	// also serves a damaged stream that -resilient decoded.
-	p, _, _, err := t2.ScanCodestreamResilient(src)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The header the decode scanned, salvaged when -resilient decoded a
+	// damaged stream: the container is read once.
+	p := dec.Params()
 	if *depth == 0 {
 		*depth = p.BitDepth
 	}

@@ -139,7 +139,7 @@ func TestCoderModesSignalled(t *testing.T) {
 			p.TermAll != c.coder.TermAll || p.Causal != c.coder.Causal {
 			t.Fatalf("%s: COD round-trip lost modes: got %+v", c.name, p.CoderModes())
 		}
-		if _, err := t2.BuildIndex(cs); err != nil {
+		if _, err := t2.BuildIndex(t2.BytesSource(cs)); err != nil {
 			t.Fatalf("%s: index over terminated segments: %v", c.name, err)
 		}
 	}

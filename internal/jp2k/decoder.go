@@ -149,6 +149,10 @@ type Decoder struct {
 // a snapshot; it does not change when the Decoder is reused.
 func (d *Decoder) Stats() DecodeStats { return d.stats }
 
+// Params returns the header parameters the last Decode or DecodePlanarSource
+// scanned (salvaged, when resilient); DecodeRegion leaves them as they were.
+func (d *Decoder) Params() t2.Params { return d.cs.p }
+
 // decSlot is one kept (entropy-decoded) code-block of a tile component.
 type decSlot struct {
 	bi   int

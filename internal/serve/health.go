@@ -2,11 +2,12 @@ package serve
 
 // Per-image IO health and quarantine: the serving tier's answer to a source
 // that stopped reading (failing NFS mount, yanked disk, dead object-store
-// shard). Tile decodes report IO success/failure per image; after
-// QuarantineAfter consecutive failures the image is quarantined — requests
-// answer 503 + Retry-After instead of burning a decode worker on a source
-// that will fail anyway — and a background probe re-reads the failing span
-// until it succeeds, at which point the image returns to service on its own.
+// shard). Tile decodes, and the packet-map and prefix reads of /info and
+// /stream, report IO success/failure per image; after QuarantineAfter
+// consecutive failures the image is quarantined — requests answer 503 +
+// Retry-After instead of burning a decode worker on a source that will fail
+// anyway — and a background probe re-reads the failing span until it
+// succeeds, at which point the image returns to service on its own.
 
 import (
 	"errors"
@@ -29,107 +30,49 @@ type imageHealth struct {
 	probeLen    int
 }
 
-// quarantineAfter resolves the Options knob: 0 means the default, negative
-// disables quarantine entirely.
-func (s *Server) quarantineAfter() int {
-	if s.opts.QuarantineAfter < 0 {
-		return 0
-	}
-	if s.opts.QuarantineAfter == 0 {
-		return defaultQuarantineAfter
-	}
-	return s.opts.QuarantineAfter
-}
-
-// probeInterval resolves the re-probe cadence (also the Retry-After hint).
-func (s *Server) probeInterval() time.Duration {
-	if s.opts.ProbeInterval > 0 {
-		return s.opts.ProbeInterval
-	}
-	return defaultProbeInterval
-}
-
-// ioPolicy is the per-request retry policy handed to ResilientSource: the
-// server-wide retry/deadline knobs, feeding the shared IO counters, with the
-// request's retry budget (unlimited when IORetryBudget is negative).
-func (s *Server) ioPolicy() t2.RetryPolicy {
-	budget := s.opts.IORetryBudget
-	if budget == 0 {
-		budget = defaultIORetryBudget
-	}
-	return t2.RetryPolicy{
-		Retries:     s.ioRetries,
-		Backoff:     2 * time.Millisecond,
-		MaxBackoff:  250 * time.Millisecond,
-		ReadTimeout: s.opts.IOReadTimeout,
-		JitterSeed:  0x7069326b_73657276, // constant: jitter mixes in offset+attempt
-		Budget:      max(budget, 0),
-		Counters:    s.ioc,
-	}
-}
-
-// requestSource returns the source a request's tile decodes read img through:
-// the raw source when the IO layer is fully disabled, otherwise a per-request
-// resilient wrapper, whose reads all spend the request's one retry budget.
-func (s *Server) requestSource(img *Image) *t2.Source {
-	if s.ioRetries <= 0 && s.opts.IOReadTimeout <= 0 {
-		return img.src
-	}
-	return t2.ResilientSource(img.src, s.ioPolicy())
-}
-
-// isQuarantined reports whether img is currently quarantined.
-func (s *Server) isQuarantined(img *Image) bool {
+// refuseQuarantined answers a request for a quarantined image — 503 with the
+// probe interval as the Retry-After hint, counted distinctly from shedding —
+// and reports whether img was quarantined.
+func (s *Server) refuseQuarantined(w http.ResponseWriter, img *Image) bool {
 	img.health.mu.Lock()
 	q := img.health.quarantined
 	img.health.mu.Unlock()
-	return q
-}
-
-// rejectQuarantined answers a request for a quarantined image: 503 with the
-// probe interval as the Retry-After hint, counted distinctly from shedding.
-func (s *Server) rejectQuarantined(w http.ResponseWriter, id string) {
-	s.quarantinedReqs.Inc()
-	secs := int(s.probeInterval().Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
+	if !q {
+		return false
 	}
+	s.quarantinedReqs.Inc()
+	secs := max(int(s.opts.ProbeInterval.Round(time.Second)/time.Second), 1)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	s.fail(w, http.StatusServiceUnavailable,
-		"image %q quarantined after repeated IO failures; probing for recovery", id)
+		"image %q quarantined after repeated IO failures; probing for recovery", img.ID)
+	return true
 }
 
-// noteIOSuccess resets img's consecutive-failure streak after a decode that
-// read the source cleanly.
-func (s *Server) noteIOSuccess(img *Image) {
+// recordIO records one verdict on img's source: a decode (or an /info or
+// /stream request) that read it cleanly resets the failure streak, one that
+// failed on IO extends it, and crossing the quarantine threshold flips the
+// image out of service and starts the recovery probe. err (when it wraps a
+// *t2.ReadError) pins the probe to the span that failed.
+func (s *Server) recordIO(img *Image, failed bool, err error) {
 	h := &img.health
 	h.mu.Lock()
-	h.consecFails = 0
-	h.mu.Unlock()
-}
-
-// noteIOFailure records one IO-failed decode against img; crossing the
-// quarantine threshold flips the image out of service and starts the
-// recovery probe. err (when it wraps a *t2.ReadError) pins the probe to the
-// span that failed.
-func (s *Server) noteIOFailure(img *Image, err error) {
-	threshold := s.quarantineAfter()
-	if threshold == 0 {
+	defer h.mu.Unlock()
+	switch {
+	case !failed:
+		h.consecFails = 0
+		return
+	case s.opts.QuarantineAfter < 0:
 		return
 	}
-	h := &img.health
-	h.mu.Lock()
 	var re *t2.ReadError
 	if errors.As(err, &re) {
 		h.probeOff, h.probeLen = re.Off, re.Len
 	}
 	h.consecFails++
-	if h.quarantined || h.consecFails < threshold {
-		h.mu.Unlock()
+	if h.quarantined || h.consecFails < s.opts.QuarantineAfter {
 		return
 	}
 	h.quarantined = true
-	h.mu.Unlock()
 	s.quarantines.Inc()
 	s.quarActive.Add(1)
 	s.probeWG.Add(1)
@@ -140,7 +83,7 @@ func (s *Server) noteIOFailure(img *Image, err error) {
 // (recover and exit) or the server closes. One loop per quarantined image.
 func (s *Server) probeLoop(img *Image) {
 	defer s.probeWG.Done()
-	t := time.NewTicker(s.probeInterval())
+	t := time.NewTicker(s.opts.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -229,3 +229,89 @@ func TestRequestRetryBudget(t *testing.T) {
 		t.Fatalf("stats io = %+v; want the retry budget (2) consumed exactly", st.IO)
 	}
 }
+
+// --- /info and /stream read through the request's source: a transient
+// fault there is retried and a persistent one quarantines the image, as on a
+// tile decode.
+
+// indexEndpoints are the endpoints that read through the packet index.
+var indexEndpoints = []struct{ name, path string }{
+	{"info", "/img/q/info"},
+	{"stream", "/img/q/stream?layers=1"},
+}
+
+func TestInfoStreamTransientFault(t *testing.T) {
+	want := NewStore()
+	if _, err := want.Add("q", encodeTest(t, testImage())); err != nil {
+		t.Fatal(err)
+	}
+	healthy := New(want, Options{})
+	defer healthy.Close()
+	for _, e := range indexEndpoints {
+		t.Run(e.name, func(t *testing.T) {
+			// One transient failure on the first read after registration,
+			// then the source heals: the retry absorbs it.
+			srv, fl := flakyImageServer(t, Options{}, faultinject.FlakyConfig{FailNth: 1, Recover: 1, Transient: true})
+			fl.Break()
+			rec := get(t, srv, e.path)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("over a transient fault: %d, %s", rec.Code, rec.Body)
+			}
+			if fl.Failures() == 0 {
+				t.Fatal("no fault was injected")
+			}
+			if ref := get(t, healthy, e.path); !bytes.Equal(rec.Body.Bytes(), ref.Body.Bytes()) {
+				t.Fatal("body differs from a healthy source's")
+			}
+			if st := serverStats(t, srv); st.IO.ReadRetries == 0 {
+				t.Fatalf("stats io = %+v; the failed read was not retried through the request's source", st.IO)
+			}
+		})
+	}
+}
+
+func TestInfoStreamQuarantine(t *testing.T) {
+	for _, e := range indexEndpoints {
+		t.Run(e.name, func(t *testing.T) {
+			srv, fl := flakyImageServer(t, Options{
+				IORetries:       1,
+				QuarantineAfter: 2,
+				ProbeInterval:   time.Hour, // keep the probe out of this test
+			}, faultinject.FlakyConfig{FailNth: 1})
+			fl.Break()
+			for i := 0; i < 2; i++ {
+				if rec := get(t, srv, e.path); rec.Code != http.StatusInternalServerError {
+					t.Fatalf("over a dead source, request %d: %d, %s", i, rec.Code, rec.Body)
+				}
+			}
+			rec := get(t, srv, oneTileWindow)
+			if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+				t.Fatalf("region request after 2 failed requests: %d, Retry-After %q; want 503 with Retry-After",
+					rec.Code, rec.Header().Get("Retry-After"))
+			}
+			if st := serverStats(t, srv); st.Quarantine.Total != 1 || st.IO.ReadFailures < 2 {
+				t.Fatalf("stats quarantine = %+v, io = %+v; want one quarantine after 2 failed reads",
+					st.Quarantine, st.IO)
+			}
+		})
+	}
+}
+
+// TestRegionMapReadsCounted: a region request whose packet map is not built
+// yet reads it through its own source, so every read the image's reader sees
+// is an io.read_attempts; the same request again (tile cached, map built)
+// reads nothing.
+func TestRegionMapReadsCounted(t *testing.T) {
+	srv, fl := flakyImageServer(t, Options{}, faultinject.FlakyConfig{})
+	registered := fl.Calls()
+	for i := 0; i < 2; i++ {
+		if rec := get(t, srv, oneTileWindow); rec.Code != http.StatusOK || rec.Header().Get("X-Pj2k-Packet-Bytes") == "" {
+			t.Fatalf("request %d: %d, X-Pj2k-Packet-Bytes %q", i, rec.Code, rec.Header().Get("X-Pj2k-Packet-Bytes"))
+		}
+		reads, attempts := fl.Calls()-registered, serverStats(t, srv).IO.ReadAttempts
+		if reads != 2 || attempts != reads {
+			t.Fatalf("after request %d: the reader saw %d reads, io.read_attempts %d; want 2 each (the tile body and its packet map)",
+				i, reads, attempts)
+		}
+	}
+}

@@ -329,7 +329,7 @@ func TestStoreRejectsDuplicateID(t *testing.T) {
 		t.Fatalf("store holds %d images, want 1", store.Len())
 	}
 	img, ok := store.Get("a")
-	if !ok || img.Source() != first || img.Params().Width != 64 {
+	if !ok || img.src != first || img.Params().Width != 64 {
 		t.Fatal("the first registration is no longer the image served")
 	}
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -8,13 +9,99 @@ import (
 	"strings"
 
 	"pj2k/internal/jp2k"
+	"pj2k/internal/t2"
 )
+
+// request is one admitted request of an image endpoint: /img/{id}, /info or
+// /stream. All three have one shape: (1) admit, (2) look up the image, (3)
+// refuse it if quarantined, (4) make the request, (5) do the work, (6) record
+// what its reads said about the image's IO health, (7) write the response
+// once. begin runs steps 1-4. Which source a served read goes through is
+// decided here alone: every read of a request goes through source, so it is
+// retried, counted in /stats io and spends the request's one retry budget,
+// and a request that reads nothing (every tile cached, every packet map
+// built) builds no source.
+type request struct {
+	s      *Server
+	img    *Image
+	ctx    context.Context // the client's, plus the server-side deadline
+	cancel context.CancelFunc
+	src    *t2.Source // built by the first read
+}
+
+// begin runs steps 1-4 into rq and reports whether the caller goes on, in
+// which case it must defer rq.end and the outcome is outcomeError, the
+// verdict of a request that fails from here. Otherwise begin has answered
+// (shed, expired, 404 or quarantined) and the outcome says how.
+func (s *Server) begin(rq *request, w http.ResponseWriter, r *http.Request) (reqOutcome, bool) {
+	if s.inflight != nil {
+		select {
+		case s.inflight <- struct{}{}:
+		default: // at capacity: 503 with a Retry-After hint, counted apart from errors
+			s.shed.Inc()
+			w.Header().Set("Retry-After", "1")
+			s.fail(w, http.StatusServiceUnavailable, "server at capacity; retry shortly")
+			return outcomeShed, false
+		}
+	}
+	// The work-bounding context: the client's (cancelled on disconnect) plus
+	// the server-side deadline when configured.
+	*rq = request{s: s, ctx: r.Context(), cancel: func() {}}
+	if s.opts.Timeout > 0 {
+		rq.ctx, rq.cancel = context.WithTimeout(rq.ctx, s.opts.Timeout)
+	}
+	img, ok := s.store.Get(r.PathValue("id"))
+	outcome := outcomeError
+	switch {
+	case rq.ctx.Err() != nil: // no work for a request nobody will read
+		outcome = s.failCtx(w, rq.ctx.Err())
+	case !ok:
+		outcome = outcomeClientError
+		s.fail(w, http.StatusNotFound, "unknown image %q", r.PathValue("id"))
+	case s.refuseQuarantined(w, img):
+		outcome = outcomeQuarantined
+	default:
+		rq.img = img
+		return outcome, true
+	}
+	rq.end()
+	return outcome, false
+}
+
+// end releases the context and the admission slot begin took.
+func (rq *request) end() {
+	rq.cancel()
+	if rq.s.inflight != nil {
+		<-rq.s.inflight
+	}
+}
+
+// source returns the request's source, building it on the first call: the
+// image's own when the IO layer is off, otherwise a resilient wrapper under
+// the server's policy. A request issues its reads one at a time.
+func (rq *request) source() *t2.Source {
+	if rq.src == nil {
+		rq.src = rq.img.src
+		if pol := &rq.s.ioPolicy; pol.Retries > 0 || pol.ReadTimeout > 0 {
+			rq.src = t2.ResilientSource(rq.img.src, *pol)
+		}
+	}
+	return rq.src
+}
+
+// noteIO is step 6 for what /info and /stream read through the index (a tile
+// decode records its own, in decodeTile): an IO error counts against the
+// image, and a request that read and did not fail resets its streak.
+func (rq *request) noteIO(err error) {
+	if failed := err != nil && t2.IsIOError(err); failed || err == nil && rq.src != nil {
+		rq.s.recordIO(rq.img, failed, err)
+	}
+}
 
 // regionRequest is one validated /img/{id} request: everything the window
 // assembly needs, resolved against the image before any tile is touched, so a
 // request that is going to be refused costs no decode.
 type regionRequest struct {
-	img             *Image
 	discard, layers int
 	colW, rowH      []int     // tile-grid prefix sums at discard (Image.Grid)
 	win             jp2k.Rect // window on the reduced grid, clipped to the image
@@ -65,7 +152,7 @@ func queryInt(q, name string, def int) (int, error) {
 // maxPixels).
 func parseRegion(img *Image, q string, maxPixels int64) (regionRequest, int, error) {
 	p := &img.Index.Params
-	req := regionRequest{img: img, ncomp: p.Components(), maxval: 255}
+	req := regionRequest{ncomp: p.Components(), maxval: 255}
 	if p.BitDepth > 8 {
 		req.maxval = 1<<uint(p.BitDepth) - 1
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pj2k/internal/jp2k"
+	"pj2k/internal/t2"
 )
 
 // FuzzRegionQuery: queryGet reads a raw query as url.ParseQuery(q).Get(k)
@@ -69,7 +70,7 @@ func TestResponseHeadersCanonical(t *testing.T) {
 				}
 			}
 		}
-		n, err := img.Index.RegionBytes(tx0, ty0, tx1, ty1, 0, 0)
+		n, err := img.Index.RegionBytes(tx0, ty0, tx1, ty1, 0, 0, func() *t2.Source { return img.src })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,13 +9,11 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pj2k/internal/core"
-	"pj2k/internal/dwt"
 	"pj2k/internal/jp2k"
 	"pj2k/internal/t2"
 	"pj2k/internal/telemetry"
@@ -42,8 +40,8 @@ type Options struct {
 	// with 504 and the decode pipeline stops at its next stage boundary.
 	// 0 means unbounded.
 	Timeout time.Duration
-	// MaxInFlight bounds concurrently admitted decode-bearing requests
-	// (/img/{id} and /img/{id}/stream); excess load is shed with
+	// MaxInFlight bounds concurrently admitted image requests (/img/{id},
+	// /img/{id}/info and /img/{id}/stream); excess load is shed with
 	// 503 + Retry-After instead of queueing without bound. 0 uses
 	// DefaultMaxInFlight, negative disables shedding.
 	MaxInFlight int
@@ -121,9 +119,10 @@ type Server struct {
 	decoders sync.Pool     // *jp2k.Decoder, pooled across requests
 	inflight chan struct{} // admission semaphore; nil disables shedding
 
-	// IO fault tolerance: the resolved retry count, the shared source-read
-	// counters, and the quarantine machinery's lifecycle plumbing.
-	ioRetries  int
+	// IO fault tolerance: the policy of every request's source
+	// (request.source), the shared source-read counters, and the quarantine
+	// machinery's lifecycle plumbing.
+	ioPolicy   t2.RetryPolicy
 	ioc        *t2.IOCounters
 	done       chan struct{} // closed by Close; stops quarantine probes
 	closeOnce  sync.Once
@@ -214,14 +213,27 @@ func New(store *Store, opts Options) *Server {
 	if opts.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, opts.MaxInFlight)
 	}
+	if opts.QuarantineAfter == 0 {
+		opts.QuarantineAfter = defaultQuarantineAfter
+	}
+	if opts.ProbeInterval <= 0 {
+		opts.ProbeInterval = defaultProbeInterval
+	}
+	if opts.IORetries == 0 {
+		opts.IORetries = DefaultIORetries
+	}
+	if opts.IORetryBudget == 0 {
+		opts.IORetryBudget = defaultIORetryBudget
+	}
 	s.opts = opts
-	switch {
-	case opts.IORetries < 0:
-		s.ioRetries = 0
-	case opts.IORetries == 0:
-		s.ioRetries = DefaultIORetries
-	default:
-		s.ioRetries = opts.IORetries
+	s.ioPolicy = t2.RetryPolicy{
+		Retries:     max(opts.IORetries, 0),
+		Backoff:     2 * time.Millisecond,
+		MaxBackoff:  250 * time.Millisecond,
+		ReadTimeout: opts.IOReadTimeout,
+		JitterSeed:  0x7069326b_73657276,        // constant: jitter mixes in offset+attempt
+		Budget:      max(opts.IORetryBudget, 0), // per request; negative is unlimited
+		Counters:    s.ioc,
 	}
 	s.initTelemetry()
 	s.decoders.New = func() any {
@@ -366,44 +378,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// admit reserves an admission slot, reporting false when the server is at
-// capacity (the caller sheds the request). release must be called for every
-// successful admit.
-func (s *Server) admit() bool {
-	if s.inflight == nil {
-		return true
-	}
-	select {
-	case s.inflight <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (s *Server) release() {
-	if s.inflight != nil {
-		<-s.inflight
-	}
-}
-
-// shedRequest answers an over-capacity request: 503 with a Retry-After hint,
-// counted separately from ordinary errors.
-func (s *Server) shedRequest(w http.ResponseWriter) {
-	s.shed.Inc()
-	w.Header().Set("Retry-After", "1")
-	s.fail(w, http.StatusServiceUnavailable, "server at capacity; retry shortly")
-}
-
-// requestCtx derives the work-bounding context of one request: the client's
-// (cancelled on disconnect) plus the server-side deadline when configured.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.opts.Timeout > 0 {
-		return context.WithTimeout(r.Context(), s.opts.Timeout)
-	}
-	return r.Context(), func() {}
-}
-
 // failCtx maps a context-ended decode to its status: 504 for the server-side
 // deadline, 503 for a client that went away (nobody reads the body either
 // way). It returns the request outcome for the latency histograms.
@@ -420,122 +394,6 @@ func (s *Server) failCtx(w http.ResponseWriter, err error) reqOutcome {
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
 	s.errors.Inc()
 	http.Error(w, fmt.Sprintf(format, args...), code)
-}
-
-// infoResponse is the /img/{id}/info payload.
-type infoResponse struct {
-	ID          string     `json:"id"`
-	Width       int        `json:"width"`
-	Height      int        `json:"height"`
-	TileW       int        `json:"tile_w"`
-	TileH       int        `json:"tile_h"`
-	Tiles       int        `json:"tiles"`
-	Components  int        `json:"components"`
-	MCT         bool       `json:"mct"`
-	Levels      int        `json:"levels"`
-	Layers      int        `json:"layers"`
-	BitDepth    int        `json:"bit_depth"`
-	Kernel      string     `json:"kernel"`
-	Bytes       int        `json:"bytes"`
-	PacketBytes int        `json:"packet_bytes"`
-	Reductions  []sizeInfo `json:"reductions"`
-}
-
-type sizeInfo struct {
-	Reduce int `json:"reduce"`
-	Width  int `json:"width"`
-	Height int `json:"height"`
-}
-
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	// A cold /info reads every tile body to build the packet maps, so it
-	// takes an admission slot like /img and /stream.
-	if !s.admit() {
-		s.shedRequest(w)
-		return
-	}
-	defer s.release()
-	img, ok := s.store.Get(r.PathValue("id"))
-	if !ok {
-		s.fail(w, http.StatusNotFound, "unknown image %q", r.PathValue("id"))
-		return
-	}
-	// Info forces every tile's packet map (RegionBytes over the tile grid) — reads
-	// every tile body once — so a quarantined source is rejected here too.
-	if s.isQuarantined(img) {
-		s.rejectQuarantined(w, img.ID)
-		return
-	}
-	p := img.Params()
-	ntx, nty := p.NumTiles()
-	// A tile that cannot be indexed is a 500, as on /stream, not a 200 with
-	// a short packet_bytes.
-	packetBytes, err := img.Index.RegionBytes(0, 0, ntx, nty, 0, 0)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	kernel := "9x7"
-	if p.Kernel == dwt.Rev53 {
-		kernel = "5x3"
-	}
-	info := infoResponse{
-		ID: img.ID, Width: p.Width, Height: p.Height,
-		TileW: p.TileW, TileH: p.TileH, Tiles: img.Index.NumTiles(),
-		Components: p.Components(), MCT: p.MCT,
-		Levels: p.Levels, Layers: p.Layers, BitDepth: p.BitDepth,
-		Kernel: kernel, Bytes: int(img.Size()), PacketBytes: packetBytes,
-	}
-	for d := 0; d <= p.Levels; d++ {
-		colW, rowH := img.Grid(d)
-		info.Reductions = append(info.Reductions, sizeInfo{
-			Reduce: d, Width: colW[len(colW)-1], Height: rowH[len(rowH)-1],
-		})
-	}
-	s.writeJSON(w, info)
-}
-
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if !s.admit() {
-		s.shedRequest(w)
-		return
-	}
-	defer s.release()
-	img, ok := s.store.Get(r.PathValue("id"))
-	if !ok {
-		s.fail(w, http.StatusNotFound, "unknown image %q", r.PathValue("id"))
-		return
-	}
-	if s.isQuarantined(img) {
-		s.rejectQuarantined(w, img.ID)
-		return
-	}
-	layers, err := queryInt(r.URL.RawQuery, "layers", 0)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	layers = img.clampLayers(layers)
-	// Content-Length comes from the packet maps: PrefixSize forces every
-	// tile's map, so a tile that cannot be indexed is a 500 here instead of a
-	// 200 cut short.
-	n, err := img.Index.PrefixSize(layers)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	h := w.Header() // canonical keys, assigned without Set's canonicalisation
-	h["Content-Type"] = []string{"application/octet-stream"}
-	h["X-Pj2k-Layers"] = []string{strconv.Itoa(layers)}
-	h["Content-Length"] = []string{strconv.FormatInt(n, 10)}
-	// WritePrefix streams the truncated codestream straight to the response,
-	// reading each tile's prefix from the source as it goes. A failure now is
-	// a failed write or read: the status line is already gone, so counting is
-	// all that's left to do. net/http closes the connection when fewer bytes
-	// than Content-Length went out, so the client sees the truncation.
-	if _, err := img.Index.WritePrefix(w, layers); err != nil {
-		s.errors.Inc()
-	}
 }
 
 // handleHealthz is liveness: the process answers requests at all.

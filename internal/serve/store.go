@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -31,9 +30,6 @@ type Image struct {
 	// locked.
 	health imageHealth
 }
-
-// Source returns the codestream source the image is served from.
-func (im *Image) Source() *t2.Source { return im.src }
 
 // Size returns the codestream length in bytes.
 func (im *Image) Size() int64 { return im.src.Size() }
@@ -105,11 +101,12 @@ func (s *Store) Add(id string, data []byte) (*Image, error) {
 	if id == "" {
 		return nil, fmt.Errorf("serve: empty image id")
 	}
-	ix, err := t2.BuildIndex(data)
+	src := t2.BytesSource(data)
+	ix, err := t2.BuildIndex(src)
 	if err != nil {
 		return nil, fmt.Errorf("serve: indexing %q: %w", id, err)
 	}
-	return s.put(newImage(id, ix.Source(), ix))
+	return s.put(newImage(id, src, ix))
 }
 
 // AddSource registers a codestream source under id with lazy ingest: only
@@ -149,17 +146,6 @@ func (s *Store) Get(id string) (*Image, bool) {
 	im, ok := s.imgs[id]
 	s.mu.RUnlock()
 	return im, ok
-}
-
-// lookup is Get bound to a request context: a lookup for an already-expired
-// or cancelled request fails fast with the context's error instead of
-// starting work that nobody will read.
-func (s *Store) lookup(ctx context.Context, id string) (*Image, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	im, ok := s.Get(id)
-	return im, ok, nil
 }
 
 // Len returns the number of registered images.

@@ -47,29 +47,13 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	outcome := outcomeError
 	defer func() { s.latency[outcome].Observe(time.Since(start)) }()
-	if !s.admit() {
-		outcome = outcomeShed
-		s.shedRequest(w)
+	var rq request
+	var ok bool
+	if outcome, ok = s.begin(&rq, w, r); !ok {
 		return
 	}
-	defer s.release()
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	img, ok, err := s.store.lookup(ctx, r.PathValue("id"))
-	if err != nil {
-		outcome = s.failCtx(w, err)
-		return
-	}
-	if !ok {
-		outcome = outcomeClientError
-		s.fail(w, http.StatusNotFound, "unknown image %q", r.PathValue("id"))
-		return
-	}
-	if s.isQuarantined(img) {
-		outcome = outcomeQuarantined
-		s.rejectQuarantined(w, img.ID)
-		return
-	}
+	defer rq.end()
+	img := rq.img
 	req, code, err := parseRegion(img, r.URL.RawQuery, s.opts.MaxPixels)
 	if err != nil {
 		outcome = outcomeClientError
@@ -79,11 +63,11 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 
 	buf := bodies.Get().(*[]byte)
 	defer bodies.Put(buf)
-	body, agg, err := s.assembleWindow(ctx, &req, *buf)
+	body, agg, err := s.assembleWindow(&rq, &req, *buf)
 	*buf = body // keep the storage the assembly may have grown
 	if err != nil {
-		if ctx.Err() != nil {
-			outcome = s.failCtx(w, ctx.Err())
+		if rq.ctx.Err() != nil {
+			outcome = s.failCtx(w, rq.ctx.Err())
 		} else {
 			s.fail(w, http.StatusInternalServerError, "%v", err)
 		}
@@ -97,9 +81,10 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
 	h := w.Header()
 	// The packet-byte cost of this window per the index (all components):
 	// what a byte-range transport (JPIP-style) would have shipped instead of
-	// pixels. A tile whose packet map fails (served concealed) leaves the
-	// header out rather than under-reporting it.
-	if n, err := img.Index.RegionBytes(req.tx0, req.ty0, req.tx1, req.ty1, req.discard, req.layers); err == nil {
+	// pixels. Maps not built yet are read through the request's source. A
+	// tile whose packet map fails (served concealed) leaves the header out
+	// rather than under-reporting it, and moves no IO health (see decodeTile).
+	if n, err := img.Index.RegionBytes(req.tx0, req.ty0, req.tx1, req.ty1, req.discard, req.layers, rq.source); err == nil {
 		h["X-Pj2k-Packet-Bytes"] = []string{strconv.Itoa(n)}
 	}
 	h["Content-Type"] = []string{contentType(req.format)}
@@ -142,8 +127,9 @@ func tileSpan(edges []int, lo, hi int) (t0, t1 int) {
 // tiles partition the window (each is its whole grid cell), so every byte
 // past the header is written and the recycled storage is not cleared. It
 // returns the body and the request's outcome: the per-tile cache outcomes aggregated (worst wins), a damaged
-// resilient decode overriding them all.
-func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []byte) (body []byte, agg reqOutcome, err error) {
+// resilient decode overriding them all. Every miss reads through rq's source,
+// built on the first one (an all-hit request builds none).
+func (s *Server) assembleWindow(rq *request, req *regionRequest, buf []byte) (body []byte, agg reqOutcome, err error) {
 	win, colW, rowH := req.win, req.colW, req.rowH
 	w, h, bps := win.Dx(), win.Dy(), raster.SampleBytes(req.maxval)
 	body = buf[:0]
@@ -174,9 +160,6 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 	// synchronously, so it may read the loop's current tx, ty, tw, th.
 	var tx, ty, tw, th int
 	damaged := false
-	// One source per request, built on its first miss (an all-hit request
-	// builds none): every miss reads through it and spends its retry budget.
-	var src *t2.Source
 	// A miss the cache will keep is packed into storage of its own. Any other
 	// is packed into the request's spare buffer, taken on the first such miss;
 	// the tile holds that storage until it is copied into the body, then hands
@@ -188,9 +171,6 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 		}
 	}()
 	decode := func() ([]byte, error) {
-		if src == nil {
-			src = s.requestSource(req.img)
-		}
 		var buf []byte
 		if !s.cache.admits(wireCharge(tw * th * req.ncomp * bps)) {
 			if spare == nil {
@@ -198,15 +178,15 @@ func (s *Server) assembleWindow(ctx context.Context, req *regionRequest, buf []b
 			}
 			buf, *spare = *spare, nil // the tile takes the storage
 		}
-		tile, dmg, err := s.decodeTile(ctx, req.img, src, colW, rowH, tx, ty, req.discard, req.layers, req.maxval, buf)
+		tile, dmg, err := s.decodeTile(rq.ctx, rq.img, rq.source(), colW, rowH, tx, ty, req.discard, req.layers, req.maxval, buf)
 		damaged = damaged || dmg
 		return tile, err
 	}
 	for ty = req.ty0; ty < req.ty1; ty++ {
 		for tx = req.tx0; tx < req.tx1; tx++ {
 			tw, th = colW[tx+1]-colW[tx], rowH[ty+1]-rowH[ty]
-			key := TileKey{Image: req.img.ID, TX: tx, TY: ty, Discard: req.discard, Layers: req.layers}
-			tile, co, owned, err := s.cache.getOrDecode(ctx, key, decode)
+			key := TileKey{Image: rq.img.ID, TX: tx, TY: ty, Discard: req.discard, Layers: req.layers}
+			tile, co, owned, err := s.cache.getOrDecode(rq.ctx, key, decode)
 			switch co {
 			case cacheMiss:
 				agg = max(agg, outcomeMiss)
@@ -324,10 +304,8 @@ func (s *Server) decodeTile(ctx context.Context, img *Image, src *t2.Source, col
 			}
 		}
 	}
-	if ioFailed {
-		s.noteIOFailure(img, err)
-	} else if err == nil {
-		s.noteIOSuccess(img)
+	if ioFailed || err == nil {
+		s.recordIO(img, ioFailed, err)
 	}
 	if err != nil {
 		return nil, false, err

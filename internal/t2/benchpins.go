@@ -1,6 +1,10 @@
 package t2
 
-import "pj2k/internal/dwt"
+import (
+	"io"
+
+	"pj2k/internal/dwt"
+)
 
 // Kept for bench/ only; deleted in the benchmark PR (ROADMAP item 7).
 
@@ -19,4 +23,14 @@ func MakeGrid(band dwt.Subband, cbw, cbh int) Grid {
 	var g Grid
 	g.Reshape(band, cbw, cbh)
 	return g
+}
+
+// Tile is tile ti's packet map, built through the source NewIndex scanned.
+func (ix *Index) Tile(ti int) (*TileIndex, error) {
+	return ix.tileMap(ti, func() *Source { return ix.pinSrc })
+}
+
+// WritePrefix is CopyPrefix through the source NewIndex scanned.
+func (ix *Index) WritePrefix(w io.Writer, maxLayers int) (int64, error) {
+	return ix.CopyPrefix(w, maxLayers, ix.pinSrc)
 }

@@ -62,7 +62,7 @@ func TestUnknownStyleBitsRejected(t *testing.T) {
 			t.Fatalf("%s decoded strictly", m.name)
 		}
 
-		p, spans, dmg, err := t2.ScanCodestreamResilient(t2.BytesSource(bad))
+		p, spans, dmg, err := new(t2.Scanner).Scan(t2.BytesSource(bad), true)
 		if err != nil {
 			t.Fatalf("%s: resilient parse failed: %v", m.name, err)
 		}

@@ -247,7 +247,7 @@ func WriteCodestream(p Params, tiles [][]byte) []byte {
 
 // appendMainHeader serializes SOC plus the main-header markers (SIZ, COD,
 // QCD/QCC, RGN) — everything before the first tile-part. Shared between
-// WriteCodestream and Index.WritePrefix so a layer-truncated re-emission can
+// WriteCodestream and Index.CopyPrefix so a layer-truncated re-emission can
 // never drift from the canonical writer.
 func appendMainHeader(out []byte, p Params) []byte {
 	nc := p.Components()

@@ -102,7 +102,7 @@ func FuzzReadCodestream(f *testing.F) {
 		// A stream the container scanner accepts must still index and decode
 		// without panicking, whatever its packet bytes hold — every component
 		// of it.
-		_, _ = t2.BuildIndex(data)
+		_, _ = t2.BuildIndex(t2.BytesSource(data))
 		_, _ = jp2k.Decode(data, jp2k.DecodeOptions{})
 		_, _ = jp2k.DecodePlanarSource(src, jp2k.DecodeOptions{})
 		dec := jp2k.NewDecoderWithPool(nil)

@@ -51,29 +51,31 @@ type lazyTile struct {
 
 // Index is a map of a codestream: the header parameters plus the byte range
 // of every packet (per tile x component x layer x resolution), located by
-// walking packet headers without entropy-decoding any code-block. It keeps
-// the packet maps, never the bytes: a tile's body is read to build its map
-// and dropped, and WritePrefix reads what it writes from the source.
+// walking packet headers without entropy-decoding any code-block. It is data:
+// it keeps the packet maps, never the bytes, and no source to read them from.
+// Every method that reads takes the caller's source, so a server reads
+// through its request's source (retried, counted, budgeted) and nothing reads
+// behind its back. A tile's body is read to build its map and dropped, and
+// CopyPrefix reads what it writes.
 //
 // Construction (NewIndex) is incremental: the main header and the SOT/Psot
 // tile-part chain are parsed eagerly — seeking tile to tile without reading
 // any body bytes — and each tile's packet-boundary map is built lazily on
-// first touch (Tile), guarded for concurrent use. It is the substrate of the
+// first touch, guarded for concurrent use. It is the substrate of the
 // serving subsystem: a region/resolution/layer request can be costed
-// (RegionBytes, PrefixSize) or sliced (WritePrefix) per request while the
+// (RegionBytes, PrefixSize) or sliced (CopyPrefix) per request while the
 // Index itself is built once and shared between any number of goroutines.
 type Index struct {
 	Params Params
-	src    *Source
 	spans  []TileSpan
 	tiles  []lazyTile
+	pinSrc *Source // what NewIndex scanned; only benchpins.go reads it, and it goes with the pins (ROADMAP item 7)
 }
 
 // NewIndex scans a codestream's main header and tile-part chain and returns
 // the lazy index over it. Geometry and tile-grid consistency are validated
-// here; per-tile packet walks happen on first Tile touch. The Index retains
-// src (and reads from it lazily); the caller keeps ownership and must keep it
-// open for the Index's lifetime.
+// here; per-tile packet walks happen on first touch, through the source the
+// caller passes then.
 func NewIndex(src *Source) (*Index, error) {
 	p, spans, _, err := new(Scanner).Scan(src, false)
 	if err != nil {
@@ -86,30 +88,30 @@ func NewIndex(src *Source) (*Index, error) {
 	if len(spans) != ntx*nty {
 		return nil, fmt.Errorf("t2: %d tile-parts for a %dx%d tile grid", len(spans), ntx, nty)
 	}
-	return &Index{Params: p, src: src, spans: spans, tiles: make([]lazyTile, len(spans))}, nil
+	ix := &Index{Params: p, spans: spans, tiles: make([]lazyTile, len(spans))}
+	ix.pinSrc = src
+	return ix, nil
 }
 
-// BuildIndex parses a resident codestream and locates every packet boundary
-// eagerly — NewIndex over a BytesSource with every tile forced, so a corrupt
-// stream is fully rejected here rather than on first touch. The walk decodes
-// only packet headers (tag trees, pass counts, length signalling); block
-// payloads are skipped, so indexing is cheap compared to decoding. Corrupt or
+// BuildIndex scans a codestream and locates every packet boundary eagerly —
+// NewIndex with every tile's map built through src, so a corrupt stream is
+// fully rejected here rather than on first touch. The walk decodes only
+// packet headers (tag trees, pass counts, length signalling); block payloads
+// are skipped, so indexing is cheap compared to decoding. Corrupt or
 // truncated streams yield an error, never a panic.
-func BuildIndex(data []byte) (*Index, error) {
-	ix, err := NewIndex(BytesSource(data))
+func BuildIndex(src *Source) (*Index, error) {
+	ix, err := NewIndex(src)
 	if err != nil {
 		return nil, err
 	}
+	open := func() *Source { return src }
 	for ti := range ix.tiles {
-		if _, err := ix.Tile(ti); err != nil {
+		if _, err := ix.tileMap(ti, open); err != nil {
 			return nil, err
 		}
 	}
 	return ix, nil
 }
-
-// Source returns the Source the index reads from.
-func (ix *Index) Source() *Source { return ix.src }
 
 // NumTiles returns the number of tiles in the indexed stream.
 func (ix *Index) NumTiles() int { return len(ix.spans) }
@@ -120,35 +122,31 @@ func (ix *Index) NumTiles() int { return len(ix.spans) }
 // modified (its capacity is clipped, so an append copies).
 func (ix *Index) Spans() []TileSpan { return ix.spans[:len(ix.spans):len(ix.spans)] }
 
-// Tile returns tile ti's packet map, building it on first touch. Concurrent
-// calls for the same tile coalesce on a per-tile lock; calls for different
-// tiles build independently (each walk uses its own coder state), so disjoint
-// tiles of one Index can be forced from many goroutines at once. Successful
-// builds and permanent parse errors are memoized for the life of the Index;
-// IO failures are returned but not memoized, so the tile is retried once its
-// source reads again.
-func (ix *Index) Tile(ti int) (*TileIndex, error) {
+// tileMap returns tile ti's packet map, building it on first touch from the
+// body read through the source open returns; open is not called for a map
+// already built. Concurrent calls for the same tile coalesce on a per-tile
+// lock; calls for different tiles build independently (each walk uses its own
+// coder state), so disjoint tiles of one Index can be forced from many
+// goroutines at once. Successful builds and permanent parse errors are
+// memoized for the life of the Index; IO failures are returned but not
+// memoized, so the tile is retried once a source reads it.
+func (ix *Index) tileMap(ti int, open func() *Source) (*TileIndex, error) {
 	if ti < 0 || ti >= len(ix.tiles) {
 		return nil, fmt.Errorf("t2: tile %d of %d", ti, len(ix.tiles))
 	}
 	lt := &ix.tiles[ti]
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	if lt.built {
-		if lt.err != nil {
-			return nil, lt.err
-		}
-		return &lt.ti, nil
-	}
-	t, err := ix.buildTile(ti)
-	if err != nil {
-		if IsIOError(err) {
+	if !lt.built {
+		t, err := ix.buildTile(ti, open())
+		if err != nil && IsIOError(err) {
 			return nil, err
 		}
-		lt.built, lt.err = true, err
-		return nil, err
+		lt.built, lt.ti, lt.err = true, t, err
 	}
-	lt.built, lt.ti = true, t
+	if lt.err != nil {
+		return nil, lt.err
+	}
 	return &lt.ti, nil
 }
 
@@ -185,11 +183,11 @@ func (l *TileLayout) Reshape(p *Params, ti int) {
 	}
 }
 
-// buildTile reads one tile-part body into a temporary buffer and walks its
-// packet headers into a TileIndex; the body is dropped when the walk is done.
-// All state is local, so concurrent builds of different tiles never share
-// coder scratch.
-func (ix *Index) buildTile(ti int) (TileIndex, error) {
+// buildTile reads one tile-part body from src into a temporary buffer and
+// walks its packet headers into a TileIndex; the body is dropped when the walk
+// is done. All state is local, so concurrent builds of different tiles never
+// share coder scratch.
+func (ix *Index) buildTile(ti int, src *Source) (TileIndex, error) {
 	p := &ix.Params
 	sp := ix.spans[ti]
 	var l TileLayout
@@ -207,7 +205,7 @@ func (ix *Index) buildTile(ti int) (TileIndex, error) {
 			ti, npackets, sp.Len)
 	}
 	body := make([]byte, sp.Len)
-	if _, err := ix.src.ReadAt(body, sp.Off); err != nil {
+	if _, err := src.ReadAt(body, sp.Off); err != nil {
 		return TileIndex{}, fmt.Errorf("t2: tile %d body: %w", ti, err)
 	}
 	packets := make([]Span, npackets)
@@ -222,10 +220,12 @@ func (ix *Index) buildTile(ti int) (TileIndex, error) {
 // rectangle [tx0, tx1) x [ty0, ty1) at the given discard-levels/layer limit
 // must touch, across every component — the payload cost of a window request,
 // before any caching. discard and layers are clamped to the stream. Only those
-// tiles are forced, in row-major order; the first tile whose packet map
-// cannot be built fails the call, so a caller never reports a silently short
-// count.
-func (ix *Index) RegionBytes(tx0, ty0, tx1, ty1, discard, layers int) (int, error) {
+// tiles are forced, in row-major order, each map not built yet read through
+// the source open returns; open is called only then, so a caller whose maps
+// are all built reads nothing and opens no source. The first tile whose
+// packet map cannot be built fails the call, so a caller never reports a
+// silently short count.
+func (ix *Index) RegionBytes(tx0, ty0, tx1, ty1, discard, layers int, open func() *Source) (int, error) {
 	p := &ix.Params
 	if discard < 0 {
 		discard = 0
@@ -248,7 +248,7 @@ func (ix *Index) RegionBytes(tx0, ty0, tx1, ty1, discard, layers int) (int, erro
 	ntx, _ := p.NumTiles()
 	for ty := ty0; ty < ty1; ty++ {
 		for tx := tx0; tx < tx1; tx++ {
-			t, err := ix.Tile(ty*ntx + tx)
+			t, err := ix.tileMap(ty*ntx+tx, open)
 			if err != nil {
 				return 0, err
 			}
@@ -266,16 +266,18 @@ func (ix *Index) RegionBytes(tx0, ty0, tx1, ty1, discard, layers int) (int, erro
 // marker segment plus the SOD marker.
 const sotLen = 14
 
-// PrefixSize returns the length of the stream WritePrefix(w, maxLayers)
+// PrefixSize returns the length of the stream CopyPrefix(w, maxLayers, src)
 // writes, computed from the packet maps alone: the main header, one tile-part
 // header and layer prefix per tile, and EOC. It forces every tile's packet
-// map, so a tile that cannot be indexed fails here, before anything is sent.
-func (ix *Index) PrefixSize(maxLayers int) (int64, error) {
+// map, reading the ones not built yet through src, so a tile that cannot be
+// indexed fails here, before anything is sent.
+func (ix *Index) PrefixSize(maxLayers int, src *Source) (int64, error) {
 	hp := ix.Params
 	hp.Layers = min(max(maxLayers, 1), hp.Layers)
 	n := int64(len(appendMainHeader(nil, hp))) + 2 // + EOC
+	open := func() *Source { return src }
 	for ti := range ix.spans {
-		t, err := ix.Tile(ti)
+		t, err := ix.tileMap(ti, open)
 		if err != nil {
 			return 0, err
 		}
@@ -284,17 +286,17 @@ func (ix *Index) PrefixSize(maxLayers int) (int64, error) {
 	return n, nil
 }
 
-// WritePrefix streams a valid standalone codestream carrying only the first
+// CopyPrefix streams a valid standalone codestream carrying only the first
 // maxLayers quality layers of every tile to w: the progressive-refinement
 // primitive a server sends to a client that asked for a coarse image now and
-// will fetch more layers later. Each tile's layer prefix is read from the
-// source into one reused buffer and written with its tile-part header, so
-// the re-emitted stream is never held whole. maxLayers is clamped to
+// will fetch more layers later. Each tile's layer prefix is read from src
+// into one reused buffer and written with its tile-part header, so the
+// re-emitted stream is never held whole. maxLayers is clamped to
 // [1, Params.Layers]; with maxLayers >= Params.Layers the result is
 // equivalent to the original stream (modulo any bytes outside the indexed
 // packets). Returns the bytes written; PrefixSize returns the same count
 // without writing.
-func (ix *Index) WritePrefix(w io.Writer, maxLayers int) (int64, error) {
+func (ix *Index) CopyPrefix(w io.Writer, maxLayers int, src *Source) (int64, error) {
 	hp := ix.Params
 	hp.Layers = min(max(maxLayers, 1), hp.Layers)
 	buf := appendMainHeader(nil, hp)
@@ -303,14 +305,15 @@ func (ix *Index) WritePrefix(w io.Writer, maxLayers int) (int64, error) {
 	if err != nil {
 		return written, err
 	}
+	open := func() *Source { return src }
 	for ti, sp := range ix.spans {
-		t, err := ix.Tile(ti)
+		t, err := ix.tileMap(ti, open)
 		if err != nil {
 			return written, err
 		}
 		pl := ix.layerPrefixLen(t, hp.Layers)
 		buf = slices.Grow(appendSOT(buf[:0], ti, pl), pl)[:sotLen+pl]
-		if _, err := ix.src.ReadAt(buf[sotLen:], sp.Off); err != nil {
+		if _, err := src.ReadAt(buf[sotLen:], sp.Off); err != nil {
 			return written, fmt.Errorf("t2: tile %d body: %w", ti, err)
 		}
 		n, err = w.Write(buf)

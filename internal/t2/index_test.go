@@ -51,7 +51,8 @@ func indexCases() []jp2k.Options {
 func TestIndexSpansPartitionTileBodies(t *testing.T) {
 	for ci, o := range indexCases() {
 		cs := encodeTestStream(t, o)
-		ix, err := t2.BuildIndex(cs)
+		src := t2.BytesSource(cs)
+		ix, err := t2.BuildIndex(src)
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
@@ -62,7 +63,7 @@ func TestIndexSpansPartitionTileBodies(t *testing.T) {
 		}
 		nc := p.Components()
 		for ti := 0; ti < ix.NumTiles(); ti++ {
-			tile, err := ix.Tile(ti)
+			tile, err := ix.TileMap(ti, src)
 			if err != nil {
 				t.Fatalf("case %d tile %d: %v", ci, ti, err)
 			}
@@ -97,12 +98,13 @@ func TestIndexPositionsMatchSOP(t *testing.T) {
 		t.Fatal("indexCases()[3] no longer carries SOP markers")
 	}
 	cs := encodeTestStream(t, o)
-	ix, err := t2.BuildIndex(cs)
+	src := t2.BytesSource(cs)
+	ix, err := t2.BuildIndex(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for ti, sp := range ix.Spans() {
-		tile, err := ix.Tile(ti)
+		tile, err := ix.TileMap(ti, src)
 		if err != nil {
 			t.Fatalf("tile %d: %v", ti, err)
 		}
@@ -128,10 +130,10 @@ func bodyBytes(ix *t2.Index) int {
 }
 
 // prefixBytes materializes WritePrefix's n-layer re-emission.
-func prefixBytes(t *testing.T, ix *t2.Index, n int) []byte {
+func prefixBytes(t *testing.T, ix *t2.Index, n int, src *t2.Source) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := ix.WritePrefix(&buf, n); err != nil {
+	if _, err := ix.CopyPrefix(&buf, n, src); err != nil {
 		t.Fatalf("layers=%d: %v", n, err)
 	}
 	return buf.Bytes()
@@ -145,12 +147,13 @@ func TestIndexWritePrefix(t *testing.T) {
 	cs := encodeTestStream(t, jp2k.Options{
 		Kernel: dwt.Irr97, LayerBPP: []float64{0.125, 0.5, 1.0}, TileW: 100, TileH: 90,
 	})
-	ix, err := t2.BuildIndex(cs)
+	src := t2.BytesSource(cs)
+	ix, err := t2.BuildIndex(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 1; n <= ix.Params.Layers; n++ {
-		pre := prefixBytes(t, ix, n)
+		pre := prefixBytes(t, ix, n, src)
 		if n < ix.Params.Layers && len(pre) >= len(cs) {
 			t.Fatalf("layers=%d: prefix (%d bytes) not smaller than original (%d)", n, len(pre), len(cs))
 		}
@@ -219,7 +222,7 @@ func TestWritePrefixDigests(t *testing.T) {
 				t.Fatalf("case %d: %d layers, %d digests pinned", ci, got, want)
 			}
 			for l := 1; l <= ix.Params.Layers; l++ {
-				sum := sha256.Sum256(prefixBytes(t, ix, l))
+				sum := sha256.Sum256(prefixBytes(t, ix, l, src))
 				if got := hex.EncodeToString(sum[:]); got != prefixDigests[ci][l-1] {
 					t.Errorf("case %d %s layers=%d: prefix digest %s, pinned %s", ci, name, l, got, prefixDigests[ci][l-1])
 				}
@@ -239,11 +242,11 @@ func TestPrefixSize(t *testing.T) {
 				t.Fatalf("case %d %s: %v", ci, name, err)
 			}
 			for l := 0; l <= ix.Params.Layers+1; l++ {
-				size, err := ix.PrefixSize(l)
+				size, err := ix.PrefixSize(l, src)
 				if err != nil {
 					t.Fatalf("case %d %s layers=%d: %v", ci, name, l, err)
 				}
-				if got := int64(len(prefixBytes(t, ix, l))); size != got {
+				if got := int64(len(prefixBytes(t, ix, l, src))); size != got {
 					t.Fatalf("case %d %s layers=%d: PrefixSize %d, WritePrefix wrote %d", ci, name, l, size, got)
 				}
 			}
@@ -259,17 +262,18 @@ func TestIndexByteAccounting(t *testing.T) {
 	cs := encodeTestStream(t, jp2k.Options{
 		Kernel: dwt.Irr97, LayerBPP: []float64{0.25, 1.0}, TileW: 64, TileH: 96, Levels: 3,
 	})
-	ix, err := t2.BuildIndex(cs)
+	src := t2.BytesSource(cs)
+	ix, err := t2.BuildIndex(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ntx, nty := ix.Params.NumTiles()
-	if got, err := ix.RegionBytes(0, 0, ntx, nty, 0, 0); err != nil || got != bodyBytes(ix) {
+	if got, err := ix.RegionBytes(0, 0, ntx, nty, 0, 0, func() *t2.Source { return src }); err != nil || got != bodyBytes(ix) {
 		t.Fatalf("full region costs %d bytes (%v), stream carries %d", got, err, bodyBytes(ix))
 	}
 	prev := -1
 	for layers := 1; layers <= ix.Params.Layers; layers++ {
-		n, err := ix.RegionBytes(0, 0, ntx, nty, 0, layers)
+		n, err := ix.RegionBytes(0, 0, ntx, nty, 0, layers, func() *t2.Source { return src })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +284,7 @@ func TestIndexByteAccounting(t *testing.T) {
 	}
 	prev = 1 << 62
 	for discard := 0; discard <= ix.Params.Levels; discard++ {
-		n, err := ix.RegionBytes(0, 0, ntx, nty, discard, 0)
+		n, err := ix.RegionBytes(0, 0, ntx, nty, discard, 0, func() *t2.Source { return src })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +294,7 @@ func TestIndexByteAccounting(t *testing.T) {
 		prev = n
 	}
 	for ti := 0; ti < ix.NumTiles(); ti++ {
-		tile, err := ix.Tile(ti)
+		tile, err := ix.TileMap(ti, src)
 		if err != nil {
 			t.Fatalf("tile %d: %v", ti, err)
 		}
@@ -314,7 +318,8 @@ func TestIndexColorStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := t2.BuildIndex(cs)
+	src := t2.BytesSource(cs)
+	ix, err := t2.BuildIndex(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +329,7 @@ func TestIndexColorStream(t *testing.T) {
 	}
 	// Spans partition each body in stream order across the three components.
 	for ti := 0; ti < ix.NumTiles(); ti++ {
-		tile, err := ix.Tile(ti)
+		tile, err := ix.TileMap(ti, src)
 		if err != nil {
 			t.Fatalf("tile %d: %v", ti, err)
 		}
@@ -343,12 +348,12 @@ func TestIndexColorStream(t *testing.T) {
 		}
 	}
 	ntx, nty := ix.Params.NumTiles()
-	if got, err := ix.RegionBytes(0, 0, ntx, nty, 0, 0); err != nil || got != bodyBytes(ix) {
+	if got, err := ix.RegionBytes(0, 0, ntx, nty, 0, 0, func() *t2.Source { return src }); err != nil || got != bodyBytes(ix) {
 		t.Fatalf("full region costs %d bytes (%v), stream carries %d", got, err, bodyBytes(ix))
 	}
 	// Layer truncation: the re-emitted 1-layer color stream decodes exactly
 	// as MaxLayers=1.
-	pre := prefixBytes(t, ix, 1)
+	pre := prefixBytes(t, ix, 1, src)
 	got, err := jp2k.DecodePlanarSource(t2.BytesSource(pre), jp2k.DecodeOptions{})
 	if err != nil {
 		t.Fatalf("decoding prefix: %v", err)
@@ -372,7 +377,7 @@ func TestIndexRobustness(t *testing.T) {
 				t.Fatalf("%s: BuildIndex panicked: %v", label, r)
 			}
 		}()
-		_, _ = t2.BuildIndex(data)
+		_, _ = t2.BuildIndex(t2.BytesSource(data))
 	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
@@ -383,7 +388,7 @@ func TestIndexRobustness(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		try(cs[:rng.Intn(len(cs))], "truncate")
 	}
-	if _, err := t2.BuildIndex(nil); err == nil {
+	if _, err := t2.BuildIndex(t2.BytesSource(nil)); err == nil {
 		t.Fatal("want error for empty input")
 	}
 }

@@ -56,7 +56,8 @@ func bigTiledStream(t testing.TB) []byte {
 func TestScanReadsHeadersOnly(t *testing.T) {
 	cs := bigTiledStream(t)
 	cr := &countingReaderAt{r: bytes.NewReader(cs)}
-	ix, err := t2.NewIndex(t2.NewSource(cr, int64(len(cs))))
+	src := t2.NewSource(cr, int64(len(cs)))
+	ix, err := t2.NewIndex(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestScanReadsHeadersOnly(t *testing.T) {
 	// Touch one tile: the increment must be about that tile's body, not the
 	// rest of the stream.
 	ti := ntiles / 2
-	if _, err := ix.Tile(ti); err != nil {
+	if _, err := ix.TileMap(ti, src); err != nil {
 		t.Fatal(err)
 	}
 	delta := cr.bytes.Load() - registration
@@ -91,7 +92,7 @@ func TestScanReadsHeadersOnly(t *testing.T) {
 	}
 	// A second touch of the same tile is free: the lazy cell is built once.
 	before := cr.bytes.Load()
-	if _, err := ix.Tile(ti); err != nil {
+	if _, err := ix.TileMap(ti, src); err != nil {
 		t.Fatal(err)
 	}
 	if cr.bytes.Load() != before {
@@ -123,7 +124,8 @@ func TestSourceKindsEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refIx, err := t2.BuildIndex(cs)
+	refSrc := t2.BytesSource(cs)
+	refIx, err := t2.BuildIndex(refSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +142,11 @@ func TestSourceKindsEqual(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for ti := 0; ti < ix.NumTiles(); ti++ {
-			got, err := ix.Tile(ti)
+			got, err := ix.TileMap(ti, src)
 			if err != nil {
 				t.Fatalf("%s tile %d: %v", name, ti, err)
 			}
-			want, err := refIx.Tile(ti)
+			want, err := refIx.TileMap(ti, refSrc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,11 +163,13 @@ func TestSourceKindsEqual(t *testing.T) {
 // meaningful under `go test -race`, which CI runs).
 func TestLazyIndexConcurrent(t *testing.T) {
 	cs := bigTiledStream(t)
-	eager, err := t2.BuildIndex(cs)
+	eagerSrc := t2.BytesSource(cs)
+	eager, err := t2.BuildIndex(eagerSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := t2.NewIndex(t2.NewSource(bytes.NewReader(cs), int64(len(cs))))
+	src := t2.NewSource(bytes.NewReader(cs), int64(len(cs)))
+	ix, err := t2.NewIndex(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +184,12 @@ func TestLazyIndexConcurrent(t *testing.T) {
 			// every cell sees both first-build and already-built contention.
 			for k := 0; k < ix.NumTiles(); k++ {
 				ti := (w*7 + k) % ix.NumTiles()
-				got, err := ix.Tile(ti)
+				got, err := ix.TileMap(ti, src)
 				if err != nil {
 					errs <- err
 					return
 				}
-				want, err := eager.Tile(ti)
+				want, err := eager.TileMap(ti, eagerSrc)
 				if err != nil {
 					errs <- err
 					return
@@ -251,18 +255,18 @@ func FuzzLazyIndex(f *testing.F) {
 		// Strict: error or a fully forceable index with in-bounds spans.
 		if ix, err := t2.NewIndex(src); err == nil {
 			for ti := 0; ti < ix.NumTiles(); ti++ {
-				_, _ = ix.Tile(ti)
+				_, _ = ix.TileMap(ti, src)
 			}
 			for _, l := range []int{1, ix.Params.Layers} {
-				size, serr := ix.PrefixSize(l)
-				n, werr := ix.WritePrefix(io.Discard, l)
+				size, serr := ix.PrefixSize(l, src)
+				n, werr := ix.CopyPrefix(io.Discard, l, src)
 				if (serr == nil) != (werr == nil) || serr == nil && size != n {
 					t.Fatalf("layers=%d: PrefixSize %d (%v), WritePrefix wrote %d (%v)", l, size, serr, n, werr)
 				}
 			}
 		}
 		// Resilient: never panics, and every salvaged span stays in bounds.
-		_, spans, _, err := t2.ScanCodestreamResilient(src)
+		_, spans, _, err := new(t2.Scanner).Scan(src, true)
 		if err != nil {
 			return
 		}

@@ -52,7 +52,7 @@ func TestDecompressionBombGuard(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	p, _, dmg, err := ScanCodestreamResilient(BytesSource(bomb))
+	p, _, dmg, err := new(Scanner).Scan(BytesSource(bomb), true)
 	if err != nil {
 		t.Fatalf("resilient parse must degrade, not fail: %v", err)
 	}

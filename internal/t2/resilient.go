@@ -128,12 +128,19 @@ func ResilientSource(src *Source, pol RetryPolicy) *Source {
 	return &rs.src
 }
 
+// maxAbandonedReads caps the reads a wrapper abandoned at the deadline that
+// still run, each holding a goroutine and a buffer. Past it an attempt fails
+// at once as a transient timeout, so a stalled reader costs a wrapper at most
+// this many goroutines, plus one in flight per concurrent caller.
+const maxAbandonedReads = 32
+
 // retryReaderAt is the io.ReaderAt implementing RetryPolicy over a raw
 // reader. It is safe for concurrent use when the wrapped reader is.
 type retryReaderAt struct {
-	r     io.ReaderAt
-	pol   RetryPolicy
-	spent atomic.Int64 // retries taken from pol.Budget
+	r         io.ReaderAt
+	pol       RetryPolicy
+	spent     atomic.Int64 // retries taken from pol.Budget
+	abandoned atomic.Int64 // deadline reads given up on and still running
 }
 
 // take consumes one retry of the budget, reporting false when it is spent.
@@ -179,10 +186,14 @@ func (rr *retryReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // readOnce issues one attempt, under the per-read deadline when configured.
 // The deadline path reads into an owned buffer on a goroutine: whichever of
 // {reader, timer} wins a CAS claims the result, so a straggling read that
-// completes after abandonment has nowhere to write but its own garbage.
+// completes after abandonment has nowhere to write but its own garbage. With
+// maxAbandonedReads stragglers still running, it refuses the attempt instead.
 func (rr *retryReaderAt) readOnce(p []byte, off int64) (int, error) {
 	if rr.pol.ReadTimeout <= 0 {
 		return rr.r.ReadAt(p, off)
+	}
+	if rr.abandoned.Load() >= maxAbandonedReads {
+		return 0, rr.timedOut()
 	}
 	type result struct {
 		n   int
@@ -195,6 +206,8 @@ func (rr *retryReaderAt) readOnce(p []byte, off int64) (int, error) {
 		n, err := rr.r.ReadAt(buf, off)
 		if claimed.CompareAndSwap(false, true) {
 			done <- result{n, err}
+		} else {
+			rr.abandoned.Add(-1) // the timer gave up on this read; it is over now
 		}
 	}()
 	timer := time.NewTimer(rr.pol.ReadTimeout)
@@ -204,17 +217,27 @@ func (rr *retryReaderAt) readOnce(p []byte, off int64) (int, error) {
 		copy(p, buf[:res.n])
 		return res.n, res.err
 	case <-timer.C:
+		// Counted before the claim, so the straggler's decrement, which
+		// follows the claim, never runs ahead of it.
+		rr.abandoned.Add(1)
 		if claimed.CompareAndSwap(false, true) {
-			if rr.pol.Counters != nil {
-				rr.pol.Counters.Timeouts.Add(1)
-			}
-			return 0, timeoutError{rr.pol.ReadTimeout}
+			return 0, rr.timedOut()
 		}
 		// The reader won the claim as the timer fired: take its result.
+		rr.abandoned.Add(-1)
 		res := <-done
 		copy(p, buf[:res.n])
 		return res.n, res.err
 	}
+}
+
+// timedOut counts an attempt abandoned or refused at the deadline and
+// returns its error.
+func (rr *retryReaderAt) timedOut() error {
+	if rr.pol.Counters != nil {
+		rr.pol.Counters.Timeouts.Add(1)
+	}
+	return timeoutError{rr.pol.ReadTimeout}
 }
 
 // backoff returns the sleep before retrying attempt (0-based): exponential

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -384,5 +385,53 @@ func TestResilientWrapperDoesNotOwnFile(t *testing.T) {
 	}
 	if _, err := src.ReadAt(make([]byte, 4), 0); err == nil {
 		t.Fatal("read succeeded through a closed file source")
+	}
+}
+
+// blockedReader holds every read until release is closed: a reader that
+// stalls for good, as a dead mount does.
+type blockedReader struct{ release chan struct{} }
+
+func (r blockedReader) ReadAt(p []byte, off int64) (int, error) {
+	<-r.release
+	return len(p), nil
+}
+
+// TestAbandonedReadsBounded: reads abandoned at the deadline over a reader
+// that never answers leave at most maxAbandonedReads goroutines behind, and
+// every attempt past the cap fails at once, starting none. Each abandoned
+// or refused attempt is one timeout.
+func TestAbandonedReadsBounded(t *testing.T) {
+	r := blockedReader{release: make(chan struct{})}
+	var ctr IOCounters
+	const deadline = 10 * time.Millisecond
+	src := resilientOver(r, 1<<20, RetryPolicy{ReadTimeout: deadline, Counters: &ctr})
+	before := runtime.NumGoroutine()
+	const reads = 200
+	p := make([]byte, 4096)
+	for i := range reads {
+		start := time.Now()
+		if _, err := src.ReadAt(p, int64(i)); !IsIOError(err) {
+			t.Fatalf("read %d over a stalled reader: err %v; want a *ReadError", i, err)
+		}
+		if took := time.Since(start); i >= maxAbandonedReads && took >= deadline {
+			t.Fatalf("read %d, past the cap, took %v; want a refusal within the %v deadline", i, took, deadline)
+		}
+		if n := runtime.NumGoroutine() - before; n > maxAbandonedReads {
+			t.Fatalf("after %d stalled reads %d goroutines are left behind; cap %d", i+1, n, maxAbandonedReads)
+		}
+	}
+	if got := ctr.Timeouts.Load(); got != reads {
+		t.Fatalf("timeouts = %d; want one per abandoned or refused attempt (%d)", got, reads)
+	}
+	// Once the reader answers, the stragglers end and the wrapper reads again.
+	close(r.release)
+	for end := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("%d abandoned readers never exited", runtime.NumGoroutine()-before)
+		}
+	}
+	if _, err := src.ReadAt(p, 0); err != nil {
+		t.Fatalf("read after the stragglers ended: %v", err)
 	}
 }

@@ -126,7 +126,10 @@ type Scanner struct {
 // seeking tile to tile without reading any body bytes: the parse cost (and
 // IO) of registering a stream is its headers, not its size. The returned
 // spans locate each tile-part body in the source, in chain order. The scan is
-// strict, or with resilient set best-effort (see ScanCodestreamResilient).
+// strict, or with resilient set best-effort: a truncated chain keeps the spans
+// that survive, an implausible Psot is re-bounded at the next tile-part, and
+// unknown main-header markers are skipped, all reported in ContainerDamage. It
+// fails only when not even the SOC survives; CheckGeometry the result.
 func (s *Scanner) Scan(src *Source, resilient bool) (Params, []TileSpan, ContainerDamage, error) {
 	s.r.src, s.r.pos, s.r.win, s.r.wlo = src, 0, nil, 0
 	s.r.bands, s.r.stepv = s.r.bands[:0], s.r.stepv[:0]
@@ -136,17 +139,6 @@ func (s *Scanner) Scan(src *Source, resilient bool) (Params, []TileSpan, Contain
 		s.spans = spans[:0]
 	}
 	return p, spans, dmg, err
-}
-
-// ScanCodestreamResilient is a one-shot best-effort Scan: a truncated
-// stream keeps the spans that survive, a tile-part with an implausible Psot
-// is re-bounded by scanning for the next tile-part boundary, and unknown
-// main-header markers are skipped by their declared length — with everything
-// salvaged around reported in ContainerDamage. An error is returned only when
-// not even the SOC survives; callers must still CheckGeometry the result
-// before decoding.
-func ScanCodestreamResilient(src *Source) (Params, []TileSpan, ContainerDamage, error) {
-	return new(Scanner).Scan(src, true)
 }
 
 // scan is Scanner.Scan over the reset reader, appending spans to spans.
