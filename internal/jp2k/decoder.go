@@ -80,9 +80,12 @@ func (r Rect) Intersect(o Rect) Rect {
 // adapter over the one decode route: from a scanned codestream's tile spans,
 // walk the selected tiles' packets, tier-1 into the planes, inverse transform.
 // DecodeRegion takes the scan from a t2.Index; the others scan the Source
-// first. A Decoder is not safe for concurrent use; pooled state does not leak
-// between calls (output is bit-identical to a throwaway Decoder's for any
-// worker count, and a region decode is bit-identical to cropping a full one).
+// first with t2.Scanner.Scan, which owns the container rule (a checked
+// geometry and one span per tile of the grid, salvaged when resilient), so
+// the route re-derives none of it. A Decoder is not safe for concurrent use;
+// pooled state does not leak between calls (output is bit-identical to a
+// throwaway Decoder's for any worker count, and a region decode is
+// bit-identical to cropping a full one).
 type Decoder struct {
 	workers    []*decWorker // one padded block per worker (worker.go)
 	tiles      []*tileDec
@@ -274,8 +277,9 @@ func (d *Decoder) Decode(data []byte, opts DecodeOptions) (*raster.Image, error)
 	return pl.Comps[0], nil
 }
 
-// walkTask parses one selected tile's packet headers and accumulates its
-// code-block segments — the body of the cross-tile tier-2 dispatch.
+// walkTask reads one selected tile's body, parses its packet headers and
+// accumulates its code-block segments — the body of the cross-tile tier-2
+// dispatch. A tile with an empty span reads nothing and walks no bytes.
 func (d *Decoder) walkTask(_, si int) {
 	p := &d.cur.p
 	ncomp, nlayers, discard, ntx := d.cur.ncomp, d.cur.nlayers, d.cur.discard, d.cur.ntx
@@ -284,11 +288,12 @@ func (d *Decoder) walkTask(_, si int) {
 	te := d.tiles[si]
 	// Read the tile-part body from its span into the pooled per-tile buffer
 	// (only selected tiles are ever read, which is what bounds a window
-	// decode's IO to its tiles). A negative Off is the sentinel for a
-	// tile-part the resilient scan could not locate (truncated chain); it and
-	// a concealed unreadable body leave data nil, an empty (gray) tile.
+	// decode's IO to its tiles). An empty span — a tile-part the resilient
+	// scan could not locate — and a concealed unreadable body leave data nil:
+	// a resilient walk conceals it as an empty (gray) tile, a strict one
+	// fails it.
 	var data []byte
-	if sp := d.cur.spans[ti]; sp.Off >= 0 {
+	if sp := d.cur.spans[ti]; sp.Len > 0 {
 		te.body = grow(te.body, int(sp.Len))
 		_, err := d.cur.src.ReadAt(te.body, sp.Off)
 		switch {
@@ -320,18 +325,12 @@ func (d *Decoder) walkTask(_, si int) {
 	}
 	te.tc.SOP, te.tc.EPH = p.UseSOP, p.UseEPH
 	te.tc.Modes = d.cur.modes
-	var decV [][]t2.DecodedBlock
-	if d.cur.opts.Resilient {
-		decV, _, d.tileDmg[si] = te.tc.DecodeTileCompsPacketsResilient(
-			lay.Comps, p.Levels, nlayers, data, te.decV)
-	} else {
-		var err error
-		decV, _, err = te.tc.DecodeTileCompsPackets(lay.Comps, p.Levels, nlayers, data, te.decV)
-		if err != nil {
-			d.tileErrs[si] = fmt.Errorf("jp2k: tile %d: %w", ti, err)
-			return
-		}
+	decV, dmg, err := te.tc.DecodePackets(lay.Comps, p.Levels, nlayers, data, te.decV, d.cur.opts.Resilient)
+	if err != nil {
+		d.tileErrs[si] = fmt.Errorf("jp2k: tile %d: %w", ti, err)
+		return
 	}
+	d.tileDmg[si] = dmg
 
 	// Enumerate the blocks to entropy-decode: bands of discarded
 	// resolutions were parsed (the packet walk needs their headers) but
@@ -466,11 +465,11 @@ func roundShift(v float64, shift int32) int32 {
 }
 
 // scanned is a parsed codestream container, the input of the decode route:
-// the header parameters, one tile-part body span per tile of the grid (a
-// negative Off marks a tile-part a resilient scan could not locate), what that
-// scan salvaged around, and how long the scan took (zero for an index's). The
-// route only reads spans: on the indexed route they are the t2.Index's own
-// slice, shared by every concurrent decode of the image.
+// the header parameters, one tile-part body span per tile of the grid (empty
+// for a tile-part a resilient scan could not locate), what that scan salvaged
+// around, and how long the scan took (zero for an index's). The route only
+// reads spans: on the indexed route they are the t2.Index's own slice, shared
+// by every concurrent decode of the image.
 type scanned struct {
 	p     t2.Params
 	spans []t2.TileSpan
@@ -479,43 +478,17 @@ type scanned struct {
 }
 
 // scan parses src's main header and tile-part chain into d.cs for the
-// scanning entry points, on the Decoder's pooled Scanner: strictly, or
-// resilient — salvaging the chain (Psot re-bounding, marker resync) without
-// reading any body, so an unreadable body later degrades its one tile instead
-// of failing the decode up front.
+// scanning entry points, on the Decoder's pooled Scanner, which owns the
+// container rule: a checked geometry and one span per tile, strictly, or
+// salvaged around a damaged chain without reading any body, so an unreadable
+// body later degrades its one tile instead of failing the decode up front.
 func (d *Decoder) scan(src *t2.Source, resilient bool) error {
 	t0 := time.Now()
 	cs := &d.cs
 	var err error
 	cs.p, cs.spans, cs.cdmg, err = d.scanner.Scan(src, resilient)
-	if err != nil {
-		return err
-	}
-	// Even a resilient decode needs a viable geometry: without it there is
-	// no image to degrade toward.
-	if err := cs.p.CheckGeometry(); err != nil {
-		return err
-	}
-	ntx, nty := cs.p.NumTiles()
-	if n := ntx * nty; len(cs.spans) != n {
-		if !resilient {
-			return fmt.Errorf("jp2k: %d tile-parts for a %dx%d tile grid", len(cs.spans), ntx, nty)
-		}
-		// Salvage: a negative-offset sentinel stands in for each missing
-		// tile-part (it decodes as an empty gray tile), surplus ones are
-		// dropped.
-		if len(cs.spans) < n {
-			cs.cdmg.Truncated = true
-			for len(cs.spans) < n {
-				cs.spans = append(cs.spans, t2.TileSpan{Off: -1})
-			}
-		} else {
-			cs.cdmg.BadTileParts += len(cs.spans) - n
-			cs.spans = cs.spans[:n]
-		}
-	}
 	cs.parse = time.Since(t0)
-	return nil
+	return err
 }
 
 // decodeSource is the scanning entry points' route: scan src, then decode it.
@@ -544,17 +517,7 @@ func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region
 	}
 	p, spans := cs.p, cs.spans
 	ncomp := p.Components()
-	nlayers := p.Layers
-	if opts.MaxLayers > 0 && opts.MaxLayers < nlayers {
-		nlayers = opts.MaxLayers
-	}
-	discard := opts.DiscardLevels
-	if discard < 0 {
-		discard = 0
-	}
-	if discard > p.Levels {
-		discard = p.Levels
-	}
+	discard, nlayers := p.Clamp(opts.DiscardLevels, opts.MaxLayers)
 	keepLevels := p.Levels - discard
 
 	ntx, nty := p.NumTiles()
@@ -737,9 +700,7 @@ func (d *Decoder) decode(src *t2.Source, cs *scanned, opts DecodeOptions, region
 		d.stats.Timings.InterComp = time.Since(tMCT)
 	}
 	for _, ti := range sel {
-		if sp := spans[ti]; sp.Off >= 0 { // a missing tile-part's sentinel fetched nothing
-			d.stats.BytesIn += int(sp.Len)
-		}
+		d.stats.BytesIn += int(spans[ti].Len)
 	}
 	d.stats.Tiles = nsel
 	d.stats.CodeBlocks = njobs

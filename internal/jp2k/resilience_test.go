@@ -3,6 +3,7 @@ package jp2k
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"pj2k/internal/dwt"
@@ -331,12 +332,14 @@ func TestResilientSOPResyncCounts(t *testing.T) {
 
 // TestResilientContainerSalvage pins the container salvage only the scanning
 // route has, which is why pj2kdec -resilient decodes with DecodePlanarSource:
-// Decoder.scan pads a missing tile-part with a sentinel that decodes as the
-// empty tile, and drops surplus tile-parts. A stream cut before its last
-// tile-part reports Truncated, its last tile comes back mid-gray and every
-// other tile equals a clean decode; a stream with its last tile-part repeated
-// reports BadTileParts and decodes clean. t2.NewIndex, the served route's
-// scan, refuses both.
+// a resilient t2.Scanner.Scan pads a missing tile-part with an empty span that
+// decodes as the empty tile, and drops surplus tile-parts, so it returns one
+// span per tile of the grid with the container damage the decoder reports. A
+// stream cut before its last tile-part reports Truncated, its last tile comes
+// back mid-gray, with every packet of it lost, and every other tile equals a
+// clean decode; a stream with its last tile-part repeated reports
+// BadTileParts and decodes clean. A strict Scan, t2.NewIndex (the served
+// route's scan) and a strict decode refuse both.
 func TestResilientContainerSalvage(t *testing.T) {
 	const size, tile = 96, 48
 	cs, _, err := Encode(raster.Synthetic(size, size, 5), Options{Kernel: dwt.Rev53, TileW: tile, TileH: tile})
@@ -362,6 +365,9 @@ func TestResilientContainerSalvage(t *testing.T) {
 		{"cut before the last tile-part", cut, true, 0},
 		{"last tile-part repeated", surplus, false, 1},
 	} {
+		if _, _, _, err := new(t2.Scanner).Scan(t2.BytesSource(c.stream), false); err == nil {
+			t.Errorf("%s: strict t2.Scanner.Scan accepted the stream", c.name)
+		}
 		if _, err := t2.NewIndex(t2.BytesSource(c.stream)); err == nil {
 			t.Errorf("%s: t2.NewIndex accepted the stream", c.name)
 		}
@@ -375,6 +381,23 @@ func TestResilientContainerSalvage(t *testing.T) {
 		}
 		if cd := dec.Damage().Container; cd.Truncated != c.truncated || cd.BadTileParts != c.badParts {
 			t.Errorf("%s: container damage %+v, want Truncated %v, BadTileParts %d", c.name, cd, c.truncated, c.badParts)
+		}
+		p, spans, cd, err := new(t2.Scanner).Scan(t2.BytesSource(c.stream), true)
+		if err != nil {
+			t.Fatalf("%s: resilient scan: %v", c.name, err)
+		}
+		ntx, nty := p.NumTiles()
+		if len(spans) != ntx*nty || cd != dec.Damage().Container {
+			t.Errorf("%s: resilient scan gave %d spans for a %dx%d grid, damage %+v; the decoder reports %+v",
+				c.name, len(spans), ntx, nty, cd, dec.Damage().Container)
+		}
+		var wantTiles []TileDamage
+		if c.truncated {
+			npk := p.Layers * (p.Levels + 1)
+			wantTiles = []TileDamage{{Tile: ntx*nty - 1, BadPackets: 1, PacketsLost: npk}}
+		}
+		if tiles := dec.Damage().Tiles; !slices.Equal(tiles, wantTiles) {
+			t.Errorf("%s: tile damage %+v, want %+v", c.name, tiles, wantTiles)
 		}
 		for y := range size {
 			for x := range size {

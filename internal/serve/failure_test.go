@@ -144,7 +144,7 @@ func TestServerDeadlineExceeded(t *testing.T) {
 	srv := New(store, Options{Timeout: timeout})
 	defer srv.Close()
 
-	key := TileKey{Image: "test", TX: 0, TY: 0, Discard: 0, Layers: img.clampLayers(0)}
+	key := TileKey{Image: "test", TX: 0, TY: 0, Discard: 0, Layers: img.Params().Layers}
 	unjam := jamTile(srv, key)
 
 	start := time.Now()
@@ -186,7 +186,7 @@ func TestServerDeadlineHammer(t *testing.T) {
 	const timeout = 50 * time.Millisecond
 	srv := New(store, Options{Timeout: timeout, MaxInFlight: 4})
 	defer srv.Close()
-	key := TileKey{Image: "test", TX: 0, TY: 0, Discard: 0, Layers: img.clampLayers(0)}
+	key := TileKey{Image: "test", TX: 0, TY: 0, Discard: 0, Layers: img.Params().Layers}
 	unjam := jamTile(srv, key)
 
 	ts := httptest.NewServer(srv)

@@ -87,8 +87,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	layers = rq.img.clampLayers(layers)
 	ix, src := rq.img.Index, rq.source() // a stream reads every tile's prefix
+	_, layers = ix.Params.Clamp(0, layers)
 	// Content-Length comes from the packet maps: PrefixSize forces every
 	// tile's map, so a tile that cannot be indexed is a 500 here instead of a
 	// 200 cut short.

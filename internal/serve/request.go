@@ -159,8 +159,7 @@ func parseRegion(img *Image, q string, maxPixels int64) (regionRequest, int, err
 	var errs [6]error
 	req.discard, errs[0] = queryInt(q, "reduce", 0)
 	req.layers, errs[1] = queryInt(q, "layers", 0)
-	req.discard = img.clampDiscard(req.discard)
-	req.layers = img.clampLayers(req.layers)
+	req.discard, req.layers = p.Clamp(req.discard, req.layers)
 	req.colW, req.rowH = img.Grid(req.discard)
 	fullW, fullH := req.colW[len(req.colW)-1], req.rowH[len(req.rowH)-1]
 	var x0, y0, x1, y1 int

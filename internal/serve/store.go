@@ -37,26 +37,6 @@ func (im *Image) Size() int64 { return im.src.Size() }
 // Params returns the codestream header parameters.
 func (im *Image) Params() t2.Params { return im.Index.Params }
 
-// clampDiscard limits a requested reduction to what the stream carries.
-func (im *Image) clampDiscard(discard int) int {
-	if discard < 0 {
-		return 0
-	}
-	if l := im.Index.Params.Levels; discard > l {
-		return l
-	}
-	return discard
-}
-
-// clampLayers normalizes a layer limit: 0 (or out of range) means every
-// layer in the stream.
-func (im *Image) clampLayers(layers int) int {
-	if layers <= 0 || layers > im.Index.Params.Layers {
-		return im.Index.Params.Layers
-	}
-	return layers
-}
-
 // Grid returns the reduced tile geometry at the given discard level (0 to
 // Params().Levels) as prefix sums: colW[tx] is the x origin of tile column tx
 // in the reduced image (colW[ntx] its width), likewise rowH for rows. The

@@ -404,7 +404,7 @@ func TestCacheChargesWireBytes(t *testing.T) {
 			for ty := 0; ty+1 < len(rowH); ty++ {
 				for tx := 0; tx+1 < len(colW); tx++ {
 					if colW[tx] < win.X1 && colW[tx+1] > win.X0 && rowH[ty] < win.Y1 && rowH[ty+1] > win.Y0 {
-						key := TileKey{Image: id, TX: tx, TY: ty, Discard: reduce, Layers: img.clampLayers(0)}
+						key := TileKey{Image: id, TX: tx, TY: ty, Discard: reduce, Layers: img.Params().Layers}
 						resident[key] = int64((colW[tx+1]-colW[tx])*(rowH[ty+1]-rowH[ty])*p.Components()*bps) + 160
 					}
 				}

@@ -8,14 +8,20 @@ import (
 
 // Kept for bench/ only; deleted in the benchmark PR (ROADMAP item 7).
 
-// ScanCodestream parses the main header and walks the SOT/Psot tile-part
-// chain of a codestream, seeking tile to tile without reading any body bytes:
-// the parse cost (and IO) of registering a stream is its headers, not its
-// size. The returned spans locate each tile-part body in the source, in
-// chain order.
+// ScanCodestream is the strict Scanner.Scan on a fresh Scanner: checked
+// Params and one tile-part body span per tile of the grid, in chain order.
 func ScanCodestream(src *Source) (Params, []TileSpan, error) {
 	p, spans, _, err := new(Scanner).Scan(src, false)
 	return p, spans, err
+}
+
+// DecodeTileCompsPackets is the strict DecodePackets that also returns the
+// bytes consumed.
+func (tc *TileCoder) DecodeTileCompsPackets(comps [][]BandBlocks, levels, nlayers int,
+	data []byte, dec [][]DecodedBlock) ([][]DecodedBlock, int, error) {
+
+	dec, pos, _, err := tc.walkPackets(comps, levels, nlayers, data, dec, false, nil)
+	return dec, pos, err
 }
 
 // MakeGrid splits a subband into code-blocks of at most cbw x cbh samples.

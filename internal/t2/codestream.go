@@ -118,13 +118,23 @@ func (p Params) NumTiles() (int, int) {
 	return tx, ty
 }
 
+// Clamp normalizes a decode's resolution and quality limits to the stream:
+// discard (the levels to drop) is clamped to [0, Levels], and a layer limit
+// of 0 or less, or above Layers, means every layer.
+func (p *Params) Clamp(discard, layers int) (int, int) {
+	if layers <= 0 || layers > p.Layers {
+		layers = p.Layers
+	}
+	return min(max(discard, 0), p.Levels), layers
+}
+
 // CheckGeometry is the one rule for a Params, written or read: every SIZ and
 // COD field is in the range its marker carries and this codec implements, and
 // the per-component per-band header arrays cover the decomposition COD
-// declares. The encoder checks the Params it is about to write with it.
-// Scanner.Scan does not cross-check markers against each other, so
-// consumers that index Mb/Steps by (component, band) — the decoder, the Index
-// — must call this first: a corrupt stream is an error, not a panic.
+// declares. The encoder checks the Params it is about to write with it, and
+// Scanner.Scan checks every Params it reads, so a consumer that indexes
+// Mb/Steps by (component, band) — the decoder, the Index — gets a stream it
+// can index or an error, never a panic.
 func (p Params) CheckGeometry() error {
 	if err := p.checkSIZ(); err != nil {
 		return err

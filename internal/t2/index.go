@@ -72,21 +72,14 @@ type Index struct {
 	pinSrc *Source // what NewIndex scanned; only benchpins.go reads it, and it goes with the pins (ROADMAP item 7)
 }
 
-// NewIndex scans a codestream's main header and tile-part chain and returns
-// the lazy index over it. Geometry and tile-grid consistency are validated
-// here; per-tile packet walks happen on first touch, through the source the
-// caller passes then.
+// NewIndex scans a codestream's main header and tile-part chain strictly and
+// returns the lazy index over it: the scan validates geometry and gives one
+// span per tile of the grid; per-tile packet walks happen on first touch,
+// through the source the caller passes then.
 func NewIndex(src *Source) (*Index, error) {
 	p, spans, _, err := new(Scanner).Scan(src, false)
 	if err != nil {
 		return nil, err
-	}
-	if err := p.CheckGeometry(); err != nil {
-		return nil, err
-	}
-	ntx, nty := p.NumTiles()
-	if len(spans) != ntx*nty {
-		return nil, fmt.Errorf("t2: %d tile-parts for a %dx%d tile grid", len(spans), ntx, nty)
 	}
 	ix := &Index{Params: p, spans: spans, tiles: make([]lazyTile, len(spans))}
 	ix.pinSrc = src
@@ -219,23 +212,15 @@ func (ix *Index) buildTile(ti int, src *Source) (TileIndex, error) {
 // RegionBytes sums the packet bytes a decode of the tiles in the tile-grid
 // rectangle [tx0, tx1) x [ty0, ty1) at the given discard-levels/layer limit
 // must touch, across every component — the payload cost of a window request,
-// before any caching. discard and layers are clamped to the stream. Only those
-// tiles are forced, in row-major order, each map not built yet read through
-// the source open returns; open is called only then, so a caller whose maps
-// are all built reads nothing and opens no source. The first tile whose
-// packet map cannot be built fails the call, so a caller never reports a
-// silently short count.
+// before any caching. discard and layers are clamped to the stream (Clamp).
+// Only those tiles are forced, in row-major order, each map not built yet
+// read through the source open returns; open is called only then, so a caller
+// whose maps are all built reads nothing and opens no source. The first tile
+// whose packet map cannot be built fails the call, so a caller never reports
+// a silently short count.
 func (ix *Index) RegionBytes(tx0, ty0, tx1, ty1, discard, layers int, open func() *Source) (int, error) {
 	p := &ix.Params
-	if discard < 0 {
-		discard = 0
-	}
-	if discard > p.Levels {
-		discard = p.Levels
-	}
-	if layers <= 0 || layers > p.Layers {
-		layers = p.Layers
-	}
+	discard, layers = p.Clamp(discard, layers)
 	// The kept positions of the layer prefix are the same in every tile:
 	// name them once, not once per tile.
 	var buf [64]bool

@@ -223,9 +223,9 @@ func sotOffsets(cs []byte) []int {
 // chains. Seeds cover the documented attack surface: truncation mid-SOT
 // chain and lying Psot fields (zero, overlapping the next tile-part, pointing
 // past EOF). The contract: strict scanning errors cleanly, resilient scanning
-// salvages whatever spans stay in bounds, and forcing every indexed tile
-// never panics or reads outside the stream; and PrefixSize predicts the count
-// WritePrefix writes, or both fail.
+// salvages one in-bounds span per tile of the grid, and forcing every indexed
+// tile never panics or reads outside the stream; and PrefixSize predicts the
+// count WritePrefix writes, or both fail.
 func FuzzLazyIndex(f *testing.F) {
 	cs, _, err := jp2k.Encode(raster.Synthetic(96, 96, 13), jp2k.Options{
 		Kernel: dwt.Rev53, TileW: 48, TileH: 48, Levels: 2,
@@ -265,10 +265,14 @@ func FuzzLazyIndex(f *testing.F) {
 				}
 			}
 		}
-		// Resilient: never panics, and every salvaged span stays in bounds.
-		_, spans, _, err := new(t2.Scanner).Scan(src, true)
+		// Resilient: never panics, and a scan that succeeds gives one span
+		// per tile of the grid, each in bounds.
+		p, spans, _, err := new(t2.Scanner).Scan(src, true)
 		if err != nil {
 			return
+		}
+		if ntx, nty := p.NumTiles(); len(spans) != ntx*nty {
+			t.Fatalf("resilient scan gave %d spans for a %dx%d tile grid", len(spans), ntx, nty)
 		}
 		for _, sp := range spans {
 			if sp.Off < 0 || sp.Len < 0 || sp.End() > int64(len(data)) {

@@ -474,25 +474,6 @@ func resetDec(dec []DecodedBlock, n int) []DecodedBlock {
 	return dec
 }
 
-// DecodeTileCompsPackets parses nlayers * (levels+1) * len(comps) packets in
-// the lrcp order EncodeTileCompsPackets emits. comps carries the grid
-// geometry and Mb per band (Blocks entries are ignored). The coder is reset
-// over that geometry and dec[ci] (which may be recycled from a previous tile,
-// or nil) is regrown to component ci's block count with each block's Data
-// capacity retained, so steady-state decoding of same-shaped tiles performs
-// no per-packet allocations. Returns the (possibly regrown) per-component dec
-// slices, indexed by component-local block id, and the bytes consumed. dec
-// must have len(comps) entries. The first malformed packet fails the tile.
-func (tc *TileCoder) DecodeTileCompsPackets(comps [][]BandBlocks, levels, nlayers int,
-	data []byte, dec [][]DecodedBlock) ([][]DecodedBlock, int, error) {
-
-	dec, pos, _, err := tc.walkPackets(comps, levels, nlayers, data, dec, false, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return dec, pos, nil
-}
-
 // pendingSeg records one block's body segment within a packet, discovered
 // during the header walk and consumed after Terminate. Pass counts ride along
 // so passesCum/Passes commit only as each body segment is verified present —
@@ -643,23 +624,34 @@ type DecodeDamage struct {
 // Any reports whether the walk recorded any packet-level damage.
 func (d DecodeDamage) Any() bool { return d.BadPackets > 0 || d.PacketsLost > 0 }
 
-// DecodeTileCompsPacketsResilient is the best-effort form of
-// DecodeTileCompsPackets: a malformed packet never fails the tile. When the
-// stream carries SOP markers the walk scans forward for the next SOP whose
-// sequence number names a later stream position and resumes there; without
-// them it keeps everything committed so far and abandons the rest of the
-// tile. Pass counts commit per verified body segment (see pendingSeg), so
-// the returned blocks are always self-consistent — at worst shallow.
-func (tc *TileCoder) DecodeTileCompsPacketsResilient(comps [][]BandBlocks, levels, nlayers int,
-	data []byte, dec [][]DecodedBlock) ([][]DecodedBlock, int, DecodeDamage) {
+// DecodePackets parses nlayers * (levels+1) * len(comps) packets in the
+// lrcp order EncodeTileCompsPackets emits. comps carries the grid geometry
+// and Mb per band (Blocks entries are ignored). The coder is reset over that
+// geometry and dec[ci] (which may be recycled from a previous tile, or nil)
+// is regrown to component ci's block count with each block's Data capacity
+// retained, so steady-state decoding of same-shaped tiles performs no
+// per-packet allocations. Returns the (possibly regrown) per-component dec
+// slices, indexed by component-local block id; dec must have len(comps)
+// entries.
+//
+// Strictly, the first malformed packet fails the tile. With resilient set a
+// malformed packet never fails it: when the stream carries SOP markers the
+// walk scans forward for the next SOP whose sequence number names a later
+// stream position and resumes there; without them it keeps everything
+// committed so far and abandons the rest of the tile, counting the loss in
+// DecodeDamage. Pass counts commit per verified body segment (see
+// pendingSeg), so the returned blocks are always self-consistent — at worst
+// shallow.
+func (tc *TileCoder) DecodePackets(comps [][]BandBlocks, levels, nlayers int,
+	data []byte, dec [][]DecodedBlock, resilient bool) ([][]DecodedBlock, DecodeDamage, error) {
 
-	dec, pos, dmg, _ := tc.walkPackets(comps, levels, nlayers, data, dec, true, nil)
-	return dec, pos, dmg
+	dec, _, dmg, err := tc.walkPackets(comps, levels, nlayers, data, dec, resilient, nil)
+	return dec, dmg, err
 }
 
-// walkPackets is the one decode-side packet loop — behind both decode entry
-// points and the Index: a loop over stream positions, each naming its packet
-// through lrcp. The only policy is what the first bad packet does — fail the
+// walkPackets is the one decode-side packet loop — behind DecodePackets and
+// the Index: a loop over stream positions, each naming its packet through
+// lrcp. The only policy is what the first bad packet does — fail the
 // tile (strict), or resync/abandon and count (resilient, which never errors).
 // With spans non-nil the walk is header-only (block bodies are skipped, not
 // copied into dec) and records the byte range of the packet at position pos

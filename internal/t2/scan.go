@@ -124,21 +124,57 @@ type Scanner struct {
 
 // Scan parses src's main header and walks the SOT/Psot tile-part chain,
 // seeking tile to tile without reading any body bytes: the parse cost (and
-// IO) of registering a stream is its headers, not its size. The returned
-// spans locate each tile-part body in the source, in chain order. The scan is
+// IO) of registering a stream is its headers, not its size. It is the whole
+// container rule: what it returns is a stream a decoder can run, or an error.
+// The Params pass CheckGeometry, and there is exactly one span per tile of the
+// grid, locating that tile's tile-part body in the source. The scan is
 // strict, or with resilient set best-effort: a truncated chain keeps the spans
-// that survive, an implausible Psot is re-bounded at the next tile-part, and
-// unknown main-header markers are skipped, all reported in ContainerDamage. It
-// fails only when not even the SOC survives; CheckGeometry the result.
+// that survive, an implausible Psot is re-bounded at the next tile-part,
+// unknown main-header markers are skipped, a missing tile-part becomes an
+// empty span (Len 0, at the end of the stream) and surplus tile-parts are
+// dropped, all reported in ContainerDamage. Even a resilient scan fails when
+// the header that survives has no viable geometry, since there is then no
+// image to degrade toward.
 func (s *Scanner) Scan(src *Source, resilient bool) (Params, []TileSpan, ContainerDamage, error) {
 	s.r.src, s.r.pos, s.r.win, s.r.wlo = src, 0, nil, 0
 	s.r.bands, s.r.stepv = s.r.bands[:0], s.r.stepv[:0]
 	p, spans, dmg, err := s.r.scan(s.spans[:0], resilient)
 	s.r.src, s.r.win = nil, nil // pin no source between scans
+	if err == nil {
+		spans, err = fitGrid(&p, spans, src.Size(), resilient, &dmg)
+	}
 	if cap(spans) > cap(s.spans) {
 		s.spans = spans[:0]
 	}
-	return p, spans, dmg, err
+	if err != nil {
+		return p, nil, dmg, err
+	}
+	return p, spans, dmg, nil
+}
+
+// fitGrid checks a scanned header's geometry and reconciles its tile-part
+// chain with the tile grid: one span per tile, strictly, or padded with empty
+// spans at size (Truncated) and cut to the grid (BadTileParts) when resilient.
+func fitGrid(p *Params, spans []TileSpan, size int64, resilient bool, dmg *ContainerDamage) ([]TileSpan, error) {
+	if err := p.CheckGeometry(); err != nil {
+		return spans, err
+	}
+	ntx, nty := p.NumTiles()
+	n := ntx * nty
+	switch {
+	case len(spans) == n:
+	case !resilient:
+		return spans, fmt.Errorf("t2: %d tile-parts for a %dx%d tile grid", len(spans), ntx, nty)
+	case len(spans) < n:
+		dmg.Truncated = true
+		for len(spans) < n {
+			spans = append(spans, TileSpan{Off: size})
+		}
+	default:
+		dmg.BadTileParts += len(spans) - n
+		spans = spans[:n]
+	}
+	return spans, nil
 }
 
 // scan is Scanner.Scan over the reset reader, appending spans to spans.
@@ -194,8 +230,8 @@ func (r *sreader) scan(spans []TileSpan, resilient bool) (Params, []TileSpan, Co
 		}
 		if err != nil {
 			if resilient {
-				// Mid-marker damage: keep what already parsed; the caller's
-				// CheckGeometry decides whether it is enough to decode.
+				// Mid-marker damage: keep what already parsed; fitGrid
+				// decides whether it is enough to decode.
 				dmg.Truncated = true
 				return p, spans, dmg, nil
 			}

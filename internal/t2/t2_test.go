@@ -259,7 +259,7 @@ func TestCodestreamRoundTrip(t *testing.T) {
 		Width: 517, Height: 311, TileW: 517, TileH: 311,
 		BitDepth: 8, Levels: 5, Layers: 3, CBW: 64, CBH: 32,
 		Kernel: dwt.Rev53, GuardBits: 2,
-		Mb: [][]int{{10, 11, 11, 12, 9, 9, 10}},
+		Mb: [][]int{{10, 11, 11, 12, 9, 9, 10, 8, 8, 9, 7, 7, 8, 6, 6, 7}},
 	}
 	tiles := [][]byte{{1, 2, 3, 4, 5}}
 	cs := WriteCodestream(p, tiles)
