@@ -408,7 +408,9 @@ func BenchmarkEncodeColor(b *testing.B) {
 // budgets code a fraction of the passes; at 16 bpp the budget holds everything
 // the 1/512 base step can produce, nothing stops, every pass is coded once and
 // the only cost over plain full coding is the pilot's extra dispatch — the
-// worst case, which must not be slower than before.
+// worst case, which must not be slower than before. Beside the coded share it
+// reports the raw pass counts and the pilot's size, so the pilot's part of
+// the coded passes can be read without the benchmark harness.
 func BenchmarkEncodeLayers(b *testing.B) {
 	im := benchImage()
 	for _, bpp := range []float64{0.25, 1, 4, 16} {
@@ -430,6 +432,9 @@ func BenchmarkEncodeLayers(b *testing.B) {
 				}
 			}
 			b.ReportMetric(st.CodedShare(), "passes_coded_share")
+			b.ReportMetric(float64(st.PassesCoded), "passes_coded")
+			b.ReportMetric(float64(st.PassesPossible), "passes_possible")
+			b.ReportMetric(float64(st.PilotBlocks), "pilot_blocks")
 			b.ReportMetric(float64(st.BlocksRecoded), "blocks_recoded")
 		})
 	}

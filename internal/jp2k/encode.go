@@ -10,7 +10,7 @@ import (
 )
 
 // blockJob couples one code-block's coefficient view with its geometry and
-// its place in the (component, band) grouping the tier-1 pilot samples by.
+// its band, whose resolution level groups it for the tier-1 pilot.
 type blockJob struct {
 	data    []int32
 	w, h    int

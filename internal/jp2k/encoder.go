@@ -51,8 +51,8 @@ type Encoder struct {
 	order        []int     // block ids in tier-1 coding order: pilot first, or the blocks to re-code
 	batch        []int     // the run of order the current tier-1 dispatch codes
 	lambda       []float64 // per component: stop-rule slope threshold of the current dispatch (0 codes fully)
-	groupN       []int     // per (component, band): blocks seen / pilot blocks taken while sampling
-	pilotW       []float64 // per pilot block: blocks of its (component, band) group it stands for
+	groupN       []int     // per (component, level): blocks seen / pilot blocks taken while sampling
+	pilotW       []float64 // per pilot block: blocks of its (component, level) group it stands for
 	results      []*t1.EncodedBlock
 	blockStreams []t2.BlockStream
 	rblocks      []rate.BlockPasses
@@ -336,24 +336,25 @@ func (e *Encoder) setBudgets() {
 }
 
 // pilotStride is the sampling period of the pilot: every pilotStride-th block
-// of each (component, band) group, counted across tiles, is coded in full
-// before the rest.
-const pilotStride = 8
+// of each (component, level) group, counted across tiles, is coded in full
+// before the rest. A level is a resolution level: the LL band alone, or the
+// HL, LH and HH bands of one decomposition level.
+const pilotStride = 16
 
 // codeBlocks is the tier-1 stage. Without layer budgets every block is coded
 // in full in one dispatch. With them, tier-1 may stop a block once no layer
 // can take more of it (DESIGN.md §8), which needs a slope threshold before the
 // blocks are coded: a stratified pilot — every pilotStride-th block of each
-// (component, band) group — is coded in full first, PCRD's greedy runs over
-// the pilot hulls with each block's bytes counted once per block it stands
-// for, and half the slope at which that crosses the component's largest budget
-// is the threshold the remaining blocks are coded under. The threshold only
-// decides how much coding is saved; the post-check in encode keeps the output
-// independent of it. Returns the time spent in the pilot's PCRD, which is
-// billed to rate allocation, not tier-1.
+// (component, level) group — is coded in full first, PCRD's greedy runs over
+// the pilot hulls with each block's bytes counted once per block of its group
+// it stands for, and half the slope at which that crosses the component's
+// largest budget is the threshold the remaining blocks are coded under. The
+// threshold only decides how much coding is saved; the post-check in encode
+// keeps the output independent of it. Returns the time spent in the pilot's
+// PCRD, which is billed to rate allocation, not tier-1.
 func (e *Encoder) codeBlocks(stats *EncodeStats) time.Duration {
 	o := &e.cur.o
-	nblocks, ncomp, nbands := len(e.jobs), e.p.NComp, len(e.layouts[0].Subbands)
+	nblocks, ncomp, nlevels := len(e.jobs), e.p.NComp, e.p.Levels+1
 	e.order = grow(e.order, nblocks)
 	e.lambda = grow(e.lambda, ncomp)
 	clear(e.lambda)
@@ -368,13 +369,16 @@ func (e *Encoder) codeBlocks(stats *EncodeStats) time.Duration {
 
 	// Pilot ids first (ascending, so component-major like the jobs), the rest
 	// after them.
-	e.groupN = grow(e.groupN, 2*ncomp*nbands)
+	group := func(j *blockJob) int {
+		return j.comp*nlevels + (j.bandIdx+2)/3 // the band's resolution level: dwt.ResolutionBands inverted
+	}
+	e.groupN = grow(e.groupN, 2*ncomp*nlevels)
 	clear(e.groupN)
-	seen, taken := e.groupN[:ncomp*nbands], e.groupN[ncomp*nbands:]
+	seen, taken := e.groupN[:ncomp*nlevels], e.groupN[ncomp*nlevels:]
 	npilot := 0
 	for id := range e.jobs {
 		j := &e.jobs[id]
-		g := j.comp*nbands + j.bandIdx
+		g := group(j)
 		if j.pilot = seen[g]%pilotStride == 0; j.pilot {
 			e.order[npilot] = id
 			npilot++
@@ -404,7 +408,7 @@ func (e *Encoder) codeBlocks(stats *EncodeStats) time.Duration {
 		for ; hi < npilot && e.jobs[e.order[hi]].comp == ci; hi++ {
 			j := &e.jobs[e.order[hi]]
 			rates, dists, e.rblocks[hi] = appendPasses(rates, dists, e.results[e.order[hi]], e.weights[j.bandIdx])
-			g := ci*nbands + j.bandIdx
+			g := group(j)
 			e.pilotW[hi] = float64(seen[g]) / float64(taken[g])
 		}
 		budget := 0
@@ -671,17 +675,21 @@ func (e *Encoder) encode(comps []*raster.Image, opts Options) ([]byte, *EncodeSt
 
 	// --- Per-band R-D weights (shared by every component and tile: BandNorm
 	// reads only a band's type and level): the allocator's distortion scale,
-	// and the tier-1 stop rule's.
+	// and the tier-1 stop rule's. Without layer budgets nothing reads a
+	// distortion, so the weights stay 0, which tells tier-1 to compute none.
 	tT1 := time.Now()
 	weights := grow(e.weights, nbands)
 	e.weights = weights
-	for bi, b := range subbands {
-		step := 1.0
-		if o.Kernel == dwt.Irr97 {
-			step = p.Steps[0][bi].Value()
+	clear(weights)
+	if len(o.LayerBPP) > 0 {
+		for bi, b := range subbands {
+			step := 1.0
+			if o.Kernel == dwt.Irr97 {
+				step = p.Steps[0][bi].Value()
+			}
+			n := dwt.BandNorm(o.Kernel, o.Levels, b)
+			weights[bi] = step * step * n * n
 		}
-		n := dwt.BandNorm(o.Kernel, o.Levels, b)
-		weights[bi] = step * step * n * n
 	}
 
 	// --- Tier-1: gather every code-block of every unit, encode in parallel

@@ -253,6 +253,7 @@ func FuzzDecodeResilient(f *testing.F) {
 			return
 		}
 		dec := NewDecoder()
+		defer dec.Close() // each input's Decoder owns a worker pool
 		img, err := dec.Decode(data, DecodeOptions{Resilient: true})
 		if err == nil && img == nil {
 			t.Fatal("resilient decode returned nil image and nil error")

@@ -144,6 +144,86 @@ func TestStopRuleAdversarialThreshold(t *testing.T) {
 	}
 }
 
+// TestPilotSampling pins the pilot rule of DESIGN.md §8: the pilot is every
+// pilotStride-th block of each (component, resolution level) group, counted
+// across tiles, so every group has a pilot and a group of n blocks has
+// ceil(n / pilotStride). The counts are derived from the written stream's
+// geometry, the groups from dwt.ResolutionBands. On every budgeted stop case,
+// and on a tiled colour one with several pilots per group, the halved
+// threshold never needs a re-code, and the bytes are those of full coding.
+func TestPilotSampling(t *testing.T) {
+	var cases []stopCase
+	for _, c := range stopCases() {
+		if len(c.o.LayerBPP) > 0 {
+			cases = append(cases, c)
+		}
+	}
+	cases = append(cases, stopCase{"color-97-mct-tiled", goldenColor(), Options{Kernel: dwt.Irr97, MCT: true,
+		LayerBPP: []float64{0.5, 2}, TileW: 48, TileH: 40, CBW: 8, CBH: 8}})
+	stopped := 0
+	for _, c := range cases {
+		o := c.o
+		o.Workers = 2
+		e := NewEncoder()
+		got, st, err := e.EncodePlanar(c.pl, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _, _, err := new(t2.Scanner).Scan(t2.BytesSource(got), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nlevels := p.Levels + 1
+		level := make([]int, 1+3*p.Levels) // band index -> resolution level
+		for r := range nlevels {
+			lo, hi := dwt.ResolutionBands(r)
+			for bi := lo; bi < hi; bi++ {
+				level[bi] = r
+			}
+		}
+		blocks := make([]int, p.NComp*nlevels)
+		ntx, nty := p.NumTiles()
+		var lay t2.TileLayout
+		for ti := range ntx * nty {
+			lay.Reshape(&p, ti)
+			for ci, bands := range lay.Comps {
+				for bi, bb := range bands {
+					blocks[ci*nlevels+level[bi]] += len(bb.Grid.Rects)
+				}
+			}
+		}
+		pilots := make([]int, len(blocks))
+		for _, j := range e.jobs {
+			if j.pilot {
+				pilots[j.comp*nlevels+level[j.bandIdx]]++
+			}
+		}
+		want := 0
+		for g, n := range blocks {
+			k := (n + pilotStride - 1) / pilotStride // at least one for a group with blocks
+			if pilots[g] != k {
+				t.Errorf("%s: component %d level %d has %d pilots for %d blocks, want %d",
+					c.name, g/nlevels, g%nlevels, pilots[g], n, k)
+			}
+			want += k
+		}
+		if st.PilotBlocks != want || st.CodeBlocks != len(e.jobs) {
+			t.Errorf("%s: %d pilot blocks of %d, the rule gives %d of %d", c.name, st.PilotBlocks, st.CodeBlocks, want, len(e.jobs))
+		}
+		if st.BlocksRecoded != 0 {
+			t.Errorf("%s: %d of %d stopped blocks re-coded", c.name, st.BlocksRecoded, st.BlocksStopped)
+		}
+		stopped += st.BlocksStopped
+		e.Close()
+		if full, _ := encodeWithLambda(t, c.pl, o, forceFull); !bytes.Equal(got, full) {
+			t.Errorf("%s: pilot-driven encode differs from full coding", c.name)
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("no block stopped: the re-code check saw nothing")
+	}
+}
+
 // TestEncodeStatsPassAccounting reads the tier-1 work counters back through
 // the metrics registry: a lossy encode codes fewer passes than it could have
 // and re-codes nothing; a lossless one codes exactly what is possible.

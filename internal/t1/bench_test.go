@@ -72,8 +72,7 @@ func passSnapshots(data []int32, n int, band dwt.BandType, plane uint) (co *Code
 			c.encSigProp(enc, pp)
 			c.encRefine(enc, pp)
 		}
-		c.encCleanup(enc, pp)
-		c.clearVisited()
+		c.encCleanup(enc, pp) // also drops the plane's visited bits
 	}
 	sig = snap(c)
 	c.encSigProp(enc, plane)

@@ -196,3 +196,69 @@ func TestEncodeStopNeverFiresUnderLazyBypass(t *testing.T) {
 		}
 	}
 }
+
+// A caller that reads no distortion (an encode without layer budgets) passes
+// weight 0. Every coder style must then code each block exactly as Encode
+// does — the same Data, pass rates and Witness — with every DistDelta 0, a
+// threshold changing nothing. The choice is made per block: on a Coder that
+// alternates such blocks with stopped ones (lambda > 0), the stopped blocks
+// keep their bytes, rates, witness and distortions, so the only calls whose
+// DistDeltas are all 0 are the untracked ones.
+func TestUntrackedDistortionCodesTheSame(t *testing.T) {
+	modes := []Modes{{}, {Bypass: true}, {TermAll: true}, {ResetCtx: true}, {Causal: true}, {SegSym: true}}
+	mixed, ref := NewCoder(), NewCoder()
+	same := func(a, b *EncodedBlock) bool {
+		if !bytes.Equal(a.Data, b.Data) || a.Witness != b.Witness || a.NumBitplanes != b.NumBitplanes || len(a.Passes) != len(b.Passes) {
+			return false
+		}
+		for k := range a.Passes {
+			if a.Passes[k].Rate != b.Passes[k].Rate {
+				return false
+			}
+		}
+		return true
+	}
+	untracked := func(eb *EncodedBlock) bool {
+		for _, p := range eb.Passes {
+			if p.DistDelta != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	stops := 0
+	for _, m := range modes {
+		mixed.Modes, ref.Modes = m, m
+		for bi, blk := range stopCorpus() {
+			band := bandTypes[bi%len(bandTypes)]
+			fb := ref.Encode(blk.data, blk.w, blk.h, blk.w, band)
+			if untracked(fb) {
+				t.Fatalf("%s block %d: Encode left every DistDelta 0", modeName(m), bi)
+			}
+			for _, lambda := range []float64{0, 10, math.Inf(1)} {
+				nb := mixed.EncodeStop(blk.data, blk.w, blk.h, blk.w, band, 0, lambda)
+				if !same(nb, fb) || !untracked(nb) {
+					t.Fatalf("%s block %d lambda %g: untracked block differs from Encode or carries a distortion", modeName(m), bi, lambda)
+				}
+				sb := mixed.EncodeStop(blk.data, blk.w, blk.h, blk.w, band, 1, 10)
+				rb := ref.EncodeStop(blk.data, blk.w, blk.h, blk.w, band, 1, 10)
+				if !same(sb, rb) || untracked(sb) {
+					t.Fatalf("%s block %d: stopped block after an untracked one differs from a fresh coding or lost its distortions", modeName(m), bi)
+				}
+				for k := range sb.Passes {
+					if sb.Passes[k].DistDelta != rb.Passes[k].DistDelta {
+						t.Fatalf("%s block %d: pass %d DistDelta %v after an untracked block, %v without", modeName(m), bi, k, sb.Passes[k].DistDelta, rb.Passes[k].DistDelta)
+					}
+				}
+				if sb.Witness != 0 {
+					stops++
+				}
+			}
+			mixed.Release()
+			ref.Release()
+		}
+	}
+	if stops == 0 {
+		t.Fatal("no block stopped: the tracked side of the switch went untested")
+	}
+}

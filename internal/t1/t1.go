@@ -104,6 +104,7 @@ type coder struct {
 	band   dwt.BandType
 	zc     *[256]uint8 // zcLUT[band], rebound per block
 	causal bool
+	track  bool // encode: the passes compute their distortion reduction (off when nothing reads it)
 	// rowMask masks the flag word per stripe row before context formation.
 	// Rows 0-2 pass everything; under stripe-causal mode row 3 drops the
 	// south-neighbor bits so contexts never depend on the stripe below.
@@ -140,14 +141,6 @@ func (c *coder) resetContexts() {
 	c.cx[ctxZC0].Reset(4, 0)
 	c.cx[ctxRL].Reset(3, 0)
 	c.cx[ctxUNI].Reset(46, 0)
-}
-
-// clearVisited drops the per-plane visited bits. Only interior samples ever
-// set fVisited, but clearing the whole bordered array is branch-free.
-func (c *coder) clearVisited() {
-	for i := range c.flags {
-		c.flags[i] &^= fVisited
-	}
 }
 
 // distSig is the distortion reduction when magnitude v becomes significant
@@ -277,6 +270,7 @@ type stopRule struct {
 	bound  float64 // weight * sum of squared magnitudes: no cumulative distortion reduction exceeds it
 	cum    float64 // weighted distortion reduction of the passes coded so far
 	at     int     // tests only: stop unconditionally after this many passes
+	noDist bool    // nothing reads DistDelta: the passes leave it 0 (EncodeStop with weight 0)
 }
 
 // Encode codes one code-block, reusing the Coder's buffers. data holds signed
@@ -294,18 +288,21 @@ func (co *Coder) Encode(data []int32, w, h, stride int, band dwt.BandType) *Enco
 // DistDelta before rate allocation — so the slopes compared against lambda
 // are the allocator's own. lambda 0 never stops and is exactly Encode; so is
 // any lambda under Bypass without TermAll, where truncation points are
-// restricted to segment ends and the rule does not apply.
+// restricted to segment ends and the rule does not apply. weight 0 says no
+// distortion is read (the caller's scaled DistDelta would be 0 whatever it
+// was): the block is coded as by Encode, never stops, and computes no
+// distortion, so every DistDelta is 0.
 func (co *Coder) EncodeStop(data []int32, w, h, stride int, band dwt.BandType, weight, lambda float64) *EncodedBlock {
-	if co.Modes.Bypass && !co.Modes.TermAll {
+	if (co.Modes.Bypass && !co.Modes.TermAll) || weight == 0 {
 		lambda = 0
 	}
-	return co.encode(data, w, h, stride, band, stopRule{lambda: lambda, weight: weight})
+	return co.encode(data, w, h, stride, band, stopRule{lambda: lambda, weight: weight, noDist: weight == 0})
 }
 
 func (co *Coder) encode(data []int32, w, h, stride int, band dwt.BandType, stop stopRule) *EncodedBlock {
 	c := &co.c
 	m := co.Modes
-	c.causal = m.Causal
+	c.causal, c.track = m.Causal, !stop.noDist
 	c.reset(w, h, band)
 	var maxMag int32
 	for y := 0; y < h; y++ {
@@ -386,9 +383,6 @@ planes:
 			break planes
 		}
 		pass++
-		if p != 0 {
-			c.clearVisited() // reset re-zeroes flags, so the last plane skips it
-		}
 	}
 	if stopped {
 		// Stopped inside an open MQ segment: keep the bytes no further coding
@@ -522,7 +516,9 @@ func (c *coder) encSigPropRaw(w *bitio.StuffWriter, plane uint) float64 {
 					}
 					w.WriteBit(s)
 					c.setSig(i, s == 1)
-					dist += distSig(mag[i], plane)
+					if c.track {
+						dist += distSig(mag[i], plane)
+					}
 				}
 				f[i] |= fVisited
 			}
@@ -533,7 +529,8 @@ func (c *coder) encSigPropRaw(w *bitio.StuffWriter, plane uint) float64 {
 
 // encSign codes the sign of sample i which just became significant at plane,
 // marks it significant in its neighborhood, and returns the significance
-// distortion. mask is the stripe-row flag mask (all ones outside causal mode).
+// distortion (0 when the block tracks none). mask is the stripe-row flag mask
+// (all ones outside causal mode).
 func (c *coder) encSign(enc *mq.Encoder, i int, plane uint, mask uint32) float64 {
 	sc := scLUT[(c.flags[i]&mask)>>4&0xFF]
 	s := 0
@@ -542,6 +539,9 @@ func (c *coder) encSign(enc *mq.Encoder, i int, plane uint, mask uint32) float64
 	}
 	enc.Encode(s^int(sc>>7), &c.cx[sc&0x1F])
 	c.setSig(i, s == 1)
+	if !c.track {
+		return 0
+	}
 	return distSig(c.mag[i], plane)
 }
 
@@ -550,7 +550,7 @@ func (c *coder) encSign(enc *mq.Encoder, i int, plane uint, mask uint32) float64
 // magnitude bit.
 func (c *coder) encRefine(enc *mq.Encoder, plane uint) float64 {
 	var dist float64
-	f, mag, bw := c.flags, c.mag, c.bw
+	f, mag, bw, track := c.flags, c.mag, c.bw, c.track
 	rm := &c.rowMask
 	for y0 := 0; y0 < c.h; y0 += 4 {
 		rows := min(c.h-y0, 4)
@@ -566,7 +566,9 @@ func (c *coder) encRefine(enc *mq.Encoder, plane uint) float64 {
 					continue
 				}
 				enc.Encode(int(mag[i]>>plane&1), &c.cx[mrCtx(fl&rm[k])])
-				dist += distRef(mag[i], plane)
+				if track {
+					dist += distRef(mag[i], plane)
+				}
 				f[i] = fl | fRefined
 			}
 		}
@@ -578,7 +580,7 @@ func (c *coder) encRefine(enc *mq.Encoder, plane uint) float64 {
 // bit per sample already significant before this plane.
 func (c *coder) encRefineRaw(w *bitio.StuffWriter, plane uint) float64 {
 	var dist float64
-	f, mag, bw := c.flags, c.mag, c.bw
+	f, mag, bw, track := c.flags, c.mag, c.bw, c.track
 	for y0 := 0; y0 < c.h; y0 += 4 {
 		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
@@ -595,7 +597,9 @@ func (c *coder) encRefineRaw(w *bitio.StuffWriter, plane uint) float64 {
 				// No fRefined update: the flag only selects the MQ refine
 				// context, and every later refine pass is also bypassed.
 				w.WriteBit(int(mag[i] >> plane & 1))
-				dist += distRef(mag[i], plane)
+				if track {
+					dist += distRef(mag[i], plane)
+				}
 			}
 		}
 	}
@@ -604,7 +608,9 @@ func (c *coder) encRefineRaw(w *bitio.StuffWriter, plane uint) float64 {
 
 // encCleanup runs the cleanup pass with run-length coding: full 4-sample
 // columns with no significant state or neighborhood take the run-length
-// shortcut; everything else left uncoded this plane is zero-coded.
+// shortcut; everything else left uncoded this plane is zero-coded. Like
+// decCleanup it drops each visited bit as it passes the sample, leaving the
+// next plane's significance pass a clean slate.
 func (c *coder) encCleanup(enc *mq.Encoder, plane uint) float64 {
 	var dist float64
 	f, mag, bw, zc := c.flags, c.mag, c.bw, c.zc
@@ -639,6 +645,7 @@ func (c *coder) encCleanup(enc *mq.Encoder, plane uint) float64 {
 				ii := i + y*bw
 				fl := f[ii] & rm[y]
 				if fl&(fSig|fVisited) != 0 {
+					f[ii] &^= fVisited
 					continue
 				}
 				bit := int(mag[ii] >> plane & 1)
