@@ -6,6 +6,7 @@
 package pj2k
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -499,58 +500,107 @@ func BenchmarkDecodeRegion(b *testing.B) {
 
 // --- Substrate microbenchmarks.
 
-func BenchmarkMQEncode(b *testing.B) {
-	decisions := make([]int, 1<<16)
-	for i := range decisions {
-		decisions[i] = (i * 2654435761) >> 13 & 1
+// mqStream is a decision stream for the MQ micro-benchmarks: the symbol and
+// the context of every decision.
+type mqStream struct {
+	name       string
+	syms, ctxs []uint8
+}
+
+// mqStreams returns the two streams BenchmarkMQEncode and BenchmarkMQDecode
+// code, 64 Ki decisions each.
+//
+// "predictable" is one context over a hashed bit pattern. A branch predictor
+// learns that pattern, so a coder that branches on the decision mispredicts
+// almost never there, and a branch-free one pays for the work it does on both
+// sides: the stream favours branches, and is kept to show that it does.
+// "tier1" has tier-1's symbol statistics instead: 19 contexts, each decision's
+// context drawn at random and each context with its own seeded skew, as the
+// benchmark's mq probe draws them; most decisions there are ones the
+// predictor cannot learn.
+func mqStreams() []mqStream {
+	const n, nctx = 1 << 16, 19
+	pred := mqStream{name: "predictable", syms: make([]uint8, n), ctxs: make([]uint8, n)}
+	for i := range pred.syms {
+		pred.syms[i] = uint8((i * 2654435761) >> 13 & 1)
 	}
-	b.SetBytes(int64(len(decisions)) / 8)
-	b.ReportAllocs()
-	enc := new(mq.Encoder)
-	for i := 0; i < b.N; i++ {
-		enc.Init()
-		var cx mq.Context
-		for _, d := range decisions {
-			enc.Encode(d, &cx)
+	rng := rand.New(rand.NewSource(1))
+	var skew [nctx]float64
+	for i := range skew {
+		skew[i] = 0.02 + 0.46*rng.Float64()
+	}
+	t1s := mqStream{name: "tier1", syms: make([]uint8, n), ctxs: make([]uint8, n)}
+	for i := range t1s.syms {
+		c := rng.Intn(nctx)
+		t1s.ctxs[i] = uint8(c)
+		if rng.Float64() < skew[c] {
+			t1s.syms[i] = 1
 		}
-		enc.Flush()
+	}
+	return []mqStream{pred, t1s}
+}
+
+// reportPerSymbol reports the benchmark's time per coded decision.
+func reportPerSymbol(b *testing.B, symbols int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*symbols), "ns/symbol")
+}
+
+// BenchmarkMQEncode codes each stream of mqStreams through one pooled
+// mq.Encoder.
+func BenchmarkMQEncode(b *testing.B) {
+	for _, st := range mqStreams() {
+		b.Run(st.name, func(b *testing.B) {
+			enc := new(mq.Encoder)
+			b.SetBytes(int64(len(st.syms)) / 8)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				enc.Init()
+				var cx [19]mq.Context
+				for k, s := range st.syms {
+					enc.Encode(int(s), &cx[st.ctxs[k]])
+				}
+				enc.Flush()
+			}
+			reportPerSymbol(b, len(st.syms))
+		})
 	}
 }
 
-// BenchmarkMQDecode is the decode analogue of BenchmarkMQEncode: the same
-// pseudo-random decision stream, decoded through one pooled mq.Decoder via
-// Reset, so the Decode/byteIn fast paths are measured without per-segment
-// allocation noise.
+// BenchmarkMQDecode is the decode analogue of BenchmarkMQEncode: each stream
+// is encoded once, then decoded through one pooled mq.Decoder via Reset, so
+// the decisions and the refills of the look-ahead register are measured
+// without per-segment allocation noise.
 func BenchmarkMQDecode(b *testing.B) {
-	decisions := make([]int, 1<<16)
-	for i := range decisions {
-		decisions[i] = (i * 2654435761) >> 13 & 1
-	}
-	enc := new(mq.Encoder)
-	enc.Init()
-	var cx mq.Context
-	for _, d := range decisions {
-		enc.Encode(d, &cx)
-	}
-	seg := append([]byte(nil), enc.Flush()...)
-	// Sanity: the segment must decode back to the input decisions.
-	dec := new(mq.Decoder)
-	dec.Reset(seg)
-	cx = mq.Context{}
-	for i, d := range decisions {
-		if got := dec.Decode(&cx); got != d {
-			b.Fatalf("decision %d: decoded %d, want %d", i, got, d)
-		}
-	}
-	b.SetBytes(int64(len(decisions)) / 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Reset(seg)
-		cx = mq.Context{}
-		for range decisions {
-			dec.Decode(&cx)
-		}
+	for _, st := range mqStreams() {
+		b.Run(st.name, func(b *testing.B) {
+			enc := new(mq.Encoder)
+			enc.Init()
+			var cx [19]mq.Context
+			for k, s := range st.syms {
+				enc.Encode(int(s), &cx[st.ctxs[k]])
+			}
+			seg := append([]byte(nil), enc.Flush()...)
+			dec := new(mq.Decoder)
+			// Sanity: the segment must decode back to the input decisions.
+			dec.Reset(seg)
+			cx = [19]mq.Context{}
+			for k, s := range st.syms {
+				if got := dec.Decode(&cx[st.ctxs[k]]); got != int(s) {
+					b.Fatalf("decision %d: decoded %d, want %d", k, got, s)
+				}
+			}
+			b.SetBytes(int64(len(st.syms)) / 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dec.Reset(seg)
+				cx = [19]mq.Context{}
+				for _, c := range st.ctxs {
+					dec.Decode(&cx[c])
+				}
+			}
+			reportPerSymbol(b, len(st.syms))
+		})
 	}
 }
 

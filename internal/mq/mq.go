@@ -1,10 +1,21 @@
 // Package mq implements the MQ binary arithmetic coder of JPEG2000
 // (ISO/IEC 15444-1 Annex C), the entropy-coding engine used by the tier-1
-// code-block coder. The encoder and decoder follow the software-convention
-// flow charts of the standard: 16-bit probability estimates from the 47-entry
-// Qe state table, renormalization-driven state transitions, byte output with
-// 0xFF bit-stuffing so the bitstream cannot emulate markers.
+// code-block coder: 16-bit probability estimates from the 47-entry Qe state
+// table, renormalization-driven state transitions, byte output with 0xFF
+// bit-stuffing so the bitstream cannot emulate markers.
+//
+// The coder emits and consumes exactly the bytes and decisions of the
+// standard's software-convention flow charts, but no decision branches on the
+// data: both sub-intervals are computed and masks choose the interval, the
+// symbol and the next state; renormalization is one shift. The decoder's C
+// register is 64 bits wide and reads ahead, so it refills every few symbols
+// instead of testing for a byte on every shift. Read-ahead stops before any
+// byte that follows 0xFF and never reads past the segment's end, which keeps
+// every comparison, and Overrun, equal to the standard decoder's (DESIGN.md
+// §9).
 package mq
+
+import "math/bits"
 
 // qeEntry is one row of the Annex C probability state table.
 type qeEntry struct {
@@ -65,17 +76,51 @@ var qeTable = [47]qeEntry{
 	{0x5601, 46, 46, false},
 }
 
-// Context holds the adaptive state of one coding context: the index into the
-// Qe table and the current most-probable symbol.
-type Context struct {
-	index uint8
-	mps   uint8
+// state is one row of the coding table, indexed by a Context's state byte:
+// the row's Qe and the state byte a renormalizing decision moves to, next[0]
+// after an LPS (the MPS switch folded in) and next[1] after an MPS.
+type state struct {
+	qe   uint16
+	next [2]uint8
 }
 
+// states has 256 rows so a state byte indexes it without a bounds check; the
+// 94 rows index<<1 | mps for the 47 Qe indices are used.
+var states = func() (t [256]state) {
+	for i, q := range qeTable {
+		for mps := uint8(0); mps < 2; mps++ {
+			lpsMPS := mps
+			if q.swtch {
+				lpsMPS ^= 1
+			}
+			t[i<<1|int(mps)] = state{uint16(q.qe), [2]uint8{q.nlps<<1 | lpsMPS, q.nmps<<1 | mps}}
+		}
+	}
+	return t
+}()
+
+// Context holds the adaptive state of one coding context in one byte: the
+// index into the Qe table shifted left once, or'd with the most-probable
+// symbol.
+type Context struct{ s uint8 }
+
 // Reset restores the context to state (index, mps).
-func (c *Context) Reset(index int, mps int) {
-	c.index = uint8(index)
-	c.mps = uint8(mps)
+func (c *Context) Reset(index int, mps int) { c.s = uint8(index<<1 | mps&1) }
+
+// decide is the decision both coders share: from the interval A and the
+// context's row q, the interval after the MPS sub-interval, a = A - Qe, and
+// whether the conditional exchange applies (a < Qe), as an all-ones mask.
+func decide(A uint32, q *state) (a, qe, xchg uint32) {
+	qe = uint32(q.qe)
+	a = A - qe
+	return a, qe, uint32(int32(a-qe) >> 31)
+}
+
+// move stores the context's next state: next[isMPS] when the new interval na
+// needs renormalization, the unchanged state otherwise.
+func move(cx *Context, q *state, isMPS, na uint32) {
+	renorm := uint8(na>>15&1) - 1 // 0xFF iff na < 0x8000
+	cx.s ^= (cx.s ^ q.next[isMPS]) & renorm
 }
 
 // Encoder is an MQ arithmetic encoder. The zero value is not ready for use;
@@ -106,58 +151,30 @@ func (e *Encoder) Init() {
 	e.out[0] = 0 // sentinel "B" byte; never 0xFF so ct starts at 12
 }
 
-// Encode codes decision d (0 or 1) in context cx, updating the context. The
-// MPS and LPS flows are split so the dominant no-renormalization MPS case —
-// the vast majority of tier-1 decisions once contexts adapt — costs one
-// compare, one subtract and one add before returning.
+// Encode codes decision d (0 or 1) in context cx, updating the context.
+// CODEMPS and CODELPS are one flow: the coded symbol takes the upper
+// sub-interval (A - Qe, with Qe added to C) exactly when it is the MPS and no
+// conditional exchange applies, or the LPS and one does; otherwise it takes
+// Qe. Masks make that choice, and the renormalization is one shift unless a
+// byte falls due inside it.
 func (e *Encoder) Encode(d int, cx *Context) {
-	q := &qeTable[cx.index]
-	a := e.a - q.qe
-	if uint8(d) == cx.mps {
-		// CODEMPS
-		if a&0x8000 != 0 {
-			// Fast path: interval still normalized, no state transition.
-			e.a = a
-			e.c += q.qe
-			return
-		}
-		if a < q.qe {
-			a = q.qe
-		} else {
-			e.c += q.qe
-		}
-		cx.index = q.nmps
-		e.a = a
-		e.renorm()
-		return
+	q := &states[cx.s]
+	a, qe, xchg := decide(e.a, q)
+	isMPS := uint32(d^int(cx.s)^1) & 1
+	upper := -isMPS ^ xchg // all ones: take A - Qe
+	na := qe ^ (a^qe)&upper
+	e.c += qe & upper
+	move(cx, q, isMPS, na)
+	n := bits.LeadingZeros32(na) - 16
+	e.a = na << (n & 15)
+	for n >= e.ct {
+		// RENORME reaches CT = 0 inside this shift: emit the byte there.
+		e.c <<= e.ct & 31
+		n -= e.ct
+		e.byteOut()
 	}
-	// CODELPS (conditional exchange: the LPS keeps the larger subinterval).
-	if a < q.qe {
-		e.c += q.qe
-	} else {
-		a = q.qe
-	}
-	if q.swtch {
-		cx.mps = 1 - cx.mps
-	}
-	cx.index = q.nlps
-	e.a = a
-	e.renorm()
-}
-
-// renorm is RENORME.
-func (e *Encoder) renorm() {
-	for {
-		e.a <<= 1
-		e.c <<= 1
-		e.ct--
-		if e.ct == 0 {
-			e.byteOut()
-		}
-		if e.a&0x8000 != 0 {
-			return
-		}
-	}
+	e.c <<= n & 31
+	e.ct -= n
 }
 
 // byteOut is BYTEOUT with bit stuffing and carry resolution.
@@ -233,10 +250,15 @@ func (e *Encoder) Flush() []byte {
 // Decoder is an MQ arithmetic decoder. Reads past the end of the segment
 // behave as if 0xFF bytes followed, per the standard, so truncated segments
 // decode without error.
+//
+// C is the standard's 32-bit register shifted up to the top of 64 bits: its
+// 16 active bits (Chigh) sit at bits 48..63 and ct counts the input bits
+// buffered below them, up to 48 — the standard's CT plus the bytes read
+// ahead.
 type Decoder struct {
 	data    []byte
-	bp      int
-	c       uint32
+	bp      int // index of the last byte read; data[bp+1] is next
+	c       uint64
 	a       uint32
 	ct      int
 	overrun int
@@ -249,11 +271,12 @@ func (d *Decoder) Reset(data []byte) {
 	d.bp = 0
 	d.ct = 0
 	d.overrun = 0
-	d.c = uint32(d.byteAt(0)) << 16
+	d.c = uint64(d.byteAt(0)) << 48
 	d.byteIn()
 	d.c <<= 7
 	d.ct -= 7
 	d.a = 0x8000
+	d.readAhead()
 }
 
 func (d *Decoder) byteAt(i int) byte {
@@ -263,113 +286,78 @@ func (d *Decoder) byteAt(i int) byte {
 	return 0xFF
 }
 
-// byteIn is BYTEIN with unstuffing and end-of-segment synthesis. The common
-// case — both the current and the next byte are inside the segment — reads
-// the slice directly; only reads at or past the end go through the byteAt
-// synthesis of trailing 0xFF bytes.
+// byteIn is BYTEIN with unstuffing and end-of-segment synthesis: it appends
+// the next input byte below the ct bits already buffered. Only reads the
+// standard decoder makes come here, so only they count toward Overrun.
 func (d *Decoder) byteIn() {
-	if bp := d.bp; bp+1 < len(d.data) {
-		b0 := d.data[bp]
-		b1 := d.data[bp+1]
-		if b0 != 0xFF {
-			d.bp = bp + 1
-			d.c += uint32(b1) << 8
-			d.ct = 8
-			return
-		}
-		if b1 > 0x8F {
-			d.c += 0xFF00
-			d.ct = 8
-			return
-		}
-		d.bp = bp + 1
-		d.c += uint32(b1) << 9
-		d.ct = 7
-		return
-	}
 	if d.bp >= len(d.data) {
 		d.overrun++
 	}
-	if d.byteAt(d.bp) == 0xFF {
-		if d.byteAt(d.bp+1) > 0x8F {
-			d.c += 0xFF00
-			d.ct = 8
-		} else {
-			d.bp++
-			d.c += uint32(d.byteAt(d.bp)) << 9
-			d.ct = 7
-		}
+	if d.byteAt(d.bp) != 0xFF {
+		d.bp++
+		d.c += uint64(d.byteAt(d.bp)) << (40 - d.ct)
+		d.ct += 8
+	} else if d.byteAt(d.bp+1) > 0x8F {
+		d.c += 0xFF << (40 - d.ct) // a marker or the end: feed 1-bits
+		d.ct += 8
 	} else {
 		d.bp++
-		d.c += uint32(d.byteAt(d.bp)) << 8
-		d.ct = 8
+		d.c += uint64(d.byteAt(d.bp)) << (41 - d.ct) // 7 bits and a carry
+		d.ct += 7
 	}
 }
 
-// Overrun returns the number of synthetic byte reads performed past the end
-// of the segment since Reset. Clean decodes read at most a couple of
-// synthesized bytes (the flush bytes the encoder drops); a large overrun means
-// the decoder was driven far past its data — the "MQ decoder ran off its
-// segment" corruption signal resilient tier-1 decoding keys on.
+// readAhead buffers whole bytes while 8 more bits fit in the register. It stops
+// before a byte that follows 0xFF, whose stuffed carry would reach Chigh
+// earlier than the standard decoder adds it, and after the segment's last
+// byte, so past-the-end reads are made only by byteIn, on demand. Every byte
+// it adds lands on zero bits and cannot carry, so adding it early changes no
+// comparison.
+func (d *Decoder) readAhead() {
+	for d.ct <= 40 && d.bp+1 < len(d.data) && d.data[d.bp] != 0xFF {
+		d.bp++
+		d.c |= uint64(d.data[d.bp]) << (40 - d.ct)
+		d.ct += 8
+	}
+}
+
+// Overrun returns the number of synthetic byte reads the standard decoder
+// would have performed past the end of the segment since Reset; read-ahead
+// never reads past the end, so it adds none. Clean decodes read at most a
+// couple of synthesized bytes (the flush bytes the encoder drops); a large
+// overrun means the decoder was driven far past its data — the "MQ decoder
+// ran off its segment" corruption signal resilient tier-1 decoding keys on.
 func (d *Decoder) Overrun() int { return d.overrun }
 
-// Decode returns the next decision in context cx, updating the context. As
-// in Encode, the dominant path — MPS with the interval still normalized —
-// returns after one compare, one subtract and one masked test.
+// Decode returns the next decision in context cx, updating the context. The
+// MPS and LPS exchanges are one flow: the decision is an MPS exactly when
+// Chigh >= Qe (the upper sub-interval) disagrees with the conditional
+// exchange (A - Qe < Qe). Masks choose the interval and the next state, and
+// the renormalization is one shift.
 func (d *Decoder) Decode(cx *Context) int {
-	q := &qeTable[cx.index]
-	a := d.a - q.qe
-	if (d.c >> 16) >= q.qe {
-		d.c -= q.qe << 16
-		if a&0x8000 != 0 {
-			// Fast path: no renormalization, no state transition.
-			d.a = a
-			return int(cx.mps)
-		}
-		// MPS exchange
-		var bit uint8
-		if a < q.qe {
-			bit = 1 - cx.mps
-			if q.swtch {
-				cx.mps = 1 - cx.mps
-			}
-			cx.index = q.nlps
-		} else {
-			bit = cx.mps
-			cx.index = q.nmps
-		}
-		d.a = a
-		d.renorm()
-		return int(bit)
+	q := &states[cx.s]
+	a, qe, xchg := decide(d.a, q)
+	lower := uint32(int32(uint32(d.c>>48)-qe) >> 31) // all ones iff Chigh < Qe
+	na := a ^ (a^qe)&lower
+	d.c -= uint64(qe&^lower) << 48
+	lps := (lower ^ xchg) & 1
+	bit := int(uint32(cx.s)^lps) & 1
+	move(cx, q, lps^1, na)
+	n := bits.LeadingZeros32(na) - 16
+	if n > d.ct {
+		d.fill(n)
 	}
-	// LPS exchange
-	var bit uint8
-	if a < q.qe {
-		bit = cx.mps
-		cx.index = q.nmps
-	} else {
-		bit = 1 - cx.mps
-		if q.swtch {
-			cx.mps = 1 - cx.mps
-		}
-		cx.index = q.nlps
-	}
-	d.a = q.qe
-	d.renorm()
-	return int(bit)
+	d.c <<= n & 63
+	d.ct -= n
+	d.a = na << (n & 15)
+	return bit
 }
 
-// renorm is RENORMD.
-func (d *Decoder) renorm() {
-	for {
-		if d.ct == 0 {
-			d.byteIn()
-		}
-		d.a <<= 1
-		d.c <<= 1
-		d.ct--
-		if d.a&0x8000 != 0 {
-			return
-		}
+// fill buffers at least n bits: first the bytes the standard decoder reads
+// during this renormalization, then whatever read-ahead allows.
+func (d *Decoder) fill(n int) {
+	for d.ct < n {
+		d.byteIn()
 	}
+	d.readAhead()
 }

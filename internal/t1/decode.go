@@ -43,10 +43,13 @@ type SegStats struct {
 
 // overrunSlack is the largest number of synthetic past-the-end MQ byte reads
 // a clean decode is allowed before the segment counts as corrupt: the encoder
-// drops at most one trailing 0xFF plus up to two flush bytes, and the decoder
-// reads at most a couple of bytes ahead, so a healthy segment never synthesizes
-// more than a handful. The data-proportional term keeps the bound loose for
-// rate-truncated segments, whose final bits legitimately come from synthesis.
+// drops at most one trailing 0xFF plus up to two flush bytes, and the standard
+// decoder reads at most a couple of bytes past its final symbol, so a healthy
+// segment never synthesizes more than a handful. mq.Decoder reads further
+// ahead, but never past the segment's end, and its Overrun counts only the
+// standard decoder's reads, so the bound is the standard's. The
+// data-proportional term keeps the bound loose for rate-truncated segments,
+// whose final bits legitimately come from synthesis.
 func overrunSlack(n int) int { return 8 + n/4 }
 
 // BlockIn describes one code-block to decode: the concatenated codeword
@@ -450,9 +453,7 @@ func (bd *BlockDecoder) decRefine(plane uint) {
 				if fl&(fSig|fVisited) != fSig {
 					continue
 				}
-				if bd.mq.Decode(&c.cx[mrCtx(fl&rm[k])]) == 1 {
-					mag[i] |= 1 << plane
-				}
+				mag[i] |= int32(bd.mq.Decode(&c.cx[mrCtx(fl&rm[k])])) << plane
 				f[i] = fl | fRefined
 			}
 		}
