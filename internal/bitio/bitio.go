@@ -138,6 +138,45 @@ func (w *StuffWriter) WriteBits(v uint32, n int) {
 	}
 }
 
+// Take hands the pending bits to a loop that writes many bits and wants
+// them in a register: a 64-bit window, MSB first, holding n bits with zeros
+// below them. The loop ORs each bit in below the last, calls Drain before the
+// window can overflow, and ends with Give; until then no method but Drain
+// may be called.
+func (w *StuffWriter) Take() (win uint64, n uint) {
+	win, n = uint64(w.acc)<<(64-w.nacc), uint(w.nacc)
+	w.acc, w.nacc = 0, 0
+	return win, n
+}
+
+// Drain appends every whole byte at the top of the window, stuffed as
+// WriteBit would, and returns the rest (fewer than 8 bits). It stays out of
+// line so that a caller's bit loop keeps its registers.
+//
+//go:noinline
+func (w *StuffWriter) Drain(win uint64, n uint) (uint64, uint) {
+	for n >= uint(w.lim) {
+		by := byte(win >> (64 - w.lim))
+		w.buf = append(w.buf, by)
+		win <<= w.lim
+		n -= uint(w.lim)
+		if by == 0xFF {
+			w.lim = 7
+		} else {
+			w.lim = 8
+		}
+	}
+	return win, n
+}
+
+// Give ends a Take: the window's whole bytes are appended and the rest stay
+// pending, so the writer is in the state the same bits written by WriteBit
+// would have left it.
+func (w *StuffWriter) Give(win uint64, n uint) {
+	win, n = w.Drain(win, n)
+	w.acc, w.nacc = uint16(win>>(64-n)), uint8(n)
+}
+
 // Len returns the number of bytes Bytes would return before its trailing
 // 0xFF padding rule: whole bytes emitted plus one for any pending bits. Rate
 // accounting for raw (bypass) codeword segments reads it mid-stream.

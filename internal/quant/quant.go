@@ -134,8 +134,10 @@ func ForwardBands(src []float64, stride int, jobs []BandJob, workers int, pool *
 // Dequant reconstructs one float coefficient from its quantized value v: v
 // plus the half-step midpoint bias, times step. The bias comes from v's sign
 // (-1, 0 or +1) without a branch: +0.5 for v > 0, -0.5 for v < 0, and +0 for
-// v == 0, the bits adding or subtracting 0.5 directly gives. Tier-1's
-// into-plane decode calls it for every 9/7 sample.
+// v == 0, so a zero is +0, not -0, for any positive step. Tier-1's block
+// write-out calls it once per sample of a 9/7 block that decoded at least one
+// pass, and once for a whole block that decoded none (every sample is then
+// Dequant(0, step)).
 func Dequant(v int32, step float64) float64 {
 	sign := v>>31 | int32(uint32(-v)>>31)
 	return (float64(v) + float64(0.5*float64(sign))) * step

@@ -128,29 +128,39 @@ func BenchmarkT1Passes(b *testing.B) {
 }
 
 // BenchmarkT1DecodePasses is the decode analogue: the same canonical block's
-// passes, decoded from the matching segment prefix each iteration.
+// passes, decoded from the matching segment prefix each iteration. Two more
+// cases give each bit-level loop of the decoder its own gauge: bypass-termall
+// decodes a deep (14-plane) block whose raw passes read their bits through
+// the register window, and float decodes a random block into a 9/7 plane
+// (the branch-free write-out plus dequantization).
 func BenchmarkT1DecodePasses(b *testing.B) {
 	data := testBlock(64)
 	eb := encodeBlock(data, 64, 64, 64, dwt.HH)
 	bd := NewBlockDecoder()
-	for _, np := range []int{1, len(eb.Passes) / 2, len(eb.Passes)} {
-		np := np
-		b.Run("passes="+strconv.Itoa(np), func(b *testing.B) {
-			seg := eb.Data
-			if r := eb.Passes[np-1].Rate; r < len(seg) {
-				seg = seg[:r]
-			}
-			in := BlockIn{W: 64, H: 64, Band: dwt.HH, NumBitplanes: eb.NumBitplanes, Data: seg, NPasses: np}
+	run := func(in BlockIn, dst Dest) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.SetBytes(64 * 64)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := bd.DecodeBlock(&in, false); err != nil {
+				if _, err := bd.DecodeInto(&in, &dst, false); err != nil {
 					b.Fatal(err)
 				}
-				bd.Release()
 			}
-		})
+		}
 	}
+	ints := make([]int32, 64*64)
+	for _, np := range []int{1, len(eb.Passes) / 2, len(eb.Passes)} {
+		b.Run("passes="+strconv.Itoa(np), run(blockIn(eb, np), Dest{Int: ints, Stride: 64}))
+	}
+	deep := (&Coder{Modes: Modes{Bypass: true, TermAll: true}}).Encode(randBlock(64, 64, 1<<13, 0.6, 7), 64, 64, 64, dwt.HH)
+	if deep.NumBitplanes < 12 {
+		b.Fatalf("deep block has %d bit-planes, want at least 12", deep.NumBitplanes)
+	}
+	b.Run("bypass-termall", run(blockIn(deep, len(deep.Passes)), Dest{Int: ints, Stride: 64}))
+	// A random block: the canonical one's signs and zeros repeat with a short
+	// period a branch predictor learns, which real coefficients do not.
+	rnd := encodeBlock(randBlock(64, 64, 1<<9, 0.5, 3), 64, 64, 64, dwt.HL)
+	b.Run("float", run(blockIn(rnd, len(rnd.Passes)), Dest{Float: make([]float64, 64*64), Stride: 64, Step: 0.75}))
 }
 
 // BenchmarkCodersSideBySide is the false-sharing probe of DESIGN.md §7 at the

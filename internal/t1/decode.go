@@ -211,7 +211,7 @@ func (bd *BlockDecoder) startSeg(pass int, seg *int, raw bool) {
 			return
 		}
 		if bd.modes.passBypassed(pass - 1) {
-			bd.ovr += bd.rr.overrun
+			bd.ovr += bd.rr.overrun()
 		} else {
 			bd.ovr += bd.mq.Overrun()
 		}
@@ -291,7 +291,7 @@ planes:
 	// Bank the final segment's overrun (raw iff the last pass was bypassed).
 	if pass > 0 {
 		if m.passBypassed(pass - 1) {
-			bd.ovr += bd.rr.overrun
+			bd.ovr += bd.rr.overrun()
 		} else {
 			bd.ovr += bd.mq.Overrun()
 		}
@@ -319,6 +319,21 @@ func (bd *BlockDecoder) decSegSym() bool {
 // that plane: p after a cleanup or refinement pass at p; after a significance
 // pass at p, p for a sample it visited and p+1 for every other.
 func (bd *BlockDecoder) fill(dst *Dest, w, h, nbp, passes int) {
+	if passes == 0 {
+		z := quant.Dequant(0, dst.Step)
+		for y := 0; y < h; y++ {
+			o := dst.Off + y*dst.Stride
+			if dst.Float != nil {
+				row := dst.Float[o : o+w]
+				for x := range row {
+					row[x] = z
+				}
+			} else {
+				clear(dst.Int[o : o+w])
+			}
+		}
+		return
+	}
 	c := &bd.c
 	p, sigLast := max(nbp-1, 0), false
 	if k := passes - 1; k > 0 {
@@ -328,35 +343,56 @@ func (bd *BlockDecoder) fill(dst *Dest, w, h, nbp, passes int) {
 	if sigLast {
 		midRest = int32(uint32(1) << p)
 	}
+	dmid := midVis - midRest
 	s := uint(max(dst.ROIShift, 0))
-	thr := int32(1) << s
 	for y := 0; y < h; y++ {
 		o, i := dst.Off+y*dst.Stride, c.idx(0, y)
-		for x := 0; x < w; x++ {
-			var v int32
-			if passes > 0 && c.flags[i+x]&fSig != 0 {
-				v = c.mag[i+x] + midRest
-				if c.flags[i+x]&fVisited != 0 {
-					v = c.mag[i+x] + midVis
+		flags, mag := c.flags[i:i+w], c.mag[i:i+w]
+		if dst.Float != nil {
+			row := dst.Float[o : o+w]
+			for x, fl := range flags {
+				v := recon(fl, mag[x], midRest, dmid)
+				if s > 0 {
+					v = unshiftROI(v, s)
 				}
-				if c.flags[i+x]&fNeg != 0 {
-					v = -v
-				}
-				if m := max(v, -v); s > 0 && m >= thr {
-					if v < 0 {
-						v = -(m >> s)
-					} else {
-						v = m >> s
-					}
-				}
+				row[x] = quant.Dequant(v, dst.Step)
 			}
-			if dst.Float != nil {
-				dst.Float[o+x] = quant.Dequant(v, dst.Step)
-			} else {
-				dst.Int[o+x] = v
+		} else {
+			row := dst.Int[o : o+w]
+			for x, fl := range flags {
+				v := recon(fl, mag[x], midRest, dmid)
+				if s > 0 {
+					v = unshiftROI(v, s)
+				}
+				row[x] = v
 			}
 		}
 	}
+}
+
+// recon is one sample's signed reconstruction from its flag word and decoded
+// magnitude m: 0 unless significant, else ±(m + midpoint), the midpoint
+// midRest, or midRest+dmid for a sample the last significance pass visited.
+// The three flag bits become all-ones-or-zero masks, so a sample's random
+// sign and significance cost no branch.
+func recon(fl uint32, m, midRest, dmid int32) int32 {
+	sig := int32(fl<<(31-sigShift)) >> 31
+	vis := int32(fl<<(31-visShift)) >> 31
+	neg := int32(fl<<(31-negShift)) >> 31
+	v := (m + midRest + dmid&vis) & sig
+	return v ^ neg - neg
+}
+
+// unshiftROI undoes MAXSHIFT on a reconstructed sample: a magnitude at or
+// above 2^s belongs to the ROI and is shifted back down.
+func unshiftROI(v int32, s uint) int32 {
+	if m := max(v, -v); m >= int32(1)<<s {
+		if v < 0 {
+			return -(m >> s)
+		}
+		return m >> s
+	}
+	return v
 }
 
 // decSigProp mirrors encSigProp on the decode side.
@@ -387,11 +423,14 @@ func (bd *BlockDecoder) decSigProp(plane uint) {
 }
 
 // decSigPropRaw mirrors encSigPropRaw: the bypassed significance pass, read
-// as raw stuffed bits.
+// as raw stuffed bits from the reader's window held in registers. A sample
+// reads its significance bit and, when significant, the sign bit after it;
+// the refill keeps two bits in hand, so one check covers both reads.
 func (bd *BlockDecoder) decSigPropRaw(plane uint) {
 	c := &bd.c
-	f, bw := c.flags, c.bw
+	f, mag, bw := c.flags, c.mag, c.bw
 	r := &bd.rr
+	win, n := r.take()
 	rm := &c.rowMask
 	for y0 := 0; y0 < c.h; y0 += 4 {
 		rows := min(c.h-y0, 4)
@@ -406,18 +445,21 @@ func (bd *BlockDecoder) decSigPropRaw(plane uint) {
 				if fl&fSig != 0 || fl&fSigOth == 0 {
 					continue
 				}
-				if r.ReadBit() == 1 {
-					neg := r.ReadBit() == 1
-					if neg {
-						f[i] |= fNeg
-					}
-					c.setSig(i, neg)
-					c.mag[i] |= 1 << plane
+				if n < 2 {
+					win, n = r.refill(win, n)
 				}
+				sig := uint32(win >> 63)
+				if sig != 0 {
+					c.setSig(i, uint32(win>>62&1))
+					mag[i] |= 1 << plane
+				}
+				win <<= (1 + sig) & 63
+				n -= uint(1 + sig)
 				f[i] |= fVisited
 			}
 		}
 	}
+	r.give(win, n)
 }
 
 // decSign decodes the sign of sample i which just became significant at
@@ -426,12 +468,7 @@ func (bd *BlockDecoder) decSigPropRaw(plane uint) {
 func (bd *BlockDecoder) decSign(i int, plane uint, mask uint32) {
 	c := &bd.c
 	sc := scLUT[(c.flags[i]&mask)>>4&0xFF]
-	bit := bd.mq.Decode(&c.cx[sc&0x1F])
-	neg := bit^int(sc>>7) == 1
-	if neg {
-		c.flags[i] |= fNeg
-	}
-	c.setSig(i, neg)
+	c.setSig(i, uint32(bd.mq.Decode(&c.cx[sc&0x1F]))^uint32(sc>>7))
 	c.mag[i] |= 1 << plane
 }
 
@@ -460,12 +497,13 @@ func (bd *BlockDecoder) decRefine(plane uint) {
 	}
 }
 
-// decRefineRaw mirrors encRefineRaw: the bypassed refinement pass, read as
-// raw stuffed bits.
+// decRefineRaw mirrors encRefineRaw: the bypassed refinement pass, one raw
+// bit per sample from the reader's window, ORed into the magnitude.
 func (bd *BlockDecoder) decRefineRaw(plane uint) {
 	c := &bd.c
 	f, mag, bw := c.flags, c.mag, c.bw
 	r := &bd.rr
+	win, n := r.take()
 	for y0 := 0; y0 < c.h; y0 += 4 {
 		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
@@ -481,12 +519,16 @@ func (bd *BlockDecoder) decRefineRaw(plane uint) {
 				}
 				// No fRefined update: the flag only selects the MQ refine
 				// context, never consulted again once the plane is bypassed.
-				if r.ReadBit() == 1 {
-					mag[i] |= 1 << plane
+				if n == 0 {
+					win, n = r.refill(win, n)
 				}
+				mag[i] |= int32(win>>63) << plane
+				win <<= 1
+				n--
 			}
 		}
 	}
+	r.give(win, n)
 }
 
 // decCleanup mirrors encCleanup on the decode side, and drops each visited

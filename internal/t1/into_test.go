@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"pj2k/internal/dwt"
@@ -340,5 +341,119 @@ func TestDecodeIntoDigest(t *testing.T) {
 	const want = "c0213980d3e66ac1c3636d986b194299b1a221e599f30acd821373fa09a1af5c"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("DecodeInto digest %s, want %s", got, want)
+	}
+}
+
+// fillReference is the block write-out as it was before it became
+// branch-free, kept as the oracle for fill: per sample it branches on the
+// significance, visited and sign bits and on the ROI threshold.
+func fillReference(c *coder, dst *Dest, w, h, nbp, passes int) {
+	p, sigLast := max(nbp-1, 0), false
+	if k := passes - 1; k > 0 {
+		p, sigLast = nbp-2-(k-1)/3, (k-1)%3 == 0
+	}
+	midVis, midRest := int32(uint32(1)<<p>>1), int32(uint32(1)<<p>>1)
+	if sigLast {
+		midRest = int32(uint32(1) << p)
+	}
+	s := uint(max(dst.ROIShift, 0))
+	thr := int32(1) << s
+	for y := 0; y < h; y++ {
+		o, i := dst.Off+y*dst.Stride, c.idx(0, y)
+		for x := 0; x < w; x++ {
+			var v int32
+			if passes > 0 && c.flags[i+x]&fSig != 0 {
+				v = c.mag[i+x] + midRest
+				if c.flags[i+x]&fVisited != 0 {
+					v = c.mag[i+x] + midVis
+				}
+				if c.flags[i+x]&fNeg != 0 {
+					v = -v
+				}
+				if m := max(v, -v); s > 0 && m >= thr {
+					if v < 0 {
+						v = -(m >> s)
+					} else {
+						v = m >> s
+					}
+				}
+			}
+			if dst.Float != nil {
+				dst.Float[o+x] = quant.Dequant(v, dst.Step)
+			} else {
+				dst.Int[o+x] = v
+			}
+		}
+	}
+}
+
+// TestFillMatchesReference runs random coder states through fill and
+// fillReference: every pass count from 0 to TotalPasses, so every kind of
+// last pass and both midpoints of a significance pass ending the decode; ROI
+// shift 0 and 5; int and float planes at odd offsets and strides. The two
+// must write the same plane, floats equal by bits (a -0 where the reference
+// writes +0 fails), and leave everything outside the rectangle alone.
+// Magnitudes span the whole int32 range at 31 planes, so the wrapping
+// midpoint addition is covered too.
+func TestFillMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	bd := NewBlockDecoder()
+	c := &bd.c
+	for trial := 0; trial < 40; trial++ {
+		w, h := 1+rng.Intn(19), 1+rng.Intn(13)
+		nbp := 1 + rng.Intn(31)
+		if trial%8 == 0 {
+			nbp = 31
+		}
+		c.reset(w, h, bandTypes[trial%len(bandTypes)])
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				i := c.idx(x, y)
+				c.flags[i] = rng.Uint32() & 0xFFFF
+				c.mag[i] = rng.Int31n(int32(uint32(1)<<nbp - 1)) // nbp 31: up to 2^31-2
+			}
+		}
+		step := 0.01 + 3*rng.Float64()
+		for passes := 0; passes <= TotalPasses(nbp); passes++ {
+			for _, roi := range []int{0, 5} {
+				for _, float := range []bool{false, true} {
+					ox, oy := 1+2*rng.Intn(3), 1+2*rng.Intn(2)
+					stride := ox + w + 1 + 2*rng.Intn(3)
+					if stride%2 == 0 {
+						stride++
+					}
+					n := (oy + h + 1) * stride
+					dst := func() *Dest {
+						d := &Dest{Off: oy*stride + ox, Stride: stride, Step: step, ROIShift: roi}
+						if float {
+							d.Float = make([]float64, n)
+							for i := range d.Float {
+								d.Float[i] = math.Float64frombits(floatPoison)
+							}
+						} else {
+							d.Int = make([]int32, n)
+							for i := range d.Int {
+								d.Int[i] = intPoison
+							}
+						}
+						return d
+					}
+					got, want := dst(), dst()
+					bd.fill(got, w, h, nbp, passes)
+					fillReference(c, want, w, h, nbp, passes)
+					for i := 0; i < n; i++ {
+						if float {
+							if g, e := math.Float64bits(got.Float[i]), math.Float64bits(want.Float[i]); g != e {
+								t.Fatalf("trial %d %dx%d nbp %d passes %d roi %d: float sample %d bits %#x, want %#x",
+									trial, w, h, nbp, passes, roi, i, g, e)
+							}
+						} else if got.Int[i] != want.Int[i] {
+							t.Fatalf("trial %d %dx%d nbp %d passes %d roi %d: int sample %d = %d, want %d",
+								trial, w, h, nbp, passes, roi, i, got.Int[i], want.Int[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }

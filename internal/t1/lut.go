@@ -20,7 +20,8 @@ import "pj2k/internal/dwt"
 //	12    this sample is significant
 //	13    this sample has been refined at least once
 //	14    this sample was coded in the current plane's sig-prop pass
-//	15    this sample's input sign (encode side; set = negative)
+//	15    this sample's sign (set = negative): the encoder's input sign,
+//	      the decoder's once decoded
 const (
 	fSigNE uint32 = 1 << 0
 	fSigSE uint32 = 1 << 1
@@ -35,10 +36,16 @@ const (
 	fSgnS  uint32 = 1 << 10
 	fSgnW  uint32 = 1 << 11
 
-	fSig     uint32 = 1 << 12
+	fSig     uint32 = 1 << sigShift
 	fRefined uint32 = 1 << 13
-	fVisited uint32 = 1 << 14
-	fNeg     uint32 = 1 << 15
+	fVisited uint32 = 1 << visShift
+	fNeg     uint32 = 1 << negShift
+
+	// Bit positions of the three per-sample flags the block write-out turns
+	// into masks.
+	sigShift = 12
+	visShift = 14
+	negShift = 15
 
 	// fSigOth masks all eight neighbor-significance bits: nonzero iff any
 	// 8-neighbor is significant.
@@ -68,30 +75,25 @@ func init() {
 	}
 }
 
-// setSig marks sample i significant with the given sign and pushes the
-// significance/sign bits into its eight neighbors' flag words — the one-time
-// update that replaces per-context neighbor gathering. Writes that fall on
-// the border ring of the (w+2)x(h+2) array land in cells never coded, so no
-// bounds checks are needed.
-func (c *coder) setSig(i int, neg bool) {
+// setSig marks sample i significant with sign neg (1 = negative, 0 =
+// positive) and pushes the significance/sign bits into its eight neighbors'
+// flag words — the one-time update that replaces per-context neighbor
+// gathering. The sign arrives as a 0/1 word and is multiplied into the sign
+// bits, so a random sign costs no branch. Writes that fall on the border ring
+// of the (w+2)x(h+2) array land in cells never coded, so no bounds checks are
+// needed.
+func (c *coder) setSig(i int, neg uint32) {
 	f := c.flags
 	bw := c.bw
 	f[i-bw-1] |= fSigSE // the NW neighbor sees this sample to its south-east
 	f[i-bw+1] |= fSigSW
 	f[i+bw-1] |= fSigNE
 	f[i+bw+1] |= fSigNW
-	if neg {
-		f[i-bw] |= fSigS | fSgnS
-		f[i-1] |= fSigE | fSgnE
-		f[i+1] |= fSigW | fSgnW
-		f[i+bw] |= fSigN | fSgnN
-	} else {
-		f[i-bw] |= fSigS
-		f[i-1] |= fSigE
-		f[i+1] |= fSigW
-		f[i+bw] |= fSigN
-	}
-	f[i] |= fSig
+	f[i-bw] |= fSigS | neg*fSgnS
+	f[i-1] |= fSigE | neg*fSgnE
+	f[i+1] |= fSigW | neg*fSgnW
+	f[i+bw] |= fSigN | neg*fSgnN
+	f[i] |= fSig | neg*fNeg
 }
 
 // mrCtx returns the magnitude-refinement context (Table D.2) from a flag

@@ -194,7 +194,7 @@ func TestFlagWordContextsMatchReference(t *testing.T) {
 		for i, s := range st {
 			if s != 0 {
 				dx, dy := neighborOffsets[i][0], neighborOffsets[i][1]
-				c.setSig(c.idx(1+dx, 1+dy), s == 2)
+				c.setSig(c.idx(1+dx, 1+dy), uint32(s>>1)) // state 2 is negative
 			}
 		}
 		fl := c.flags[c.idx(1, 1)]
@@ -227,7 +227,11 @@ func TestSetSigSymmetry(t *testing.T) {
 	var c coder
 	for _, neg := range []bool{false, true} {
 		c.reset(3, 3, dwt.LL)
-		c.setSig(c.idx(1, 1), neg)
+		var sgn uint32
+		if neg {
+			sgn = 1
+		}
+		c.setSig(c.idx(1, 1), sgn)
 		check := func(x, y int, sig, sgn uint32) {
 			t.Helper()
 			fl := c.flags[c.idx(x, y)]

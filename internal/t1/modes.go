@@ -96,40 +96,70 @@ func (m Modes) AppendSegEnds(dst []int, from, to int) []int {
 
 // rawReader reads the bits of a raw (arithmetic-bypass) codeword segment:
 // MSB-first with the 0xFF stuffing rule (after an 0xFF byte only seven bits
-// occupy the next byte; its MSB is a stuffed zero). Reads past the end of
-// the segment synthesize 1-bits and are counted, mirroring mq.Decoder's
-// overrun accounting so resilience checks can spot truncated segments.
+// occupy the next byte; its MSB is a stuffed zero). Past the end of the
+// segment it reads 1-bits, as if 0xFF bytes followed, and counts each such
+// byte a pass reads from, mirroring mq.Decoder's overrun accounting so
+// resilience checks can spot truncated segments.
+//
+// A pass loop keeps the unread bits in registers (DESIGN.md §10): take hands
+// them out as a 64-bit window, MSB first, with its bit count; refill tops the
+// window up out of line; give hands back what the pass left unread.
 type rawReader struct {
-	data    []byte
-	pos     int
-	acc     uint32
-	nacc    int
-	prev    byte
-	overrun int
+	data  []byte
+	pos   int
+	win   uint64 // unread bits, MSB-aligned; the bits below them are zero
+	n     uint   // bits in win
+	prev  byte   // last byte appended: after an 0xFF the next holds 7 bits
+	synth int    // past-the-end bits appended so far
 }
 
 // Reset re-aims the reader at a new segment.
-func (r *rawReader) Reset(data []byte) {
-	r.data, r.pos, r.acc, r.nacc, r.prev, r.overrun = data, 0, 0, 0, 0, 0
-}
+func (r *rawReader) Reset(data []byte) { *r = rawReader{data: data} }
 
-// ReadBit returns the next raw bit.
-func (r *rawReader) ReadBit() int {
-	if r.nacc == 0 {
-		lim := 8
+// take returns the unread bits for a pass loop to hold in registers.
+func (r *rawReader) take() (uint64, uint) { return r.win, r.n }
+
+// give stores back the window a pass loop took and did not finish.
+func (r *rawReader) give(win uint64, n uint) { r.win, r.n = win, n }
+
+// refill appends whole bytes to the window (n bits held) while another fits.
+// Past the end of the segment the bytes are 0xFF; they are synthesized
+// ahead of need, but overrun counts only those a pass reads from. It stays
+// out of line so that the pass loops keep their registers.
+//
+//go:noinline
+func (r *rawReader) refill(win uint64, n uint) (uint64, uint) {
+	for n <= 56 {
+		lim := uint(8)
 		if r.prev == 0xFF {
 			lim = 7
 		}
+		b := byte(0xFF)
 		if r.pos < len(r.data) {
-			r.prev = r.data[r.pos]
+			b = r.data[r.pos]
 			r.pos++
 		} else {
-			r.overrun++
-			r.prev = 0xFF
+			r.synth += int(lim)
 		}
-		r.acc = uint32(r.prev)
-		r.nacc = lim
+		r.prev = b
+		win |= uint64(b) << (64 - lim) >> n // a 7-bit byte's stuffed MSB falls off the top
+		n += lim
 	}
-	r.nacc--
-	return int(r.acc >> uint(r.nacc) & 1)
+	return win, n
+}
+
+// overrun returns how many past-the-end bytes the passes have read from: the
+// bit-serial reader's count, which synthesized a byte only when a read needed
+// it. The first such byte holds 7 bits after a final 0xFF, else 8; the rest
+// hold 7.
+func (r *rawReader) overrun() int {
+	read := r.synth - min(int(r.n), r.synth) // past-the-end bits consumed
+	if read == 0 {
+		return 0
+	}
+	first := 8
+	if k := len(r.data); k > 0 && r.data[k-1] == 0xFF {
+		first = 7
+	}
+	return 1 + (max(read-first, 0)+6)/7
 }

@@ -489,11 +489,13 @@ func (c *coder) encSigProp(enc *mq.Encoder, plane uint) float64 {
 
 // encSigPropRaw is the arithmetic-bypass significance pass: the same
 // membership walk as encSigProp, but the decision and sign are written as
-// raw stuffed bits (no contexts, no sign prediction).
+// raw stuffed bits (no contexts, no sign prediction), into the writer's
+// window held in registers.
 func (c *coder) encSigPropRaw(w *bitio.StuffWriter, plane uint) float64 {
 	var dist float64
 	f, mag, bw := c.flags, c.mag, c.bw
 	rm := &c.rowMask
+	win, n := w.Take()
 	for y0 := 0; y0 < c.h; y0 += 4 {
 		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
@@ -507,15 +509,17 @@ func (c *coder) encSigPropRaw(w *bitio.StuffWriter, plane uint) float64 {
 				if fl&fSig != 0 || fl&fSigOth == 0 {
 					continue
 				}
-				bit := int(mag[i] >> plane & 1)
-				w.WriteBit(bit)
+				if n > 56 {
+					win, n = w.Drain(win, n)
+				}
+				bit := uint32(mag[i]>>plane) & 1
+				win |= uint64(bit) << 63 >> (n & 63)
+				n++
 				if bit == 1 {
-					s := 0
-					if f[i]&fNeg != 0 {
-						s = 1
-					}
-					w.WriteBit(s)
-					c.setSig(i, s == 1)
+					s := f[i] >> negShift & 1
+					win |= uint64(s) << 63 >> (n & 63)
+					n++
+					c.setSig(i, s)
 					if c.track {
 						dist += distSig(mag[i], plane)
 					}
@@ -524,6 +528,7 @@ func (c *coder) encSigPropRaw(w *bitio.StuffWriter, plane uint) float64 {
 			}
 		}
 	}
+	w.Give(win, n)
 	return dist
 }
 
@@ -533,12 +538,9 @@ func (c *coder) encSigPropRaw(w *bitio.StuffWriter, plane uint) float64 {
 // (all ones outside causal mode).
 func (c *coder) encSign(enc *mq.Encoder, i int, plane uint, mask uint32) float64 {
 	sc := scLUT[(c.flags[i]&mask)>>4&0xFF]
-	s := 0
-	if c.flags[i]&fNeg != 0 {
-		s = 1
-	}
-	enc.Encode(s^int(sc>>7), &c.cx[sc&0x1F])
-	c.setSig(i, s == 1)
+	s := c.flags[i] >> negShift & 1
+	enc.Encode(int(s^uint32(sc>>7)), &c.cx[sc&0x1F])
+	c.setSig(i, s)
 	if !c.track {
 		return 0
 	}
@@ -577,10 +579,12 @@ func (c *coder) encRefine(enc *mq.Encoder, plane uint) float64 {
 }
 
 // encRefineRaw is the arithmetic-bypass refinement pass: one raw magnitude
-// bit per sample already significant before this plane.
+// bit per sample already significant before this plane, into the writer's
+// window held in registers.
 func (c *coder) encRefineRaw(w *bitio.StuffWriter, plane uint) float64 {
 	var dist float64
 	f, mag, bw, track := c.flags, c.mag, c.bw, c.track
+	win, n := w.Take()
 	for y0 := 0; y0 < c.h; y0 += 4 {
 		rows := min(c.h-y0, 4)
 		i0 := (y0+1)*bw + 1
@@ -596,13 +600,18 @@ func (c *coder) encRefineRaw(w *bitio.StuffWriter, plane uint) float64 {
 				}
 				// No fRefined update: the flag only selects the MQ refine
 				// context, and every later refine pass is also bypassed.
-				w.WriteBit(int(mag[i] >> plane & 1))
+				if n > 56 {
+					win, n = w.Drain(win, n)
+				}
+				win |= uint64(mag[i]>>plane&1) << 63 >> (n & 63)
+				n++
 				if track {
 					dist += distRef(mag[i], plane)
 				}
 			}
 		}
 	}
+	w.Give(win, n)
 	return dist
 }
 
